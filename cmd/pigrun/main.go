@@ -57,6 +57,7 @@ func main() {
 	cfg := cluster.PaperConfig()
 	cfg.Workers = *workers
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, cfg)
 	fs := dfs.New(c)
 	eng := mapreduce.NewEngine(c, fs)

@@ -46,6 +46,7 @@ func chunkRemoteCost(chunkVirtual int64, spills int) float64 {
 	cfg.Workers = 2
 	cfg.SpongeMemory = 4 * media.GB
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, cfg)
 	scfg := sponge.DefaultConfig()
 	scfg.ChunkVirtual = chunkVirtual
@@ -118,6 +119,7 @@ func stalenessRun(poll simtime.Duration) StalenessRow {
 	cfg.Workers = 6
 	cfg.SpongeMemory = 8 * media.MB // 8 chunks per node: tight
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, cfg)
 	scfg := sponge.DefaultConfig()
 	scfg.PollInterval = poll
@@ -242,6 +244,7 @@ func AffinityAblation() []AffinityRow {
 			machines = agent.MachinesUsed()
 		})
 		sim.MustRun()
+		sim.Close()
 		rows = append(rows, AffinityRow{
 			Affinity:     aff,
 			MachinesUsed: machines,
@@ -327,6 +330,7 @@ func RackLocalityAblation() []RackRow {
 			f.Delete(p)
 		})
 		sim.MustRun()
+		sim.Close()
 		row.CrossRackBytes = c.Net.CrossRackBytes
 		rows = append(rows, row)
 	}
@@ -400,6 +404,7 @@ func OverlapAblation() []OverlapRow {
 			hog.Delete(p)
 		})
 		sim.MustRun()
+		sim.Close()
 		rows = append(rows, row)
 	}
 	return rows

@@ -39,6 +39,7 @@ func RemotePagingComparison() []PagingRow {
 		cfg.Workers = 2
 		cfg.SpongeMemory = 256 * media.MB
 		sim := simtime.New()
+		defer sim.Close()
 		c := cluster.New(sim, cfg)
 		svc := sponge.Start(c, sponge.DefaultConfig())
 		var target spill.Target
@@ -130,6 +131,7 @@ func countByDomain(sizeFactor float64, skewAware bool) float64 {
 	cfg := cluster.PaperConfig()
 	cfg.Workers = 8
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, cfg)
 	fs := dfs.New(c)
 	eng := mapreduce.NewEngine(c, fs)
@@ -148,10 +150,7 @@ func countByDomain(sizeFactor float64, skewAware bool) float64 {
 			// domain, so the Zipfian head domain swamps one reducer.
 			// The value carries the record so reducer input volume
 			// reflects data volume.
-			t := pig.DecodeTuple(v)
-			key := append([]byte(t.String(1)), 0)
-			key = append(key, t.String(0)...)
-			emit(key, v)
+			emit(domainURLKey(v), v)
 		},
 		// Naive partitioning: hash of the domain component only.
 		Partition: func(key []byte, n int) int {
@@ -190,6 +189,18 @@ func countByDomain(sizeFactor float64, skewAware bool) float64 {
 	return res.Duration().Seconds()
 }
 
+// domainURLKey builds a fresh domain\x00url key from a serialized page.
+func domainURLKey(page []byte) []byte {
+	t, err := pig.Scan(page)
+	if err != nil {
+		panic(err) // inside a map function: a failed task attempt
+	}
+	dom, url := t.String(1), t.String(0)
+	key := make([]byte, 0, len(dom)+1+len(url))
+	key = append(append(key, dom...), 0)
+	return append(key, url...)
+}
+
 // sampleKeys draws map-output keys from the corpus for the range
 // partitioner (the sampling pass skew-resistant schemes rely on, §2.2),
 // in the same domain\x00url form the job emits.
@@ -200,10 +211,7 @@ func sampleKeys(w *workload.WebCorpus, n int) [][]byte {
 	i := 0
 	gen(func(k, v []byte) {
 		if i%16 == 0 && len(keys) < n {
-			t := pig.DecodeTuple(v)
-			key := append([]byte(t.String(1)), 0)
-			key = append(key, t.String(0)...)
-			keys = append(keys, key)
+			keys = append(keys, domainURLKey(v))
 		}
 		i++
 	})

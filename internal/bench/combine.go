@@ -77,12 +77,12 @@ type CombineCell struct {
 	// MapSpillReal is the map tasks' spill traffic (real bytes).
 	MapSpillReal int64 `json:"mapSpillRealBytes"`
 	// Node-combine stage accounting (zero outside the node modes).
-	NCPublished   int64 `json:"ncPublished"`
-	NCBypassed    int64 `json:"ncBypassed"`
-	NCSavedBytes  int64 `json:"ncSavedBytes"`
-	NCOverflows   int64 `json:"ncOverflows"`
-	NCSpillReal   int64 `json:"ncSpillRealBytes"`
-	NCSpillChunks int64 `json:"ncSpillChunks"`
+	NCPublished   int64   `json:"ncPublished"`
+	NCBypassed    int64   `json:"ncBypassed"`
+	NCSavedBytes  int64   `json:"ncSavedBytes"`
+	NCOverflows   int64   `json:"ncOverflows"`
+	NCSpillReal   int64   `json:"ncSpillRealBytes"`
+	NCSpillChunks int64   `json:"ncSpillChunks"`
 	WallMs        float64 `json:"wallMs"`
 }
 
@@ -104,6 +104,7 @@ func runCombineCell(job, mode string, cfg CombineConfig) CombineCell {
 	ccfg := cluster.PaperConfig()
 	ccfg.Workers = cfg.Workers
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, ccfg)
 	fs := dfs.New(c)
 	fs.BlockVirtual = cfg.BlockMB * media.MB
@@ -269,7 +270,7 @@ func combinePigJob(c *cluster.Cluster, fs *dfs.DFS, heap int64, cfg CombineConfi
 				}
 			},
 		},
-		GroupKey:  func(t pig.Tuple) string { return t.String(1) },
+		GroupKey:  func(t pig.Cursor) string { return t.String(1) },
 		Algebraic: pig.CountFold(),
 	}
 	return q.Compile(heap, spill.DiskFactory())

@@ -92,6 +92,7 @@ func runFaultCell(transport string, drop float64, cfg FaultsConfig) FaultCell {
 	ccfg.Workers = cfg.Workers
 	ccfg.SpongeMemory = 2 * media.MB // two chunks per node: remote capacity is tight
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, ccfg)
 	scfg := sponge.DefaultConfig()
 	scfg.Metrics = cfg.Metrics

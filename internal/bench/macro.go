@@ -157,6 +157,7 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	}
 
 	sim := simtime.New()
+	defer sim.Close()
 	sim.SetLegacyAlloc(mc.LegacyAlloc)
 	c := cluster.New(sim, cfg)
 	fs := dfs.New(c)
@@ -296,8 +297,8 @@ func anchortextJob(c *cluster.Cluster, fs *dfs.DFS, factory spill.Factory, mc Ma
 		Name:  "frequent-anchortext",
 		Input: w.Input("/in/web", splits),
 		// Keep language and the anchortext terms (~25% of the record).
-		Project:  func(t pig.Tuple) pig.Tuple { return pig.Tuple{t[2], t[4]} },
-		GroupKey: func(t pig.Tuple) string { return t.String(0) },
+		Project:  []int{2, 4},
+		GroupKey: func(t pig.Cursor) string { return t.String(0) },
 		UDF:      pig.TopK(1, 10, 0),
 	}
 	conf := q.Compile(heap, factory)
@@ -318,8 +319,8 @@ func spamJob(c *cluster.Cluster, fs *dfs.DFS, factory spill.Factory, mc MacroCon
 	q := &pig.GroupQuery{
 		Name:     "spam-quantiles",
 		Input:    w.Input("/in/web", splits),
-		GroupKey: func(t pig.Tuple) string { return t.String(1) },
-		SortKey:  func(t pig.Tuple) pig.Value { return t.Float(3) },
+		GroupKey: func(t pig.Cursor) string { return t.String(1) },
+		SortKey:  func(t pig.Cursor) float64 { return t.Float(3) },
 		UDF:      pig.Quantiles(3, 10),
 	}
 	conf := q.Compile(heap, factory)

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
+	"spongefiles/internal/cluster"
 	"spongefiles/internal/media"
+	"spongefiles/internal/workload"
 )
 
 // Small-and-fast harness configuration for tests.
@@ -70,3 +74,45 @@ func BenchmarkMacroMedian(b *testing.B)        { benchMacro(b, Median, false) }
 func BenchmarkMacroMedianLegacy(b *testing.B)  { benchMacro(b, Median, true) }
 func BenchmarkMacroAnchortext(b *testing.B)    { benchMacro(b, Anchortext, false) }
 func BenchmarkMacroSpamQuantiles(b *testing.B) { benchMacro(b, SpamQuantiles, false) }
+
+// TestRunMacroLeavesNoGoroutines holds RunMacro to closing its
+// simulation: twenty runs back to back leave the goroutine count where
+// it started. Each used to leave its daemons and pooled processes parked
+// for good, and the simulated cluster reachable through them.
+func TestRunMacroLeavesNoGoroutines(t *testing.T) {
+	mc := perfConfig(perfTestSize, perfTestWorkers, false)
+	RunMacro(Median, mc)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		RunMacro(Median, mc)
+	}
+	// Exiting goroutines need a moment to leave the count.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines before 20 runs, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPigJobAllocsPerRecord is the record path's end-to-end guard: a
+// whole Pig job — corpus generation, map, sort, shuffle, bags, UDF
+// passes, cluster set-up included — stays under ten heap objects per
+// input record. The boxed tuple path cost about 135. What remains is
+// TopK cloning a term each time it enters the count table.
+func TestPigJobAllocsPerRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed guard; skipped in -short mode")
+	}
+	const ceiling = 10
+	mc := perfConfig(perfTestSize, 8, false)
+	records := float64(workload.DefaultWebCorpus(cluster.PaperConfig().Scale).Records()) * perfTestSize
+	for _, kind := range []JobKind{Anchortext, SpamQuantiles} {
+		allocs := testing.AllocsPerRun(2, func() { RunMacro(kind, mc) })
+		if per := allocs / records; per > ceiling {
+			t.Errorf("%s: %.0f allocs for %.0f records = %.1f per record, ceiling %d", kind, allocs, records, per, ceiling)
+		} else {
+			t.Logf("%s: %.1f allocs per record", kind, per)
+		}
+	}
+}

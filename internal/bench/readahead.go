@@ -111,6 +111,7 @@ func runReadAheadCell(transport string, delayMs, depth int, cfg ReadAheadConfig)
 	peerChunks := (cfg.FileChunks + cfg.Workers - 2) / (cfg.Workers - 1)
 	ccfg.SpongeMemory = int64(peerChunks) * media.MB
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, ccfg)
 	scfg := sponge.DefaultConfig()
 	scfg.ReadAheadDepth = depth

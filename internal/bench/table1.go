@@ -54,6 +54,7 @@ func table1Medium(medium, spills int) float64 {
 		cfg.SpongeMemory = 2 * media.GB
 	}
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, cfg)
 	svc := sponge.Start(c, sponge.DefaultConfig())
 	node := c.Nodes[0]

@@ -93,6 +93,7 @@ func runTrackerCell(mode string, nodes int, cfg TrackerConfig) TrackerCell {
 	ccfg.Workers = nodes
 	ccfg.SpongeMemory = 4 * media.MB // four chunks per node is plenty: churn only needs one
 	sim := simtime.New()
+	defer sim.Close()
 	c := cluster.New(sim, ccfg)
 	reg := obs.NewRegistry()
 	scfg := sponge.DefaultConfig()

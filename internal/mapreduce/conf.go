@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"hash/fnv"
-
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/media"
 	"spongefiles/internal/obs"
@@ -159,11 +157,15 @@ func (c *JobConf) Defaults() {
 	}
 }
 
-// HashPartition is the default FNV-based partitioner.
+// HashPartition is the default partitioner: 32-bit FNV-1a of the key,
+// modulo n. The hash is written out here because hash/fnv's, reached
+// through an interface, costs an allocation per record.
 func HashPartition(key []byte, n int) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // TaskContext is handed to map and reduce functions. It batches CPU

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"spongefiles/internal/cluster"
@@ -464,13 +466,15 @@ func TestStragglerIdentifiesLongestReduce(t *testing.T) {
 	}
 }
 
-func TestHashPartitionStable(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		k := []byte(strconv.Itoa(i))
-		p1 := HashPartition(k, 7)
-		p2 := HashPartition(k, 7)
-		if p1 != p2 || p1 < 0 || p1 >= 7 {
-			t.Fatalf("partition unstable or out of range: %d vs %d", p1, p2)
+// TestHashPartitionIsFNV1a holds the written-out hash to hash/fnv's
+// values: which reducer a key goes to is part of every job's output.
+func TestHashPartitionIsFNV1a(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		k := []byte(strings.Repeat(strconv.Itoa(i*7919), i%4))
+		h := fnv.New32a()
+		h.Write(k)
+		if got, want := HashPartition(k, 7), int(h.Sum32()%7); got != want {
+			t.Fatalf("HashPartition(%q, 7) = %d, hash/fnv says %d", k, got, want)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
@@ -20,7 +22,11 @@ type sortBuffer struct {
 	parts int
 }
 
+// bufRec is one record's index entry. prefix caches the key's first
+// eight bytes, big-endian and zero-padded, so that most comparisons are
+// settled by two integers and never touch the slab.
 type bufRec struct {
+	prefix   uint64
 	part     int32
 	off      int32
 	klen     int32
@@ -29,6 +35,19 @@ type bufRec struct {
 
 func newSortBuffer(capReal int, parts int) *sortBuffer {
 	return &sortBuffer{data: make([]byte, 0, capReal), parts: parts}
+}
+
+// keyPrefix packs the first eight bytes of k, zero-padded, big-endian:
+// prefixes order the way bytes.Compare orders the keys they come from.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, c := range k {
+		p |= uint64(c) << (56 - 8*uint(i))
+	}
+	return p
 }
 
 // add appends a record, reporting false when the buffer is full (the
@@ -40,7 +59,8 @@ func (b *sortBuffer) add(part int, k, v []byte) bool {
 	off := len(b.data)
 	b.data = appendRecord(b.data, k, v)
 	b.index = append(b.index, bufRec{
-		part: int32(part), off: int32(off),
+		prefix: keyPrefix(k),
+		part:   int32(part), off: int32(off),
 		klen: int32(len(k)), totallen: int32(recSize(k, v)),
 	})
 	return true
@@ -53,24 +73,52 @@ func (b *sortBuffer) keyOf(r bufRec) []byte {
 	return b.data[r.off+recHeader : r.off+recHeader+r.klen]
 }
 
+// compare orders index entries by (partition, key), with the sign
+// bytes.Compare gives the full keys.
+func (b *sortBuffer) compare(x, y bufRec) int {
+	switch {
+	case x.part != y.part:
+		return cmp.Compare(x.part, y.part)
+	case x.prefix != y.prefix:
+		return cmp.Compare(x.prefix, y.prefix)
+	case x.klen <= 8 && y.klen <= 8:
+		// Equal prefixes of keys this short: one key is the other
+		// followed by zero bytes, so the shorter sorts first.
+		return cmp.Compare(x.klen, y.klen)
+	}
+	return bytes.Compare(b.keyOf(x), b.keyOf(y))
+}
+
 // sortAndSlice sorts by (partition, key) and returns the serialized
 // per-partition segments; the buffer is then reset. The returned sort
 // comparison count lets the caller charge CPU.
+//
+// The sort is not stable, and where records with equal keys land is
+// part of the output: a reduce sees a key's values in merge order, and
+// the bytes of every spill and shuffle segment follow from it. That
+// order is pinned to pdqsort's, which slices.SortFunc and the
+// sort.Slice this replaced both run step for step given equal
+// comparison results (TestSortBufferOrderMatchesSortSlice).
 func (b *sortBuffer) sortAndSlice() (segs [][]byte, comparisons int) {
 	n := len(b.index)
-	if n == 0 {
-		return make([][]byte, b.parts), 0
-	}
-	sort.Slice(b.index, func(i, j int) bool {
-		a, c := b.index[i], b.index[j]
-		if a.part != c.part {
-			return a.part < c.part
-		}
-		return bytes.Compare(b.keyOf(a), b.keyOf(c)) < 0
-	})
 	segs = make([][]byte, b.parts)
-	for _, r := range b.index {
-		segs[r.part] = append(segs[r.part], b.data[r.off:r.off+r.totallen]...)
+	if n == 0 {
+		return segs, 0
+	}
+	slices.SortFunc(b.index, b.compare)
+	// The index is now grouped by partition: size each segment from it
+	// before copying, so every segment is allocated once.
+	for lo := 0; lo < n; {
+		part, size, hi := b.index[lo].part, 0, lo
+		for ; hi < n && b.index[hi].part == part; hi++ {
+			size += int(b.index[hi].totallen)
+		}
+		seg := make([]byte, 0, size)
+		for _, r := range b.index[lo:hi] {
+			seg = append(seg, b.data[r.off:r.off+r.totallen]...)
+		}
+		segs[part] = seg
+		lo = hi
 	}
 	comparisons = n * bits.Len(uint(n))
 	b.data = b.data[:0]

@@ -93,6 +93,87 @@ func TestSortBufferRejectsWhenFull(t *testing.T) {
 	}
 }
 
+// TestSortBufferOrderMatchesSortSlice pins where equal keys land. The
+// reference is the sort this buffer used to run — sort.Slice over
+// (partition, full key) — on inputs dense with duplicates, short keys,
+// keys that are prefixes of one another and keys with zero bytes.
+func TestSortBufferOrderMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for round := 0; round < 20; round++ {
+		n := 1 + rng.Intn(3000)
+		b := newSortBuffer(1<<20, 3)
+		for i := 0; i < n; i++ {
+			var key []byte
+			switch rng.Intn(4) {
+			case 0: // few distinct words: long runs of equal keys
+				key = []byte(fmt.Sprintf("w%d", rng.Intn(12)))
+			case 1: // common 8-byte prefix, differing or equal tails
+				key = []byte(fmt.Sprintf("prefix--%d", rng.Intn(5)))
+			case 2: // zero bytes and prefixes of one another
+				key = make([]byte, rng.Intn(11))
+				for j := range key {
+					key[j] = byte(rng.Intn(2))
+				}
+			default:
+				key = make([]byte, rng.Intn(20))
+				rng.Read(key)
+			}
+			// The value tells equal keys apart.
+			val := []byte(fmt.Sprint(i))
+			if !b.add(rng.Intn(3), key, val) {
+				t.Fatal("buffer full unexpectedly")
+			}
+		}
+		ref := append([]bufRec(nil), b.index...)
+		sort.Slice(ref, func(i, j int) bool {
+			x, y := ref[i], ref[j]
+			if x.part != y.part {
+				return x.part < y.part
+			}
+			return bytes.Compare(b.keyOf(x), b.keyOf(y)) < 0
+		})
+		want := make([][]byte, 3)
+		for _, r := range ref {
+			want[r.part] = append(want[r.part], b.data[r.off:r.off+r.totallen]...)
+		}
+		segs, _ := b.sortAndSlice()
+		for part := range want {
+			if !bytes.Equal(segs[part], want[part]) {
+				t.Fatalf("round %d (%d records): partition %d differs from the sort.Slice order", round, n, part)
+			}
+			if cap(segs[part]) != len(segs[part]) {
+				t.Fatalf("partition %d segment has cap %d for %d bytes", part, cap(segs[part]), len(segs[part]))
+			}
+		}
+	}
+}
+
+// TestSortBufferAddAllocationFree guards the emit path: once the index
+// has grown to a task's working size, adding a record allocates nothing.
+func TestSortBufferAddAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard; the race runtime allocates around instrumented code")
+	}
+	b := newSortBuffer(1<<20, 4)
+	key, val := []byte("key-00000000"), make([]byte, 8)
+	fill := func() {
+		for i := 0; i < 1000; i++ {
+			key[4+i%8]++
+			if !b.add(HashPartition(key, 4), key, val) {
+				t.Fatal("buffer full unexpectedly")
+			}
+		}
+	}
+	fill()
+	b.sortAndSlice()
+	if allocs := testing.AllocsPerRun(10, func() {
+		fill()
+		b.data, b.index = b.data[:0], b.index[:0]
+	}); allocs != 0 {
+		t.Fatalf("sortBuffer.add allocates %.1f times per 1000 records, want 0", allocs)
+	}
+}
+
 func TestMergeStreamGlobalOrder(t *testing.T) {
 	sim := simtime.New()
 	var merged []string

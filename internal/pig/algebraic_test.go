@@ -29,7 +29,7 @@ func TestAlgebraicCountFoldEndToEnd(t *testing.T) {
 	tuples, want := domainTuples(4000)
 	q := &GroupQuery{
 		Name:      "domaincount",
-		GroupKey:  func(t Tuple) string { return t.String(1) },
+		GroupKey:  func(t Cursor) string { return t.String(1) },
 		Algebraic: CountFold(),
 	}
 	out, res := runQuery(t, q, tuples, false)
@@ -55,7 +55,7 @@ func TestAlgebraicCountFoldEndToEnd(t *testing.T) {
 func TestAlgebraicCompileSetsNodeCombine(t *testing.T) {
 	q := &GroupQuery{
 		Name:      "alg",
-		GroupKey:  func(t Tuple) string { return t.String(0) },
+		GroupKey:  func(t Cursor) string { return t.String(0) },
 		Algebraic: CountFold(),
 	}
 	conf := q.Compile(1<<30, spill.DiskFactory())
@@ -64,7 +64,7 @@ func TestAlgebraicCompileSetsNodeCombine(t *testing.T) {
 	}
 	h := &GroupQuery{
 		Name:     "holistic",
-		GroupKey: func(t Tuple) string { return t.String(0) },
+		GroupKey: func(t Cursor) string { return t.String(0) },
 		UDF:      TopK(1, 3, 0),
 	}
 	hconf := h.Compile(1<<30, spill.DiskFactory())
@@ -89,7 +89,7 @@ func TestAlgebraicSumFoldMatchesHolistic(t *testing.T) {
 	}
 	q := &GroupQuery{
 		Name:      "domainsum",
-		GroupKey:  func(t Tuple) string { return t.String(1) },
+		GroupKey:  func(t Cursor) string { return t.String(1) },
 		Algebraic: SumFold(2),
 	}
 	out, _ := runQuery(t, q, tuples, true) // sponge-backed spill factory

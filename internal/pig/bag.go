@@ -1,8 +1,9 @@
 package pig
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
@@ -77,17 +78,24 @@ type Bag struct {
 	mm   *MemoryManager
 	name string
 	// sortKey orders tuples when non-nil (ordered bag).
-	sortKey func(Tuple) Value
+	sortKey func(Cursor) float64
 
-	// In-memory portion: serialized tuples (and their keys, if sorted).
-	tuples   [][]byte
-	keys     []Value
+	// In-memory portion: the serialized tuples back to back in one
+	// slab, and one index entry per tuple.
+	slab     []byte
+	recs     []bagRec
 	memBytes int
 
 	// Spilled runs, in spill order.
 	runs  []spill.File
-	runSz int
 	total int64
+}
+
+// bagRec locates one tuple in the slab and, in an ordered bag, carries
+// its sort key so sorting and merging never re-read the tuple.
+type bagRec struct {
+	key    float64
+	off, n uint32
 }
 
 // NewBag creates an unordered bag registered with the manager.
@@ -97,8 +105,10 @@ func (m *MemoryManager) NewBag(name string) *Bag {
 	return b
 }
 
-// NewSortedBag creates an ordered bag whose iteration is sorted by key.
-func (m *MemoryManager) NewSortedBag(name string, key func(Tuple) Value) *Bag {
+// NewSortedBag creates an ordered bag whose iteration is sorted by the
+// numeric key; tuples with equal keys keep their insertion order within
+// a run.
+func (m *MemoryManager) NewSortedBag(name string, key func(Cursor) float64) *Bag {
 	b := &Bag{mm: m, name: name, sortKey: key}
 	m.bags = append(m.bags, b)
 	return b
@@ -114,60 +124,75 @@ func (b *Bag) MemBytes() int { return b.memBytes }
 func (b *Bag) SpilledRuns() int { return len(b.runs) }
 
 // AddSerialized inserts an already-serialized tuple (the reduce path
-// hands bags serialized values directly).
+// hands bags serialized values directly). data is copied.
 func (b *Bag) AddSerialized(data []byte) {
-	cp := append([]byte(nil), data...)
-	b.tuples = append(b.tuples, cp)
-	if b.sortKey != nil {
-		b.keys = append(b.keys, b.sortKey(DecodeTuple(cp)))
-	}
-	b.memBytes += len(cp)
-	b.total++
-	b.mm.grow(len(cp))
+	off := len(b.slab)
+	b.slab = append(b.slab, data...)
+	b.index(off)
 }
 
 // Add inserts a tuple.
-func (b *Bag) Add(t Tuple) { b.AddSerialized(AppendTuple(nil, t)) }
+func (b *Bag) Add(t Tuple) {
+	off := len(b.slab)
+	b.slab = AppendTuple(b.slab, t)
+	b.index(off)
+}
+
+// index records the tuple just appended to the slab at off.
+func (b *Bag) index(off int) {
+	n := len(b.slab) - off
+	r := bagRec{off: uint32(off), n: uint32(n)}
+	if b.sortKey != nil {
+		r.key = b.sortKey(mustScan(b.slab[off:]))
+	}
+	b.recs = append(b.recs, r)
+	b.memBytes += n
+	b.total++
+	b.mm.grow(n)
+}
+
+// tuple returns the serialized bytes of the in-memory tuple r.
+func (b *Bag) tuple(r bagRec) []byte { return b.slab[r.off : r.off+r.n] }
+
+// sortMem orders the in-memory portion by key. The sort is stable, so
+// the order of equal keys, and with it every run's bytes, is fixed by
+// insertion order alone.
+func (b *Bag) sortMem() {
+	slices.SortStableFunc(b.recs, func(x, y bagRec) int { return compareFloat(x.key, y.key) })
+}
+
+// writeTuple appends one length-prefixed tuple to a run file.
+func writeTuple(p *simtime.Proc, f spill.File, t []byte) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(t)))
+	if err := f.Write(p, hdr[:]); err != nil {
+		panic(err)
+	}
+	if err := f.Write(p, t); err != nil {
+		panic(err)
+	}
+}
 
 // spillNow writes the in-memory portion out in ChunkReal-sized pieces,
 // each piece its own spill file, and frees the memory. Ordered bags sort
 // the portion first so every run is a sorted run.
 func (b *Bag) spillNow(p *simtime.Proc) {
-	if len(b.tuples) == 0 {
+	if len(b.recs) == 0 {
 		return
 	}
 	if b.sortKey != nil {
-		idx := make([]int, len(b.tuples))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(i, j int) bool {
-			return Compare(b.keys[idx[i]], b.keys[idx[j]]) < 0
-		})
-		tuples := make([][]byte, len(idx))
-		keys := make([]Value, len(idx))
-		for i, j := range idx {
-			tuples[i], keys[i] = b.tuples[j], b.keys[j]
-		}
-		b.tuples, b.keys = tuples, keys
+		b.sortMem()
 	}
 	var f spill.File
 	chunk := 0
-	for _, t := range b.tuples {
+	for _, r := range b.recs {
 		if f == nil {
 			f = b.mm.target.Create(p, fmt.Sprintf("%s-run%d", b.name, len(b.runs)))
 			b.runs = append(b.runs, f)
 			chunk = 0
 		}
-		var hdr [4]byte
-		putLen(hdr[:], len(t))
-		if err := f.Write(p, hdr[:]); err != nil {
-			panic(err)
-		}
-		if err := f.Write(p, t); err != nil {
-			panic(err)
-		}
-		chunk += 4 + len(t)
+		writeTuple(p, f, b.tuple(r))
+		chunk += 4 + int(r.n)
 		if chunk >= b.mm.ChunkReal {
 			if err := f.Close(p); err != nil {
 				panic(err)
@@ -180,10 +205,16 @@ func (b *Bag) spillNow(p *simtime.Proc) {
 			panic(err)
 		}
 	}
+	b.dropMem()
+}
+
+// dropMem empties the in-memory portion, keeping its capacity for the
+// tuples that follow.
+func (b *Bag) dropMem() {
 	b.mm.shrink(b.memBytes)
 	b.memBytes = 0
-	b.tuples = nil
-	b.keys = nil
+	b.slab = b.slab[:0]
+	b.recs = b.recs[:0]
 }
 
 // Delete frees the bag's spill files and memory.
@@ -192,26 +223,13 @@ func (b *Bag) Delete(p *simtime.Proc) {
 		f.Delete(p)
 	}
 	b.runs = nil
-	b.mm.shrink(b.memBytes)
-	b.memBytes = 0
-	b.tuples = nil
-	b.keys = nil
+	b.dropMem()
 }
 
-func putLen(dst []byte, n int) {
-	dst[0] = byte(n)
-	dst[1] = byte(n >> 8)
-	dst[2] = byte(n >> 16)
-	dst[3] = byte(n >> 24)
-}
-
-func getLen(src []byte) int {
-	return int(src[0]) | int(src[1])<<8 | int(src[2])<<16 | int(src[3])<<24
-}
-
-// Iterator yields a bag's tuples.
+// Iterator yields a bag's tuples. The cursor Next returns is a view: it
+// is valid until the following call to Next.
 type Iterator interface {
-	Next(p *simtime.Proc) (Tuple, bool)
+	Next(p *simtime.Proc) (Cursor, bool)
 }
 
 // bagMergeFactor bounds how many spilled runs an ordered bag reads
@@ -242,12 +260,7 @@ func (b *Bag) Iterate(p *simtime.Proc) Iterator {
 	}
 	// Ordered: sort the in-memory portion and merge with the runs.
 	b.sortMem()
-	streams := make([]*runIter, 0, len(b.runs)+1)
-	for _, f := range b.runs {
-		streams = append(streams, &runIter{f: f})
-	}
-	m := &mergeIter{b: b, runs: streams}
-	return m
+	return newMergeIter(b.sortKey, b.runs, b)
 }
 
 // consolidate merges sorted runs, bagMergeFactor at a time, until at
@@ -255,27 +268,17 @@ func (b *Bag) Iterate(p *simtime.Proc) Iterator {
 func (b *Bag) consolidate(p *simtime.Proc) {
 	for len(b.runs) > bagMergeFactor {
 		batch := b.runs[:bagMergeFactor]
-		streams := make([]*runIter, len(batch))
-		for i, f := range batch {
+		for _, f := range batch {
 			f.Rewind()
-			streams[i] = &runIter{f: f}
 		}
 		merged := b.mm.target.Create(p, fmt.Sprintf("%s-cons%d", b.name, len(b.runs)))
-		m := &mergeIter{b: &Bag{sortKey: b.sortKey}, runs: streams}
+		m := newMergeIter(b.sortKey, batch, nil)
 		for {
-			t, ok := m.Next(p)
+			c, ok := m.Next(p)
 			if !ok {
 				break
 			}
-			data := AppendTuple(nil, t)
-			var hdr [4]byte
-			putLen(hdr[:], len(data))
-			if err := merged.Write(p, hdr[:]); err != nil {
-				panic(err)
-			}
-			if err := merged.Write(p, data); err != nil {
-				panic(err)
-			}
+			writeTuple(p, merged, c.Raw())
 		}
 		if err := merged.Close(p); err != nil {
 			panic(err)
@@ -287,33 +290,15 @@ func (b *Bag) consolidate(p *simtime.Proc) {
 	}
 }
 
-func (b *Bag) sortMem() {
-	if len(b.tuples) == 0 {
-		return
-	}
-	idx := make([]int, len(b.tuples))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return Compare(b.keys[idx[i]], b.keys[idx[j]]) < 0
-	})
-	tuples := make([][]byte, len(idx))
-	keys := make([]Value, len(idx))
-	for i, j := range idx {
-		tuples[i], keys[i] = b.tuples[j], b.keys[j]
-	}
-	b.tuples, b.keys = tuples, keys
-}
-
-// runIter decodes tuples from one spill file with buffered reads.
+// runIter reads tuples from one spill file with buffered reads.
 type runIter struct {
 	f    spill.File
 	buf  []byte
 	fill int
 	off  int
 	eof  bool
-	cur  Tuple
+	cur  Cursor  // valid until the next call to next
+	key  float64 // cur's sort key, kept by mergeIter
 }
 
 const runBufReal = 64 << 10
@@ -346,15 +331,26 @@ func (r *runIter) refill(p *simtime.Proc, need int) bool {
 	return r.fill >= need
 }
 
+// newRunIter reads f through reuse's backing array when it is big
+// enough. The buffer always starts at the same capacity, because the
+// capacity sets the size of each read and so what the medium charges.
+func newRunIter(f spill.File, reuse []byte) runIter {
+	const initial = 4 + runBufReal
+	if cap(reuse) < initial {
+		reuse = make([]byte, 0, initial)
+	}
+	return runIter{f: f, buf: reuse[:0:initial]}
+}
+
 func (r *runIter) next(p *simtime.Proc) bool {
 	if r.fill-r.off < 4 && !r.refill(p, 4) {
 		return false
 	}
-	n := getLen(r.buf[r.off:])
+	n := int(binary.LittleEndian.Uint32(r.buf[r.off:]))
 	if r.fill-r.off < 4+n && !r.refill(p, 4+n) {
 		panic("pig: truncated tuple in bag run")
 	}
-	r.cur = DecodeTuple(r.buf[r.off+4 : r.off+4+n])
+	r.cur = mustScan(r.buf[r.off+4 : r.off+4+n])
 	r.off += 4 + n
 	return true
 }
@@ -363,73 +359,96 @@ func (r *runIter) next(p *simtime.Proc) bool {
 type chainIter struct {
 	b      *Bag
 	runIdx int
-	cur    *runIter
+	cur    runIter
 	memIdx int
 }
 
-func (c *chainIter) Next(p *simtime.Proc) (Tuple, bool) {
+func (c *chainIter) Next(p *simtime.Proc) (Cursor, bool) {
 	for c.runIdx < len(c.b.runs) {
-		if c.cur == nil {
-			c.cur = &runIter{f: c.b.runs[c.runIdx]}
+		if c.cur.f == nil {
+			c.cur = newRunIter(c.b.runs[c.runIdx], c.cur.buf)
 		}
 		if c.cur.next(p) {
 			return c.cur.cur, true
 		}
-		c.cur = nil
+		c.cur.f = nil
 		c.runIdx++
 	}
-	if c.memIdx < len(c.b.tuples) {
-		t := DecodeTuple(c.b.tuples[c.memIdx])
+	if c.memIdx < len(c.b.recs) {
+		t := c.b.tuple(c.b.recs[c.memIdx])
 		c.memIdx++
-		return t, true
+		return mustScan(t), true
 	}
-	return nil, false
+	return Cursor{}, false
 }
 
 // mergeIter merges sorted runs and the sorted memory portion by key.
 type mergeIter struct {
-	b      *Bag
-	runs   []*runIter
-	primed bool
-	memIdx int
+	sortKey func(Cursor) float64
+	runs    []runIter
+	mem     *Bag // whose sorted memory portion joins the merge; may be nil
+	primed  bool
+	memIdx  int
+	// out holds the tuple last yielded from a run: that run has already
+	// read ahead to its next tuple, which may move its buffer.
+	out []byte
 }
 
-func (m *mergeIter) Next(p *simtime.Proc) (Tuple, bool) {
+func newMergeIter(sortKey func(Cursor) float64, runs []spill.File, mem *Bag) *mergeIter {
+	m := &mergeIter{sortKey: sortKey, mem: mem, runs: make([]runIter, len(runs))}
+	for i, f := range runs {
+		m.runs[i] = newRunIter(f, nil)
+	}
+	return m
+}
+
+// advance moves r to its next tuple and caches that tuple's key.
+func (m *mergeIter) advance(p *simtime.Proc, r *runIter) bool {
+	if !r.next(p) {
+		return false
+	}
+	r.key = m.sortKey(r.cur)
+	return true
+}
+
+func (m *mergeIter) Next(p *simtime.Proc) (Cursor, bool) {
 	if !m.primed {
 		live := m.runs[:0]
-		for _, r := range m.runs {
-			if r.next(p) {
-				live = append(live, r)
+		for i := range m.runs {
+			if m.advance(p, &m.runs[i]) {
+				live = append(live, m.runs[i])
 			}
 		}
 		m.runs = live
 		m.primed = true
 	}
-	// Pick the smallest head among runs and the memory cursor. Linear
-	// scan: bags rarely have more than a few dozen runs.
+	// Pick the smallest head among runs and the memory cursor; on equal
+	// keys the earliest run wins, and any run beats memory. Linear scan:
+	// bags rarely have more than a few dozen runs.
 	best := -1
-	var bestKey Value
-	for i, r := range m.runs {
-		k := m.b.sortKey(r.cur)
-		if best == -1 || Compare(k, bestKey) < 0 {
-			best, bestKey = i, k
+	for i := range m.runs {
+		if best == -1 || m.runs[i].key < m.runs[best].key {
+			best = i
 		}
 	}
-	if m.memIdx < len(m.b.keys) {
-		if best == -1 || Compare(m.b.keys[m.memIdx], bestKey) < 0 {
-			t := DecodeTuple(m.b.tuples[m.memIdx])
+	if m.mem != nil && m.memIdx < len(m.mem.recs) {
+		r := m.mem.recs[m.memIdx]
+		if best == -1 || r.key < m.runs[best].key {
 			m.memIdx++
-			return t, true
+			return mustScan(m.mem.tuple(r)), true
 		}
 	}
 	if best == -1 {
-		return nil, false
+		return Cursor{}, false
 	}
-	t := m.runs[best].cur
-	if !m.runs[best].next(p) {
+	r := &m.runs[best]
+	c := r.cur
+	m.out = append(m.out[:0], c.buf...)
+	c.buf = m.out // same tuple, same offsets, bytes that stay put
+	if !m.advance(p, r) {
 		m.runs = append(m.runs[:best], m.runs[best+1:]...)
 	}
-	return t, true
+	return c, true
 }
 
 // DefaultChunkVirtual is Pig's bag spill chunk size C (§2.1.3).

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// Wall-clock micro-benchmarks of the tuple codec and comparison.
+// Wall-clock micro-benchmarks of the tuple codec and the planner.
 
 func BenchmarkTupleEncodeDecode(b *testing.B) {
 	t := Tuple{
@@ -19,16 +19,6 @@ func BenchmarkTupleEncodeDecode(b *testing.B) {
 		got := DecodeTuple(enc)
 		if len(got) != len(t) {
 			b.Fatal("corrupt")
-		}
-	}
-}
-
-func BenchmarkCompare(b *testing.B) {
-	x := Tuple{"domain042.com", 0.375, int64(7)}
-	y := Tuple{"domain042.com", 0.376, int64(6)}
-	for i := 0; i < b.N; i++ {
-		if Compare(x, y) >= 0 {
-			b.Fatal("order wrong")
 		}
 	}
 }

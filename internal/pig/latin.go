@@ -481,26 +481,26 @@ func (s *Script) Plan() (q *GroupQuery, input string, err error) {
 		if err != nil {
 			return nil, "", err
 		}
-		op, lit := filter.Op, filter.Literal
-		q.Filter = func(t Tuple) bool { return cmpMatch(Compare(t[idx], lit), op) }
+		op := filter.Op
+		switch lit := filter.Literal.(type) {
+		case string:
+			q.Filter = func(t Cursor) bool { return cmpMatch(strings.Compare(t.String(idx), lit), op) }
+		case int64:
+			q.Filter = func(t Cursor) bool { return cmpMatch(compareFloat(t.Number(idx), float64(lit)), op) }
+		case float64:
+			q.Filter = func(t Cursor) bool { return cmpMatch(compareFloat(t.Number(idx), lit), op) }
+		}
 	}
 
 	postSchema := schema
 	if project != nil {
-		idxs := make([]int, len(project.Fields))
+		q.Project = make([]int, len(project.Fields))
 		for i, f := range project.Fields {
 			idx, err := fieldIdx(f, schema)
 			if err != nil {
 				return nil, "", err
 			}
-			idxs[i] = idx
-		}
-		q.Project = func(t Tuple) Tuple {
-			out := make(Tuple, len(idxs))
-			for i, idx := range idxs {
-				out[i] = t[idx]
-			}
-			return out
+			q.Project[i] = idx
 		}
 		postSchema = project.Fields
 	}
@@ -509,7 +509,7 @@ func (s *Script) Plan() (q *GroupQuery, input string, err error) {
 	if err != nil {
 		return nil, "", err
 	}
-	q.GroupKey = func(t Tuple) string { return t.String(gidx) }
+	q.GroupKey = func(t Cursor) string { return t.String(gidx) }
 
 	uidx, err := fieldIdx(apply.Field, postSchema)
 	if err != nil {
@@ -520,7 +520,7 @@ func (s *Script) Plan() (q *GroupQuery, input string, err error) {
 		q.UDF = TopK(uidx, apply.Arg, 0)
 	case "QUANTILES":
 		q.UDF = Quantiles(uidx, apply.Arg)
-		q.SortKey = func(t Tuple) Value { return t[uidx] }
+		q.SortKey = func(t Cursor) float64 { return t.Float(uidx) }
 	default:
 		return nil, "", fmt.Errorf("pig latin: unknown UDF %q", apply.UDFName)
 	}

@@ -65,13 +65,13 @@ func TestPlanAnchortext(t *testing.T) {
 	if input != "web" || q.Name != "frequent-anchortext" {
 		t.Fatalf("plan meta: input=%q name=%q", input, q.Name)
 	}
-	page := Tuple{"u", "d.com", "en", 0.5, Tuple{"a", "b"}, "meta"}
+	page := cursorOf(Tuple{"u", "d.com", "en", 0.5, Tuple{"a", "b"}, "meta"})
 	if q.Project == nil {
 		t.Fatal("plan lost the projection")
 	}
-	p := q.Project(page)
-	if len(p) != 2 || p.String(0) != "en" {
-		t.Fatalf("projection = %v", p)
+	p := mustScan(page.AppendProject(nil, q.Project))
+	if p.Len() != 2 || p.String(0) != "en" || p.Nested(1).String(1) != "b" {
+		t.Fatalf("projection = %v", p.Tuple())
 	}
 	if q.GroupKey(p) != "en" {
 		t.Fatalf("group key = %q", q.GroupKey(p))
@@ -99,11 +99,11 @@ func TestPlanSpamQuantiles(t *testing.T) {
 	if q.Project != nil {
 		t.Fatal("spam script must keep the naive no-projection plan")
 	}
-	page := Tuple{"u", "big.com", "en", 0.25, Tuple{}, "meta"}
+	page := cursorOf(Tuple{"u", "big.com", "en", 0.25, Tuple{}, "meta"})
 	if q.GroupKey(page) != "big.com" {
 		t.Fatalf("group key = %q", q.GroupKey(page))
 	}
-	if q.SortKey == nil || q.SortKey(page) != Value(0.25) {
+	if q.SortKey == nil || q.SortKey(page) != 0.25 {
 		t.Fatal("quantiles query must order bags by the spam field")
 	}
 }
@@ -127,8 +127,8 @@ STORE quant INTO 'out';
 	if q.Filter == nil {
 		t.Fatal("plan lost the filter")
 	}
-	keep := Tuple{"u", "d", "en", 0.2, Tuple{}, "m"}
-	drop := Tuple{"u", "d", "en", 0.9, Tuple{}, "m"}
+	keep := cursorOf(Tuple{"u", "d", "en", 0.2, Tuple{}, "m"})
+	drop := cursorOf(Tuple{"u", "d", "en", 0.9, Tuple{}, "m"})
 	if !q.Filter(keep) || q.Filter(drop) {
 		t.Fatal("filter predicate wrong")
 	}

@@ -3,6 +3,7 @@ package pig
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -47,27 +48,8 @@ func TestPropertyValueRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompareOrdering(t *testing.T) {
-	cases := []struct {
-		a, b Value
-		want int
-	}{
-		{"a", "b", -1},
-		{"b", "a", 1},
-		{"a", "a", 0},
-		{int64(1), int64(2), -1},
-		{int64(2), 1.5, 1},
-		{1.5, int64(2), -1},
-		{Tuple{"a", int64(1)}, Tuple{"a", int64(2)}, -1},
-		{Tuple{"a"}, Tuple{"a", int64(1)}, -1},
-	}
-	for _, c := range cases {
-		got := Compare(c.a, c.b)
-		if (got < 0) != (c.want < 0) || (got > 0) != (c.want > 0) {
-			t.Fatalf("Compare(%v, %v) = %d, want sign %d", c.a, c.b, got, c.want)
-		}
-	}
-}
+// cursorOf serializes t and scans it back.
+func cursorOf(t Tuple) Cursor { return mustScan(AppendTuple(nil, t)) }
 
 // bagRig builds a one-node cluster and returns a proc-running helper.
 func bagRig(t *testing.T, fn func(p *simtime.Proc, node *cluster.Cluster, target spill.Target)) {
@@ -173,7 +155,7 @@ func TestBagMultiPassIteration(t *testing.T) {
 func TestSortedBagGlobalOrder(t *testing.T) {
 	bagRig(t, func(p *simtime.Proc, c *cluster.Cluster, target spill.Target) {
 		mm := NewMemoryManager(p, target, 4_000, 1_000)
-		b := mm.NewSortedBag("g", func(t Tuple) Value { return t.Float(0) })
+		b := mm.NewSortedBag("g", func(t Cursor) float64 { return t.Float(0) })
 		rng := rand.New(rand.NewSource(7))
 		const n = 400
 		for i := 0; i < n; i++ {
@@ -311,8 +293,8 @@ func TestTopKQueryEndToEnd(t *testing.T) {
 	}
 	q := &GroupQuery{
 		Name:     "anchortext",
-		Project:  func(t Tuple) Tuple { return Tuple{t[1], t[2]} }, // lang, terms
-		GroupKey: func(t Tuple) string { return t.String(0) },
+		Project:  []int{1, 2}, // lang, terms
+		GroupKey: func(t Cursor) string { return t.String(0) },
 		UDF:      TopK(1, 3, 0),
 	}
 	out, _ := runQuery(t, q, tuples, false)
@@ -339,8 +321,8 @@ func TestQuantilesQueryEndToEnd(t *testing.T) {
 	}
 	q := &GroupQuery{
 		Name:     "spamquantiles",
-		GroupKey: func(t Tuple) string { return t.String(1) },
-		SortKey:  func(t Tuple) Value { return t.Float(2) },
+		GroupKey: func(t Cursor) string { return t.String(1) },
+		SortKey:  func(t Cursor) float64 { return t.Float(2) },
 		UDF:      Quantiles(2, 4),
 	}
 	out, _ := runQuery(t, q, tuples, true)
@@ -366,8 +348,8 @@ func TestQueryBagSpillGoesThroughTarget(t *testing.T) {
 	}
 	q := &GroupQuery{
 		Name:           "bigbag",
-		GroupKey:       func(t Tuple) string { return t.String(0) },
-		SortKey:        func(t Tuple) Value { return t.Float(1) },
+		GroupKey:       func(t Cursor) string { return t.String(0) },
+		SortKey:        func(t Cursor) float64 { return t.Float(1) },
 		UDF:            Quantiles(1, 4),
 		BagMemFraction: 0.00002, // tiny budget to force bag spilling
 	}
@@ -385,12 +367,51 @@ func TestQueryBagSpillGoesThroughTarget(t *testing.T) {
 }
 
 func TestPruneCountsKeepsHeaviest(t *testing.T) {
-	counts := map[string]int64{"a": 10, "b": 1, "c": 5, "d": 2, "e": 8}
-	pruneCounts(counts, 2)
-	if len(counts) != 2 {
-		t.Fatalf("kept %d", len(counts))
+	counts := newTermCounts(8)
+	for term, n := range map[string]int{"a": 10, "b": 1, "c": 5, "d": 2, "e": 8, "f": 8} {
+		for i := 0; i < n; i++ {
+			counts.add(term)
+		}
 	}
-	if counts["a"] != 10 || counts["e"] != 8 {
-		t.Fatalf("wrong survivors: %v", counts)
+	counts.prune(2)
+	// e and f tie at 8; the tie goes to the smaller term.
+	if len(counts.all) != 2 || len(counts.slot) != 2 ||
+		counts.all[0] != (termCount{"a", 10}) || counts.all[1] != (termCount{"e", 8}) {
+		t.Fatalf("wrong survivors: %v", counts.all)
 	}
+}
+
+// TestTopKDeterministicOnTies runs the UDF twice in one process over a
+// bag full of equal counts that overflows the counter table: pruning
+// must not follow map iteration order, so both runs emit the same rows.
+func TestTopKDeterministicOnTies(t *testing.T) {
+	bagRig(t, func(p *simtime.Proc, c *cluster.Cluster, target spill.Target) {
+		mm := NewMemoryManager(p, target, 1<<20, 1<<16)
+		b := mm.NewBag("g")
+		// 200 distinct terms, each twice, against a 24-entry table.
+		for rep := 0; rep < 2; rep++ {
+			for i := 0; i < 200; i += 4 {
+				var terms Tuple
+				for j := i; j < i+4; j++ {
+					terms = append(terms, fmt.Sprintf("t%03d", (j*37)%200))
+				}
+				b.Add(Tuple{"en", terms})
+			}
+		}
+		run := func() []Tuple {
+			var out []Tuple
+			uctx := &UDFContext{P: p, Task: &mapreduce.TaskContext{P: p}, MM: mm}
+			TopK(1, 3, 0)(uctx, "g", b, func(t Tuple) { out = append(out, t) })
+			return out
+		}
+		first := run()
+		if len(first) != 3 {
+			t.Fatalf("top-k emitted %d rows", len(first))
+		}
+		for i := 0; i < 5; i++ {
+			if again := run(); !reflect.DeepEqual(first, again) {
+				t.Fatalf("run %d emitted %v, first run %v", i, again, first)
+			}
+		}
+	})
 }

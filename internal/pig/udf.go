@@ -1,7 +1,9 @@
 package pig
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"spongefiles/internal/simtime"
 )
@@ -12,84 +14,109 @@ import (
 // when it overflows (a SpaceSaving-style sketch) to pick candidates; a
 // second pass over the bag counts the candidates exactly (the UDFs "make
 // multiple passes over the data", §4.2.1). Output tuples are
-// (term, count), most frequent first.
+// (term, count), most frequent first, ties in term order.
 func TopK(termField, k, tableCap int) UDF {
 	if tableCap < 8*k {
 		tableCap = 8 * k
 	}
 	return func(ctx *UDFContext, group string, bag *Bag, emit func(Tuple)) {
+		// eachTerm runs one pass over the bag's term lists.
+		eachTerm := func(fn func(term string)) {
+			it := bag.Iterate(ctx.P)
+			for {
+				t, ok := it.Next(ctx.P)
+				if !ok {
+					return
+				}
+				ctx.Task.ChargeCPU(2 * simtime.Microsecond)
+				terms := t.Nested(termField)
+				for i, n := 0, terms.Len(); i < n; i++ {
+					fn(terms.String(i))
+				}
+			}
+		}
 		// Pass 1: approximate counts under a bounded table.
-		counts := make(map[string]int64, tableCap)
-		it := bag.Iterate(ctx.P)
-		for {
-			t, ok := it.Next(ctx.P)
-			if !ok {
-				break
+		counts := newTermCounts(tableCap)
+		eachTerm(func(term string) {
+			counts.add(term)
+			if len(counts.all) > tableCap {
+				counts.prune(tableCap / 2)
 			}
-			ctx.Task.ChargeCPU(2 * simtime.Microsecond)
-			for _, raw := range t.Nested(termField) {
-				term := raw.(string)
-				counts[term]++
-				if len(counts) > tableCap {
-					pruneCounts(counts, tableCap/2)
-				}
-			}
-		}
-		// Pass 2: exact counts for the surviving candidates.
-		exact := make(map[string]int64, len(counts))
-		for term := range counts {
-			exact[term] = 0
-		}
-		it = bag.Iterate(ctx.P)
-		for {
-			t, ok := it.Next(ctx.P)
-			if !ok {
-				break
-			}
-			ctx.Task.ChargeCPU(2 * simtime.Microsecond)
-			for _, raw := range t.Nested(termField) {
-				if n, cand := exact[raw.(string)]; cand {
-					exact[raw.(string)] = n + 1
-				}
-			}
-		}
-		type tc struct {
-			term string
-			n    int64
-		}
-		all := make([]tc, 0, len(exact))
-		for term, n := range exact {
-			all = append(all, tc{term, n})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].n != all[j].n {
-				return all[i].n > all[j].n
-			}
-			return all[i].term < all[j].term
 		})
-		if len(all) > k {
-			all = all[:k]
+		// Pass 2: exact counts for the surviving candidates.
+		for i := range counts.all {
+			counts.all[i].n = 0
 		}
-		for _, e := range all {
+		eachTerm(func(term string) {
+			if i, cand := counts.slot[term]; cand {
+				counts.all[i].n++
+			}
+		})
+		counts.rank()
+		for _, e := range counts.all[:min(k, len(counts.all))] {
 			emit(Tuple{e.term, e.n})
 		}
 	}
 }
 
-// pruneCounts drops the smallest counters until at most keep remain.
-func pruneCounts(counts map[string]int64, keep int) {
-	type tc struct {
-		term string
-		n    int64
+// termCount is one counter of the table.
+type termCount struct {
+	term string
+	n    int64
+}
+
+// termCounts is TopK's counter table. The bag hands out terms as views
+// into buffers it reuses, so a term is cloned once, when it enters the
+// table, and slot is only ever read with a view: assigning through one
+// would store the view as the map's key.
+type termCounts struct {
+	all  []termCount
+	slot map[string]int // term → index in all
+}
+
+func newTermCounts(tableCap int) *termCounts {
+	return &termCounts{
+		all:  make([]termCount, 0, tableCap+1),
+		slot: make(map[string]int, tableCap+1),
 	}
-	all := make([]tc, 0, len(counts))
-	for term, n := range counts {
-		all = append(all, tc{term, n})
+}
+
+// add counts one occurrence of term.
+func (c *termCounts) add(term string) {
+	if i, ok := c.slot[term]; ok {
+		c.all[i].n++
+		return
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].n < all[j].n })
-	for i := 0; i < len(all)-keep; i++ {
-		delete(counts, all[i].term)
+	term = strings.Clone(term)
+	c.slot[term] = len(c.all)
+	c.all = append(c.all, termCount{term, 1})
+}
+
+// rank orders the counters most frequent first, ties by term, so the
+// order never depends on map iteration or on when a term arrived.
+func (c *termCounts) rank() {
+	slices.SortFunc(c.all, func(a, b termCount) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return strings.Compare(a.term, b.term)
+	})
+	for i, e := range c.all {
+		c.slot[e.term] = i
 	}
+}
+
+// prune drops the lowest-ranked counters until at most keep remain.
+func (c *termCounts) prune(keep int) {
+	if len(c.all) <= keep {
+		return
+	}
+	c.rank()
+	for _, e := range c.all[keep:] {
+		delete(c.slot, e.term)
+	}
+	clear(c.all[keep:])
+	c.all = c.all[:keep]
 }
 
 // Quantiles returns a UDF computing the q-quantiles of a float field by

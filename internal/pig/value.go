@@ -4,6 +4,23 @@
 // pressure (§2.1.3 of the paper), group-by query plans compiled to
 // MapReduce jobs, and the evaluation's two holistic UDFs — frequent
 // anchortext (TopK) and spam-score quantiles.
+//
+// # Record path
+//
+// A tuple travels serialized: a tag byte per field (string, int64,
+// float64, nested tuple), uvarint lengths and counts, little-endian
+// 8-byte numbers. Producers append fields straight onto a reused buffer
+// (AppendTupleHeader, AppendString, AppendInt, AppendFloat); consumers
+// read in place through a Cursor, which Scan builds with one validating
+// pass that indexes the field offsets. Cursor accessors return views
+// into the serialized bytes and never box a field, so the map-side
+// projection, the group key, a bag's sort key and the UDFs' passes cost
+// no allocation per tuple. A view is valid until its buffer is reused:
+// a map function's input until it returns, an Iterator's cursor until
+// the next call to Next. Anything kept longer is cloned (TopK clones a
+// term when it enters the count table). Tuple, with its boxed Value
+// fields, is the materialised form for the edges — query output, tests,
+// tools — and DecodeTuple is Scan followed by Cursor.Tuple.
 package pig
 
 import (
@@ -26,110 +43,61 @@ const (
 	tagTuple  = 4
 )
 
-// AppendValue serializes one value onto dst.
+// AppendTupleHeader starts a serialized tuple of n fields on dst; the
+// caller appends exactly n fields after it.
+func AppendTupleHeader(dst []byte, n int) []byte {
+	dst = append(dst, tagTuple)
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendString serializes a string field, given as a string or as bytes.
+func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
+	dst = append(dst, tagString)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendInt serializes an int64 field.
+func AppendInt(dst []byte, v int64) []byte {
+	dst = append(dst, tagInt)
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
+}
+
+// AppendFloat serializes a float64 field.
+func AppendFloat(dst []byte, v float64) []byte {
+	dst = append(dst, tagFloat)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// AppendValue serializes one boxed value onto dst.
 func AppendValue(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case string:
-		dst = append(dst, tagString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
+		return AppendString(dst, x)
 	case int64:
-		dst = append(dst, tagInt)
-		return binary.LittleEndian.AppendUint64(dst, uint64(x))
+		return AppendInt(dst, x)
 	case float64:
-		dst = append(dst, tagFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		return AppendFloat(dst, x)
 	case Tuple:
-		dst = append(dst, tagTuple)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		for _, f := range x {
-			dst = AppendValue(dst, f)
-		}
-		return dst
+		return AppendTuple(dst, x)
 	}
 	panic(fmt.Sprintf("pig: unsupported value type %T", v))
 }
 
 // AppendTuple serializes a tuple onto dst.
-func AppendTuple(dst []byte, t Tuple) []byte { return AppendValue(dst, t) }
-
-// DecodeValue reads one value at data[off:], returning it and the offset
-// past it.
-func DecodeValue(data []byte, off int) (Value, int) {
-	tag := data[off]
-	off++
-	switch tag {
-	case tagString:
-		n, sz := binary.Uvarint(data[off:])
-		off += sz
-		return string(data[off : off+int(n)]), off + int(n)
-	case tagInt:
-		v := int64(binary.LittleEndian.Uint64(data[off:]))
-		return v, off + 8
-	case tagFloat:
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		return v, off + 8
-	case tagTuple:
-		n, sz := binary.Uvarint(data[off:])
-		off += sz
-		t := make(Tuple, n)
-		for i := range t {
-			t[i], off = DecodeValue(data, off)
-		}
-		return t, off
+func AppendTuple(dst []byte, t Tuple) []byte {
+	dst = AppendTupleHeader(dst, len(t))
+	for _, f := range t {
+		dst = AppendValue(dst, f)
 	}
-	panic(fmt.Sprintf("pig: bad tag %d at %d", tag, off-1))
+	return dst
 }
 
-// DecodeTuple reads a tuple serialized by AppendTuple.
-func DecodeTuple(data []byte) Tuple {
-	v, _ := DecodeValue(data, 0)
-	t, ok := v.(Tuple)
-	if !ok {
-		panic("pig: serialized value is not a tuple")
-	}
-	return t
-}
+// DecodeTuple materialises a tuple serialized by AppendTuple. It panics
+// on malformed input; a caller that must not panic calls Scan.
+func DecodeTuple(data []byte) Tuple { return mustScan(data).Tuple() }
 
-// Compare orders two values of the same dynamic type (numbers compare
-// across int64/float64); tuples compare lexicographically.
-func Compare(a, b Value) int {
-	switch x := a.(type) {
-	case string:
-		y := b.(string)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	case int64:
-		return compareFloat(float64(x), toFloat(b))
-	case float64:
-		return compareFloat(x, toFloat(b))
-	case Tuple:
-		y := b.(Tuple)
-		for i := 0; i < len(x) && i < len(y); i++ {
-			if c := Compare(x[i], y[i]); c != 0 {
-				return c
-			}
-		}
-		return len(x) - len(y)
-	}
-	panic(fmt.Sprintf("pig: cannot compare %T", a))
-}
-
-func toFloat(v Value) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	}
-	panic(fmt.Sprintf("pig: not a number: %T", v))
-}
-
+// compareFloat orders two numbers; NaN is unordered and compares equal.
 func compareFloat(a, b float64) int {
 	switch {
 	case a < b:

@@ -206,6 +206,9 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 		return done()
 	}
 	defer h.Stop()
+	// Unwind the simulation first: a process unwinding may still talk to
+	// the children.
+	defer sim.Close()
 	for node, addr := range h.Addrs() {
 		rep.Artifacts[fmt.Sprintf("node%d", node)] = addr
 	}

@@ -19,10 +19,10 @@ func SeedSuite() Suite {
 		Name: "seed",
 		Cases: []Case{
 			{
-				Name:  "spill-roundtrip-clean",
-				Desc:  "fault-free spill through 3 child servers, digest-verified read-back",
-				Quick: true,
-				Spec:  Spec{Nodes: 3},
+				Name:     "spill-roundtrip-clean",
+				Desc:     "fault-free spill through 3 child servers, digest-verified read-back",
+				Quick:    true,
+				Spec:     Spec{Nodes: 3},
 				Workload: SpillWorkload{MB: 16},
 				Assert: with(
 					Assertion{Metric: `sponge_spill_chunks_total{kind="remote_mem"}`, Op: ">=", Value: 1},
@@ -49,7 +49,7 @@ func SeedSuite() Suite {
 				// Small per-child pools force the spill to spread across
 				// most of the cluster, so the allocator must encounter
 				// the dead nodes instead of affinity-pinning one child.
-				Spec: Spec{Nodes: 5, PoolChunks: 8},
+				Spec:       Spec{Nodes: 5, PoolChunks: 8},
 				StartDelay: 50 * simtime.Millisecond,
 				Faults: []FaultEvent{
 					{At: 10 * simtime.Millisecond, Op: OpKillNode, Node: 4},
@@ -77,9 +77,9 @@ func SeedSuite() Suite {
 				),
 			},
 			{
-				Name: "readahead-under-loss",
-				Desc: "deep readahead window over a 15% lossy transport; retries fill the window",
-				Spec: Spec{Nodes: 3, DropRate: 0.15, ReadAhead: 8},
+				Name:     "readahead-under-loss",
+				Desc:     "deep readahead window over a 15% lossy transport; retries fill the window",
+				Spec:     Spec{Nodes: 3, DropRate: 0.15, ReadAhead: 8},
 				Workload: SpillWorkload{MB: 24},
 				Assert: with(
 					Assertion{Metric: "sponge_fault_drops_total", Op: ">=", Value: 1},
@@ -100,9 +100,9 @@ func SeedSuite() Suite {
 				),
 			},
 			{
-				Name: "combine-overflow-under-drops",
-				Desc: "node-combine wordcount whose shared buffer overflows through the sponge while 5% of exchanges drop",
-				Spec: Spec{Nodes: 3, DropRate: 0.05},
+				Name:     "combine-overflow-under-drops",
+				Desc:     "node-combine wordcount whose shared buffer overflows through the sponge while 5% of exchanges drop",
+				Spec:     Spec{Nodes: 3, DropRate: 0.05},
 				Workload: WordCountWorkload{NodeCombine: true},
 				Assert: with(
 					Assertion{Metric: "mr_node_combine_overflow_total", Op: ">=", Value: 1},
@@ -142,28 +142,28 @@ func SeedSuite() Suite {
 				),
 			},
 			{
-				Name:  "delta-convergence",
-				Desc:  "delta free-space dissemination replaces the full poll; incremental updates reach the tracker",
-				Quick: true,
-				Spec:  Spec{Nodes: 3, Delta: true},
+				Name:     "delta-convergence",
+				Desc:     "delta free-space dissemination replaces the full poll; incremental updates reach the tracker",
+				Quick:    true,
+				Spec:     Spec{Nodes: 3, Delta: true},
 				Workload: SpillWorkload{MB: 8},
 				Assert: with(
 					Assertion{Metric: `sponge_tracker_updates_total{kind="delta"}`, Op: ">=", Value: 1},
 				),
 			},
 			{
-				Name: "pig-domain-count-sponge",
-				Desc: "algebraic Pig domain count with node combining; fold output spills through the sponge",
-				Spec: Spec{Nodes: 3},
+				Name:     "pig-domain-count-sponge",
+				Desc:     "algebraic Pig domain count with node combining; fold output spills through the sponge",
+				Spec:     Spec{Nodes: 3},
 				Workload: PigWorkload{},
 				Assert: with(
 					Assertion{Metric: `mr_node_combine_tasks_total{path="published"}`, Op: ">=", Value: 1},
 				),
 			},
 			{
-				Name: "wordcount-under-drops",
-				Desc: "plain wordcount with sponge-backed spills while 10% of exchanges drop; counts stay exact",
-				Spec: Spec{Nodes: 3, DropRate: 0.1},
+				Name:     "wordcount-under-drops",
+				Desc:     "plain wordcount with sponge-backed spills while 10% of exchanges drop; counts stay exact",
+				Spec:     Spec{Nodes: 3, DropRate: 0.1},
 				Workload: WordCountWorkload{},
 				Assert: with(
 					Assertion{Metric: "sponge_fault_exchanges_total", Op: ">=", Value: 1},

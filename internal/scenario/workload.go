@@ -302,7 +302,7 @@ func (w PigWorkload) Run(rc *RunContext, p *simtime.Proc) error {
 				}
 			},
 		},
-		GroupKey:  func(t pig.Tuple) string { return t.String(1) },
+		GroupKey:  func(t pig.Cursor) string { return t.String(1) },
 		Algebraic: pig.CountFold(),
 	}
 	conf := q.Compile(1*media.GB, spill.SpongeFactory(rc.Svc))

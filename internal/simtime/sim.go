@@ -150,6 +150,9 @@ type Sim struct {
 	// procFree holds finished processes whose goroutines are parked
 	// awaiting reuse by the next Spawn.
 	procFree []*Proc
+	// closed makes every process goroutine exit the next time it is
+	// resumed; see Close.
+	closed bool
 
 	// legacyAlloc reproduces the seed's allocation behaviour (boxed
 	// events, no process reuse) for before/after benchmarking; see
@@ -318,8 +321,14 @@ func (p *Proc) loop() {
 	s := p.sim
 	for {
 		<-p.resume // wait for first scheduling of this life
+		if s.closed {
+			// Pooled, or spawned and never started: nothing to unwind.
+			delete(s.procs, p)
+			s.yield <- struct{}{}
+			return
+		}
 		p.runLife()
-		recycle := len(s.procFree) < maxProcFree && !s.legacyAlloc
+		recycle := len(s.procFree) < maxProcFree && !s.legacyAlloc && !s.closed
 		if recycle {
 			s.procFree = append(s.procFree, p)
 		}
@@ -328,6 +337,31 @@ func (p *Proc) loop() {
 			return
 		}
 	}
+}
+
+// Close ends the simulation: every process still alive — daemons parked
+// in their service loops, processes a deadlocked Run left behind — is
+// unwound the way Kill unwinds one, and the pooled goroutines exit.
+// Until then those goroutines pin everything the processes reference,
+// the whole simulated cluster included. Close must be called from
+// outside the simulation, after Run has returned; the Sim must not be
+// used afterwards.
+func (s *Sim) Close() {
+	s.closed = true
+	// A process whose deferred calls block again is still in procs
+	// after one round, and is killed again in the next.
+	for len(s.procs) > 0 {
+		for p := range s.procs {
+			p.killed = true
+			p.resume <- struct{}{}
+			<-s.yield
+		}
+	}
+	for _, p := range s.procFree {
+		p.resume <- struct{}{}
+		<-s.yield
+	}
+	s.procFree = nil
 }
 
 // runLife executes the process body, unwinding cleanly when killed.
@@ -384,6 +418,11 @@ func (p *Proc) park(what string) {
 
 // unpark schedules a parked process to resume at the current time.
 func (p *Proc) unpark() {
+	if p.sim.closed {
+		// Close is unwinding every process; a deferred Release or
+		// Broadcast may name one that is already gone.
+		return
+	}
 	if p.state != stateParked {
 		panic(fmt.Sprintf("simtime: unpark of non-parked proc %q", p.name))
 	}

@@ -1,8 +1,10 @@
 package simtime
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockAdvances(t *testing.T) {
@@ -344,5 +346,65 @@ func TestSpawnRunSteadyStateAllocationFree(t *testing.T) {
 	}
 	if spawns, reuses := s.ProcStats(); reuses < spawns-17 {
 		t.Fatalf("process reuse not engaged: %d spawns, %d reuses", spawns, reuses)
+	}
+}
+
+// TestCloseUnwindsEveryGoroutine builds a simulation that ends the way
+// a cluster's does — daemons parked on a signal, a queue and in a sleep,
+// finished processes pooled for reuse, one process spawned and never run
+// — and requires Close to leave no goroutine behind and to run the
+// processes' deferred calls, including one that blocks again and one
+// that wakes a process Close has already unwound.
+func TestCloseUnwindsEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	sig, q := NewSignal("never"), NewQueue("empty")
+	res := NewResource(s, "held", 1)
+	unwound := 0
+	for i := 0; i < 4; i++ {
+		s.SpawnDaemon("waiter", func(p *Proc) {
+			defer func() { unwound++ }()
+			sig.Wait(p)
+		})
+	}
+	s.SpawnDaemon("getter", func(p *Proc) {
+		defer func() { unwound++ }()
+		q.Get(p)
+	})
+	s.SpawnDaemon("holder", func(p *Proc) {
+		res.Acquire(p)
+		defer func() {
+			res.Release() // hands the unit to a waiter that may be gone
+			sig.Broadcast()
+			unwound++
+			p.Sleep(Second) // blocks again while being unwound
+			t.Error("a killed process slept to completion")
+		}()
+		for {
+			p.Sleep(Hour)
+		}
+	})
+	s.SpawnDaemon("queued", func(p *Proc) {
+		defer func() { unwound++ }()
+		res.Acquire(p)
+	})
+	for i := 0; i < 8; i++ {
+		s.Spawn("short", func(p *Proc) { p.Sleep(Millisecond) })
+	}
+	s.MustRun()
+	s.Spawn("never-started", func(p *Proc) { t.Error("ran after Close") })
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("the simulation parked no goroutines; the test proves nothing")
+	}
+	s.Close()
+	if unwound != 7 {
+		t.Errorf("%d of 7 deferred calls ran", unwound)
+	}
+	// Exiting goroutines need a moment to leave the count.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines before, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

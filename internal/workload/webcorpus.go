@@ -1,9 +1,9 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/media"
@@ -117,61 +117,86 @@ func pickCum(cum []float64, u float64) int {
 	return len(cum) - 1
 }
 
-// Page is one generated web record.
-type Page struct {
-	URL      string
-	Domain   string
-	Language string
-	Spam     float64
-	Terms    []string
+// pageGen generates one split's page records, each serialized straight
+// into a buffer it reuses: a record is valid until the next call.
+type pageGen struct {
+	w     *WebCorpus
+	rng   *rand.Rand
+	buf   []byte // the serialized record
+	str   []byte // the string field being formatted
+	terms []int  // this page's term ids
+	zeros []byte // source of the padding field
 }
 
-// page generates the idx-th record deterministically.
-func (w *WebCorpus) page(rng *rand.Rand, idx int64) Page {
+func (w *WebCorpus) newPageGen(seed int64) *pageGen {
+	return &pageGen{
+		w:     w,
+		rng:   rand.New(rand.NewSource(seed)),
+		terms: make([]int, w.TermsPerPage),
+		zeros: make([]byte, w.RecordReal()),
+	}
+}
+
+// appendPadded appends v in decimal, zero-padded to width digits.
+func appendPadded(dst []byte, v, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+// record generates the idx-th page deterministically and returns it in
+// the Pig record schema:
+// (url, domain, language, spamScore, anchortext tuple, padding).
+func (g *pageGen) record(idx int64) []byte {
+	w, rng := g.w, g.rng
 	d := pickCum(w.domainCum, rng.Float64())
 	l := pickCum(w.langCum, rng.Float64())
-	terms := make([]string, w.TermsPerPage)
-	for j := range terms {
+	for j := range g.terms {
 		// Zipfian term choice via an exponential transform.
 		t := int(rng.ExpFloat64() * float64(w.VocabSize) / 12)
 		if t >= w.VocabSize {
 			t = w.VocabSize - 1
 		}
-		terms[j] = fmt.Sprintf("term%04d", t)
+		g.terms[j] = t
 	}
 	// Spam score correlates weakly with domain rank.
 	spam := rng.Float64()*0.8 + float64(d%5)*0.04
-	return Page{
-		URL:      fmt.Sprintf("http://www.domain%03d.com/page/%d", d, idx),
-		Domain:   fmt.Sprintf("domain%03d.com", d),
-		Language: w.Languages[l],
-		Spam:     spam,
-		Terms:    terms,
-	}
-}
 
-// Tuple converts a page to the Pig record schema:
-// (url, domain, language, spamScore, anchortext tuple, padding).
-func (w *WebCorpus) Tuple(pg Page) pig.Tuple {
-	terms := make(pig.Tuple, len(pg.Terms))
-	for i, t := range pg.Terms {
-		terms[i] = t
+	b := pig.AppendTupleHeader(g.buf[:0], 6)
+	str := append(g.str[:0], "http://www.domain"...)
+	str = appendPadded(str, d, 3)
+	str = append(str, ".com/page/"...)
+	str = strconv.AppendInt(str, idx, 10)
+	b = pig.AppendString(b, str)
+	str = append(str[:0], "domain"...)
+	str = appendPadded(str, d, 3)
+	str = append(str, ".com"...)
+	b = pig.AppendString(b, str)
+	b = pig.AppendString(b, w.Languages[l])
+	b = pig.AppendFloat(b, spam)
+	b = pig.AppendTupleHeader(b, len(g.terms))
+	for _, t := range g.terms {
+		str = appendPadded(append(str[:0], "term"...), t, 4)
+		b = pig.AppendString(b, str)
 	}
-	t := pig.Tuple{pg.URL, pg.Domain, pg.Language, pg.Spam, terms}
 	// Pad the serialized record to the target real size with a crawl
 	// metadata blob, so byte accounting matches the corpus geometry.
-	base := len(pig.AppendTuple(nil, t)) + 20
-	pad := w.RecordReal() - base
+	pad := w.RecordReal() - (len(b) + 20)
 	if pad < 0 {
 		pad = 0
 	}
-	t = append(t, string(make([]byte, pad)))
-	return t
+	b = pig.AppendString(b, g.zeros[:pad])
+	g.buf, g.str = b, str
+	return b
 }
 
 // Input builds the MapReduce input for the corpus: the DFS file must be
 // registered by the caller with size TotalVirtual; splits generate
-// serialized page tuples deterministically.
+// serialized page tuples deterministically. An emitted record is valid
+// until the callback returns.
 func (w *WebCorpus) Input(file string, splits int) mapreduce.Input {
 	total := w.Records()
 	return mapreduce.Input{
@@ -184,10 +209,9 @@ func (w *WebCorpus) Input(file string, splits int) mapreduce.Input {
 				if split == splits-1 {
 					hi = total
 				}
-				rng := rand.New(rand.NewSource(w.Seed + int64(split)*7919))
+				g := w.newPageGen(w.Seed + int64(split)*7919)
 				for i := lo; i < hi; i++ {
-					pg := w.page(rng, i)
-					emit(nil, pig.AppendTuple(nil, w.Tuple(pg)))
+					emit(nil, g.record(i))
 				}
 			}
 		},

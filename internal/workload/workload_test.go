@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,16 +76,16 @@ func TestCDFMonotone(t *testing.T) {
 func TestWebCorpusShares(t *testing.T) {
 	w := DefaultWebCorpus(64)
 	w.TotalVirtual = 64 * media.MB // small sample for the test
-	rng := rand.New(rand.NewSource(9))
+	g := w.newPageGen(9)
 	domainBytes := map[string]int{}
 	langBytes := map[string]int{}
 	total := 0
 	n := int(w.Records())
 	for i := 0; i < n; i++ {
-		pg := w.page(rng, int64(i))
+		pg := pig.DecodeTuple(g.record(int64(i)))
 		sz := w.RecordReal()
-		domainBytes[pg.Domain] += sz
-		langBytes[pg.Language] += sz
+		domainBytes[pg.String(1)] += sz
+		langBytes[pg.String(2)] += sz
 		total += sz
 	}
 	top := 0
@@ -101,34 +104,57 @@ func TestWebCorpusShares(t *testing.T) {
 	}
 }
 
-func TestWebCorpusTupleSchemaAndSize(t *testing.T) {
+func TestWebCorpusRecordSchemaAndSize(t *testing.T) {
 	w := DefaultWebCorpus(64)
-	rng := rand.New(rand.NewSource(1))
-	pg := w.page(rng, 0)
-	tu := w.Tuple(pg)
-	if tu.String(1) != pg.Domain || tu.String(2) != pg.Language {
-		t.Fatal("tuple schema wrong")
+	rec := w.newPageGen(1).record(7)
+	tu := pig.DecodeTuple(rec)
+	if len(tu) != 6 || tu.String(0) != "http://www."+tu.String(1)+"/page/7" {
+		t.Fatalf("tuple schema wrong: %v", tu[:5])
 	}
-	if tu.Float(3) != pg.Spam {
-		t.Fatal("spam score wrong")
+	if lang := tu.String(2); len(lang) != 2 {
+		t.Fatalf("language = %q", lang)
 	}
-	if len(tu.Nested(4)) != w.TermsPerPage {
-		t.Fatal("terms wrong")
+	if spam := tu.Float(3); spam < 0 || spam >= 1 {
+		t.Fatalf("spam score = %v", spam)
 	}
-	got := len(pig.AppendTuple(nil, tu))
+	if len(tu.Nested(4)) != w.TermsPerPage || len(tu.Nested(4).String(0)) != len("term0000") {
+		t.Fatalf("terms wrong: %v", tu.Nested(4))
+	}
 	want := w.RecordReal()
-	if got < want-32 || got > want+32 {
+	if got := len(rec); got < want-32 || got > want+32 {
 		t.Fatalf("serialized record = %d real bytes, want ≈ %d", got, want)
+	}
+}
+
+// TestWebCorpusRecordsPinned holds the generator to the bytes it has
+// always produced: the digests were taken from the Sprintf-and-boxed-
+// tuple generator this one replaced. 1200 domains exercises the %03d
+// padding on a four-digit domain.
+func TestWebCorpusRecordsPinned(t *testing.T) {
+	for domains, want := range map[int]string{
+		100:  "9f1a039df1f056d59b5590b585e4d9dbf5639e6c7b6b42a918fd4f480275ecf3",
+		1200: "b554a087dd18916fee6a248bb758abe218fb0bc5c9c8d5270bfc83d9f60709b9",
+	} {
+		w := DefaultWebCorpus(64)
+		w.TotalVirtual = 64 * media.MB
+		w.Domains = domains
+		w.init()
+		in := w.Input("/x", 3)
+		h := sha256.New()
+		for split := 0; split < 3; split++ {
+			in.MakeRecords(split)(func(k, v []byte) { h.Write(v) })
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%d domains: records digest %s, want %s", domains, got, want)
+		}
 	}
 }
 
 func TestWebCorpusDeterministic(t *testing.T) {
 	w := DefaultWebCorpus(64)
-	a := rand.New(rand.NewSource(3))
-	b := rand.New(rand.NewSource(3))
+	a, b := w.newPageGen(3), w.newPageGen(3)
 	for i := int64(0); i < 100; i++ {
-		pa, pb := w.page(a, i), w.page(b, i)
-		if pa.URL != pb.URL || pa.Spam != pb.Spam {
+		if !bytes.Equal(a.record(i), b.record(i)) {
 			t.Fatal("corpus not deterministic")
 		}
 	}

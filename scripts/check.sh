@@ -26,11 +26,13 @@ echo "== allocation-regression guards =="
 # macro allocs/op cut. The obs guards keep counter/gauge/histogram ops
 # and trace-ring appends allocation-free so instrumentation stays off
 # the spill path's alloc budget. The mapreduce guards pin the map-side
-# combiner scratch and the node-combine publish path at zero steady-
-# state allocations per record.
-go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard' \
+# combiner scratch, the node-combine publish path and sortBuffer.add at
+# zero steady-state allocations per record. The record-path guards hold
+# the Pig codec (encode into scratch + cursor read) at zero and a whole
+# Pig job under ten allocations per input record.
+go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAllocsPerRecord' \
 	./internal/sponge ./internal/simtime ./internal/bench ./internal/obs \
-	./internal/mapreduce
+	./internal/mapreduce ./internal/pig
 
 # Wire transport guard: steady-state ReadInto must stay 0 allocs/chunk
 # on all six serve paths — TCP and unix pool reads, sendfile spill
@@ -65,5 +67,12 @@ echo "== scenario matrix smoke (quick cases) =="
 # the delta-dissemination convergence case — run against real child
 # server processes, end to end through the spongesim runner.
 go run ./cmd/spongesim -run 'spill-roundtrip-clean|delta-convergence' -report /tmp/scenario-smoke.json
+
+echo "== benchmark module smoke =="
+# The repository's benchmark is a module of its own that compiles
+# against internal/pig, bench and mapreduce: build it and run its smoke,
+# schema and self-check tests, so an API change it depends on fails here
+# and not in the next benchmark run.
+go -C benchmark test -count=1 ./...
 
 echo "tier2 OK"
