@@ -2,8 +2,8 @@
 tier1:
 	go build ./... && go test ./...
 
-# Tier-2: go vet plus race-detector runs over the concurrent subsystems
-# (wire protocol demux/dispatch, spill targets).
+# Tier-2: go vet, the whole tree under the race detector, and the
+# allocation guards and smokes.
 tier2:
 	./scripts/check.sh
 
@@ -24,14 +24,14 @@ scenarios-quick:
 stats-smoke:
 	./scripts/stats_smoke.sh
 
-# Wire protocol benchmarks: lock-step vs pipelined at 1, 4 and 16
+# Wire protocol benchmarks: the pipelined client at 1, 4 and 16
 # concurrent requests (see BENCH_wire.json for recorded results).
 bench-wire:
 	go test ./internal/sponge/wire -run '^$$' -bench BenchmarkWire -benchtime 1s -cpu=1,4,16
 
-# Macro perf harness: host-level cost of the three paper jobs, legacy
-# allocation machinery vs the pooled hot path; regenerates
-# BENCH_macro.json (tune with BENCH_SIZE / BENCH_WORKERS / BENCH_OUT).
+# Macro perf harness: host-level cost (wall clock, allocs, bytes) of
+# one run of each of the three paper jobs; regenerates BENCH_macro.json
+# (tune with BENCH_SIZE / BENCH_WORKERS / BENCH_OUT).
 bench:
 	./scripts/bench.sh
 

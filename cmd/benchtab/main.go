@@ -19,9 +19,9 @@
 // alongside the BENCH report.
 //
 // The perf experiment is the host-level macro benchmark: it times the
-// three jobs under testing.B in both the seed-equivalent legacy
-// allocation mode and the pooled hot path, and emits the comparison as
-// JSON (checked in as BENCH_macro.json). It is not part of "all".
+// three jobs under testing.B and emits wall-clock, allocations and
+// bytes per run as JSON (checked in as BENCH_macro.json). It is not
+// part of "all".
 //
 // The faults experiment sweeps transport drop rates over the simulated
 // and the real-TCP wire transports, recording spill placement, retries,
@@ -65,164 +65,170 @@ import (
 	"spongefiles/internal/obs"
 )
 
+// flags are the command-line settings the BENCH_* experiments read.
+type flags struct {
+	perfSize    float64
+	perfWorkers int
+	out, stats  string
+}
+
+// outcome is what one BENCH_* experiment hands back after printing its
+// banner and running: the table, and how to keep the report.
+type outcome struct {
+	header []string
+	rows   [][]string
+	// save writes the report to the -out path; saved says what it did
+	// when that is not "report written to".
+	save  func(path string) error
+	saved string
+	// stdout is printed instead when no -out is given.
+	stdout []byte
+	// stats is the registry the cells ran against, dumped under -stats.
+	stats *obs.Registry
+}
+
+// experiments are the BENCH_* producers, none of them part of "all".
+var experiments = []struct {
+	name string
+	run  func(flags) (outcome, error)
+}{
+	{"perf", perf},
+	{"faults", faults},
+	{"readahead", readahead},
+	{"tier", tier},
+	{"tracker", tracker},
+	{"combine", combine},
+}
+
 func main() {
 	size := flag.Float64("size", 1.0, "dataset scale factor (1.0 = paper size)")
 	spills := flag.Int("spills", 10000, "microbenchmark spill count")
-	perfSize := flag.Float64("perfsize", 0.05, "dataset scale factor for the perf experiment")
-	perfWorkers := flag.Int("workers", 8, "cluster size for the perf experiment")
-	perfOut := flag.String("out", "", "write the perf experiment's JSON report to this file")
-	statsOut := flag.String("stats", "", "write the experiment's metrics registry snapshot (JSON) to this file (faults, readahead)")
+	var f flags
+	flag.Float64Var(&f.perfSize, "perfsize", 0.05, "dataset scale factor for the perf experiment")
+	flag.IntVar(&f.perfWorkers, "workers", 8, "cluster size for the perf experiment")
+	flag.StringVar(&f.out, "out", "", "write the experiment's JSON report to this file")
+	flag.StringVar(&f.stats, "stats", "", "write the experiment's metrics registry snapshot (JSON) to this file (faults, readahead)")
 	flag.Parse()
 	which := "all"
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
-	if which == "perf" {
-		perf(*perfSize, *perfWorkers, *perfOut)
+	for _, e := range experiments {
+		if e.name != which {
+			continue
+		}
+		o, err := e.run(f)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		fmt.Println(bench.FormatTable(o.header, o.rows))
+		if f.out != "" {
+			if err := o.save(f.out); err != nil {
+				fmt.Fprintf(os.Stderr, "-out %s: %v\n", f.out, err)
+				os.Exit(1)
+			}
+			if o.saved == "" {
+				o.saved = "report written to"
+			}
+			fmt.Printf("%s %s\n", o.saved, f.out)
+		} else {
+			os.Stdout.Write(o.stdout)
+		}
+		dumpStats(o.stats, f.stats)
 		return
 	}
-	if which == "faults" {
-		faults(*perfOut, *statsOut)
-		return
-	}
-	if which == "readahead" {
-		readahead(*perfOut, *statsOut)
-		return
-	}
-	if which == "tier" {
-		tier(*perfOut)
-		return
-	}
-	if which == "tracker" {
-		tracker(*perfOut)
-		return
-	}
-	if which == "combine" {
-		combine(*perfOut)
-		return
-	}
-	run := func(name string, fn func()) {
-		if which == "all" || which == name {
-			fn()
+	ran := false
+	for _, e := range []struct {
+		name string
+		fn   func()
+	}{
+		{"tab1", func() { table1(*spills) }},
+		{"fig1a", fig1a},
+		{"fig1b", fig1b},
+		{"tab2", func() { table2(*size) }},
+		{"fig4", func() { figMacro("Figure 4 (no contention)", bench.Fig4(*size)) }},
+		{"fig5", func() { figMacro("Figure 5 (disk contention)", bench.Fig5(*size)) }},
+		{"fig6", func() { fig6(*size) }},
+		{"grepvar", func() { grepvar(*size) }},
+		{"failtab", failtab},
+		{"effective", effective},
+		{"ablate", ablate},
+	} {
+		if which == "all" || which == e.name {
+			e.fn()
+			ran = true
 		}
 	}
-	run("tab1", func() { table1(*spills) })
-	run("fig1a", fig1a)
-	run("fig1b", fig1b)
-	run("tab2", func() { table2(*size) })
-	run("fig4", func() { figMacro("Figure 4 (no contention)", bench.Fig4(*size)) })
-	run("fig5", func() { figMacro("Figure 5 (disk contention)", bench.Fig5(*size)) })
-	run("fig6", func() { fig6(*size) })
-	run("grepvar", func() { grepvar(*size) })
-	run("failtab", failtab)
-	run("effective", effective)
-	run("ablate", ablate)
-	switch which {
-	case "all", "tab1", "fig1a", "fig1b", "tab2", "fig4", "fig5", "fig6", "grepvar", "failtab", "effective", "ablate":
-	default:
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
 		os.Exit(2)
 	}
 }
 
-func perf(size float64, workers int, out string) {
-	fmt.Printf("== Macro perf: host cost per job run (size %.2f, %d workers) ==\n", size, workers)
-	rep := bench.RunPerf(size, workers)
-	fmt.Println(bench.FormatTable(bench.PerfHeader, rep.Rows()))
-	if out != "" {
-		if err := os.WriteFile(out, rep.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", out)
-	} else {
-		os.Stdout.Write(rep.JSON())
-	}
+// writeReport is the save of an experiment whose report is one file.
+func writeReport(report []byte) func(string) error {
+	return func(path string) error { return os.WriteFile(path, report, 0o644) }
 }
 
-func faults(out, statsOut string) {
+func perf(f flags) (outcome, error) {
+	fmt.Printf("== Macro perf: host cost per job run (size %.2f, %d workers) ==\n", f.perfSize, f.perfWorkers)
+	rep := bench.RunPerf(f.perfSize, f.perfWorkers)
+	js := rep.JSON()
+	return outcome{header: bench.PerfHeader, rows: rep.Rows(), save: writeReport(js), stdout: js}, nil
+}
+
+func faults(f flags) (outcome, error) {
 	cfg := bench.DefaultFaults()
-	if statsOut != "" {
+	if f.stats != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	fmt.Printf("== Fault injection: spill placement vs exchange drop rate (%d workers, %d files x %d chunks, seed %d) ==\n",
 		cfg.Workers, cfg.Files, cfg.FileChunks, cfg.Seed)
 	cells := bench.RunFaults(cfg)
-	fmt.Println(bench.FormatTable(bench.FaultsHeader, bench.FaultsRows(cells)))
-	if out != "" {
-		if err := os.WriteFile(out, bench.FaultsJSON(cfg, cells), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	dumpStats(cfg.Metrics, statsOut)
+	return outcome{header: bench.FaultsHeader, rows: bench.FaultsRows(cells),
+		save: writeReport(bench.FaultsJSON(cfg, cells)), stats: cfg.Metrics}, nil
 }
 
-func readahead(out, statsOut string) {
+func readahead(f flags) (outcome, error) {
 	cfg := bench.DefaultReadAhead()
-	if statsOut != "" {
+	if f.stats != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	fmt.Printf("== Readahead window: depth x injected exchange delay (%d workers, %d-chunk file, seed %d) ==\n",
 		cfg.Workers, cfg.FileChunks, cfg.Seed)
 	cells := bench.RunReadAhead(cfg)
-	fmt.Println(bench.FormatTable(bench.ReadAheadHeader, bench.ReadAheadRows(cells)))
-	if out != "" {
-		if err := os.WriteFile(out, bench.ReadAheadJSON(cfg, cells), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	dumpStats(cfg.Metrics, statsOut)
+	return outcome{header: bench.ReadAheadHeader, rows: bench.ReadAheadRows(cells),
+		save: writeReport(bench.ReadAheadJSON(cfg, cells)), stats: cfg.Metrics}, nil
 }
 
-func tier(out string) {
+func tier(flags) (outcome, error) {
 	fmt.Println("== Local transport tier ladder: steady-state 64KiB ReadInto ==")
 	rungs, err := bench.RunTierLadder(2 * time.Second)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tier ladder: %v\n", err)
-		os.Exit(1)
+		return outcome{}, err
 	}
-	fmt.Println(bench.FormatTable(bench.TierHeader, bench.TierRows(rungs)))
-	if out != "" {
-		if err := bench.PatchWireTierLadder(out, rungs); err != nil {
-			fmt.Fprintf(os.Stderr, "patch %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("tier ladder patched into %s\n", out)
-	}
+	return outcome{header: bench.TierHeader, rows: bench.TierRows(rungs),
+		save:  func(path string) error { return bench.PatchWireTierLadder(path, rungs) },
+		saved: "tier ladder patched into"}, nil
 }
 
-func tracker(out string) {
+func tracker(flags) (outcome, error) {
 	cfg := bench.DefaultTracker()
 	fmt.Printf("== Tracker dissemination at scale: full poll vs delta (%d s, %d churn ops/s) ==\n",
 		cfg.Seconds, cfg.ChurnPerSec)
 	cells := bench.RunTracker(cfg)
-	fmt.Println(bench.FormatTable(bench.TrackerHeader, bench.TrackerRows(cells)))
-	if out != "" {
-		if err := os.WriteFile(out, bench.TrackerJSON(cfg, cells), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
+	return outcome{header: bench.TrackerHeader, rows: bench.TrackerRows(cells),
+		save: writeReport(bench.TrackerJSON(cfg, cells))}, nil
 }
 
-func combine(out string) {
+func combine(flags) (outcome, error) {
 	cfg := bench.DefaultCombine()
 	fmt.Printf("== Combine scope: task vs node combining x skew (%d workers, %d records, vocab %d, zipf s=%.1f) ==\n",
 		cfg.Workers, cfg.Records, cfg.Vocab, cfg.ZipfS)
 	cells := bench.RunCombine(cfg)
-	fmt.Println(bench.FormatTable(bench.CombineHeader, bench.CombineRows(cells)))
-	if out != "" {
-		if err := os.WriteFile(out, bench.CombineJSON(cfg, cells), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
+	return outcome{header: bench.CombineHeader, rows: bench.CombineRows(cells),
+		save: writeReport(bench.CombineJSON(cfg, cells))}, nil
 }
 
 // dumpStats writes the sweep's aggregated registry snapshot as JSON.

@@ -12,10 +12,6 @@
 //	spongectl stats   [-addrs host:port,...] [-urls http://...,...]
 //	                  [-prefix sponge_,...] [-raw]
 //	spongectl demo    [-chunk 65536] [-chunks 64] [-conns 4]
-//	spongectl cluster [-nodes 3] [-chunks 32] [-mb 200] [-drop 0.1]
-//	                  [-readahead 4] [-local-socket-dir /tmp]
-//	                  [-no-fd-pass] [-tracker-replicas 1]
-//	                  [-kill-tracker 2s] [-delta] [-combine] ...
 //
 // "serve" runs a sponge server until interrupted; -local-socket-dir
 // adds a same-host unix-socket listener, -spill-dir a disk-spill
@@ -27,34 +23,12 @@
 // verbatim instead). "demo" starts an in-process server, spills
 // chunks through it concurrently over a pipelined connection pool,
 // reads them back with zero-copy ReadInto, and prints a transcript.
-// "cluster" launches one sponge-server child process per node,
-// installs the wire transport on a simulated service, and drives a
-// SpongeFile spill through the allocator chain so every remote chunk
-// crosses real process boundaries over real TCP; -readahead sets the
-// read-back window depth (up to that many chunk fetches multiplexed
-// over each pipelined connection at once). With -local-socket-dir the
-// children also listen on per-node unix sockets in that directory and
-// the parent's transport auto-discovers the same-host tier, so chunk
-// traffic skips the TCP stack; on linux the transport also pulls each
-// child's spill-file and memfd pool-segment descriptors over SCM_RIGHTS
-// so chunk reads become local preads whose payloads never cross the
-// socket (-no-fd-pass turns both fast paths off). With -tracker-replicas
-// the simulated tracker runs with warm standbys, and -kill-tracker fails
-// it at the given virtual time mid-run so the watchdog's failover (and
-// the handed-off snapshot it promotes) is visible in the transcript;
-// -delta switches free-space dissemination from the 1/s full poll to
-// server-pushed incremental updates; -combine also runs a node-combine
-// wordcount (JobConf.NodeCombine) whose shared buffer is sized to
-// overflow, so the combined runs spill through the sponge and across
-// the child servers, and prints the mr_node_combine_* counters in the
-// table. After the round trip it scrapes
-// every child over OpMetrics and prints the per-node table (including
-// the transport-tier, fd-pass, zero-copy, tracker, and membership
-// counters).
+//
+// The multi-process cluster (real child servers, fault schedules,
+// asserted outcomes) is cmd/spongesim: spongesim -run '<case>' -v.
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -64,14 +38,8 @@ import (
 	"sync"
 	"time"
 
-	"spongefiles/internal/cluster"
-	"spongefiles/internal/dfs"
-	"spongefiles/internal/mapreduce"
-	"spongefiles/internal/media"
 	"spongefiles/internal/obs"
 	"spongefiles/internal/scenario"
-	"spongefiles/internal/simtime"
-	"spongefiles/internal/spill"
 	"spongefiles/internal/sponge"
 	"spongefiles/internal/sponge/wire"
 )
@@ -89,15 +57,13 @@ func main() {
 		statsCmd(os.Args[2:])
 	case "demo":
 		demo(os.Args[2:])
-	case "cluster":
-		clusterMain(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: spongectl serve|stat|stats|demo|cluster [flags]")
+	fmt.Fprintln(os.Stderr, "usage: spongectl serve|stat|stats|demo [flags]")
 	os.Exit(2)
 }
 
@@ -199,305 +165,6 @@ func stat(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("%s: %d/%d chunks free, chunk size %d bytes\n", *addr, free, total, size)
-}
-
-// clusterMain is the real multi-process mode: it re-executes this
-// binary once per node as "spongectl serve -addr 127.0.0.1:0", collects
-// the childrens' listen addresses, maps them into a wire transport on a
-// simulated sponge service, and runs a SpongeFile round trip whose
-// local pool is too small to hold the data — forcing the allocator
-// chain through the tracker and across the TCP servers. With -drop > 0
-// a fault-injecting wrapper loses that fraction of exchanges, so the
-// retry and blacklist paths run against live sockets too.
-func clusterMain(args []string) {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	nodes := fs.Int("nodes", 3, "sponge server child processes")
-	chunks := fs.Int("chunks", 32, "pool chunks per child server")
-	mb := fs.Int64("mb", 64, "virtual MB to spill through the cluster")
-	drop := fs.Float64("drop", 0, "fault-injected exchange drop rate")
-	seed := fs.Int64("seed", 1, "fault stream seed")
-	readahead := fs.Int("readahead", 0, "readahead window depth (0 = service default, 1 = seed-compatible single slot)")
-	noFDPass := fs.Bool("no-fd-pass", false, "do not arm the SCM_RIGHTS fd-passing fast paths (spill-file and pool-segment preads) on same-host unix connections")
-	trackerReplicas := fs.Int("tracker-replicas", 0, "warm standby trackers shadowing the leader (0 = standalone)")
-	killTracker := fs.Duration("kill-tracker", 0, "virtual time at which to fail the tracker mid-run (0 = never; pair with -tracker-replicas to watch the failover)")
-	delta := fs.Bool("delta", false, "delta free-space dissemination instead of the 1/s full poll")
-	combine := fs.Bool("combine", false, "also run a node-combine wordcount whose buffer overflow spills into the sponge, so combined data crosses the child servers")
-	opts := scenario.ServeFlags(fs)
-	fs.Parse(args)
-
-	// The simulated half: node 0 runs the task (and the tracker); nodes
-	// 1..N are fronted by the child processes. A tiny local sponge pool
-	// (two chunks) forces everything else remote.
-	cfg := cluster.PaperConfig()
-	cfg.Workers = *nodes + 1
-	cfg.SpongeMemory = 2 * media.MB
-	sim := simtime.New()
-	c := cluster.New(sim, cfg)
-	// Local disk stays enabled as the escape hatch: under heavy -drop
-	// every remote candidate can end up blacklisted, and the demo should
-	// degrade the way the paper's allocator does, not fail.
-	scfg := sponge.DefaultConfig()
-	scfg.ReadAheadDepth = *readahead
-	scfg.TrackerReplicas = *trackerReplicas
-	scfg.DeltaDissemination = *delta
-	svc := sponge.Start(c, scfg)
-	if *killTracker > 0 {
-		// Not a daemon: the proc keeps the simulation alive past the
-		// watchdog's next check, so the failover happens even when the
-		// demo job itself finishes earlier in virtual time.
-		sim.Spawn("trackerkiller", func(p *simtime.Proc) {
-			p.Sleep(simtime.Duration(*killTracker))
-			fmt.Printf("failing tracker on node%d at %v virtual\n", svc.Tracker.Node().ID, *killTracker)
-			svc.FailTracker()
-			p.Sleep(2 * svc.Config.PollInterval)
-			fmt.Printf("watchdog outcome: tracker on node%d, leader epoch %d, %d failovers\n",
-				svc.Tracker.Node().ID, svc.Tracker.LeaderEpoch(), svc.Failovers())
-		})
-	}
-
-	wopts := opts()
-	h, err := scenario.Spawn(scenario.HarnessOptions{
-		Nodes:      *nodes,
-		ChunkBytes: svc.ChunkReal(),
-		Chunks:     *chunks,
-		Wire:       wopts,
-		Stderr:     os.Stderr,
-		Logf:       func(format string, args ...any) { fmt.Printf(format, args...) },
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer h.Stop()
-	addrs := h.Addrs()
-
-	var transport sponge.Transport = wire.NewTransportOptions(addrs, svc.Transport(), wire.TransportOptions{
-		SocketDir: wopts.LocalSocketDir,
-		Metrics:   svc.Metrics(),
-		NoFDPass:  *noFDPass,
-	})
-	var faults *sponge.FaultTransport
-	if *drop > 0 {
-		faults = sponge.NewFaultTransport(transport, sponge.FaultConfig{Seed: *seed, DropRate: *drop})
-		transport = faults
-	}
-	svc.SetTransport(transport)
-
-	data := make([]byte, c.Cfg.R(*mb*media.MB))
-	for i := range data {
-		data[i] = byte(i*31 + 7)
-	}
-	start := time.Now()
-	var stats sponge.FileStats
-	failed := false
-	sim.Spawn("task", func(p *simtime.Proc) {
-		agent := svc.NewAgent(c.Nodes[0])
-		defer agent.Close()
-		f := agent.Create(p, "cluster-demo")
-		if err := f.Write(p, data); err != nil {
-			fmt.Fprintln(os.Stderr, "write:", err)
-			failed = true
-			return
-		}
-		if err := f.Close(p); err != nil {
-			fmt.Fprintln(os.Stderr, "close:", err)
-			failed = true
-			return
-		}
-		buf := make([]byte, svc.ChunkReal())
-		var got int
-		for {
-			n, err := f.Read(p, buf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "read:", err)
-				failed = true
-				return
-			}
-			if n == 0 {
-				break
-			}
-			for j := 0; j < n; j++ {
-				if buf[j] != byte((got+j)*31+7) {
-					fmt.Fprintf(os.Stderr, "corrupt byte at offset %d\n", got+j)
-					failed = true
-					return
-				}
-			}
-			got += n
-		}
-		if got != len(data) {
-			fmt.Fprintf(os.Stderr, "short read: %d of %d bytes\n", got, len(data))
-			failed = true
-			return
-		}
-		stats = f.Stats()
-		f.Delete(p)
-	})
-
-	// The optional node-combine leg: a wordcount whose co-located map
-	// tasks publish into the shared per-node combine buffer, sized so the
-	// buffer overflows and the combined runs spill through the sponge —
-	// every overflow chunk rides the same live TCP/unix transport as the
-	// round trip above.
-	var combineRes *mapreduce.JobResult
-	var combineRecords int64
-	if *combine {
-		const (
-			records = 120_000
-			vocab   = 2000
-			keyLen  = 6
-		)
-		cfs := dfs.New(c)
-		cfs.BlockVirtual = 16 * media.MB // several map tasks per node
-		eng := mapreduce.NewEngine(c, cfs)
-		realRec := keyLen + 4 + 8 // key + uint32 value + record header
-		cfs.AddExisting("/in/combine", c.Cfg.V(records*realRec))
-		blocks := len(cfs.Lookup("/in/combine").Blocks)
-		one := make([]byte, 4)
-		binary.LittleEndian.PutUint32(one, 1)
-		sum := func(vals *mapreduce.ValueIter) uint32 {
-			var total uint32
-			for {
-				v, ok := vals.Next()
-				if !ok {
-					return total
-				}
-				total += binary.LittleEndian.Uint32(v)
-			}
-		}
-		conf := mapreduce.JobConf{
-			Name: "combine-demo",
-			Input: mapreduce.Input{
-				File: "/in/combine",
-				MakeRecords: func(split int) mapreduce.RecordGen {
-					return func(emit mapreduce.Emit) {
-						per := records / blocks
-						lo, hi := split*per, (split+1)*per
-						if split == blocks-1 {
-							hi = records
-						}
-						for i := lo; i < hi; i++ {
-							emit(nil, []byte(fmt.Sprintf("k%05d", i%vocab)))
-						}
-					}
-				},
-			},
-			Map: func(ctx *mapreduce.TaskContext, k, v []byte, emit mapreduce.Emit) {
-				emit(v[:keyLen], one)
-			},
-			Combine: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-				var out [4]byte
-				binary.LittleEndian.PutUint32(out[:], sum(vals))
-				emit(key, out[:])
-			},
-			Reduce: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-				combineRecords += int64(sum(vals))
-				emit(key, nil)
-			},
-			NumReducers:        2,
-			NodeCombine:        true,
-			NodeCombineVirtual: 4 * media.MB, // force overflow into the sponge
-			SpillFactory:       spill.SpongeFactory(svc),
-			Metrics:            svc.Metrics(),
-		}
-		sim.Spawn("combinejob", func(p *simtime.Proc) {
-			combineRes = eng.Submit(conf).Wait(p)
-		})
-	}
-	sim.MustRun()
-	if failed {
-		os.Exit(1)
-	}
-
-	fmt.Printf("round trip: %d real bytes (%d virtual MB) in %v wall clock\n",
-		len(data), *mb, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("chunks: %d total — %d local mem, %d remote mem over the wire, %d remote FS; %d retries\n",
-		stats.Chunks, stats.ByKind[sponge.LocalMem], stats.ByKind[sponge.RemoteMem],
-		stats.ByKind[sponge.RemoteFS], stats.Retries)
-	if tiers, err := obs.ParseText(svc.Metrics().Text()); err == nil {
-		fmt.Printf("transport tiers: %d ops unix (%d pool-fd preads), %d tcp, %d sim; %d unix fallbacks, %d gen misses\n",
-			tiers[`sponge_transport_tier_total{tier="unix"}`],
-			tiers[`sponge_transport_tier_total{tier="pool_fd"}`],
-			tiers[`sponge_transport_tier_total{tier="tcp"}`],
-			tiers[`sponge_transport_tier_total{tier="sim"}`],
-			tiers["sponge_transport_unix_fallback_total"],
-			tiers["sponge_poolfd_gen_miss_total"])
-	}
-	if faults != nil {
-		fs := faults.Stats()
-		fmt.Printf("faults: %d exchanges, %d dropped, %d fast errors\n",
-			fs.Exchanges, fs.Drops, fs.FastErrs)
-	}
-	polls, queries := svc.Tracker.Stats()
-	fmt.Printf("tracker: node%d, leader epoch %d, %d failovers, %d polls, %d queries; membership epoch %d\n",
-		svc.Tracker.Node().ID, svc.Tracker.LeaderEpoch(), svc.Failovers(), polls, queries,
-		svc.MembershipEpoch())
-	if *delta {
-		applied, stale := svc.Tracker.DeltaStats()
-		fmt.Printf("delta dissemination: %d incremental updates applied, %d stale dropped\n",
-			applied, stale)
-	}
-	if combineRes != nil {
-		if combineRes.Failed {
-			fmt.Fprintln(os.Stderr, "combine job failed")
-			os.Exit(1)
-		}
-		nc := combineRes.NodeCombine
-		fmt.Printf("node combine: %d published / %d bypassed map tasks, %d -> %d records, %d bytes saved off the shuffle\n",
-			nc.Published, nc.BypassedLate+nc.BypassedClosed, nc.RecordsIn, nc.RecordsOut, nc.SavedBytes())
-		fmt.Printf("node combine overflow: %d overflows, %d chunks (%d real bytes) spilled through the sponge; reduce saw %d records\n",
-			nc.Overflows, nc.SpillChunks, nc.SpillBytesReal, combineRecords)
-	}
-	for n := 1; n <= *nodes; n++ {
-		cl, err := wire.Dial(addrs[n])
-		if err != nil {
-			continue
-		}
-		free, total, _, err := cl.Stat()
-		cl.Close()
-		if err == nil {
-			fmt.Printf("node%d pool after delete: %d/%d free\n", n, free, total)
-		}
-	}
-
-	// Aggregated metrics table: the task-side service registry (spill
-	// outcomes, retries, readahead) next to each child's wire scrape.
-	sim0, err := obs.ParseText(svc.Metrics().Text())
-	if err != nil {
-		fatal(err)
-	}
-	mnodes := []obs.NodeSamples{{Name: "sim", Samples: sim0}}
-	for n := 1; n <= *nodes; n++ {
-		cl, err := wire.Dial(addrs[n])
-		if err != nil {
-			continue
-		}
-		text, err := cl.Metrics()
-		cl.Close()
-		if err != nil {
-			continue
-		}
-		samples, err := obs.ParseText(text)
-		if err != nil {
-			continue
-		}
-		mnodes = append(mnodes, obs.NodeSamples{Name: fmt.Sprintf("node%d", n), Samples: samples})
-	}
-	fmt.Println()
-	if err := obs.RenderNodeTable(os.Stdout, mnodes,
-		"sponge_spill", "sponge_retries", "sponge_ra_", "sponge_fault",
-		"sponge_candidates", "sponge_transport_tier_total",
-		"sponge_transport_unix_fallback_total", "sponge_poolfd_gen_miss_total",
-		"sponge_tracker_leader_epoch", "sponge_tracker_failovers_total",
-		"sponge_tracker_msgs_total", "sponge_tracker_updates_total",
-		"sponge_membership_epoch", "sponge_membership_changes_total",
-		"sponge_evacuated_chunks_total", "sponge_peer_revocations_total",
-		"sponge_transport_peer_revocations_total", "mr_node_combine",
-		"spongewire_requests_total", "spongewire_connections_total",
-		"spongewire_serve_zero_copy_bytes_total", "spongewire_spill_allocs_total",
-		"spongewire_fdpass_fail_total", "spongewire_tracker_",
-		"spongewire_delta_"); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

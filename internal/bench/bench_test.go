@@ -2,9 +2,16 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"spongefiles/internal/cluster"
+	"spongefiles/internal/dfs"
+	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/media"
+	"spongefiles/internal/simtime"
+	"spongefiles/internal/spill"
+	"spongefiles/internal/workload"
 )
 
 // The tests run the experiment harnesses at reduced size and assert the
@@ -71,6 +78,73 @@ func TestMedianJobCorrectAndSpills(t *testing.T) {
 	ratio := float64(res.StragglerSpilled) / float64(res.StragglerInput)
 	if ratio < 0.9 || ratio > 1.4 {
 		t.Fatalf("spill/input = %.2f", ratio)
+	}
+}
+
+// TestMedianJobSurvivesMidEmitSpill runs the median job with a sort
+// buffer of a few records, so every map task spills inside emit over
+// and over while the other map tasks keep mapping. emit adds the key
+// again after the spill has slept: a key scratch shared between tasks
+// holds another task's number by then.
+func TestMedianJobSurvivesMidEmitSpill(t *testing.T) {
+	cfg := cluster.PaperConfig()
+	cfg.Workers = 4
+	sim := simtime.New()
+	defer sim.Close()
+	c := cluster.New(sim, cfg)
+	fs := dfs.New(c)
+	var out MacroResult
+	conf := medianJob(c, fs, spill.DiskFactory(), MacroConfig{SizeFactor: 0.05}, &out)
+	conf.SortBufferVirtual = 256 * media.KB
+
+	var mapped, reduced []float64
+	mapFn, reduceFn := conf.Map, conf.Reduce
+	conf.Map = func(ctx *mapreduce.TaskContext, k, v []byte, emit mapreduce.Emit) {
+		mapped = append(mapped, workload.DecodeNumber(v))
+		mapFn(ctx, k, v, emit)
+	}
+	conf.Reduce = func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
+		reduced = append(reduced, medianValue(key))
+		reduceFn(ctx, key, vals, emit)
+	}
+
+	var res *mapreduce.JobResult
+	sim.Spawn("driver", func(p *simtime.Proc) {
+		res = mapreduce.NewEngine(c, fs).Submit(conf).Wait(p)
+	})
+	sim.MustRun()
+	if res.Failed {
+		t.Fatal("median job failed")
+	}
+
+	// The run must be the one described: several map tasks alive at
+	// once, each spilling many times.
+	var maps []*mapreduce.TaskRun
+	for _, tr := range res.Tasks {
+		if tr.Kind == mapreduce.MapTask {
+			maps = append(maps, tr)
+		}
+	}
+	overlap := false
+	for i, a := range maps {
+		if a.SpillEvents < 10 {
+			t.Fatalf("map task %d spilled %d times, want a spill every few records", a.Index, a.SpillEvents)
+		}
+		for _, b := range maps[i+1:] {
+			overlap = overlap || (a.Start < b.End && b.Start < a.End)
+		}
+	}
+	if !overlap {
+		t.Fatalf("no two of the %d map tasks ran at the same time", len(maps))
+	}
+
+	// The reduce sees each distinct number once, in ascending order.
+	slices.Sort(mapped)
+	if want := slices.Compact(slices.Clone(mapped)); !slices.Equal(reduced, want) {
+		t.Errorf("reduce saw %d keys, want the %d distinct mapped numbers in order", len(reduced), len(want))
+	}
+	if want := mapped[len(mapped)/2-1]; out.MedianValue != want {
+		t.Errorf("median = %v, want %v", out.MedianValue, want)
 	}
 }
 

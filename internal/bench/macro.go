@@ -74,12 +74,6 @@ type MacroConfig struct {
 	SizeFactor float64
 	// Workers overrides the cluster size (default 29).
 	Workers int
-	// LegacyAlloc reproduces the seed's allocation behaviour — boxed
-	// simulator events, no process reuse, no chunk-buffer recycling — so
-	// the perf harness can measure before/after in one binary. Simulated
-	// results are identical either way; only host-level allocation
-	// changes.
-	LegacyAlloc bool
 	// ReadAheadDepth overrides the sponge service's readahead window
 	// depth; 0 keeps the service default. Depth 1 reproduces the seed
 	// prefetcher bit for bit (the equivalence tests pin this against
@@ -127,6 +121,15 @@ func medianKey(dst *[8]byte, v float64) []byte {
 	return dst[:]
 }
 
+// medianValue is medianKey's inverse.
+func medianValue(key []byte) float64 {
+	var bits uint64
+	for i := 0; i < 8; i++ {
+		bits = bits<<8 | uint64(key[i])
+	}
+	return math.Float64frombits(bits)
+}
+
 // RunMacro executes one cell of the macro experiments on a fresh
 // simulated cluster.
 func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
@@ -158,12 +161,10 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 
 	sim := simtime.New()
 	defer sim.Close()
-	sim.SetLegacyAlloc(mc.LegacyAlloc)
 	c := cluster.New(sim, cfg)
 	fs := dfs.New(c)
 	eng := mapreduce.NewEngine(c, fs)
 	scfg := sponge.DefaultConfig()
-	scfg.DisableBufferRecycling = mc.LegacyAlloc
 	scfg.ReadAheadDepth = mc.ReadAheadDepth
 	scfg.RemoteDisabled = mc.RemoteDisabled
 	scfg.Remote = dfs.NewSpillStore(fs)
@@ -252,9 +253,10 @@ func medianJob(c *cluster.Cluster, fs *dfs.DFS, factory spill.Factory, mc MacroC
 		pad = 0
 	}
 	var seen int64
-	// Tasks run one at a time under the simulator, so one scratch key
-	// buffer is safely shared by every map task of the job.
-	var kbuf [8]byte
+	// emit sleeps when it has to spill and adds the key again
+	// afterwards, and other map tasks run meanwhile: each call holds a
+	// key buffer of its own from this free list until emit returns.
+	var kbufs []*[8]byte
 	return mapreduce.JobConf{
 		Name:        "median",
 		Input:       nums.Input("/in/numbers", splits),
@@ -262,7 +264,14 @@ func medianJob(c *cluster.Cluster, fs *dfs.DFS, factory spill.Factory, mc MacroC
 		Map: func(ctx *mapreduce.TaskContext, k, v []byte, emit mapreduce.Emit) {
 			// Key: order-preserving encoding; value: the rest of the
 			// record, so the reduce input carries the full data volume.
-			emit(medianKey(&kbuf, workload.DecodeNumber(v)), v[8:])
+			var kbuf *[8]byte
+			if n := len(kbufs); n > 0 {
+				kbuf, kbufs = kbufs[n-1], kbufs[:n-1]
+			} else {
+				kbuf = new([8]byte)
+			}
+			emit(medianKey(kbuf, workload.DecodeNumber(v)), v[8:])
+			kbufs = append(kbufs, kbuf)
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
 			for {
@@ -271,11 +280,7 @@ func medianJob(c *cluster.Cluster, fs *dfs.DFS, factory spill.Factory, mc MacroC
 				}
 				seen++
 				if seen == total/2 {
-					var bits uint64
-					for i := 0; i < 8; i++ {
-						bits = bits<<8 | uint64(key[i])
-					}
-					out.MedianValue = math.Float64frombits(bits)
+					out.MedianValue = medianValue(key)
 					emit([]byte("median"), key)
 				}
 			}

@@ -10,38 +10,16 @@ import (
 
 // The macro perf harness measures the simulator's *host-level* cost —
 // wall-clock, allocations and bytes per job run — for the three paper
-// jobs, in two allocation modes of the same binary:
-//
-//   - legacy: the seed's behaviour (boxed simulator events, a fresh
-//     goroutine per process, a fresh buffer per chunk);
-//   - optimized: the pooled hot path (typed event heap, process reuse,
-//     recycled chunk buffers, O(1) pool free list).
-//
-// Simulated results are bit-identical between modes; only what the Go
-// runtime does underneath changes. cmd/benchtab's perf subcommand emits
-// the report as BENCH_macro.json.
+// jobs. cmd/benchtab's perf subcommand emits the report as
+// BENCH_macro.json.
 
-// PerfMeasure is one benchmark cell, straight from testing.Benchmark.
-type PerfMeasure struct {
+// PerfCase is one job's measurement, straight from testing.Benchmark.
+type PerfCase struct {
+	Job         string  `json:"job"`
 	Iterations  int     `json:"iterations"`
 	MsPerOp     float64 `json:"ms_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// PerfCase compares the two allocation modes for one macro job.
-type PerfCase struct {
-	Job string `json:"job"`
-	// Legacy is the before (seed-equivalent) measurement, Optimized the
-	// after.
-	Legacy    PerfMeasure `json:"legacy"`
-	Optimized PerfMeasure `json:"optimized"`
-	// AllocReductionPct is the percentage of allocations per op removed;
-	// BytesReductionPct likewise for allocated bytes; Speedup is legacy
-	// wall-clock over optimized (>1 means faster).
-	AllocReductionPct float64 `json:"alloc_reduction_pct"`
-	BytesReductionPct float64 `json:"bytes_reduction_pct"`
-	Speedup           float64 `json:"speedup"`
 }
 
 // PerfReport is the full macro perf run, serialized to BENCH_macro.json.
@@ -54,24 +32,24 @@ type PerfReport struct {
 
 // perfConfig is the fixed macro cell the harness measures: sponge
 // spilling on small-memory nodes, the configuration that spills hardest.
-func perfConfig(sizeFactor float64, workers int, legacy bool) MacroConfig {
+func perfConfig(sizeFactor float64, workers int) MacroConfig {
 	return MacroConfig{
-		NodeMemory:  4 * media.GB,
-		Sponge:      true,
-		SizeFactor:  sizeFactor,
-		Workers:     workers,
-		LegacyAlloc: legacy,
+		NodeMemory: 4 * media.GB,
+		Sponge:     true,
+		SizeFactor: sizeFactor,
+		Workers:    workers,
 	}
 }
 
-func measureMacro(kind JobKind, mc MacroConfig) PerfMeasure {
+func measureMacro(kind JobKind, mc MacroConfig) PerfCase {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			RunMacro(kind, mc)
 		}
 	})
-	return PerfMeasure{
+	return PerfCase{
+		Job:         kind.String(),
 		Iterations:  r.N,
 		MsPerOp:     float64(r.NsPerOp()) / 1e6,
 		AllocsPerOp: r.AllocsPerOp(),
@@ -79,36 +57,15 @@ func measureMacro(kind JobKind, mc MacroConfig) PerfMeasure {
 	}
 }
 
-func pctDrop(before, after int64) float64 {
-	if before == 0 {
-		return 0
-	}
-	return 100 * float64(before-after) / float64(before)
-}
-
-// RunPerf benchmarks the three macro jobs in both allocation modes and
-// returns the comparison report.
+// RunPerf benchmarks the three macro jobs and returns the report.
 func RunPerf(sizeFactor float64, workers int) PerfReport {
 	rep := PerfReport{
-		Description: "host-level cost of one macro job run (4GB nodes, sponge spilling): legacy allocation machinery (boxed simulator events, fresh goroutines, fresh chunk buffers) vs the pooled hot path",
+		Description: "host-level cost of one macro job run (4GB nodes, sponge spilling)",
 		SizeFactor:  sizeFactor,
 		Workers:     workers,
 	}
 	for _, kind := range []JobKind{Median, Anchortext, SpamQuantiles} {
-		legacy := measureMacro(kind, perfConfig(sizeFactor, workers, true))
-		opt := measureMacro(kind, perfConfig(sizeFactor, workers, false))
-		speedup := 0.0
-		if opt.MsPerOp > 0 {
-			speedup = legacy.MsPerOp / opt.MsPerOp
-		}
-		rep.Cases = append(rep.Cases, PerfCase{
-			Job:               kind.String(),
-			Legacy:            legacy,
-			Optimized:         opt,
-			AllocReductionPct: pctDrop(legacy.AllocsPerOp, opt.AllocsPerOp),
-			BytesReductionPct: pctDrop(legacy.BytesPerOp, opt.BytesPerOp),
-			Speedup:           speedup,
-		})
+		rep.Cases = append(rep.Cases, measureMacro(kind, perfConfig(sizeFactor, workers)))
 	}
 	return rep
 }
@@ -128,16 +85,13 @@ func (r PerfReport) Rows() [][]string {
 	for _, c := range r.Cases {
 		rows = append(rows, []string{
 			c.Job,
-			fmt.Sprintf("%.1f ms", c.Legacy.MsPerOp),
-			fmt.Sprintf("%.1f ms", c.Optimized.MsPerOp),
-			fmt.Sprintf("%d", c.Legacy.AllocsPerOp),
-			fmt.Sprintf("%d", c.Optimized.AllocsPerOp),
-			fmt.Sprintf("%.1f%%", c.AllocReductionPct),
-			fmt.Sprintf("%.2fx", c.Speedup),
+			fmt.Sprintf("%.1f ms", c.MsPerOp),
+			fmt.Sprintf("%d", c.AllocsPerOp),
+			fmt.Sprintf("%d", c.BytesPerOp),
 		})
 	}
 	return rows
 }
 
 // PerfHeader matches Rows for FormatTable.
-var PerfHeader = []string{"job", "legacy time", "pooled time", "legacy allocs", "pooled allocs", "allocs cut", "speedup"}
+var PerfHeader = []string{"job", "time", "allocs/op", "bytes/op"}

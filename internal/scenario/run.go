@@ -167,9 +167,9 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 	}
 	spec := cs.Spec.withDefaults()
 
-	// The simulated half mirrors `spongectl cluster`: node 0 runs the
-	// tasks and the tracker; nodes 1..N are fronted by child processes.
-	// The tiny local pool forces spills remote, through the children.
+	// The simulated half: node 0 runs the tasks and the tracker; nodes
+	// 1..N are fronted by child processes. The tiny local pool forces
+	// spills remote, through the children.
 	cfg := cluster.PaperConfig()
 	cfg.Workers = spec.Nodes + 1
 	cfg.SpongeMemory = int64(spec.LocalChunks) * media.MB
@@ -217,7 +217,6 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 		wire.NewTransportOptions(h.Addrs(), svc.Transport(), wire.TransportOptions{
 			SocketDir: socketDir,
 			Metrics:   reg,
-			NoFDPass:  spec.NoFDPass,
 		}),
 		sponge.FaultConfig{Seed: spec.Seed, DropRate: spec.DropRate, ErrRate: spec.ErrRate})
 	// SetTransport attaches the fault counters to the service registry,

@@ -14,30 +14,6 @@ import (
 	"spongefiles/internal/sponge/wire"
 )
 
-// ServeFlags declares the wire.Options flags shared by the serve
-// subcommand and the cluster/scenario parents that forward them to
-// child servers.
-func ServeFlags(fs *flag.FlagSet) func() wire.Options {
-	inflight := fs.Int("inflight", 0, "per-connection worker-pool bound (0 = default 16)")
-	readTO := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = none)")
-	writeTO := fs.Duration("write-timeout", 0, "per-write deadline (0 = none)")
-	socketDir := fs.String("local-socket-dir", "", "directory for the same-host unix socket (empty = TCP only)")
-	spillDir := fs.String("spill-dir", "", "directory for the disk-spill overflow file (empty = no disk tier)")
-	spillChunks := fs.Int("spill-chunks", 0, "cap on live disk-spilled chunks (0 = unbounded)")
-	noZC := fs.Bool("no-zero-copy", false, "serve spill-file reads through the portable buffered path")
-	return func() wire.Options {
-		return wire.Options{
-			Inflight:       *inflight,
-			ReadTimeout:    *readTO,
-			WriteTimeout:   *writeTO,
-			LocalSocketDir: *socketDir,
-			SpillDir:       *spillDir,
-			SpillChunks:    *spillChunks,
-			NoZeroCopy:     *noZC,
-		}
-	}
-}
-
 // ServeCmd is the `serve` subcommand every harness-compatible binary
 // exposes: run one sponge server until interrupted, printing the
 // listen banner the harness parses. spongectl serve and spongesim
@@ -51,7 +27,13 @@ func ServeCmd(args []string) {
 	chunk := fs.Int("chunk", 1<<20, "chunk size in bytes (the paper: 1 MB)")
 	chunks := fs.Int("chunks", 1024, "number of chunks in the sponge pool")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP sidecar address serving /metrics (empty = none; OpMetrics always works)")
-	opts := ServeFlags(fs)
+	inflight := fs.Int("inflight", 0, "per-connection worker-pool bound (0 = default 16)")
+	readTO := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = none)")
+	writeTO := fs.Duration("write-timeout", 0, "per-write deadline (0 = none)")
+	socketDir := fs.String("local-socket-dir", "", "directory for the same-host unix socket (empty = TCP only)")
+	spillDir := fs.String("spill-dir", "", "directory for the disk-spill overflow file (empty = no disk tier)")
+	spillChunks := fs.Int("spill-chunks", 0, "cap on live disk-spilled chunks (0 = unbounded)")
+	noZC := fs.Bool("no-zero-copy", false, "serve spill-file reads through the portable buffered path")
 	fs.Parse(args)
 
 	// The handler must be installed before the banner prints: the
@@ -62,7 +44,15 @@ func ServeCmd(args []string) {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	pool := sponge.NewPool(*chunk, *chunks)
-	srv, err := wire.ServeOptions(pool, *addr, opts())
+	srv, err := wire.ServeOptions(pool, *addr, wire.Options{
+		Inflight:       *inflight,
+		ReadTimeout:    *readTO,
+		WriteTimeout:   *writeTO,
+		LocalSocketDir: *socketDir,
+		SpillDir:       *spillDir,
+		SpillChunks:    *spillChunks,
+		NoZeroCopy:     *noZC,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -29,11 +29,8 @@ type Spec struct {
 	ReadAhead int
 	// UnixSockets gives the children a shared socket directory so the
 	// parent transport auto-selects the same-host tier (and arms the
-	// fd-passing fast paths unless NoFDPass).
+	// fd-passing fast paths).
 	UnixSockets bool
-	// NoFDPass keeps same-host connections off the SCM_RIGHTS fast
-	// paths.
-	NoFDPass bool
 	// DropRate and ErrRate seed the fault transport's random faults;
 	// the wrapper is installed for every case (rate 0 injects nothing)
 	// so drop-rate ramp events always have a place to land.

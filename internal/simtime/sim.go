@@ -154,12 +154,6 @@ type Sim struct {
 	// resumed; see Close.
 	closed bool
 
-	// legacyAlloc reproduces the seed's allocation behaviour (boxed
-	// events, no process reuse) for before/after benchmarking; see
-	// SetLegacyAlloc.
-	legacyAlloc  bool
-	legacyEvents boxedEventHeap
-
 	// Stats.
 	spawns, procReuses int64
 }
@@ -171,15 +165,6 @@ func New() *Sim {
 		procs: make(map[*Proc]struct{}),
 	}
 }
-
-// SetLegacyAlloc toggles the seed implementation's allocation behaviour:
-// every scheduled event is boxed behind a fresh pointer (the old
-// container/heap queue) and finished processes are not reused. Event
-// ordering and timing are identical either way; only allocator pressure
-// differs. The benchmark harness uses this to measure the zero-allocation
-// engine against its predecessor in a single binary. Must be called
-// before the first Spawn.
-func (s *Sim) SetLegacyAlloc(on bool) { s.legacyAlloc = on }
 
 // ProcStats returns (total Spawn calls, spawns satisfied by proc reuse).
 func (s *Sim) ProcStats() (spawns, reuses int64) { return s.spawns, s.procReuses }
@@ -201,29 +186,7 @@ func (s *Sim) schedule(at Time, p *Proc, fn func()) {
 	if p != nil {
 		gen = p.gen
 	}
-	if s.legacyAlloc {
-		// Boxed on purpose: one heap allocation per event, as the seed
-		// implementation's container/heap queue did.
-		s.legacyEvents.push(&event{at: at, seq: s.seq, proc: p, procGen: gen, fn: fn, daemon: daemon})
-		return
-	}
 	s.events.push(event{at: at, seq: s.seq, proc: p, procGen: gen, fn: fn, daemon: daemon})
-}
-
-// nextEvent pops the earliest event from whichever queue is active.
-func (s *Sim) nextEvent() event {
-	if s.legacyAlloc {
-		return *s.legacyEvents.pop()
-	}
-	return s.events.pop()
-}
-
-// queuedEvents reports how many events are waiting.
-func (s *Sim) queuedEvents() int {
-	if s.legacyAlloc {
-		return s.legacyEvents.Len()
-	}
-	return s.events.len()
 }
 
 // After schedules fn to run in scheduler context after d elapses. fn must
@@ -283,7 +246,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.nextID++
 	s.spawns++
 	var p *Proc
-	if n := len(s.procFree); n > 0 && !s.legacyAlloc {
+	if n := len(s.procFree); n > 0 {
 		p = s.procFree[n-1]
 		s.procFree[n-1] = nil
 		s.procFree = s.procFree[:n-1]
@@ -328,7 +291,7 @@ func (p *Proc) loop() {
 			return
 		}
 		p.runLife()
-		recycle := len(s.procFree) < maxProcFree && !s.legacyAlloc && !s.closed
+		recycle := len(s.procFree) < maxProcFree && !s.closed
 		if recycle {
 			s.procFree = append(s.procFree, p)
 		}
@@ -468,8 +431,8 @@ func (p *Proc) Kill() {
 // processes remain parked with nothing left to wake them, Run returns an
 // error describing the deadlock.
 func (s *Sim) Run() (Time, error) {
-	for s.queuedEvents() > 0 && (s.pending > 0 || s.parkedUser > 0) {
-		e := s.nextEvent()
+	for s.events.len() > 0 && (s.pending > 0 || s.parkedUser > 0) {
+		e := s.events.pop()
 		if !e.daemon {
 			s.pending--
 		}

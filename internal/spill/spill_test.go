@@ -21,8 +21,8 @@ func rig(spongeMB int64) (*simtime.Sim, *cluster.Cluster, *sponge.Service) {
 	return sim, c, svc
 }
 
-// roundTrip exercises one Target through the full spill lifecycle.
-func roundTrip(t *testing.T, target Target, p *simtime.Proc, size int) {
+// spillLifecycle exercises one Target through the full spill lifecycle.
+func spillLifecycle(t *testing.T, target Target, p *simtime.Proc, size int) {
 	t.Helper()
 	data := make([]byte, size)
 	for i := range data {
@@ -66,7 +66,7 @@ func TestDiskTargetRoundTrip(t *testing.T) {
 	sim, c, _ := rig(0)
 	sim.Spawn("t", func(p *simtime.Proc) {
 		target := NewDiskTarget(c.Nodes[0])
-		roundTrip(t, target, p, 100_000)
+		spillLifecycle(t, target, p, 100_000)
 		st := target.Stats()
 		if st.Files != 1 || st.BytesReal != 100_000 {
 			t.Errorf("stats = %+v", st)
@@ -86,7 +86,7 @@ func TestSpongeTargetRoundTrip(t *testing.T) {
 	sim.Spawn("t", func(p *simtime.Proc) {
 		target := NewSpongeTarget(svc, c.Nodes[0])
 		defer target.Close()
-		roundTrip(t, target, p, 6*svc.ChunkReal())
+		spillLifecycle(t, target, p, 6*svc.ChunkReal())
 		st := target.Stats()
 		if !st.RemoteMode {
 			t.Error("sponge target must claim remote mode")

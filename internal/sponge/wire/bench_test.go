@@ -8,13 +8,11 @@ import (
 	"spongefiles/internal/sponge"
 )
 
-// Wall-clock benchmarks of the real TCP sponge protocol over loopback,
-// comparing the v1 lock-step exchange (DialV1, one request in flight
-// per connection) against the v2 pipelined protocol (Dial, multiplexed
-// request IDs) and the multi-connection ClientPool. The Parallel
-// variants sweep the number of concurrent requesters (1, 4, 16 ×
-// GOMAXPROCS) via sub-benchmarks, so one run covers the concurrency
-// ladder.
+// Wall-clock benchmarks of the real TCP sponge protocol over loopback:
+// the pipelined client (Dial, multiplexed request IDs) alone and as the
+// multi-connection ClientPool. The Parallel variants sweep the number
+// of concurrent requesters (1, 4, 16 × GOMAXPROCS) via sub-benchmarks,
+// so one run covers the concurrency ladder.
 
 func benchServer(b *testing.B, chunkSize, chunks int) *Server {
 	b.Helper()
@@ -41,9 +39,9 @@ func spillCycle(c *Client, owner sponge.TaskID, data, readBuf []byte) error {
 	return c.Free(h)
 }
 
-func benchSequential(b *testing.B, dial func(string) (*Client, error), size int) {
+func benchSequential(b *testing.B, size int) {
 	srv := benchServer(b, size, 64)
-	c, err := dial(srv.Addr())
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,9 +58,9 @@ func benchSequential(b *testing.B, dial func(string) (*Client, error), size int)
 	}
 }
 
-func benchParallel(b *testing.B, dial func(string) (*Client, error), size, conc int) {
+func benchParallel(b *testing.B, size, conc int) {
 	srv := benchServer(b, size, 64)
-	c, err := dial(srv.Addr())
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,11 +92,7 @@ var benchSizes = []struct {
 var benchConcs = []int{1, 4, 16}
 
 func BenchmarkWireAllocWriteReadFree(b *testing.B) {
-	benchSequential(b, Dial, 64<<10)
-}
-
-func BenchmarkWireAllocWriteReadFreeLockStep(b *testing.B) {
-	benchSequential(b, DialV1, 64<<10)
+	benchSequential(b, 64<<10)
 }
 
 // The pipelined client shared by concurrent goroutines: many requests
@@ -107,19 +101,7 @@ func BenchmarkWireAllocWriteReadFreeParallel(b *testing.B) {
 	for _, s := range benchSizes {
 		for _, conc := range benchConcs {
 			b.Run(fmt.Sprintf("%s/conc%d", s.name, conc), func(b *testing.B) {
-				benchParallel(b, Dial, s.size, conc)
-			})
-		}
-	}
-}
-
-// The seed lock-step client under the same concurrency: every request
-// serializes on the connection mutex.
-func BenchmarkWireAllocWriteReadFreeLockStepParallel(b *testing.B) {
-	for _, s := range benchSizes {
-		for _, conc := range benchConcs {
-			b.Run(fmt.Sprintf("%s/conc%d", s.name, conc), func(b *testing.B) {
-				benchParallel(b, DialV1, s.size, conc)
+				benchParallel(b, s.size, conc)
 			})
 		}
 	}

@@ -16,26 +16,20 @@ import (
 )
 
 // Client talks to one remote sponge server. It is safe for concurrent
-// use. Against a v2 server the connection is pipelined: any number of
-// requests may be in flight at once, a demux goroutine routes responses
-// back to their callers by request ID, and chunk payloads ride vectored
-// writes with no coalescing copy. Against a v1 peer the client falls
-// back to the original lock-step exchange, serializing requests over
-// the connection.
+// use. The connection is pipelined: any number of requests may be in
+// flight at once, a demux goroutine routes responses back to their
+// callers by request ID, and chunk payloads ride vectored writes with
+// no coalescing copy.
 type Client struct {
 	conn      net.Conn
 	br        *bufio.Reader
 	fw        *frameWriter
 	chunkSize int
-	version   int
+	version   int    // the peer's, from its hello reply
 	network   string // "tcp" or "unix"
 	addr      string // dial address (socket path for "unix")
 
-	// rtmu serializes v1 round trips end to end (lock-step semantics);
-	// unused in v2 mode, where fw alone orders frame writes.
-	rtmu sync.Mutex
-
-	// v2 pipelining state.
+	// Pipelining state.
 	nextID  atomic.Uint32
 	pmu     sync.Mutex
 	pending map[uint32]*wireCall
@@ -122,64 +116,27 @@ func dialNet(network, addr string) (*Client, error) {
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 8<<10),
 		fw:      newFrameWriter(conn, 0),
-		version: ProtocolV1,
 		network: network,
 		addr:    addr,
+		pending: make(map[uint32]*wireCall),
+		done:    make(chan struct{}),
 	}
 	hello, err := c.hello()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	if hello != nil {
-		// v2 peer: the hello reply carries the pool geometry; switch to
-		// pipelined framing.
-		c.version = ProtocolV2
-		c.chunkSize = int(binary.LittleEndian.Uint32(hello[10:14]))
-		c.pending = make(map[uint32]*wireCall)
-		c.done = make(chan struct{})
-		go c.demux()
-		return c, nil
-	}
-	// v1 peer: stay lock-step and learn the chunk size with a Stat.
-	_, _, size, err := c.Stat()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: dial %s: stat: %w", addr, err)
-	}
-	c.chunkSize = size
+	// The hello reply carries the pool geometry; from here on the
+	// connection speaks pipelined framing.
+	c.version = int(hello[1])
+	c.chunkSize = int(binary.LittleEndian.Uint32(hello[10:14]))
+	go c.demux()
 	return c, nil
 }
 
-// DialV1 connects in the legacy lock-step mode without offering v2,
-// regardless of what the server speaks: one request in flight at a
-// time, responses read in request order. It exists as a compatibility
-// escape hatch and as the baseline in benchmarks.
-func DialV1(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 8<<10),
-		fw:      newFrameWriter(conn, 0),
-		version: ProtocolV1,
-		network: "tcp",
-		addr:    addr,
-	}
-	_, _, size, err := c.Stat()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: dial %s: stat: %w", addr, err)
-	}
-	c.chunkSize = size
-	return c, nil
-}
-
-// hello performs the version exchange. It returns the hello response
-// body for a v2 peer, nil for a v1 peer (which answers any unknown op
-// with StatusBadRequest), or an error for anything else.
+// hello performs the version exchange and returns the response body. A
+// peer that refuses it does not speak this version, and the error says
+// so.
 func (c *Client) hello() ([]byte, error) {
 	if err := writeFrame(c.conn, []byte{OpHello, ProtocolV2}); err != nil {
 		return nil, err
@@ -192,12 +149,13 @@ func (c *Client) hello() ([]byte, error) {
 	case len(resp) == helloRespLen && resp[0] == StatusOK && resp[1] >= ProtocolV2:
 		return resp, nil
 	case len(resp) >= 1 && resp[0] == StatusBadRequest:
-		return nil, nil
+		return nil, fmt.Errorf("wire: peer refused the protocol v%d hello: %w", ProtocolV2, ErrBadRequest)
 	}
 	return nil, fmt.Errorf("wire: malformed hello response (%d bytes)", len(resp))
 }
 
-// Version reports the negotiated protocol version.
+// Version reports the protocol version the peer answered the hello
+// with.
 func (c *Client) Version() int { return c.version }
 
 // ChunkSize reports the server's chunk size learned at dial time.
@@ -208,13 +166,11 @@ func (c *Client) ChunkSize() int { return c.chunkSize }
 func (c *Client) Network() string { return c.network }
 
 // Close closes the connection (and any passed spill-file descriptor)
-// and, in v2 mode, waits for the demux goroutine to fail any in-flight
-// requests and exit.
+// and waits for the demux goroutine to fail any in-flight requests and
+// exit.
 func (c *Client) Close() error {
 	err := c.conn.Close()
-	if c.done != nil {
-		<-c.done
-	}
+	<-c.done
 	if f := c.spillF.Swap(nil); f != nil {
 		f.Close()
 	}
@@ -467,14 +423,10 @@ func (c *Client) send(id uint32, head, payload []byte) error {
 	return err
 }
 
-// do performs one request/response exchange in whichever mode the
-// connection negotiated. head is the op byte plus fixed fields, payload
-// the bulk data (may be nil), into an optional destination for the
-// response payload.
+// do performs one request/response exchange. head is the op byte plus
+// fixed fields, payload the bulk data (may be nil), into an optional
+// destination for the response payload.
 func (c *Client) do(head, payload, into []byte) (wireReply, error) {
-	if c.version < ProtocolV2 {
-		return c.roundTrip(head, payload, into)
-	}
 	call := callPool.Get().(*wireCall)
 	call.into = into
 	id := c.nextID.Add(1)
@@ -499,46 +451,6 @@ func (c *Client) do(head, payload, into []byte) (wireReply, error) {
 	}
 	if err := statusErr(rep.status); err != nil {
 		return wireReply{}, err
-	}
-	return rep, nil
-}
-
-// roundTrip is the v1 lock-step exchange: the round-trip lock is held
-// until the response has been read, so one request is in flight at a
-// time.
-func (c *Client) roundTrip(head, payload, into []byte) (wireReply, error) {
-	c.rtmu.Lock()
-	defer c.rtmu.Unlock()
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(head)+len(payload)))
-	hdr = append(hdr, head...)
-	err := c.fw.writeFrame(hdr, payload)
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
-	if err != nil {
-		return wireReply{}, err
-	}
-	resp, err := readFrame(c.br, c.limit())
-	if err != nil {
-		return wireReply{}, err
-	}
-	if len(resp) == 0 {
-		return wireReply{}, fmt.Errorf("wire: empty response")
-	}
-	rep := wireReply{status: resp[0]}
-	if err := statusErr(rep.status); err != nil {
-		return wireReply{}, err
-	}
-	body := resp[1:]
-	if into != nil {
-		if len(body) > len(into) {
-			return wireReply{}, fmt.Errorf("wire: %w: response is %d bytes, buffer holds %d",
-				io.ErrShortBuffer, len(body), len(into))
-		}
-		rep.n = copy(into, body)
-	} else {
-		rep.body = body
 	}
 	return rep, nil
 }
@@ -592,8 +504,8 @@ var poolLocBufPool = sync.Pool{New: func() any { b := make([]byte, 24); return &
 var poolPreadTestHook func()
 
 // ReadInto fetches a chunk's contents directly into buf, avoiding any
-// intermediate allocation (in v2 mode the payload is decoded off the
-// socket straight into buf), and returns the byte count. If buf is too
+// intermediate allocation (the payload is decoded off the socket
+// straight into buf), and returns the byte count. If buf is too
 // small the call fails with an error wrapping io.ErrShortBuffer; the
 // connection remains usable.
 //

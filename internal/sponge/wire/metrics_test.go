@@ -59,36 +59,6 @@ func TestMetricsOverV2(t *testing.T) {
 	}
 }
 
-func TestMetricsOverV1(t *testing.T) {
-	pool := sponge.NewPool(1024, 2)
-	srv, err := Serve(pool, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialV1(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	text, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The v1 dial path issues a Stat to learn the chunk size, then our
-	// scrape; both appear in the counters.
-	if got := samples[reqID(srv.Addr(), "stat")]; got != 1 {
-		t.Errorf("stat count = %d, want 1", got)
-	}
-	if got := samples[reqID(srv.Addr(), "metrics")]; got != 1 {
-		t.Errorf("metrics count = %d, want 1", got)
-	}
-}
-
 func TestMetricsSharedRegistryAcrossDaemons(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := Options{Metrics: reg}

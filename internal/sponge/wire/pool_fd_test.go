@@ -114,12 +114,12 @@ func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 	if len(resp) != 1 || resp[0] != StatusBadRequest {
 		t.Fatalf("OpPoolFD on NoZeroCopy server = %v, want [StatusBadRequest]", resp)
 	}
-	// The same connection still serves normal v1 requests.
-	if err := writeFrame(conn, []byte{OpStat}); err != nil {
+	// The same connection still answers the hello.
+	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != 13 || resp[0] != StatusOK {
-		t.Fatalf("stat after refused OpPoolFD = (%v, %v)", resp, err)
+	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != helloRespLen || resp[0] != StatusOK {
+		t.Fatalf("hello after refused OpPoolFD = (%v, %v)", resp, err)
 	}
 	if got := tierSample(t, srv.Metrics(), `spongewire_fdpass_fail_total{listen="`+srv.Addr()+`"}`); got != 1 {
 		t.Errorf("fdpass failures = %d, want 1", got)

@@ -14,25 +14,28 @@
 // automatically for peers that resolve to the caller's own host,
 // falling back to TCP when the socket is missing or stale.
 //
-// The protocol has two framings, negotiated per connection:
+// The protocol has two framings:
 //
-//	v1 (lock-step):  frame := length(u32 LE, bytes after this field) body
+//	v1 (handshakes): frame := length(u32 LE, bytes after this field) body
 //	v2 (pipelined):  frame := length(u32 LE, bytes after requestID) requestID(u32 LE) body
 //	request  body := op(u8) payload
 //	response body := status(u8) payload
 //
 // A client opens every connection with a v1-framed OpHello carrying the
-// highest protocol version it speaks. A v2 server answers StatusOK plus
-// its version and pool geometry and both sides switch to v2 framing; a
-// v1 server answers StatusBadRequest (its reply to any unknown op) and
-// the connection stays v1. Under v1 exactly one request is in flight at
-// a time. Under v2 the request ID multiplexes any number of concurrent
-// requests over one connection: the client demultiplexes responses back
-// to waiting callers by ID, and the server dispatches requests through a
-// bounded worker pool while serializing frame writes, so responses may
-// arrive in any order. Hot-path frames travel as vectored writes
-// (net.Buffers) — header and chunk payload are never coalesced into one
-// allocation — and both sides recycle chunk-sized buffers.
+// protocol version it speaks. The server answers StatusOK plus its
+// version and pool geometry and both sides switch to v2 framing; a peer
+// that answers StatusBadRequest does not speak the version and the dial
+// fails. v1 framing otherwise carries only the lock-step descriptor
+// handshakes (OpSpillFD, OpPoolFD) on their dedicated unix connection;
+// a daemon refuses any other op before the hello and drops the
+// connection. Under v2 the request ID multiplexes any number of
+// concurrent requests over one connection: the client demultiplexes
+// responses back to waiting callers by ID, and the server dispatches
+// requests through a bounded worker pool while serializing frame
+// writes, so responses may arrive in any order. Hot-path frames travel
+// as vectored writes (net.Buffers) — header and chunk payload are never
+// coalesced into one allocation — and both sides recycle chunk-sized
+// buffers.
 package wire
 
 import (
@@ -48,11 +51,8 @@ import (
 	"time"
 )
 
-// Protocol versions exchanged in the hello.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-)
+// ProtocolV2 is the protocol version exchanged in the hello.
+const ProtocolV2 = 2
 
 // Op codes.
 const (
@@ -77,7 +77,7 @@ const (
 	// OpHello negotiates the protocol version; always sent v1-framed as
 	// a connection's first request. Payload: version (u8). Response:
 	// version (u8), free chunks (u32), total chunks (u32), chunk size
-	// (u32) — the stat fields spare v2 dialers a second round trip.
+	// (u32) — the stat fields spare dialers a second round trip.
 	OpHello
 	// OpFreeList asks a TCP-served tracker for its latest free list.
 	// Response: entry count (u16), then per entry free chunks (u32),
@@ -183,7 +183,7 @@ var (
 const frameSlack = 64
 
 // handshakeLimit bounds frames read before the peer's chunk size is
-// known (hello and fallback stat responses are a few bytes).
+// known (a hello response is a few bytes).
 const handshakeLimit = 1 << 20
 
 // helloRespLen is the v1-framed body of a successful hello response:

@@ -147,19 +147,20 @@ type fileRef struct {
 
 // daemon is the connection-serving core shared by the sponge server and
 // the TCP tracker: it accepts connections on every listener (TCP,
-// optionally a same-host unix socket), runs each in v1 lock-step
-// framing until an OpHello upgrades it to the pipelined v2 framing, and
-// feeds every request through the owner's dispatch function. Responses
-// may come from the recycled-buffer pool; dispatch results are handed
-// back to recycle after writing. A dispatch may alternatively return a
-// fileRef, in which case the payload is served zero-copy from the file.
+// optionally a same-host unix socket), answers the v1-framed handshakes
+// (OpHello, OpSpillFD, OpPoolFD), and once the hello has switched the
+// connection to pipelined v2 framing feeds every request through the
+// owner's dispatch function. Responses may come from the
+// recycled-buffer pool; dispatch results are handed back to recycle
+// after writing. A dispatch may alternatively return a fileRef, in
+// which case the payload is served zero-copy from the file.
 type daemon struct {
 	lns       []net.Listener
 	localPath string // unix socket path, "" when TCP-only
 	opts      Options
 
-	// frameLimit bounds inbound frames; helloResp builds the v1-framed
-	// OpHello reply; dispatch executes one request body.
+	// frameLimit bounds inbound v2 frames; helloResp builds the
+	// v1-framed OpHello reply; dispatch executes one request body.
 	frameLimit int
 	helloResp  func() []byte
 	dispatch   func(req []byte) ([]byte, fileRef)
@@ -449,17 +450,11 @@ func (d *daemon) armRead(conn net.Conn) {
 // spill file, preferring sendfile and accounting the outcome. The
 // status byte is folded into the header write so the payload needs no
 // user-space staging at all.
-func (d *daemon) writeFile(fw *frameWriter, v2 bool, id uint32, fr fileRef) error {
+func (d *daemon) writeFile(fw *frameWriter, id uint32, fr fileRef) error {
 	hp := hdrPool.Get().(*[]byte)
-	hdr := (*hp)[:0]
-	if v2 {
-		hdr = append(hdr, 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
-		binary.LittleEndian.PutUint32(hdr[4:8], id)
-	} else {
-		hdr = append(hdr, 0, 0, 0, 0, StatusOK)
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
-	}
+	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
+	binary.LittleEndian.PutUint32(hdr[4:8], id)
 	zc, err := fw.writeFrameFile(hdr, fr, d.opts.NoZeroCopy)
 	*hp = hdr[:0]
 	hdrPool.Put(hp)
@@ -471,26 +466,28 @@ func (d *daemon) writeFile(fw *frameWriter, v2 bool, id uint32, fr fileRef) erro
 	return err
 }
 
-// handle runs a connection in v1 lock-step framing until it either
-// drops or upgrades itself to v2 via OpHello. All writes flow through
-// one batching frame writer, shared with the v2 phase.
+// preHelloLimit bounds a frame read before the hello. The longest legal
+// one is OpHello plus a version byte, so a peer that has not introduced
+// itself cannot make the daemon size a buffer.
+const preHelloLimit = 2
+
+// handle serves a connection's v1-framed prologue: fd-pass handshakes,
+// any number of them, then the OpHello that switches the connection to
+// v2 framing for the rest of its life. Anything else is refused and the
+// connection dropped. All writes flow through one batching frame
+// writer, shared with the v2 phase.
 func (d *daemon) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFrameWriter(conn, d.opts.WriteTimeout)
 	for {
 		d.armRead(conn)
-		req, err := readFrame(br, d.frameLimit)
+		req, err := readFrame(br, preHelloLimit)
 		if err != nil {
 			return // EOF or protocol violation: drop the connection
 		}
 		d.countOp(req)
-		if len(req) == 1 && req[0] == OpMetrics {
-			if err := writeFrameV1(fw, d.metricsResponse()); err != nil {
-				return
-			}
-			continue
-		}
-		if len(req) == 1 && (req[0] == OpSpillFD || req[0] == OpPoolFD) {
+		switch {
+		case len(req) == 1 && (req[0] == OpSpillFD || req[0] == OpPoolFD):
 			// Descriptor passing happens outside the frame writer: the
 			// exchange owns the connection (lock-step, nothing buffered)
 			// and the descriptors must ride their own sendmsg. Both fd
@@ -518,33 +515,16 @@ func (d *daemon) handle(conn net.Conn) {
 			if err := writeFrameV1(fw, []byte{StatusBadRequest}); err != nil {
 				return
 			}
-			continue
-		}
-		if len(req) == 2 && req[0] == OpHello {
-			if req[1] >= ProtocolV2 {
-				if err := writeFrameV1(fw, d.helloResp()); err != nil {
-					return
-				}
+		case len(req) == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
+			if err := writeFrameV1(fw, d.helloResp()); err == nil {
 				d.serveV2(conn, br, fw)
-				return
 			}
-			// A v1 hello keeps v1 framing; any other version we cannot
-			// serve is answered like an unknown op.
-			if err := writeFrameV1(fw, []byte{StatusBadRequest}); err != nil {
-				return
-			}
-			continue
-		}
-		resp, fr := d.dispatch(req)
-		if fr.f != nil {
-			if err := d.writeFile(fw, false, 0, fr); err != nil {
-				return
-			}
-			continue
-		}
-		err = writeFrameV1(fw, resp)
-		d.recycle(resp)
-		if err != nil {
+			return
+		default:
+			// Not a handshake, or a hello for a version this daemon does
+			// not serve. The connection is dropped whether or not the
+			// refusal goes out.
+			_ = writeFrameV1(fw, []byte{StatusBadRequest})
 			return
 		}
 	}
@@ -610,7 +590,7 @@ func (d *daemon) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *s
 		d.recycle(w.req)
 		var err error
 		if fr.f != nil {
-			err = d.writeFile(fw, true, w.id, fr)
+			err = d.writeFile(fw, w.id, fr)
 		} else {
 			err = writeFrameV2(fw, w.id, resp)
 			d.recycle(resp)

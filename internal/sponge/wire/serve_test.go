@@ -105,9 +105,9 @@ func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 }
 
 // TestTrackerServesFreeListOverBothFramings: the tracker's TCP face
-// answers OpFreeList identically over pipelined v2 and legacy v1
-// connections, and OpStat reports the aggregate free count, so v1-only
-// clients interoperate with the new op set.
+// answers the v1-framed hello like a sponge server, then OpFreeList
+// over the pipelined v2 connection, and OpStat reports the aggregate
+// free count.
 func TestTrackerServesFreeListOverBothFramings(t *testing.T) {
 	poolA := sponge.NewPool(512, 8)
 	poolB := sponge.NewPool(512, 8)
@@ -175,13 +175,6 @@ func TestTrackerServesFreeListOverBothFramings(t *testing.T) {
 		t.Fatalf("tracker dial negotiated v%d, want v2", v2.Version())
 	}
 	check("v2", v2)
-
-	v1, err := DialV1(ts.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	check("v1", v1)
 }
 
 // TestFreeListAgainstPoolServerDegrades: a sponge server (which doesn't

@@ -16,12 +16,11 @@ import (
 // across machines) safe together, exactly as the paper's mmap-plus-
 // daemon design intends.
 //
-// Each connection starts in v1 lock-step framing; a client that sends
-// OpHello with version ≥ 2 is switched to the pipelined v2 framing,
-// where requests dispatch concurrently through a bounded worker pool
-// and responses (tagged with the request ID) are written back in
-// completion order. The connection machinery itself lives in the
-// daemon type, shared with the TCP tracker.
+// Each connection opens with a v1-framed OpHello, which switches it to
+// the pipelined v2 framing, where requests dispatch concurrently
+// through a bounded worker pool and responses (tagged with the request
+// ID) are written back in completion order. The connection machinery
+// itself lives in the daemon type, shared with the TCP tracker.
 //
 // With Options.SpillDir set the server grows the paper's local-disk
 // tier: AllocWrites that find the pool full overflow into an

@@ -439,12 +439,12 @@ func TestSpillFDBadRequestKeepsStream(t *testing.T) {
 	if len(resp) != 1 || resp[0] != StatusBadRequest {
 		t.Fatalf("OpSpillFD on spill-less server = %v, want [StatusBadRequest]", resp)
 	}
-	// The same connection still serves normal v1 requests.
-	if err := writeFrame(conn, []byte{OpStat}); err != nil {
+	// The same connection still answers the hello.
+	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != 13 || resp[0] != StatusOK {
-		t.Fatalf("stat after refused OpSpillFD = (%v, %v)", resp, err)
+	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != helloRespLen || resp[0] != StatusOK {
+		t.Fatalf("hello after refused OpSpillFD = (%v, %v)", resp, err)
 	}
 }
 

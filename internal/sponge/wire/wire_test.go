@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"spongefiles/internal/sponge"
 )
@@ -290,113 +292,11 @@ func TestDialPool(t *testing.T) {
 	}
 }
 
-// A lock-step v1 client against the v2 server: the server must keep the
-// connection in v1 framing and serve the full op set.
-func TestLockStepClientAgainstV2Server(t *testing.T) {
-	srv, _ := startServer(t, 4096, 4)
-	c, err := DialV1(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != ProtocolV1 {
-		t.Fatalf("version = %d, want %d", c.Version(), ProtocolV1)
-	}
-	data := bytes.Repeat([]byte("v1"), 50)
-	h, err := c.AllocWrite(sponge.TaskID{Node: 2, PID: 9}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Read(h)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v1 read corrupt (%v)", err)
-	}
-	buf := make([]byte, 4096)
-	if n, err := c.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
-		t.Fatalf("v1 ReadInto corrupt (%v)", err)
-	}
-	if err := c.Free(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register(9); err != nil {
-		t.Fatal(err)
-	}
-	if alive, _ := c.Ping(9); !alive {
-		t.Fatal("registered pid should be alive")
-	}
-}
-
-// fakeV1Server speaks the seed protocol: v1 framing only, and it
-// answers OpHello like any unknown op — StatusBadRequest — which is
-// exactly what a pre-v2 daemon does.
-func fakeV1Server(t *testing.T, pool *sponge.Pool) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	legacy := &Server{pool: pool, live: newMapLiveness(), d: &daemon{}}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				limit := pool.ChunkSize() + frameSlack
-				for {
-					req, err := readFrame(conn, limit)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					if len(req) >= 1 && req[0] == OpHello {
-						resp = []byte{StatusBadRequest}
-					} else {
-						resp, _ = legacy.dispatch(req)
-					}
-					if err := writeFrame(conn, resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// Dial against a v1-only server must fall back to lock-step mode and
-// still work end to end.
-func TestDialFallsBackToV1Server(t *testing.T) {
-	addr := fakeV1Server(t, sponge.NewPool(2048, 4))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != ProtocolV1 {
-		t.Fatalf("version = %d, want fallback to %d", c.Version(), ProtocolV1)
-	}
-	if c.ChunkSize() != 2048 {
-		t.Fatalf("chunk size = %d, want 2048 (from stat)", c.ChunkSize())
-	}
-	data := []byte("fallback")
-	h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 3}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Read(h); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("fallback read corrupt (%v)", err)
-	}
-}
-
-// The seed client swallowed a failed initial Stat and guessed a 1 MiB
-// chunk size; Dial must now propagate the failure.
+// A client that cannot learn the chunk size must not guess one: Dial
+// propagates a failed handshake.
 func TestDialPropagatesHandshakeError(t *testing.T) {
-	// Server that accepts and slams the connection: the hello (or, for a
-	// v1 peer, the stat) can never complete.
+	// Server that accepts and slams the connection: the hello can never
+	// complete.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -416,32 +316,75 @@ func TestDialPropagatesHandshakeError(t *testing.T) {
 	}
 }
 
-func TestDialPropagatesStatErrorOnV1Fallback(t *testing.T) {
-	// Server that rejects the hello (v1 behaviour) and then dies before
-	// answering the fallback Stat.
+// A peer that answers the hello with StatusBadRequest does not speak
+// v2. Dial reports that, naming the version, and asks nothing further.
+func TestDialRefusedHelloNamesVersion(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	extra := make(chan int, 1)
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				if _, err := readFrame(conn, handshakeLimit); err != nil {
-					return
-				}
-				writeFrame(conn, []byte{StatusBadRequest}) // reject hello
-				readFrame(conn, handshakeLimit)            // swallow the Stat, answer nothing
-			}()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer conn.Close()
+		if _, err := readFrame(conn, handshakeLimit); err != nil {
+			return
+		}
+		writeFrame(conn, []byte{StatusBadRequest})
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, _ := io.Copy(io.Discard, conn)
+		extra <- int(n)
 	}()
-	if _, err := Dial(ln.Addr().String()); err == nil {
-		t.Fatal("Dial must propagate the fallback Stat error")
+	_, err = Dial(ln.Addr().String())
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "v2") {
+		t.Fatalf("Dial against a peer refusing the hello = %v, want ErrBadRequest naming v2", err)
+	}
+	if n := <-extra; n != 0 {
+		t.Fatalf("client sent %d more bytes after the refused hello", n)
+	}
+}
+
+// Before the hello a daemon reads nothing longer than a hello: a longer
+// first frame is dropped on its length alone, and an op that is not a
+// handshake is refused and the connection closed.
+func TestPreHelloFrameLimit(t *testing.T) {
+	srv, _ := startServer(t, 64<<10, 4)
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+
+	// A 4 KiB frame is well inside the chunk-size limit. Only its
+	// header is sent: a server that waits for the body never closes.
+	conn := dial()
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], 4<<10)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a 4 KiB pre-hello frame header = (%d, %v), want EOF with the body unread", n, err)
+	}
+
+	conn = dial()
+	if err := writeFrame(conn, []byte{OpStat}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readFrame(conn, handshakeLimit); err != nil || !bytes.Equal(resp, []byte{StatusBadRequest}) {
+		t.Fatalf("pre-hello OpStat answered (%v, %v), want StatusBadRequest", resp, err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the refusal = %v, want EOF (connection dropped)", err)
 	}
 }
 

@@ -2,10 +2,7 @@
 # Macro perf harness: measures the host-level cost (wall-clock, allocs/op,
 # bytes/op) of one run of each paper job and emits BENCH_macro.json.
 #
-# Both sides of the before/after live in one binary: the harness runs each
-# job under the seed's legacy allocation machinery (boxed simulator
-# events, a fresh goroutine per process, a fresh buffer per chunk) and
-# under the pooled hot path, in the same process. Environment knobs:
+# Environment knobs:
 #
 #   BENCH_SIZE=0.05   dataset scale factor
 #   BENCH_WORKERS=8   cluster size
