@@ -173,6 +173,9 @@ type runningJob struct {
 	result    *JobResult
 	// nc is the node-combine stage, nil unless conf.NodeCombine.
 	nc *jobCombine
+	// sortBufs are sort buffers of finished map tasks, never more than
+	// there are map tasks in pending; see putSortBuffer.
+	sortBufs []*sortBuffer
 }
 
 type schedEventKind int
@@ -267,6 +270,7 @@ func (e *Engine) dispatch() {
 	for _, rj := range e.jobs {
 		if rj.cancelled || rj.failed {
 			rj.pending = nil
+			rj.sortBufs = nil
 			e.maybeFinish(rj)
 			continue
 		}

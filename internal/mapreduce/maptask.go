@@ -37,6 +37,53 @@ func newSortBuffer(capReal int, parts int) *sortBuffer {
 	return &sortBuffer{data: make([]byte, 0, capReal), parts: parts}
 }
 
+// reset empties the buffer, keeping the slab and the index's backing.
+func (b *sortBuffer) reset() {
+	b.data = b.data[:0]
+	b.index = b.index[:0]
+}
+
+// takeSortBuffer gives a starting map task its sort buffer: one a
+// finished task of this job left behind, else a new one.
+func (rj *runningJob) takeSortBuffer(capReal int) *sortBuffer {
+	if n := len(rj.sortBufs); n > 0 {
+		b := rj.sortBufs[n-1]
+		rj.sortBufs[n-1] = nil
+		rj.sortBufs = rj.sortBufs[:n-1]
+		return b
+	}
+	return newSortBuffer(capReal, rj.conf.NumReducers)
+}
+
+// putSortBuffer takes back the buffer of a map attempt that has sorted
+// its last record, or died, if a map task of this job still waiting for
+// a slot has no buffer in the list yet; otherwise it is garbage at once.
+// A launched task takes one the instant it starts, so the list never
+// outnumbers the waiting tasks and is empty once the last has started:
+// no buffer outlives the map phase, where it would only raise the
+// heap's peak under the reduce-side merges. dispatch drops the list of a
+// job that fails or is cancelled. The list is the job's because nothing
+// longer lived may hold 2 MiB slabs: a driver that never Closes its Sim
+// leaves the engine reachable from parked daemons for good.
+func (rj *runningJob) putSortBuffer(b *sortBuffer) {
+	if len(rj.sortBufs) >= rj.waitingMaps() {
+		return
+	}
+	b.reset()
+	rj.sortBufs = append(rj.sortBufs, b)
+}
+
+// waitingMaps counts the job's map tasks that have no slot yet.
+func (rj *runningJob) waitingMaps() int {
+	n := 0
+	for _, t := range rj.pending {
+		if t.kind == MapTask {
+			n++
+		}
+	}
+	return n
+}
+
 // keyPrefix packs the first eight bytes of k, zero-padded, big-endian:
 // prefixes order the way bytes.Compare orders the keys they come from.
 func keyPrefix(k []byte) uint64 {
@@ -121,8 +168,7 @@ func (b *sortBuffer) sortAndSlice() (segs [][]byte, comparisons int) {
 		lo = hi
 	}
 	comparisons = n * bits.Len(uint(n))
-	b.data = b.data[:0]
-	b.index = b.index[:0]
+	b.reset()
 	return segs, comparisons
 }
 
@@ -162,7 +208,17 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 		return nil, nil
 	}
 
-	buf := newSortBuffer(ctx.Node.RealOf(conf.SortBufferVirtual), conf.NumReducers)
+	buf := job.takeSortBuffer(ctx.Node.RealOf(conf.SortBufferVirtual))
+	// The buffer goes back as soon as the last record is sorted out of
+	// it — the task still has its output to merge and write, and the slab
+	// must not stay reachable through that — or when the attempt dies.
+	releaseBuf := func() {
+		if buf != nil {
+			job.putSortBuffer(buf)
+			buf = nil
+		}
+	}
+	defer releaseBuf()
 	mapDisk := spill.NewDiskTarget(ctx.Node) // map side always spills locally
 	var spills []*mapSpill
 
@@ -227,6 +283,7 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 	// buffer's segments are the output; otherwise merge spills + buffer.
 	if len(spills) == 0 {
 		segs, cmps := buf.sortAndSlice()
+		releaseBuf()
 		ctx.ChargeCPU(simtime.Duration(cmps) * conf.CPU.Compare)
 		combineSegs(ctx, conf, segs)
 		ctx.FlushCPU()
@@ -238,12 +295,15 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 			return nil, err
 		}
 	}
+	releaseBuf()
 	out = make([][]byte, conf.NumReducers)
 	for part := 0; part < conf.NumReducers; part++ {
 		var streams []recordStream
+		size := 0
 		for _, sp := range spills {
 			if f := sp.files[part]; f != nil {
 				streams = append(streams, newFileStream(f))
+				size += int(f.Size())
 			}
 		}
 		if len(streams) == 0 {
@@ -251,7 +311,9 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 		}
 		m := newMergeStream(streams)
 		width := m.Width()
-		var seg []byte
+		// The spills were combined when they were written; the merge only
+		// interleaves them, so its output is their bytes exactly.
+		seg := make([]byte, 0, size)
 		for m.next(p) {
 			seg = appendRecord(seg, m.key(), m.value())
 			ctx.ChargeCPU(simtime.Duration(bits.Len(uint(width))) * conf.CPU.Compare)

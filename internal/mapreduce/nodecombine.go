@@ -289,7 +289,7 @@ func (nc *nodeCombiner) spillBuffered(ctx *TaskContext) {
 		}
 		f := nc.target.Create(ctx.P, fmt.Sprintf("%s-nc%d-run%d-p%d",
 			conf.Name, nc.node.ID, len(nc.runs[part]), part))
-		if err := writeMergedCombine(ctx, f, streams, conf.Combine); err != nil {
+		if err := writeMergedCombine(ctx, f, streams, 0, conf.Combine); err != nil {
 			panic(err) // surfaces as the publishing task's failure
 		}
 		nc.runs[part] = append(nc.runs[part], f)

@@ -55,7 +55,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		}
 		f := ctx.Spill.Create(p, fmt.Sprintf("%s-r%d-run%d", conf.Name, part, runCount))
 		runCount++
-		if err := writeMerged(ctx, f, streams); err != nil {
+		if err := writeMerged(ctx, f, streams, memUsed); err != nil {
 			return err
 		}
 		runs = append(runs, f)
@@ -112,15 +112,17 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		sort.Slice(runs, func(i, j int) bool { return runs[i].Size() < runs[j].Size() })
 		batch := runs[:conf.MergeFactor]
 		streams := make([]recordStream, len(batch))
+		size := 0
 		for i, f := range batch {
 			streams[i] = newFileStream(f)
+			size += int(f.Size())
 		}
 		merged := ctx.Spill.Create(p, fmt.Sprintf("%s-r%d-run%d", conf.Name, part, runCount))
 		runCount++
 		// Intermediate merge rounds re-run the combiner (as Hadoop
 		// does): without it, every round re-ships each hot key's
 		// uncombined duplicates from all its source runs.
-		if err := writeMergedCombine(ctx, merged, streams, conf.Combine); err != nil {
+		if err := writeMergedCombine(ctx, merged, streams, size, conf.Combine); err != nil {
 			return err
 		}
 		for _, f := range batch {
@@ -174,18 +176,26 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 	return nil
 }
 
-// writeMerged streams a merge of the given sorted streams into f,
-// charging merge CPU, and closes it.
-func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream) error {
-	return writeMergedCombine(ctx, f, streams, nil)
+// streamBufSlack is what a pre-sized staging buffer holds beyond
+// streamBufReal: the buffer is flushed by the record that takes it past
+// streamBufReal, so it ends that much longer. A record bigger than the
+// slack grows the buffer once.
+const streamBufSlack = 4 << 10
+
+// writeMerged streams a merge of the given sorted streams, size bytes in
+// all, into f, charging merge CPU, and closes it.
+func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream, size int) error {
+	return writeMergedCombine(ctx, f, streams, size, nil)
 }
 
 // writeMergedCombine is writeMerged with an optional combiner applied
 // over the merged record flow: each key's values, now adjacent, are
 // folded before the run is written, so re-merged runs ship combined
 // records instead of per-source duplicates (Hadoop re-combines during
-// intermediate merges the same way).
-func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, combine ReduceFunc) error {
+// intermediate merges the same way). Without a combiner the output is
+// the inputs' size bytes exactly and the staging buffer is allocated
+// once; what a combiner will emit is not known, and size is not used.
+func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, size int, combine ReduceFunc) error {
 	p := ctx.P
 	m := newMergeStream(streams)
 	width := m.Width()
@@ -206,6 +216,7 @@ func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, 
 		}
 	}
 	if combine == nil {
+		buf = make([]byte, 0, min(size, streamBufReal+streamBufSlack))
 		for m.next(p) {
 			buf = appendRecord(buf, m.key(), m.value())
 			ctx.ChargeCPU(cmp)

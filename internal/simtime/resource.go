@@ -1,5 +1,37 @@
 package simtime
 
+// fifo is a first-in-first-out list whose pop is O(1): the head is an
+// index into the slice, not a shift of it. The backing array is rewound
+// when the list empties and compacted once half of it is dead, so a list
+// of bounded length stops allocating.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.items) == cap(f.items) && f.head >= (len(f.items)+1)/2 {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	f.items = append(f.items, v)
+}
+
+// pop removes and returns the head; the list must not be empty.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.items[f.head]
+	f.items[f.head] = zero
+	f.head++
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	}
+	return v
+}
+
 // Resource is a FIFO server with fixed capacity: up to cap processes may
 // hold it simultaneously; further acquirers queue in arrival order. It
 // models contended devices (a disk arm, a NIC) and bounded pools (task
@@ -10,7 +42,7 @@ type Resource struct {
 	parkName string // "resource <name>", precomputed: park happens per wait
 	cap      int
 	inUse    int
-	waiters  []*Proc
+	waiters  fifo[*Proc]
 	// Busy time accounting for utilization reports.
 	busySince  Time
 	busyTotal  Duration
@@ -27,11 +59,11 @@ func NewResource(sim *Sim, name string, capacity int) *Resource {
 
 // Acquire blocks p until a unit of the resource is available, then holds it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.take()
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(p)
 	p.park(r.parkName)
 	// Ownership was transferred by Release before unparking; the unit is
 	// already accounted to us.
@@ -40,7 +72,7 @@ func (r *Resource) Acquire(p *Proc) {
 // TryAcquire acquires a unit if one is free without blocking, reporting
 // whether it succeeded.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.take()
 		return true
 	}
@@ -61,12 +93,9 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("simtime: release of idle resource " + r.name)
 	}
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if r.waiters.len() > 0 {
 		r.totalHolds++
-		w.unpark()
+		r.waiters.pop().unpark()
 		return
 	}
 	r.inUse--
@@ -86,7 +115,7 @@ func (r *Resource) Use(p *Proc, d Duration) {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // BusyTime reports the total virtual time during which at least one unit
 // was held.
@@ -144,8 +173,8 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 type Queue struct {
 	name     string
 	parkName string // "queue <name>", precomputed: park happens per wait
-	items    []interface{}
-	waiters  []*Proc
+	items    fifo[interface{}]
+	waiters  fifo[*Proc]
 }
 
 // NewQueue creates a named queue; the name appears in deadlock reports.
@@ -155,46 +184,33 @@ func NewQueue(name string) *Queue {
 
 // Put appends v and wakes one waiting receiver, if any.
 func (q *Queue) Put(v interface{}) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		copy(q.waiters, q.waiters[1:])
-		q.waiters = q.waiters[:len(q.waiters)-1]
-		w.unpark()
+	q.items.push(v)
+	if q.waiters.len() > 0 {
+		q.waiters.pop().unpark()
 	}
 }
 
 // Get removes and returns the head item, blocking p until one is present.
 func (q *Queue) Get(p *Proc) interface{} {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
+	for q.items.len() == 0 {
+		q.waiters.push(p)
 		p.park(q.parkName)
 	}
-	v := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
+	v := q.items.pop()
 	// If items remain and receivers are queued, keep the wake chain going.
-	if len(q.items) > 0 && len(q.waiters) > 0 {
-		w := q.waiters[0]
-		copy(q.waiters, q.waiters[1:])
-		q.waiters = q.waiters[:len(q.waiters)-1]
-		w.unpark()
+	if q.items.len() > 0 && q.waiters.len() > 0 {
+		q.waiters.pop().unpark()
 	}
 	return v
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue) TryGet() (interface{}, bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return nil, false
 	}
-	v := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }

@@ -7,6 +7,13 @@
 // every I/O and CPU charge advances the virtual clock instead of the wall
 // clock. Runs are fully deterministic: events are ordered by (time,
 // sequence number), and exactly one process is runnable at any instant.
+//
+// There is no scheduler goroutine. Whichever goroutine gives up the clock
+// — a process that blocks or ends, or Run at the start — dispatches the
+// following events itself (Sim.next): it runs callbacks inline and then
+// either carries on, when the next process due is the one that just
+// blocked, or wakes that process's goroutine and goes to sleep. Run only
+// starts the chain and waits to be told that it has ended.
 package simtime
 
 import (
@@ -64,7 +71,7 @@ type event struct {
 	seq     uint64
 	proc    *Proc  // non-nil: resume this process
 	procGen uint64 // incarnation of proc this event targets (proc reuse)
-	fn      func() // non-nil: run this callback in scheduler context
+	fn      func() // non-nil: run this callback on the dispatching goroutine
 	daemon  bool   // event belongs to a daemon process
 }
 
@@ -137,7 +144,11 @@ type Sim struct {
 	now    Time
 	events eventQueue
 	seq    uint64
-	yield  chan struct{} // handshake: running proc -> scheduler
+	// yield wakes whoever waits outside the simulation: Run, once there
+	// is nothing left to dispatch, and Close, each time a process it
+	// resumed blocks again or exits. One slot, so that Run finding nothing
+	// to dispatch can tell itself.
+	yield  chan struct{}
 	procs  map[*Proc]struct{}
 	nextID uint64
 	// pending counts scheduled non-daemon events; parkedUser counts
@@ -161,7 +172,7 @@ type Sim struct {
 // New returns a fresh simulation with the clock at zero and no processes.
 func New() *Sim {
 	return &Sim{
-		yield: make(chan struct{}),
+		yield: make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
 	}
 }
@@ -189,8 +200,9 @@ func (s *Sim) schedule(at Time, p *Proc, fn func()) {
 	s.events.push(event{at: at, seq: s.seq, proc: p, procGen: gen, fn: fn, daemon: daemon})
 }
 
-// After schedules fn to run in scheduler context after d elapses. fn must
-// not block; it may spawn processes or wake waiters.
+// After schedules fn to run after d elapses, on whichever goroutine is
+// dispatching events then: a process's, inside its blocking call, or
+// Run's. fn must not block; it may spawn processes or wake waiters.
 func (s *Sim) After(d Duration, fn func()) {
 	s.schedule(s.now.Add(d), nil, fn)
 }
@@ -275,15 +287,17 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is the body of a process goroutine: run one life, park the Proc
-// for reuse, wait for the next Spawn to re-arm it. Only one of the
-// scheduler and the running process executes at a time, so procFree and
-// the Proc fields are handed over race-free through the yield/resume
-// channel pair.
+// loop is the body of a process goroutine: wait to be resumed, run one
+// life, pool the Proc for the next Spawn, pass the clock on. Only one
+// goroutine holds the clock at a time and it changes hands through a
+// channel, so procFree and the Proc fields are handed over race-free.
 func (p *Proc) loop() {
 	s := p.sim
+	own := false // the event that starts the next life was dispatched here
 	for {
-		<-p.resume // wait for first scheduling of this life
+		if !own {
+			<-p.resume // wait for first scheduling of this life
+		}
 		if s.closed {
 			// Pooled, or spawned and never started: nothing to unwind.
 			delete(s.procs, p)
@@ -291,12 +305,17 @@ func (p *Proc) loop() {
 			return
 		}
 		p.runLife()
-		recycle := len(s.procFree) < maxProcFree && !s.closed
-		if recycle {
+		switch {
+		case s.closed:
+			s.yield <- struct{}{}
+			return
+		case len(s.procFree) < maxProcFree:
 			s.procFree = append(s.procFree, p)
-		}
-		s.yield <- struct{}{}
-		if !recycle {
+			// A callback dispatched here may Spawn this very Proc back out
+			// of the pool; its next life then starts without a receive.
+			own = s.next(p)
+		default:
+			s.next(nil)
 			return
 		}
 	}
@@ -332,8 +351,8 @@ func (p *Proc) runLife() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(interrupted); !ok {
-				// Re-panic on the scheduler's goroutine would lose the
-				// stack; report and crash here instead.
+				// Not a kill: the body's own panic crashes the program
+				// from here, where its stack is.
 				panic(r)
 			}
 		}
@@ -397,10 +416,18 @@ func (p *Proc) unpark() {
 	p.sim.schedule(p.sim.now, p, nil)
 }
 
-// switchOut hands control to the scheduler and blocks until resumed.
+// switchOut gives up the clock and returns once the process is resumed:
+// at once if the next event due is its own, else after passing the clock
+// on and being woken in turn. Under Close there is nothing to dispatch;
+// the clock goes back to Close.
 func (p *Proc) switchOut() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	s := p.sim
+	if s.closed {
+		s.yield <- struct{}{}
+		<-p.resume
+	} else if !s.next(p) {
+		<-p.resume
+	}
 	p.state = stateRunning
 	if p.killed {
 		p.killed = false
@@ -425,12 +452,17 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Run executes the simulation until the event queue is exhausted or only
-// daemon activity remains (daemon service loops would otherwise advance
-// the clock forever). It returns the final virtual time. If non-daemon
-// processes remain parked with nothing left to wake them, Run returns an
-// error describing the deadlock.
-func (s *Sim) Run() (Time, error) {
+// next passes the clock on from the goroutine that holds it — self's,
+// or with self nil one that has no process to be resumed as: Run's, or
+// that of a process leaving the pool. It dispatches events in (time,
+// sequence) order, advancing the clock: a callback runs here and now, a
+// stale event is dropped, and the first event that resumes a process
+// ends the dispatch. If that process is self, next reports true and the
+// caller simply carries on: no goroutine was switched. Otherwise it has
+// woken the process's goroutine, or Run's once only daemon activity
+// remains, and the caller must touch no simulation state until it is
+// resumed itself.
+func (s *Sim) next(self *Proc) bool {
 	for s.events.len() > 0 && (s.pending > 0 || s.parkedUser > 0) {
 		e := s.events.pop()
 		if !e.daemon {
@@ -442,16 +474,32 @@ func (s *Sim) Run() (Time, error) {
 		switch {
 		case e.fn != nil:
 			e.fn()
-		case e.proc != nil:
-			if e.proc.state == stateDone || e.proc.gen != e.procGen {
-				// Stale event: the process finished (and possibly began a
-				// new life via reuse) after this was scheduled.
-				continue
-			}
+		case e.proc.state == stateDone || e.proc.gen != e.procGen:
+			// Stale event: the process finished (and possibly began a
+			// new life via reuse) after this was scheduled.
+		case e.proc == self:
+			return true
+		default:
 			e.proc.resume <- struct{}{}
-			<-s.yield
+			return false
 		}
 	}
+	s.yield <- struct{}{}
+	return false
+}
+
+// Run executes the simulation until the event queue is exhausted or only
+// daemon activity remains (daemon service loops would otherwise advance
+// the clock forever). It returns the final virtual time. If non-daemon
+// processes remain parked with nothing left to wake them, Run returns an
+// error describing the deadlock.
+//
+// Run dispatches only until the first process is resumed; from there the
+// processes pass the clock among themselves and the last one to find
+// nothing left to dispatch wakes Run.
+func (s *Sim) Run() (Time, error) {
+	s.next(nil)
+	<-s.yield
 	var stuck []string
 	for p := range s.procs {
 		if p.state == stateParked && !p.daemon {

@@ -1,6 +1,10 @@
 package simtime
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -400,11 +404,345 @@ func TestCloseUnwindsEveryGoroutine(t *testing.T) {
 	if unwound != 7 {
 		t.Errorf("%d of 7 deferred calls ran", unwound)
 	}
-	// Exiting goroutines need a moment to leave the count.
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back
+// to before; exiting goroutines need a moment to leave the count.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for i := 0; runtime.NumGoroutine() > before; i++ {
 		if i == 200 {
 			t.Fatalf("%d goroutines before, %d after Close", before, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCallbackRespawnsDispatchingProc covers the one resumption that
+// involves no goroutine switch and no channel: a process ends its life,
+// pools its Proc and dispatches a callback, and the callback's Spawn
+// takes that very Proc back out of the pool. The next life must start
+// on the goroutine that is still inside the dispatch.
+func TestCallbackRespawnsDispatchingProc(t *testing.T) {
+	s := New()
+	defer s.Close()
+	var first, second *Proc
+	var order []string
+	first = s.Spawn("first", func(p *Proc) {
+		p.Sleep(Millisecond)
+		s.After(0, func() {
+			order = append(order, "callback")
+			second = s.Spawn("second", func(p *Proc) {
+				order = append(order, p.Name())
+				p.Sleep(Millisecond)
+				order = append(order, p.Name()+" woke")
+			})
+		})
+		order = append(order, p.Name()+" done")
+	})
+	if end := s.MustRun(); end != Time(2*Millisecond) {
+		t.Fatalf("ended at %v, want 2ms", end)
+	}
+	if second != first {
+		t.Fatal("the callback's Spawn did not reuse the dispatching process; the test proves nothing")
+	}
+	want := []string{"first done", "callback", "second", "second woke"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestRunTwice runs one simulation in two instalments. The first Run
+// returns with a daemon's wake-up still queued (daemon events alone do
+// not keep Run going); the second must pick it up in order, and a Run
+// with nothing to do must return at once.
+func TestRunTwice(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	q := NewQueue("work")
+	var served []Time
+	s.SpawnDaemon("server", func(p *Proc) {
+		for {
+			q.Get(p)
+			p.Sleep(Millisecond)
+			served = append(served, p.Now())
+		}
+	})
+	s.Spawn("a", func(p *Proc) {
+		p.Sleep(Second)
+		q.Put(1)
+	})
+	if end := s.MustRun(); end != Time(Second) || len(served) != 0 {
+		t.Fatalf("first Run ended at %v with %d served, want 1s and 0", end, len(served))
+	}
+	s.Spawn("b", func(p *Proc) { p.Sleep(Second) })
+	if end := s.MustRun(); end != Time(2*Second) {
+		t.Fatalf("second Run ended at %v, want 2s", end)
+	}
+	if len(served) != 1 || served[0] != Time(Second+Millisecond) {
+		t.Fatalf("served = %v, want [1.001s]", served)
+	}
+	if end := s.MustRun(); end != Time(2*Second) {
+		t.Fatalf("idle Run ended at %v, want 2s", end)
+	}
+	s.Close()
+	waitGoroutines(t, before)
+}
+
+// TestCloseAfterDeadlock pins the deadlock report's text and then has
+// Close unwind what the deadlocked Run left behind, including a process
+// whose deferred call sleeps again while it is being killed.
+func TestCloseAfterDeadlock(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	r := NewResource(s, "r", 1)
+	sig := NewSignal("s")
+	unwound := 0
+	s.Spawn("holder", func(p *Proc) { r.Acquire(p) })
+	s.Spawn("b", func(p *Proc) {
+		defer func() {
+			unwound++
+			p.Sleep(Second)
+			t.Error("a killed process slept to completion")
+		}()
+		sig.Wait(p)
+	})
+	s.Spawn("a", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(Millisecond)
+		r.Acquire(p)
+	})
+	end, err := s.Run()
+	const want = "simtime: deadlock, 2 process(es) parked: [a (waiting on resource r) b (waiting on signal s)]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run error = %v, want %s", err, want)
+	}
+	if end != Time(Millisecond) {
+		t.Fatalf("deadlocked at %v, want 1ms", end)
+	}
+	s.Close()
+	if unwound != 2 {
+		t.Errorf("%d of 2 deferred calls ran", unwound)
+	}
+	waitGoroutines(t, before)
+}
+
+// eventScript is a seeded workload over every blocking primitive the
+// package offers. Each resumption — a blocking call returning, a process
+// starting, a callback firing, a killed process unwinding — is hashed as
+// (now, name); the script draws its next step from one generator shared
+// by all processes, so any change in event order changes every draw
+// after it and the digest with them.
+type eventScript struct {
+	s     *Sim
+	rng   uint64
+	h     hash.Hash
+	n     int // resumptions recorded
+	res   []*Resource
+	sigs  []*Signal
+	q     *Queue
+	never *Signal // never broadcast: parks a process for good
+	ids   int
+}
+
+// rand is splitmix64: the sequence must not depend on the Go release.
+func (r *eventScript) rand(n int) int {
+	r.rng += 0x9e3779b97f4a7c15
+	z := r.rng
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int((z ^ (z >> 31)) % uint64(n))
+}
+
+func (r *eventScript) rec(now Time, name string) {
+	fmt.Fprintf(r.h, "%d %s\n", now, name)
+	r.n++
+}
+
+func (r *eventScript) at(p *Proc) { r.rec(p.Now(), p.Name()) }
+
+func (r *eventScript) name(kind string) string {
+	r.ids++
+	return fmt.Sprintf("%s%d", kind, r.ids)
+}
+
+func (r *eventScript) dur(maxMicros int) Duration {
+	return Duration(r.rand(maxMicros)) * Microsecond
+}
+
+// child is a short life: it exercises the process pool and, half the
+// time, queues on a resource.
+func (r *eventScript) child(p *Proc) {
+	r.at(p)
+	p.Sleep(r.dur(800))
+	r.at(p)
+	if r.rand(2) == 0 {
+		r.res[r.rand(len(r.res))].Use(p, r.dur(300))
+		r.at(p)
+	}
+}
+
+// victim blocks well past the moment its killer strikes, asleep or
+// parked; only its deferred call sees the unwinding.
+func (r *eventScript) victim(asleep bool) func(p *Proc) {
+	return func(p *Proc) {
+		defer r.at(p)
+		r.at(p)
+		if asleep {
+			p.Sleep(200 * Millisecond)
+		} else {
+			NewSignal("victim").Wait(p)
+		}
+		panic("victim outlived its killer")
+	}
+}
+
+func (r *eventScript) worker(ops int) func(p *Proc) {
+	return func(p *Proc) {
+		r.at(p)
+		for i := 0; i < ops; i++ {
+			switch r.rand(14) {
+			case 0, 1:
+				p.Sleep(r.dur(3000))
+				r.at(p)
+			case 2:
+				p.Yield()
+				r.at(p)
+			case 3:
+				res := r.res[r.rand(len(r.res))]
+				res.Acquire(p)
+				r.at(p)
+				p.Sleep(r.dur(500))
+				r.at(p)
+				res.Release()
+			case 4:
+				r.res[r.rand(len(r.res))].Use(p, r.dur(500))
+				r.at(p)
+			case 5:
+				r.sigs[r.rand(len(r.sigs))].Wait(p)
+				r.at(p)
+			case 6:
+				r.sigs[r.rand(len(r.sigs))].Broadcast()
+			case 7:
+				r.q.Put(i)
+			case 8:
+				r.q.Get(p)
+				r.at(p)
+			case 9:
+				sig := r.sigs[r.rand(len(r.sigs))]
+				r.s.After(r.dur(2000), func() {
+					r.rec(r.s.Now(), "cb.broadcast")
+					sig.Broadcast()
+				})
+			case 10:
+				r.s.After(r.dur(2000), func() {
+					r.rec(r.s.Now(), "cb.spawn")
+					r.q.Put(-1)
+					r.s.Spawn(r.name("cbchild"), r.child)
+				})
+			case 11:
+				r.s.Spawn(r.name("child"), r.child)
+			case 12:
+				if r.rand(2) == 0 {
+					r.s.SpawnDaemon(r.name("daemon"), func(p *Proc) {
+						r.child(p)
+						r.never.Wait(p)
+					})
+				} else {
+					r.s.SpawnDaemon(r.name("daemon"), r.child)
+				}
+			case 13:
+				v := r.s.Spawn(r.name("victim"), r.victim(r.rand(2) == 0))
+				if r.rand(2) == 0 {
+					r.s.After(Millisecond+r.dur(5000), v.Kill)
+				} else {
+					p.Sleep(Millisecond + r.dur(5000))
+					r.at(p)
+					v.Kill()
+				}
+			}
+		}
+	}
+}
+
+// ticker keeps the script live: whatever is parked on a signal or the
+// queue when the workers that would have woken it are done is woken
+// here. As a daemon it does not keep Run from returning.
+func (r *eventScript) ticker(p *Proc) {
+	for {
+		p.Sleep(Millisecond)
+		r.at(p)
+		for _, sig := range r.sigs {
+			sig.Broadcast()
+		}
+		for n := r.q.waiters.len(); n > 0; n-- {
+			r.q.Put(0)
+		}
+	}
+}
+
+// TestEventOrderPinned pins the order in which the simulator resumes
+// processes and fires callbacks. The digest was captured at commit
+// 000d47f, where a scheduler goroutine dispatched every event; whoever
+// dispatches now, the (time, sequence) order is total and the digest
+// must not move.
+func TestEventOrderPinned(t *testing.T) {
+	const (
+		workers = 20
+		ops     = 600
+		want    = "27b3890cd0aa0380054c1036569b0bb44cc2ab33e2f65639f2e509dd46d3ca20"
+	)
+	s := New()
+	defer s.Close()
+	r := &eventScript{s: s, rng: 2014, h: sha256.New(), q: NewQueue("q"), never: NewSignal("never")}
+	for i := 0; i < 3; i++ {
+		r.res = append(r.res, NewResource(s, fmt.Sprintf("res%d", i), 1+i))
+		r.sigs = append(r.sigs, NewSignal(fmt.Sprintf("sig%d", i)))
+	}
+	s.SpawnDaemon("ticker", r.ticker)
+	for i := 0; i < workers; i++ {
+		s.Spawn(fmt.Sprintf("w%d", i), r.worker(ops))
+	}
+	end, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.rec(end, "end")
+	if r.n < 10000 {
+		t.Fatalf("script recorded %d resumptions, want at least 10000", r.n)
+	}
+	if got := hex.EncodeToString(r.h.Sum(nil)); got != want {
+		t.Fatalf("event order moved: digest %s over %d resumptions ending at %v, want %s", got, r.n, end, want)
+	}
+}
+
+// TestFIFONeverEmptyStaysBounded drives the waiter list the way a busy
+// resource does — it never drains, so the rewind-on-empty never fires —
+// and checks order and that the dead prefix is reclaimed without
+// allocating.
+func TestFIFONeverEmptyStaysBounded(t *testing.T) {
+	var f fifo[int]
+	next, want := 0, 0
+	step := func() {
+		for i := 0; i < 3; i++ {
+			f.push(next)
+			next++
+		}
+		for f.len() > 1 {
+			if got := f.pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Fatalf("a list that never exceeds 4 entries allocates %.2f times per step", avg)
+	}
+	if cap(f.items) > 16 {
+		t.Fatalf("backing array grew to %d for at most 4 live entries", cap(f.items))
 	}
 }

@@ -23,6 +23,17 @@ echo "== go test -race ./... =="
 # next step runs without the detector.
 go test -race -count=1 ./...
 
+echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
+# The two places where goroutines hand state to one another without a
+# scheduler in between: simtime's processes pass the clock directly (the
+# seeded event-order script and the Close/re-Spawn edge cases), and map
+# tasks inherit each other's sort buffers through the job's free list.
+go test -race -count=10 ./internal/simtime
+go test -race -count=10 -run 'SortBuffer' ./internal/mapreduce
+
+echo "== benchmarks compile and run once =="
+go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
+
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
 # File.Write and windowed File.Read at zero allocations, plus the
