@@ -6,7 +6,7 @@
 //	spongectl serve   [-addr :7070] [-chunk 1048576] [-chunks 1024]
 //	                  [-inflight 16] [-read-timeout 0] [-write-timeout 0]
 //	                  [-local-socket-dir /tmp] [-spill-dir /tmp]
-//	                  [-spill-chunks 0] [-no-zero-copy]
+//	                  [-spill-chunks 0]
 //	                  [-metrics-addr 127.0.0.1:9090]
 //	spongectl stat    -addr host:port
 //	spongectl stats   [-addrs host:port,...] [-urls http://...,...]

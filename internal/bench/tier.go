@@ -33,8 +33,7 @@ type tierConfig struct {
 	rung   string
 	local  bool // dial the unix socket instead of loopback TCP
 	spill  bool // read a spilled chunk instead of a pool-resident one
-	fdPass bool // arm the direct-pread fast path (spill fd or pool fds)
-	noZC   bool // force the portable buffered serve path
+	fdPass bool // arm the direct-pread fast path
 }
 
 // tierLadder is the fixed rung order of BENCH_wire.json's tier table.
@@ -42,7 +41,6 @@ var tierLadder = []tierConfig{
 	{rung: "pool-read/loopback-tcp"},
 	{rung: "pool-read/local-unix", local: true},
 	{rung: "spill-read/loopback-tcp-sendfile", spill: true},
-	{rung: "spill-read/loopback-tcp-portable", spill: true, noZC: true},
 	{rung: "spill-read/local-unix-sendfile", local: true, spill: true},
 	{rung: "spill-read/local-unix-fd-pread", local: true, spill: true, fdPass: true},
 	{rung: "pool-read/local-unix-fd-pread", local: true, fdPass: true},
@@ -64,7 +62,7 @@ func RunTierLadder(dur time.Duration) ([]TierRung, error) {
 
 func runTierRung(tc tierConfig, dur time.Duration) (TierRung, error) {
 	r := TierRung{Rung: tc.rung, PayloadBytes: tierChunk}
-	opts := wire.Options{NoZeroCopy: tc.noZC}
+	var opts wire.Options
 	if tc.local {
 		dir, err := os.MkdirTemp("", "sp")
 		if err != nil {
@@ -112,18 +110,11 @@ func runTierRung(tc tierConfig, dur time.Duration) (TierRung, error) {
 	} else if h, err = c.AllocWrite(owner, data); err != nil {
 		return r, err
 	}
-	if tc.fdPass {
-		if tc.spill {
-			err = c.FetchSpillFD()
-		} else {
-			err = c.FetchPoolFDs()
-		}
-		if err != nil {
-			// Off-linux, or a pool that cannot be file-backed: the rung
-			// does not exist on this host.
-			r.Skipped = true
-			return r, nil
-		}
+	if tc.fdPass && c.FetchPoolFDs() != nil {
+		// Off-linux, or a server with nothing to pass: the rung does not
+		// exist on this host.
+		r.Skipped = true
+		return r, nil
 	}
 
 	buf := make([]byte, tierChunk)
@@ -251,18 +242,18 @@ func PatchWireTierLadder(path string, rungs []TierRung) error {
 			": steady-state 64KiB ReadInto against an in-process daemon, sequential, measured by `make bench-tier`. " +
 			"'local' = same-host unix-domain socket (auto-selected by wire.Transport when the peer address is this host), " +
 			"'loopback' = TCP over 127.0.0.1. Spill rungs read chunks that overflowed the memory pool into the daemon's " +
-			"append-coalesced spill file: served by sendfile on linux, by pooled pread+write under -no-zero-copy or " +
-			"off-linux, or pread directly by the client once the spill-file fd has been passed over SCM_RIGHTS. The " +
-			"pool-fd-pread rung reads a pool-resident chunk the same way: the server's memfd-backed segments and " +
-			"generation table are passed once over SCM_RIGHTS (OpPoolFD) and each read is a 25-byte OpPoolLoc exchange " +
-			"plus a local pread with a generation re-check — the payload never crosses the socket.",
+			"append-coalesced spill file: served by sendfile on linux (by pooled pread+write off-linux), or pread " +
+			"directly by the client once the server's files have been passed over SCM_RIGHTS. One OpPoolFD handshake " +
+			"passes the memfd-backed pool segments, the generation table and the spill file; each fd-pread read is " +
+			"then a 29-byte loc exchange (OpPoolLoc or OpSpillLoc, one reply layout) plus a local pread, with a " +
+			"generation re-check for pool chunks — the payload never crosses the socket.",
 		Command:  "make bench-tier  (go run ./cmd/benchtab -out BENCH_wire.json tier)",
 		Results:  rungs,
 		Speedups: sp,
 		Notes: fmt.Sprintf("Acceptance: pool-fd pread reads >=1.37x loopback-TCP pool reads at 64KiB — measured %.2fx "+
 			"(%.0f vs %.0f MB/s), versus %.2fx for plain unix-socket pool reads and %.2fx for the spill fd-pread rung. "+
-			"Steady-state reads are 0 allocs/chunk on every rung (TestWireReadSteadyStateAllocationFree covers all six "+
-			"serve paths, pool-fd included); a generation mismatch (chunk freed or rewritten between OpPoolLoc and the "+
+			"Steady-state reads are 0 allocs/chunk on every rung (TestWireReadSteadyStateAllocationFree covers all five "+
+			"serve paths); a generation mismatch (chunk freed or rewritten between OpPoolLoc and the "+
 			"pread) transparently falls back to a socket read and is counted in sponge_poolfd_gen_miss_total.",
 			sp.PoolReadFDPread, tierRate(rungs, "pool-read/local-unix-fd-pread"), tcpPool,
 			sp.PoolRead, sp.SpillReadFDPread),

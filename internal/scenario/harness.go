@@ -134,9 +134,6 @@ func serveArgs(opts HarnessOptions) []string {
 		args = append(args, "-spill-dir", opts.Wire.SpillDir,
 			"-spill-chunks", fmt.Sprint(opts.Wire.SpillChunks))
 	}
-	if opts.Wire.NoZeroCopy {
-		args = append(args, "-no-zero-copy")
-	}
 	return args
 }
 

@@ -33,7 +33,6 @@ func ServeCmd(args []string) {
 	socketDir := fs.String("local-socket-dir", "", "directory for the same-host unix socket (empty = TCP only)")
 	spillDir := fs.String("spill-dir", "", "directory for the disk-spill overflow file (empty = no disk tier)")
 	spillChunks := fs.Int("spill-chunks", 0, "cap on live disk-spilled chunks (0 = unbounded)")
-	noZC := fs.Bool("no-zero-copy", false, "serve spill-file reads through the portable buffered path")
 	fs.Parse(args)
 
 	// The handler must be installed before the banner prints: the
@@ -51,7 +50,6 @@ func ServeCmd(args []string) {
 		LocalSocketDir: *socketDir,
 		SpillDir:       *spillDir,
 		SpillChunks:    *spillChunks,
-		NoZeroCopy:     *noZC,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

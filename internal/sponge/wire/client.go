@@ -36,40 +36,45 @@ type Client struct {
 	cerr    error // sticky transport error; guarded by pmu
 	done    chan struct{}
 
-	// spillF is the server's spill-file descriptor once FetchSpillFD has
-	// passed it over SCM_RIGHTS; spilled chunks are then pread directly.
-	spillF atomic.Pointer[os.File]
+	// fds is the server's passed files once FetchPoolFDs has run the
+	// descriptor handshake; chunks living in them are then pread directly.
+	fds atomic.Pointer[fdState]
 
-	// poolFD is the server's pool mapping once FetchPoolFDs (or
-	// ArmFDPass) has passed the segment descriptors; pool-resident
-	// chunks are then pread directly with a generation check.
-	poolFD atomic.Pointer[poolFDState]
-
-	// poolFDOps and genMiss, when non-nil, count pool-fd preads and
+	// fdOps and genMiss, when non-nil, count descriptor preads and
 	// generation-check misses; wired by the transport so the series land
 	// beside its tier counters.
-	poolFDOps *obs.Counter
-	genMiss   *obs.Counter
+	fdOps   *obs.Counter
+	genMiss *obs.Counter
 }
 
-// poolFDState is the client-side view of a passed pool: the segment
-// descriptors to pread from, the read-only mapping of the server's
-// generation table, and the geometry that turns handles into (segment,
-// offset) pairs.
-type poolFDState struct {
-	meta      *os.File
-	metaRaw   []byte   // raw mmap backing gens; nil when chunks == 0
-	gens      []uint64 // shared per-chunk generations, atomically loaded
-	segs      []*os.File
-	segChunks int
-	chunks    int
+// fdState is the client-side view of the files a server passed: the
+// pool's segment descriptors with the read-only mapping of its
+// generation table, and the spill file. Either half may be absent.
+type fdState struct {
+	files    []*os.File // everything passed, owned until release
+	metaRaw  []byte     // raw mmap backing gens
+	gens     []uint64   // shared per-chunk generations, atomically loaded; empty without the pool
+	segs     []*os.File // pool segments, by file index; empty without the pool
+	spill    *os.File   // nil when the server has no spill tier
+	spillIdx int        // the spill file's index in loc replies
+}
+
+// file resolves a loc reply's file index, nil when that file was not
+// passed.
+func (st *fdState) file(idx int) *os.File {
+	switch {
+	case idx < len(st.segs):
+		return st.segs[idx]
+	case idx == st.spillIdx:
+		return st.spill
+	}
+	return nil
 }
 
 // release unmaps the generation table and closes every descriptor.
-func (st *poolFDState) release() {
+func (st *fdState) release() {
 	unmapPoolMeta(st.metaRaw)
-	st.meta.Close()
-	for _, f := range st.segs {
+	for _, f := range st.files {
 		f.Close()
 	}
 }
@@ -104,7 +109,7 @@ func Dial(addr string) (*Client, error) { return dialNet("tcp", addr) }
 // socket (see Options.LocalSocketDir and SocketPath). The protocol is
 // identical to TCP — framing, pipelining, every op — the connection
 // just skips the TCP stack. Additionally, a local client can call
-// FetchSpillFD to pread disk-spilled chunks directly.
+// FetchPoolFDs to pread chunks directly.
 func DialLocal(socketPath string) (*Client, error) { return dialNet("unix", socketPath) }
 
 func dialNet(network, addr string) (*Client, error) {
@@ -165,154 +170,116 @@ func (c *Client) ChunkSize() int { return c.chunkSize }
 // "unix".
 func (c *Client) Network() string { return c.network }
 
-// Close closes the connection (and any passed spill-file descriptor)
-// and waits for the demux goroutine to fail any in-flight requests and
-// exit.
+// Close closes the connection (and any passed descriptors) and waits
+// for the demux goroutine to fail any in-flight requests and exit.
 func (c *Client) Close() error {
 	err := c.conn.Close()
 	<-c.done
-	if f := c.spillF.Swap(nil); f != nil {
-		f.Close()
-	}
-	if st := c.poolFD.Swap(nil); st != nil {
+	if st := c.fds.Swap(nil); st != nil {
 		st.release()
 	}
 	return err
 }
 
-// fdConn dials the dedicated raw unix connection fd-pass handshakes
-// run on: descriptors must land exactly on a recvmsg boundary, which
-// the pipelined main connection cannot guarantee.
-func (c *Client) fdConn() (*net.UnixConn, error) {
+// FetchPoolFDs asks the server to pass the files it keeps chunks in —
+// the pool's generation table and segments, the spill file, whichever
+// it has — over SCM_RIGHTS, enabling the direct-pread fast path:
+// ReadInto then asks only where a chunk lives and preads it, so the
+// payload never moves through the socket. Only a unix-socket client on
+// a build with fd-passing can succeed; everyone else, and a client of a
+// server with nothing to pass, gets an error and keeps using OpRead.
+// The handshake runs on its own short-lived lock-step connection:
+// descriptors must land exactly on a recvmsg boundary, which the
+// pipelined main connection cannot guarantee.
+func (c *Client) FetchPoolFDs() error {
 	if c.network != "unix" || !zeroCopyAvailable {
-		return nil, errZCUnsupported
+		return errZCUnsupported
 	}
 	raw, err := net.Dial("unix", c.addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer raw.Close()
 	uc, ok := raw.(*net.UnixConn)
 	if !ok {
-		raw.Close()
-		return nil, errZCUnsupported
+		return errZCUnsupported
 	}
-	return uc, nil
-}
-
-// fetchSpillFDOn runs the OpSpillFD exchange on an established fd-pass
-// connection and installs the descriptor.
-func (c *Client) fetchSpillFDOn(uc *net.UnixConn) error {
-	f, err := recvFDOverUnix(uc)
+	files, g, err := recvFilesOverUnix(uc)
 	if err != nil {
 		return err
 	}
-	if old := c.spillF.Swap(f); old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// fetchPoolFDsOn runs the OpPoolFD exchange on an established fd-pass
-// connection, maps the generation table, and installs the state.
-func (c *Client) fetchPoolFDsOn(uc *net.UnixConn) error {
-	meta, segs, g, err := recvPoolFDsOverUnix(uc)
+	st, err := newFDState(files, g, c.chunkSize)
 	if err != nil {
 		return err
 	}
-	st := &poolFDState{meta: meta, segs: segs, segChunks: g.segChunks, chunks: g.chunks}
-	if g.chunkSize != c.chunkSize || g.segChunks <= 0 || g.chunks < 0 ||
-		(g.chunks+g.segChunks-1)/g.segChunks != len(segs) {
-		st.release()
-		return fmt.Errorf("wire: pool-fd geometry mismatch")
-	}
-	if st.metaRaw, st.gens, err = mapPoolMeta(meta, g.chunks); err != nil {
-		st.release()
-		return err
-	}
-	if old := c.poolFD.Swap(st); old != nil {
+	if old := c.fds.Swap(st); old != nil {
 		old.release()
 	}
 	return nil
 }
 
-// FetchSpillFD asks the server to pass its spill-file descriptor over
-// SCM_RIGHTS, enabling the direct-pread fast path for disk-spilled
-// chunks (ReadInto then never moves spilled bytes through the socket).
-// Only a unix-socket client on a build with fd-passing can succeed;
-// everyone else gets an error and keeps using OpRead, which the server
-// serves zero-copy anyway. The handshake runs on its own short-lived
-// lock-step connection.
-func (c *Client) FetchSpillFD() error {
-	uc, err := c.fdConn()
-	if err != nil {
-		return err
+// errFDGeometry refuses a handshake whose files and geometry disagree.
+var errFDGeometry = errors.New("wire: pool-fd geometry mismatch")
+
+// newFDState checks the passed files against the geometry that came
+// with them and maps the generation table. The geometry is the server's
+// word; the files are measured before anything is mapped on it, since a
+// load past the end of a short mapped file is a SIGBUS. On error every
+// file is closed.
+func newFDState(files []*os.File, g fdGeom, chunkSize int) (*fdState, error) {
+	st := &fdState{files: files}
+	if err := st.init(g, chunkSize); err != nil {
+		st.release()
+		return nil, err
 	}
-	defer uc.Close()
-	return c.fetchSpillFDOn(uc)
+	return st, nil
 }
 
-// FetchPoolFDs asks the server to pass its pool's segment and
-// generation-table descriptors over SCM_RIGHTS, enabling the
-// direct-pread fast path for pool-resident chunks: ReadInto then
-// resolves OpPoolLoc and preads the mapped segment, re-checking the
-// shared generation afterwards so a chunk freed or rewritten mid-read
-// is transparently retried over the socket. Same preconditions as
-// FetchSpillFD; servers whose pool is not file-backed refuse and the
-// client keeps using OpRead.
-func (c *Client) FetchPoolFDs() error {
-	uc, err := c.fdConn()
-	if err != nil {
-		return err
+// init fills st from its files, or says why they cannot be trusted.
+func (st *fdState) init(g fdGeom, chunkSize int) error {
+	if g.chunkSize != chunkSize || g.segChunks <= 0 || g.chunks < 0 {
+		return errFDGeometry
 	}
-	defer uc.Close()
-	return c.fetchPoolFDsOn(uc)
-}
-
-// ArmFDPass arms both direct-pread fast paths — spill file and pool
-// segments — over one dedicated lock-step connection (the handshakes
-// run back to back; each may be individually refused with
-// StatusBadRequest without poisoning the stream). It returns nil when
-// at least one path armed; a transport failure or double refusal
-// returns the first error.
-func (c *Client) ArmFDPass() error {
-	uc, err := c.fdConn()
-	if err != nil {
-		return err
+	st.spillIdx = g.segments()
+	want := 0
+	if g.flags&fdHasPool != 0 {
+		want += 1 + st.spillIdx
 	}
-	defer uc.Close()
-	spillErr := c.fetchSpillFDOn(uc)
-	if spillErr != nil && !errors.Is(spillErr, ErrBadRequest) {
-		// Anything but a clean refusal leaves the stream unusable.
-		return spillErr
+	if g.flags&fdHasSpill != 0 {
+		want++
 	}
-	poolErr := c.fetchPoolFDsOn(uc)
-	if spillErr == nil || poolErr == nil {
+	if len(st.files) != want {
+		return errFDGeometry
+	}
+	if g.flags&fdHasSpill != 0 {
+		st.spill = st.files[want-1]
+	}
+	if g.flags&fdHasPool == 0 {
 		return nil
 	}
-	return spillErr
+	table := st.files[0]
+	st.segs = st.files[1 : 1+st.spillIdx]
+	if !holds(table, int64(g.chunks)*8) {
+		return errFDGeometry
+	}
+	for i, f := range st.segs {
+		n := g.chunks - i*g.segChunks // the last segment holds the remainder
+		if n > g.segChunks {
+			n = g.segChunks
+		}
+		if !holds(f, int64(n)*int64(g.chunkSize)) {
+			return errFDGeometry
+		}
+	}
+	var err error
+	st.metaRaw, st.gens, err = mapPoolMeta(table, g.chunks)
+	return err
 }
 
-// HasSpillFD reports whether the spill direct-pread fast path is armed.
-func (c *Client) HasSpillFD() bool { return c.spillF.Load() != nil }
-
-// HasPoolFD reports whether the pool direct-pread fast path is armed.
-func (c *Client) HasPoolFD() bool { return c.poolFD.Load() != nil }
-
-// SpillLoc resolves a spilled chunk's stable region in the server's
-// spill file. Servers without a spill tier answer ErrBadRequest.
-func (c *Client) SpillLoc(handle int) (off int64, n int, err error) {
-	var head [5]byte
-	head[0] = OpSpillLoc
-	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
-	rep, err := c.do(head[:], nil, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(rep.body) != 12 {
-		return 0, 0, fmt.Errorf("wire: bad spill-loc response")
-	}
-	return int64(binary.LittleEndian.Uint64(rep.body[0:8])),
-		int(binary.LittleEndian.Uint32(rep.body[8:12])), nil
+// holds reports whether f is at least n bytes long.
+func holds(f *os.File, n int64) bool {
+	fi, err := f.Stat()
+	return err == nil && fi.Size() >= n
 }
 
 func (c *Client) limit() int {
@@ -491,17 +458,14 @@ func (c *Client) Read(handle int) ([]byte, error) {
 	return rep.body, nil
 }
 
-// locBufPool recycles the 12-byte destination buffers for the
-// OpSpillLoc exchange on the pread fast path.
-var locBufPool = sync.Pool{New: func() any { b := make([]byte, 12); return &b }}
+// locBufPool recycles the 24-byte destination buffers for the loc
+// exchange on the pread fast path.
+var locBufPool = sync.Pool{New: func() any { b := make([]byte, 24); return &b }}
 
-// poolLocBufPool does the same for the 24-byte OpPoolLoc responses.
-var poolLocBufPool = sync.Pool{New: func() any { b := make([]byte, 24); return &b }}
-
-// poolPreadTestHook, when non-nil, runs between the OpPoolLoc exchange
-// and the segment pread — the window the generation check guards. Tests
-// use it to free or rewrite the chunk deterministically mid-read.
-var poolPreadTestHook func()
+// preadTestHook, when non-nil, runs between the loc exchange and the
+// pread — the window the generation check guards. Tests use it to free
+// or rewrite the chunk deterministically mid-read.
+var preadTestHook func()
 
 // ReadInto fetches a chunk's contents directly into buf, avoiding any
 // intermediate allocation (the payload is decoded off the socket
@@ -509,20 +473,14 @@ var poolPreadTestHook func()
 // small the call fails with an error wrapping io.ErrShortBuffer; the
 // connection remains usable.
 //
-// A disk-spilled chunk, when the server's spill-file descriptor has
-// been fetched (FetchSpillFD), is pread straight from the file: only
-// the 13-byte OpSpillLoc exchange crosses the socket. A pool-resident
-// chunk, when the pool descriptors have been fetched (FetchPoolFDs),
-// likewise: only the 25-byte OpPoolLoc exchange crosses the socket,
-// and a generation mismatch after the pread (chunk freed or rewritten
-// mid-read) transparently falls back to OpRead.
+// When the server's files have been fetched (FetchPoolFDs) a chunk
+// living in one of them is pread straight from it: only the 29-byte loc
+// exchange crosses the socket, and a pool chunk whose generation moved
+// under the pread (freed or rewritten mid-read) transparently falls
+// back to OpRead.
 func (c *Client) ReadInto(handle int, buf []byte) (int, error) {
-	if handle&SpillHandleBit != 0 {
-		if f := c.spillF.Load(); f != nil {
-			return c.preadSpill(f, handle, buf)
-		}
-	} else if st := c.poolFD.Load(); st != nil {
-		if n, ok, err := c.preadPool(st, handle, buf); ok {
+	if st := c.fds.Load(); st != nil {
+		if n, ok, err := c.preadLoc(st, handle, buf); ok {
 			return n, err
 		}
 	}
@@ -536,41 +494,42 @@ func (c *Client) ReadInto(handle int, buf []byte) (int, error) {
 	return rep.n, nil
 }
 
-// preadPool is the pool-fd fast path: resolve the chunk's segment
-// location and generation with OpPoolLoc, pread the mapped segment,
-// then re-check the shared generation table. ok=false (with no error)
-// sends the caller to the OpRead fallback: the chunk moved under us —
-// a write was in progress (odd generation) or the generation changed
-// between the lookup and the pread.
-func (c *Client) preadPool(st *poolFDState, handle int, buf []byte) (n int, ok bool, err error) {
-	if handle < 0 || handle >= st.chunks {
+// preadLoc is the descriptor fast path: ask where the chunk lives, pread
+// that file, and for a pool chunk re-check the shared generation table
+// (a spilled chunk's region is stable for its lifetime). ok=false (with
+// no error) sends the caller to the OpRead fallback: the chunk's file
+// was not passed, or the chunk moved under us — a write was in progress
+// (odd generation) or the generation changed between the lookup and the
+// pread.
+func (c *Client) preadLoc(st *fdState, handle int, buf []byte) (n int, ok bool, err error) {
+	pool := handle&SpillHandleBit == 0
+	var head [5]byte
+	switch {
+	case !pool && st.spill != nil:
+		head[0] = OpSpillLoc
+	case pool && handle >= 0 && handle < len(st.gens):
+		head[0] = OpPoolLoc
+	default:
 		return 0, false, nil
 	}
-	var head [5]byte
-	head[0] = OpPoolLoc
 	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
-	bp := poolLocBufPool.Get().(*[]byte)
+	bp := locBufPool.Get().(*[]byte)
 	rep, err := c.do(head[:], nil, *bp)
-	if err != nil {
-		poolLocBufPool.Put(bp)
-		if errors.Is(err, ErrBadRequest) {
-			// A pre-OpPoolLoc server; use the socket path.
-			return 0, false, nil
+	if err != nil || rep.n != 24 {
+		locBufPool.Put(bp)
+		if err == nil {
+			err = fmt.Errorf("wire: bad loc response")
 		}
 		return 0, true, err
 	}
-	if rep.n != 24 {
-		poolLocBufPool.Put(bp)
-		return 0, true, fmt.Errorf("wire: bad pool-loc response")
-	}
-	seg := int(binary.LittleEndian.Uint32((*bp)[0:4]))
+	f := st.file(int(binary.LittleEndian.Uint32((*bp)[0:4])))
 	off := int64(binary.LittleEndian.Uint64((*bp)[4:12]))
 	n = int(binary.LittleEndian.Uint32((*bp)[12:16]))
 	gen := binary.LittleEndian.Uint64((*bp)[16:24])
-	poolLocBufPool.Put(bp)
-	if gen&1 == 1 || seg >= len(st.segs) {
-		// Odd: a write is mid-copy right now. A bad segment index means
-		// our mapping is stale. Either way the socket path has the
+	locBufPool.Put(bp)
+	if gen&1 == 1 || f == nil {
+		// Odd: a write is mid-copy right now. A file we do not hold
+		// means our view is stale. Either way the socket path has the
 		// authoritative bytes.
 		c.countGenMiss()
 		return 0, false, nil
@@ -579,22 +538,22 @@ func (c *Client) preadPool(st *poolFDState, handle int, buf []byte) (n int, ok b
 		return 0, true, fmt.Errorf("wire: %w: response is %d bytes, buffer holds %d",
 			io.ErrShortBuffer, n, len(buf))
 	}
-	if h := poolPreadTestHook; h != nil {
+	if h := preadTestHook; h != nil {
 		h()
 	}
 	if n > 0 {
-		if _, err := st.segs[seg].ReadAt(buf[:n], off); err != nil {
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
 			return 0, true, err
 		}
 	}
-	if atomic.LoadUint64(&st.gens[handle]) != gen {
+	if pool && atomic.LoadUint64(&st.gens[handle]) != gen {
 		// Freed, reallocated, or rewritten between the lookup and the
 		// pread: the copy may be torn. Retry over the socket.
 		c.countGenMiss()
 		return 0, false, nil
 	}
-	if c.poolFDOps != nil {
-		c.poolFDOps.Inc()
+	if c.fdOps != nil {
+		c.fdOps.Inc()
 	}
 	return n, true, nil
 }
@@ -604,35 +563,6 @@ func (c *Client) countGenMiss() {
 	if c.genMiss != nil {
 		c.genMiss.Inc()
 	}
-}
-
-// preadSpill is the fd-passing fast path: resolve the chunk's stable
-// region with OpSpillLoc, then pread it from the passed descriptor.
-func (c *Client) preadSpill(f *os.File, handle int, buf []byte) (int, error) {
-	var head [5]byte
-	head[0] = OpSpillLoc
-	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
-	bp := locBufPool.Get().(*[]byte)
-	rep, err := c.do(head[:], nil, *bp)
-	if err != nil {
-		locBufPool.Put(bp)
-		return 0, err
-	}
-	if rep.n != 12 {
-		locBufPool.Put(bp)
-		return 0, fmt.Errorf("wire: bad spill-loc response")
-	}
-	off := int64(binary.LittleEndian.Uint64((*bp)[0:8]))
-	n := int(binary.LittleEndian.Uint32((*bp)[8:12]))
-	locBufPool.Put(bp)
-	if n > len(buf) {
-		return 0, fmt.Errorf("wire: %w: response is %d bytes, buffer holds %d",
-			io.ErrShortBuffer, n, len(buf))
-	}
-	if _, err := f.ReadAt(buf[:n], off); err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // Free releases a chunk.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
 	"testing"
 
 	"spongefiles/internal/cluster"
@@ -22,8 +23,8 @@ func armPoolFDs(t *testing.T, c *Client) {
 		}
 		t.Fatalf("FetchPoolFDs over unix: %v", err)
 	}
-	if !c.HasPoolFD() {
-		t.Fatal("HasPoolFD = false after successful fetch")
+	if c.fds.Load() == nil {
+		t.Fatal("no fd state after a successful fetch")
 	}
 }
 
@@ -85,20 +86,21 @@ func TestPoolFDRefusedOverTCP(t *testing.T) {
 	if err := c.FetchPoolFDs(); err == nil {
 		t.Fatal("FetchPoolFDs over TCP succeeded, want error")
 	}
-	if c.HasPoolFD() {
-		t.Fatal("HasPoolFD = true over TCP")
+	if c.fds.Load() != nil {
+		t.Fatal("fd state installed over TCP")
 	}
 	if _, _, _, err := c.Stat(); err != nil {
 		t.Fatalf("client unusable after refused pool-fd fetch: %v", err)
 	}
 }
 
-// A raw OpPoolFD frame against a NoZeroCopy server must answer
-// StatusBadRequest — counting the refusal — rather than poison the
-// stream.
+// A raw OpPoolFD frame against a server with nothing to pass — a
+// zero-chunk pool has no generation table to back with a file, and
+// there is no spill tier — must answer StatusBadRequest, counting the
+// refusal, rather than poison the stream.
 func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 	dir := shortSockDir(t)
-	srv := startServerOptions(t, 1024, 2, Options{LocalSocketDir: dir, NoZeroCopy: true})
+	srv := startServerOptions(t, 1024, 0, Options{LocalSocketDir: dir})
 	conn, err := net.Dial("unix", srv.LocalSocket())
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +114,7 @@ func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(resp) != 1 || resp[0] != StatusBadRequest {
-		t.Fatalf("OpPoolFD on NoZeroCopy server = %v, want [StatusBadRequest]", resp)
+		t.Fatalf("OpPoolFD on a server with nothing to pass = %v, want [StatusBadRequest]", resp)
 	}
 	// The same connection still answers the hello.
 	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
@@ -126,58 +128,146 @@ func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 	}
 }
 
-// ArmFDPass runs both handshakes on one dedicated connection: a server
-// with both tiers arms both; a spill-less server cleanly refuses the
-// spill half (counted) and still arms the pool half on the same stream.
-func TestArmFDPassBothPathsOneConn(t *testing.T) {
+// One handshake arms whatever the server has, and a healthy dial counts
+// no failure: pool and spill file together, the pool alone, and — behind
+// a pool that cannot be passed — the spill file alone. The transport
+// runs the handshake on its unix dial; every read is then a loc
+// exchange under the chunk's own label plus a pread, never an OpRead.
+func TestFDHandshakeArmsWhateverTheServerHas(t *testing.T) {
 	if !zeroCopyAvailable {
 		t.Skip("fd passing needs the linux build")
 	}
-	dir := shortSockDir(t)
+	for _, tc := range []struct {
+		name       string
+		poolChunks int // 0: the pool answers ErrPoolNotMappable
+		spill      bool
+		writes     int
+		poolLocs   int64
+		spillLocs  int64
+	}{
+		{"spill-and-pool", 1, true, 3, 1, 2},
+		{"pool-only", 2, false, 2, 2, 0},
+		{"spill-only", 0, true, 2, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := shortSockDir(t)
+			opts := Options{LocalSocketDir: dir}
+			if tc.spill {
+				opts.SpillDir = t.TempDir()
+			}
+			srv := startServerOptions(t, 1024, tc.poolChunks, opts)
+			if _, _, err := srv.pool.SegmentFiles(); err == nil {
+				srv.pool.ReleaseSegmentFiles()
+			} else if tc.poolChunks > 0 {
+				t.Skipf("pool not file-backed on this host: %v", err)
+			}
+			tr := NewTransportOptions(map[int]string{1: srv.Addr()}, nil, TransportOptions{SocketDir: dir})
+			defer tr.Close()
+			peer := tr.Peer(1)
+			buf := make([]byte, 1024)
+			for i := 0; i < tc.writes; i++ {
+				data := bytes.Repeat([]byte{byte(0x30 + i)}, 1024-i)
+				h, err := peer.AllocWrite(nil, nil, sponge.TaskID{Node: 1, PID: 47}, data)
+				if err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+				if n, err := peer.Read(nil, nil, h, buf); err != nil || !bytes.Equal(buf[:n], data) {
+					t.Fatalf("read %d (handle %#x) corrupt (n=%d, err=%v)", i, h, n, err)
+				}
+			}
+			samples, err := obs.ParseText(srv.Metrics().Text())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []struct {
+				id string
+				n  int64
+			}{
+				{`spongewire_fdpass_fail_total{listen="` + srv.Addr() + `"}`, 0},
+				{reqID(srv.Addr(), "pool_fd"), 1},
+				{reqID(srv.Addr(), "pool_loc"), tc.poolLocs},
+				{reqID(srv.Addr(), "spill_loc"), tc.spillLocs},
+				{reqID(srv.Addr(), "read"), 0},
+			} {
+				if got := samples[want.id]; got != want.n {
+					t.Errorf("%s = %d, want %d", want.id, got, want.n)
+				}
+			}
+			if got := tierSample(t, tr.Metrics(), `sponge_transport_tier_total{tier="pool_fd"}`); got != int64(tc.writes) {
+				t.Errorf("descriptor preads = %d, want %d (every read)", got, tc.writes)
+			}
+		})
+	}
+}
 
-	t.Run("spill-and-pool", func(t *testing.T) {
-		srv := startServerOptions(t, 1024, 2, Options{LocalSocketDir: dir, SpillDir: t.TempDir()})
-		c, err := DialLocal(srv.LocalSocket())
+// A passed descriptor is measured before it is mapped: the geometry is
+// the server's word, and a generation table (or segment) shorter than
+// it claims would fault on the first load past the file's end. The
+// handshake is refused and reads stay on OpRead.
+func TestFDHandshakeRefusesShortFiles(t *testing.T) {
+	if !zeroCopyAvailable {
+		t.Skip("fd passing needs the linux build")
+	}
+	const chunk, lieChunks = 16, 1 << 20
+	sized := func(n int64) *os.File {
+		f, err := os.CreateTemp(t.TempDir(), "passed")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if err := c.ArmFDPass(); err != nil {
-			t.Fatalf("ArmFDPass: %v", err)
-		}
-		if !c.HasSpillFD() {
-			t.Error("spill fd not armed")
-		}
-		if !c.HasPoolFD() {
-			t.Skip("pool not file-backed on this host")
-		}
-		if got := tierSample(t, srv.Metrics(), `spongewire_fdpass_fail_total{listen="`+srv.Addr()+`"}`); got != 0 {
-			t.Errorf("fdpass failures = %d, want 0", got)
-		}
-	})
-
-	t.Run("pool-only", func(t *testing.T) {
-		srv := startServerOptions(t, 1024, 2, Options{LocalSocketDir: dir}) // no SpillDir
-		c, err := DialLocal(srv.LocalSocket())
-		if err != nil {
+		t.Cleanup(func() { f.Close() })
+		if err := f.Truncate(n); err != nil { // sparse: no blocks behind it
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if err := c.ArmFDPass(); err != nil {
-			t.Fatalf("ArmFDPass with refused spill half: %v", err)
-		}
-		if c.HasSpillFD() {
-			t.Error("spill fd armed on a spill-less server")
-		}
-		if !c.HasPoolFD() {
-			t.Skip("pool not file-backed on this host")
-		}
-		// The spill refusal rode the same connection as the successful
-		// pool handshake, and was counted.
-		if got := tierSample(t, srv.Metrics(), `spongewire_fdpass_fail_total{listen="`+srv.Addr()+`"}`); got != 1 {
-			t.Errorf("fdpass failures = %d, want 1 (refused spill half)", got)
-		}
-	})
+		return f
+	}
+	for _, tc := range []struct {
+		name       string
+		table, seg int64
+	}{
+		{"short-table", 4096, lieChunks * chunk},
+		{"short-segment", lieChunks * 8, 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := shortSockDir(t)
+			srv := startServerOptions(t, chunk, 1024, Options{LocalSocketDir: dir})
+			files := []*os.File{sized(tc.table), sized(tc.seg)}
+			srv.d.sendFDs = func(conn net.Conn) error {
+				return sendFilesOverUnix(conn.(*net.UnixConn), files,
+					fdGeom{segChunks: lieChunks, chunks: lieChunks, chunkSize: chunk, flags: fdHasPool})
+			}
+			c, err := DialLocal(srv.LocalSocket())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// A handle whose generation word lies past the table's one
+			// real page.
+			var h int
+			data := bytes.Repeat([]byte{0xC3}, chunk)
+			for h < 4096/8 {
+				if h, err = c.AllocWrite(sponge.TaskID{Node: 1, PID: 48}, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.FetchPoolFDs(); !errors.Is(err, errFDGeometry) {
+				t.Fatalf("FetchPoolFDs with a %s = %v, want the geometry-mismatch refusal", tc.name, err)
+			}
+			if c.fds.Load() != nil {
+				t.Fatal("fast path armed on files shorter than their geometry")
+			}
+			buf := make([]byte, chunk)
+			if n, err := c.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
+				t.Fatalf("ReadInto after the refusal = (%d, %v)", n, err)
+			}
+			samples, err := obs.ParseText(srv.Metrics().Text())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reads, locs := samples[reqID(srv.Addr(), "read")], samples[reqID(srv.Addr(), "pool_loc")]; reads != 1 || locs != 0 {
+				t.Errorf("read=%d pool_loc=%d, want the read on OpRead (1, 0)", reads, locs)
+			}
+		})
+	}
 }
 
 // A chunk freed and reallocated between the OpPoolLoc exchange and the
@@ -212,7 +302,7 @@ func TestPoolFDGenMissRetries(t *testing.T) {
 	c.genMiss = reg.Counter("x_gen_miss_total")
 
 	fired := false
-	poolPreadTestHook = func() {
+	preadTestHook = func() {
 		if fired {
 			return
 		}
@@ -227,7 +317,7 @@ func TestPoolFDGenMissRetries(t *testing.T) {
 			t.Errorf("mid-read realloc = (%d, %v), want handle %d", h2, err, h)
 		}
 	}
-	defer func() { poolPreadTestHook = nil }()
+	defer func() { preadTestHook = nil }()
 
 	buf := make([]byte, 2048)
 	n, err := c.ReadInto(h, buf)
@@ -295,15 +385,16 @@ func TestPoolFDReadAfterPoolClose(t *testing.T) {
 }
 
 // The seeded fault stream is a function of (seed, exchange order) only:
-// arming the pool-fd fast path must not perturb it — same drops, same
-// successes — while the armed run serves its reads via pread.
+// whether reads are pread from passed descriptors (the armed unix tier)
+// or cross the socket (TCP) must not perturb it — same drops, same
+// successes.
 func TestFaultStreamUnchangedByPoolFD(t *testing.T) {
 	dir := shortSockDir(t)
-	run := func(noFD bool) ([]bool, int64) {
+	run := func(socketDir string) ([]bool, int64) {
 		srv := startServerOptions(t, 1024, 4, Options{LocalSocketDir: dir})
 		defer srv.Close()
 		tr := NewTransportOptions(map[int]string{1: srv.Addr()}, nil,
-			TransportOptions{SocketDir: dir, NoFDPass: noFD})
+			TransportOptions{SocketDir: socketDir})
 		defer tr.Close()
 		ft := sponge.NewFaultTransport(tr, sponge.FaultConfig{
 			Seed: 42, DropRate: 0.4, Timeout: simtime.Millisecond,
@@ -332,8 +423,8 @@ func TestFaultStreamUnchangedByPoolFD(t *testing.T) {
 		sim.MustRun()
 		return pattern, tierSample(t, tr.Metrics(), `sponge_transport_tier_total{tier="pool_fd"}`)
 	}
-	armed, armedPreads := run(false)
-	plain, plainPreads := run(true)
+	armed, armedPreads := run(dir)
+	plain, plainPreads := run("")
 	if len(armed) != len(plain) {
 		t.Fatalf("pattern lengths differ: %d vs %d", len(armed), len(plain))
 	}
@@ -351,9 +442,9 @@ func TestFaultStreamUnchangedByPoolFD(t *testing.T) {
 		t.Fatal("drop rate 0.4 over 64 exchanges injected nothing; seeded stream broken")
 	}
 	if plainPreads != 0 {
-		t.Errorf("NoFDPass run counted %d pool-fd preads, want 0", plainPreads)
+		t.Errorf("TCP run counted %d descriptor preads, want 0", plainPreads)
 	}
 	if zeroCopyAvailable && armedPreads == 0 {
-		t.Error("armed run counted no pool-fd preads; fast path not exercised")
+		t.Error("armed run counted no descriptor preads; fast path not exercised")
 	}
 }

@@ -26,16 +26,19 @@
 // version and pool geometry and both sides switch to v2 framing; a peer
 // that answers StatusBadRequest does not speak the version and the dial
 // fails. v1 framing otherwise carries only the lock-step descriptor
-// handshakes (OpSpillFD, OpPoolFD) on their dedicated unix connection;
-// a daemon refuses any other op before the hello and drops the
-// connection. Under v2 the request ID multiplexes any number of
-// concurrent requests over one connection: the client demultiplexes
-// responses back to waiting callers by ID, and the server dispatches
-// requests through a bounded worker pool while serializing frame
-// writes, so responses may arrive in any order. Hot-path frames travel
-// as vectored writes (net.Buffers) — header and chunk payload are never
-// coalesced into one allocation — and both sides recycle chunk-sized
-// buffers.
+// handshake (OpPoolFD) on its dedicated unix connection; a daemon
+// refuses any other op before the hello and drops the connection. A
+// same-host client that has run the handshake holds every file the
+// server keeps chunks in — the pool's memfd segments and the spill file
+// — and reads a chunk by asking where it lives (OpPoolLoc, OpSpillLoc:
+// one reply layout) and preading that file itself. Under v2 the
+// request ID multiplexes any number of concurrent requests over one
+// connection: the client demultiplexes responses back to waiting
+// callers by ID, and the server dispatches requests through a bounded
+// worker pool while serializing frame writes, so responses may arrive
+// in any order. Hot-path frames travel as vectored writes (net.Buffers)
+// — header and chunk payload are never coalesced into one allocation —
+// and both sides recycle chunk-sized buffers.
 package wire
 
 import (
@@ -91,41 +94,36 @@ const (
 	// expose metrics identically; pre-metrics peers answer
 	// StatusBadRequest and scrapers degrade gracefully.
 	OpMetrics
-	// OpSpillLoc asks where a disk-spilled chunk lives in the server's
-	// append-coalesced spill file. Payload: handle (u32, SpillHandleBit
-	// set). Response: offset (u64), length (u32). Clients holding the
-	// spill-file descriptor (OpSpillFD) pread the payload themselves —
-	// the bytes never cross the socket. Servers without a spill tier
-	// answer StatusBadRequest.
+	// OpSpillLoc asks where a disk-spilled chunk lives; OpPoolLoc asks
+	// the same of a pool-resident one. The two codes are labels — the
+	// per-op request counters tell spill preads from pool preads — over
+	// one exchange, answered by one server function. Payload: handle
+	// (u32). Response: file index (u32), byte offset within that file
+	// (u64), length (u32), generation (u64). Files are numbered as the
+	// OpPoolFD handshake passed them: the pool's segments from 0, then
+	// the spill file. A client holding the descriptors preads the payload
+	// itself — the bytes never cross the socket. A pool chunk's
+	// generation is even at rest; the client accepts its pread only if
+	// the shared generation table still shows that value afterwards, and
+	// otherwise (chunk freed or rewritten mid-read) retries via OpRead.
+	// A spilled chunk's generation is 0: its region is stable for the
+	// record's lifetime and needs no re-check. A spill handle on a
+	// server without a spill tier answers StatusBadRequest.
 	OpSpillLoc
-	// OpSpillFD asks the server to pass its spill-file descriptor over
-	// SCM_RIGHTS. Only answered on a unix-socket connection, v1-framed,
-	// as the connection's sole exchange: the response frame is
-	// [StatusOK, b] where the final byte b travels in a sendmsg carrying
-	// the descriptor as ancillary data (fd-passing needs a recvmsg
-	// boundary, which the dedicated lock-step connection guarantees).
-	// TCP connections, spill-less servers, and non-linux builds answer a
-	// plain StatusBadRequest frame and callers degrade to OpRead.
-	OpSpillFD
-	// OpPoolLoc asks where a pool-resident chunk lives in the server's
-	// memfd-backed segments. Payload: handle (u32, SpillHandleBit
-	// clear). Response: segment index (u32), byte offset within the
-	// segment (u64), length (u32), generation (u64). Clients holding
-	// the segment descriptors (OpPoolFD) pread the payload themselves
-	// and accept it only if the shared generation table still shows the
-	// returned (even) generation afterwards; a mismatch means the chunk
-	// was freed or rewritten mid-read and the client retries via OpRead.
+	_ // 12, retired: the spill file's own descriptor handshake
 	OpPoolLoc
-	// OpPoolFD asks the server to pass its pool's memory-file
-	// descriptors over SCM_RIGHTS: the generation table first, then
-	// every segment in index order. Like OpSpillFD it is only answered
-	// on a unix-socket connection, v1-framed, lock-step: the response
-	// frame is [StatusOK, nfds] and the descriptors ride one sendmsg
-	// whose 12-byte data payload carries the pool geometry
-	// (segment-chunk capacity u32, chunk count u32, chunk size u32).
-	// TCP connections, heap-backed pools, non-linux builds, and pools
-	// too large for one SCM_RIGHTS message answer a plain
-	// StatusBadRequest frame; callers degrade to OpRead.
+	// OpPoolFD asks the server to pass the files it keeps chunks in over
+	// SCM_RIGHTS. Only answered on a unix-socket connection, v1-framed,
+	// lock-step (descriptors need a recvmsg boundary, which the
+	// pipelined stream cannot give): the response frame is StatusOK
+	// plus the 16-byte fdGeom — segment-chunk capacity, chunk count,
+	// chunk size, flags (all u32) — and rides one sendmsg with the
+	// descriptors as ancillary data. With fdHasPool the generation table
+	// comes first, then every segment in index order; with fdHasSpill
+	// the spill file comes last. TCP connections, non-linux builds, and
+	// servers with nothing to pass (a heap-backed or over-large pool and
+	// no spill tier) answer a plain StatusBadRequest frame; callers
+	// degrade to OpRead.
 	OpPoolFD
 	// OpFreeDelta pushes one sequence-numbered incremental free-space
 	// report from a sponge server to a tracker (the delta-dissemination
@@ -154,6 +152,31 @@ const (
 
 // opMax is the highest op code, sizing per-op tables.
 const opMax = OpTrackerInfo
+
+// fdGeom is the layout that rides the OpPoolFD handshake: the receiver
+// needs it to check the passed files against, to size its view of the
+// generation table, and to know which file index means the spill file
+// (the pool's segment count, whether or not the segments were passed).
+type fdGeom struct {
+	segChunks int // chunk capacity of one segment slab
+	chunks    int // total chunk count
+	chunkSize int // real bytes per chunk
+	flags     int // fdHasPool | fdHasSpill
+}
+
+// fdGeom flags: which files the handshake carries.
+const (
+	fdHasPool  = 1 << iota // generation table, then every pool segment
+	fdHasSpill             // the spill file, last
+)
+
+// scmMaxFD is the kernel's per-message SCM_RIGHTS descriptor cap; a
+// pool whose generation table and segments would not fit beside the
+// spill file is not passed.
+const scmMaxFD = 253
+
+// segments is the pool's segment count.
+func (g fdGeom) segments() int { return (g.chunks + g.segChunks - 1) / g.segChunks }
 
 // SpillHandleBit distinguishes disk-spilled chunk handles from pool
 // handles in the shared u32 handle space: pool handles index chunk
@@ -270,10 +293,10 @@ var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return 
 // writeFrameFile queues one frame whose payload lives in a file region:
 // the pre-built header (frame header plus status byte) goes through the
 // write buffer, which is then flushed so the payload can follow via
-// sendfile — or, when the connection refuses zero-copy or noZC forces
-// the portable path, via a pooled pread+write loop. Returns the payload
-// bytes that moved zero-copy (0 on the buffered path).
-func (w *frameWriter) writeFrameFile(hdr []byte, fr fileRef, noZC bool) (int64, error) {
+// sendfile — or, when the connection refuses zero-copy (and always off
+// linux), via a pooled pread+write loop. Returns the payload bytes that
+// moved zero-copy (0 on the buffered path).
+func (w *frameWriter) writeFrameFile(hdr []byte, fr fileRef) (int64, error) {
 	w.q.Add(1)
 	w.mu.Lock()
 	err := w.err
@@ -290,7 +313,7 @@ func (w *frameWriter) writeFrameFile(hdr []byte, fr fileRef, noZC bool) (int64, 
 	}
 	var zc int64
 	if err == nil {
-		if !noZC && !w.zcOff {
+		if !w.zcOff {
 			if w.zc == nil {
 				if w.zc = newZeroCopier(w.conn); w.zc == nil {
 					w.zcOff = true

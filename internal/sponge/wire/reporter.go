@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"spongefiles/internal/obs"
@@ -29,8 +28,7 @@ type deltaReporter struct {
 	interval time.Duration
 	free     func() int
 
-	mu      sync.Mutex
-	clients map[string]*Client
+	clients clientCache
 	cur     int // index of the tracker believed to lead
 
 	seq  uint64
@@ -52,7 +50,6 @@ func newDeltaReporter(addr string, trackers []string, interval time.Duration, fr
 		trackers:  append([]string(nil), trackers...),
 		interval:  interval,
 		free:      free,
-		clients:   make(map[string]*Client),
 		last:      -1,
 		reports:   reg.Counter("spongewire_delta_reports_total", listen),
 		rotations: reg.Counter("spongewire_delta_rotations_total", listen),
@@ -68,13 +65,7 @@ func newDeltaReporter(addr string, trackers []string, interval time.Duration, fr
 func (r *deltaReporter) close() {
 	close(r.stop)
 	<-r.done
-	r.mu.Lock()
-	clients := r.clients
-	r.clients = make(map[string]*Client)
-	r.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
-	}
+	r.clients.close()
 }
 
 func (r *deltaReporter) loop() {
@@ -104,7 +95,7 @@ func (r *deltaReporter) tick() {
 	r.seq++
 	for i := 0; i < len(r.trackers); i++ {
 		idx := (r.cur + i) % len(r.trackers)
-		c, err := r.trackerClient(r.trackers[idx])
+		c, err := r.clients.get(r.trackers[idx])
 		if err != nil {
 			r.sendErrs.Inc()
 			continue
@@ -118,7 +109,7 @@ func (r *deltaReporter) tick() {
 		}
 		if err != nil {
 			r.sendErrs.Inc()
-			r.dropClient(r.trackers[idx], c)
+			r.clients.drop(r.trackers[idx], c)
 			continue
 		}
 		// Applied or deduplicated by a leader: either way it has this
@@ -130,30 +121,4 @@ func (r *deltaReporter) tick() {
 	}
 	// No tracker took the report; leave last unchanged so the next
 	// tick retries with a fresh sequence.
-}
-
-func (r *deltaReporter) trackerClient(addr string) (*Client, error) {
-	r.mu.Lock()
-	c := r.clients[addr]
-	r.mu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.clients[addr] = c
-	r.mu.Unlock()
-	return c, nil
-}
-
-func (r *deltaReporter) dropClient(addr string, c *Client) {
-	r.mu.Lock()
-	if r.clients[addr] == c {
-		delete(r.clients, addr)
-	}
-	r.mu.Unlock()
-	c.Close()
 }

@@ -60,11 +60,6 @@ type Options struct {
 	SpillDir string
 	// SpillChunks caps the live chunks in the spill file; 0 = unbounded.
 	SpillChunks int
-	// NoZeroCopy forces the portable buffered fallback for spill-file
-	// responses even where sendfile is available, and stops the server
-	// answering OpSpillFD. Benchmark and CI control — it exercises the
-	// non-linux code path on any OS.
-	NoZeroCopy bool
 	// Trackers lists replicated tracker addresses this sponge server
 	// pushes OpFreeDelta reports to when its free count changes. The
 	// reporter finds the leader by rotation: a standby answers "not the
@@ -148,7 +143,7 @@ type fileRef struct {
 // daemon is the connection-serving core shared by the sponge server and
 // the TCP tracker: it accepts connections on every listener (TCP,
 // optionally a same-host unix socket), answers the v1-framed handshakes
-// (OpHello, OpSpillFD, OpPoolFD), and once the hello has switched the
+// (OpHello, OpPoolFD), and once the hello has switched the
 // connection to pipelined v2 framing feeds every request through the
 // owner's dispatch function. Responses may come from the
 // recycled-buffer pool; dispatch results are handed back to recycle
@@ -164,13 +159,10 @@ type daemon struct {
 	frameLimit int
 	helloResp  func() []byte
 	dispatch   func(req []byte) ([]byte, fileRef)
-	// sendFD, when non-nil, answers OpSpillFD on a unix connection by
-	// passing the spill-file descriptor over SCM_RIGHTS. Wired by the
-	// sponge server when it has a spill tier; nil answers
-	// StatusBadRequest. sendPoolFD does the same for OpPoolFD with the
-	// pool's segment descriptors.
-	sendFD     func(conn net.Conn) error
-	sendPoolFD func(conn net.Conn) error
+	// sendFDs, when non-nil, answers OpPoolFD on a unix connection by
+	// passing the owner's files over SCM_RIGHTS. Wired by the sponge
+	// server; nil (the tracker) answers StatusBadRequest.
+	sendFDs func(conn net.Conn) error
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -190,8 +182,8 @@ type daemon struct {
 
 	// bufs recycles chunk-size-class request and response buffers so the
 	// steady-state hot path does not allocate. small does the same for
-	// header-size exchanges (spill_loc on the fd-passing fast path runs
-	// nothing but 13-byte responses).
+	// header-size exchanges (the fd-passing fast path runs nothing but
+	// 25-byte loc responses).
 	bufs  sync.Pool
 	small sync.Pool
 
@@ -209,7 +201,7 @@ const (
 // minRecycledBuf is the smallest buffer worth pooling in the chunk
 // class; smallRecycledBuf is the fixed capacity of the small class that
 // keeps header-size requests and responses (≤ 64 bytes: alloc_write and
-// stat replies, spill_loc exchanges) off the allocator too. Buffers
+// stat replies, loc exchanges) off the allocator too. Buffers
 // between the two classes are cheaper to allocate than to pool.
 const (
 	minRecycledBuf   = 1 << 10
@@ -230,7 +222,6 @@ var opNames = [opMax + 1]string{
 	OpFreeList:     "free_list",
 	OpMetrics:      "metrics",
 	OpSpillLoc:     "spill_loc",
-	OpSpillFD:      "spill_fd",
 	OpPoolLoc:      "pool_loc",
 	OpPoolFD:       "pool_fd",
 	OpFreeDelta:    "free_delta",
@@ -455,7 +446,7 @@ func (d *daemon) writeFile(fw *frameWriter, id uint32, fr fileRef) error {
 	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
 	binary.LittleEndian.PutUint32(hdr[4:8], id)
-	zc, err := fw.writeFrameFile(hdr, fr, d.opts.NoZeroCopy)
+	zc, err := fw.writeFrameFile(hdr, fr)
 	*hp = hdr[:0]
 	hdrPool.Put(hp)
 	if zc > 0 {
@@ -471,11 +462,11 @@ func (d *daemon) writeFile(fw *frameWriter, id uint32, fr fileRef) error {
 // itself cannot make the daemon size a buffer.
 const preHelloLimit = 2
 
-// handle serves a connection's v1-framed prologue: fd-pass handshakes,
-// any number of them, then the OpHello that switches the connection to
-// v2 framing for the rest of its life. Anything else is refused and the
-// connection dropped. All writes flow through one batching frame
-// writer, shared with the v2 phase.
+// handle serves a connection's v1-framed prologue: the fd-pass
+// handshake, any number of times, then the OpHello that switches the
+// connection to v2 framing for the rest of its life. Anything else is
+// refused and the connection dropped. All writes flow through one
+// batching frame writer, shared with the v2 phase.
 func (d *daemon) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFrameWriter(conn, d.opts.WriteTimeout)
@@ -487,32 +478,22 @@ func (d *daemon) handle(conn net.Conn) {
 		}
 		d.countOp(req)
 		switch {
-		case len(req) == 1 && (req[0] == OpSpillFD || req[0] == OpPoolFD):
+		case len(req) == 1 && req[0] == OpPoolFD:
 			// Descriptor passing happens outside the frame writer: the
 			// exchange owns the connection (lock-step, nothing buffered)
-			// and the descriptors must ride their own sendmsg. Both fd
-			// ops share one dedicated connection: a client arms spill
-			// and pool passing back to back on the same lock-step
-			// stream.
-			send := d.sendFD
-			if req[0] == OpPoolFD {
-				send = d.sendPoolFD
+			// and the descriptors must ride their own sendmsg.
+			err := errZCUnsupported
+			if d.sendFDs != nil {
+				err = d.sendFDs(conn)
 			}
-			if send != nil && !d.opts.NoZeroCopy {
-				switch err := send(conn); err {
-				case nil:
-					continue
-				case errZCUnsupported:
-					// TCP connection, heap-backed pool, or portable
-					// build: degrade to the plain refusal below, stream
-					// intact.
-				default:
-					d.fdFail.Inc()
-					return // a half-written handshake poisons the stream
-				}
+			if err == nil {
+				continue
 			}
 			d.fdFail.Inc()
-			if err := writeFrameV1(fw, []byte{StatusBadRequest}); err != nil {
+			// errZCUnsupported — TCP connection, nothing to pass, or
+			// portable build — wrote nothing: refuse, stream intact. Any
+			// other failure is a half-written handshake that poisons it.
+			if err != errZCUnsupported || writeFrameV1(fw, []byte{StatusBadRequest}) != nil {
 				return
 			}
 		case len(req) == 2 && req[0] == OpHello && req[1] >= ProtocolV2:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 
 	"spongefiles/internal/obs"
 	"spongefiles/internal/sponge"
@@ -27,17 +28,18 @@ import (
 // append-coalesced spill file instead of failing, and reads of those
 // chunks are served zero-copy — sendfile from the stable file region on
 // linux, a pooled buffered copy elsewhere. Same-host clients can go one
-// step further: they fetch the spill-file descriptor once over
-// SCM_RIGHTS (OpSpillFD) and pread chunk regions themselves
-// (OpSpillLoc), so spilled bytes never cross the socket at all.
-// Spilled chunks are not owner-tracked: they are freed explicitly like
-// any other chunk, and the file reclaims wholesale when its last
-// record dies.
+// step further: they fetch the server's files once over SCM_RIGHTS
+// (OpPoolFD) — the pool's memfd segments and the spill file alike — and
+// pread chunk regions themselves (OpPoolLoc, OpSpillLoc), so the bytes
+// never cross the socket at all. Spilled chunks are not owner-tracked:
+// they are freed explicitly like any other chunk, and the file reclaims
+// wholesale when its last record dies.
 type Server struct {
 	pool     *sponge.Pool
 	live     Liveness
 	d        *daemon
 	spill    *spillFile     // nil without Options.SpillDir
+	geom     fdGeom         // the pool's layout, as the fd handshake states it
 	reporter *deltaReporter // nil without Options.Trackers
 
 	spillAllocs *obs.Counter
@@ -54,7 +56,11 @@ func Serve(pool *sponge.Pool, addr string) (*Server, error) {
 // disk-spill tier, and optionally an external task-liveness registry
 // shared with the in-process sponge server.
 func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error) {
-	s := &Server{pool: pool, live: opts.Liveness}
+	s := &Server{pool: pool, live: opts.Liveness, geom: fdGeom{
+		segChunks: pool.SegmentChunks(),
+		chunks:    pool.Chunks(),
+		chunkSize: pool.ChunkSize(),
+	}}
 	if s.live == nil {
 		s.live = newMapLiveness()
 	}
@@ -73,13 +79,7 @@ func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error)
 		return nil, err
 	}
 	s.d = d
-	if s.spill != nil {
-		d.sendFD = s.sendSpillFD
-	}
-	// Pool-fd passing is always offered; sendPoolFD refuses by itself
-	// when the pool's slabs are not file-backed (portable builds, hosts
-	// without memfd) and clients degrade to OpRead.
-	d.sendPoolFD = s.sendPoolFD
+	d.sendFDs = s.sendFDs
 	// Pool state rides along in the scrape as live gauges, labeled by
 	// listen address like the daemon's own series.
 	listen := obs.L("listen", d.addr())
@@ -135,41 +135,37 @@ func (s *Server) Close() error {
 // TaskAlive reports whether a pid is registered live on this node.
 func (s *Server) TaskAlive(pid uint64) bool { return s.live.Alive(pid) }
 
-// sendSpillFD answers one OpSpillFD exchange: pass the spill-file
-// descriptor over the unix connection's SCM_RIGHTS. Non-unix
-// connections (and non-linux builds, via the stub) degrade to
-// errZCUnsupported, which the daemon answers as StatusBadRequest.
-func (s *Server) sendSpillFD(conn net.Conn) error {
-	uc, ok := conn.(*net.UnixConn)
-	if !ok {
-		return errZCUnsupported
-	}
-	return sendFDOverUnix(uc, int(s.spill.file().Fd()))
-}
-
-// sendPoolFD answers one OpPoolFD exchange: pass the pool's
-// generation-table and segment descriptors over the unix connection's
-// SCM_RIGHTS. Non-unix connections, heap-backed pools, and non-linux
-// builds degrade to errZCUnsupported, which the daemon answers as
+// sendFDs answers one OpPoolFD exchange: pass whatever files this
+// server keeps chunks in over the unix connection's SCM_RIGHTS — the
+// pool's generation table and segments when they are file-backed (and
+// fit one message beside the spill file), the spill file when there is
+// a spill tier. Non-unix connections, non-linux builds, and a server
+// with neither degrade to errZCUnsupported, which the daemon answers as
 // StatusBadRequest.
-func (s *Server) sendPoolFD(conn net.Conn) error {
+func (s *Server) sendFDs(conn net.Conn) error {
 	uc, ok := conn.(*net.UnixConn)
 	if !ok {
 		return errZCUnsupported
 	}
-	meta, segs, err := s.pool.SegmentFiles()
-	if err != nil {
+	g := s.geom
+	var files []*os.File
+	if meta, segs, err := s.pool.SegmentFiles(); err == nil {
+		// The hold keeps a concurrent Pool.Close from destroying the
+		// descriptors while the sendmsg is in flight.
+		defer s.pool.ReleaseSegmentFiles()
+		if 2+len(segs) <= scmMaxFD {
+			files = append(append(files, meta), segs...)
+			g.flags |= fdHasPool
+		}
+	}
+	if s.spill != nil {
+		files = append(files, s.spill.file())
+		g.flags |= fdHasSpill
+	}
+	if len(files) == 0 {
 		return errZCUnsupported
 	}
-	// The hold keeps a concurrent Pool.Close from destroying the
-	// descriptors while the sendmsg is in flight.
-	defer s.pool.ReleaseSegmentFiles()
-	g := poolGeom{
-		segChunks: s.pool.SegmentChunks(),
-		chunks:    s.pool.Chunks(),
-		chunkSize: s.pool.ChunkSize(),
-	}
-	return sendPoolFDsOverUnix(uc, meta, segs, g)
+	return sendFilesOverUnix(uc, files, g)
 }
 
 // helloResponse builds the v1-framed reply to OpHello: status, version,
@@ -208,6 +204,11 @@ func (s *Server) dispatch(req []byte) ([]byte, fileRef) {
 			return []byte{StatusBadRequest}, fileRef{}
 		}
 		data := payload[12:]
+		if len(data) > s.pool.ChunkSize() {
+			// The frame limit leaves slack past the chunk size; a chunk
+			// does not (Pool.Write panics on overflow).
+			return []byte{StatusBadRequest}, fileRef{}
+		}
 		h, err := s.pool.Alloc(owner)
 		if err == nil {
 			if werr := s.pool.Write(h, data); werr != nil {
@@ -274,44 +275,8 @@ func (s *Server) dispatch(req []byte) ([]byte, fileRef) {
 		}
 		s.pool.FreeChunk(h)
 		return []byte{StatusOK}, fileRef{}
-	case OpSpillLoc:
-		if len(payload) != 4 || s.spill == nil {
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		h := int(binary.LittleEndian.Uint32(payload))
-		if h&SpillHandleBit == 0 {
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		off, n, err := s.spill.loc(h)
-		if err != nil {
-			return []byte{errStatus(err)}, fileRef{}
-		}
-		// Pooled: this is the fd-passing fast path's per-read exchange.
-		out := s.d.getBuf(13)
-		out[0] = StatusOK
-		binary.LittleEndian.PutUint64(out[1:9], uint64(off))
-		binary.LittleEndian.PutUint32(out[9:13], uint32(n))
-		return out, fileRef{}
-	case OpPoolLoc:
-		if len(payload) != 4 {
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		h := int(binary.LittleEndian.Uint32(payload))
-		if h&SpillHandleBit != 0 {
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		seg, off, n, gen, err := s.pool.Loc(h)
-		if err != nil {
-			return []byte{errStatus(err)}, fileRef{}
-		}
-		// Pooled: this is the pool-fd fast path's per-read exchange.
-		out := s.d.getBuf(25)
-		out[0] = StatusOK
-		binary.LittleEndian.PutUint32(out[1:5], uint32(seg))
-		binary.LittleEndian.PutUint64(out[5:13], uint64(off))
-		binary.LittleEndian.PutUint32(out[13:17], uint32(n))
-		binary.LittleEndian.PutUint64(out[17:25], gen)
-		return out, fileRef{}
+	case OpPoolLoc, OpSpillLoc:
+		return s.loc(payload), fileRef{}
 	case OpStat:
 		out := make([]byte, 13)
 		out[0] = StatusOK
@@ -341,6 +306,44 @@ func (s *Server) dispatch(req []byte) ([]byte, fileRef) {
 		return []byte{StatusOK}, fileRef{}
 	}
 	return []byte{StatusBadRequest}, fileRef{}
+}
+
+// loc answers OpPoolLoc and OpSpillLoc — one exchange under two labels:
+// where the chunk lives among the files sendFDs passes (the pool's
+// segments from index 0, then the spill file), and the generation an
+// fd-holding reader re-checks after its pread. A spilled chunk reports
+// generation 0: its region is stable for the record's lifetime.
+func (s *Server) loc(payload []byte) []byte {
+	if len(payload) != 4 {
+		return []byte{StatusBadRequest}
+	}
+	h := int(binary.LittleEndian.Uint32(payload))
+	var (
+		idx, n int
+		off    int64
+		gen    uint64
+		err    error
+	)
+	switch {
+	case h&SpillHandleBit == 0:
+		idx, off, n, gen, err = s.pool.Loc(h)
+	case s.spill != nil:
+		idx = s.geom.segments()
+		off, n, err = s.spill.loc(h)
+	default:
+		return []byte{StatusBadRequest}
+	}
+	if err != nil {
+		return []byte{errStatus(err)}
+	}
+	// Pooled: this is the pread fast path's per-read exchange.
+	out := s.d.getBuf(25)
+	out[0] = StatusOK
+	binary.LittleEndian.PutUint32(out[1:5], uint32(idx))
+	binary.LittleEndian.PutUint64(out[5:13], uint64(off))
+	binary.LittleEndian.PutUint32(out[13:17], uint32(n))
+	binary.LittleEndian.PutUint64(out[17:25], gen)
+	return out
 }
 
 func errStatus(err error) byte {

@@ -94,14 +94,14 @@ func (s *spillFile) append(data []byte) (int, error) {
 }
 
 // loc resolves a spill handle to its stable file region.
-func (s *spillFile) loc(handle int) (off int64, n int32, err error) {
+func (s *spillFile) loc(handle int) (off int64, n int, err error) {
 	slot := handle &^ SpillHandleBit
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slot < 0 || slot >= len(s.recs) || !s.recs[slot].live {
 		return 0, 0, sponge.ErrNoFreeChunk
 	}
-	return s.recs[slot].off, s.recs[slot].n, nil
+	return s.recs[slot].off, int(s.recs[slot].n), nil
 }
 
 // freeRec releases one record. When the last live record goes, the file

@@ -47,12 +47,8 @@ func benchTierRead(b *testing.B, opts Options, dial func(*Server) (*Client, erro
 		b.Fatal(err)
 	}
 	if fdPass {
-		if spill {
-			if err := c.FetchSpillFD(); err != nil {
-				b.Skipf("fd passing unavailable: %v", err)
-			}
-		} else if err := c.FetchPoolFDs(); err != nil {
-			b.Skipf("pool-fd passing unavailable: %v", err)
+		if err := c.FetchPoolFDs(); err != nil {
+			b.Skipf("fd passing unavailable: %v", err)
 		}
 	}
 	buf := make([]byte, chunk)
@@ -87,11 +83,6 @@ func BenchmarkTierReadUnixLocal(b *testing.B) {
 
 func BenchmarkTierReadSpillTCPSendfile(b *testing.B) {
 	benchTierRead(b, Options{SpillDir: os.TempDir()},
-		func(s *Server) (*Client, error) { return Dial(s.Addr()) }, true, false)
-}
-
-func BenchmarkTierReadSpillTCPPortable(b *testing.B) {
-	benchTierRead(b, Options{SpillDir: os.TempDir(), NoZeroCopy: true},
 		func(s *Server) (*Client, error) { return Dial(s.Addr()) }, true, false)
 }
 

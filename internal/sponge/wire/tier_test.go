@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"spongefiles/internal/cluster"
@@ -241,22 +242,70 @@ func fillPool(t *testing.T, c *Client, owner sponge.TaskID, chunk, chunks int) [
 	return handles
 }
 
+// servePortable fronts srv with a TCP listener whose accepted
+// connections reach the daemon wrapped so that SyscallConn is hidden:
+// the frame writer finds no raw socket to sendfile into and serves file
+// payloads through the portable pread+write loop — the only path off
+// linux — with no knob involved. It returns the address to dial.
+func servePortable(t *testing.T, srv *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				srv.d.handle(struct{ net.Conn }{conn})
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
 // A full pool overflows into the spill file; spilled chunks read back
 // intact (the sendfile serve path on linux, the pooled buffered path
-// elsewhere or under NoZeroCopy) and their frees reclaim the file.
+// elsewhere or behind a connection that hides its socket) and their
+// frees reclaim the file.
 func TestSpillOverflowRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name     string
+		portable bool
 	}{
-		{"zerocopy", Options{}},
-		{"portable", Options{NoZeroCopy: true}},
+		{"zerocopy", false},
+		{"portable", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.SpillDir = t.TempDir()
-			srv := startServerOptions(t, 2048, 2, opts)
-			c, err := Dial(srv.Addr())
+			srv := startServerOptions(t, 2048, 2, Options{SpillDir: t.TempDir()})
+			addr := srv.Addr()
+			if tc.portable {
+				addr = servePortable(t, srv)
+			}
+			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,10 +338,6 @@ func TestSpillOverflowRoundTrip(t *testing.T) {
 				if err != nil || !bytes.Equal(buf[:n], payloads[i]) {
 					t.Fatalf("spill ReadInto %d corrupt (err=%v)", i, err)
 				}
-				off, ln, err := c.SpillLoc(h)
-				if err != nil || ln != len(payloads[i]) || off < 0 {
-					t.Fatalf("SpillLoc %d = (%d, %d, %v)", i, off, ln, err)
-				}
 			}
 			for _, h := range append(poolHandles, spilled...) {
 				if err := c.Free(h); err != nil {
@@ -315,7 +360,7 @@ func TestSpillOverflowRoundTrip(t *testing.T) {
 			listen := `{listen="` + srv.Addr() + `"}`
 			zc := samples["spongewire_serve_zero_copy_bytes_total"+listen]
 			fb := samples["spongewire_serve_zero_copy_fallback_total"+listen]
-			if tc.opts.NoZeroCopy || !zeroCopyAvailable {
+			if tc.portable || !zeroCopyAvailable {
 				if zc != 0 || fb == 0 {
 					t.Errorf("portable path: zero_copy_bytes=%d fallback=%d, want 0 and >0", zc, fb)
 				}
@@ -348,8 +393,8 @@ func TestSpillChunkCap(t *testing.T) {
 	}
 }
 
-// The fd-passing fast path: a unix-tier client fetches the spill-file
-// descriptor once and preads spilled chunks directly.
+// The fd-passing fast path: a unix-tier client fetches the server's
+// files once and preads spilled chunks directly from the spill file.
 func TestSpillFDPassing(t *testing.T) {
 	if !zeroCopyAvailable {
 		t.Skip("fd passing needs the linux build")
@@ -371,11 +416,11 @@ func TestSpillFDPassing(t *testing.T) {
 	if h&SpillHandleBit == 0 {
 		t.Fatalf("alloc got pool handle %#x, want spill", h)
 	}
-	if err := c.FetchSpillFD(); err != nil {
-		t.Fatalf("FetchSpillFD over unix: %v", err)
+	if err := c.FetchPoolFDs(); err != nil {
+		t.Fatalf("FetchPoolFDs over unix: %v", err)
 	}
-	if !c.HasSpillFD() {
-		t.Fatal("HasSpillFD = false after successful fetch")
+	if c.fds.Load() == nil {
+		t.Fatal("no fd state after a successful fetch")
 	}
 	buf := make([]byte, 2048)
 	n, err := c.ReadInto(h, buf)
@@ -408,43 +453,14 @@ func TestSpillFDRefusedOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.FetchSpillFD(); err == nil {
-		t.Fatal("FetchSpillFD over TCP succeeded, want error")
+	if err := c.FetchPoolFDs(); err == nil {
+		t.Fatal("FetchPoolFDs over TCP succeeded, want error")
 	}
-	if c.HasSpillFD() {
-		t.Fatal("HasSpillFD = true over TCP")
+	if c.fds.Load() != nil {
+		t.Fatal("fd state installed over TCP")
 	}
 	if _, _, _, err := c.Stat(); err != nil {
 		t.Fatalf("client unusable after refused fd fetch: %v", err)
-	}
-}
-
-// A raw OpSpillFD frame against a spill-less (or NoZeroCopy) server
-// must answer StatusBadRequest rather than poison the stream.
-func TestSpillFDBadRequestKeepsStream(t *testing.T) {
-	dir := shortSockDir(t)
-	srv := startServerOptions(t, 1024, 2, Options{LocalSocketDir: dir}) // no SpillDir
-	conn, err := net.Dial("unix", srv.LocalSocket())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, []byte{OpSpillFD}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(conn, handshakeLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) != 1 || resp[0] != StatusBadRequest {
-		t.Fatalf("OpSpillFD on spill-less server = %v, want [StatusBadRequest]", resp)
-	}
-	// The same connection still answers the hello.
-	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != helloRespLen || resp[0] != StatusOK {
-		t.Fatalf("hello after refused OpSpillFD = (%v, %v)", resp, err)
 	}
 }
 
@@ -500,7 +516,8 @@ func TestFaultStreamIdenticalAcrossTiers(t *testing.T) {
 }
 
 // Steady-state chunk reads over the wire — pool chunks over both tiers,
-// and spilled chunks over every serve path — must not allocate once
+// spilled chunks via sendfile and via the portable pread+write loop, and
+// either kind pread from a passed descriptor — must not allocate once
 // warm, client or server side (the server runs in-process, so
 // AllocsPerRun sees its worker pool too).
 func TestWireReadSteadyStateAllocationFree(t *testing.T) {
@@ -509,22 +526,21 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 	}
 	dir := shortSockDir(t)
 	const chunk = 64 << 10
+	tcp := func(_ *testing.T, s *Server) (*Client, error) { return Dial(s.Addr()) }
+	unix := func(_ *testing.T, s *Server) (*Client, error) { return DialLocal(s.LocalSocket()) }
+	portable := func(t *testing.T, s *Server) (*Client, error) { return Dial(servePortable(t, s)) }
 	for _, tc := range []struct {
 		name string
 		opts Options
-		dial func(*Server) (*Client, error)
-		arm  func(*Client) // optional extra setup (fd passing)
+		dial func(*testing.T, *Server) (*Client, error)
+		arm  bool // run the descriptor handshake
 	}{
-		{"tcp", Options{SpillDir: ""}, func(s *Server) (*Client, error) { return Dial(s.Addr()) }, nil},
-		{"unix", Options{LocalSocketDir: dir}, func(s *Server) (*Client, error) { return DialLocal(s.LocalSocket()) }, nil},
-		{"spill-serve", Options{SpillDir: os.TempDir()}, func(s *Server) (*Client, error) { return Dial(s.Addr()) }, nil},
-		{"spill-portable", Options{SpillDir: os.TempDir(), NoZeroCopy: true}, func(s *Server) (*Client, error) { return Dial(s.Addr()) }, nil},
-		{"spill-fdpass", Options{LocalSocketDir: dir, SpillDir: os.TempDir()},
-			func(s *Server) (*Client, error) { return DialLocal(s.LocalSocket()) },
-			func(c *Client) { c.FetchSpillFD() }},
-		{"pool-fdpass", Options{LocalSocketDir: dir},
-			func(s *Server) (*Client, error) { return DialLocal(s.LocalSocket()) },
-			func(c *Client) { c.FetchPoolFDs() }},
+		{"tcp", Options{}, tcp, false},
+		{"unix", Options{LocalSocketDir: dir}, unix, false},
+		{"spill-serve", Options{SpillDir: os.TempDir()}, tcp, false},
+		{"spill-portable", Options{SpillDir: os.TempDir()}, portable, false},
+		{"spill-fdpass", Options{LocalSocketDir: dir, SpillDir: os.TempDir()}, unix, true},
+		{"pool-fdpass", Options{LocalSocketDir: dir}, unix, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spill := tc.opts.SpillDir != ""
@@ -533,7 +549,7 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 				poolChunks = 1
 			}
 			srv := startServerOptions(t, chunk, poolChunks, tc.opts)
-			c, err := tc.dial(srv)
+			c, err := tc.dial(t, srv)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,8 +568,8 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 			} else if h, err = c.AllocWrite(owner, data); err != nil {
 				t.Fatal(err)
 			}
-			if tc.arm != nil {
-				tc.arm(c)
+			if tc.arm {
+				c.FetchPoolFDs() // best-effort: unarmed it still must not allocate
 			}
 			buf := make([]byte, chunk)
 			readChunk := func() {

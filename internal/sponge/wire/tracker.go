@@ -33,13 +33,14 @@ type Tracker struct {
 	interval time.Duration
 	opts     TrackerOptions
 
-	mu       sync.Mutex
-	addrs    []string
-	free     map[string]int
-	seq      map[string]uint64 // per-server acked delta sequence
-	lastErr  map[string]error
-	clients  map[string]*Client
-	standbyC map[string]*Client // cached handoff connections
+	mu      sync.Mutex
+	addrs   []string
+	free    map[string]int
+	seq     map[string]uint64 // per-server acked delta sequence
+	lastErr map[string]error
+
+	clients  clientCache // poll connections, one per sponge server
+	standbyC clientCache // handoff connections, one per standby
 
 	epoch    uint64    // leadership term, bumped by every promotion
 	leader   bool      // false while standing by
@@ -110,8 +111,6 @@ func NewTrackerOptions(addrs []string, opts TrackerOptions) *Tracker {
 		free:     make(map[string]int),
 		seq:      make(map[string]uint64),
 		lastErr:  make(map[string]error),
-		clients:  make(map[string]*Client),
-		standbyC: make(map[string]*Client),
 		epoch:    opts.Epoch,
 		leader:   !opts.Standby,
 		lastPush: time.Now(),
@@ -132,18 +131,8 @@ func NewTrackerOptions(addrs []string, opts TrackerOptions) *Tracker {
 func (t *Tracker) Close() {
 	close(t.stop)
 	<-t.done
-	t.mu.Lock()
-	clients := t.clients
-	standbys := t.standbyC
-	t.clients = make(map[string]*Client)
-	t.standbyC = make(map[string]*Client)
-	t.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
-	}
-	for _, c := range standbys {
-		c.Close()
-	}
+	t.clients.close()
+	t.standbyC.close()
 }
 
 func (t *Tracker) loop() {
@@ -207,25 +196,13 @@ func (t *Tracker) pollOnce() {
 // statAddr stats one server over its cached connection, dialing on the
 // first poll (or after a failure dropped the old connection).
 func (t *Tracker) statAddr(addr string) (int, error) {
-	t.mu.Lock()
-	c := t.clients[addr]
-	t.mu.Unlock()
-	if c == nil {
-		var err error
-		c, err = Dial(addr)
-		if err != nil {
-			return 0, err
-		}
-		t.mu.Lock()
-		t.clients[addr] = c
-		t.mu.Unlock()
+	c, err := t.clients.get(addr)
+	if err != nil {
+		return 0, err
 	}
 	free, _, _, err := c.Stat()
 	if err != nil {
-		t.mu.Lock()
-		delete(t.clients, addr)
-		t.mu.Unlock()
-		c.Close()
+		t.clients.drop(addr, c)
 		return 0, err
 	}
 	return free, nil
@@ -334,34 +311,69 @@ func (t *Tracker) handoff() {
 	}
 	epoch, entries := t.snapshotState()
 	for _, addr := range t.opts.Standbys {
-		t.mu.Lock()
-		c := t.standbyC[addr]
-		t.mu.Unlock()
-		if c == nil {
-			var err error
-			c, err = Dial(addr)
-			if err != nil {
-				t.mu.Lock()
-				t.handoffErrs++
-				t.mu.Unlock()
-				continue
+		c, err := t.standbyC.get(addr)
+		if err == nil {
+			if err = c.PushTrackerState(epoch, entries); err != nil {
+				t.standbyC.drop(addr, c)
 			}
-			t.mu.Lock()
-			t.standbyC[addr] = c
-			t.mu.Unlock()
 		}
-		err := c.PushTrackerState(epoch, entries)
 		t.mu.Lock()
 		if err != nil {
 			t.handoffErrs++
-			delete(t.standbyC, addr)
 		} else {
 			t.handoffs++
 		}
 		t.mu.Unlock()
-		if err != nil {
-			c.Close()
-		}
+	}
+}
+
+// clientCache keeps one pipelined client per address for a component
+// that talks to a fixed set of daemons from its own loop: get dials on
+// first use (or after a drop), drop forgets and closes a client whose
+// connection failed, close drops them all. The zero value is ready.
+type clientCache struct {
+	mu      sync.Mutex
+	clients map[string]*Client
+}
+
+func (cc *clientCache) get(addr string) (*Client, error) {
+	cc.mu.Lock()
+	c := cc.clients[addr]
+	cc.mu.Unlock()
+	if c != nil {
+		return c, nil
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	cc.mu.Lock()
+	if cc.clients == nil {
+		cc.clients = make(map[string]*Client)
+	}
+	cc.clients[addr] = c
+	cc.mu.Unlock()
+	return c, nil
+}
+
+// drop forgets c — if it is still the cached client for addr — and
+// closes it; the next get re-dials.
+func (cc *clientCache) drop(addr string, c *Client) {
+	cc.mu.Lock()
+	if cc.clients[addr] == c {
+		delete(cc.clients, addr)
+	}
+	cc.mu.Unlock()
+	c.Close()
+}
+
+func (cc *clientCache) close() {
+	cc.mu.Lock()
+	clients := cc.clients
+	cc.clients = nil
+	cc.mu.Unlock()
+	for _, c := range clients {
+		c.Close()
 	}
 }
 
@@ -503,6 +515,11 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 		epoch := binary.LittleEndian.Uint64(payload[0:8])
 		count := int(binary.LittleEndian.Uint16(payload[8:10]))
 		payload = payload[10:]
+		if count > len(payload)/14 {
+			// More entries than the frame can hold (14 fixed bytes each):
+			// refuse before the count sizes anything.
+			return []byte{StatusBadRequest}, fileRef{}
+		}
 		entries := make([]TrackerStateEntry, 0, count)
 		for i := 0; i < count; i++ {
 			if len(payload) < 14 {
@@ -542,12 +559,21 @@ func (c *Client) FreeList() ([]TrackerEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := rep.body
+	return decodeFreeList(rep.body)
+}
+
+// decodeFreeList parses an OpFreeList response body.
+func decodeFreeList(body []byte) ([]TrackerEntry, error) {
 	if len(body) < 2 {
 		return nil, fmt.Errorf("wire: bad free-list response")
 	}
 	count := int(binary.LittleEndian.Uint16(body[0:2]))
 	body = body[2:]
+	if count > len(body)/6 {
+		// More entries than the body can hold (6 fixed bytes each):
+		// refuse before the count sizes anything.
+		return nil, fmt.Errorf("wire: truncated free-list response")
+	}
 	out := make([]TrackerEntry, 0, count)
 	for i := 0; i < count; i++ {
 		if len(body) < 6 {

@@ -35,8 +35,8 @@ import (
 // dial time: when TransportOptions.SocketDir is set and the node's
 // address resolves to this host, the transport dials the server's
 // unix-domain socket (same protocol, no TCP stack) and — where the
-// build supports it — fetches the spill-file descriptor so disk-spilled
-// chunks are pread directly; otherwise, or when the socket dial fails
+// build supports it — fetches the server's file descriptors so chunks
+// are pread directly; otherwise, or when the socket dial fails
 // (missing or stale socket file), it transparently falls back to TCP
 // and counts the fallback. Per-op tier usage is exported as
 // sponge_transport_tier_total{tier="unix|tcp|sim"}.
@@ -59,8 +59,8 @@ type Transport struct {
 
 // tier indexes for Transport.tierOps. tierPoolFD is not a fourth
 // dial-time tier but a refinement of tierUnix: it additionally counts
-// the unix-tier reads whose payload came from a pread of the passed
-// pool segments rather than the socket.
+// the unix-tier reads whose payload came from a pread of a passed file
+// — pool segment or spill file — rather than the socket.
 const (
 	tierUnix = iota
 	tierTCP
@@ -76,11 +76,6 @@ type TransportOptions struct {
 	// is missing or stale. It must match the servers'
 	// Options.LocalSocketDir.
 	SocketDir string
-	// NoFDPass disables fetching the spill-file and pool-segment
-	// descriptors on unix-tier connections; spilled and pool-resident
-	// chunks then travel over the socket (served zero-copy by the
-	// daemon where possible) instead of being pread directly.
-	NoFDPass bool
 	// Metrics, when non-nil, receives the transport's tier counters;
 	// nil means a private registry.
 	Metrics *obs.Registry
@@ -181,8 +176,8 @@ func (t *Transport) Close() error {
 }
 
 // RevokePeer tears down this transport's cached state for a departed
-// node: the pipelined client closes — and with it any passed spill-file
-// descriptor and pool-segment mmaps, so a same-host reader that raced
+// node: the pipelined client closes — and with it every passed
+// descriptor and the generation-table mmap, so a same-host reader that raced
 // the departure degrades to TCP instead of reading a dead pool — and
 // the sim-tier wrapper is dropped. The address mapping stays: the next
 // operation against the node re-dials, so a node that rejoins under the
@@ -230,16 +225,13 @@ func (t *Transport) dialNode(addr string) (*Client, error) {
 		if host, _, err := net.SplitHostPort(addr); err == nil && isLocalHost(host) {
 			if path, perr := SocketPath(t.opts.SocketDir, addr); perr == nil {
 				if c, derr := DialLocal(path); derr == nil {
-					if !t.opts.NoFDPass {
-						// Best-effort: a server without a spill tier or a
-						// mappable pool (or a portable build) just keeps
-						// serving those reads over the socket. The
-						// counters go in first so an armed client reports
-						// from its very first pread.
-						c.poolFDOps = t.tierOps[tierPoolFD]
-						c.genMiss = t.genMiss
-						c.ArmFDPass()
-					}
+					// Best-effort: a server with nothing to pass (or a
+					// portable build) just keeps serving reads over the
+					// socket. The counters go in first so an armed client
+					// reports from its very first pread.
+					c.fdOps = t.tierOps[tierPoolFD]
+					c.genMiss = t.genMiss
+					_ = c.FetchPoolFDs()
 					return c, nil
 				}
 				t.unixFallback.Inc()

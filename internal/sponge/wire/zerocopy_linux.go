@@ -3,9 +3,8 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"os"
 	"syscall"
@@ -109,180 +108,73 @@ func (z *zeroCopier) sendFile(f *os.File, off, n int64) (int64, error) {
 	return sent, err
 }
 
-// sendFDOverUnix answers one OpSpillFD exchange on a unix connection:
-// it writes the v1 response frame [StatusOK, b] where the final byte b
-// rides a sendmsg carrying fd as SCM_RIGHTS ancillary data. The caller
-// guarantees the connection is lock-step with nothing buffered, so the
-// descriptor lands exactly on the receiver's recvmsg boundary.
-func sendFDOverUnix(uc *net.UnixConn, fd int) error {
-	hdr := [5]byte{2, 0, 0, 0, StatusOK} // frame length 2, then status
-	if _, err := uc.Write(hdr[:]); err != nil {
-		return err
+// fdReplyLen is the OpPoolFD response as it crosses the socket: the v1
+// frame header, the status byte, and the 16-byte geometry.
+const fdReplyLen = 4 + 1 + 16
+
+// sendFilesOverUnix answers one OpPoolFD exchange on a unix connection:
+// the whole v1 response frame — StatusOK, then the geometry — rides one
+// sendmsg with every file's descriptor as SCM_RIGHTS ancillary data.
+// The caller guarantees the connection is lock-step with nothing
+// buffered, so the descriptors land exactly on the receiver's recvmsg
+// boundary.
+func sendFilesOverUnix(uc *net.UnixConn, files []*os.File, g fdGeom) error {
+	fds := make([]int, len(files))
+	for i, f := range files {
+		fds[i] = int(f.Fd())
 	}
-	rights := syscall.UnixRights(fd)
-	_, _, err := uc.WriteMsgUnix([]byte{0}, rights, nil)
+	var msg [fdReplyLen]byte
+	binary.LittleEndian.PutUint32(msg[0:4], fdReplyLen-4)
+	msg[4] = StatusOK
+	binary.LittleEndian.PutUint32(msg[5:9], uint32(g.segChunks))
+	binary.LittleEndian.PutUint32(msg[9:13], uint32(g.chunks))
+	binary.LittleEndian.PutUint32(msg[13:17], uint32(g.chunkSize))
+	binary.LittleEndian.PutUint32(msg[17:21], uint32(g.flags))
+	_, _, err := uc.WriteMsgUnix(msg[:], syscall.UnixRights(fds...), nil)
 	return err
 }
 
-// recvFDOverUnix performs the client half of the OpSpillFD handshake on
-// a dedicated raw unix connection (no buffered reader may sit between:
-// a buffered read would consume the descriptor-carrying byte and the
-// kernel would drop the ancillary data).
-func recvFDOverUnix(uc *net.UnixConn) (*os.File, error) {
-	if err := writeFrame(uc, []byte{OpSpillFD}); err != nil {
-		return nil, err
-	}
-	var hdr [5]byte // frame length + status
-	if _, err := io.ReadFull(uc, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if hdr[4] != StatusOK || n != 2 {
-		if err := statusErr(hdr[4]); err != nil {
-			return nil, err
-		}
-		return nil, errors.New("wire: malformed spill-fd response")
-	}
-	buf := make([]byte, 1)
-	oob := make([]byte, syscall.CmsgSpace(4))
-	_, oobn, _, _, err := uc.ReadMsgUnix(buf, oob)
-	if err != nil {
-		return nil, err
-	}
-	cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
-	if err != nil {
-		return nil, err
-	}
-	for _, cmsg := range cmsgs {
-		fds, err := syscall.ParseUnixRights(&cmsg)
-		if err != nil || len(fds) == 0 {
-			continue
-		}
-		syscall.CloseOnExec(fds[0])
-		// Extra descriptors (there should be none) must not leak.
-		for _, extra := range fds[1:] {
-			syscall.Close(extra)
-		}
-		return os.NewFile(uintptr(fds[0]), "sponge-spill-fd"), nil
-	}
-	return nil, errors.New("wire: spill-fd response carried no descriptor")
-}
-
-// scmMaxFD is the kernel's per-message SCM_RIGHTS descriptor cap; a
-// pool with more segments than this (minus the generation table) cannot
-// be passed in one handshake and the server refuses.
-const scmMaxFD = 253
-
-// poolGeom is the pool layout that rides the OpPoolFD handshake: the
-// receiver needs it to turn handles into (segment, offset) pairs and to
-// size its view of the generation table.
-type poolGeom struct {
-	segChunks int // chunk capacity of one segment slab
-	chunks    int // total chunk count
-	chunkSize int // real bytes per chunk
-}
-
-// sendPoolFDsOverUnix answers one OpPoolFD exchange on a unix
-// connection: the v1 response frame [StatusOK, nfds] goes out inline,
-// then one sendmsg carries the 12-byte geometry payload with the
-// generation-table descriptor plus every segment descriptor as
-// SCM_RIGHTS ancillary data. The caller guarantees the connection is
-// lock-step with nothing buffered, so the descriptors land exactly on
-// the receiver's recvmsg boundary.
-func sendPoolFDsOverUnix(uc *net.UnixConn, meta *os.File, segs []*os.File, g poolGeom) error {
-	nf := 1 + len(segs)
-	if nf > scmMaxFD {
-		return errZCUnsupported
-	}
-	hdr := [6]byte{2, 0, 0, 0, StatusOK, byte(nf)} // frame length 2, then body
-	if _, err := uc.Write(hdr[:]); err != nil {
-		return err
-	}
-	fds := make([]int, 0, nf)
-	fds = append(fds, int(meta.Fd()))
-	for _, f := range segs {
-		fds = append(fds, int(f.Fd()))
-	}
-	var geom [12]byte
-	putU32(geom[0:4], g.segChunks)
-	putU32(geom[4:8], g.chunks)
-	putU32(geom[8:12], g.chunkSize)
-	_, _, err := uc.WriteMsgUnix(geom[:], syscall.UnixRights(fds...), nil)
-	return err
-}
-
-func putU32(b []byte, v int) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) int {
-	return int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-}
-
-// recvPoolFDsOverUnix performs the client half of the OpPoolFD
-// handshake on a dedicated raw unix connection (like recvFDOverUnix, no
-// buffered reader may sit between). On success the returned files are
-// owned by the caller: the generation table first, then the segments in
-// index order.
-func recvPoolFDsOverUnix(uc *net.UnixConn) (meta *os.File, segs []*os.File, g poolGeom, err error) {
+// recvFilesOverUnix performs the client half of the OpPoolFD handshake
+// on a dedicated raw unix connection (no buffered reader may sit
+// between: a buffered read would consume the descriptor-carrying bytes
+// and the kernel would drop the ancillary data). On success the
+// returned files, in the order sent, are owned by the caller.
+func recvFilesOverUnix(uc *net.UnixConn) (files []*os.File, g fdGeom, err error) {
 	if err := writeFrame(uc, []byte{OpPoolFD}); err != nil {
-		return nil, nil, g, err
+		return nil, g, err
 	}
-	var hdr [5]byte // frame length + status
-	if _, err := io.ReadFull(uc, hdr[:]); err != nil {
-		return nil, nil, g, err
-	}
-	n := getU32(hdr[0:4])
-	if hdr[4] != StatusOK || n != 2 {
-		if err := statusErr(hdr[4]); err != nil {
-			return nil, nil, g, err
-		}
-		return nil, nil, g, errors.New("wire: malformed pool-fd response")
-	}
-	var nfb [1]byte
-	if _, err := io.ReadFull(uc, nfb[:]); err != nil {
-		return nil, nil, g, err
-	}
-	nf := int(nfb[0])
-	if nf < 1 || nf > scmMaxFD {
-		return nil, nil, g, errors.New("wire: malformed pool-fd response")
-	}
-	buf := make([]byte, 12)
-	oob := make([]byte, syscall.CmsgSpace(4*nf))
-	bn, oobn, _, _, err := uc.ReadMsgUnix(buf, oob)
+	var msg [fdReplyLen]byte
+	oob := make([]byte, syscall.CmsgSpace(4*scmMaxFD))
+	n, oobn, _, _, err := uc.ReadMsgUnix(msg[:], oob)
 	if err != nil {
-		return nil, nil, g, err
+		return nil, g, err
 	}
-	var fds []int
-	cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
-	if err == nil {
+	// Collect whatever descriptors arrived first, so every exit below
+	// owns (and on error closes) them.
+	if cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn]); err == nil {
 		for _, cmsg := range cmsgs {
-			got, perr := syscall.ParseUnixRights(&cmsg)
-			if perr != nil {
-				continue
+			fds, _ := syscall.ParseUnixRights(&cmsg)
+			for _, fd := range fds {
+				syscall.CloseOnExec(fd)
+				files = append(files, os.NewFile(uintptr(fd), "sponge-passed-fd"))
 			}
-			fds = append(fds, got...)
 		}
 	}
-	if bn != 12 || len(fds) != nf {
-		for _, fd := range fds {
-			syscall.Close(fd)
-		}
-		return nil, nil, g, errors.New("wire: pool-fd response carried wrong descriptors")
+	err = errors.New("wire: malformed pool-fd response")
+	if n >= 5 && msg[4] != StatusOK {
+		err = statusErr(msg[4])
+	} else if n == fdReplyLen && binary.LittleEndian.Uint32(msg[0:4]) == fdReplyLen-4 && len(files) > 0 {
+		return files, fdGeom{
+			segChunks: int(binary.LittleEndian.Uint32(msg[5:9])),
+			chunks:    int(binary.LittleEndian.Uint32(msg[9:13])),
+			chunkSize: int(binary.LittleEndian.Uint32(msg[13:17])),
+			flags:     int(binary.LittleEndian.Uint32(msg[17:21])),
+		}, nil
 	}
-	g = poolGeom{segChunks: getU32(buf[0:4]), chunks: getU32(buf[4:8]), chunkSize: getU32(buf[8:12])}
-	for _, fd := range fds {
-		syscall.CloseOnExec(fd)
+	for _, f := range files {
+		f.Close()
 	}
-	meta = os.NewFile(uintptr(fds[0]), "sponge-pool-meta")
-	segs = make([]*os.File, 0, nf-1)
-	for i, fd := range fds[1:] {
-		segs = append(segs, os.NewFile(uintptr(fd), fmt.Sprintf("sponge-pool-seg-%d", i)))
-	}
-	return meta, segs, g, nil
+	return nil, g, err
 }
 
 // mapPoolMeta maps a passed generation-table descriptor read-only and

@@ -49,12 +49,21 @@ go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAl
 	./internal/mapreduce ./internal/pig
 
 # Wire transport guard: steady-state ReadInto must stay 0 allocs/chunk
-# on all six serve paths — TCP and unix pool reads, sendfile spill
-# serves (the portable buffered path off-linux), and the fd-passing
-# pread fast paths for both the spill file and the memfd pool segments.
+# on all five serve paths — TCP and unix pool reads, sendfile spill
+# serves, the portable buffered spill serve (behind a connection that
+# hides its socket, so linux covers it too), and the descriptor pread
+# of whatever file the chunk lives in, spill file or memfd pool segment.
 # The server runs in-process, so the guard sees its side too.
 go test -count=1 -run 'TestWireReadSteadyStateAllocationFree' \
 	./internal/sponge/wire
+
+echo "== wire dispatch fuzz, 10 s a target =="
+# The two pure dispatch(req) functions take whatever a peer past the
+# hello sends: they must never panic, always answer, and never size an
+# allocation or a response from an untrusted field. The seed corpus (one
+# well-formed frame per op) already runs as part of `go test`.
+go test -run '^$' -fuzz '^FuzzServerDispatch$' -fuzztime 10s ./internal/sponge/wire
+go test -run '^$' -fuzz '^FuzzTrackerDispatch$' -fuzztime 10s ./internal/sponge/wire
 
 echo "== readahead sweep smoke + depth-1 seed equivalence =="
 # One tiny depth-sweep iteration over both transports, and the pinned
