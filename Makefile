@@ -49,10 +49,10 @@ bench-readahead:
 
 # Local transport tier ladder: steady-state 64KiB reads over loopback
 # TCP, unix sockets, sendfile spill serves, and the fd-passing pread
-# fast paths (spill file + memfd pool segments); patches the measured
-# rungs into BENCH_wire.json's tier_ladder section.
+# fast paths (spill file + memfd pool segments); regenerates
+# BENCH_tier.json.
 bench-tier:
-	go run ./cmd/benchtab -out BENCH_wire.json tier
+	go run ./cmd/benchtab -out BENCH_tier.json tier
 
 # Tracker dissemination at scale: tracker messages per node per second,
 # full-poll vs delta, at 100 and 1000 simulated nodes under identical

@@ -7,7 +7,7 @@
 //	benchtab [-perfsize f] [-workers n] [-out file.json] perf
 //	benchtab [-out file.json] [-stats file.json] faults
 //	benchtab [-out file.json] [-stats file.json] readahead
-//	benchtab [-out BENCH_wire.json] tier
+//	benchtab [-out BENCH_tier.json] tier
 //	benchtab [-out BENCH_tracker.json] tracker
 //	benchtab [-out BENCH_combine.json] combine
 //
@@ -35,10 +35,8 @@
 // The tier experiment measures the local transport tier ladder —
 // steady-state 64KiB chunk reads over loopback TCP, unix sockets,
 // sendfile spill serves, and the fd-passing pread fast paths (spill
-// file and memfd pool segments) — and patches the measured rungs into
-// the tier_ladder section of an existing BENCH_wire.json given via
-// -out, leaving the protocol-benchmark sections untouched. Also not
-// part of "all".
+// file and memfd pool segments) (checked in as BENCH_tier.json). Also
+// not part of "all".
 //
 // The tracker experiment sweeps simulated cluster size under the
 // paper's full-poll free-space dissemination and under delta
@@ -77,10 +75,8 @@ type flags struct {
 type outcome struct {
 	header []string
 	rows   [][]string
-	// save writes the report to the -out path; saved says what it did
-	// when that is not "report written to".
-	save  func(path string) error
-	saved string
+	// save writes the report to the -out path.
+	save func(path string) error
 	// stdout is printed instead when no -out is given.
 	stdout []byte
 	// stats is the registry the cells ran against, dumped under -stats.
@@ -128,10 +124,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "-out %s: %v\n", f.out, err)
 				os.Exit(1)
 			}
-			if o.saved == "" {
-				o.saved = "report written to"
-			}
-			fmt.Printf("%s %s\n", o.saved, f.out)
+			fmt.Printf("report written to %s\n", f.out)
 		} else {
 			os.Stdout.Write(o.stdout)
 		}
@@ -204,13 +197,13 @@ func readahead(f flags) (outcome, error) {
 
 func tier(flags) (outcome, error) {
 	fmt.Println("== Local transport tier ladder: steady-state 64KiB ReadInto ==")
-	rungs, err := bench.RunTierLadder(2 * time.Second)
+	const perRung = 2 * time.Second
+	rungs, err := bench.RunTierLadder(perRung)
 	if err != nil {
 		return outcome{}, err
 	}
 	return outcome{header: bench.TierHeader, rows: bench.TierRows(rungs),
-		save:  func(path string) error { return bench.PatchWireTierLadder(path, rungs) },
-		saved: "tier ladder patched into"}, nil
+		save: writeReport(bench.TierJSON(perRung, rungs))}, nil
 }
 
 func tracker(flags) (outcome, error) {

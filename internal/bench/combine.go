@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -303,14 +302,4 @@ func CombineRows(cells []CombineCell) [][]string {
 }
 
 // CombineJSON renders the cells as the BENCH_combine.json artifact.
-func CombineJSON(cfg CombineConfig, cells []CombineCell) []byte {
-	rep := struct {
-		Config CombineConfig `json:"config"`
-		Cells  []CombineCell `json:"cells"`
-	}{cfg, cells}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+func CombineJSON(cfg CombineConfig, cells []CombineCell) []byte { return reportJSON(cfg, cells) }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -98,25 +97,11 @@ func runFaultCell(transport string, drop float64, cfg FaultsConfig) FaultCell {
 	scfg.Metrics = cfg.Metrics
 	svc := sponge.Start(c, scfg)
 
-	base := svc.Transport()
-	var cleanup []func()
+	base, stopWire := svc.Transport(), func() {}
 	if transport == "wire" {
 		// The TCP servers mirror the simulated pools' capacity so the
 		// two transports face the same allocation problem.
-		chunksPer := int(ccfg.SpongeMemory / svc.Config.ChunkVirtual)
-		addrs := make(map[int]string)
-		for n := 1; n < cfg.Workers; n++ {
-			pool := sponge.NewPool(svc.ChunkReal(), chunksPer)
-			srv, err := wire.Serve(pool, "127.0.0.1:0")
-			if err != nil {
-				panic(fmt.Sprintf("bench: wire serve: %v", err))
-			}
-			cleanup = append(cleanup, func() { srv.Close() })
-			addrs[n] = srv.Addr()
-		}
-		wt := wire.NewTransport(addrs, base)
-		cleanup = append(cleanup, func() { wt.Close() })
-		base = wt
+		base, stopWire = frontWithWire(svc, cfg.Workers, int(ccfg.SpongeMemory/svc.Config.ChunkVirtual))
 	}
 	faults := sponge.NewFaultTransport(base, sponge.FaultConfig{Seed: cfg.Seed, DropRate: drop})
 	svc.SetTransport(faults)
@@ -157,9 +142,7 @@ func runFaultCell(transport string, drop float64, cfg FaultsConfig) FaultCell {
 		}
 	})
 	sim.MustRun()
-	for i := len(cleanup) - 1; i >= 0; i-- {
-		cleanup[i]()
-	}
+	stopWire()
 	cell.WallMs = float64(time.Since(start).Microseconds()) / 1000
 	cell.VirtualMs = simtime.Duration(sim.Now()).Std().Milliseconds()
 	fs := faults.Stats()
@@ -168,6 +151,31 @@ func runFaultCell(transport string, drop float64, cfg FaultsConfig) FaultCell {
 		cell.SpillSuccess = float64(cell.Chunks-cell.DiskChunks) / float64(cell.Chunks)
 	}
 	return cell
+}
+
+// frontWithWire fronts nodes 1..workers-1 of a simulated service with
+// in-process TCP sponge servers holding chunks chunks each. It returns
+// the wire transport that reaches them (node 0 stays on the service's
+// own transport) and the function that closes the transport and the
+// servers.
+func frontWithWire(svc *sponge.Service, workers, chunks int) (sponge.Transport, func()) {
+	addrs := make(map[int]string)
+	var servers []*wire.Server
+	for n := 1; n < workers; n++ {
+		srv, err := wire.Serve(sponge.NewPool(svc.ChunkReal(), chunks), "127.0.0.1:0")
+		if err != nil {
+			panic(fmt.Sprintf("bench: wire serve: %v", err))
+		}
+		servers = append(servers, srv)
+		addrs[n] = srv.Addr()
+	}
+	wt := wire.NewTransport(addrs, svc.Transport())
+	return wt, func() {
+		wt.Close()
+		for i := len(servers) - 1; i >= 0; i-- {
+			servers[i].Close()
+		}
+	}
 }
 
 // FaultsHeader labels FaultsRows' columns.
@@ -198,14 +206,4 @@ func FaultsRows(cells []FaultCell) [][]string {
 }
 
 // FaultsJSON renders the cells as the BENCH_faults.json artifact.
-func FaultsJSON(cfg FaultsConfig, cells []FaultCell) []byte {
-	rep := struct {
-		Config FaultsConfig `json:"config"`
-		Cells  []FaultCell  `json:"cells"`
-	}{cfg, cells}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+func FaultsJSON(cfg FaultsConfig, cells []FaultCell) []byte { return reportJSON(cfg, cells) }

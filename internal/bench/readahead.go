@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"spongefiles/internal/obs"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/sponge"
-	"spongefiles/internal/sponge/wire"
 )
 
 // ReadAheadConfig selects the readahead experiment's grid: one task
@@ -118,22 +116,9 @@ func runReadAheadCell(transport string, delayMs, depth int, cfg ReadAheadConfig)
 	scfg.Metrics = cfg.Metrics
 	svc := sponge.Start(c, scfg)
 
-	base := svc.Transport()
-	var cleanup []func()
+	base, stopWire := svc.Transport(), func() {}
 	if transport == "wire" {
-		addrs := make(map[int]string)
-		for n := 1; n < cfg.Workers; n++ {
-			pool := sponge.NewPool(svc.ChunkReal(), peerChunks)
-			srv, err := wire.Serve(pool, "127.0.0.1:0")
-			if err != nil {
-				panic(fmt.Sprintf("bench: wire serve: %v", err))
-			}
-			cleanup = append(cleanup, func() { srv.Close() })
-			addrs[n] = srv.Addr()
-		}
-		wt := wire.NewTransport(addrs, base)
-		cleanup = append(cleanup, func() { wt.Close() })
-		base = wt
+		base, stopWire = frontWithWire(svc, cfg.Workers, peerChunks)
 	}
 	// The fault wrapper injects no faults here — only the per-exchange
 	// delivery delay the window is supposed to hide.
@@ -189,9 +174,7 @@ func runReadAheadCell(transport string, delayMs, depth int, cfg ReadAheadConfig)
 		decoy.Delete(p)
 	})
 	sim.MustRun()
-	for i := len(cleanup) - 1; i >= 0; i-- {
-		cleanup[i]()
-	}
+	stopWire()
 	cell.WallMs = float64(time.Since(start).Microseconds()) / 1000
 	return cell
 }
@@ -222,14 +205,4 @@ func ReadAheadRows(cells []ReadAheadCell) [][]string {
 }
 
 // ReadAheadJSON renders the cells as the BENCH_readahead.json artifact.
-func ReadAheadJSON(cfg ReadAheadConfig, cells []ReadAheadCell) []byte {
-	rep := struct {
-		Config ReadAheadConfig `json:"config"`
-		Cells  []ReadAheadCell `json:"cells"`
-	}{cfg, cells}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+func ReadAheadJSON(cfg ReadAheadConfig, cells []ReadAheadCell) []byte { return reportJSON(cfg, cells) }

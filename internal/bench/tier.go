@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -36,7 +35,7 @@ type tierConfig struct {
 	fdPass bool // arm the direct-pread fast path
 }
 
-// tierLadder is the fixed rung order of BENCH_wire.json's tier table.
+// tierLadder is the fixed rung order of BENCH_tier.json's table.
 var tierLadder = []tierConfig{
 	{rung: "pool-read/loopback-tcp"},
 	{rung: "pool-read/local-unix", local: true},
@@ -171,96 +170,11 @@ func TierRows(rungs []TierRung) [][]string {
 	return out
 }
 
-// wireReport mirrors BENCH_wire.json's top-level key order; everything
-// the tier run does not regenerate rides through as raw JSON so a patch
-// touches only the tier_ladder section.
-type wireReport struct {
-	Description  json.RawMessage `json:"description"`
-	Date         json.RawMessage `json:"date"`
-	Host         json.RawMessage `json:"host"`
-	Command      json.RawMessage `json:"command"`
-	SeedBaseline json.RawMessage `json:"seed_baseline"`
-	Results      json.RawMessage `json:"results"`
-	Speedup      json.RawMessage `json:"speedup_v2_over_v1"`
-	TierLadder   tierLadderDoc   `json:"tier_ladder"`
-	Notes        json.RawMessage `json:"notes"`
-}
-
-type tierLadderDoc struct {
-	Description string       `json:"description"`
-	Command     string       `json:"command"`
-	Results     []TierRung   `json:"results"`
-	Speedups    tierSpeedups `json:"speedup_local_over_loopback"`
-	Notes       string       `json:"notes"`
-}
-
-type tierSpeedups struct {
-	PoolRead          float64 `json:"pool_read"`
-	SpillReadSendfile float64 `json:"spill_read_sendfile"`
-	SpillReadFDPread  float64 `json:"spill_read_fd_pread_vs_tcp_pool_read"`
-	PoolReadFDPread   float64 `json:"pool_read_fd_pread_vs_tcp_pool_read"`
-}
-
-// tierRate looks one rung's MB/s up by name; 0 when absent or skipped.
-func tierRate(rungs []TierRung, name string) float64 {
-	for _, r := range rungs {
-		if r.Rung == name && !r.Skipped {
-			return r.MBPerS
-		}
-	}
-	return 0
-}
-
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(int64(num/den*100+0.5)) / 100
-}
-
-// PatchWireTierLadder rewrites only the tier_ladder section of the
-// BENCH_wire.json report at path with freshly measured rungs, leaving
-// the protocol-benchmark sections byte-identical.
-func PatchWireTierLadder(path string, rungs []TierRung) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep wireReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	tcpPool := tierRate(rungs, "pool-read/loopback-tcp")
-	sp := tierSpeedups{
-		PoolRead:          ratio(tierRate(rungs, "pool-read/local-unix"), tcpPool),
-		SpillReadSendfile: ratio(tierRate(rungs, "spill-read/local-unix-sendfile"), tierRate(rungs, "spill-read/loopback-tcp-sendfile")),
-		SpillReadFDPread:  ratio(tierRate(rungs, "spill-read/local-unix-fd-pread"), tcpPool),
-		PoolReadFDPread:   ratio(tierRate(rungs, "pool-read/local-unix-fd-pread"), tcpPool),
-	}
-	rep.TierLadder = tierLadderDoc{
-		Description: "Local transport tier ladder, regenerated " + time.Now().Format("2006-01-02") +
-			": steady-state 64KiB ReadInto against an in-process daemon, sequential, measured by `make bench-tier`. " +
-			"'local' = same-host unix-domain socket (auto-selected by wire.Transport when the peer address is this host), " +
-			"'loopback' = TCP over 127.0.0.1. Spill rungs read chunks that overflowed the memory pool into the daemon's " +
-			"append-coalesced spill file: served by sendfile on linux (by pooled pread+write off-linux), or pread " +
-			"directly by the client once the server's files have been passed over SCM_RIGHTS. One OpPoolFD handshake " +
-			"passes the memfd-backed pool segments, the generation table and the spill file; each fd-pread read is " +
-			"then a 29-byte loc exchange (OpPoolLoc or OpSpillLoc, one reply layout) plus a local pread, with a " +
-			"generation re-check for pool chunks — the payload never crosses the socket.",
-		Command:  "make bench-tier  (go run ./cmd/benchtab -out BENCH_wire.json tier)",
-		Results:  rungs,
-		Speedups: sp,
-		Notes: fmt.Sprintf("Acceptance: pool-fd pread reads >=1.37x loopback-TCP pool reads at 64KiB — measured %.2fx "+
-			"(%.0f vs %.0f MB/s), versus %.2fx for plain unix-socket pool reads and %.2fx for the spill fd-pread rung. "+
-			"Steady-state reads are 0 allocs/chunk on every rung (TestWireReadSteadyStateAllocationFree covers all five "+
-			"serve paths); a generation mismatch (chunk freed or rewritten between OpPoolLoc and the "+
-			"pread) transparently falls back to a socket read and is counted in sponge_poolfd_gen_miss_total.",
-			sp.PoolReadFDPread, tierRate(rungs, "pool-read/local-unix-fd-pread"), tcpPool,
-			sp.PoolRead, sp.SpillReadFDPread),
-	}
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+// TierJSON renders the rungs as the BENCH_tier.json artifact; the
+// config half is what the run was measured under.
+func TierJSON(dur time.Duration, rungs []TierRung) []byte {
+	return reportJSON(struct {
+		PayloadBytes   int     `json:"payload_bytes"`
+		SecondsPerRung float64 `json:"seconds_per_rung"`
+	}{tierChunk, dur.Seconds()}, rungs)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -176,14 +175,4 @@ func TrackerRows(cells []TrackerCell) [][]string {
 }
 
 // TrackerJSON renders the cells as the BENCH_tracker.json artifact.
-func TrackerJSON(cfg TrackerConfig, cells []TrackerCell) []byte {
-	rep := struct {
-		Config TrackerConfig `json:"config"`
-		Cells  []TrackerCell `json:"cells"`
-	}{cfg, cells}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+func TrackerJSON(cfg TrackerConfig, cells []TrackerCell) []byte { return reportJSON(cfg, cells) }

@@ -51,19 +51,18 @@ func (s *Service) Standbys() []*Tracker { return s.standbys }
 // live node cold-starts a fresh tracker by polling. Returns false if no
 // node is left to host one.
 func (s *Service) electTracker(p *simtime.Proc) bool {
-	epoch := s.Tracker.leaderEpoch + 1
 	for len(s.standbys) > 0 {
 		st := s.standbys[0]
 		s.standbys = s.standbys[1:]
-		if st.down || s.nodeDown(st.node.ID) {
+		if st.unavailable() {
 			continue
 		}
-		st.leaderEpoch = epoch
+		st.table.Promote()
 		s.Tracker = st
 		s.failovers++
 		s.metrics.trackerFailovers.Inc()
 		s.metrics.trackerPromotions.Inc()
-		s.metrics.trackerLeaderEpoch.Set(epoch)
+		s.metrics.trackerLeaderEpoch.Set(st.LeaderEpoch())
 		// Keep the replica count topped up from the surviving nodes.
 		s.recruitStandbys()
 		return true
@@ -72,13 +71,16 @@ func (s *Service) electTracker(p *simtime.Proc) bool {
 		if s.nodeDown(i) || s.retiring(i) {
 			continue
 		}
+		// A cold successor inherits the dead leader's term and nothing
+		// else: the stateless restart of footnote 8.
 		t := newTracker(s, s.Cluster.Nodes[i])
-		t.leaderEpoch = epoch
+		t.table.Install(s.Tracker.table.Epoch(), nil)
+		t.table.Promote()
 		t.pollOnce(p)
 		s.Tracker = t
 		s.failovers++
 		s.metrics.trackerFailovers.Inc()
-		s.metrics.trackerLeaderEpoch.Set(epoch)
+		s.metrics.trackerLeaderEpoch.Set(t.LeaderEpoch())
 		return true
 	}
 	return false
@@ -97,7 +99,7 @@ func (s *Service) recruitStandbys() {
 			continue
 		}
 		st := newTracker(s, s.Cluster.Nodes[i])
-		st.installState(s.Tracker)
+		st.table.Install(s.Tracker.table.State())
 		s.standbys = append(s.standbys, st)
 	}
 }
@@ -111,20 +113,17 @@ func (s *Service) standbyOn(node int) bool {
 	return false
 }
 
-// handoff pushes the leader's state to every live standby, charging the
-// replication traffic: a snapshot-sized payload out, a control ack
-// back. A no-op without replicas, so the default single-tracker runs
-// are untouched.
+// handoff pushes the leader's state to every live standby. A no-op
+// without replicas, so the default single-tracker runs are untouched.
 func (s *Service) handoff(p *simtime.Proc, t *Tracker) {
+	if len(s.standbys) == 0 {
+		return
+	}
+	epoch, rows := t.table.State()
 	for _, st := range s.standbys {
-		if st.down || s.nodeDown(st.node.ID) {
-			continue
+		if st.InstallState(p, t.node, epoch, rows) {
+			s.metrics.trackerHandoffs.Inc()
 		}
-		// 12 bytes per node (free count + acked seq) plus a control
-		// header, acked with a control message.
-		s.Cluster.RPC(p, t.node, st.node, ctlBytes+12*len(t.snapshot), ctlBytes)
-		st.installState(t)
-		s.metrics.trackerHandoffs.Inc()
 	}
 }
 
@@ -136,7 +135,7 @@ func (s *Service) Failovers() int { return s.failovers }
 func (s *Service) watchdogLoop(p *simtime.Proc) {
 	for {
 		p.Sleep(s.Config.PollInterval)
-		if s.Tracker.down || s.nodeDown(s.Tracker.node.ID) {
+		if s.Tracker.unavailable() {
 			if !s.electTracker(p) {
 				return
 			}

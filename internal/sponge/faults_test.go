@@ -275,13 +275,13 @@ func TestWatchdogReelectionUnderPollDrops(t *testing.T) {
 		if got := nt.PollDropsFor(1); got != 0 {
 			t.Errorf("loopback poll to node 1 attributed %d drops", got)
 		}
-		if nt.snapshot[2] != 0 {
-			t.Errorf("unreachable server advertised %d free chunks", nt.snapshot[2])
+		if nt.Advertised(2) != 0 {
+			t.Errorf("unreachable server advertised %d free chunks", nt.Advertised(2))
 		}
 
 		faults.SetLinkDrop(1, 2, -1)
 		p.Sleep(2 * r.svc.Config.PollInterval)
-		if nt.snapshot[2] == 0 {
+		if nt.Advertised(2) == 0 {
 			t.Error("healed server still invisible to the tracker")
 		}
 	})
@@ -380,10 +380,10 @@ func TestAsymmetricPartitionReelection(t *testing.T) {
 			t.Errorf("tracker elected on node %d, want 1", nt.Node().ID)
 		}
 		// The successor's view: node 2 invisible, node 3 visible.
-		if nt.snapshot[2] != 0 {
-			t.Errorf("unreachable node 2 advertises %d chunks", nt.snapshot[2])
+		if nt.Advertised(2) != 0 {
+			t.Errorf("unreachable node 2 advertises %d chunks", nt.Advertised(2))
 		}
-		if nt.snapshot[3] == 0 {
+		if nt.Advertised(3) == 0 {
 			t.Error("reachable node 3 missing from the free list")
 		}
 		if got := nt.PollDropsFor(2); got == 0 || got != nt.PollDrops() {
@@ -414,7 +414,7 @@ func TestAsymmetricPartitionReelection(t *testing.T) {
 		// Heal: the next poll restores node 2 to the free list.
 		faults.Heal(1, 2)
 		p.Sleep(2 * r.svc.Config.PollInterval)
-		if nt.snapshot[2] == 0 {
+		if nt.Advertised(2) == 0 {
 			t.Error("healed node 2 still invisible")
 		}
 	})

@@ -62,7 +62,7 @@ type File struct {
 	// fetched when the file is created. Entries that turn out to be
 	// stale are marked dead rather than removed, because several
 	// asynchronous chunk writers walk the list concurrently.
-	candidates []FreeEntry
+	candidates []FreeRow[int]
 	deadNodes  map[int]bool
 
 	// Disk fallback: all of this file's disk chunks append to a single
@@ -366,15 +366,15 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, 
 		return chunkRef{}, 0, false
 	}
 	retries := 0
-	order := make([]FreeEntry, 0, len(f.candidates))
+	order := make([]FreeRow[int], 0, len(f.candidates))
 	if svc.Config.Affinity {
 		for _, c := range f.candidates {
-			if f.agent.usedNodes[c.Node] {
+			if f.agent.usedNodes[c.Key] {
 				order = append(order, c)
 			}
 		}
 		for _, c := range f.candidates {
-			if !f.agent.usedNodes[c.Node] {
+			if !f.agent.usedNodes[c.Key] {
 				order = append(order, c)
 			}
 		}
@@ -382,24 +382,24 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, 
 		order = append(order, f.candidates...)
 	}
 	for _, c := range order {
-		if c.Node == f.agent.node.ID || f.deadNodes[c.Node] {
+		if c.Key == f.agent.node.ID || f.deadNodes[c.Key] {
 			continue // local pool already tried, or known stale
 		}
-		if svc.Config.RackLocalOnly && !svc.Cluster.SameRack(f.agent.node, svc.Cluster.Nodes[c.Node]) {
+		if svc.Config.RackLocalOnly && !svc.Cluster.SameRack(f.agent.node, svc.Cluster.Nodes[c.Key]) {
 			continue
 		}
-		h, r, err := f.allocRemote(p, c.Node, payload)
+		h, r, err := f.allocRemote(p, c.Key, payload)
 		retries += r
 		if err != nil {
 			// Stale free-list entry, failed node, or a peer that stayed
 			// unreachable through the retry budget: forget it for the
 			// rest of this file's life.
-			f.deadNodes[c.Node] = true
+			f.deadNodes[c.Key] = true
 			svc.metrics.blacklists.Inc()
 			continue
 		}
-		f.agent.usedNodes[c.Node] = true
-		return chunkRef{kind: RemoteMem, node: c.Node, handle: h}, retries, true
+		f.agent.usedNodes[c.Key] = true
+		return chunkRef{kind: RemoteMem, node: c.Key, handle: h}, retries, true
 	}
 	// Every candidate refused (or none existed): the chunk falls past
 	// remote memory to the disk / remote-FS legs of the chain.

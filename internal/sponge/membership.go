@@ -152,9 +152,9 @@ func (s *Service) JoinNode() *cluster.Node {
 	if s.Config.DeltaDissemination {
 		s.Cluster.Sim.SpawnDaemon(fmt.Sprintf("spongedelta@%s", n.Name()), srv.deltaReportLoop)
 	}
-	s.Tracker.noteJoin(n.ID, srv.FreeChunks())
+	s.Tracker.table.Set(n.ID, srv.FreeChunks())
 	for _, st := range s.standbys {
-		st.noteJoin(n.ID, 0)
+		st.table.Set(n.ID, 0)
 	}
 	s.bumpEpoch()
 	s.metrics.membershipJoins.Inc()
@@ -182,9 +182,9 @@ func (s *Service) LeaveNode(p *simtime.Proc, node int) error {
 		return fmt.Errorf("sponge: leave of node %d in state %s", node, st)
 	}
 	s.memberState[node] = NodeLeaving
-	s.Tracker.retireNode(node)
+	s.Tracker.table.Set(node, 0)
 	for _, st := range s.standbys {
-		st.retireNode(node)
+		st.table.Set(node, 0)
 	}
 	srv := s.Servers[node]
 	// Drain until a pass finds the pool empty. Allocations granted
@@ -257,8 +257,7 @@ func (s *Service) evacuate(p *simtime.Proc, node int, handles []int) error {
 // configured rack-local. Transfers ride the normal transport path, so
 // they are charged — and fault-injected — like any remote allocation.
 func (s *Service) evacuateChunk(p *simtime.Proc, from *cluster.Node, owner TaskID, payload []byte) (int, int, error) {
-	type cand struct{ node, free int }
-	var cands []cand
+	var cands FreeTable[int]
 	for i, srv := range s.Servers {
 		if i == from.ID || s.NodeState(i) != NodeLive {
 			continue
@@ -266,27 +265,13 @@ func (s *Service) evacuateChunk(p *simtime.Proc, from *cluster.Node, owner TaskI
 		if s.Config.RackLocalOnly && !s.Cluster.SameRack(from, s.Cluster.Nodes[i]) {
 			continue
 		}
-		if free := srv.FreeChunks(); free > 0 {
-			cands = append(cands, cand{i, free})
-		}
-	}
-	// Selection sort by (free desc, id asc): the candidate list is tiny
-	// and the order must be deterministic.
-	for a := 0; a < len(cands); a++ {
-		best := a
-		for b := a + 1; b < len(cands); b++ {
-			if cands[b].free > cands[best].free ||
-				(cands[b].free == cands[best].free && cands[b].node < cands[best].node) {
-				best = b
-			}
-		}
-		cands[a], cands[best] = cands[best], cands[a]
+		cands.Set(i, srv.FreeChunks())
 	}
 	var lastErr error = ErrNoFreeChunk
-	for _, c := range cands {
-		h, err := s.peer(c.node).AllocWrite(p, from, owner, payload)
+	for _, c := range cands.Query() {
+		h, err := s.peer(c.Key).AllocWrite(p, from, owner, payload)
 		if err == nil {
-			return c.node, h, nil
+			return c.Key, h, nil
 		}
 		lastErr = err
 	}

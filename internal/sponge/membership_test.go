@@ -341,7 +341,7 @@ func TestDeltaDisseminationConverges(t *testing.T) {
 		}
 		entries := nt.Query(p, r.c.Nodes[2])
 		for _, e := range entries {
-			if e.Node == 1 && e.Free > 0 {
+			if e.Key == 1 && e.Free > 0 {
 				t.Errorf("tracker still advertises full node 1: %+v", entries)
 			}
 		}
@@ -349,30 +349,78 @@ func TestDeltaDisseminationConverges(t *testing.T) {
 	r.sim.MustRun()
 }
 
-// TestDeltaStaleSequenceDropped: reports at or below the acked sequence
-// never regress the snapshot.
-func TestDeltaStaleSequenceDropped(t *testing.T) {
-	r := newRig(t, 2, 4, func(c *ServiceConfig) {
-		c.DeltaDissemination = true
-		c.PollInterval = simtime.Hour
-	})
+// TestDrainedNodeCannotReadvertiseByDelta: the simulated driver's own
+// rule on top of the shared table — a report from a node that is no
+// longer live is acked but not advertised. (That a duplicate or
+// reordered sequence is dropped is the table's rule; the both-drivers
+// script in wire/tracker_script_test.go checks it on both trackers.)
+func TestDrainedNodeCannotReadvertiseByDelta(t *testing.T) {
+	r := newRig(t, 2, 4, func(c *ServiceConfig) { c.PollInterval = simtime.Hour })
 	r.sim.Spawn("probe", func(p *simtime.Proc) {
 		nt := r.svc.Tracker
-		nt.ReportDelta(p, r.c.Nodes[1], 5, 3)
-		nt.ReportDelta(p, r.c.Nodes[1], 5, 7) // duplicate seq: dropped
-		nt.ReportDelta(p, r.c.Nodes[1], 4, 9) // reordered: dropped
-		if applied, stale := nt.DeltaStats(); applied != 1 || stale != 2 {
-			t.Errorf("delta stats = (%d applied, %d stale), want (1, 2)", applied, stale)
+		if !nt.ReportDelta(p, r.c.Nodes[1], 5, 3) || nt.Advertised(1) != 3 {
+			t.Errorf("live node's report: advertised %d, want 3", nt.Advertised(1))
 		}
-		if nt.snapshot[1] != 3 {
-			t.Errorf("snapshot[1] = %d, want 3 (stale reports must not apply)", nt.snapshot[1])
-		}
-		// A drained node cannot re-advertise itself through a late delta.
 		r.svc.memberState[1] = NodeLeaving
-		nt.retireNode(1)
+		nt.table.Set(1, 0)
+		if !nt.ReportDelta(p, r.c.Nodes[1], 6, 4) {
+			t.Error("a live tracker must take (ack) a drained node's report")
+		}
+		if nt.Advertised(1) != 0 {
+			t.Errorf("retired node re-advertised %d chunks via delta", nt.Advertised(1))
+		}
+		// Acked all the same: the report's duplicate is stale.
 		nt.ReportDelta(p, r.c.Nodes[1], 6, 4)
-		if nt.snapshot[1] != 0 {
-			t.Errorf("retired node re-advertised %d chunks via delta", nt.snapshot[1])
+		if applied, stale := nt.DeltaStats(); applied != 1 || stale != 1 {
+			t.Errorf("delta stats = (%d applied, %d stale), want (1, 1)", applied, stale)
+		}
+	})
+	r.sim.MustRun()
+}
+
+// TestDeltaLostToDeadLeaderIsResent: a free-count change reported while
+// the tracker process is down reaches nobody, so the reporter must not
+// mark it sent. Once the watchdog promotes the standby, the reporter's
+// next cycle pushes the count again and the successor's row shows it —
+// by delta, with no poll (anti-entropy is out of reach in this run).
+func TestDeltaLostToDeadLeaderIsResent(t *testing.T) {
+	r := newRig(t, 3, 4, func(c *ServiceConfig) {
+		c.DeltaDissemination = true
+		c.AntiEntropyEvery = 1000
+		c.TrackerReplicas = 1
+		c.PollInterval = 500 * simtime.Millisecond
+	})
+	polls := r.svc.metrics.trackerPolls
+	r.sim.Spawn("probe", func(p *simtime.Proc) {
+		tick := r.svc.Config.PollInterval
+		// The watchdog wakes at whole ticks; a reporter that has pushed
+		// once wakes a round trip later. One nanosecond past a tick is
+		// after the first and before the second.
+		p.Sleep(3*tick + 1)
+		if got := r.svc.Tracker.Advertised(2); got != 4 {
+			t.Fatalf("before the failure node 2 advertises %d, want 4", got)
+		}
+		pollsBefore := polls.Value()
+		r.svc.FailTracker()
+		// Inside the gap: node 2's free count changes, and its reporter's
+		// cycle finds no live leader.
+		if _, err := r.svc.Servers[2].Pool().Alloc(TaskID{Node: 0, PID: 1}); err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		p.Sleep(tick) // the lost report, then the watchdog's promotion
+		if r.svc.Failovers() != 1 || r.svc.Tracker.Node().ID != 1 {
+			t.Fatalf("failovers = %d, leader on node %d; want the standby on node 1 promoted",
+				r.svc.Failovers(), r.svc.Tracker.Node().ID)
+		}
+		if got := r.svc.Tracker.Advertised(2); got != 4 {
+			t.Fatalf("successor already advertises %d on node 2: the report was not lost, the test missed the gap", got)
+		}
+		p.Sleep(tick) // two intervals after the change
+		if got := r.svc.Tracker.Advertised(2); got != 3 {
+			t.Errorf("successor advertises %d chunks on node 2, want 3 (the change made while no leader was up)", got)
+		}
+		if polls.Value() != pollsBefore {
+			t.Errorf("sponge_tracker_polls_total grew %d -> %d: the count must arrive by delta", pollsBefore, polls.Value())
 		}
 	})
 	r.sim.MustRun()

@@ -28,11 +28,6 @@ type Server struct {
 	// Stats.
 	remoteAllocs, remoteAllocFails int64
 	gcFreed                        int64
-
-	// deltaSeq numbers this server's incremental free-space reports
-	// under delta dissemination; the tracker drops reports at or below
-	// its last acked sequence.
-	deltaSeq uint64
 }
 
 func newServer(svc *Service, node *cluster.Node, pool *Pool) *Server {

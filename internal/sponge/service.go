@@ -218,13 +218,13 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 	}
 	s.metrics.registerGauges(s)
 	s.Tracker = newTracker(s, c.Nodes[0])
-	s.Tracker.leaderEpoch = 1
-	s.metrics.trackerLeaderEpoch.Set(1)
+	s.Tracker.table.Promote()
+	s.metrics.trackerLeaderEpoch.Set(s.Tracker.LeaderEpoch())
 	// The service is deployed long before any task runs; seed the
 	// tracker's snapshot so allocation works from virtual time zero
 	// instead of racing the first poll.
 	for i, srv := range s.Servers {
-		s.Tracker.snapshot[i] = srv.FreeChunks()
+		s.Tracker.table.Set(i, srv.FreeChunks())
 	}
 	if cfg.TrackerReplicas > 0 {
 		s.recruitStandbys()

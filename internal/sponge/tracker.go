@@ -2,7 +2,6 @@ package sponge
 
 import (
 	"errors"
-	"sort"
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/simtime"
@@ -25,75 +24,53 @@ import (
 // leader hands its state off to warm standbys every cycle, and a
 // failover promotes one under a new leader epoch instead of cold-
 // starting with a full re-poll.
+//
+// The table and its rules — sequence dedupe, term fencing, ranking —
+// are the FreeTable's, shared with the TCP tracker; this type is the
+// simulator's driver for it: it charges each exchange's virtual time,
+// skips servers membership says are gone or draining, and leaves
+// leadership to the service's watchdog.
 type Tracker struct {
 	svc  *Service
 	node *cluster.Node
 
-	// snapshot is the free-chunk count per node as of the last update;
-	// ackedSeq is the highest delta sequence applied per node. Both grow
-	// on membership join.
-	snapshot []int
-	ackedSeq []uint64
-	lastPoll simtime.Time
-	polls    int64
-	queries  int64
-	// leaderEpoch is bumped on every promotion, so queries and handoffs
-	// are attributable to one leadership term. down marks a crashed
-	// tracker process (the host may still serve chunks).
-	leaderEpoch int64
-	down        bool
+	// table is the per-node free-chunk snapshot with each node's acked
+	// delta sequence, plus this tracker's term and role. A new tracker is
+	// a follower at term 0 until it is promoted.
+	table   FreeTable[int]
+	polls   int64
+	queries int64
+	// down marks a crashed tracker process (the host may still serve
+	// chunks).
+	down bool
 	// pollDrops counts per-server polls lost in the network even after
 	// retrying; the server is recorded as having no free space until a
 	// later poll reaches it (the stale-free-list trade of §3.1.1).
 	// pollDropsNode attributes the same drops to the polled node.
 	pollDrops     int64
-	pollDropsNode []int64
-	// Delta-dissemination accounting: incremental updates applied and
-	// stale (out-of-sequence) reports dropped.
-	deltaUpdates int64
-	staleDeltas  int64
+	pollDropsNode map[int]int64
 }
 
 func newTracker(svc *Service, node *cluster.Node) *Tracker {
-	return &Tracker{
-		svc:           svc,
-		node:          node,
-		snapshot:      make([]int, len(svc.Cluster.Nodes)),
-		ackedSeq:      make([]uint64, len(svc.Cluster.Nodes)),
-		pollDropsNode: make([]int64, len(svc.Cluster.Nodes)),
-	}
+	return &Tracker{svc: svc, node: node, pollDropsNode: make(map[int]int64)}
 }
 
 // Node returns the tracker's host.
 func (t *Tracker) Node() *cluster.Node { return t.node }
 
-// LeaderEpoch returns the leadership term this tracker serves under.
-func (t *Tracker) LeaderEpoch() int64 { return t.leaderEpoch }
+// LeaderEpoch returns the leadership term this tracker serves under;
+// every promotion starts a new one.
+func (t *Tracker) LeaderEpoch() int64 { return int64(t.table.Epoch()) }
 
-// ensureNodes grows the per-node registries to cover n nodes, so a
-// tracker created before a membership join tolerates the new IDs.
-func (t *Tracker) ensureNodes(n int) {
-	for len(t.snapshot) < n {
-		t.snapshot = append(t.snapshot, 0)
-		t.ackedSeq = append(t.ackedSeq, 0)
-		t.pollDropsNode = append(t.pollDropsNode, 0)
-	}
-}
+// IsLeader reports whether this tracker leads (false for a standby).
+func (t *Tracker) IsLeader() bool { return t.table.Leader() }
 
-// noteJoin registers a newly joined node with the given advertised free
-// space, so allocation can use it before the next poll cycle.
-func (t *Tracker) noteJoin(node, free int) {
-	t.ensureNodes(node + 1)
-	t.snapshot[node] = free
-}
+// Advertised returns the free-chunk count the tracker currently holds
+// for a node — what a query would be answered from.
+func (t *Tracker) Advertised(node int) int { return t.table.Free(node) }
 
-// retireNode stops advertising a node (leave drain or failure); its
-// snapshot entry stays zero until the node state changes.
-func (t *Tracker) retireNode(node int) {
-	if node >= 0 && node < len(t.snapshot) {
-		t.snapshot[node] = 0
-	}
-}
+// unavailable reports whether the tracker process or its host is down.
+func (t *Tracker) unavailable() bool { return t.down || t.svc.nodeDown(t.node.ID) }
 
 // trackerLoop is the polling daemon. It drives whatever tracker is
 // currently installed, so a failover (Service.electTracker) transfers
@@ -107,7 +84,7 @@ func (s *Service) trackerLoop(p *simtime.Proc) {
 	for {
 		p.Sleep(s.Config.PollInterval)
 		t := s.Tracker
-		if t.down || s.nodeDown(t.node.ID) {
+		if t.unavailable() {
 			continue
 		}
 		if s.Config.DeltaDissemination {
@@ -131,28 +108,26 @@ func (s *Service) trackerLoop(p *simtime.Proc) {
 // degradation a stale free list gives.
 func (t *Tracker) pollOnce(p *simtime.Proc) {
 	m := t.svc.metrics
-	t.ensureNodes(len(t.svc.Servers))
 	for i := range t.svc.Servers {
 		if t.svc.nodeDown(i) || t.svc.retiring(i) {
-			t.snapshot[i] = 0
+			t.table.Set(i, 0)
 			continue
 		}
 		m.trackerMsgsPoll.Inc()
 		free, err := t.pollServer(p, i)
 		if err != nil {
-			t.snapshot[i] = 0
+			t.table.Set(i, 0)
 			t.pollDrops++
 			t.pollDropsNode[i]++
 			m.trackerDrops[i].Inc()
 			continue
 		}
-		t.snapshot[i] = free
+		t.table.Set(i, free)
 		m.trackerUpdatesFull.Inc()
 	}
-	t.lastPoll = p.Now()
 	t.polls++
 	m.trackerPolls.Inc()
-	m.trackerLastPoll.Set(int64(t.lastPoll))
+	m.trackerLastPoll.Set(int64(p.Now()))
 }
 
 // pollServer stats one server over the transport, retrying lost
@@ -172,53 +147,50 @@ func (t *Tracker) pollServer(p *simtime.Proc, node int) (int, error) {
 	}
 }
 
-// ReportDelta applies one sequence-numbered incremental free-space
+// ReportDelta delivers one sequence-numbered incremental free-space
 // report pushed by a server (the delta-dissemination successor of the
 // full poll), charging the control round trip from the reporting node.
-// Reports at or below the last acked sequence are stale — reordered or
-// duplicated — and are dropped; reports for nodes no longer live are
-// ignored so a drained node cannot re-advertise itself.
-func (t *Tracker) ReportDelta(p *simtime.Proc, from *cluster.Node, seq uint64, free int) {
-	if t.down || t.svc.nodeDown(t.node.ID) {
-		// Leader gone: the report is lost; the reporter re-pushes to the
-		// successor once the watchdog installs one.
-		return
+// The table drops a stale sequence and acks a fresh one; the count is
+// installed only while the reporter is live, so a drained node cannot
+// re-advertise itself. It reports whether a live tracker took the
+// report — applied or deduplicated, either way it holds that state;
+// false means the report was lost and the reporter must push again.
+func (t *Tracker) ReportDelta(p *simtime.Proc, from *cluster.Node, seq uint64, free int) bool {
+	if t.unavailable() {
+		return false
 	}
 	t.svc.Cluster.RPC(p, from, t.node, ctlBytes, ctlBytes)
 	m := t.svc.metrics
 	m.trackerMsgsDelta.Inc()
-	t.ensureNodes(from.ID + 1)
-	if seq <= t.ackedSeq[from.ID] {
-		t.staleDeltas++
-		m.trackerDeltaStale.Inc()
-		return
-	}
-	t.ackedSeq[from.ID] = seq
-	if t.svc.NodeState(from.ID) != NodeLive {
-		return
-	}
-	t.snapshot[from.ID] = free
-	t.deltaUpdates++
-	m.trackerUpdatesDelta.Inc()
+	applied0, stale0 := t.table.DeltaStats()
+	t.table.Delta(from.ID, seq, free, t.svc.NodeState(from.ID) == NodeLive)
+	applied, stale := t.table.DeltaStats()
+	m.trackerUpdatesDelta.Add(applied - applied0)
+	m.trackerDeltaStale.Add(stale - stale0)
+	return true
 }
 
-// installState copies a leader's state into this tracker — the handoff
-// a standby receives each cycle, and what a promotion installs in place
-// of a cold re-poll.
-func (t *Tracker) installState(from *Tracker) {
-	t.ensureNodes(len(from.snapshot))
-	copy(t.snapshot, from.snapshot)
-	copy(t.ackedSeq, from.ackedSeq)
-	t.lastPoll = from.lastPoll
-	t.leaderEpoch = from.leaderEpoch
+// InstallState delivers a leader's handed-off state (FreeTable.State)
+// to this tracker, charging the replication traffic from the leader's
+// node: 12 bytes per row (free count + acked sequence) plus a control
+// header out, a control ack back. It reports whether the state was
+// installed: not on a tracker that is down, that leads, or that is
+// already on a later term.
+func (t *Tracker) InstallState(p *simtime.Proc, from *cluster.Node, epoch uint64, rows []FreeRow[int]) bool {
+	if t.unavailable() {
+		return false
+	}
+	t.svc.Cluster.RPC(p, from, t.node, ctlBytes+12*len(rows), ctlBytes)
+	return t.table.Install(epoch, rows)
 }
 
 // deltaReportLoop is the per-server push daemon under delta
 // dissemination: each interval it reports the node's free count to the
-// current tracker leader, but only when the count changed since the
-// last report — an idle node costs the tracker nothing.
+// current tracker leader, but only when the count differs from the last
+// one a leader took — an idle node costs the tracker nothing, and a
+// report lost to a dead leader goes out again to its successor.
 func (srv *Server) deltaReportLoop(p *simtime.Proc) {
-	last := -1
+	var src DeltaSource
 	for {
 		p.Sleep(srv.svc.Config.PollInterval)
 		s := srv.svc
@@ -226,30 +198,21 @@ func (srv *Server) deltaReportLoop(p *simtime.Proc) {
 			return
 		}
 		free := srv.FreeChunks()
-		if free == last {
-			continue
+		if seq, send := src.Next(free); send && s.Tracker.ReportDelta(p, srv.node, seq, free) {
+			src.Acked(free)
 		}
-		srv.deltaSeq++
-		s.Tracker.ReportDelta(p, srv.node, srv.deltaSeq, free)
-		last = free
 	}
 }
 
 // queryTimeout is what a task waits before giving up on a dead tracker.
 const queryTimeout = 100 * simtime.Millisecond
 
-// FreeEntry is one row of the tracker's answer.
-type FreeEntry struct {
-	Node int
-	Free int
-}
-
 // Query returns the servers that had free memory at the last update,
 // sorted by free space (descending, node ID tiebreak), charging the
 // control round trip from the asking node. The answer can be stale by up
 // to PollInterval; callers must tolerate allocation failures.
-func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeEntry {
-	if t.down || t.svc.nodeDown(t.node.ID) {
+func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeRow[int] {
+	if t.unavailable() {
 		// Dead tracker: the request times out and the file proceeds
 		// with no remote candidates (it will spill to disk until the
 		// watchdog elects a replacement).
@@ -259,19 +222,7 @@ func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeEntry {
 	t.svc.Cluster.RPC(p, from, t.node, ctlBytes, ctlBytes)
 	t.queries++
 	t.svc.metrics.trackerQueries.Inc()
-	var out []FreeEntry
-	for node, free := range t.snapshot {
-		if free > 0 {
-			out = append(out, FreeEntry{Node: node, Free: free})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Free != out[j].Free {
-			return out[i].Free > out[j].Free
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
+	return t.table.Query()
 }
 
 // Stats returns (polls completed, queries served).
@@ -279,7 +230,7 @@ func (t *Tracker) Stats() (polls, queries int64) { return t.polls, t.queries }
 
 // DeltaStats returns (incremental updates applied, stale reports
 // dropped).
-func (t *Tracker) DeltaStats() (applied, stale int64) { return t.deltaUpdates, t.staleDeltas }
+func (t *Tracker) DeltaStats() (applied, stale int64) { return t.table.DeltaStats() }
 
 // PollDrops returns how many per-server polls were lost in the network
 // even after retrying.
@@ -288,12 +239,4 @@ func (t *Tracker) PollDrops() int64 { return t.pollDrops }
 // PollDropsFor returns how many of this tracker's lost polls were
 // directed at one node, attributing drops to the unreachable server
 // rather than only to the aggregate.
-func (t *Tracker) PollDropsFor(node int) int64 {
-	if node < 0 || node >= len(t.pollDropsNode) {
-		return 0
-	}
-	return t.pollDropsNode[node]
-}
-
-// LastPoll returns when the snapshot was last refreshed by a full poll.
-func (t *Tracker) LastPoll() simtime.Time { return t.lastPoll }
+func (t *Tracker) PollDropsFor(node int) int64 { return t.pollDropsNode[node] }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spongefiles/internal/obs"
+	"spongefiles/internal/sponge"
 )
 
 // deltaReporter is the server side of delta free-space dissemination:
@@ -31,8 +32,9 @@ type deltaReporter struct {
 	clients clientCache
 	cur     int // index of the tracker believed to lead
 
-	seq  uint64
-	last int // last acked free count; -1 forces the first report
+	// src decides when to report and under which sequence — the same
+	// rule the simulated servers' report loop follows.
+	src sponge.DeltaSource
 
 	reports, rotations, sendErrs *obs.Counter
 
@@ -50,7 +52,6 @@ func newDeltaReporter(addr string, trackers []string, interval time.Duration, fr
 		trackers:  append([]string(nil), trackers...),
 		interval:  interval,
 		free:      free,
-		last:      -1,
 		reports:   reg.Counter("spongewire_delta_reports_total", listen),
 		rotations: reg.Counter("spongewire_delta_rotations_total", listen),
 		sendErrs:  reg.Counter("spongewire_delta_errors_total", listen),
@@ -82,17 +83,17 @@ func (r *deltaReporter) loop() {
 	}
 }
 
-// tick reports the current free count if it changed since the last
-// accepted report. Every attempt gets a fresh sequence number, so a
+// tick reports the current free count if it differs from the last one
+// a leader took, rotating through the tracker group until one does. A
 // report that failed in flight (and may or may not have been applied)
 // is retried next tick under a higher sequence and deduplicates
 // cleanly on the tracker.
 func (r *deltaReporter) tick() {
 	free := r.free()
-	if free == r.last {
+	seq, send := r.src.Next(free)
+	if !send {
 		return
 	}
-	r.seq++
 	for i := 0; i < len(r.trackers); i++ {
 		idx := (r.cur + i) % len(r.trackers)
 		c, err := r.clients.get(r.trackers[idx])
@@ -100,7 +101,7 @@ func (r *deltaReporter) tick() {
 			r.sendErrs.Inc()
 			continue
 		}
-		_, err = c.ReportDelta(r.addr, r.seq, free)
+		_, err = c.ReportDelta(r.addr, seq, free)
 		if errors.Is(err, ErrBadRequest) {
 			// Not the leader; the connection is healthy — keep it and
 			// rotate onward.
@@ -115,10 +116,9 @@ func (r *deltaReporter) tick() {
 		// Applied or deduplicated by a leader: either way it has this
 		// state. Stick with this tracker.
 		r.cur = idx
-		r.last = free
+		r.src.Acked(free)
 		r.reports.Inc()
 		return
 	}
-	// No tracker took the report; leave last unchanged so the next
-	// tick retries with a fresh sequence.
+	// No tracker took the report: unacked, so the next tick retries.
 }

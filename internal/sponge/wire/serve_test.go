@@ -151,10 +151,10 @@ func TestTrackerServesFreeListOverBothFramings(t *testing.T) {
 		if len(entries) != 2 {
 			t.Fatalf("%s FreeList returned %d entries, want 2", name, len(entries))
 		}
-		if entries[0].Addr != srvA.Addr() || entries[0].Free != 8 {
+		if entries[0].Key != srvA.Addr() || entries[0].Free != 8 {
 			t.Fatalf("%s first entry = %+v, want %s with 8 free", name, entries[0], srvA.Addr())
 		}
-		if entries[1].Addr != srvB.Addr() || entries[1].Free != 5 {
+		if entries[1].Key != srvB.Addr() || entries[1].Free != 5 {
 			t.Fatalf("%s second entry = %+v, want %s with 5 free", name, entries[1], srvB.Addr())
 		}
 		free, total, size, err := c.Stat()

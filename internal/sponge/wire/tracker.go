@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spongefiles/internal/obs"
+	"spongefiles/internal/sponge"
 )
 
 // Tracker is the memory tracking server over real TCP: it periodically
@@ -15,6 +16,12 @@ import (
 // free-list queries from its in-memory snapshot, exactly like the
 // simulated tracker but against live daemons. It is stateless — restart
 // it anywhere and the first poll rebuilds its view (§3.1.1).
+//
+// The snapshot and the rules that keep it — sequence dedupe, term
+// fencing, ranking — are sponge.FreeTable's, shared with the simulated
+// tracker and keyed here by server address. This type is the TCP driver
+// for it: the lock, the poll and handoff connections, the lease clock
+// that promotes a standby, and (TrackerServer) the frame codec.
 //
 // The tracker keeps one pipelined client per server across polls
 // instead of dialing anew each cycle; a poll is a single Stat round
@@ -33,22 +40,17 @@ type Tracker struct {
 	interval time.Duration
 	opts     TrackerOptions
 
-	mu      sync.Mutex
-	addrs   []string
-	free    map[string]int
-	seq     map[string]uint64 // per-server acked delta sequence
-	lastErr map[string]error
+	mu sync.Mutex
+	// table holds a row per known server — the configured addresses from
+	// the start, and whatever a delta or a handoff has named since — and
+	// this tracker's term and role. A leader polls every row.
+	table      sponge.FreeTable[string]
+	lastErr    map[string]error
+	lastPush   time.Time // standby: when state last arrived from the leader
+	promotions int64
 
 	clients  clientCache // poll connections, one per sponge server
 	standbyC clientCache // handoff connections, one per standby
-
-	epoch    uint64    // leadership term, bumped by every promotion
-	leader   bool      // false while standing by
-	lastPush time.Time // standby: when state last arrived from the leader
-
-	deltaApplied, deltaStale int64
-	handoffs, handoffErrs    int64
-	promotions               int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -77,10 +79,6 @@ type TrackerOptions struct {
 	// Lease is how long a standby waits without a state push before
 	// promoting itself; 0 means 3×Interval.
 	Lease time.Duration
-	// Epoch seeds the leadership term (a promotion always bumps past
-	// the epoch of the state it inherited, so explicit seeding is only
-	// needed for tests and restarts).
-	Epoch uint64
 }
 
 // NewTracker creates a tracker polling the given sponge-server addresses
@@ -107,20 +105,16 @@ func NewTrackerOptions(addrs []string, opts TrackerOptions) *Tracker {
 	t := &Tracker{
 		interval: opts.Interval,
 		opts:     opts,
-		addrs:    append([]string(nil), addrs...),
-		free:     make(map[string]int),
-		seq:      make(map[string]uint64),
 		lastErr:  make(map[string]error),
-		epoch:    opts.Epoch,
-		leader:   !opts.Standby,
 		lastPush: time.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	if t.leader {
-		if t.epoch == 0 {
-			t.epoch = 1
-		}
+	for _, addr := range addrs {
+		t.table.Set(addr, 0)
+	}
+	if !opts.Standby {
+		t.table.Promote()
 		t.pollOnce()
 	}
 	go t.loop()
@@ -165,30 +159,30 @@ func (t *Tracker) loop() {
 // leader by rotation — the old address refuses, this one now applies.
 func (t *Tracker) checkLease() {
 	t.mu.Lock()
-	if t.leader || time.Since(t.lastPush) <= t.opts.Lease {
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.table.Leader() || time.Since(t.lastPush) <= t.opts.Lease {
 		return
 	}
-	t.leader = true
-	t.epoch++
+	t.table.Promote()
 	t.promotions++
-	t.mu.Unlock()
 }
 
+// pollOnce stats every server the table has a row for — so a promoted
+// standby polls the servers it inherited from its leader, not only the
+// ones it was configured with. An unreachable server advertises zero.
 func (t *Tracker) pollOnce() {
 	t.mu.Lock()
-	addrs := append([]string(nil), t.addrs...)
+	_, rows := t.table.State()
 	t.mu.Unlock()
-	for _, addr := range addrs {
-		free, err := t.statAddr(addr)
+	for _, r := range rows {
+		free, err := t.statAddr(r.Key)
 		t.mu.Lock()
 		if err != nil {
-			t.lastErr[addr] = err
-			t.free[addr] = 0
+			t.lastErr[r.Key] = err
 		} else {
-			delete(t.lastErr, addr)
-			t.free[addr] = free
+			delete(t.lastErr, r.Key)
 		}
+		t.table.Set(r.Key, free)
 		t.mu.Unlock()
 	}
 }
@@ -213,14 +207,14 @@ func (t *Tracker) statAddr(addr string) (int, error) {
 func (t *Tracker) IsLeader() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.leader
+	return t.table.Leader()
 }
 
 // Epoch returns the leadership term this tracker is serving under.
 func (t *Tracker) Epoch() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.epoch
+	return t.table.Epoch()
 }
 
 // Promotions returns how many times this tracker promoted itself from
@@ -236,70 +230,36 @@ func (t *Tracker) Promotions() int64 {
 func (t *Tracker) DeltaStats() (applied, stale int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.deltaApplied, t.deltaStale
+	return t.table.DeltaStats()
 }
 
-// HandoffStats returns (completed, failed) standby state pushes.
-func (t *Tracker) HandoffStats() (ok, failed int64) {
+// reportDelta hands one pushed free-space report to the table. ok=false
+// means this tracker is not the leader, which the wire layer answers as
+// StatusBadRequest so the reporter rotates onward; applied=false under
+// a leader means the table dropped the sequence as stale. A report that
+// lands proves its server reachable.
+func (t *Tracker) reportDelta(addr string, seq uint64, free int) (applied, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.handoffs, t.handoffErrs
-}
-
-// applyDelta installs one pushed free-space report. It returns
-// applied=false for a report at or below the server's acked sequence
-// (a retry or reordering — the snapshot already reflects newer truth)
-// and ok=false when this tracker is not the leader, which the wire
-// layer answers as StatusBadRequest so the reporter rotates onward.
-func (t *Tracker) applyDelta(addr string, seq uint64, free int) (applied, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.leader {
+	if !t.table.Leader() {
 		return false, false
 	}
-	if seq <= t.seq[addr] {
-		t.deltaStale++
-		return false, true
+	if applied = t.table.Delta(addr, seq, free, true); applied {
+		delete(t.lastErr, addr)
 	}
-	t.seq[addr] = seq
-	t.free[addr] = free
-	delete(t.lastErr, addr)
-	t.deltaApplied++
-	return true, true
+	return applied, true
 }
 
-// applyState installs a leader's handed-off snapshot on a standby. A
-// leader refuses (it follows nobody — the refusal tells a stale
-// ex-leader its term is over), as does a push from an older epoch.
-func (t *Tracker) applyState(epoch uint64, entries []TrackerStateEntry) bool {
+// installState offers a pushed handoff to the table; an accepted one
+// renews the standby's lease.
+func (t *Tracker) installState(epoch uint64, rows []TrackerEntry) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.leader || epoch < t.epoch {
+	if !t.table.Install(epoch, rows) {
 		return false
 	}
-	free := make(map[string]int, len(entries))
-	seq := make(map[string]uint64, len(entries))
-	for _, e := range entries {
-		free[e.Addr] = e.Free
-		seq[e.Addr] = e.Seq
-	}
-	t.epoch = epoch
-	t.free = free
-	t.seq = seq
 	t.lastPush = time.Now()
 	return true
-}
-
-// snapshotState captures the handoff payload under the lock.
-func (t *Tracker) snapshotState() (uint64, []TrackerStateEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	entries := make([]TrackerStateEntry, 0, len(t.free))
-	for addr, free := range t.free {
-		entries = append(entries, TrackerStateEntry{Addr: addr, Free: free, Seq: t.seq[addr]})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Addr < entries[j].Addr })
-	return t.epoch, entries
 }
 
 // handoff pushes the leader's snapshot to every configured standby over
@@ -309,21 +269,17 @@ func (t *Tracker) handoff() {
 	if len(t.opts.Standbys) == 0 {
 		return
 	}
-	epoch, entries := t.snapshotState()
+	t.mu.Lock()
+	epoch, rows := t.table.State()
+	t.mu.Unlock()
 	for _, addr := range t.opts.Standbys {
 		c, err := t.standbyC.get(addr)
-		if err == nil {
-			if err = c.PushTrackerState(epoch, entries); err != nil {
-				t.standbyC.drop(addr, c)
-			}
-		}
-		t.mu.Lock()
 		if err != nil {
-			t.handoffErrs++
-		} else {
-			t.handoffs++
+			continue
 		}
-		t.mu.Unlock()
+		if err := c.PushTrackerState(epoch, rows); err != nil {
+			t.standbyC.drop(addr, c)
+		}
 	}
 }
 
@@ -377,41 +333,25 @@ func (cc *clientCache) close() {
 	}
 }
 
-// TrackerEntry is one row of the tracker's answer.
-type TrackerEntry struct {
-	Addr string
-	Free int
-}
+// TrackerEntry is the tracker's row, keyed by server address: a query
+// answer and a free-list frame carry Key and Free; a state handoff also
+// carries Seq, so the standby resumes deduplication where the leader
+// left off.
+type TrackerEntry = sponge.FreeRow[string]
 
 // Query returns servers that had free chunks at the last poll, most
 // free first. The answer can be stale by up to the poll interval.
 func (t *Tracker) Query() []TrackerEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []TrackerEntry
-	for addr, free := range t.free {
-		if free > 0 {
-			out = append(out, TrackerEntry{Addr: addr, Free: free})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Free != out[j].Free {
-			return out[i].Free > out[j].Free
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
+	return t.table.Query()
 }
 
-// totalFree sums the last-polled free chunks across all servers.
+// totalFree sums the advertised free chunks across all servers.
 func (t *Tracker) totalFree() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sum := 0
-	for _, free := range t.free {
-		sum += free
-	}
-	return sum
+	return t.table.Total()
 }
 
 // TrackerServer exposes a tracker over the wire protocol, so remote
@@ -481,9 +421,9 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 		for _, e := range entries {
 			var fixed [6]byte
 			binary.LittleEndian.PutUint32(fixed[0:4], uint32(e.Free))
-			binary.LittleEndian.PutUint16(fixed[4:6], uint16(len(e.Addr)))
+			binary.LittleEndian.PutUint16(fixed[4:6], uint16(len(e.Key)))
 			out = append(out, fixed[:]...)
-			out = append(out, e.Addr...)
+			out = append(out, e.Key...)
 		}
 		return out, fileRef{}
 	case OpFreeDelta:
@@ -497,7 +437,7 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 		if len(payload) != 14+alen {
 			return []byte{StatusBadRequest}, fileRef{}
 		}
-		applied, ok := ts.t.applyDelta(string(payload[14:14+alen]), seq, free)
+		applied, ok := ts.t.reportDelta(string(payload[14:14+alen]), seq, free)
 		if !ok {
 			// Not the leader: the reporter rotates to the next tracker.
 			return []byte{StatusBadRequest}, fileRef{}
@@ -520,7 +460,7 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 			// refuse before the count sizes anything.
 			return []byte{StatusBadRequest}, fileRef{}
 		}
-		entries := make([]TrackerStateEntry, 0, count)
+		entries := make([]TrackerEntry, 0, count)
 		for i := 0; i < count; i++ {
 			if len(payload) < 14 {
 				return []byte{StatusBadRequest}, fileRef{}
@@ -532,10 +472,10 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 			if len(payload) < alen {
 				return []byte{StatusBadRequest}, fileRef{}
 			}
-			entries = append(entries, TrackerStateEntry{Addr: string(payload[:alen]), Free: free, Seq: seq})
+			entries = append(entries, TrackerEntry{Key: string(payload[:alen]), Free: free, Seq: seq})
 			payload = payload[alen:]
 		}
-		if !ts.t.applyState(epoch, entries) {
+		if !ts.t.installState(epoch, entries) {
 			// A leader (or a standby ahead of this epoch) follows nobody.
 			return []byte{StatusBadRequest}, fileRef{}
 		}
@@ -585,20 +525,10 @@ func decodeFreeList(body []byte) ([]TrackerEntry, error) {
 		if len(body) < alen {
 			return nil, fmt.Errorf("wire: truncated free-list response")
 		}
-		out = append(out, TrackerEntry{Addr: string(body[:alen]), Free: free})
+		out = append(out, TrackerEntry{Key: string(body[:alen]), Free: free})
 		body = body[alen:]
 	}
 	return out, nil
-}
-
-// TrackerStateEntry is one row of a leader-to-standby state handoff:
-// a server's free count and the delta sequence the leader has acked
-// from it, so the standby resumes deduplication where the leader left
-// off.
-type TrackerStateEntry struct {
-	Addr string
-	Free int
-	Seq  uint64
 }
 
 // ReportDelta pushes one sequence-numbered free-space report to a
@@ -623,7 +553,7 @@ func (c *Client) ReportDelta(addr string, seq uint64, free int) (bool, error) {
 // PushTrackerState hands a leader's snapshot off to a standby tracker.
 // A leader on the receiving end answers ErrBadRequest — the signal to
 // a stale ex-leader that its term is over.
-func (c *Client) PushTrackerState(epoch uint64, entries []TrackerStateEntry) error {
+func (c *Client) PushTrackerState(epoch uint64, entries []TrackerEntry) error {
 	body := make([]byte, 11, 11+len(entries)*20)
 	body[0] = OpTrackerState
 	binary.LittleEndian.PutUint64(body[1:9], epoch)
@@ -632,9 +562,9 @@ func (c *Client) PushTrackerState(epoch uint64, entries []TrackerStateEntry) err
 		var fixed [14]byte
 		binary.LittleEndian.PutUint32(fixed[0:4], uint32(e.Free))
 		binary.LittleEndian.PutUint64(fixed[4:12], e.Seq)
-		binary.LittleEndian.PutUint16(fixed[12:14], uint16(len(e.Addr)))
+		binary.LittleEndian.PutUint16(fixed[12:14], uint16(len(e.Key)))
 		body = append(body, fixed[:]...)
-		body = append(body, e.Addr...)
+		body = append(body, e.Key...)
 	}
 	_, err := c.do(body, nil, nil)
 	return err

@@ -30,7 +30,7 @@ func TestTrackerPollsAndRanks(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d", len(entries))
 	}
-	if entries[0].Addr != s2.Addr() || entries[0].Free != 8 {
+	if entries[0].Key != s2.Addr() || entries[0].Free != 8 {
 		t.Fatalf("ranking wrong: %+v", entries)
 	}
 
@@ -54,7 +54,7 @@ func TestTrackerPollsAndRanks(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if len(entries) != 1 || entries[0].Addr != s2.Addr() {
+	if len(entries) != 1 || entries[0].Key != s2.Addr() {
 		t.Fatalf("stale full server still advertised: %+v", entries)
 	}
 }

@@ -17,6 +17,14 @@ GOOS=darwin go build ./...
 echo "== go vet ./... =="
 go vet ./...
 
+echo "== gofmt -l (tracked .go files) =="
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would rewrite:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go test -race ./... =="
 # The whole tree, not a list of names: the only tests that sit a race
 # build out are the allocation guards behind race_on_test.go, which the
@@ -30,6 +38,15 @@ echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
 # tasks inherit each other's sort buffers through the job's free list.
 go test -race -count=10 ./internal/simtime
 go test -race -count=10 -run 'SortBuffer' ./internal/mapreduce
+
+echo "== the tracker's table and its two drivers, -race -count=10 =="
+# One FreeTable keeps the free list's rules for the simulated tracker
+# and the TCP one: the seeded property test holds the table to a model,
+# and the script plays one event sequence to both trackers (the TCP one
+# behind a real TrackerServer) and requires the same answers, terms,
+# roles and delta counts after every step.
+go test -race -count=10 -run 'TestFreeTable|TestDeltaSource' ./internal/sponge
+go test -race -count=10 -run 'TestTrackerScriptBothDrivers' ./internal/sponge/wire
 
 echo "== benchmarks compile and run once =="
 go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce

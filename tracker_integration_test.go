@@ -134,12 +134,12 @@ func TestTrackerFailoverMidJobOverTCP(t *testing.T) {
 		var lastErr error
 		stored := false
 		for _, e := range entries {
-			h, err := clientFor(e.Addr).AllocWrite(owner, data)
+			h, err := clientFor(e.Key).AllocWrite(owner, data)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			chunks = append(chunks, placed{addr: e.Addr, handle: h, data: data})
+			chunks = append(chunks, placed{addr: e.Key, handle: h, data: data})
 			stored = true
 			break
 		}
