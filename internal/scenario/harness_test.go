@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bufio"
+	"encoding/binary"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,4 +153,57 @@ func TestParseServeBannerRejectsGarbage(t *testing.T) {
 	if err != nil || addr != "127.0.0.1:7070" {
 		t.Fatalf("got %q, %v", addr, err)
 	}
+}
+
+// The runner's teardown invariant against a live child: a sender that
+// stalls mid-chunk holds a pin in the child's pool, the child's scrape
+// says so, pinLeaks names it, and hanging up clears it.
+func TestPinLeaksSeesAChildsOpenReceive(t *testing.T) {
+	const chunk = 4096
+	h, err := Spawn(HarnessOptions{Nodes: 1, ChunkBytes: chunk, Chunks: 2})
+	if err != nil {
+		t.Fatalf("Spawn: %v", err)
+	}
+	defer h.Stop()
+	leaks := func() (all []string) {
+		for _, ns := range h.Scrape() {
+			all = append(all, pinLeaks(ns)...)
+		}
+		return all
+	}
+	if got := leaks(); len(got) != 0 {
+		t.Fatalf("idle child reports leaks: %v", got)
+	}
+	conn, err := net.Dial("tcp", h.Addrs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The hello, then an alloc_write that declares a whole chunk and
+	// delivers the head and half of it.
+	if _, err := conn.Write([]byte{2, 0, 0, 0, wire.OpHello, wire.ProtocolV2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 4+14)); err != nil {
+		t.Fatalf("hello reply: %v", err)
+	}
+	req := binary.LittleEndian.AppendUint32(nil, 13+chunk) // body length
+	req = binary.LittleEndian.AppendUint32(req, 1)         // request id
+	req = append(req, wire.OpAllocWrite)
+	req = binary.LittleEndian.AppendUint32(req, 1)  // owner node
+	req = binary.LittleEndian.AppendUint64(req, 51) // owner pid
+	if _, err := conn.Write(append(req, make([]byte, chunk/2)...)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: leaks = %v", what, leaks())
+			}
+		}
+	}
+	waitFor("the stalled receive never showed as a pin", func() bool { return len(leaks()) == 1 })
+	conn.Close()
+	waitFor("the pin outlived its connection", func() bool { return len(leaks()) == 0 })
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strings"
 	"time"
 
 	"spongefiles/internal/cluster"
@@ -300,6 +301,10 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 	scrapes := []map[string]int64{parent}
 	for _, ns := range h.Scrape() {
 		scrapes = append(scrapes, ns.Samples)
+		// Teardown invariant, every case, asserted or not.
+		for _, leak := range pinLeaks(ns) {
+			failf("%s", leak)
+		}
 	}
 	merged := obs.MergeSamples(scrapes...)
 	for _, a := range cs.Assert {
@@ -314,6 +319,21 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 		}
 	}
 	return done()
+}
+
+// pinLeaks names every pool chunk a child still pins in its scrape. With
+// the workload over nothing is in flight, so a pin — held across a
+// socket receive or send since the server moves chunks in place — that
+// outlived its request is a leak, and would block that chunk's free for
+// good.
+func pinLeaks(ns obs.NodeSamples) []string {
+	var leaks []string
+	for id, v := range ns.Samples {
+		if strings.HasPrefix(id, "spongewire_pool_pinned") && v != 0 {
+			leaks = append(leaks, fmt.Sprintf("leak: %s ends the case with %s = %d, want 0", ns.Name, id, v))
+		}
+	}
+	return leaks
 }
 
 // runSim runs the simulation to completion, converting a deadlock (or

@@ -202,7 +202,7 @@ func (f *File) Write(p *simtime.Proc, data []byte) error {
 		f.bufLen += n
 		data = data[n:]
 		if f.bufLen == len(f.buf) {
-			if err := f.flushChunk(p); err != nil {
+			if err := f.flushChunk(p, false); err != nil {
 				return err
 			}
 		}
@@ -212,8 +212,10 @@ func (f *File) Write(p *simtime.Proc, data []byte) error {
 
 // flushChunk spills the full (or final partial) buffer as one chunk.
 // Local memory is tried synchronously; remote memory, disk and remote FS
-// happen on an asynchronous writer bounded by AsyncWriteDepth.
-func (f *File) flushChunk(p *simtime.Proc) error {
+// happen on an asynchronous writer bounded by AsyncWriteDepth. last
+// marks Close's flush: no write follows it, so a staging buffer handed
+// off is not replaced.
+func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 	n := f.bufLen
 	if n == 0 {
 		return nil
@@ -226,8 +228,8 @@ func (f *File) flushChunk(p *simtime.Proc) error {
 
 	// With encryption enabled, seal the chunk before it leaves the task
 	// (§3.1.4). Sealing happens in place in the staging buffer: the local
-	// path copies it into the pool slab and the async path copies it into
-	// the hand-off buffer, so no separate sealed copy ever exists.
+	// path copies it into the pool slab and the async path takes the
+	// buffer itself, so no separate sealed copy ever exists.
 	plain := f.buf[:n]
 	var nonce uint64
 	if f.agent.cipher != nil {
@@ -271,15 +273,20 @@ func (f *File) flushChunk(p *simtime.Proc) error {
 	// The local pool turned the chunk away; it falls down the chain.
 	m.fallbackLocalFull.Inc()
 
-	// 2..4. Non-local media: hand the payload to an async writer in a
-	// recycled chunk buffer. The hand-off copy is real and is charged; the
-	// writer then tries remote sponge servers from the (possibly stale)
-	// free list, the local disk, and finally the remote store. References
-	// that carry no payload (remote memory stores the bytes in its pool)
-	// return the buffer immediately; disk and remote-FS references keep it
-	// until Delete.
-	payload := f.agent.svc.getBuf()[:n]
-	copy(payload, plain)
+	// 2..4. Non-local media: hand the staging buffer itself to an async
+	// writer and stage the next chunk in a fresh one from the service's
+	// pool — the host moves no bytes, while the simulated task is still
+	// charged the hand-off copy the paper's client makes. The writer then
+	// tries remote sponge servers from the (possibly stale) free list, the
+	// local disk, and finally the remote store. References that carry no
+	// payload (remote memory stores the bytes in its pool) return the
+	// buffer immediately; disk and remote-FS references keep it until
+	// Delete.
+	payload := plain
+	f.buf = nil
+	if !last {
+		f.buf = f.agent.svc.getBuf()
+	}
 	f.agent.node.ChargeCopy(p, n)
 	idx := len(f.chunks)
 	f.chunks = append(f.chunks, chunkRef{pending: true, size: n})
@@ -435,7 +442,7 @@ func (f *File) Close(p *simtime.Proc) error {
 	if f.closed {
 		return nil
 	}
-	if err := f.flushChunk(p); err != nil {
+	if err := f.flushChunk(p, true); err != nil {
 		return err
 	}
 	for f.outstanding > 0 {
@@ -443,7 +450,8 @@ func (f *File) Close(p *simtime.Proc) error {
 	}
 	f.closed = true
 	// The staging buffer is write-side only; recycle it now rather than at
-	// Delete so it can serve the read side's fetches.
+	// Delete so it can serve the read side's fetches (the final flush may
+	// already have handed it to a writer).
 	if f.buf != nil {
 		f.agent.svc.putBuf(f.buf)
 		f.buf = nil

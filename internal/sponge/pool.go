@@ -25,11 +25,14 @@ import (
 // virtual time; the real-TCP transport in the wire subpackage shares the
 // same pool from OS threads, which is why a real mutex backs it.
 //
-// Chunk payload copies, however, run outside the lock under a per-chunk
-// pin and a seqlock-style generation: Read and Write pin the chunk,
-// release the lock, move the bytes, and re-take the lock to unpin;
-// Write brackets its copy with generation bumps (odd = write in
-// progress) and FreeChunk both waits out pins and bumps the generation.
+// Chunk payloads, however, move outside the lock under a per-chunk pin
+// and a seqlock-style generation, through two brackets: Fill … Filled
+// hands a producer the slab slot between two generation bumps (odd =
+// write in progress), View … Unpin hands a consumer the valid bytes in
+// place. Write and Read are their copying callers; the wire server
+// receives a chunk from its socket inside the first and sends one from
+// inside the second, so a chunk crosses the daemon without a staging
+// copy. FreeChunk both waits out pins and bumps the generation.
 // In-process that makes large copies concurrent instead of serialized
 // on the metadata lock; across processes the generation table — itself
 // file-backed and passed with the segments — is how an fd-holding
@@ -38,7 +41,7 @@ import (
 type Pool struct {
 	mu sync.Mutex
 	// drained signals pin-count and pinned-total drops to waiters
-	// (FreeChunk, Write, Close).
+	// (FreeChunk, Fill, a View of a chunk mid-fill, Close).
 	drained *sync.Cond
 
 	chunkReal int // real bytes per chunk
@@ -52,8 +55,8 @@ type Pool struct {
 	gens    []uint64
 	genSlab poolSlab
 
-	// pins counts in-flight unlocked payload copies per chunk; pinned is
-	// their total. A pinned chunk is never freed or rewritten, and a
+	// pins counts open Fill and View brackets per chunk; pinned is their
+	// total. A pinned chunk is never freed or rewritten, and a
 	// pool with pinned chunks is never unmapped.
 	pins   []int32
 	pinned int
@@ -199,76 +202,129 @@ func (p *Pool) chunkSlice(h int) []byte {
 	return p.segments[seg].data[off : off+p.chunkReal]
 }
 
-// Write stores data into the chunk (replacing previous contents). The
-// caller charges copy time; Write only moves the real bytes. The copy
-// runs outside the metadata lock under a pin, bracketed by generation
-// bumps so concurrent readers (local or holding passed descriptors)
-// never accept a torn payload.
-func (p *Pool) Write(h int, data []byte) error {
-	if len(data) > p.chunkReal {
-		panic("sponge: chunk overflow")
-	}
+// Fill opens chunk h for filling in place: it pins the chunk, marks its
+// generation odd (write in progress) and returns the whole slab slot.
+// The caller produces up to ChunkSize bytes into the slice — a memcpy, or
+// a socket receive — and then must close the bracket exactly once, with
+// Filled, or with AbortFill when the producer failed; the slice is dead
+// from that call on. The pin holds FreeChunk, FreeOwnedBy and Close off
+// for as long as the producer takes, so a producer that can stall must
+// carry its own deadline. Filling a chunk that unlocked readers still
+// view waits them out first.
+func (p *Pool) Fill(h int) ([]byte, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err := p.check(h); err != nil {
-		p.mu.Unlock()
-		return err
+		return nil, err
 	}
 	// Wait out unlocked readers of the old contents; re-validate after
 	// any wait, the chunk may have been freed meanwhile.
 	for p.pins[h] > 0 {
 		p.drained.Wait()
 		if err := p.check(h); err != nil {
-			p.mu.Unlock()
-			return err
+			return nil, err
 		}
 	}
 	atomic.AddUint64(&p.gens[h], 1) // odd: write in progress
-	dst := p.chunkSlice(h)
 	p.pins[h]++
 	p.pinned++
-	p.mu.Unlock()
-	copy(dst, data)
+	return p.chunkSlice(h), nil
+}
+
+// Filled closes the bracket Fill opened: the chunk now holds n valid
+// bytes, its generation is even again (new contents visible to local
+// readers and to peers holding passed descriptors), and the pin drops.
+func (p *Pool) Filled(h, n int) {
+	if n < 0 || n > p.chunkReal {
+		panic("sponge: chunk overflow")
+	}
 	p.mu.Lock()
+	p.lengths[h] = n
+	atomic.AddUint64(&p.gens[h], 1) // even: new contents visible
+	p.unpin(h)
+	p.mu.Unlock()
+}
+
+// AbortFill closes the bracket of a Fill whose producer failed, and
+// frees the chunk in the same critical section: the half-written bytes
+// are never visible, and no other free — a FreeOwnedBy that was waiting
+// on this very pin — can get in between and turn the caller's own
+// FreeChunk into a double free.
+func (p *Pool) AbortFill(h int) {
+	p.mu.Lock()
+	atomic.AddUint64(&p.gens[h], 1) // even again; reclaim bumps it on
+	p.unpin(h)
+	p.reclaim(h, p.owners[h])
+	p.mu.Unlock()
+}
+
+// View pins live chunk h and returns its valid bytes in place, with no
+// copy: the caller reads them — a memcpy, or a socket send — and then
+// must call Unpin exactly once; the slice is dead from that call on. The
+// pin excludes frees and rewrites for as long as the caller holds it, so
+// the bytes are consistent as of the pinned generation. A chunk that is
+// mid-fill (odd generation) is waited for, asleep on the pool's
+// condition rather than spinning on its lock: the fill may be a network
+// receive long.
+func (p *Pool) View(h int) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		if err := p.check(h); err != nil {
+			return nil, err
+		}
+		if atomic.LoadUint64(&p.gens[h])&1 == 0 {
+			break
+		}
+		p.drained.Wait()
+	}
+	p.pins[h]++
+	p.pinned++
+	return p.chunkSlice(h)[:p.lengths[h]], nil
+}
+
+// Unpin drops the pin a View took.
+func (p *Pool) Unpin(h int) {
+	p.mu.Lock()
+	p.unpin(h)
+	p.mu.Unlock()
+}
+
+// unpin drops one pin on h and wakes whoever waits on it: a free, a
+// fill, a view of a chunk mid-fill, Close. Caller holds p.mu.
+func (p *Pool) unpin(h int) {
 	p.pins[h]--
 	p.pinned--
-	p.lengths[h] = len(data)
-	atomic.AddUint64(&p.gens[h], 1) // even: new contents visible
 	p.drained.Broadcast()
-	p.mu.Unlock()
+}
+
+// Write stores data into the chunk (replacing previous contents). The
+// caller charges copy time; Write only moves the real bytes, as Fill's
+// copying caller: outside the metadata lock, under the pin, between the
+// generation bumps.
+func (p *Pool) Write(h int, data []byte) error {
+	if len(data) > p.chunkReal {
+		panic("sponge: chunk overflow")
+	}
+	dst, err := p.Fill(h)
+	if err != nil {
+		return err
+	}
+	copy(dst, data)
+	p.Filled(h, len(data))
 	return nil
 }
 
-// Read copies the chunk's valid bytes into buf and returns the count.
-// The copy runs outside the metadata lock under a pin; a generation
-// observed odd means a writer is mid-copy and the read retries.
+// Read copies the chunk's valid bytes into buf and returns the count, as
+// View's copying caller.
 func (p *Pool) Read(h int, buf []byte) (int, error) {
-	for {
-		p.mu.Lock()
-		if err := p.check(h); err != nil {
-			p.mu.Unlock()
-			return 0, err
-		}
-		if atomic.LoadUint64(&p.gens[h])&1 == 1 {
-			// Writer mid-copy; it needs the lock to finish, so releasing
-			// and re-taking it is the wait.
-			p.mu.Unlock()
-			continue
-		}
-		n := p.lengths[h]
-		src := p.chunkSlice(h)[:n]
-		p.pins[h]++
-		p.pinned++
-		p.mu.Unlock()
-		m := copy(buf, src)
-		p.mu.Lock()
-		p.pins[h]--
-		p.pinned--
-		p.drained.Broadcast()
-		p.mu.Unlock()
-		// The pin excluded frees and rewrites for the whole copy, so the
-		// bytes are consistent as of the pinned generation.
-		return m, nil
+	src, err := p.View(h)
+	if err != nil {
+		return 0, err
 	}
+	n := copy(buf, src)
+	p.Unpin(h)
+	return n, nil
 }
 
 // Length returns the valid byte count of a chunk.
@@ -354,7 +410,7 @@ func (p *Pool) check(h int) error {
 
 // FreeChunk returns a chunk to the pool. Freeing a free chunk is an error
 // caught by panic: it indicates double-free in the engine. The free
-// waits out any in-flight unlocked copy of the chunk and bumps its
+// waits out any open Fill or View of the chunk and bumps its
 // generation, so descriptor-holding peers can detect the recycle.
 func (p *Pool) FreeChunk(h int) {
 	p.mu.Lock()
@@ -366,7 +422,22 @@ func (p *Pool) FreeChunk(h int) {
 	if owner.IsZero() {
 		panic("sponge: double free")
 	}
-	for p.pins[h] > 0 {
+	p.reclaim(h, owner)
+}
+
+// reclaim waits out chunk h's open brackets and returns it to the free
+// list, bumping its generation. The wait gives the lock up, so the
+// chunk is looked at again after it: when the pool closed meanwhile, or
+// another path freed the chunk first, reclaim does nothing and reports
+// false. Caller holds p.mu.
+func (p *Pool) reclaim(h int, owner TaskID) bool {
+	for {
+		if p.closed || p.owners[h] != owner {
+			return false
+		}
+		if p.pins[h] == 0 {
+			break
+		}
 		p.drained.Wait()
 	}
 	atomic.AddUint64(&p.gens[h], 2) // stays even: freed, not mid-write
@@ -379,6 +450,7 @@ func (p *Pool) FreeChunk(h int) {
 	} else {
 		p.held[owner]--
 	}
+	return true
 }
 
 // Owners returns a snapshot of the distinct owners currently holding
@@ -424,26 +496,17 @@ func (p *Pool) Owner(h int) (TaskID, error) {
 // FreeOwnedBy releases every chunk held by owner (garbage collection of
 // orphans) and returns how many were freed.
 func (p *Pool) FreeOwnedBy(owner TaskID) int {
+	if owner.IsZero() {
+		return 0 // the free-chunk marker owns nothing
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return 0
-	}
 	freed := 0
-	for i, o := range p.owners {
-		if o == owner {
-			for p.pins[i] > 0 {
-				p.drained.Wait()
-			}
-			atomic.AddUint64(&p.gens[i], 2)
-			p.owners[i] = TaskID{}
-			p.lengths[i] = 0
-			p.freeList = append(p.freeList, i)
-			p.frees++
+	for h := range p.owners {
+		if p.reclaim(h, owner) {
 			freed++
 		}
 	}
-	delete(p.held, owner)
 	return freed
 }
 

@@ -58,11 +58,10 @@ func TestPoolCloseWaitsForPinnedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold a pin exactly as Read does between unlock and re-lock.
-	p.mu.Lock()
-	p.pins[h]++
-	p.pinned++
-	p.mu.Unlock()
+	// Hold a pin as a reader does for the length of its copy or send.
+	if _, err := p.View(h); err != nil {
+		t.Fatal(err)
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -78,11 +77,7 @@ func TestPoolCloseWaitsForPinnedReaders(t *testing.T) {
 		t.Fatalf("Stats().Pinned = %d, want 1", got)
 	}
 
-	p.mu.Lock()
-	p.pins[h]--
-	p.pinned--
-	p.drained.Broadcast()
-	p.mu.Unlock()
+	p.Unpin(h)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

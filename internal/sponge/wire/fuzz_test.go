@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -45,7 +47,7 @@ func TestUntrustedCountsDoNotSizeAllocations(t *testing.T) {
 		refused func() bool
 	}{
 		{"OpTrackerState dispatch", func() bool {
-			resp, _ := ts.dispatch(state)
+			resp := ts.dispatch(state)
 			return len(resp) == 1 && resp[0] == StatusBadRequest
 		}},
 		{"OpFreeList decode", func() bool {
@@ -70,15 +72,52 @@ func TestUntrustedCountsDoNotSizeAllocations(t *testing.T) {
 	}
 }
 
-// FuzzServerDispatch feeds the sponge server's dispatch arbitrary
-// request bodies, as a peer past the hello could: it must never panic,
-// always answer (inline or with a file region), and never answer with
-// more than a frame holds. Every execution starts from the same state —
-// one chunk live in the pool, one spilled, one pool slot free — so a
-// finding replays from its input.
+// v2frame wraps request bodies as the v2 frames a connection carries:
+// length, request id, body.
+func v2frame(bodies ...[]byte) []byte {
+	var b []byte
+	for i, body := range bodies {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(i+1))
+		b = append(b, body...)
+	}
+	return b
+}
+
+// serveFrame plays the connection reader and one worker over the first
+// frame of stream: readRequest (which receives an alloc_write straight
+// off the reader), then answer for a buffered request. A response that
+// pins a chunk is returned still pinned; the caller finishes it with
+// finishResponse, as respond would after writing.
+func serveFrame(d *daemon, stream []byte) (response, error) {
+	_, req, resp, err := d.readRequest(bufio.NewReader(bytes.NewReader(stream)))
+	if err == nil && req != nil {
+		resp = d.answer(req)
+	}
+	return resp, err
+}
+
+// finishResponse gives back what a response holds, as daemon.respond
+// does once the bytes are written.
+func finishResponse(d *daemon, r response) {
+	if r.pool != nil {
+		r.pool.Unpin(r.h)
+	}
+	d.recycle(r.body)
+}
+
+// FuzzServerDispatch feeds the sponge server arbitrary frame bytes on a
+// reader, through the entry point its connection reader uses, as a peer
+// past the hello could: it must never panic, must answer every frame it
+// could read whole (inline, with a file region, or with a pinned chunk —
+// exactly one) with no more than a frame holds, and must drop the rest
+// with nothing left allocated or pinned. Every execution starts from the
+// same state — one chunk live in the pool, one spilled, one pool slot
+// free — so a finding replays from its input.
 func FuzzServerDispatch(f *testing.F) {
 	const chunk = 64
-	srv, err := ServeOptions(sponge.NewPool(chunk, 2), "127.0.0.1:0",
+	pool := sponge.NewPool(chunk, 2)
+	srv, err := ServeOptions(pool, "127.0.0.1:0",
 		Options{SpillDir: f.TempDir(), SpillChunks: 2})
 	if err != nil {
 		f.Fatal(err)
@@ -99,34 +138,53 @@ func FuzzServerDispatch(f *testing.F) {
 		frame(OpFreeList), frame(OpMetrics), frame(OpTrackerInfo),
 		frame(OpFreeDelta, uint64(1), uint32(3), uint16(3), "a:1"),
 		frame(OpTrackerState, uint64(1), uint16(0)),
+		frame(OpAllocWrite, uint32(0), uint64(0), make([]byte, chunk)),
+		frame(OpAllocWrite, uint32(1), uint64(51), make([]byte, chunk+frameSlack-13)),
 	} {
-		f.Add(seed)
+		f.Add(v2frame(seed))
 	}
-	f.Fuzz(func(t *testing.T, req []byte) {
-		if len(req) > srv.d.frameLimit {
-			return // the connection reader drops such a frame unread
-		}
+	// An alloc whose sender died mid-payload: the header declares the full
+	// chunk, half of it arrives.
+	f.Add(v2frame(alloc)[:8+13+chunk/2])
+	f.Fuzz(func(t *testing.T, stream []byte) {
 		for i := 0; i < 3; i++ { // two fill the pool, the third spills
-			if resp, _ := srv.dispatch(alloc); resp[0] != StatusOK {
-				t.Fatalf("fixture alloc %d = status %d", i, resp[0])
+			resp, err := serveFrame(srv.d, v2frame(alloc))
+			if err != nil || resp.body[0] != StatusOK {
+				t.Fatalf("fixture alloc %d = %v, %v", i, resp.body, err)
 			}
+			finishResponse(srv.d, resp)
 		}
 		srv.dispatch(frame(OpFree, uint32(1)))
-		resp, fr := srv.dispatch(req)
-		switch {
-		case fr.f != nil && 1+fr.n > int64(srv.d.frameLimit):
-			t.Errorf("file response of %d bytes exceeds the frame limit", fr.n)
-		case fr.f == nil && len(resp) == 0:
-			t.Error("no response")
-		case len(resp) > srv.d.frameLimit:
-			t.Errorf("response of %d bytes exceeds the frame limit", len(resp))
+		if resp, err := serveFrame(srv.d, stream); err == nil {
+			shapes := 0
+			for _, has := range []bool{resp.body != nil, resp.f != nil, resp.pool != nil} {
+				if has {
+					shapes++
+				}
+			}
+			// A chunk answer fits a chunk frame; an inline one fits what a
+			// client accepts (Client.limit), which never drops below the
+			// handshake bound — a metrics exposition outgrows a small chunk.
+			limit := int64(srv.d.frameLimit)
+			switch {
+			case shapes != 1:
+				t.Errorf("response has %d payload shapes, want exactly one", shapes)
+			case resp.body != nil && len(resp.body) == 0:
+				t.Error("empty inline response")
+			case len(resp.body) > handshakeLimit || 1+resp.n > limit || 1+int64(len(resp.chunk)) > limit:
+				t.Errorf("response of %d/%d/%d bytes (inline/file/chunk) exceeds the frame limit %d",
+					len(resp.body), resp.n, len(resp.chunk), limit)
+			}
+			finishResponse(srv.d, resp)
 		}
-		srv.d.recycle(resp)
 		for _, h := range []uint32{1, 0, spillH | 1, spillH} {
 			srv.dispatch(frame(OpFree, h))
 		}
-		if free := srv.pool.Free(); free != 2 {
-			t.Fatalf("%d pool chunks free after the reset, want 2", free)
+		if st := pool.Stats(); st.FreeChunks != 2 || st.Pinned != 0 {
+			t.Fatalf("after the reset %d pool chunks free and %d pinned, want 2 and 0", st.FreeChunks, st.Pinned)
+		}
+		if live, _ := srv.spill.stats(); live != 0 {
+			t.Fatalf("%d spill records live after the reset", live)
 		}
 	})
 }
@@ -152,10 +210,10 @@ func FuzzTrackerDispatch(f *testing.F) {
 		}
 		for _, standby := range []bool{false, true} {
 			tr := NewTrackerOptions(nil, TrackerOptions{Standby: standby, Interval: time.Hour})
-			resp, fr := (&TrackerServer{t: tr}).dispatch(req)
+			resp := (&TrackerServer{t: tr}).dispatch(req)
 			tr.Close()
-			if fr.f != nil || len(resp) == 0 || len(resp) > handshakeLimit {
-				t.Errorf("standby=%v: response of %d bytes (file=%v)", standby, len(resp), fr.f != nil)
+			if len(resp) == 0 || len(resp) > handshakeLimit {
+				t.Errorf("standby=%v: response of %d bytes", standby, len(resp))
 			}
 		}
 	})

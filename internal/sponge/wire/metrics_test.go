@@ -57,6 +57,26 @@ func TestMetricsOverV2(t *testing.T) {
 	if got := samples[`spongewire_connections_total{listen="`+addr+`",tier="tcp"}`]; got != 1 {
 		t.Errorf("connections_total{tier=tcp} = %d, want 1", got)
 	}
+	// The pin gauge rides beside the free count: zero at rest, and it
+	// follows an open bracket.
+	pinned := `spongewire_pool_pinned{listen="` + addr + `"}`
+	if got, ok := samples[pinned]; !ok || got != 0 {
+		t.Errorf("%s = %d (present %v), want 0 at rest", pinned, got, ok)
+	}
+	h2, err := srv.pool.Alloc(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.pool.View(h2); err != nil {
+		t.Fatal(err)
+	}
+	if text, err = c.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	srv.pool.Unpin(h2)
+	if samples, err = obs.ParseText(text); err != nil || samples[pinned] != 1 {
+		t.Errorf("%s = %d with a view open (%v), want 1", pinned, samples[pinned], err)
+	}
 }
 
 func TestMetricsSharedRegistryAcrossDaemons(t *testing.T) {

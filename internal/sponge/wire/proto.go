@@ -37,8 +37,10 @@
 // callers by ID, and the server dispatches requests through a bounded
 // worker pool while serializing frame writes, so responses may arrive
 // in any order. Hot-path frames travel as vectored writes (net.Buffers)
-// — header and chunk payload are never coalesced into one allocation —
-// and both sides recycle chunk-sized buffers.
+// — header and chunk payload are never coalesced into one allocation.
+// The server keeps no copy of a pool chunk beside the pool: it receives
+// an OpAllocWrite payload from the socket into the chunk's slab and
+// answers an OpRead from the slab, each under the pool's pin.
 package wire
 
 import (
@@ -296,7 +298,7 @@ var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return 
 // sendfile — or, when the connection refuses zero-copy (and always off
 // linux), via a pooled pread+write loop. Returns the payload bytes that
 // moved zero-copy (0 on the buffered path).
-func (w *frameWriter) writeFrameFile(hdr []byte, fr fileRef) (int64, error) {
+func (w *frameWriter) writeFrameFile(hdr []byte, f *os.File, off, n int64) (int64, error) {
 	w.q.Add(1)
 	w.mu.Lock()
 	err := w.err
@@ -320,7 +322,7 @@ func (w *frameWriter) writeFrameFile(hdr []byte, fr fileRef) (int64, error) {
 				}
 			}
 			if w.zc != nil {
-				zc, err = w.zc.sendFile(fr.f, fr.off, fr.n)
+				zc, err = w.zc.sendFile(f, off, n)
 				if err == errZCUnsupported {
 					// First sendfile on this connection refused with no
 					// bytes moved: remember and fall back for good.
@@ -330,8 +332,8 @@ func (w *frameWriter) writeFrameFile(hdr []byte, fr fileRef) (int64, error) {
 				}
 			}
 		}
-		if err == nil && zc < fr.n {
-			err = copyFileRange(w.conn, fr.f, fr.off+zc, fr.n-zc)
+		if err == nil && zc < n {
+			err = copyFileRange(w.conn, f, off+zc, n-zc)
 		}
 	}
 	w.q.Add(-1)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"spongefiles/internal/obs"
+	"spongefiles/internal/sponge"
 )
 
 // defaultInflight is the default per-connection worker-pool bound: how
@@ -129,26 +131,39 @@ func (m *mapLiveness) Alive(pid uint64) bool {
 	return m.live[pid]
 }
 
-// fileRef points a response's payload at a spill-file region served
-// straight from the descriptor: the status byte travels inline and the
-// n payload bytes go out via sendfile (or the buffered fallback)
-// without ever visiting user space. The zero value means "inline
-// response" — the normal case.
-type fileRef struct {
+// response is what a dispatch hands back to the connection: exactly one
+// of three payload shapes. The zero value is not a response.
+//
+//   - body: the whole response inline, status byte first. It may come
+//     from the daemon's buffer pools; the daemon recycles it after
+//     writing.
+//   - f, off, n: StatusOK, then n bytes of a spill-file region, sent via
+//     sendfile (or the buffered fallback) without visiting user space.
+//   - pool, h, chunk: StatusOK, then a pool chunk's bytes where they
+//     live. chunk is a Pool.View: it stays pinned until the bytes are on
+//     the socket, and the daemon unpins it after writing, so a chunk is
+//     sent from its slab with no staging copy.
+type response struct {
+	body []byte
+
 	f   *os.File
 	off int64
 	n   int64
+
+	pool  *sponge.Pool
+	h     int
+	chunk []byte
 }
+
+// statusOnly is a response carrying nothing but its status byte.
+func statusOnly(status byte) response { return response{body: []byte{status}} }
 
 // daemon is the connection-serving core shared by the sponge server and
 // the TCP tracker: it accepts connections on every listener (TCP,
 // optionally a same-host unix socket), answers the v1-framed handshakes
 // (OpHello, OpPoolFD), and once the hello has switched the
 // connection to pipelined v2 framing feeds every request through the
-// owner's dispatch function. Responses may come from the
-// recycled-buffer pool; dispatch results are handed back to recycle
-// after writing. A dispatch may alternatively return a fileRef, in
-// which case the payload is served zero-copy from the file.
+// owner's dispatch function, which answers with a response.
 type daemon struct {
 	lns       []net.Listener
 	localPath string // unix socket path, "" when TCP-only
@@ -158,7 +173,15 @@ type daemon struct {
 	// v1-framed OpHello reply; dispatch executes one request body.
 	frameLimit int
 	helloResp  func() []byte
-	dispatch   func(req []byte) ([]byte, fileRef)
+	dispatch   func(req []byte) response
+	// recvChunk, when non-nil, serves an OpAllocWrite whose n-byte body is
+	// still on the socket, so the owner can receive the payload where it
+	// will live. It runs on the connection's reader — the only goroutine
+	// that may touch br — and returns the finished response; an error
+	// means the stream is out of step and the connection is dropped.
+	// Wired by the sponge server; nil (the tracker) reads every body into
+	// a buffer.
+	recvChunk func(br *bufio.Reader, n int) (response, error)
 	// sendFDs, when non-nil, answers OpPoolFD on a unix connection by
 	// passing the owner's files over SCM_RIGHTS. Wired by the sponge
 	// server; nil (the tracker) answers StatusBadRequest.
@@ -180,10 +203,11 @@ type daemon struct {
 	zcFallbk  *obs.Counter // file responses that took the buffered path
 	fdFail    *obs.Counter // fd-pass handshakes refused or failed
 
-	// bufs recycles chunk-size-class request and response buffers so the
-	// steady-state hot path does not allocate. small does the same for
-	// header-size exchanges (the fd-passing fast path runs nothing but
-	// 25-byte loc responses).
+	// bufs recycles large request bodies — a tracker's state frames, a
+	// chunk on its way to the spill file — so they do not allocate per
+	// request. small does the same for header-size exchanges (a read is a
+	// 5-byte request, an alloc_write a 5-byte reply, the fd-passing fast
+	// path 25-byte loc responses).
 	bufs  sync.Pool
 	small sync.Pool
 
@@ -231,7 +255,7 @@ var opNames = [opMax + 1]string{
 
 // startDaemon listens on addr (plus the derived unix socket when
 // opts.LocalSocketDir is set) and begins accepting connections.
-func startDaemon(addr string, opts Options, frameLimit int, helloResp func() []byte, dispatch func([]byte) ([]byte, fileRef)) (*daemon, error) {
+func startDaemon(addr string, opts Options, frameLimit int, helloResp func() []byte, dispatch func([]byte) response) (*daemon, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -437,23 +461,40 @@ func (d *daemon) armRead(conn net.Conn) {
 	}
 }
 
-// writeFile sends one StatusOK response whose payload lives in the
-// spill file, preferring sendfile and accounting the outcome. The
-// status byte is folded into the header write so the payload needs no
-// user-space staging at all.
-func (d *daemon) writeFile(fw *frameWriter, id uint32, fr fileRef) error {
+// respond writes one response frame for request id and gives back
+// whatever the response held: the pooled body, or the chunk's pin. A
+// payload that is a file region or a pinned chunk goes out behind a
+// header that already carries the StatusOK byte — the first via sendfile
+// (accounting the outcome), the second as one vectored write straight
+// from the pool slab — so neither needs user-space staging.
+func (d *daemon) respond(fw *frameWriter, id uint32, r response) error {
+	if r.f == nil && r.pool == nil {
+		err := writeFrameV2(fw, id, r.body)
+		d.recycle(r.body)
+		return err
+	}
+	n := r.n
+	if r.pool != nil {
+		n = int64(len(r.chunk))
+	}
 	hp := hdrPool.Get().(*[]byte)
 	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+n))
 	binary.LittleEndian.PutUint32(hdr[4:8], id)
-	zc, err := fw.writeFrameFile(hdr, fr)
+	var err error
+	if r.pool != nil {
+		err = fw.writeFrame(hdr, r.chunk)
+		r.pool.Unpin(r.h)
+	} else {
+		var zc int64
+		if zc, err = fw.writeFrameFile(hdr, r.f, r.off, r.n); zc > 0 {
+			d.zcBytes.Add(zc)
+		} else {
+			d.zcFallbk.Inc()
+		}
+	}
 	*hp = hdr[:0]
 	hdrPool.Put(hp)
-	if zc > 0 {
-		d.zcBytes.Add(zc)
-	} else {
-		d.zcFallbk.Inc()
-	}
 	return err
 }
 
@@ -527,6 +568,9 @@ type v2req struct {
 // over an unbuffered channel, so the steady state neither allocates nor
 // spawns: the reader blocks handing off when all workers are busy,
 // which is the same backpressure the old per-request semaphore gave.
+// A request the reader already served off the socket (recvChunk) is
+// answered from the reader: its reply is five bytes through the same
+// writer, not worth a hand-off.
 func (d *daemon) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 	work := make(chan v2req)
 	var wg sync.WaitGroup
@@ -540,43 +584,69 @@ func (d *daemon) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 	}()
 	for {
 		d.armRead(conn)
-		n, id, err := readFrameV2Header(br, d.frameLimit)
+		id, req, resp, err := d.readRequest(br)
 		if err != nil {
 			return
 		}
-		if n < 1 {
+		if req != nil {
+			work <- v2req{id: id, req: req}
+		} else if d.respond(fw, id, resp) != nil {
 			return
 		}
-		req := d.getBuf(n)
-		if _, err := io.ReadFull(br, req); err != nil {
-			d.recycle(req)
-			return
-		}
-		d.countOp(req)
-		work <- v2req{id: id, req: req}
 	}
+}
+
+// errEmptyFrame drops a connection that sent a frame with no op byte.
+var errEmptyFrame = errors.New("wire: empty request frame")
+
+// readRequest takes the next request frame off the connection. Most come
+// back as req, a pooled buffer holding the body for a worker to answer
+// (and recycle). An OpAllocWrite to a daemon with recvChunk wired is
+// served right here instead, its payload going from the socket to where
+// the owner stores it, and comes back as a finished resp with req nil.
+// Any error means the stream is over or out of step.
+func (d *daemon) readRequest(br *bufio.Reader) (id uint32, req []byte, resp response, err error) {
+	n, id, err := readFrameV2Header(br, d.frameLimit)
+	if err != nil {
+		return 0, nil, response{}, err
+	}
+	if n < 1 {
+		return 0, nil, response{}, errEmptyFrame
+	}
+	if d.recvChunk != nil {
+		if op, perr := br.Peek(1); perr == nil && op[0] == OpAllocWrite {
+			d.opReqs[OpAllocWrite].Inc()
+			resp, err = d.recvChunk(br, n)
+			return id, nil, resp, err
+		}
+	}
+	req = d.getBuf(n)
+	if _, err := io.ReadFull(br, req); err != nil {
+		d.recycle(req)
+		return 0, nil, response{}, err
+	}
+	d.countOp(req)
+	return id, req, response{}, nil
+}
+
+// answer executes one buffered request — the daemon's own OpMetrics, or
+// the owner's dispatch — and recycles its buffer.
+func (d *daemon) answer(req []byte) response {
+	var resp response
+	if len(req) == 1 && req[0] == OpMetrics {
+		resp = response{body: d.metricsResponse()}
+	} else {
+		resp = d.dispatch(req)
+	}
+	d.recycle(req)
+	return resp
 }
 
 // v2worker serves one slot of a connection's pipelined worker pool.
 func (d *daemon) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for w := range work {
-		var resp []byte
-		var fr fileRef
-		if len(w.req) == 1 && w.req[0] == OpMetrics {
-			resp = d.metricsResponse()
-		} else {
-			resp, fr = d.dispatch(w.req)
-		}
-		d.recycle(w.req)
-		var err error
-		if fr.f != nil {
-			err = d.writeFile(fw, w.id, fr)
-		} else {
-			err = writeFrameV2(fw, w.id, resp)
-			d.recycle(resp)
-		}
-		if err != nil {
+		if d.respond(fw, w.id, d.answer(w.req)) != nil {
 			conn.Close() // unblocks the reader; the connection is gone
 		}
 	}

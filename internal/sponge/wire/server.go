@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 
@@ -80,11 +82,15 @@ func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error)
 	}
 	s.d = d
 	d.sendFDs = s.sendFDs
+	d.recvChunk = s.allocWrite
 	// Pool state rides along in the scrape as live gauges, labeled by
 	// listen address like the daemon's own series.
 	listen := obs.L("listen", d.addr())
 	d.metrics.GaugeFunc("spongewire_pool_free_chunks", func() int64 { return int64(pool.Free()) }, listen)
 	d.metrics.GaugeFunc("spongewire_pool_chunks", func() int64 { return int64(pool.Chunks()) }, listen)
+	// Open Fill/View brackets: a receive or a send in flight. Zero at
+	// rest, so a scrape of an idle server that shows otherwise is a leak.
+	d.metrics.GaugeFunc("spongewire_pool_pinned", func() int64 { return int64(pool.Stats().Pinned) }, listen)
 	if s.spill != nil {
 		s.spillAllocs = d.metrics.Counter("spongewire_spill_allocs_total", listen)
 		d.metrics.GaugeFunc("spongewire_spill_chunks", func() int64 {
@@ -180,122 +186,149 @@ func (s *Server) helloResponse() []byte {
 	return out
 }
 
-// dispatch executes one request and builds the response body. Responses
-// may come from the daemon's buffer pool; callers hand them to recycle
-// after writing. A response whose payload lives in the spill file comes
-// back as a fileRef instead, and the daemon serves it zero-copy.
-func (s *Server) dispatch(req []byte) ([]byte, fileRef) {
+// allocWrite serves one OpAllocWrite while its n-byte body — op, owner
+// node (u32), owner pid (u64), data — is still on the socket: the head
+// is parsed in place, the chunk allocated, and the data received
+// straight into its pool slab inside a Pool.Fill bracket, so the only
+// copy the daemon makes of a chunk is the kernel's. A request it refuses
+// (zero owner, data past the chunk size, no room anywhere) has its body
+// drained so the stream stays in step. Only a chunk the full pool sends
+// on to the spill tier passes through a buffer. An error means the peer
+// died or stalled mid-frame; the half-filled chunk is freed first.
+func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
+	const headLen = 1 + 12
+	if n < headLen {
+		_, err := br.Discard(n)
+		return statusOnly(StatusBadRequest), err
+	}
+	head, err := br.Peek(headLen)
+	if err != nil {
+		return response{}, err
+	}
+	owner := sponge.TaskID{
+		Node: int(binary.LittleEndian.Uint32(head[1:5])),
+		PID:  int64(binary.LittleEndian.Uint64(head[5:13])),
+	}
+	br.Discard(headLen)
+	size := n - headLen
+	// The zero ID is the pool's free-chunk marker, never accepted from the
+	// network; and the frame limit leaves slack past the chunk size where
+	// a chunk does not.
+	if owner.IsZero() || size > s.pool.ChunkSize() {
+		_, err := br.Discard(size)
+		return statusOnly(StatusBadRequest), err
+	}
+	h, err := s.pool.Alloc(owner)
+	switch {
+	case err == nil:
+		dst, ferr := s.pool.Fill(h)
+		if ferr != nil {
+			// Gone between the two calls — the pool failed or closed, or
+			// the owner's chunks were reaped: nothing is left to free.
+			_, derr := br.Discard(size)
+			return statusOnly(errStatus(ferr)), derr
+		}
+		if _, rerr := io.ReadFull(br, dst[:size]); rerr != nil {
+			s.pool.AbortFill(h)
+			return response{}, rerr
+		}
+		s.pool.Filled(h, size)
+	case errors.Is(err, sponge.ErrNoFreeChunk) && s.spill != nil:
+		// Memory pool full: overflow into the disk tier, through a buffer.
+		buf := s.d.getBuf(size)
+		_, rerr := io.ReadFull(br, buf)
+		if rerr == nil {
+			h, err = s.spill.append(buf)
+		}
+		s.d.recycle(buf)
+		if rerr != nil {
+			return response{}, rerr
+		}
+		if err != nil {
+			return statusOnly(errStatus(err)), nil
+		}
+		s.spillAllocs.Inc()
+	default:
+		_, derr := br.Discard(size)
+		return statusOnly(errStatus(err)), derr
+	}
+	out := s.d.getBuf(5)
+	out[0] = StatusOK
+	binary.LittleEndian.PutUint32(out[1:], uint32(h))
+	return response{body: out}, nil
+}
+
+// dispatch executes one buffered request and builds its response. (An
+// OpAllocWrite never gets here: the daemon hands it to allocWrite while
+// it is still on the socket.)
+func (s *Server) dispatch(req []byte) response {
 	if len(req) < 1 {
-		return []byte{StatusBadRequest}, fileRef{}
+		return statusOnly(StatusBadRequest)
 	}
 	op, payload := req[0], req[1:]
 	switch op {
-	case OpAllocWrite:
-		if len(payload) < 12 {
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		owner := sponge.TaskID{
-			Node: int(binary.LittleEndian.Uint32(payload[0:4])),
-			PID:  int64(binary.LittleEndian.Uint64(payload[4:12])),
-		}
-		if owner.IsZero() {
-			// The zero ID is the pool's free-chunk marker; never accept
-			// it from the network.
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		data := payload[12:]
-		if len(data) > s.pool.ChunkSize() {
-			// The frame limit leaves slack past the chunk size; a chunk
-			// does not (Pool.Write panics on overflow).
-			return []byte{StatusBadRequest}, fileRef{}
-		}
-		h, err := s.pool.Alloc(owner)
-		if err == nil {
-			if werr := s.pool.Write(h, data); werr != nil {
-				s.pool.FreeChunk(h)
-				return []byte{errStatus(werr)}, fileRef{}
-			}
-		} else if errors.Is(err, sponge.ErrNoFreeChunk) && s.spill != nil {
-			// Memory pool full: overflow into the disk tier.
-			h, err = s.spill.append(data)
-			if err != nil {
-				return []byte{errStatus(err)}, fileRef{}
-			}
-			s.spillAllocs.Inc()
-		} else {
-			return []byte{errStatus(err)}, fileRef{}
-		}
-		out := make([]byte, 5)
-		out[0] = StatusOK
-		binary.LittleEndian.PutUint32(out[1:], uint32(h))
-		return out, fileRef{}
 	case OpRead:
 		if len(payload) != 4 {
-			return []byte{StatusBadRequest}, fileRef{}
+			return statusOnly(StatusBadRequest)
 		}
 		h := int(binary.LittleEndian.Uint32(payload))
 		if h&SpillHandleBit != 0 {
 			if s.spill == nil {
-				return []byte{StatusBadRequest}, fileRef{}
+				return statusOnly(StatusBadRequest)
 			}
 			off, n, err := s.spill.loc(h)
 			if err != nil {
-				return []byte{errStatus(err)}, fileRef{}
+				return statusOnly(errStatus(err))
 			}
-			return nil, fileRef{f: s.spill.file(), off: off, n: int64(n)}
+			return response{f: s.spill.file(), off: off, n: int64(n)}
 		}
-		n, err := s.pool.Length(h)
+		// Sent from the slab: the view stays pinned until the daemon has
+		// written it.
+		chunk, err := s.pool.View(h)
 		if err != nil {
-			return []byte{errStatus(err)}, fileRef{}
+			return statusOnly(errStatus(err))
 		}
-		buf := s.d.getBuf(1 + n)
-		m, err := s.pool.Read(h, buf[1:])
-		if err != nil {
-			s.d.recycle(buf)
-			return []byte{errStatus(err)}, fileRef{}
-		}
-		buf[0] = StatusOK
-		return buf[:1+m], fileRef{}
+		return response{pool: s.pool, h: h, chunk: chunk}
 	case OpFree:
 		if len(payload) != 4 {
-			return []byte{StatusBadRequest}, fileRef{}
+			return statusOnly(StatusBadRequest)
 		}
 		h := int(binary.LittleEndian.Uint32(payload))
 		if h&SpillHandleBit != 0 {
 			if s.spill == nil {
-				return []byte{StatusBadRequest}, fileRef{}
+				return statusOnly(StatusBadRequest)
 			}
 			if err := s.spill.freeRec(h); err != nil {
-				return []byte{errStatus(err)}, fileRef{}
+				return statusOnly(errStatus(err))
 			}
-			return []byte{StatusOK}, fileRef{}
+			return statusOnly(StatusOK)
 		}
 		if _, err := s.pool.Length(h); err != nil {
-			return []byte{errStatus(err)}, fileRef{}
+			return statusOnly(errStatus(err))
 		}
 		s.pool.FreeChunk(h)
-		return []byte{StatusOK}, fileRef{}
+		return statusOnly(StatusOK)
 	case OpPoolLoc, OpSpillLoc:
-		return s.loc(payload), fileRef{}
+		return response{body: s.loc(payload)}
 	case OpStat:
 		out := make([]byte, 13)
 		out[0] = StatusOK
 		binary.LittleEndian.PutUint32(out[1:5], uint32(s.pool.Free()))
 		binary.LittleEndian.PutUint32(out[5:9], uint32(s.pool.Chunks()))
 		binary.LittleEndian.PutUint32(out[9:13], uint32(s.pool.ChunkSize()))
-		return out, fileRef{}
+		return response{body: out}
 	case OpPing:
 		if len(payload) != 8 {
-			return []byte{StatusBadRequest}, fileRef{}
+			return statusOnly(StatusBadRequest)
 		}
 		alive := byte(0)
 		if s.live.Alive(binary.LittleEndian.Uint64(payload)) {
 			alive = 1
 		}
-		return []byte{StatusOK, alive}, fileRef{}
+		return response{body: []byte{StatusOK, alive}}
 	case OpRegister, OpUnregister:
 		if len(payload) != 8 {
-			return []byte{StatusBadRequest}, fileRef{}
+			return statusOnly(StatusBadRequest)
 		}
 		pid := binary.LittleEndian.Uint64(payload)
 		if op == OpRegister {
@@ -303,9 +336,9 @@ func (s *Server) dispatch(req []byte) ([]byte, fileRef) {
 		} else {
 			s.live.Unregister(pid)
 		}
-		return []byte{StatusOK}, fileRef{}
+		return statusOnly(StatusOK)
 	}
-	return []byte{StatusBadRequest}, fileRef{}
+	return statusOnly(StatusBadRequest)
 }
 
 // loc answers OpPoolLoc and OpSpillLoc — one exchange under two labels:

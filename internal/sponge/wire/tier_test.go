@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -583,6 +585,38 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 			if avg := testing.AllocsPerRun(100, readChunk); avg != 0 {
 				t.Errorf("steady-state %s ReadInto allocates %.2f objects per chunk, want 0",
 					tc.name, avg)
+			}
+			if !spill && !tc.arm && srv.d.bufs.Get() != nil {
+				// Socket → slab on the way in, slab → socket on the way out:
+				// nothing chunk-sized was ever staged, so nothing was recycled.
+				t.Errorf("%s: the daemon staged a pool chunk in a chunk-class buffer", tc.name)
+			}
+		})
+	}
+	// The server's half of AllocWrite, over a raw connection so that the
+	// client's own allocations (it makes one for the handle) stay out of
+	// the count: the payload lands in the slab and the 5-byte reply comes
+	// from the small-buffer pool.
+	for _, tier := range []string{"tcp", "unix"} {
+		t.Run("alloc-write-server-"+tier, func(t *testing.T) {
+			srv := startServerOptions(t, chunk, 4, Options{LocalSocketDir: dir})
+			conn := dialRaw(t, srv, tier)
+			req := v2frame(frame(OpAllocWrite, uint32(1), uint64(31), bytes.Repeat([]byte{0xA5}, chunk)))
+			reply := make([]byte, 8+5)
+			allocWrite := func() {
+				if _, err := conn.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, reply); err != nil || reply[8] != StatusOK {
+					t.Fatalf("alloc_write reply % x, %v", reply, err)
+				}
+				srv.pool.FreeChunk(int(binary.LittleEndian.Uint32(reply[9:])))
+			}
+			for i := 0; i < 50; i++ {
+				allocWrite()
+			}
+			if avg := testing.AllocsPerRun(100, allocWrite); avg != 0 {
+				t.Errorf("steady-state %s AllocWrite allocates %.2f objects per chunk on the server, want 0", tier, avg)
 			}
 		})
 	}

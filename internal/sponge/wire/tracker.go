@@ -370,7 +370,8 @@ type TrackerServer struct {
 // Serve starts serving the tracker's free list on addr.
 func (t *Tracker) Serve(addr string, opts Options) (*TrackerServer, error) {
 	ts := &TrackerServer{t: t}
-	d, err := startDaemon(addr, opts, handshakeLimit, ts.helloResponse, ts.dispatch)
+	d, err := startDaemon(addr, opts, handshakeLimit, ts.helloResponse,
+		func(req []byte) response { return response{body: ts.dispatch(req)} })
 	if err != nil {
 		return nil, err
 	}
@@ -403,16 +404,16 @@ func (ts *TrackerServer) helloResponse() []byte {
 	return out
 }
 
-func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
+func (ts *TrackerServer) dispatch(req []byte) []byte {
 	if len(req) < 1 {
-		return []byte{StatusBadRequest}, fileRef{}
+		return []byte{StatusBadRequest}
 	}
 	switch req[0] {
 	case OpStat:
 		out := make([]byte, 13)
 		out[0] = StatusOK
 		binary.LittleEndian.PutUint32(out[1:5], uint32(ts.t.totalFree()))
-		return out, fileRef{}
+		return out
 	case OpFreeList:
 		entries := ts.t.Query()
 		out := make([]byte, 3, 3+len(entries)*16)
@@ -425,32 +426,32 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 			out = append(out, fixed[:]...)
 			out = append(out, e.Key...)
 		}
-		return out, fileRef{}
+		return out
 	case OpFreeDelta:
 		payload := req[1:]
 		if len(payload) < 14 {
-			return []byte{StatusBadRequest}, fileRef{}
+			return []byte{StatusBadRequest}
 		}
 		seq := binary.LittleEndian.Uint64(payload[0:8])
 		free := int(binary.LittleEndian.Uint32(payload[8:12]))
 		alen := int(binary.LittleEndian.Uint16(payload[12:14]))
 		if len(payload) != 14+alen {
-			return []byte{StatusBadRequest}, fileRef{}
+			return []byte{StatusBadRequest}
 		}
 		applied, ok := ts.t.reportDelta(string(payload[14:14+alen]), seq, free)
 		if !ok {
 			// Not the leader: the reporter rotates to the next tracker.
-			return []byte{StatusBadRequest}, fileRef{}
+			return []byte{StatusBadRequest}
 		}
 		a := byte(0)
 		if applied {
 			a = 1
 		}
-		return []byte{StatusOK, a}, fileRef{}
+		return []byte{StatusOK, a}
 	case OpTrackerState:
 		payload := req[1:]
 		if len(payload) < 10 {
-			return []byte{StatusBadRequest}, fileRef{}
+			return []byte{StatusBadRequest}
 		}
 		epoch := binary.LittleEndian.Uint64(payload[0:8])
 		count := int(binary.LittleEndian.Uint16(payload[8:10]))
@@ -458,28 +459,28 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 		if count > len(payload)/14 {
 			// More entries than the frame can hold (14 fixed bytes each):
 			// refuse before the count sizes anything.
-			return []byte{StatusBadRequest}, fileRef{}
+			return []byte{StatusBadRequest}
 		}
 		entries := make([]TrackerEntry, 0, count)
 		for i := 0; i < count; i++ {
 			if len(payload) < 14 {
-				return []byte{StatusBadRequest}, fileRef{}
+				return []byte{StatusBadRequest}
 			}
 			free := int(binary.LittleEndian.Uint32(payload[0:4]))
 			seq := binary.LittleEndian.Uint64(payload[4:12])
 			alen := int(binary.LittleEndian.Uint16(payload[12:14]))
 			payload = payload[14:]
 			if len(payload) < alen {
-				return []byte{StatusBadRequest}, fileRef{}
+				return []byte{StatusBadRequest}
 			}
 			entries = append(entries, TrackerEntry{Key: string(payload[:alen]), Free: free, Seq: seq})
 			payload = payload[alen:]
 		}
 		if !ts.t.installState(epoch, entries) {
 			// A leader (or a standby ahead of this epoch) follows nobody.
-			return []byte{StatusBadRequest}, fileRef{}
+			return []byte{StatusBadRequest}
 		}
-		return []byte{StatusOK}, fileRef{}
+		return []byte{StatusOK}
 	case OpTrackerInfo:
 		out := make([]byte, 10)
 		out[0] = StatusOK
@@ -487,9 +488,9 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 		if ts.t.IsLeader() {
 			out[9] = 1
 		}
-		return out, fileRef{}
+		return out
 	}
-	return []byte{StatusBadRequest}, fileRef{}
+	return []byte{StatusBadRequest}
 }
 
 // FreeList queries a TCP-served tracker for its latest free list, most

@@ -388,11 +388,26 @@ func TestPreHelloFrameLimit(t *testing.T) {
 	}
 }
 
-// dialRawV2 opens a raw socket and completes the hello by hand so tests
-// can then speak malformed v2 frames.
+// dialRawV2 opens a raw TCP socket and completes the hello by hand so
+// tests can then speak malformed v2 frames.
 func dialRawV2(t *testing.T, addr string) net.Conn {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	return dialRawAddr(t, "tcp", addr)
+}
+
+// dialRaw is dialRawV2 on either of a server's tiers: "tcp" reaches its
+// address, "unix" its local socket.
+func dialRaw(t *testing.T, srv *Server, tier string) net.Conn {
+	t.Helper()
+	if tier == "unix" {
+		return dialRawAddr(t, tier, srv.LocalSocket())
+	}
+	return dialRawAddr(t, tier, srv.Addr())
+}
+
+func dialRawAddr(t *testing.T, network, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial(network, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,15 @@ echo "== the tracker's table and its two drivers, -race -count=10 =="
 go test -race -count=10 -run 'TestFreeTable|TestDeltaSource' ./internal/sponge
 go test -race -count=10 -run 'TestTrackerScriptBothDrivers' ./internal/sponge/wire
 
+echo "== pool fill/view brackets against free and close, -race -count=10 =="
+# The wire server receives a chunk into the pool slab and sends it from
+# the slab, so a pin now spans socket I/O: the bracket tests run fillers
+# and viewers against concurrent FreeChunk, FreeOwnedBy and Close, and
+# the streamed-receive tests misbehave on real TCP and unix connections
+# and hold the pool to free count restored, no pins, even generations.
+go test -race -count=10 -run 'TestPoolFill|TestPoolView' ./internal/sponge
+go test -race -count=10 -run 'TestStreamedAllocWrite' ./internal/sponge/wire
+
 echo "== benchmarks compile and run once =="
 go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
 
@@ -66,19 +75,24 @@ go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAl
 	./internal/mapreduce ./internal/pig
 
 # Wire transport guard: steady-state ReadInto must stay 0 allocs/chunk
-# on all five serve paths — TCP and unix pool reads, sendfile spill
-# serves, the portable buffered spill serve (behind a connection that
-# hides its socket, so linux covers it too), and the descriptor pread
-# of whatever file the chunk lives in, spill file or memfd pool segment.
-# The server runs in-process, so the guard sees its side too.
+# on all five serve paths — TCP and unix pool reads (sent from the slab,
+# with no chunk-class buffer ever recycled), sendfile spill serves, the
+# portable buffered spill serve (behind a connection that hides its
+# socket, so linux covers it too), and the descriptor pread of whatever
+# file the chunk lives in, spill file or memfd pool segment — and so
+# must the server's half of AllocWrite on both socket tiers. The server
+# runs in-process, so the guard sees its side too.
 go test -count=1 -run 'TestWireReadSteadyStateAllocationFree' \
 	./internal/sponge/wire
 
 echo "== wire dispatch fuzz, 10 s a target =="
-# The two pure dispatch(req) functions take whatever a peer past the
-# hello sends: they must never panic, always answer, and never size an
-# allocation or a response from an untrusted field. The seed corpus (one
-# well-formed frame per op) already runs as part of `go test`.
+# Whatever a peer past the hello sends — to the sponge server as frame
+# bytes on a reader, through the connection reader's own entry point, to
+# the tracker as a request body — must never panic, always be answered
+# or dropped with the pool restored, and never size an allocation or a
+# response from an untrusted field. The seed corpus (one well-formed
+# frame per op, plus truncated and oversized allocs) already runs as
+# part of `go test`.
 go test -run '^$' -fuzz '^FuzzServerDispatch$' -fuzztime 10s ./internal/sponge/wire
 go test -run '^$' -fuzz '^FuzzTrackerDispatch$' -fuzztime 10s ./internal/sponge/wire
 
