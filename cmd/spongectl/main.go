@@ -76,8 +76,8 @@ func serve(args []string) {
 }
 
 // statsCmd scrapes live daemons and renders the aggregated table. Wire
-// endpoints (-addrs) hit any sponge server or TCP-served tracker via
-// OpMetrics; HTTP endpoints (-urls) hit a serve sidecar's /metrics.
+// endpoints (-addrs) hit any sponge server via OpMetrics; HTTP
+// endpoints (-urls) hit a serve sidecar's /metrics.
 func statsCmd(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	addrs := fs.String("addrs", "", "comma-separated daemon addresses to scrape over the wire protocol")

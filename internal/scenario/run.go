@@ -298,8 +298,24 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 		failf("parent scrape: %v", err)
 		return done()
 	}
+	// A server drops a read's pin just after the write that answered it
+	// returns, so the workload's last reader can be done a moment before
+	// its pin is: a leak is a pin that stays. Scrape again until none
+	// shows or a second has passed.
+	nodes := h.Scrape()
+	pinned := func() bool {
+		for _, ns := range nodes {
+			if len(pinLeaks(ns)) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(time.Second); pinned() && time.Now().Before(deadline); nodes = h.Scrape() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	scrapes := []map[string]int64{parent}
-	for _, ns := range h.Scrape() {
+	for _, ns := range nodes {
 		scrapes = append(scrapes, ns.Samples)
 		// Teardown invariant, every case, asserted or not.
 		for _, leak := range pinLeaks(ns) {

@@ -62,7 +62,7 @@ type File struct {
 	// fetched when the file is created. Entries that turn out to be
 	// stale are marked dead rather than removed, because several
 	// asynchronous chunk writers walk the list concurrently.
-	candidates []FreeRow[int]
+	candidates []FreeRow
 	deadNodes  map[int]bool
 
 	// Disk fallback: all of this file's disk chunks append to a single
@@ -373,7 +373,7 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, 
 		return chunkRef{}, 0, false
 	}
 	retries := 0
-	order := make([]FreeRow[int], 0, len(f.candidates))
+	order := make([]FreeRow, 0, len(f.candidates))
 	if svc.Config.Affinity {
 		for _, c := range f.candidates {
 			if f.agent.usedNodes[c.Key] {

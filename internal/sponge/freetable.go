@@ -6,28 +6,28 @@ import (
 )
 
 // FreeRow is one server's entry in a tracker's table, and the one row
-// type that crosses the tracker API: a query answer, a handoff payload
-// and a free-list frame are all slices of it. Key names the server (a
-// node id in the simulator, a listen address over TCP), Free is its
-// advertised free-chunk count, and Seq is the highest delta sequence
-// the tracker has acked from it.
-type FreeRow[K cmp.Ordered] struct {
-	Key  K
+// type that crosses the tracker API: a query answer and a handoff
+// payload are both slices of it. Key is the server's node id, Free is
+// its advertised free-chunk count, and Seq is the highest delta
+// sequence the tracker has acked from it.
+type FreeRow struct {
+	Key  int
 	Free int
 	Seq  uint64
 }
 
 // FreeTable is the memory tracking server's state (§3.1.1) and the
-// rules that keep it, written once for both trackers: the simulated
-// one keys it by node id, the TCP one by address. It has no clock, no
-// lock, no I/O and no metrics — a driver supplies those and calls the
-// transitions below; the zero value is an empty follower at epoch 0.
+// rules that keep it. It has no clock, no lock, no I/O and no metrics —
+// its driver, Tracker, supplies those and calls the transitions below —
+// so the rules can be held to a model without a simulator
+// (TestFreeTableProperties); the zero value is an empty follower at
+// epoch 0.
 //
 // Rows are kept sorted by key, so State is deterministic and a lookup
 // is a binary search; rows are never deleted (a server that goes away
 // advertises zero).
-type FreeTable[K cmp.Ordered] struct {
-	rows   []FreeRow[K]
+type FreeTable struct {
+	rows   []FreeRow
 	epoch  uint64
 	leader bool
 	// Pushed reports applied to a row, and dropped as out of sequence.
@@ -35,22 +35,22 @@ type FreeTable[K cmp.Ordered] struct {
 }
 
 // find returns where k's row is, or where it would be inserted.
-func (t *FreeTable[K]) find(k K) (int, bool) {
-	return slices.BinarySearchFunc(t.rows, k, func(r FreeRow[K], k K) int { return cmp.Compare(r.Key, k) })
+func (t *FreeTable) find(k int) (int, bool) {
+	return slices.BinarySearchFunc(t.rows, k, func(r FreeRow, k int) int { return cmp.Compare(r.Key, k) })
 }
 
 // row returns the entry for k, inserting a zero one if k is new.
-func (t *FreeTable[K]) row(k K) *FreeRow[K] {
+func (t *FreeTable) row(k int) *FreeRow {
 	i, ok := t.find(k)
 	if !ok {
-		t.rows = slices.Insert(t.rows, i, FreeRow[K]{Key: k})
+		t.rows = slices.Insert(t.rows, i, FreeRow{Key: k})
 	}
 	return &t.rows[i]
 }
 
 // Set records k's free count as the driver observed it: a poll result,
 // a join, or zero for a server that is unreachable, draining or gone.
-func (t *FreeTable[K]) Set(k K, free int) { t.row(k).Free = free }
+func (t *FreeTable) Set(k, free int) { t.row(k).Free = free }
 
 // Delta applies one sequence-numbered report pushed by k. A report at
 // or below k's acked sequence is a duplicate or arrived out of order —
@@ -59,7 +59,7 @@ func (t *FreeTable[K]) Set(k K, free int) { t.row(k).Free = free }
 // driver still advertises k: a drained server's late report must not
 // put it back on the free list, but must still be acked so its
 // duplicates stay stale. Reports whether the count was installed.
-func (t *FreeTable[K]) Delta(k K, seq uint64, free int, advertise bool) (applied bool) {
+func (t *FreeTable) Delta(k int, seq uint64, free int, advertise bool) (applied bool) {
 	r := t.row(k)
 	if seq <= r.Seq {
 		t.stale++
@@ -76,7 +76,7 @@ func (t *FreeTable[K]) Delta(k K, seq uint64, free int, advertise bool) (applied
 
 // State returns the leadership term and a copy of every row, key
 // ascending — the payload a leader hands its standbys.
-func (t *FreeTable[K]) State() (epoch uint64, rows []FreeRow[K]) {
+func (t *FreeTable) State() (epoch uint64, rows []FreeRow) {
 	return t.epoch, slices.Clone(t.rows)
 }
 
@@ -86,7 +86,7 @@ func (t *FreeTable[K]) State() (epoch uint64, rows []FreeRow[K]) {
 // ex-leader its term is over), as does a table already on a later term
 // than the push. Rows the push does not mention are kept, so servers a
 // follower was told about directly survive until a leader reports them.
-func (t *FreeTable[K]) Install(epoch uint64, rows []FreeRow[K]) (ok bool) {
+func (t *FreeTable) Install(epoch uint64, rows []FreeRow) (ok bool) {
 	if t.leader || epoch < t.epoch {
 		return false
 	}
@@ -100,7 +100,7 @@ func (t *FreeTable[K]) Install(epoch uint64, rows []FreeRow[K]) (ok bool) {
 // Promote makes the table a leader's under the next term; everything it
 // holds — counts and acked sequences — carries over, which is what
 // makes a standby's takeover warm.
-func (t *FreeTable[K]) Promote() {
+func (t *FreeTable) Promote() {
 	t.leader = true
 	t.epoch++
 }
@@ -109,7 +109,7 @@ func (t *FreeTable[K]) Promote() {
 // key ascending on ties. The order is total, so the answer does not
 // depend on how the rows are stored. One allocation: File.Create asks
 // once per SpongeFile.
-func (t *FreeTable[K]) Query() []FreeRow[K] {
+func (t *FreeTable) Query() []FreeRow {
 	n := 0
 	for i := range t.rows {
 		if t.rows[i].Free > 0 {
@@ -119,13 +119,13 @@ func (t *FreeTable[K]) Query() []FreeRow[K] {
 	if n == 0 {
 		return nil
 	}
-	out := make([]FreeRow[K], 0, n)
+	out := make([]FreeRow, 0, n)
 	for _, r := range t.rows {
 		if r.Free > 0 {
 			out = append(out, r)
 		}
 	}
-	slices.SortFunc(out, func(a, b FreeRow[K]) int {
+	slices.SortFunc(out, func(a, b FreeRow) int {
 		if c := cmp.Compare(b.Free, a.Free); c != 0 {
 			return c
 		}
@@ -135,7 +135,7 @@ func (t *FreeTable[K]) Query() []FreeRow[K] {
 }
 
 // Total sums the advertised free chunks across all servers.
-func (t *FreeTable[K]) Total() int {
+func (t *FreeTable) Total() int {
 	sum := 0
 	for i := range t.rows {
 		sum += t.rows[i].Free
@@ -144,7 +144,7 @@ func (t *FreeTable[K]) Total() int {
 }
 
 // Free returns k's advertised count, zero for an unknown server.
-func (t *FreeTable[K]) Free(k K) int {
+func (t *FreeTable) Free(k int) int {
 	if i, ok := t.find(k); ok {
 		return t.rows[i].Free
 	}
@@ -152,14 +152,14 @@ func (t *FreeTable[K]) Free(k K) int {
 }
 
 // Epoch returns the leadership term the table is held under.
-func (t *FreeTable[K]) Epoch() uint64 { return t.epoch }
+func (t *FreeTable) Epoch() uint64 { return t.epoch }
 
 // Leader reports whether the table has been promoted.
-func (t *FreeTable[K]) Leader() bool { return t.leader }
+func (t *FreeTable) Leader() bool { return t.leader }
 
 // DeltaStats returns how many pushed reports were applied and how many
 // were dropped as stale.
-func (t *FreeTable[K]) DeltaStats() (applied, stale int64) { return t.applied, t.stale }
+func (t *FreeTable) DeltaStats() (applied, stale int64) { return t.applied, t.stale }
 
 // DeltaSource is the reporting half of delta dissemination, one per
 // sponge server: report only when the free count differs from the one a

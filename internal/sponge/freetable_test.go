@@ -6,23 +6,66 @@ import (
 	"testing"
 )
 
-// tableModel is the reference the property test compares FreeTable
-// against: the same rules over plain maps, written the obvious way.
+// tableModel is the reference FreeTable is compared against — by the
+// property test directly, by the tracker script through the simulated
+// tracker: the same rules over plain maps, written the obvious way.
 type tableModel struct {
-	free   map[int]int
-	seq    map[int]uint64
-	epoch  uint64
-	leader bool
+	free           map[int]int
+	seq            map[int]uint64
+	epoch          uint64
+	leader         bool
+	applied, stale int64
 }
 
-func (m *tableModel) query() []FreeRow[int] {
-	var out []FreeRow[int]
-	for k, f := range m.free {
-		if f > 0 {
-			out = append(out, FreeRow[int]{Key: k, Free: f, Seq: m.seq[k]})
-		}
+func newTableModel() *tableModel {
+	return &tableModel{free: map[int]int{}, seq: map[int]uint64{}}
+}
+
+func (m *tableModel) delta(k int, seq uint64, free int, advertise bool) bool {
+	if _, ok := m.free[k]; !ok {
+		m.free[k] = 0 // a report creates the row either way
 	}
-	slices.SortFunc(out, func(a, b FreeRow[int]) int {
+	if seq <= m.seq[k] {
+		m.stale++
+		return false
+	}
+	m.seq[k] = seq
+	if !advertise {
+		return false
+	}
+	m.free[k] = free
+	m.applied++
+	return true
+}
+
+func (m *tableModel) install(epoch uint64, rows []FreeRow) bool {
+	if m.leader || epoch < m.epoch {
+		return false
+	}
+	m.epoch = epoch
+	for _, r := range rows {
+		m.free[r.Key], m.seq[r.Key] = r.Free, r.Seq
+	}
+	return true
+}
+
+func (m *tableModel) promote() {
+	m.epoch++
+	m.leader = true
+}
+
+// rows is every row, free or not, in no order.
+func (m *tableModel) rows() []FreeRow {
+	var out []FreeRow
+	for k, f := range m.free {
+		out = append(out, FreeRow{Key: k, Free: f, Seq: m.seq[k]})
+	}
+	return out
+}
+
+func (m *tableModel) query() []FreeRow {
+	out := slices.DeleteFunc(m.rows(), func(r FreeRow) bool { return r.Free == 0 })
+	slices.SortFunc(out, func(a, b FreeRow) int {
 		if a.Free != b.Free {
 			return b.Free - a.Free
 		}
@@ -41,13 +84,13 @@ func (m *tableModel) query() []FreeRow[int] {
 func TestFreeTableProperties(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tab FreeTable[int]
-		m := tableModel{free: map[int]int{}, seq: map[int]uint64{}}
+		var tab FreeTable
+		m := newTableModel()
 		acked := map[int]uint64{}
-		randRows := func() []FreeRow[int] {
-			rows := make([]FreeRow[int], rng.Intn(4))
+		randRows := func() []FreeRow {
+			rows := make([]FreeRow, rng.Intn(4))
 			for i := range rows {
-				rows[i] = FreeRow[int]{Key: rng.Intn(8), Free: rng.Intn(5), Seq: uint64(rng.Intn(12))}
+				rows[i] = FreeRow{Key: rng.Intn(8), Free: rng.Intn(5), Seq: uint64(rng.Intn(12))}
 			}
 			return rows
 		}
@@ -59,18 +102,7 @@ func TestFreeTableProperties(t *testing.T) {
 				m.free[k] = free
 			case op < 7:
 				seq, advertise := uint64(rng.Intn(12)), rng.Intn(4) > 0
-				applied := tab.Delta(k, seq, free, advertise)
-				fresh := seq > m.seq[k]
-				if fresh {
-					m.seq[k] = seq
-					if advertise {
-						m.free[k] = free
-					}
-				}
-				if _, ok := m.free[k]; !ok {
-					m.free[k] = 0 // a report creates the row either way
-				}
-				if applied != (fresh && advertise) {
+				if applied := tab.Delta(k, seq, free, advertise); applied != m.delta(k, seq, free, advertise) {
 					t.Fatalf("seed %d step %d: Delta(%d, seq %d, advertise %v) applied=%v with acked %d",
 						seed, step, k, seq, advertise, applied, acked[k])
 				}
@@ -78,9 +110,9 @@ func TestFreeTableProperties(t *testing.T) {
 				epoch, rows := uint64(rng.Intn(6)), randRows()
 				before, beforeRows := tab.State()
 				ok := tab.Install(epoch, rows)
-				if want := !m.leader && epoch >= m.epoch; ok != want {
+				if ok != m.install(epoch, rows) {
 					t.Fatalf("seed %d step %d: Install(epoch %d) on (leader %v, epoch %d) = %v",
-						seed, step, epoch, m.leader, m.epoch, ok)
+						seed, step, epoch, m.leader, before, ok)
 				}
 				if !ok {
 					after, afterRows := tab.State()
@@ -89,9 +121,7 @@ func TestFreeTableProperties(t *testing.T) {
 					}
 					break
 				}
-				m.epoch = epoch
 				for _, r := range rows {
-					m.free[r.Key], m.seq[r.Key] = r.Free, r.Seq
 					acked[r.Key] = 0 // a handoff may carry any sequence
 				}
 			default:
@@ -99,8 +129,7 @@ func TestFreeTableProperties(t *testing.T) {
 					break // promotions are rare: most of a run is one term
 				}
 				tab.Promote()
-				m.epoch++
-				m.leader = true
+				m.promote()
 			}
 
 			epoch, rows := tab.State()
@@ -125,13 +154,16 @@ func TestFreeTableProperties(t *testing.T) {
 				acked[r.Key] = r.Seq
 				total += r.Free
 			}
+			if a, s := tab.DeltaStats(); a != m.applied || s != m.stale {
+				t.Fatalf("seed %d step %d: DeltaStats = (%d, %d), want (%d, %d)", seed, step, a, s, m.applied, m.stale)
+			}
 			if tab.Total() != total {
 				t.Fatalf("seed %d step %d: Total = %d, want %d", seed, step, tab.Total(), total)
 			}
 			if got, want := tab.Query(), m.query(); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: Query = %+v, want %+v", seed, step, got, want)
 			}
-			var follower FreeTable[int]
+			var follower FreeTable
 			if !follower.Install(epoch, rows) {
 				t.Fatalf("seed %d step %d: a fresh follower refused State()", seed, step)
 			}
@@ -146,11 +178,11 @@ func TestFreeTableProperties(t *testing.T) {
 // File.Create asks once per SpongeFile, so Query's allocations are part
 // of every spill's cost and of the benchmark's allocs_per_iter.
 func TestFreeTableQueryAllocatesOnce(t *testing.T) {
-	var tab FreeTable[int]
+	var tab FreeTable
 	for k := 0; k < 40; k++ {
 		tab.Set(k, k%5)
 	}
-	var got []FreeRow[int]
+	var got []FreeRow
 	if avg := testing.AllocsPerRun(100, func() { got = tab.Query() }); avg > 1 {
 		t.Errorf("Query allocates %.1f times, want at most 1", avg)
 	}

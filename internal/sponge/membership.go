@@ -257,7 +257,7 @@ func (s *Service) evacuate(p *simtime.Proc, node int, handles []int) error {
 // configured rack-local. Transfers ride the normal transport path, so
 // they are charged — and fault-injected — like any remote allocation.
 func (s *Service) evacuateChunk(p *simtime.Proc, from *cluster.Node, owner TaskID, payload []byte) (int, int, error) {
-	var cands FreeTable[int]
+	var cands FreeTable
 	for i, srv := range s.Servers {
 		if i == from.ID || s.NodeState(i) != NodeLive {
 			continue

@@ -425,6 +425,29 @@ func (p *Pool) FreeChunk(h int) {
 	p.reclaim(h, owner)
 }
 
+// TryFree is FreeChunk for a caller that cannot vouch for its handle —
+// the wire server, whose handles come off the network: the check and the
+// free are one critical section, and a handle that is out of range or
+// already free is reported (ErrNoFreeChunk), as is a failed or closed
+// pool (ErrChunkLost). Of any number of concurrent frees of one chunk,
+// exactly one returns nil.
+func (p *Pool) TryFree(h int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.check(h); err != nil {
+		return err
+	}
+	if !p.reclaim(h, p.owners[h]) {
+		// Gone while reclaim waited out a pin. The slot may already have
+		// a new owner, so it is not looked at again.
+		if p.closed {
+			return ErrChunkLost
+		}
+		return ErrNoFreeChunk
+	}
+	return nil
+}
+
 // reclaim waits out chunk h's open brackets and returns it to the free
 // list, bumping its generation. The wait gives the lock up, so the
 // chunk is looked at again after it: when the pool closed meanwhile, or

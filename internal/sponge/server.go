@@ -1,8 +1,6 @@
 package sponge
 
 import (
-	"sync"
-
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/simtime"
 )
@@ -19,11 +17,7 @@ type Server struct {
 
 	// live is the node's task liveness registry: the execution framework
 	// registers a task's PID when it starts and unregisters it at exit.
-	// The mutex matters outside the single-threaded simulator: when the
-	// server's registry backs a wire-mode daemon, liveness requests
-	// arrive concurrently from the TCP worker pool.
-	liveMu sync.Mutex
-	live   map[int64]bool
+	live map[int64]bool
 
 	// Stats.
 	remoteAllocs, remoteAllocFails int64
@@ -42,25 +36,13 @@ func (s *Server) Pool() *Pool { return s.pool }
 
 // RegisterTask marks a local task live; the MapReduce framework calls
 // this when it launches a task on the node.
-func (s *Server) RegisterTask(pid int64) {
-	s.liveMu.Lock()
-	s.live[pid] = true
-	s.liveMu.Unlock()
-}
+func (s *Server) RegisterTask(pid int64) { s.live[pid] = true }
 
 // UnregisterTask marks a local task dead (normal exit or kill).
-func (s *Server) UnregisterTask(pid int64) {
-	s.liveMu.Lock()
-	delete(s.live, pid)
-	s.liveMu.Unlock()
-}
+func (s *Server) UnregisterTask(pid int64) { delete(s.live, pid) }
 
 // TaskAlive reports whether a local PID is registered.
-func (s *Server) TaskAlive(pid int64) bool {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	return s.live[pid]
-}
+func (s *Server) TaskAlive(pid int64) bool { return s.live[pid] }
 
 // FreeChunks returns the pool's current free chunk count (what the
 // server exports to the tracker).

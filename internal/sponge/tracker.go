@@ -26,10 +26,9 @@ import (
 // starting with a full re-poll.
 //
 // The table and its rules — sequence dedupe, term fencing, ranking —
-// are the FreeTable's, shared with the TCP tracker; this type is the
-// simulator's driver for it: it charges each exchange's virtual time,
-// skips servers membership says are gone or draining, and leaves
-// leadership to the service's watchdog.
+// are the FreeTable's; this type is the simulator's driver for it: it
+// charges each exchange's virtual time, skips servers membership says
+// are gone or draining, and leaves leadership to the service's watchdog.
 type Tracker struct {
 	svc  *Service
 	node *cluster.Node
@@ -37,7 +36,7 @@ type Tracker struct {
 	// table is the per-node free-chunk snapshot with each node's acked
 	// delta sequence, plus this tracker's term and role. A new tracker is
 	// a follower at term 0 until it is promoted.
-	table   FreeTable[int]
+	table   FreeTable
 	polls   int64
 	queries int64
 	// down marks a crashed tracker process (the host may still serve
@@ -176,7 +175,7 @@ func (t *Tracker) ReportDelta(p *simtime.Proc, from *cluster.Node, seq uint64, f
 // header out, a control ack back. It reports whether the state was
 // installed: not on a tracker that is down, that leads, or that is
 // already on a later term.
-func (t *Tracker) InstallState(p *simtime.Proc, from *cluster.Node, epoch uint64, rows []FreeRow[int]) bool {
+func (t *Tracker) InstallState(p *simtime.Proc, from *cluster.Node, epoch uint64, rows []FreeRow) bool {
 	if t.unavailable() {
 		return false
 	}
@@ -211,7 +210,7 @@ const queryTimeout = 100 * simtime.Millisecond
 // sorted by free space (descending, node ID tiebreak), charging the
 // control round trip from the asking node. The answer can be stale by up
 // to PollInterval; callers must tolerate allocation failures.
-func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeRow[int] {
+func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeRow {
 	if t.unavailable() {
 		// Dead tracker: the request times out and the file proceeds
 		// with no remote candidates (it will spill to disk until the

@@ -1,35 +1,26 @@
-package wire
+package sponge
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 	"testing"
-	"time"
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
-	"spongefiles/internal/sponge"
 )
 
-// One script, both trackers. The simulated tracker (sponge.Tracker under
-// simtime) and the TCP one (wire.Tracker behind a TrackerServer) are two
-// drivers of the same sponge.FreeTable; this test feeds both the same
-// sequence of events — a server's pool filling or draining, a server
-// cut off and healed, a tracker cycle (poll + handoff), pushed deltas,
-// pushed state, the leader's death, the standby's promotion — and
-// requires the same observable state from both after every step: the
-// free list each tracker answers with, its term, its role, and its
-// applied/stale delta counts. Node i in the simulator is server i's
-// listen address over TCP; tracker 0 starts as leader (node 0), tracker
-// 1 as its standby (node 1).
+// One script of tracker events — a server's pool filling or draining, a
+// server cut off and healed, a tracker cycle (poll + handoff), pushed
+// deltas, pushed state, the leader's death, the standby's promotion —
+// played to the simulated tracker pair and to two tableModels, which
+// must show the same observable state after every step: the free list
+// each tracker answers with, its term, its role, and its applied/stale
+// delta counts. Tracker 0 starts as leader (node 0), tracker 1 as its
+// standby (node 1).
 //
-// What only one driver does stays out of the script: the simulator's
-// refusal to advertise a drained node (the TCP tracker has no
-// membership; TestDrainedNodeCannotReadvertiseByDelta in package sponge
-// covers it) and the TCP reporter's rotation through a tracker group.
+// What the model has no notion of stays out of the script: the refusal
+// to advertise a drained node (TestDrainedNodeCannotReadvertiseByDelta).
 
 type scriptOp int
 
@@ -53,7 +44,7 @@ type scriptStep struct {
 	seq   uint64
 	free  int
 	epoch uint64
-	rows  []sponge.FreeRow[int]
+	rows  []FreeRow
 }
 
 func (s scriptStep) String() string {
@@ -79,8 +70,8 @@ func (s scriptStep) String() string {
 // trackerScript is the fixed opening — every rule once, in an order a
 // reader can follow — then a seeded tail of the same events at random.
 func trackerScript(seed int64) []scriptStep {
-	row := func(k, free int, seq uint64) sponge.FreeRow[int] {
-		return sponge.FreeRow[int]{Key: k, Free: free, Seq: seq}
+	row := func(k, free int, seq uint64) FreeRow {
+		return FreeRow{Key: k, Free: free, Seq: seq}
 	}
 	steps := []scriptStep{
 		{op: opCycle},
@@ -95,55 +86,38 @@ func trackerScript(seed int64) []scriptStep {
 		{op: opHeal, key: 3},
 		{op: opPool, key: 3, free: 2},
 		{op: opCycle},
-		{op: opPush, on: 0, epoch: 7, rows: []sponge.FreeRow[int]{row(1, 0, 0)}}, // a leader follows nobody
-		{op: opPush, on: 1, epoch: 0, rows: []sponge.FreeRow[int]{row(1, 0, 0)}}, // an older term
-		{op: opPush, on: 1, epoch: 1, rows: []sponge.FreeRow[int]{row(2, 3, 3)}}, // the current term: taken
+		{op: opPush, on: 0, epoch: 7, rows: []FreeRow{row(1, 0, 0)}}, // a leader follows nobody
+		{op: opPush, on: 1, epoch: 0, rows: []FreeRow{row(1, 0, 0)}}, // an older term
+		{op: opPush, on: 1, epoch: 1, rows: []FreeRow{row(2, 3, 3)}}, // the current term: taken
 		{op: opCycle},                          // the real leader's handoff overwrites it
 		{op: opDelta, key: 1, seq: 2, free: 1}, // never handed off: dies with the leader
 		{op: opFail},
 		{op: opExpire},
 		{op: opDelta, on: 1, key: 1, seq: 2, free: 1}, // fresh to the successor
 		{op: opDelta, on: 1, key: 3, seq: 6, free: 1}, // stale: acked sequences were handed off
-		{op: opPush, on: 1, epoch: 9, rows: []sponge.FreeRow[int]{row(0, 0, 0)}},
+		{op: opPush, on: 1, epoch: 9, rows: []FreeRow{row(0, 0, 0)}},
 		{op: opPool, key: 0, free: 0},
 		{op: opCycle}, // the successor polls the servers it inherited
 	}
-	// The tail keeps one driver difference out of the comparison: a TCP
-	// tracker learns that a cached connection died only by polling over
-	// it, and redials on the cycle after, where the simulator has no
-	// connections to lose. So a cut server is always polled once before
-	// it heals.
 	rng := rand.New(rand.NewSource(seed))
-	const healthy, cut, cutAndPolled = 0, 1, 2
-	state := map[int]int{}
-	cycle := func() {
-		steps = append(steps, scriptStep{op: opCycle})
-		for k, st := range state {
-			if st == cut {
-				state[k] = cutAndPolled
-			}
-		}
-	}
+	cut := map[int]bool{}
 	for i := 0; i < 40; i++ {
 		key := 2 + rng.Intn(2) // the trackers' own hosts stay reachable
 		switch op := rng.Intn(10); {
 		case op < 2:
 			steps = append(steps, scriptStep{op: opPool, key: rng.Intn(scriptNodes), free: rng.Intn(scriptPool + 1)})
 		case op < 4:
-			cycle()
+			steps = append(steps, scriptStep{op: opCycle})
 		case op < 8:
 			steps = append(steps, scriptStep{op: opDelta, on: 1, key: rng.Intn(scriptNodes), seq: uint64(rng.Intn(10)), free: rng.Intn(scriptPool + 1)})
 		case op < 9:
-			steps = append(steps, scriptStep{op: opPush, on: 1, epoch: uint64(rng.Intn(4)), rows: []sponge.FreeRow[int]{row(key, 1, 1)}})
-		case state[key] == healthy:
+			steps = append(steps, scriptStep{op: opPush, on: 1, epoch: uint64(rng.Intn(4)), rows: []FreeRow{row(key, 1, 1)}})
+		case !cut[key]:
 			steps = append(steps, scriptStep{op: opCut, key: key})
-			state[key] = cut
+			cut[key] = true
 		default:
-			if state[key] == cut {
-				cycle()
-			}
 			steps = append(steps, scriptStep{op: opHeal, key: key})
-			state[key] = healthy
+			cut[key] = false
 		}
 	}
 	return steps
@@ -179,7 +153,7 @@ func (r scriptResult) String() string {
 }
 
 // setPoolFree allocates or frees chunks until the pool has free free.
-func setPoolFree(t *testing.T, pool *sponge.Pool, owner sponge.TaskID, free int) {
+func setPoolFree(t *testing.T, pool *Pool, owner TaskID, free int) {
 	t.Helper()
 	for pool.Free() > free {
 		if _, err := pool.Alloc(owner); err != nil {
@@ -204,15 +178,15 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptResult {
 	sim := simtime.New()
 	defer sim.Close()
 	c := cluster.New(sim, ccfg)
-	scfg := sponge.DefaultConfig()
+	scfg := DefaultConfig()
 	scfg.TrackerReplicas = 1
 	scfg.PollInterval = 10 * simtime.Second
 	scfg.GCInterval = 1000 * simtime.Hour
-	svc := sponge.Start(c, scfg)
-	faults := sponge.NewFaultTransport(svc.Transport(), sponge.FaultConfig{})
+	svc := Start(c, scfg)
+	faults := NewFaultTransport(svc.Transport(), FaultConfig{})
 	svc.SetTransport(faults)
-	trackers := [2]*sponge.Tracker{svc.Tracker, svc.Standbys()[0]}
-	owner := sponge.TaskID{Node: 0, PID: 1}
+	trackers := [2]*Tracker{svc.Tracker, svc.Standbys()[0]}
+	owner := TaskID{Node: 0, PID: 1}
 
 	var out []scriptResult
 	sim.Spawn("script", func(p *simtime.Proc) {
@@ -220,7 +194,7 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptResult {
 		// awaitCycle sleeps until tr completes its next poll and the
 		// handoff that follows it. Cycles are ten seconds apart and the
 		// events between them take milliseconds, so none goes unscripted.
-		awaitCycle := func(tr *sponge.Tracker) {
+		awaitCycle := func(tr *Tracker) {
 			for polls, _ := tr.Stats(); ; p.Sleep(simtime.Second) {
 				if now, _ := tr.Stats(); now > polls {
 					break
@@ -274,123 +248,61 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptResult {
 	return out
 }
 
-// runScriptWire plays the script against two TCP trackers. Their loops
-// are parked (a one-hour interval) and the script calls the cycle and
-// the lease check itself, so the order of events is the script's; every
-// delta, state push, free list and role query crosses a real socket.
-func runScriptWire(t *testing.T, steps []scriptStep) []scriptResult {
-	owner := sponge.TaskID{Node: 0, PID: 1}
+// runScriptModel plays the script against two tableModels, with the
+// servers' pools and reachability as two arrays.
+func runScriptModel(steps []scriptStep) []scriptResult {
 	var (
-		pools   [scriptNodes]*sponge.Pool
-		servers [scriptNodes]*Server
-		addrs   []string
-		index   = map[string]int{}
+		pool   [scriptNodes]int
+		cut    [scriptNodes]bool
+		tabs   = [2]*tableModel{newTableModel(), newTableModel()}
+		leader = 0
+		dead   = -1
 	)
-	defer func() {
-		for _, srv := range servers {
-			if srv != nil {
-				srv.Close()
+	for k := range pool {
+		pool[k] = scriptPool
+	}
+	tabs[0].promote()
+	cycle := func() {
+		for k, free := range pool {
+			if cut[k] {
+				free = 0 // the poll fails: the server advertises nothing
 			}
+			tabs[leader].free[k] = free
 		}
-	}()
-	for i := range servers {
-		srv, err := Serve(sponge.NewPool(64, scriptPool), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+		if leader == 0 {
+			tabs[1].install(tabs[0].epoch, tabs[0].rows())
 		}
-		servers[i] = srv
 	}
-	// Ties in a free list break on the key, so server i must sort where
-	// node i does: number the servers in address order.
-	slices.SortFunc(servers[:], func(a, b *Server) int { return strings.Compare(a.Addr(), b.Addr()) })
-	for i, srv := range servers {
-		pools[i] = srv.pool
-		addrs = append(addrs, srv.Addr())
-		index[srv.Addr()] = i
-	}
-
-	standby := NewTrackerOptions(nil, TrackerOptions{Interval: time.Hour, Standby: true, Lease: time.Hour})
-	defer standby.Close()
-	ss, err := standby.Serve("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	first := NewTrackerOptions(addrs, TrackerOptions{Interval: time.Hour, Standbys: []string{ss.Addr()}})
-	fs, err := first.Serve("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trackers := [2]*Tracker{first, standby}
-	var clients [2]*Client
-	for i, addr := range []string{fs.Addr(), ss.Addr()} {
-		if clients[i], err = Dial(addr); err != nil {
-			t.Fatal(err)
-		}
-		defer clients[i].Close()
-	}
-	dead := -1
-	defer func() {
-		if dead != 0 {
-			fs.Close()
-			first.Close()
-		}
-	}()
-
 	var out []scriptResult
-	leader := 0
 	for _, s := range steps {
 		var res scriptResult
 		switch s.op {
 		case opPool:
-			setPoolFree(t, pools[s.key], owner, s.free)
-		case opCut:
-			servers[s.key].Close()
-			servers[s.key] = nil
-		case opHeal:
-			if servers[s.key], err = Serve(pools[s.key], addrs[s.key]); err != nil {
-				t.Fatalf("restart server %d: %v", s.key, err)
-			}
+			pool[s.key] = s.free
+		case opCut, opHeal:
+			cut[s.key] = s.op == opCut
 		case opCycle:
-			trackers[leader].pollOnce()
-			trackers[leader].handoff()
+			cycle()
 		case opDelta:
-			_, err := clients[s.on].ReportDelta(addrs[s.key], s.seq, s.free)
-			res.Took = err == nil
+			tabs[s.on].delta(s.key, s.seq, s.free, true)
+			res.Took = true // a live tracker holds the report's state either way
 		case opPush:
-			rows := make([]TrackerEntry, len(s.rows))
-			for i, r := range s.rows {
-				rows[i] = TrackerEntry{Key: addrs[r.Key], Free: r.Free, Seq: r.Seq}
-			}
-			res.Took = clients[s.on].PushTrackerState(s.epoch, rows) == nil
+			res.Took = tabs[s.on].install(s.epoch, s.rows)
 		case opFail:
-			fs.Close()
-			first.Close()
 			dead = leader
 		case opExpire:
-			standby.mu.Lock()
-			standby.lastPush = time.Time{} // the lease ran out
-			standby.mu.Unlock()
-			standby.checkLease()
 			leader = 1
-			standby.pollOnce()
+			tabs[1].promote()
+			cycle()
 		}
-		for i, tr := range trackers {
+		for i, m := range tabs {
 			if i == dead {
 				continue
 			}
-			v := &trackerView{}
-			entries, err := clients[i].FreeList()
-			if err != nil {
-				t.Fatalf("wire: free list from tracker %d: %v", i, err)
+			v := &trackerView{Epoch: m.epoch, Leader: m.leader, Applied: m.applied, Stale: m.stale}
+			for _, r := range m.query() {
+				v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
 			}
-			for _, e := range entries {
-				v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", index[e.Key], e.Free))
-			}
-			if v.Epoch, v.Leader, err = clients[i].TrackerInfo(); err != nil {
-				t.Fatalf("wire: info from tracker %d: %v", i, err)
-			}
-			v.Applied, v.Stale = tr.DeltaStats()
 			res.Views[i] = v
 		}
 		out = append(out, res)
@@ -398,18 +310,18 @@ func runScriptWire(t *testing.T, steps []scriptStep) []scriptResult {
 	return out
 }
 
-func TestTrackerScriptBothDrivers(t *testing.T) {
+func TestTrackerScript(t *testing.T) {
 	var simRes []scriptResult
 	for _, seed := range []int64{20, 4, 1} { // the tails differ; the last run's opening is spot-checked below
 		steps := trackerScript(seed)
 		simRes = runScriptSim(t, steps)
-		wireRes := runScriptWire(t, steps)
-		if len(simRes) != len(steps) || len(wireRes) != len(steps) {
-			t.Fatalf("seed %d: script has %d steps; sim ran %d, wire ran %d", seed, len(steps), len(simRes), len(wireRes))
+		model := runScriptModel(steps)
+		if len(simRes) != len(steps) {
+			t.Fatalf("seed %d: script has %d steps; sim ran %d", seed, len(steps), len(simRes))
 		}
 		for i, s := range steps {
-			if a, b := simRes[i].String(), wireRes[i].String(); a != b {
-				t.Fatalf("seed %d step %d (%v): the two trackers disagree\n sim:  %s\n wire: %s", seed, i, s, a, b)
+			if a, b := simRes[i].String(), model[i].String(); a != b {
+				t.Fatalf("seed %d step %d (%v): the tracker and the model disagree\n sim:   %s\n model: %s", seed, i, s, a, b)
 			}
 		}
 	}

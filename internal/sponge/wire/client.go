@@ -589,9 +589,8 @@ func (c *Client) Stat() (free, total, chunkSize int, err error) {
 }
 
 // Metrics fetches the daemon's metrics registry rendered in the text
-// exposition format. Works against sponge servers and TCP-served
-// trackers alike (both share the daemon core); a pre-metrics peer
-// answers StatusBadRequest, surfaced as ErrBadRequest.
+// exposition format; a pre-metrics peer answers StatusBadRequest,
+// surfaced as ErrBadRequest.
 func (c *Client) Metrics() (string, error) {
 	rep, err := c.do([]byte{OpMetrics}, nil, nil)
 	if err != nil {

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"spongefiles/internal/obs"
 	"spongefiles/internal/sponge"
@@ -117,33 +115,5 @@ func TestMetricsSharedRegistryAcrossDaemons(t *testing.T) {
 	}
 	if got := samples[`spongewire_pool_chunks{listen="`+srvB.Addr()+`"}`]; got != 5 {
 		t.Errorf("B pool_chunks = %d, want 5", got)
-	}
-}
-
-func TestTrackerServerAnswersMetrics(t *testing.T) {
-	pool := sponge.NewPool(1024, 4)
-	srv, err := Serve(pool, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTracker([]string{srv.Addr()}, time.Hour)
-	defer tr.Close()
-	ts, err := tr.Serve("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	c, err := Dial(ts.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	text, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, reqID(ts.Addr(), "metrics")+" 1") {
-		t.Fatalf("tracker scrape missing its own metrics counter:\n%s", text)
 	}
 }

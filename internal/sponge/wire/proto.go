@@ -84,17 +84,11 @@ const (
 	// version (u8), free chunks (u32), total chunks (u32), chunk size
 	// (u32) — the stat fields spare dialers a second round trip.
 	OpHello
-	// OpFreeList asks a TCP-served tracker for its latest free list.
-	// Response: entry count (u16), then per entry free chunks (u32),
-	// address length (u16), address bytes. Sponge servers answer
-	// StatusBadRequest (their reply to any unknown op), which is also
-	// what a pre-FreeList peer answers — callers degrade gracefully.
-	OpFreeList
+	_ // 9, retired: the TCP tracker's free-list query
 	// OpMetrics asks a daemon for its metrics registry rendered in the
 	// text exposition format. Response: UTF-8 text. Answered by the
-	// daemon core itself, so sponge servers and TCP-served trackers
-	// expose metrics identically; pre-metrics peers answer
-	// StatusBadRequest and scrapers degrade gracefully.
+	// daemon core itself; pre-metrics peers answer StatusBadRequest and
+	// scrapers degrade gracefully.
 	OpMetrics
 	// OpSpillLoc asks where a disk-spilled chunk lives; OpPoolLoc asks
 	// the same of a pool-resident one. The two codes are labels — the
@@ -127,33 +121,12 @@ const (
 	// no spill tier) answer a plain StatusBadRequest frame; callers
 	// degrade to OpRead.
 	OpPoolFD
-	// OpFreeDelta pushes one sequence-numbered incremental free-space
-	// report from a sponge server to a tracker (the delta-dissemination
-	// successor of the tracker's full OpStat poll). Payload: sequence
-	// (u64), free chunks (u32), address length (u16), address bytes —
-	// the address is how the tracker should name the reporting server
-	// in its free list. Response: applied (u8: 1 applied, 0 stale/
-	// retired). A standby tracker answers StatusBadRequest ("not the
-	// leader") and the reporter rotates to the next tracker address;
-	// sponge servers and pre-delta trackers answer the same, so
-	// misdirected reports degrade gracefully.
-	OpFreeDelta
-	// OpTrackerState hands a tracker leader's state off to a standby:
-	// leader epoch (u64), entry count (u16), then per entry free chunks
-	// (u32), acked delta sequence (u64), address length (u16), address
-	// bytes. Response: status only. Only standbys accept it — a leader
-	// answers StatusBadRequest, which tells a stale ex-leader (or a
-	// misconfigured peer) that the receiver is not following it.
-	OpTrackerState
-	// OpTrackerInfo asks a tracker for its role and leadership term.
-	// Response: leader epoch (u64), leader flag (u8). Clients use it to
-	// find the current leader among a replicated tracker group; any
-	// other daemon answers StatusBadRequest.
-	OpTrackerInfo
 )
 
-// opMax is the highest op code, sizing per-op tables.
-const opMax = OpTrackerInfo
+// opMax is the highest op code, sizing per-op tables. Codes 15–17 are
+// retired like 9 (the TCP tracker's other exchanges): past opMax, so
+// unknown ops, and not to be handed out again.
+const opMax = OpPoolFD
 
 // fdGeom is the layout that rides the OpPoolFD handshake: the receiver
 // needs it to check the passed files against, to size its view of the

@@ -24,10 +24,8 @@ import (
 // as backpressure.
 const defaultInflight = 16
 
-// Options tunes a wire daemon (the sponge server and the TCP-served
-// tracker share them). The zero value reproduces the historical
-// behaviour: 16 in-flight requests per connection, no I/O deadlines, an
-// internal liveness registry, TCP only, and no disk-spill tier.
+// Options tunes a sponge server. The zero value is 16 in-flight requests
+// per connection, no I/O deadlines, TCP only, and no disk-spill tier.
 type Options struct {
 	// Inflight bounds the per-connection worker pool in v2 framing;
 	// 0 means the default (16).
@@ -38,11 +36,6 @@ type Options struct {
 	// WriteTimeout is the deadline applied to each response write or
 	// flush. 0 disables it.
 	WriteTimeout time.Duration
-	// Liveness, when non-nil, replaces the sponge server's internal
-	// task-liveness registry, so one registry can back both the
-	// in-process (simulated) path and the TCP path. Ignored by the
-	// tracker daemon.
-	Liveness Liveness
 	// Metrics, when non-nil, is the registry this daemon instruments
 	// itself into and serves over OpMetrics; nil means a private
 	// registry. Several daemons in one process may share a registry —
@@ -57,23 +50,10 @@ type Options struct {
 	// SpillDir, when non-empty, gives the sponge server a disk tier: an
 	// append-coalesced spill file in that directory absorbs AllocWrites
 	// that find the memory pool full, and reads of those chunks are
-	// served zero-copy (sendfile on linux, buffered elsewhere). Ignored
-	// by the tracker daemon.
+	// served zero-copy (sendfile on linux, buffered elsewhere).
 	SpillDir string
 	// SpillChunks caps the live chunks in the spill file; 0 = unbounded.
 	SpillChunks int
-	// Trackers lists replicated tracker addresses this sponge server
-	// pushes OpFreeDelta reports to when its free count changes. The
-	// reporter finds the leader by rotation: a standby answers "not the
-	// leader" and the reporter moves to the next address. Empty
-	// disables delta reporting (trackers then rely on polling).
-	// Ignored by the tracker daemon.
-	Trackers []string
-	// ReportInterval is the delta reporter's check period; 0 means 1s.
-	ReportInterval time.Duration
-	// AdvertiseAddr is how trackers should name this server in their
-	// free lists; "" means the server's own TCP listen address.
-	AdvertiseAddr string
 }
 
 func (o Options) inflight() int {
@@ -95,17 +75,9 @@ func SocketPath(dir, tcpAddr string) (string, error) {
 	return filepath.Join(dir, "sponge-"+port+".sock"), nil
 }
 
-// Liveness is the task-liveness registry a sponge server consults for
-// OpPing and mutates for OpRegister/OpUnregister. Implementations must
-// be safe for concurrent use: requests dispatch through a concurrent
+// mapLiveness is the task-liveness registry a sponge server consults for
+// OpPing and mutates for OpRegister/OpUnregister, from a concurrent
 // worker pool.
-type Liveness interface {
-	Register(pid uint64)
-	Unregister(pid uint64)
-	Alive(pid uint64) bool
-}
-
-// mapLiveness is the default internal registry.
 type mapLiveness struct {
 	mu   sync.Mutex
 	live map[uint64]bool
@@ -158,33 +130,22 @@ type response struct {
 // statusOnly is a response carrying nothing but its status byte.
 func statusOnly(status byte) response { return response{body: []byte{status}} }
 
-// daemon is the connection-serving core shared by the sponge server and
-// the TCP tracker: it accepts connections on every listener (TCP,
-// optionally a same-host unix socket), answers the v1-framed handshakes
-// (OpHello, OpPoolFD), and once the hello has switched the
-// connection to pipelined v2 framing feeds every request through the
-// owner's dispatch function, which answers with a response.
+// daemon is the sponge server's connection-serving core: it accepts
+// connections on every listener (TCP, optionally a same-host unix
+// socket), answers the v1-framed handshakes (OpHello, OpPoolFD), and
+// once the hello has switched the connection to pipelined v2 framing
+// feeds every request to the server, which answers with a response.
 type daemon struct {
 	lns       []net.Listener
 	localPath string // unix socket path, "" when TCP-only
 	opts      Options
 
-	// frameLimit bounds inbound v2 frames; helloResp builds the
-	// v1-framed OpHello reply; dispatch executes one request body.
+	srv *Server
+	// frameLimit bounds inbound v2 frames: a chunk plus protocol overhead.
 	frameLimit int
-	helloResp  func() []byte
-	dispatch   func(req []byte) response
-	// recvChunk, when non-nil, serves an OpAllocWrite whose n-byte body is
-	// still on the socket, so the owner can receive the payload where it
-	// will live. It runs on the connection's reader — the only goroutine
-	// that may touch br — and returns the finished response; an error
-	// means the stream is out of step and the connection is dropped.
-	// Wired by the sponge server; nil (the tracker) reads every body into
-	// a buffer.
-	recvChunk func(br *bufio.Reader, n int) (response, error)
-	// sendFDs, when non-nil, answers OpPoolFD on a unix connection by
-	// passing the owner's files over SCM_RIGHTS. Wired by the sponge
-	// server; nil (the tracker) answers StatusBadRequest.
+	// sendFDs answers OpPoolFD on a unix connection by passing the
+	// server's files over SCM_RIGHTS (Server.sendFDs; a field so a test
+	// can pass files that break the handshake's promises).
 	sendFDs func(conn net.Conn) error
 
 	mu    sync.Mutex
@@ -203,11 +164,11 @@ type daemon struct {
 	zcFallbk  *obs.Counter // file responses that took the buffered path
 	fdFail    *obs.Counter // fd-pass handshakes refused or failed
 
-	// bufs recycles large request bodies — a tracker's state frames, a
-	// chunk on its way to the spill file — so they do not allocate per
-	// request. small does the same for header-size exchanges (a read is a
-	// 5-byte request, an alloc_write a 5-byte reply, the fd-passing fast
-	// path 25-byte loc responses).
+	// bufs recycles large request bodies — a chunk on its way to the
+	// spill file — so they do not allocate per request. small does the
+	// same for header-size exchanges (a read is a 5-byte request, an
+	// alloc_write a 5-byte reply, the fd-passing fast path 25-byte loc
+	// responses).
 	bufs  sync.Pool
 	small sync.Pool
 
@@ -235,27 +196,23 @@ const (
 // opNames maps op codes to the label values used in the daemon's
 // per-op request counters. A blank entry means "not a real op".
 var opNames = [opMax + 1]string{
-	OpAllocWrite:   "alloc_write",
-	OpRead:         "read",
-	OpFree:         "free",
-	OpStat:         "stat",
-	OpPing:         "ping",
-	OpRegister:     "register",
-	OpUnregister:   "unregister",
-	OpHello:        "hello",
-	OpFreeList:     "free_list",
-	OpMetrics:      "metrics",
-	OpSpillLoc:     "spill_loc",
-	OpPoolLoc:      "pool_loc",
-	OpPoolFD:       "pool_fd",
-	OpFreeDelta:    "free_delta",
-	OpTrackerState: "tracker_state",
-	OpTrackerInfo:  "tracker_info",
+	OpAllocWrite: "alloc_write",
+	OpRead:       "read",
+	OpFree:       "free",
+	OpStat:       "stat",
+	OpPing:       "ping",
+	OpRegister:   "register",
+	OpUnregister: "unregister",
+	OpHello:      "hello",
+	OpMetrics:    "metrics",
+	OpSpillLoc:   "spill_loc",
+	OpPoolLoc:    "pool_loc",
+	OpPoolFD:     "pool_fd",
 }
 
 // startDaemon listens on addr (plus the derived unix socket when
-// opts.LocalSocketDir is set) and begins accepting connections.
-func startDaemon(addr string, opts Options, frameLimit int, helloResp func() []byte, dispatch func([]byte) response) (*daemon, error) {
+// opts.LocalSocketDir is set) and begins accepting connections for srv.
+func startDaemon(addr string, opts Options, srv *Server) (*daemon, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -263,9 +220,9 @@ func startDaemon(addr string, opts Options, frameLimit int, helloResp func() []b
 	d := &daemon{
 		lns:        []net.Listener{ln},
 		opts:       opts,
-		frameLimit: frameLimit,
-		helloResp:  helloResp,
-		dispatch:   dispatch,
+		srv:        srv,
+		frameLimit: srv.pool.ChunkSize() + frameSlack,
+		sendFDs:    srv.sendFDs,
 		conns:      make(map[net.Conn]struct{}),
 		closed:     make(chan struct{}),
 	}
@@ -308,6 +265,7 @@ func startDaemon(addr string, opts Options, frameLimit int, helloResp func() []b
 	d.zcBytes = d.metrics.Counter("spongewire_serve_zero_copy_bytes_total", listen)
 	d.zcFallbk = d.metrics.Counter("spongewire_serve_zero_copy_fallback_total", listen)
 	d.fdFail = d.metrics.Counter("spongewire_fdpass_fail_total", listen)
+	srv.d = d // before the first connection can reach srv through d
 	for _, l := range d.lns {
 		d.wg.Add(1)
 		go d.acceptLoop(l)
@@ -523,10 +481,7 @@ func (d *daemon) handle(conn net.Conn) {
 			// Descriptor passing happens outside the frame writer: the
 			// exchange owns the connection (lock-step, nothing buffered)
 			// and the descriptors must ride their own sendmsg.
-			err := errZCUnsupported
-			if d.sendFDs != nil {
-				err = d.sendFDs(conn)
-			}
+			err := d.sendFDs(conn)
 			if err == nil {
 				continue
 			}
@@ -538,7 +493,7 @@ func (d *daemon) handle(conn net.Conn) {
 				return
 			}
 		case len(req) == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
-			if err := writeFrameV1(fw, d.helloResp()); err == nil {
+			if err := writeFrameV1(fw, d.srv.helloResponse()); err == nil {
 				d.serveV2(conn, br, fw)
 			}
 			return
@@ -568,8 +523,8 @@ type v2req struct {
 // over an unbuffered channel, so the steady state neither allocates nor
 // spawns: the reader blocks handing off when all workers are busy,
 // which is the same backpressure the old per-request semaphore gave.
-// A request the reader already served off the socket (recvChunk) is
-// answered from the reader: its reply is five bytes through the same
+// A request the reader already served off the socket (an OpAllocWrite)
+// is answered from the reader: its reply is five bytes through the same
 // writer, not worth a hand-off.
 func (d *daemon) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 	work := make(chan v2req)
@@ -601,10 +556,10 @@ var errEmptyFrame = errors.New("wire: empty request frame")
 
 // readRequest takes the next request frame off the connection. Most come
 // back as req, a pooled buffer holding the body for a worker to answer
-// (and recycle). An OpAllocWrite to a daemon with recvChunk wired is
-// served right here instead, its payload going from the socket to where
-// the owner stores it, and comes back as a finished resp with req nil.
-// Any error means the stream is over or out of step.
+// (and recycle). An OpAllocWrite is served right here instead, on the
+// only goroutine that may touch br, its payload going from the socket
+// into the pool, and comes back as a finished resp with req nil. Any
+// error means the stream is over or out of step.
 func (d *daemon) readRequest(br *bufio.Reader) (id uint32, req []byte, resp response, err error) {
 	n, id, err := readFrameV2Header(br, d.frameLimit)
 	if err != nil {
@@ -613,12 +568,10 @@ func (d *daemon) readRequest(br *bufio.Reader) (id uint32, req []byte, resp resp
 	if n < 1 {
 		return 0, nil, response{}, errEmptyFrame
 	}
-	if d.recvChunk != nil {
-		if op, perr := br.Peek(1); perr == nil && op[0] == OpAllocWrite {
-			d.opReqs[OpAllocWrite].Inc()
-			resp, err = d.recvChunk(br, n)
-			return id, nil, resp, err
-		}
+	if op, perr := br.Peek(1); perr == nil && op[0] == OpAllocWrite {
+		d.opReqs[OpAllocWrite].Inc()
+		resp, err = d.srv.allocWrite(br, n)
+		return id, nil, resp, err
 	}
 	req = d.getBuf(n)
 	if _, err := io.ReadFull(br, req); err != nil {
@@ -630,13 +583,13 @@ func (d *daemon) readRequest(br *bufio.Reader) (id uint32, req []byte, resp resp
 }
 
 // answer executes one buffered request — the daemon's own OpMetrics, or
-// the owner's dispatch — and recycles its buffer.
+// the server's dispatch — and recycles its buffer.
 func (d *daemon) answer(req []byte) response {
 	var resp response
 	if len(req) == 1 && req[0] == OpMetrics {
 		resp = response{body: d.metricsResponse()}
 	} else {
-		resp = d.dispatch(req)
+		resp = d.srv.dispatch(req)
 	}
 	d.recycle(req)
 	return resp

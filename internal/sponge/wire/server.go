@@ -23,7 +23,7 @@ import (
 // the pipelined v2 framing, where requests dispatch concurrently
 // through a bounded worker pool and responses (tagged with the request
 // ID) are written back in completion order. The connection machinery
-// itself lives in the daemon type, shared with the TCP tracker.
+// itself lives in the daemon type.
 //
 // With Options.SpillDir set the server grows the paper's local-disk
 // tier: AllocWrites that find the pool full overflow into an
@@ -37,12 +37,11 @@ import (
 // they are freed explicitly like any other chunk, and the file reclaims
 // wholesale when its last record dies.
 type Server struct {
-	pool     *sponge.Pool
-	live     Liveness
-	d        *daemon
-	spill    *spillFile     // nil without Options.SpillDir
-	geom     fdGeom         // the pool's layout, as the fd handshake states it
-	reporter *deltaReporter // nil without Options.Trackers
+	pool  *sponge.Pool
+	live  *mapLiveness
+	d     *daemon
+	spill *spillFile // nil without Options.SpillDir
+	geom  fdGeom     // the pool's layout, as the fd handshake states it
 
 	spillAllocs *obs.Counter
 }
@@ -54,18 +53,14 @@ func Serve(pool *sponge.Pool, addr string) (*Server, error) {
 }
 
 // ServeOptions starts a server for pool on addr with explicit tuning:
-// worker-pool bound, I/O deadlines, the same-host socket tier, the
-// disk-spill tier, and optionally an external task-liveness registry
-// shared with the in-process sponge server.
+// worker-pool bound, I/O deadlines, the same-host socket tier and the
+// disk-spill tier.
 func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error) {
-	s := &Server{pool: pool, live: opts.Liveness, geom: fdGeom{
+	s := &Server{pool: pool, live: newMapLiveness(), geom: fdGeom{
 		segChunks: pool.SegmentChunks(),
 		chunks:    pool.Chunks(),
 		chunkSize: pool.ChunkSize(),
 	}}
-	if s.live == nil {
-		s.live = newMapLiveness()
-	}
 	if opts.SpillDir != "" {
 		sf, err := openSpillFile(opts.SpillDir, opts.SpillChunks)
 		if err != nil {
@@ -73,16 +68,13 @@ func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error)
 		}
 		s.spill = sf
 	}
-	d, err := startDaemon(addr, opts, pool.ChunkSize()+frameSlack, s.helloResponse, s.dispatch)
+	d, err := startDaemon(addr, opts, s)
 	if err != nil {
 		if s.spill != nil {
 			s.spill.close()
 		}
 		return nil, err
 	}
-	s.d = d
-	d.sendFDs = s.sendFDs
-	d.recvChunk = s.allocWrite
 	// Pool state rides along in the scrape as live gauges, labeled by
 	// listen address like the daemon's own series.
 	listen := obs.L("listen", d.addr())
@@ -102,13 +94,6 @@ func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error)
 			return bytes
 		}, listen)
 	}
-	if len(opts.Trackers) > 0 {
-		adv := opts.AdvertiseAddr
-		if adv == "" {
-			adv = d.addr()
-		}
-		s.reporter = newDeltaReporter(adv, opts.Trackers, opts.ReportInterval, pool.Free, d.metrics)
-	}
 	return s, nil
 }
 
@@ -126,9 +111,6 @@ func (s *Server) LocalSocket() string { return s.d.localSocket() }
 // Close stops the listeners, closes every live connection, waits for
 // their handlers, and removes the spill file.
 func (s *Server) Close() error {
-	if s.reporter != nil {
-		s.reporter.close()
-	}
 	err := s.d.close()
 	if s.spill != nil {
 		if serr := s.spill.close(); err == nil {
@@ -137,9 +119,6 @@ func (s *Server) Close() error {
 	}
 	return err
 }
-
-// TaskAlive reports whether a pid is registered live on this node.
-func (s *Server) TaskAlive(pid uint64) bool { return s.live.Alive(pid) }
 
 // sendFDs answers one OpPoolFD exchange: pass whatever files this
 // server keeps chunks in over the unix connection's SCM_RIGHTS — the
@@ -303,10 +282,11 @@ func (s *Server) dispatch(req []byte) response {
 			}
 			return statusOnly(StatusOK)
 		}
-		if _, err := s.pool.Length(h); err != nil {
+		// The handle is the network's word: of several frees racing on one
+		// chunk — or one racing the owner's reaping — exactly one finds it.
+		if err := s.pool.TryFree(h); err != nil {
 			return statusOnly(errStatus(err))
 		}
-		s.pool.FreeChunk(h)
 		return statusOnly(StatusOK)
 	case OpPoolLoc, OpSpillLoc:
 		return response{body: s.loc(payload)}
@@ -390,15 +370,3 @@ func errStatus(err error) byte {
 	}
 	return StatusBadRequest
 }
-
-// NodeLiveness adapts a simulated sponge server's mutex-guarded task
-// registry to the wire Liveness interface, so a TCP server and the
-// in-process server on the same node answer liveness from one source of
-// truth (pass it as Options.Liveness).
-type NodeLiveness struct {
-	Srv *sponge.Server
-}
-
-func (l NodeLiveness) Register(pid uint64)   { l.Srv.RegisterTask(int64(pid)) }
-func (l NodeLiveness) Unregister(pid uint64) { l.Srv.UnregisterTask(int64(pid)) }
-func (l NodeLiveness) Alive(pid uint64) bool { return l.Srv.TaskAlive(int64(pid)) }

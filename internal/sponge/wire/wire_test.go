@@ -175,6 +175,66 @@ func TestFreeOfBadHandle(t *testing.T) {
 	}
 }
 
+// A handle is the network's word, and a pipelined connection runs its
+// requests concurrently: of several frees of one chunk exactly one is
+// answered StatusOK and the rest StatusNoFreeChunk, and a free that
+// races the owner's reaping loses or wins cleanly. Neither may take the
+// daemon down, leak a chunk or a pin, or put the connection out of step.
+func TestConcurrentFreeOfOneHandle(t *testing.T) {
+	const chunks, frees, rounds = 4, 8, 2000
+	srv, c := startServer(t, 64, chunks)
+	owner := sponge.TaskID{Node: 1, PID: 51}
+	alloc := func() int {
+		t.Helper()
+		h, err := c.AllocWrite(owner, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for r := 0; r < rounds; r++ {
+		h := alloc()
+		errs := make(chan error, frees)
+		for g := 0; g < frees; g++ {
+			go func() { errs <- c.Free(h) }()
+		}
+		ok := 0
+		for g := 0; g < frees; g++ {
+			switch err := <-errs; {
+			case err == nil:
+				ok++
+			case !errors.Is(err, ErrNoFreeChunk):
+				t.Fatalf("round %d: a losing free = %v, want ErrNoFreeChunk", r, err)
+			}
+		}
+		if ok != 1 {
+			t.Fatalf("round %d: %d of %d frees of one handle succeeded, want exactly 1", r, ok, frees)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		h := alloc()
+		reaped := make(chan int, 1)
+		go func() { reaped <- srv.pool.FreeOwnedBy(owner) }()
+		err := c.Free(h)
+		if err != nil && !errors.Is(err, ErrNoFreeChunk) {
+			t.Fatalf("round %d: free racing FreeOwnedBy = %v", r, err)
+		}
+		if n := <-reaped; (n == 1) == (err == nil) {
+			t.Fatalf("round %d: FreeOwnedBy reclaimed %d and Free returned %v: the chunk was freed twice or not at all", r, n, err)
+		}
+	}
+	if st := srv.pool.Stats(); st.FreeChunks != chunks || st.Pinned != 0 {
+		t.Fatalf("pool not restored: %d of %d chunks free, %d pinned", st.FreeChunks, chunks, st.Pinned)
+	}
+	h := alloc()
+	if got, err := c.Read(h); err != nil || string(got) != "x" {
+		t.Fatalf("read on the connection after the races = (%q, %v)", got, err)
+	}
+	if err := c.Free(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDialNegotiatesV2(t *testing.T) {
 	_, c := startServer(t, 4096, 4)
 	if c.Version() != ProtocolV2 {

@@ -39,14 +39,12 @@ echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
 go test -race -count=10 ./internal/simtime
 go test -race -count=10 -run 'SortBuffer' ./internal/mapreduce
 
-echo "== the tracker's table and its two drivers, -race -count=10 =="
-# One FreeTable keeps the free list's rules for the simulated tracker
-# and the TCP one: the seeded property test holds the table to a model,
-# and the script plays one event sequence to both trackers (the TCP one
-# behind a real TrackerServer) and requires the same answers, terms,
-# roles and delta counts after every step.
-go test -race -count=10 -run 'TestFreeTable|TestDeltaSource' ./internal/sponge
-go test -race -count=10 -run 'TestTrackerScriptBothDrivers' ./internal/sponge/wire
+echo "== the tracker's table and its driver, -race -count=10 =="
+# FreeTable keeps the free list's rules: the seeded property test holds
+# the table to a model, and the script plays one event sequence to the
+# simulated tracker pair and holds their answers, terms, roles and delta
+# counts to the same model after every step.
+go test -race -count=10 -run 'TestFreeTable|TestDeltaSource|TestTrackerScript' ./internal/sponge
 
 echo "== pool fill/view brackets against free and close, -race -count=10 =="
 # The wire server receives a chunk into the pool slab and sends it from
@@ -54,8 +52,10 @@ echo "== pool fill/view brackets against free and close, -race -count=10 =="
 # and viewers against concurrent FreeChunk, FreeOwnedBy and Close, and
 # the streamed-receive tests misbehave on real TCP and unix connections
 # and hold the pool to free count restored, no pins, even generations.
+# A free's handle is the network's word too: eight pipelined frees of
+# one chunk, and one racing the owner's reaping, free it exactly once.
 go test -race -count=10 -run 'TestPoolFill|TestPoolView' ./internal/sponge
-go test -race -count=10 -run 'TestStreamedAllocWrite' ./internal/sponge/wire
+go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle' ./internal/sponge/wire
 
 echo "== benchmarks compile and run once =="
 go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
@@ -85,16 +85,15 @@ go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAl
 go test -count=1 -run 'TestWireReadSteadyStateAllocationFree' \
 	./internal/sponge/wire
 
-echo "== wire dispatch fuzz, 10 s a target =="
-# Whatever a peer past the hello sends — to the sponge server as frame
-# bytes on a reader, through the connection reader's own entry point, to
-# the tracker as a request body — must never panic, always be answered
-# or dropped with the pool restored, and never size an allocation or a
-# response from an untrusted field. The seed corpus (one well-formed
-# frame per op, plus truncated and oversized allocs) already runs as
-# part of `go test`.
+echo "== wire dispatch fuzz, 10 s =="
+# Whatever a peer past the hello sends to the sponge server — frame
+# bytes on a reader, through the connection reader's own entry point —
+# must never panic, always be answered or dropped with the pool
+# restored, and never size an allocation or a response from an
+# untrusted field. The seed corpus (one well-formed frame per op, one
+# per retired code, plus truncated and oversized allocs) already runs
+# as part of `go test`.
 go test -run '^$' -fuzz '^FuzzServerDispatch$' -fuzztime 10s ./internal/sponge/wire
-go test -run '^$' -fuzz '^FuzzTrackerDispatch$' -fuzztime 10s ./internal/sponge/wire
 
 echo "== readahead sweep smoke + depth-1 seed equivalence =="
 # One tiny depth-sweep iteration over both transports, and the pinned

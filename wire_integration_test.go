@@ -197,51 +197,3 @@ func TestWireTransportServerFailure(t *testing.T) {
 		t.Errorf("chunk buffers leaked on the failure path: outstanding = %d", out)
 	}
 }
-
-// TestWireTransportLivenessAndGC registers tasks through a shared
-// liveness registry (NodeLiveness over the simulated server) and checks
-// that a TCP Ping agrees with the in-process view — the registry that
-// the garbage collector consults when deciding whether chunks are
-// orphaned.
-func TestWireTransportLivenessAndGC(t *testing.T) {
-	cfg := cluster.PaperConfig()
-	cfg.Workers = 2
-	cfg.SpongeMemory = 8 * media.MB
-	sim := simtime.New()
-	c := cluster.New(sim, cfg)
-	svc := sponge.Start(c, sponge.DefaultConfig())
-
-	// The TCP server on node 1 shares node 1's in-process registry.
-	pool := sponge.NewPool(svc.ChunkReal(), 8)
-	srv, err := wire.ServeOptions(pool, "127.0.0.1:0", wire.Options{
-		Liveness: wire.NodeLiveness{Srv: svc.Servers[1]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cl, err := wire.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	agent := svc.NewAgent(c.Nodes[1])
-	pid := uint64(agent.Task().PID)
-	if alive, err := cl.Ping(pid); err != nil || !alive {
-		t.Fatalf("TCP ping for registered task = (%v, %v), want alive", alive, err)
-	}
-	agent.Close()
-	if alive, err := cl.Ping(pid); err != nil || alive {
-		t.Fatalf("TCP ping after agent close = (%v, %v), want dead", alive, err)
-	}
-	// And the other direction: registration over TCP is visible to the
-	// simulated server the GC sweep asks.
-	if err := cl.Register(777); err != nil {
-		t.Fatal(err)
-	}
-	if !svc.Servers[1].TaskAlive(777) {
-		t.Fatal("TCP-registered pid invisible to the in-process registry")
-	}
-}
