@@ -25,15 +25,16 @@ stats-smoke:
 	./scripts/stats_smoke.sh
 
 # Wire protocol benchmarks: the pipelined client at 1, 4 and 16
-# concurrent requests (see BENCH_wire.json for recorded results).
+# concurrent requests (EXPERIMENTS.md has the recorded results).
 bench-wire:
 	go test ./internal/sponge/wire -run '^$$' -bench BenchmarkWire -benchtime 1s -cpu=1,4,16
 
-# Macro perf harness: host-level cost (wall clock, allocs, bytes) of
-# one run of each of the three paper jobs; regenerates BENCH_macro.json
-# (tune with BENCH_SIZE / BENCH_WORKERS / BENCH_OUT).
+# Macro host cost: wall clock, allocs and bytes of one run of each of
+# the three paper jobs (4 GB nodes, sponge on, size 0.05, 8 workers);
+# EXPERIMENTS.md's macro table is regenerated from this. End to end
+# across processes it is the repository benchmark's macro-sim workload.
 bench:
-	./scripts/bench.sh
+	go test ./internal/bench -run '^$$' -bench BenchmarkMacro -benchmem
 
 # Fault-injection experiment: spill placement, retries, and timing vs
 # exchange drop rate, simulated vs real-TCP wire transport; regenerates
@@ -49,10 +50,11 @@ bench-readahead:
 
 # Local transport tier ladder: steady-state 64KiB reads over loopback
 # TCP, unix sockets, sendfile spill serves, and the fd-passing pread
-# fast paths (spill file + memfd pool segments); regenerates
-# BENCH_tier.json.
+# fast paths (spill file + memfd pool segments), against an in-process
+# server; EXPERIMENTS.md's tier-ladder table is regenerated from this.
+# Across processes it is the benchmark's spill-tcp-1m / spill-samehost-1m.
 bench-tier:
-	go run ./cmd/benchtab -out BENCH_tier.json tier
+	go test ./internal/sponge/wire -run '^$$' -bench BenchmarkTier -benchtime 2s
 
 # Tracker dissemination at scale: tracker messages per node per second,
 # full-poll vs delta, at 100 and 1000 simulated nodes under identical

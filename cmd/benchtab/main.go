@@ -4,10 +4,8 @@
 // Usage:
 //
 //	benchtab [-size f] [-spills n] [tab1|tab2|fig1a|fig1b|fig4|fig5|fig6|grepvar|failtab|ablate|all]
-//	benchtab [-perfsize f] [-workers n] [-out file.json] perf
 //	benchtab [-out file.json] [-stats file.json] faults
 //	benchtab [-out file.json] [-stats file.json] readahead
-//	benchtab [-out BENCH_tier.json] tier
 //	benchtab [-out BENCH_tracker.json] tracker
 //	benchtab [-out BENCH_combine.json] combine
 //
@@ -18,11 +16,6 @@
 // (spill outcomes, retries, fault injections, readahead hits) as JSON
 // alongside the BENCH report.
 //
-// The perf experiment is the host-level macro benchmark: it times the
-// three jobs under testing.B and emits wall-clock, allocations and
-// bytes per run as JSON (checked in as BENCH_macro.json). It is not
-// part of "all".
-//
 // The faults experiment sweeps transport drop rates over the simulated
 // and the real-TCP wire transports, recording spill placement, retries,
 // and timing (checked in as BENCH_faults.json). Also not part of "all".
@@ -31,12 +24,6 @@
 // injected per-exchange latency over both transports, measuring
 // read-back throughput of a fully remote file (checked in as
 // BENCH_readahead.json). Also not part of "all".
-//
-// The tier experiment measures the local transport tier ladder —
-// steady-state 64KiB chunk reads over loopback TCP, unix sockets,
-// sendfile spill serves, and the fd-passing pread fast paths (spill
-// file and memfd pool segments) (checked in as BENCH_tier.json). Also
-// not part of "all".
 //
 // The tracker experiment sweeps simulated cluster size under the
 // paper's full-poll free-space dissemination and under delta
@@ -56,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"time"
 
 	"spongefiles/internal/bench"
 	"spongefiles/internal/media"
@@ -65,9 +51,7 @@ import (
 
 // flags are the command-line settings the BENCH_* experiments read.
 type flags struct {
-	perfSize    float64
-	perfWorkers int
-	out, stats  string
+	out, stats string
 }
 
 // outcome is what one BENCH_* experiment hands back after printing its
@@ -77,8 +61,6 @@ type outcome struct {
 	rows   [][]string
 	// save writes the report to the -out path.
 	save func(path string) error
-	// stdout is printed instead when no -out is given.
-	stdout []byte
 	// stats is the registry the cells ran against, dumped under -stats.
 	stats *obs.Registry
 }
@@ -86,12 +68,10 @@ type outcome struct {
 // experiments are the BENCH_* producers, none of them part of "all".
 var experiments = []struct {
 	name string
-	run  func(flags) (outcome, error)
+	run  func(flags) outcome
 }{
-	{"perf", perf},
 	{"faults", faults},
 	{"readahead", readahead},
-	{"tier", tier},
 	{"tracker", tracker},
 	{"combine", combine},
 }
@@ -100,8 +80,6 @@ func main() {
 	size := flag.Float64("size", 1.0, "dataset scale factor (1.0 = paper size)")
 	spills := flag.Int("spills", 10000, "microbenchmark spill count")
 	var f flags
-	flag.Float64Var(&f.perfSize, "perfsize", 0.05, "dataset scale factor for the perf experiment")
-	flag.IntVar(&f.perfWorkers, "workers", 8, "cluster size for the perf experiment")
 	flag.StringVar(&f.out, "out", "", "write the experiment's JSON report to this file")
 	flag.StringVar(&f.stats, "stats", "", "write the experiment's metrics registry snapshot (JSON) to this file (faults, readahead)")
 	flag.Parse()
@@ -113,11 +91,7 @@ func main() {
 		if e.name != which {
 			continue
 		}
-		o, err := e.run(f)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
-		}
+		o := e.run(f)
 		fmt.Println(bench.FormatTable(o.header, o.rows))
 		if f.out != "" {
 			if err := o.save(f.out); err != nil {
@@ -125,8 +99,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("report written to %s\n", f.out)
-		} else {
-			os.Stdout.Write(o.stdout)
 		}
 		dumpStats(o.stats, f.stats)
 		return
@@ -164,14 +136,7 @@ func writeReport(report []byte) func(string) error {
 	return func(path string) error { return os.WriteFile(path, report, 0o644) }
 }
 
-func perf(f flags) (outcome, error) {
-	fmt.Printf("== Macro perf: host cost per job run (size %.2f, %d workers) ==\n", f.perfSize, f.perfWorkers)
-	rep := bench.RunPerf(f.perfSize, f.perfWorkers)
-	js := rep.JSON()
-	return outcome{header: bench.PerfHeader, rows: rep.Rows(), save: writeReport(js), stdout: js}, nil
-}
-
-func faults(f flags) (outcome, error) {
+func faults(f flags) outcome {
 	cfg := bench.DefaultFaults()
 	if f.stats != "" {
 		cfg.Metrics = obs.NewRegistry()
@@ -180,10 +145,10 @@ func faults(f flags) (outcome, error) {
 		cfg.Workers, cfg.Files, cfg.FileChunks, cfg.Seed)
 	cells := bench.RunFaults(cfg)
 	return outcome{header: bench.FaultsHeader, rows: bench.FaultsRows(cells),
-		save: writeReport(bench.FaultsJSON(cfg, cells)), stats: cfg.Metrics}, nil
+		save: writeReport(bench.FaultsJSON(cfg, cells)), stats: cfg.Metrics}
 }
 
-func readahead(f flags) (outcome, error) {
+func readahead(f flags) outcome {
 	cfg := bench.DefaultReadAhead()
 	if f.stats != "" {
 		cfg.Metrics = obs.NewRegistry()
@@ -192,36 +157,25 @@ func readahead(f flags) (outcome, error) {
 		cfg.Workers, cfg.FileChunks, cfg.Seed)
 	cells := bench.RunReadAhead(cfg)
 	return outcome{header: bench.ReadAheadHeader, rows: bench.ReadAheadRows(cells),
-		save: writeReport(bench.ReadAheadJSON(cfg, cells)), stats: cfg.Metrics}, nil
+		save: writeReport(bench.ReadAheadJSON(cfg, cells)), stats: cfg.Metrics}
 }
 
-func tier(flags) (outcome, error) {
-	fmt.Println("== Local transport tier ladder: steady-state 64KiB ReadInto ==")
-	const perRung = 2 * time.Second
-	rungs, err := bench.RunTierLadder(perRung)
-	if err != nil {
-		return outcome{}, err
-	}
-	return outcome{header: bench.TierHeader, rows: bench.TierRows(rungs),
-		save: writeReport(bench.TierJSON(perRung, rungs))}, nil
-}
-
-func tracker(flags) (outcome, error) {
+func tracker(flags) outcome {
 	cfg := bench.DefaultTracker()
 	fmt.Printf("== Tracker dissemination at scale: full poll vs delta (%d s, %d churn ops/s) ==\n",
 		cfg.Seconds, cfg.ChurnPerSec)
 	cells := bench.RunTracker(cfg)
 	return outcome{header: bench.TrackerHeader, rows: bench.TrackerRows(cells),
-		save: writeReport(bench.TrackerJSON(cfg, cells))}, nil
+		save: writeReport(bench.TrackerJSON(cfg, cells))}
 }
 
-func combine(flags) (outcome, error) {
+func combine(flags) outcome {
 	cfg := bench.DefaultCombine()
 	fmt.Printf("== Combine scope: task vs node combining x skew (%d workers, %d records, vocab %d, zipf s=%.1f) ==\n",
 		cfg.Workers, cfg.Records, cfg.Vocab, cfg.ZipfS)
 	cells := bench.RunCombine(cfg)
 	return outcome{header: bench.CombineHeader, rows: bench.CombineRows(cells),
-		save: writeReport(bench.CombineJSON(cfg, cells))}, nil
+		save: writeReport(bench.CombineJSON(cfg, cells))}
 }
 
 // dumpStats writes the sweep's aggregated registry snapshot as JSON.

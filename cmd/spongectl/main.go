@@ -1,17 +1,6 @@
-// Spongectl runs and exercises a real sponge server over TCP (the
-// production transport in internal/sponge/wire).
-//
-// Usage:
-//
-//	spongectl serve   [-addr :7070] [-chunk 1048576] [-chunks 1024]
-//	                  [-inflight 16] [-read-timeout 0] [-write-timeout 0]
-//	                  [-local-socket-dir /tmp] [-spill-dir /tmp]
-//	                  [-spill-chunks 0]
-//	                  [-metrics-addr 127.0.0.1:9090]
-//	spongectl stat    -addr host:port
-//	spongectl stats   [-addrs host:port,...] [-urls http://...,...]
-//	                  [-prefix sponge_,...] [-raw]
-//	spongectl demo    [-chunk 65536] [-chunks 64] [-conns 4]
+// Spongectl runs and inspects a real sponge server over TCP (the
+// production transport in internal/sponge/wire). Run it with no
+// arguments for the subcommands, and a subcommand with -h for its flags.
 //
 // "serve" runs a sponge server until interrupted; -local-socket-dir
 // adds a same-host unix-socket listener, -spill-dir a disk-spill
@@ -20,12 +9,12 @@
 // server's pool state. "stats" scrapes one or more live daemons — over
 // the wire protocol (-addrs) or HTTP (-urls) — and renders an
 // aggregated per-node metrics table (-raw dumps each exposition
-// verbatim instead). "demo" starts an in-process server, spills
-// chunks through it concurrently over a pipelined connection pool,
-// reads them back with zero-copy ReadInto, and prints a transcript.
+// verbatim instead).
 //
 // The multi-process cluster (real child servers, fault schedules,
-// asserted outcomes) is cmd/spongesim: spongesim -run '<case>' -v.
+// asserted outcomes) is cmd/spongesim: spongesim -run '<case>' -v;
+// the case spill-roundtrip-clean is the spill, read back and free of a
+// file against live servers, digest-verified.
 package main
 
 import (
@@ -35,44 +24,44 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"spongefiles/internal/obs"
 	"spongefiles/internal/scenario"
-	"spongefiles/internal/sponge"
 	"spongefiles/internal/sponge/wire"
 )
 
+// commands is the subcommand table: main dispatches on it and usage
+// prints it. Each command's flags are its own FlagSet's (-h lists them).
+var commands = []struct {
+	name, about string
+	run         func(args []string)
+}{
+	// serve lives in internal/scenario so the scenario harness can
+	// re-execute any hosting binary (spongectl, spongesim, test binaries)
+	// as its child servers.
+	{"serve", "run a sponge server until interrupted", scenario.ServeCmd},
+	{"stat", "print a server's pool state", stat},
+	{"stats", "scrape live servers (-addrs over the wire, -urls over HTTP) into a per-node metrics table", statsCmd},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) >= 2 {
+		for _, c := range commands {
+			if c.name == os.Args[1] {
+				c.run(os.Args[2:])
+				return
+			}
+		}
 	}
-	switch os.Args[1] {
-	case "serve":
-		serve(os.Args[2:])
-	case "stat":
-		stat(os.Args[2:])
-	case "stats":
-		statsCmd(os.Args[2:])
-	case "demo":
-		demo(os.Args[2:])
-	default:
-		usage()
-	}
+	usage()
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: spongectl serve|stat|stats|demo [flags]")
+	fmt.Fprintln(os.Stderr, "usage: spongectl <command> [flags]   (spongectl <command> -h lists the flags)")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-6s %s\n", c.name, c.about)
+	}
 	os.Exit(2)
-}
-
-// serve runs one sponge server until interrupted. The implementation
-// lives in internal/scenario so the scenario harness can re-execute any
-// hosting binary (spongectl, spongesim, test binaries) as its child
-// servers.
-func serve(args []string) {
-	scenario.ServeCmd(args)
 }
 
 // statsCmd scrapes live daemons and renders the aggregated table. Wire
@@ -170,93 +159,4 @@ func stat(args []string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-func demo(args []string) {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
-	chunk := fs.Int("chunk", 1<<16, "chunk size in bytes")
-	chunks := fs.Int("chunks", 64, "pool chunks")
-	conns := fs.Int("conns", 4, "pipelined connections in the client pool")
-	fs.Parse(args)
-
-	pool := sponge.NewPool(*chunk, *chunks)
-	srv, err := wire.Serve(pool, "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer srv.Close()
-	fmt.Printf("demo server on %s\n", srv.Addr())
-
-	p, err := wire.DialPool(srv.Addr(), *conns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer p.Close()
-	c := p.Get()
-	fmt.Printf("client pool: %d connections, protocol v%d, chunk size %d\n",
-		p.Size(), c.Version(), p.ChunkSize())
-
-	owner := sponge.TaskID{Node: 1, PID: int64(os.Getpid())}
-	if err := c.Register(uint64(owner.PID)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	// Spill concurrently: the pipelined protocol keeps every request in
-	// flight at once instead of lock-stepping round trips.
-	const spills = 8
-	handles := make([]int, spills)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < spills; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			data := make([]byte, *chunk)
-			for j := range data {
-				data[j] = byte(i + j)
-			}
-			h, err := p.AllocWrite(owner, data)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			handles[i] = h
-		}(i)
-	}
-	wg.Wait()
-	fmt.Printf("spilled %d chunks concurrently in %v -> handles %v\n",
-		spills, time.Since(start), handles)
-
-	free, total, _, _ := p.Stat()
-	fmt.Printf("pool: %d/%d free\n", free, total)
-
-	// Read back with ReadInto: one reusable buffer, zero allocations on
-	// the hot path.
-	buf := make([]byte, *chunk)
-	for i, h := range handles {
-		n, err := p.ReadInto(h, buf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ok := true
-		for j := 0; j < n; j++ {
-			if buf[j] != byte(i+j) {
-				ok = false
-				break
-			}
-		}
-		fmt.Printf("read handle %d: %d bytes, intact=%v\n", h, n, ok)
-		if err := p.Free(h); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	free, total, _, _ = p.Stat()
-	fmt.Printf("after free: %d/%d free\n", free, total)
-	alive, _ := c.Ping(uint64(owner.PID))
-	fmt.Printf("liveness check for pid %d: %v\n", owner.PID, alive)
 }

@@ -162,14 +162,14 @@ func frontWithWire(svc *sponge.Service, workers, chunks int) (sponge.Transport, 
 	addrs := make(map[int]string)
 	var servers []*wire.Server
 	for n := 1; n < workers; n++ {
-		srv, err := wire.Serve(sponge.NewPool(svc.ChunkReal(), chunks), "127.0.0.1:0")
+		srv, err := wire.Serve(sponge.NewPool(svc.ChunkReal(), chunks), "127.0.0.1:0", wire.Options{})
 		if err != nil {
 			panic(fmt.Sprintf("bench: wire serve: %v", err))
 		}
 		servers = append(servers, srv)
 		addrs[n] = srv.Addr()
 	}
-	wt := wire.NewTransport(addrs, svc.Transport())
+	wt := wire.NewTransportOptions(addrs, svc.Transport(), wire.TransportOptions{})
 	return wt, func() {
 		wt.Close()
 		for i := len(servers) - 1; i >= 0; i-- {

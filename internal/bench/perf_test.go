@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spongefiles/internal/cluster"
+	"spongefiles/internal/media"
 	"spongefiles/internal/workload"
 )
 
@@ -14,6 +15,12 @@ const (
 	perfTestSize    = 0.02
 	perfTestWorkers = 4
 )
+
+// perfConfig is the macro cell whose host cost is measured: sponge
+// spilling on small-memory nodes, the configuration that spills hardest.
+func perfConfig(sizeFactor float64, workers int) MacroConfig {
+	return MacroConfig{NodeMemory: 4 * media.GB, Sponge: true, SizeFactor: sizeFactor, Workers: workers}
+}
 
 // TestMacroAllocRegressionGuard is the spill hot path's end-to-end
 // guard: one Median job run — cluster set-up, simulator events, a
@@ -33,7 +40,10 @@ func TestMacroAllocRegressionGuard(t *testing.T) {
 	}
 }
 
-// Benchmarks for `go test -bench Macro -benchmem`: one per job.
+// Host cost of one run of each paper job (wall clock, allocations,
+// bytes), the cell the benchmark's macro-sim workload runs end to end:
+// `go test ./internal/bench -run '^$' -bench BenchmarkMacro -benchmem`
+// (make bench) regenerates EXPERIMENTS.md's macro host-cost table.
 func benchMacro(b *testing.B, kind JobKind) {
 	b.ReportAllocs()
 	mc := perfConfig(0.05, 8)

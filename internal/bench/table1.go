@@ -100,7 +100,6 @@ func table1Medium(medium, spills int) float64 {
 		case 0, 1: // local shared memory / via local sponge server
 			agent := svc.NewAgent(node)
 			defer agent.Close()
-			agent.UseLocalServerIPC = medium == 1
 			pool := svc.Servers[0].Pool()
 			buf := make([]byte, oneMBReal)
 			for i := 0; i < spills; i++ {

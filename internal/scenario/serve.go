@@ -43,7 +43,7 @@ func ServeCmd(args []string) {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	pool := sponge.NewPool(*chunk, *chunks)
-	srv, err := wire.ServeOptions(pool, *addr, wire.Options{
+	srv, err := wire.Serve(pool, *addr, wire.Options{
 		Inflight:       *inflight,
 		ReadTimeout:    *readTO,
 		WriteTimeout:   *writeTO,

@@ -239,36 +239,23 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 		f.agent.svc.metrics.event(obs.EvSeal, -1, -1, len(f.chunks), 0)
 	}
 
-	// 1. Local sponge memory through shared memory (or through the local
-	// server's socket when the agent is configured to measure that path).
+	// 1. Local sponge memory through shared memory.
 	m := f.agent.svc.metrics
 	pool := f.agent.svc.Servers[f.agent.node.ID].Pool()
-	if f.agent.UseLocalServerIPC {
-		h, err := f.agent.svc.Servers[f.agent.node.ID].AllocWriteLocalIPC(p, f.agent.task, plain)
-		if err == nil {
-			f.chunks = append(f.chunks, chunkRef{kind: LocalMem, node: f.agent.node.ID, handle: h, size: n, nonce: nonce})
-			f.stats.ByKind[LocalMem]++
-			m.spill[LocalMem].Inc()
-			m.event(obs.EvAlloc, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
-			m.event(obs.EvWrite, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
-			return nil
+	p.Sleep(pool.LockCost())
+	h, err := pool.Alloc(f.agent.task)
+	if err == nil {
+		f.agent.node.ChargeCopy(p, n)
+		if werr := pool.Write(h, plain); werr != nil {
+			pool.FreeChunk(h)
+			return werr
 		}
-	} else {
-		p.Sleep(pool.LockCost())
-		h, err := pool.Alloc(f.agent.task)
-		if err == nil {
-			f.agent.node.ChargeCopy(p, n)
-			if werr := pool.Write(h, plain); werr != nil {
-				pool.FreeChunk(h)
-				return werr
-			}
-			f.chunks = append(f.chunks, chunkRef{kind: LocalMem, node: f.agent.node.ID, handle: h, size: n, nonce: nonce})
-			f.stats.ByKind[LocalMem]++
-			m.spill[LocalMem].Inc()
-			m.event(obs.EvAlloc, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
-			m.event(obs.EvWrite, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
-			return nil
-		}
+		f.chunks = append(f.chunks, chunkRef{kind: LocalMem, node: f.agent.node.ID, handle: h, size: n, nonce: nonce})
+		f.stats.ByKind[LocalMem]++
+		m.spill[LocalMem].Inc()
+		m.event(obs.EvAlloc, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
+		m.event(obs.EvWrite, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
+		return nil
 	}
 	// The local pool turned the chunk away; it falls down the chain.
 	m.fallbackLocalFull.Inc()
@@ -633,17 +620,8 @@ func (f *File) fetchRaw(p *simtime.Proc, i int) ([]byte, error) {
 	buf := f.agent.svc.getBuf()[:ref.size]
 	switch ref.kind {
 	case LocalMem:
-		srv := f.agent.svc.Servers[ref.node]
-		if f.agent.UseLocalServerIPC {
-			if _, err := srv.ReadLocalIPC(p, ref.handle, buf); err != nil {
-				f.agent.svc.putBuf(buf)
-				return nil, err
-			}
-			m.event(obs.EvRead, int8(LocalMem), ref.node, i, 0)
-			return buf, nil
-		}
 		// Shared memory: no fetch; the per-byte copy is charged in Read.
-		if _, err := srv.Pool().Read(ref.handle, buf); err != nil {
+		if _, err := f.agent.svc.Servers[ref.node].Pool().Read(ref.handle, buf); err != nil {
 			f.agent.svc.putBuf(buf)
 			return nil, err
 		}

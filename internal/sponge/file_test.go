@@ -347,34 +347,6 @@ func TestStaleTrackerFallsBackGracefully(t *testing.T) {
 	}
 }
 
-func TestLocalServerIPCPathCostsMore(t *testing.T) {
-	measure := func(ipc bool) simtime.Duration {
-		r := newRig(t, 1, 64, func(c *ServiceConfig) { c.AsyncWriteDepth = 0 })
-		var d simtime.Duration
-		r.sim.Spawn("t", func(p *simtime.Proc) {
-			agent := r.svc.NewAgent(r.c.Nodes[0])
-			defer agent.Close()
-			agent.UseLocalServerIPC = ipc
-			f := agent.Create(p, "m")
-			start := p.Now()
-			if err := f.Write(p, pattern(10*r.svc.ChunkReal(), 1)); err != nil {
-				t.Errorf("write: %v", err)
-			}
-			if err := f.Close(p); err != nil {
-				t.Errorf("close: %v", err)
-			}
-			d = p.Now().Sub(start)
-			f.Delete(p)
-		})
-		r.sim.MustRun()
-		return d
-	}
-	direct, ipc := measure(false), measure(true)
-	if ipc < 4*direct {
-		t.Fatalf("IPC path should be several times slower: direct=%v ipc=%v", direct, ipc)
-	}
-}
-
 func TestQuotaForcesDiskFallback(t *testing.T) {
 	r := newRig(t, 2, 8, func(c *ServiceConfig) { c.QuotaChunksPerTask = 2 })
 	data := pattern(8*r.svc.ChunkReal(), 9)

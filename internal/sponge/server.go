@@ -134,15 +134,14 @@ func (s *Server) TaskAliveRemote(p *simtime.Proc, from *cluster.Node, pid int64)
 	return s.TaskAlive(pid), nil
 }
 
-// --- Local (via-server) operations -------------------------------------
-//
-// Tasks normally use the shared-memory path for local chunks; going
-// through the local server costs extra message exchanges and copies
-// (Table 1 column 2). The microbenchmark measures this path, and it is
-// also what a non-collocated runtime would use.
+// --- Local (via-server) operation ---------------------------------------
 
 // AllocWriteLocalIPC allocates and writes a local chunk through the
-// sponge server's socket interface instead of shared memory.
+// sponge server's socket interface instead of shared memory. Tasks use
+// the shared-memory path for local chunks; going through the local server
+// costs an extra message exchange and copy, and is what a non-collocated
+// runtime would pay. This is Table 1's column 2, which the microbenchmark
+// calls directly.
 func (s *Server) AllocWriteLocalIPC(p *simtime.Proc, owner TaskID, data []byte) (int, error) {
 	if s.pool.Failed() {
 		return 0, ErrChunkLost
@@ -161,22 +160,6 @@ func (s *Server) AllocWriteLocalIPC(p *simtime.Proc, owner TaskID, data []byte) 
 		return 0, err
 	}
 	return h, nil
-}
-
-// ReadLocalIPC reads a local chunk through the server's socket interface.
-func (s *Server) ReadLocalIPC(p *simtime.Proc, h int, buf []byte) (int, error) {
-	if s.pool.Failed() {
-		return 0, ErrChunkLost
-	}
-	hw := s.svc.hardware()
-	p.Sleep(hw.IPCOpTime())
-	n, err := s.pool.Read(h, buf)
-	if err != nil {
-		return 0, err
-	}
-	s.node.ChargeCopy(p, n)
-	s.node.ChargeCopy(p, n)
-	return n, nil
 }
 
 // --- Garbage collection -------------------------------------------------

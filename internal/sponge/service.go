@@ -315,11 +315,6 @@ type Agent struct {
 	// usedNodes is the set of remote nodes holding this task's chunks.
 	usedNodes map[int]bool
 
-	// UseLocalServerIPC routes local-chunk traffic through the sponge
-	// server's socket interface instead of shared memory; the
-	// microbenchmark's second column measures this path.
-	UseLocalServerIPC bool
-
 	// cipher, when non-nil, encrypts chunk payloads before they leave
 	// the task and decrypts them on read-back (§3.1.4: in a cluster
 	// without access control, "tasks can encrypt their chunks").

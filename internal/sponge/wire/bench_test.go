@@ -9,14 +9,14 @@ import (
 )
 
 // Wall-clock benchmarks of the real TCP sponge protocol over loopback:
-// the pipelined client (Dial, multiplexed request IDs) alone and as the
-// multi-connection ClientPool. The Parallel variants sweep the number
-// of concurrent requesters (1, 4, 16 × GOMAXPROCS) via sub-benchmarks,
-// so one run covers the concurrency ladder.
+// the pipelined client (Dial, multiplexed request IDs). The Parallel
+// variants sweep the number of concurrent requesters (1, 4, 16 ×
+// GOMAXPROCS) via sub-benchmarks, so one run covers the concurrency
+// ladder.
 
 func benchServer(b *testing.B, chunkSize, chunks int) *Server {
 	b.Helper()
-	srv, err := Serve(sponge.NewPool(chunkSize, chunks), "127.0.0.1:0")
+	srv, err := Serve(sponge.NewPool(chunkSize, chunks), "127.0.0.1:0", Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,37 +102,6 @@ func BenchmarkWireAllocWriteReadFreeParallel(b *testing.B) {
 		for _, conc := range benchConcs {
 			b.Run(fmt.Sprintf("%s/conc%d", s.name, conc), func(b *testing.B) {
 				benchParallel(b, s.size, conc)
-			})
-		}
-	}
-}
-
-// Four pipelined connections shared round-robin, for parallelism beyond
-// one socket.
-func BenchmarkWirePoolParallel(b *testing.B) {
-	for _, s := range benchSizes {
-		for _, conc := range benchConcs {
-			b.Run(fmt.Sprintf("%s/conc%d", s.name, conc), func(b *testing.B) {
-				srv := benchServer(b, s.size, 64)
-				p, err := DialPool(srv.Addr(), 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer p.Close()
-				data := make([]byte, s.size)
-				var pid atomic.Int64
-				b.SetBytes(int64(s.size))
-				b.SetParallelism(conc)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					owner := sponge.TaskID{Node: 1, PID: pid.Add(1)}
-					readBuf := make([]byte, s.size)
-					for pb.Next() {
-						if err := spillCycle(p.Get(), owner, data, readBuf); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
 			})
 		}
 	}

@@ -117,6 +117,11 @@ func dialNet(network, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, network, addr)
+}
+
+// newClient runs the hello over a fresh connection and starts its demux.
+func newClient(conn net.Conn, network, addr string) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 8<<10),
@@ -628,71 +633,3 @@ func (c *Client) pidOp(op byte, pid uint64) error {
 	_, err := c.do(head[:], nil, nil)
 	return err
 }
-
-// ClientPool fans requests out over several pipelined connections to
-// one server, for callers whose concurrency outgrows a single socket.
-// Connections are handed out round-robin; all Client methods are
-// mirrored for convenience.
-type ClientPool struct {
-	clients []*Client
-	next    atomic.Uint32
-}
-
-// DialPool dials n connections to a sponge server. n < 1 is treated
-// as 1.
-func DialPool(addr string, n int) (*ClientPool, error) {
-	if n < 1 {
-		n = 1
-	}
-	p := &ClientPool{clients: make([]*Client, 0, n)}
-	for i := 0; i < n; i++ {
-		c, err := Dial(addr)
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		p.clients = append(p.clients, c)
-	}
-	return p, nil
-}
-
-// Get returns one of the pool's connections, round-robin.
-func (p *ClientPool) Get() *Client {
-	return p.clients[int(p.next.Add(1)-1)%len(p.clients)]
-}
-
-// Size returns the number of pooled connections.
-func (p *ClientPool) Size() int { return len(p.clients) }
-
-// ChunkSize reports the server's chunk size.
-func (p *ClientPool) ChunkSize() int { return p.clients[0].chunkSize }
-
-// Close closes every pooled connection, returning the first error.
-func (p *ClientPool) Close() error {
-	var first error
-	for _, c := range p.clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// AllocWrite allocates and fills a chunk via one pooled connection.
-func (p *ClientPool) AllocWrite(owner sponge.TaskID, data []byte) (int, error) {
-	return p.Get().AllocWrite(owner, data)
-}
-
-// Read fetches a chunk via one pooled connection.
-func (p *ClientPool) Read(handle int) ([]byte, error) { return p.Get().Read(handle) }
-
-// ReadInto fetches a chunk into buf via one pooled connection.
-func (p *ClientPool) ReadInto(handle int, buf []byte) (int, error) {
-	return p.Get().ReadInto(handle, buf)
-}
-
-// Free releases a chunk via one pooled connection.
-func (p *ClientPool) Free(handle int) error { return p.Get().Free(handle) }
-
-// Stat returns the server's pool state via one pooled connection.
-func (p *ClientPool) Stat() (free, total, chunkSize int, err error) { return p.Get().Stat() }

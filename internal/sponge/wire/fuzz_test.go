@@ -4,7 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"spongefiles/internal/sponge"
 )
@@ -46,24 +53,26 @@ func v2frame(bodies ...[]byte) []byte {
 
 // serveFrame plays the connection reader and one worker over the first
 // frame of stream: readRequest (which receives an alloc_write straight
-// off the reader), then answer for a buffered request. A response that
-// pins a chunk is returned still pinned; the caller finishes it with
-// finishResponse, as respond would after writing.
-func serveFrame(d *daemon, stream []byte) (response, error) {
-	_, req, resp, err := d.readRequest(bufio.NewReader(bytes.NewReader(stream)))
+// off the reader), then dispatch for a buffered request, as v2worker
+// does. A response that pins a chunk is returned still pinned; the
+// caller finishes it with finishResponse, as respond would after
+// writing.
+func serveFrame(s *Server, stream []byte) (response, error) {
+	_, req, resp, err := s.readRequest(bufio.NewReader(bytes.NewReader(stream)))
 	if err == nil && req != nil {
-		resp = d.answer(req)
+		resp = s.dispatch(req)
+		s.recycle(req)
 	}
 	return resp, err
 }
 
-// finishResponse gives back what a response holds, as daemon.respond
+// finishResponse gives back what a response holds, as Server.respond
 // does once the bytes are written.
-func finishResponse(d *daemon, r response) {
+func finishResponse(s *Server, r response) {
 	if r.pool != nil {
 		r.pool.Unpin(r.h)
 	}
-	d.recycle(r.body)
+	s.recycle(r.body)
 }
 
 // FuzzServerDispatch feeds the sponge server arbitrary frame bytes on a
@@ -77,7 +86,7 @@ func finishResponse(d *daemon, r response) {
 func FuzzServerDispatch(f *testing.F) {
 	const chunk = 64
 	pool := sponge.NewPool(chunk, 2)
-	srv, err := ServeOptions(pool, "127.0.0.1:0",
+	srv, err := Serve(pool, "127.0.0.1:0",
 		Options{SpillDir: f.TempDir(), SpillChunks: 2})
 	if err != nil {
 		f.Fatal(err)
@@ -110,14 +119,14 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(v2frame(frame(12))) // retired too; last, so the seeds before it keep their numbers
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		for i := 0; i < 3; i++ { // two fill the pool, the third spills
-			resp, err := serveFrame(srv.d, v2frame(alloc))
+			resp, err := serveFrame(srv, v2frame(alloc))
 			if err != nil || resp.body[0] != StatusOK {
 				t.Fatalf("fixture alloc %d = %v, %v", i, resp.body, err)
 			}
-			finishResponse(srv.d, resp)
+			finishResponse(srv, resp)
 		}
 		srv.dispatch(frame(OpFree, uint32(1)))
-		if resp, err := serveFrame(srv.d, stream); err == nil {
+		if resp, err := serveFrame(srv, stream); err == nil {
 			shapes := 0
 			for _, has := range []bool{resp.body != nil, resp.f != nil, resp.pool != nil} {
 				if has {
@@ -127,7 +136,7 @@ func FuzzServerDispatch(f *testing.F) {
 			// A chunk answer fits a chunk frame; an inline one fits what a
 			// client accepts (Client.limit), which never drops below the
 			// handshake bound — a metrics exposition outgrows a small chunk.
-			limit := int64(srv.d.frameLimit)
+			limit := int64(srv.frameLimit)
 			switch {
 			case shapes != 1:
 				t.Errorf("response has %d payload shapes, want exactly one", shapes)
@@ -137,7 +146,7 @@ func FuzzServerDispatch(f *testing.F) {
 				t.Errorf("response of %d/%d/%d bytes (inline/file/chunk) exceeds the frame limit %d",
 					len(resp.body), resp.n, len(resp.chunk), limit)
 			}
-			finishResponse(srv.d, resp)
+			finishResponse(srv, resp)
 		}
 		for _, h := range []uint32{1, 0, spillH | 1, spillH} {
 			srv.dispatch(frame(OpFree, h))
@@ -149,4 +158,141 @@ func FuzzServerDispatch(f *testing.F) {
 			t.Fatalf("%d spill records live after the reset", live)
 		}
 	})
+}
+
+// respFrame builds one v2 response frame: length, request id, body.
+func respFrame(id uint32, body []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	b = binary.LittleEndian.AppendUint32(b, id)
+	return append(b, body...)
+}
+
+// okBody is a StatusOK response body carrying n payload bytes.
+func okBody(n int) []byte { return append([]byte{StatusOK}, make([]byte, n)...) }
+
+// demuxChunk is the chunk size the scripted peer announces; demuxInto is
+// the ReadInto caller's buffer, smaller than a chunk so a legal payload
+// can overrun it.
+const (
+	demuxChunk = 64
+	demuxInto  = 16
+)
+
+// runDemux puts a Client on an in-process pipe to a scripted peer. The
+// peer answers the hello and swallows three requests, each issued once
+// the one before is on the wire so the ids are fixed — ReadInto into a
+// 16-byte buffer is request 1, Stat 2, AllocWrite 3 — then writes stream
+// where response frames belong and hangs up. It returns the three
+// callers' errors, and fails the test if any is still waiting a second
+// later or the exchange allocated more than three full frames.
+func runDemux(t *testing.T, stream []byte) [3]error {
+	t.Helper()
+	deadline := time.After(time.Second)
+	cc, pc := net.Pipe()
+	seen := make(chan struct{})
+	go func() {
+		defer pc.Close()
+		br := bufio.NewReader(pc)
+		if _, err := readFrame(br, handshakeLimit); err != nil {
+			return
+		}
+		hello := make([]byte, helloRespLen)
+		hello[0], hello[1] = StatusOK, ProtocolV2
+		binary.LittleEndian.PutUint32(hello[10:14], demuxChunk)
+		if writeFrame(pc, hello) != nil {
+			return
+		}
+		for i := 0; i < 3; i++ {
+			n, _, err := readFrameV2Header(br, handshakeLimit)
+			if err != nil {
+				return
+			}
+			br.Discard(n)
+			seen <- struct{}{}
+		}
+		if len(stream) > 0 {
+			pc.Write(stream)
+		}
+	}()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := newClient(cc, "tcp", "pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		into [demuxInto]byte
+		errs [3]error
+		done = make(chan struct{}, 3)
+	)
+	for i, call := range []func() error{
+		func() error {
+			n, err := c.ReadInto(0, into[:])
+			if err == nil && n > len(into) {
+				err = fmt.Errorf("ReadInto stored %d bytes in a %d-byte buffer", n, len(into))
+				t.Error(err)
+			}
+			return err
+		},
+		func() error { _, _, _, err := c.Stat(); return err },
+		func() error { _, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 1}, into[:]); return err },
+	} {
+		go func() { errs[i] = call(); done <- struct{}{} }()
+		select {
+		case <-seen:
+		case <-deadline:
+			t.Fatalf("request %d never reached the peer", i+1)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-done:
+		case <-deadline:
+			t.Fatalf("%d of 3 callers still waiting after 1 s", 3-i)
+		}
+	}
+	c.Close()
+	runtime.ReadMemStats(&after)
+	if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(3*c.limit()+1<<20); grew > most {
+		t.Fatalf("the exchange allocated %d bytes; three full frames and slack are %d", grew, most)
+	}
+	return errs
+}
+
+// FuzzClientDemux feeds the client's demux goroutine arbitrary bytes
+// where response frames belong, with three callers waiting: it must not
+// panic, must release every waiter with a reply or an error within a
+// second, must never store past a caller's buffer, and must not size an
+// allocation by a length above Client.limit().
+func FuzzClientDemux(f *testing.F) {
+	for _, seed := range [][]byte{
+		slices.Concat(respFrame(1, okBody(demuxInto)), respFrame(2, okBody(12)), respFrame(3, okBody(4))), // all three answered
+		respFrame(9, okBody(4)), // unknown id
+		slices.Concat(respFrame(1, okBody(8)), respFrame(1, okBody(8))), // id answered twice
+		respFrame(1, nil), // zero-length frame
+		slices.Concat(respFrame(2, []byte{StatusOK}), respFrame(3, []byte{StatusOK})), // status only where a payload is due
+		slices.Concat(respFrame(1, okBody(demuxChunk)), respFrame(2, okBody(12))),     // payload longer than into
+		slices.Concat(respFrame(1, []byte{StatusChunkLost}), respFrame(3, []byte{StatusNoFreeChunk})),
+		binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 1<<31), 1), // length of 2³¹
+		respFrame(1, okBody(8))[:5],    // truncated header
+		respFrame(2, okBody(12))[:8+3], // truncated body
+		{},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) { runDemux(t, stream) })
+}
+
+// TestDemuxShortBufferStaysInStep: a payload that overruns the caller's
+// buffer is that caller's io.ErrShortBuffer and nobody else's problem —
+// the frame is drained and the next response is read where it starts.
+func TestDemuxShortBufferStaysInStep(t *testing.T) {
+	errs := runDemux(t, slices.Concat(respFrame(1, okBody(demuxChunk)), respFrame(2, okBody(12)), respFrame(3, okBody(4))))
+	if !errors.Is(errs[0], io.ErrShortBuffer) {
+		t.Errorf("ReadInto = %v, want io.ErrShortBuffer", errs[0])
+	}
+	if errs[1] != nil || errs[2] != nil {
+		t.Errorf("Stat = %v, AllocWrite = %v after a drained payload, want both answered", errs[1], errs[2])
+	}
 }

@@ -82,12 +82,12 @@ func TestMetricsSharedRegistryAcrossDaemons(t *testing.T) {
 	opts := Options{Metrics: reg}
 	poolA := sponge.NewPool(1024, 3)
 	poolB := sponge.NewPool(1024, 5)
-	srvA, err := ServeOptions(poolA, "127.0.0.1:0", opts)
+	srvA, err := Serve(poolA, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srvA.Close()
-	srvB, err := ServeOptions(poolB, "127.0.0.1:0", opts)
+	srvB, err := Serve(poolB, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

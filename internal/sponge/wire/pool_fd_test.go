@@ -231,7 +231,7 @@ func TestFDHandshakeRefusesShortFiles(t *testing.T) {
 			dir := shortSockDir(t)
 			srv := startServerOptions(t, chunk, 1024, Options{LocalSocketDir: dir})
 			files := []*os.File{sized(tc.table), sized(tc.seg)}
-			srv.d.sendFDs = func(conn net.Conn) error {
+			srv.sendFDs = func(conn net.Conn) error {
 				return sendFilesOverUnix(conn.(*net.UnixConn), files,
 					fdGeom{segChunks: lieChunks, chunks: lieChunks, chunkSize: chunk, flags: fdHasPool})
 			}

@@ -27,7 +27,7 @@ func settled(t *testing.T, srv *Server, conn net.Conn, wantFree int) {
 	conn.Close()
 	pool := srv.pool
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.d.connsOpen.Value() != 0 {
+	for srv.connsOpen.Value() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the server never let go of the closed connection")
 		}
@@ -185,7 +185,7 @@ func TestStreamedAllocWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn.Close()
-			for srv.d.connsOpen.Value() != 0 {
+			for srv.connsOpen.Value() != 0 {
 				time.Sleep(time.Millisecond)
 			}
 			if got := srv.pool.FreeOwnedBy(sponge.TaskID{Node: 1, PID: 51}); got != chunks {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,13 +106,13 @@ func (m *mapLiveness) Alive(pid uint64) bool {
 // of three payload shapes. The zero value is not a response.
 //
 //   - body: the whole response inline, status byte first. It may come
-//     from the daemon's buffer pools; the daemon recycles it after
+//     from the server's buffer pools; respond recycles it after
 //     writing.
 //   - f, off, n: StatusOK, then n bytes of a spill-file region, sent via
 //     sendfile (or the buffered fallback) without visiting user space.
 //   - pool, h, chunk: StatusOK, then a pool chunk's bytes where they
 //     live. chunk is a Pool.View: it stays pinned until the bytes are on
-//     the socket, and the daemon unpins it after writing, so a chunk is
+//     the socket, and respond unpins it after writing, so a chunk is
 //     sent from its slab with no staging copy.
 type response struct {
 	body []byte
@@ -130,59 +129,6 @@ type response struct {
 // statusOnly is a response carrying nothing but its status byte.
 func statusOnly(status byte) response { return response{body: []byte{status}} }
 
-// daemon is the sponge server's connection-serving core: it accepts
-// connections on every listener (TCP, optionally a same-host unix
-// socket), answers the v1-framed handshakes (OpHello, OpPoolFD), and
-// once the hello has switched the connection to pipelined v2 framing
-// feeds every request to the server, which answers with a response.
-type daemon struct {
-	lns       []net.Listener
-	localPath string // unix socket path, "" when TCP-only
-	opts      Options
-
-	srv *Server
-	// frameLimit bounds inbound v2 frames: a chunk plus protocol overhead.
-	frameLimit int
-	// sendFDs answers OpPoolFD on a unix connection by passing the
-	// server's files over SCM_RIGHTS (Server.sendFDs; a field so a test
-	// can pass files that break the handshake's promises).
-	sendFDs func(conn net.Conn) error
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-
-	// metrics is the registry served over OpMetrics; opReqs are the
-	// per-op request counters (indexed by op code), badReqs counts
-	// frames whose op is unknown or empty. All series carry a listen
-	// label so daemons sharing one registry stay distinguishable.
-	metrics   *obs.Registry
-	opReqs    [opMax + 1]*obs.Counter
-	badReqs   *obs.Counter
-	connsSeen [2]*obs.Counter // indexed by connTier
-	connsOpen *obs.Gauge
-	zcBytes   *obs.Counter // payload bytes served via sendfile
-	zcFallbk  *obs.Counter // file responses that took the buffered path
-	fdFail    *obs.Counter // fd-pass handshakes refused or failed
-
-	// bufs recycles large request bodies — a chunk on its way to the
-	// spill file — so they do not allocate per request. small does the
-	// same for header-size exchanges (a read is a 5-byte request, an
-	// alloc_write a 5-byte reply, the fd-passing fast path 25-byte loc
-	// responses).
-	bufs  sync.Pool
-	small sync.Pool
-
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closed    chan struct{}
-}
-
-// connTier indexes connsSeen: which listener a connection arrived on.
-const (
-	connTCP = iota
-	connUnix
-)
-
 // minRecycledBuf is the smallest buffer worth pooling in the chunk
 // class; smallRecycledBuf is the fixed capacity of the small class that
 // keeps header-size requests and responses (≤ 64 bytes: alloc_write and
@@ -193,7 +139,7 @@ const (
 	smallRecycledBuf = 64
 )
 
-// opNames maps op codes to the label values used in the daemon's
+// opNames maps op codes to the label values used in the server's
 // per-op request counters. A blank entry means "not a real op".
 var opNames = [opMax + 1]string{
 	OpAllocWrite: "alloc_write",
@@ -210,163 +156,84 @@ var opNames = [opMax + 1]string{
 	OpPoolFD:     "pool_fd",
 }
 
-// startDaemon listens on addr (plus the derived unix socket when
-// opts.LocalSocketDir is set) and begins accepting connections for srv.
-func startDaemon(addr string, opts Options, srv *Server) (*daemon, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	d := &daemon{
-		lns:        []net.Listener{ln},
-		opts:       opts,
-		srv:        srv,
-		frameLimit: srv.pool.ChunkSize() + frameSlack,
-		sendFDs:    srv.sendFDs,
-		conns:      make(map[net.Conn]struct{}),
-		closed:     make(chan struct{}),
-	}
-	if opts.LocalSocketDir != "" {
-		path, err := SocketPath(opts.LocalSocketDir, ln.Addr().String())
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		if err := os.MkdirAll(opts.LocalSocketDir, 0o700); err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("wire: local socket dir: %w", err)
-		}
-		// A crashed daemon leaves its socket file behind; nothing can be
-		// listening on this port-derived path but us, so replace it.
-		os.Remove(path)
-		uln, err := net.Listen("unix", path)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("wire: local socket: %w", err)
-		}
-		d.lns = append(d.lns, uln)
-		d.localPath = path
-	}
-	d.metrics = opts.Metrics
-	if d.metrics == nil {
-		d.metrics = obs.NewRegistry()
-	}
-	listen := obs.L("listen", ln.Addr().String())
-	for op, name := range opNames {
-		if name == "" {
-			continue
-		}
-		d.opReqs[op] = d.metrics.Counter("spongewire_requests_total", obs.L("op", name), listen)
-	}
-	d.badReqs = d.metrics.Counter("spongewire_bad_requests_total", listen)
-	d.connsSeen[connTCP] = d.metrics.Counter("spongewire_connections_total", obs.L("tier", "tcp"), listen)
-	d.connsSeen[connUnix] = d.metrics.Counter("spongewire_connections_total", obs.L("tier", "unix"), listen)
-	d.connsOpen = d.metrics.Gauge("spongewire_open_connections", listen)
-	d.zcBytes = d.metrics.Counter("spongewire_serve_zero_copy_bytes_total", listen)
-	d.zcFallbk = d.metrics.Counter("spongewire_serve_zero_copy_fallback_total", listen)
-	d.fdFail = d.metrics.Counter("spongewire_fdpass_fail_total", listen)
-	srv.d = d // before the first connection can reach srv through d
-	for _, l := range d.lns {
-		d.wg.Add(1)
-		go d.acceptLoop(l)
-	}
-	return d, nil
-}
-
 // countOp records one inbound request frame in the per-op counters.
-func (d *daemon) countOp(req []byte) {
+func (s *Server) countOp(req []byte) {
 	if len(req) > 0 {
-		if op := int(req[0]); op < len(d.opReqs) && d.opReqs[op] != nil {
-			d.opReqs[op].Inc()
+		if op := int(req[0]); op < len(s.opReqs) && s.opReqs[op] != nil {
+			s.opReqs[op].Inc()
 			return
 		}
 	}
-	d.badReqs.Inc()
+	s.badReqs.Inc()
 }
 
-// metricsResponse renders the daemon's registry as an OpMetrics reply:
-// a StatusOK byte followed by the text exposition.
-func (d *daemon) metricsResponse() []byte {
-	var b bytes.Buffer
-	b.WriteByte(StatusOK)
-	d.metrics.WriteText(&b)
-	return b.Bytes()
-}
+// Accept back-off: a temporary failure (EMFILE, ENFILE — the net package
+// retries ECONNABORTED itself) is retried after acceptBackoffMin,
+// doubling to acceptBackoffMax while failures continue and starting over
+// after a success.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
 
-// addr returns the TCP listening address.
-func (d *daemon) addr() string { return d.lns[0].Addr().String() }
-
-// localSocket returns the unix socket path, or "" when TCP-only.
-func (d *daemon) localSocket() string { return d.localPath }
-
-// close stops every listener (removing the unix socket file), closes
-// every live connection, and waits for their handlers. Safe to call
-// more than once.
-func (d *daemon) close() error {
-	var err error
-	d.closeOnce.Do(func() {
-		close(d.closed)
-		for _, ln := range d.lns {
-			if cerr := ln.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		d.mu.Lock()
-		for conn := range d.conns {
-			conn.Close()
-		}
-		d.mu.Unlock()
-	})
-	d.wg.Wait()
-	return err
-}
-
-func (d *daemon) acceptLoop(ln net.Listener) {
-	defer d.wg.Done()
-	tier := connTCP
-	if _, ok := ln.(*net.UnixListener); ok {
-		tier = connUnix
-	}
+// acceptLoop serves one listener until the server closes or the listener
+// fails for good. Running out of descriptors is not for good: the server
+// keeps serving its open connections meanwhile, and must take new ones
+// again once some close.
+func (s *Server) acceptLoop(ln net.Listener, tier int) {
+	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			select {
-			case <-d.closed:
+			case <-s.closed:
 				return
 			default:
+			}
+			if ne, ok := err.(net.Error); !ok || !ne.Temporary() {
 				log.Printf("wire: accept: %v", err)
 				return
 			}
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			s.acceptRetries.Inc()
+			select {
+			case <-s.closed:
+				return
+			case <-time.After(backoff):
+			}
+			continue
 		}
-		d.mu.Lock()
+		backoff = 0
+		s.mu.Lock()
 		select {
-		case <-d.closed:
-			d.mu.Unlock()
+		case <-s.closed:
+			s.mu.Unlock()
 			conn.Close()
 			return
 		default:
 		}
-		d.conns[conn] = struct{}{}
-		d.mu.Unlock()
-		d.connsSeen[tier].Inc()
-		d.connsOpen.Add(1)
-		d.wg.Add(1)
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		s.connsSeen[tier].Inc()
+		s.connsOpen.Add(1)
+		s.wg.Add(1)
 		go func() {
-			defer d.wg.Done()
+			defer s.wg.Done()
 			defer conn.Close()
 			defer func() {
-				d.mu.Lock()
-				delete(d.conns, conn)
-				d.mu.Unlock()
-				d.connsOpen.Add(-1)
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+				s.connsOpen.Add(-1)
 			}()
-			d.handle(conn)
+			s.handle(conn)
 		}()
 	}
 }
 
 // sliceHdrPool recycles the *[]byte boxes that carry buffers through
-// d.bufs. Boxing a local slice header at each recycle (`Put(&b)`) would
+// s.bufs. Boxing a local slice header at each recycle (`Put(&b)`) would
 // heap-allocate per request; instead the boxes cycle between the two
 // pools — getBuf unboxes and returns the empty box, recycle takes a box
 // back out to wrap the buffer.
@@ -376,10 +243,10 @@ var sliceHdrPool = sync.Pool{New: func() any { return new([]byte) }}
 // when it is big enough. When the pool is empty (or only holds smaller
 // buffers) the fallback allocation is sized to need — the actual chunk
 // length — never to the full chunk size.
-func (d *daemon) getBuf(need int) []byte {
-	pool := &d.bufs
+func (s *Server) getBuf(need int) []byte {
+	pool := &s.bufs
 	if need <= smallRecycledBuf {
-		pool = &d.small
+		pool = &s.small
 	}
 	if v := pool.Get(); v != nil {
 		p := v.(*[]byte)
@@ -398,12 +265,12 @@ func (d *daemon) getBuf(need int) []byte {
 
 // recycle returns a buffer to its size-class pool for reuse. Buffers
 // between the small and chunk classes are dropped.
-func (d *daemon) recycle(b []byte) {
-	pool := &d.bufs
+func (s *Server) recycle(b []byte) {
+	pool := &s.bufs
 	switch {
 	case cap(b) >= minRecycledBuf:
 	case cap(b) == smallRecycledBuf:
-		pool = &d.small
+		pool = &s.small
 	default:
 		return
 	}
@@ -413,9 +280,9 @@ func (d *daemon) recycle(b []byte) {
 }
 
 // armRead applies the per-frame read deadline, when configured.
-func (d *daemon) armRead(conn net.Conn) {
-	if d.opts.ReadTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(d.opts.ReadTimeout))
+func (s *Server) armRead(conn net.Conn) {
+	if s.opts.ReadTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 	}
 }
 
@@ -425,10 +292,10 @@ func (d *daemon) armRead(conn net.Conn) {
 // header that already carries the StatusOK byte — the first via sendfile
 // (accounting the outcome), the second as one vectored write straight
 // from the pool slab — so neither needs user-space staging.
-func (d *daemon) respond(fw *frameWriter, id uint32, r response) error {
+func (s *Server) respond(fw *frameWriter, id uint32, r response) error {
 	if r.f == nil && r.pool == nil {
 		err := writeFrameV2(fw, id, r.body)
-		d.recycle(r.body)
+		s.recycle(r.body)
 		return err
 	}
 	n := r.n
@@ -446,9 +313,9 @@ func (d *daemon) respond(fw *frameWriter, id uint32, r response) error {
 	} else {
 		var zc int64
 		if zc, err = fw.writeFrameFile(hdr, r.f, r.off, r.n); zc > 0 {
-			d.zcBytes.Add(zc)
+			s.zcBytes.Add(zc)
 		} else {
-			d.zcFallbk.Inc()
+			s.zcFallbk.Inc()
 		}
 	}
 	*hp = hdr[:0]
@@ -466,26 +333,26 @@ const preHelloLimit = 2
 // connection to v2 framing for the rest of its life. Anything else is
 // refused and the connection dropped. All writes flow through one
 // batching frame writer, shared with the v2 phase.
-func (d *daemon) handle(conn net.Conn) {
+func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
-	fw := newFrameWriter(conn, d.opts.WriteTimeout)
+	fw := newFrameWriter(conn, s.opts.WriteTimeout)
 	for {
-		d.armRead(conn)
+		s.armRead(conn)
 		req, err := readFrame(br, preHelloLimit)
 		if err != nil {
 			return // EOF or protocol violation: drop the connection
 		}
-		d.countOp(req)
+		s.countOp(req)
 		switch {
 		case len(req) == 1 && req[0] == OpPoolFD:
 			// Descriptor passing happens outside the frame writer: the
 			// exchange owns the connection (lock-step, nothing buffered)
 			// and the descriptors must ride their own sendmsg.
-			err := d.sendFDs(conn)
+			err := s.sendFDs(conn)
 			if err == nil {
 				continue
 			}
-			d.fdFail.Inc()
+			s.fdFail.Inc()
 			// errZCUnsupported — TCP connection, nothing to pass, or
 			// portable build — wrote nothing: refuse, stream intact. Any
 			// other failure is a half-written handshake that poisons it.
@@ -493,8 +360,8 @@ func (d *daemon) handle(conn net.Conn) {
 				return
 			}
 		case len(req) == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
-			if err := writeFrameV1(fw, d.srv.helloResponse()); err == nil {
-				d.serveV2(conn, br, fw)
+			if err := writeFrameV1(fw, s.helloResponse()); err == nil {
+				s.serveV2(conn, br, fw)
 			}
 			return
 		default:
@@ -526,26 +393,26 @@ type v2req struct {
 // A request the reader already served off the socket (an OpAllocWrite)
 // is answered from the reader: its reply is five bytes through the same
 // writer, not worth a hand-off.
-func (d *daemon) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
+func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 	work := make(chan v2req)
 	var wg sync.WaitGroup
-	for i := 0; i < d.opts.inflight(); i++ {
+	for i := 0; i < s.opts.inflight(); i++ {
 		wg.Add(1)
-		go d.v2worker(conn, fw, work, &wg)
+		go s.v2worker(conn, fw, work, &wg)
 	}
 	defer func() {
 		close(work)
 		wg.Wait()
 	}()
 	for {
-		d.armRead(conn)
-		id, req, resp, err := d.readRequest(br)
+		s.armRead(conn)
+		id, req, resp, err := s.readRequest(br)
 		if err != nil {
 			return
 		}
 		if req != nil {
 			work <- v2req{id: id, req: req}
-		} else if d.respond(fw, id, resp) != nil {
+		} else if s.respond(fw, id, resp) != nil {
 			return
 		}
 	}
@@ -560,8 +427,8 @@ var errEmptyFrame = errors.New("wire: empty request frame")
 // only goroutine that may touch br, its payload going from the socket
 // into the pool, and comes back as a finished resp with req nil. Any
 // error means the stream is over or out of step.
-func (d *daemon) readRequest(br *bufio.Reader) (id uint32, req []byte, resp response, err error) {
-	n, id, err := readFrameV2Header(br, d.frameLimit)
+func (s *Server) readRequest(br *bufio.Reader) (id uint32, req []byte, resp response, err error) {
+	n, id, err := readFrameV2Header(br, s.frameLimit)
 	if err != nil {
 		return 0, nil, response{}, err
 	}
@@ -569,37 +436,26 @@ func (d *daemon) readRequest(br *bufio.Reader) (id uint32, req []byte, resp resp
 		return 0, nil, response{}, errEmptyFrame
 	}
 	if op, perr := br.Peek(1); perr == nil && op[0] == OpAllocWrite {
-		d.opReqs[OpAllocWrite].Inc()
-		resp, err = d.srv.allocWrite(br, n)
+		s.opReqs[OpAllocWrite].Inc()
+		resp, err = s.allocWrite(br, n)
 		return id, nil, resp, err
 	}
-	req = d.getBuf(n)
+	req = s.getBuf(n)
 	if _, err := io.ReadFull(br, req); err != nil {
-		d.recycle(req)
+		s.recycle(req)
 		return 0, nil, response{}, err
 	}
-	d.countOp(req)
+	s.countOp(req)
 	return id, req, response{}, nil
 }
 
-// answer executes one buffered request — the daemon's own OpMetrics, or
-// the server's dispatch — and recycles its buffer.
-func (d *daemon) answer(req []byte) response {
-	var resp response
-	if len(req) == 1 && req[0] == OpMetrics {
-		resp = response{body: d.metricsResponse()}
-	} else {
-		resp = d.srv.dispatch(req)
-	}
-	d.recycle(req)
-	return resp
-}
-
 // v2worker serves one slot of a connection's pipelined worker pool.
-func (d *daemon) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *sync.WaitGroup) {
+func (s *Server) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for w := range work {
-		if d.respond(fw, w.id, d.answer(w.req)) != nil {
+		resp := s.dispatch(w.req)
+		s.recycle(w.req)
+		if s.respond(fw, w.id, resp) != nil {
 			conn.Close() // unblocks the reader; the connection is gone
 		}
 	}

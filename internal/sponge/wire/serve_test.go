@@ -1,7 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -13,7 +17,7 @@ import (
 // is backpressure, not a correctness constraint.
 func TestInflightOneStillPipelines(t *testing.T) {
 	pool := sponge.NewPool(512, 64)
-	srv, err := ServeOptions(pool, "127.0.0.1:0", Options{Inflight: 1})
+	srv, err := Serve(pool, "127.0.0.1:0", Options{Inflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestInflightOneStillPipelines(t *testing.T) {
 // because the deadline re-arms per frame.
 func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 	pool := sponge.NewPool(512, 4)
-	srv, err := ServeOptions(pool, "127.0.0.1:0", Options{ReadTimeout: 80 * time.Millisecond})
+	srv, err := Serve(pool, "127.0.0.1:0", Options{ReadTimeout: 80 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +111,96 @@ func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 // TestServerCloseIdempotent: closing a server twice (test cleanups and
 // failure injection both do it) must be a no-op the second time.
 func TestServerCloseIdempotent(t *testing.T) {
-	srv, err := Serve(sponge.NewPool(512, 4), "127.0.0.1:0")
+	srv, err := Serve(sponge.NewPool(512, 4), "127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	srv.Close()
+}
+
+// flakyListener fails its first fails Accepts the way a process out of
+// descriptors does, then accepts normally.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// serveFlaky runs srv's accept loop over a second TCP listener whose
+// first fails Accepts report EMFILE, and returns its address.
+func serveFlaky(t *testing.T, srv *Server, fails int32) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: ln}
+	fl.fails.Store(fails)
+	srv.lns = append(srv.lns, fl) // Close unblocks its Accept too
+	srv.wg.Add(1)
+	go srv.acceptLoop(fl, connTCP)
+	return ln.Addr().String()
+}
+
+// TestAcceptRetriesTemporaryErrors: a burst of EMFILE must not end the
+// listener. The loop used to return on the first one, leaving a server
+// that kept its open connections and refused every new dial for good.
+func TestAcceptRetriesTemporaryErrors(t *testing.T) {
+	srv, _ := startServer(t, 1024, 4)
+	addr := serveFlaky(t, srv, 2)
+	dialed := make(chan *Client, 1)
+	go func() {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Error(err)
+		}
+		dialed <- c
+	}()
+	var c *Client
+	select {
+	case c = <-dialed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("dial never accepted after two temporary Accept errors")
+	}
+	if c == nil {
+		return
+	}
+	defer c.Close()
+	data := []byte("accepted after the burst")
+	h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 1}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Read(h); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if n := srv.acceptRetries.Value(); n != 2 {
+		t.Errorf("spongewire_accept_retries_total = %d, want 2", n)
+	}
+}
+
+// TestCloseAbandonsAcceptBackoff: Close must not wait out a back-off.
+// Eight failures in a row put the loop in a 640 ms sleep.
+func TestCloseAbandonsAcceptBackoff(t *testing.T) {
+	srv, err := Serve(sponge.NewPool(512, 4), "127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	serveFlaky(t, srv, 1<<30)
+	for srv.acceptRetries.Value() < 8 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	start := time.Now()
+	srv.Close()
+	if took := time.Since(start); took > 300*time.Millisecond {
+		t.Fatalf("Close took %v mid-back-off", took)
+	}
 }

@@ -2,28 +2,31 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"sync"
 
 	"spongefiles/internal/obs"
 	"spongefiles/internal/sponge"
 )
 
-// Server serves a node's sponge pool over TCP (and, with
-// Options.LocalSocketDir, a same-host unix socket). The pool is the
-// same structure the in-process allocators use; its internal lock makes
-// the two access paths (shared memory within the process, sockets
+// Server is a node's sponge server: it serves the node's pool over TCP
+// (and, with Options.LocalSocketDir, a same-host unix socket). The pool
+// is the same structure the in-process allocators use; its internal lock
+// makes the two access paths (shared memory within the process, sockets
 // across machines) safe together, exactly as the paper's mmap-plus-
 // daemon design intends.
 //
-// Each connection opens with a v1-framed OpHello, which switches it to
-// the pipelined v2 framing, where requests dispatch concurrently
-// through a bounded worker pool and responses (tagged with the request
-// ID) are written back in completion order. The connection machinery
-// itself lives in the daemon type.
+// Each connection opens with a v1-framed prologue — the descriptor
+// handshake (OpPoolFD) any number of times, then the OpHello that
+// switches it to the pipelined v2 framing, where requests dispatch
+// concurrently through a bounded worker pool and responses (tagged with
+// the request ID) are written back in completion order.
 //
 // With Options.SpillDir set the server grows the paper's local-disk
 // tier: AllocWrites that find the pool full overflow into an
@@ -39,95 +42,209 @@ import (
 type Server struct {
 	pool  *sponge.Pool
 	live  *mapLiveness
-	d     *daemon
 	spill *spillFile // nil without Options.SpillDir
 	geom  fdGeom     // the pool's layout, as the fd handshake states it
+	opts  Options
 
-	spillAllocs *obs.Counter
+	lns       []net.Listener // TCP first, then the unix socket if any
+	localPath string         // unix socket path, "" when TCP-only
+	// frameLimit bounds inbound v2 frames: a chunk plus protocol overhead.
+	frameLimit int
+	// sendFDs answers OpPoolFD on a unix connection by passing the
+	// server's files over SCM_RIGHTS (passFiles; a field so a test can
+	// pass files that break the handshake's promises).
+	sendFDs func(conn net.Conn) error
+
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+
+	// metrics is the registry served over OpMetrics; opReqs are the
+	// per-op request counters (indexed by op code), badReqs counts
+	// frames whose op is unknown or empty. All series carry a listen
+	// label so servers sharing one registry stay distinguishable.
+	metrics       *obs.Registry
+	opReqs        [opMax + 1]*obs.Counter
+	badReqs       *obs.Counter
+	connsSeen     [2]*obs.Counter // indexed by connTier
+	acceptRetries *obs.Counter    // Accept failures retried after a back-off
+	connsOpen     *obs.Gauge
+	zcBytes       *obs.Counter // payload bytes served via sendfile
+	zcFallbk      *obs.Counter // file responses that took the buffered path
+	fdFail        *obs.Counter // fd-pass handshakes refused or failed
+	spillAllocs   *obs.Counter
+
+	// bufs recycles large request bodies — a chunk on its way to the
+	// spill file — so they do not allocate per request. small does the
+	// same for header-size exchanges (a read is a 5-byte request, an
+	// alloc_write a 5-byte reply, the fd-passing fast path 25-byte loc
+	// responses).
+	bufs  sync.Pool
+	small sync.Pool
+
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	closed    chan struct{}
 }
 
-// Serve starts a server for pool on addr (e.g. "127.0.0.1:0") with
-// default options and returns once it is listening.
-func Serve(pool *sponge.Pool, addr string) (*Server, error) {
-	return ServeOptions(pool, addr, Options{})
-}
+// connTier indexes connsSeen, and lns: which listener a connection
+// arrived on.
+const (
+	connTCP = iota
+	connUnix
+)
 
-// ServeOptions starts a server for pool on addr with explicit tuning:
-// worker-pool bound, I/O deadlines, the same-host socket tier and the
-// disk-spill tier.
-func ServeOptions(pool *sponge.Pool, addr string, opts Options) (*Server, error) {
-	s := &Server{pool: pool, live: newMapLiveness(), geom: fdGeom{
-		segChunks: pool.SegmentChunks(),
-		chunks:    pool.Chunks(),
-		chunkSize: pool.ChunkSize(),
-	}}
-	if opts.SpillDir != "" {
-		sf, err := openSpillFile(opts.SpillDir, opts.SpillChunks)
-		if err != nil {
-			return nil, err
-		}
-		s.spill = sf
-	}
-	d, err := startDaemon(addr, opts, s)
+// Serve starts a server for pool on addr (e.g. "127.0.0.1:0"), plus the
+// derived unix socket when opts.LocalSocketDir is set, and returns once
+// it is listening.
+func Serve(pool *sponge.Pool, addr string, opts Options) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if s.spill != nil {
-			s.spill.close()
-		}
 		return nil, err
 	}
-	// Pool state rides along in the scrape as live gauges, labeled by
-	// listen address like the daemon's own series.
-	listen := obs.L("listen", d.addr())
-	d.metrics.GaugeFunc("spongewire_pool_free_chunks", func() int64 { return int64(pool.Free()) }, listen)
-	d.metrics.GaugeFunc("spongewire_pool_chunks", func() int64 { return int64(pool.Chunks()) }, listen)
-	// Open Fill/View brackets: a receive or a send in flight. Zero at
-	// rest, so a scrape of an idle server that shows otherwise is a leak.
-	d.metrics.GaugeFunc("spongewire_pool_pinned", func() int64 { return int64(pool.Stats().Pinned) }, listen)
-	if s.spill != nil {
-		s.spillAllocs = d.metrics.Counter("spongewire_spill_allocs_total", listen)
-		d.metrics.GaugeFunc("spongewire_spill_chunks", func() int64 {
-			live, _ := s.spill.stats()
-			return int64(live)
-		}, listen)
-		d.metrics.GaugeFunc("spongewire_spill_bytes", func() int64 {
-			_, bytes := s.spill.stats()
-			return bytes
-		}, listen)
+	s := &Server{
+		pool: pool,
+		live: newMapLiveness(),
+		geom: fdGeom{
+			segChunks: pool.SegmentChunks(),
+			chunks:    pool.Chunks(),
+			chunkSize: pool.ChunkSize(),
+		},
+		opts:       opts,
+		lns:        []net.Listener{ln},
+		frameLimit: pool.ChunkSize() + frameSlack,
+		conns:      make(map[net.Conn]struct{}),
+		metrics:    opts.Metrics,
+		closed:     make(chan struct{}),
+	}
+	s.sendFDs = s.passFiles
+	if err := s.openTiers(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if s.metrics == nil {
+		s.metrics = obs.NewRegistry()
+	}
+	s.instrument()
+	for tier, ln := range s.lns {
+		s.wg.Add(1)
+		go s.acceptLoop(ln, tier)
 	}
 	return s, nil
 }
 
+// openTiers opens what Options adds to the TCP listener: the same-host
+// unix socket and the spill file.
+func (s *Server) openTiers() error {
+	if dir := s.opts.LocalSocketDir; dir != "" {
+		path, err := SocketPath(dir, s.Addr())
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(dir, 0o700); err != nil {
+			return fmt.Errorf("wire: local socket dir: %w", err)
+		}
+		// A crashed server leaves its socket file behind; nothing can be
+		// listening on this port-derived path but us, so replace it.
+		os.Remove(path)
+		uln, err := net.Listen("unix", path)
+		if err != nil {
+			return fmt.Errorf("wire: local socket: %w", err)
+		}
+		s.lns = append(s.lns, uln)
+		s.localPath = path
+	}
+	if s.opts.SpillDir != "" {
+		sf, err := openSpillFile(s.opts.SpillDir, s.opts.SpillChunks)
+		if err != nil {
+			return err
+		}
+		s.spill = sf
+	}
+	return nil
+}
+
+// instrument registers the server's series, every one labeled by listen
+// address. Pool and spill state ride along in the scrape as live gauges.
+func (s *Server) instrument() {
+	listen := obs.L("listen", s.Addr())
+	for op, name := range opNames {
+		if name != "" {
+			s.opReqs[op] = s.metrics.Counter("spongewire_requests_total", obs.L("op", name), listen)
+		}
+	}
+	s.badReqs = s.metrics.Counter("spongewire_bad_requests_total", listen)
+	s.connsSeen[connTCP] = s.metrics.Counter("spongewire_connections_total", obs.L("tier", "tcp"), listen)
+	s.connsSeen[connUnix] = s.metrics.Counter("spongewire_connections_total", obs.L("tier", "unix"), listen)
+	s.acceptRetries = s.metrics.Counter("spongewire_accept_retries_total", listen)
+	s.connsOpen = s.metrics.Gauge("spongewire_open_connections", listen)
+	s.zcBytes = s.metrics.Counter("spongewire_serve_zero_copy_bytes_total", listen)
+	s.zcFallbk = s.metrics.Counter("spongewire_serve_zero_copy_fallback_total", listen)
+	s.fdFail = s.metrics.Counter("spongewire_fdpass_fail_total", listen)
+	pool := s.pool
+	s.metrics.GaugeFunc("spongewire_pool_free_chunks", func() int64 { return int64(pool.Free()) }, listen)
+	s.metrics.GaugeFunc("spongewire_pool_chunks", func() int64 { return int64(pool.Chunks()) }, listen)
+	// Open Fill/View brackets: a receive or a send in flight. Zero at
+	// rest, so a scrape of an idle server that shows otherwise is a leak.
+	s.metrics.GaugeFunc("spongewire_pool_pinned", func() int64 { return int64(pool.Stats().Pinned) }, listen)
+	if s.spill != nil {
+		s.spillAllocs = s.metrics.Counter("spongewire_spill_allocs_total", listen)
+		s.metrics.GaugeFunc("spongewire_spill_chunks", func() int64 {
+			live, _ := s.spill.stats()
+			return int64(live)
+		}, listen)
+		s.metrics.GaugeFunc("spongewire_spill_bytes", func() int64 {
+			_, bytes := s.spill.stats()
+			return bytes
+		}, listen)
+	}
+}
+
 // Metrics returns the registry this server instruments itself into (the
 // one passed via Options.Metrics, or its private registry).
-func (s *Server) Metrics() *obs.Registry { return s.d.metrics }
+func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Addr returns the TCP listening address.
-func (s *Server) Addr() string { return s.d.addr() }
+func (s *Server) Addr() string { return s.lns[0].Addr().String() }
 
 // LocalSocket returns the unix-socket path this server also listens on,
 // or "" when it serves TCP only.
-func (s *Server) LocalSocket() string { return s.d.localSocket() }
+func (s *Server) LocalSocket() string { return s.localPath }
 
-// Close stops the listeners, closes every live connection, waits for
-// their handlers, and removes the spill file.
+// Close stops every listener (removing the unix socket file), closes
+// every live connection, waits for their handlers, and removes the spill
+// file. Safe to call more than once.
 func (s *Server) Close() error {
-	err := s.d.close()
-	if s.spill != nil {
-		if serr := s.spill.close(); err == nil {
-			err = serr
+	var err error
+	s.closeOnce.Do(func() {
+		close(s.closed)
+		for _, ln := range s.lns {
+			if cerr := ln.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
 		}
-	}
+		s.mu.Lock()
+		for conn := range s.conns {
+			conn.Close()
+		}
+		s.mu.Unlock()
+		s.wg.Wait()
+		if s.spill != nil {
+			if serr := s.spill.close(); err == nil {
+				err = serr
+			}
+		}
+	})
 	return err
 }
 
-// sendFDs answers one OpPoolFD exchange: pass whatever files this
+// passFiles answers one OpPoolFD exchange: pass whatever files this
 // server keeps chunks in over the unix connection's SCM_RIGHTS — the
 // pool's generation table and segments when they are file-backed (and
 // fit one message beside the spill file), the spill file when there is
 // a spill tier. Non-unix connections, non-linux builds, and a server
-// with neither degrade to errZCUnsupported, which the daemon answers as
+// with neither degrade to errZCUnsupported, which the prologue answers as
 // StatusBadRequest.
-func (s *Server) sendFDs(conn net.Conn) error {
+func (s *Server) passFiles(conn net.Conn) error {
 	uc, ok := conn.(*net.UnixConn)
 	if !ok {
 		return errZCUnsupported
@@ -169,7 +286,7 @@ func (s *Server) helloResponse() []byte {
 // node (u32), owner pid (u64), data — is still on the socket: the head
 // is parsed in place, the chunk allocated, and the data received
 // straight into its pool slab inside a Pool.Fill bracket, so the only
-// copy the daemon makes of a chunk is the kernel's. A request it refuses
+// copy the server makes of a chunk is the kernel's. A request it refuses
 // (zero owner, data past the chunk size, no room anywhere) has its body
 // drained so the stream stays in step. Only a chunk the full pool sends
 // on to the spill tier passes through a buffer. An error means the peer
@@ -214,12 +331,12 @@ func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
 		s.pool.Filled(h, size)
 	case errors.Is(err, sponge.ErrNoFreeChunk) && s.spill != nil:
 		// Memory pool full: overflow into the disk tier, through a buffer.
-		buf := s.d.getBuf(size)
+		buf := s.getBuf(size)
 		_, rerr := io.ReadFull(br, buf)
 		if rerr == nil {
 			h, err = s.spill.append(buf)
 		}
-		s.d.recycle(buf)
+		s.recycle(buf)
 		if rerr != nil {
 			return response{}, rerr
 		}
@@ -231,15 +348,15 @@ func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
 		_, derr := br.Discard(size)
 		return statusOnly(errStatus(err)), derr
 	}
-	out := s.d.getBuf(5)
+	out := s.getBuf(5)
 	out[0] = StatusOK
 	binary.LittleEndian.PutUint32(out[1:], uint32(h))
 	return response{body: out}, nil
 }
 
 // dispatch executes one buffered request and builds its response. (An
-// OpAllocWrite never gets here: the daemon hands it to allocWrite while
-// it is still on the socket.)
+// OpAllocWrite never gets here: the connection reader hands it to
+// allocWrite while it is still on the socket.)
 func (s *Server) dispatch(req []byte) response {
 	if len(req) < 1 {
 		return statusOnly(StatusBadRequest)
@@ -261,7 +378,7 @@ func (s *Server) dispatch(req []byte) response {
 			}
 			return response{f: s.spill.file(), off: off, n: int64(n)}
 		}
-		// Sent from the slab: the view stays pinned until the daemon has
+		// Sent from the slab: the view stays pinned until respond has
 		// written it.
 		chunk, err := s.pool.View(h)
 		if err != nil {
@@ -290,6 +407,15 @@ func (s *Server) dispatch(req []byte) response {
 		return statusOnly(StatusOK)
 	case OpPoolLoc, OpSpillLoc:
 		return response{body: s.loc(payload)}
+	case OpMetrics:
+		if len(payload) != 0 {
+			return statusOnly(StatusBadRequest)
+		}
+		// StatusOK, then the registry's text exposition.
+		var b bytes.Buffer
+		b.WriteByte(StatusOK)
+		s.metrics.WriteText(&b)
+		return response{body: b.Bytes()}
 	case OpStat:
 		out := make([]byte, 13)
 		out[0] = StatusOK
@@ -350,7 +476,7 @@ func (s *Server) loc(payload []byte) []byte {
 		return []byte{errStatus(err)}
 	}
 	// Pooled: this is the pread fast path's per-read exchange.
-	out := s.d.getBuf(25)
+	out := s.getBuf(25)
 	out[0] = StatusOK
 	binary.LittleEndian.PutUint32(out[1:5], uint32(idx))
 	binary.LittleEndian.PutUint64(out[5:13], uint64(off))

@@ -84,13 +84,26 @@ func (s *spillFile) append(data []byte) (int, error) {
 	// sendfile serves of other records never collide.
 	if _, err := s.f.WriteAt(data, off); err != nil {
 		s.mu.Lock()
-		s.recs[slot].live = false
-		s.free = append(s.free, slot)
-		s.live--
+		s.release(slot)
 		s.mu.Unlock()
 		return 0, err
 	}
 	return int(slot) | SpillHandleBit, nil
+}
+
+// release un-lives one record, under mu. When the last live record goes,
+// the file truncates back to zero and the append cursor resets — the
+// wholesale reclaim of an append-coalesced spill.
+func (s *spillFile) release(slot int32) {
+	s.recs[slot].live = false
+	s.free = append(s.free, slot)
+	s.live--
+	if s.live == 0 {
+		s.recs = s.recs[:0]
+		s.free = s.free[:0]
+		s.end = 0
+		s.f.Truncate(0)
+	}
 }
 
 // loc resolves a spill handle to its stable file region.
@@ -104,9 +117,7 @@ func (s *spillFile) loc(handle int) (off int64, n int, err error) {
 	return s.recs[slot].off, int(s.recs[slot].n), nil
 }
 
-// freeRec releases one record. When the last live record goes, the file
-// truncates back to zero and the append cursor resets — the wholesale
-// reclaim of an append-coalesced spill.
+// freeRec releases one record by its handle.
 func (s *spillFile) freeRec(handle int) error {
 	slot := handle &^ SpillHandleBit
 	s.mu.Lock()
@@ -114,15 +125,7 @@ func (s *spillFile) freeRec(handle int) error {
 	if slot < 0 || slot >= len(s.recs) || !s.recs[slot].live {
 		return sponge.ErrNoFreeChunk
 	}
-	s.recs[slot].live = false
-	s.free = append(s.free, int32(slot))
-	s.live--
-	if s.live == 0 {
-		s.recs = s.recs[:0]
-		s.free = s.free[:0]
-		s.end = 0
-		s.f.Truncate(0)
-	}
+	s.release(int32(slot))
 	return nil
 }
 

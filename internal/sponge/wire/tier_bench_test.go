@@ -9,16 +9,19 @@ import (
 )
 
 // benchTierRead measures steady-state 64KiB chunk reads through one
-// client against an in-process daemon, for BENCH_wire.json's transport
-// tier ladder: same-host unix socket vs loopback TCP, pool-resident vs
+// client against an in-process server, one rung of the transport tier
+// ladder: same-host unix socket vs loopback TCP, pool-resident vs
 // spill-file-backed (sendfile), vs the fd-passing pread fast path.
+// `go test ./internal/sponge/wire -run '^$' -bench BenchmarkTier
+// -benchtime 2s` (make bench-tier) prints the six rungs EXPERIMENTS.md's
+// tier-ladder table is regenerated from.
 func benchTierRead(b *testing.B, opts Options, dial func(*Server) (*Client, error), spill, fdPass bool) {
 	const chunk = 64 << 10
 	poolChunks := 4
 	if spill {
 		poolChunks = 1
 	}
-	srv, err := ServeOptions(sponge.NewPool(chunk, poolChunks), "127.0.0.1:0", opts)
+	srv, err := Serve(sponge.NewPool(chunk, poolChunks), "127.0.0.1:0", opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func shortSockDir(t *testing.T) string {
 
 func startServerOptions(t *testing.T, chunkSize, chunks int, opts Options) *Server {
 	t.Helper()
-	srv, err := ServeOptions(sponge.NewPool(chunkSize, chunks), "127.0.0.1:0", opts)
+	srv, err := Serve(sponge.NewPool(chunkSize, chunks), "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestUnixTierRoundTrip(t *testing.T) {
 // trip over their own leftovers.
 func TestCloseRemovesSocketFile(t *testing.T) {
 	dir := shortSockDir(t)
-	srv, err := ServeOptions(sponge.NewPool(1024, 2), "127.0.0.1:0", Options{LocalSocketDir: dir})
+	srv, err := Serve(sponge.NewPool(1024, 2), "127.0.0.1:0", Options{LocalSocketDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestStartupReplacesStaleSocket(t *testing.T) {
 		t.Fatalf("failed to fabricate stale socket: %v", err)
 	}
 	_, port, _ := net.SplitHostPort(addr)
-	srv2, err := ServeOptions(sponge.NewPool(1024, 2), "127.0.0.1:"+port, Options{LocalSocketDir: dir})
+	srv2, err := Serve(sponge.NewPool(1024, 2), "127.0.0.1:"+port, Options{LocalSocketDir: dir})
 	if err != nil {
 		t.Fatalf("restart over stale socket: %v", err)
 	}
@@ -273,7 +273,7 @@ func servePortable(t *testing.T, srv *Server) string {
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				srv.d.handle(struct{ net.Conn }{conn})
+				srv.handle(struct{ net.Conn }{conn})
 			}()
 		}
 	}()
@@ -586,7 +586,7 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 				t.Errorf("steady-state %s ReadInto allocates %.2f objects per chunk, want 0",
 					tc.name, avg)
 			}
-			if !spill && !tc.arm && srv.d.bufs.Get() != nil {
+			if !spill && !tc.arm && srv.bufs.Get() != nil {
 				// Socket → slab on the way in, slab → socket on the way out:
 				// nothing chunk-sized was ever staged, so nothing was recycled.
 				t.Errorf("%s: the daemon staged a pool chunk in a chunk-class buffer", tc.name)

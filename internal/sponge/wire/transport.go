@@ -81,14 +81,9 @@ type TransportOptions struct {
 	Metrics *obs.Registry
 }
 
-// NewTransport builds a transport routing each node in addrs over TCP
-// and every other node through fallback (which may be nil to make
-// unmapped nodes unreachable).
-func NewTransport(addrs map[int]string, fallback sponge.Transport) *Transport {
-	return NewTransportOptions(addrs, fallback, TransportOptions{})
-}
-
-// NewTransportOptions builds a transport with explicit tier tuning.
+// NewTransportOptions builds a transport routing each node in addrs to
+// its server — over the tier opts selects — and every other node through
+// fallback (which may be nil to make unmapped nodes unreachable).
 func NewTransportOptions(addrs map[int]string, fallback sponge.Transport, opts TransportOptions) *Transport {
 	a := make(map[int]string, len(addrs))
 	for node, addr := range addrs {

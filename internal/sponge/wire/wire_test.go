@@ -18,7 +18,7 @@ import (
 func startServer(t *testing.T, chunkSize, chunks int) (*Server, *Client) {
 	t.Helper()
 	pool := sponge.NewPool(chunkSize, chunks)
-	srv, err := Serve(pool, "127.0.0.1:0")
+	srv, err := Serve(pool, "127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,49 +306,6 @@ func TestReadInto(t *testing.T) {
 	}
 	if n, err := c.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
 		t.Fatalf("connection unusable after short-buffer read: %v", err)
-	}
-}
-
-func TestDialPool(t *testing.T) {
-	srv, _ := startServer(t, 1024, 64)
-	p, err := DialPool(srv.Addr(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Size() != 3 || p.ChunkSize() != 1024 {
-		t.Fatalf("pool size=%d chunk=%d", p.Size(), p.ChunkSize())
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 6)
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			owner := sponge.TaskID{Node: g, PID: int64(g) + 1}
-			for i := 0; i < 10; i++ {
-				data := []byte(fmt.Sprintf("pool-g%d-i%d", g, i))
-				h, err := p.AllocWrite(owner, data)
-				if err != nil {
-					errs <- err
-					return
-				}
-				got, err := p.Read(h)
-				if err != nil || !bytes.Equal(got, data) {
-					errs <- fmt.Errorf("pool g%d i%d corrupt (%v)", g, i, err)
-					return
-				}
-				if err := p.Free(h); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 

@@ -34,14 +34,14 @@ func TestStatsScrapeFromLiveCluster(t *testing.T) {
 	addrs := make(map[int]string)
 	for n := 1; n <= 3; n++ {
 		pool := sponge.NewPool(svc.ChunkReal(), 8)
-		srv, err := wire.ServeOptions(pool, "127.0.0.1:0", wire.Options{Metrics: svc.Metrics()})
+		srv, err := wire.Serve(pool, "127.0.0.1:0", wire.Options{Metrics: svc.Metrics()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
 		addrs[n] = srv.Addr()
 	}
-	wt := wire.NewTransport(addrs, svc.Transport())
+	wt := wire.NewTransportOptions(addrs, svc.Transport(), wire.TransportOptions{})
 	t.Cleanup(func() { wt.Close() })
 	// A fixed-seed fault layer on top of the wire forces retries, so the
 	// retry counters have something real to count.

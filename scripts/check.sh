@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-2 checks: static analysis, the whole tree under the race
-# detector, the allocation guards and the end-to-end smokes. Run on
-# every PR alongside the tier-1 build-and-test.
+# detector, the allocation guards, the fuzz targets and the end-to-end
+# smokes. Run on every PR alongside the tier-1 build-and-test.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -95,25 +95,16 @@ echo "== wire dispatch fuzz, 10 s =="
 # as part of `go test`.
 go test -run '^$' -fuzz '^FuzzServerDispatch$' -fuzztime 10s ./internal/sponge/wire
 
-echo "== readahead sweep smoke + depth-1 seed equivalence =="
-# One tiny depth-sweep iteration over both transports, and the pinned
-# bit-exact check that ReadAheadDepth=1 reproduces the seed prefetcher.
-go test -count=1 -run 'TestReadAheadSweepSmoke|TestReadAheadDepth1MatchesSeedPrefetcher' \
-	./internal/bench
-
-echo "== tracker dissemination smoke =="
-# Small-N run of the tracker scale sweep: delta dissemination must cost
-# fewer tracker messages than full polling and grow sublinearly with the
-# cluster, plus the deterministic-replay check on one delta cell.
-go test -count=1 -run 'TestTrackerSweep' ./internal/bench
-
-echo "== node-combine shape + determinism smoke =="
-# Small-N node-combine checks: the shared per-node buffer must cut the
-# shuffle >=25% versus per-task combining with the answer preserved, and
-# the node-combined reduce output must stay byte-identical to the
-# task-combined run's.
-go test -count=1 -run 'TestNodeCombineCutsShuffleAndPreservesAnswer|TestNodeCombineDeterministicOutput' \
-	./internal/mapreduce
+echo "== client demux fuzz, 10 s =="
+# The other direction: whatever a peer past the hello sends where
+# response frames belong, with three callers waiting on the client —
+# no panic, every waiter released with a reply or an error inside a
+# second, nothing stored past a caller's buffer, no allocation sized by
+# a length above Client.limit(). The seeds (unknown id, id answered
+# twice, empty frame, status where a payload is due, payload past the
+# caller's buffer, a length of 2^31, truncated header and body) already
+# run as part of `go test`.
+go test -run '^$' -fuzz '^FuzzClientDemux$' -fuzztime 10s ./internal/sponge/wire
 
 echo "== scenario matrix smoke (quick cases) =="
 # The two quick seed scenarios — a digest-verified spill round trip and

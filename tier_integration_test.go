@@ -53,7 +53,7 @@ func newTierStack(t *testing.T, chunksPerServer int) *tierStack {
 	addrs := make(map[int]string)
 	for n := 1; n <= 3; n++ {
 		pool := sponge.NewPool(svc.ChunkReal(), chunksPerServer)
-		srv, err := wire.ServeOptions(pool, "127.0.0.1:0", wire.Options{
+		srv, err := wire.Serve(pool, "127.0.0.1:0", wire.Options{
 			LocalSocketDir: sockDir,
 			SpillDir:       t.TempDir(),
 		})
@@ -182,7 +182,7 @@ func TestTierIntegrationPoolFDNoPayloadOnSocket(t *testing.T) {
 	addrs := make(map[int]string)
 	for n := 1; n <= 3; n++ {
 		pool := sponge.NewPool(svc.ChunkReal(), 32) // ample: nothing spills
-		srv, err := wire.ServeOptions(pool, "127.0.0.1:0", wire.Options{
+		srv, err := wire.Serve(pool, "127.0.0.1:0", wire.Options{
 			LocalSocketDir: sockDir,
 		})
 		if err != nil {

@@ -49,7 +49,7 @@ func newWireStack(t *testing.T, chunksPerServer int) *wireStack {
 	addrs := make(map[int]string)
 	for n := 1; n <= 3; n++ {
 		pool := sponge.NewPool(svc.ChunkReal(), chunksPerServer)
-		srv, err := wire.Serve(pool, "127.0.0.1:0")
+		srv, err := wire.Serve(pool, "127.0.0.1:0", wire.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func newWireStack(t *testing.T, chunksPerServer int) *wireStack {
 		s.servers[n] = srv
 		addrs[n] = srv.Addr()
 	}
-	s.tr = wire.NewTransport(addrs, svc.Transport())
+	s.tr = wire.NewTransportOptions(addrs, svc.Transport(), wire.TransportOptions{})
 	t.Cleanup(func() { s.tr.Close() })
 	svc.SetTransport(s.tr)
 	return s
