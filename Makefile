@@ -36,18 +36,6 @@ bench-wire:
 bench:
 	go test ./internal/bench -run '^$$' -bench BenchmarkMacro -benchmem
 
-# Fault-injection experiment: spill placement, retries, and timing vs
-# exchange drop rate, simulated vs real-TCP wire transport; regenerates
-# BENCH_faults.json.
-bench-faults:
-	go run ./cmd/benchtab -out BENCH_faults.json faults
-
-# Readahead experiment: window depth vs injected per-exchange latency,
-# read-back throughput of a fully remote file over both transports;
-# regenerates BENCH_readahead.json.
-bench-readahead:
-	go run ./cmd/benchtab -out BENCH_readahead.json readahead
-
 # Local transport tier ladder: steady-state 64KiB reads over loopback
 # TCP, unix sockets, sendfile spill serves, and the fd-passing pread
 # fast paths (spill file + memfd pool segments), against an in-process
@@ -56,17 +44,9 @@ bench-readahead:
 bench-tier:
 	go test ./internal/sponge/wire -run '^$$' -bench BenchmarkTier -benchtime 2s
 
-# Tracker dissemination at scale: tracker messages per node per second,
-# full-poll vs delta, at 100 and 1000 simulated nodes under identical
-# churn; regenerates BENCH_tracker.json.
-bench-tracker:
-	go run ./cmd/benchtab -out BENCH_tracker.json tracker
-
-# Combine-scope sweep: {no combiner, task combine, node combine, node
-# combine + sponge-backed overflow} x {Zipf wordcount, uniform
-# wordcount, algebraic Pig domain count}; shuffle volume, spill
-# traffic, and runtime per cell; regenerates BENCH_combine.json.
-bench-combine:
-	go run ./cmd/benchtab -out BENCH_combine.json combine
+# The four virtual-time sweeps (benchtab's doc comment says what each
+# varies): each prints the table EXPERIMENTS.md keeps, and writes no file.
+bench-faults bench-readahead bench-tracker bench-combine: bench-%:
+	go run ./cmd/benchtab $*
 
 .PHONY: tier1 tier2 scenarios scenarios-quick stats-smoke bench-wire bench bench-faults bench-readahead bench-tier bench-tracker bench-combine

@@ -4,38 +4,31 @@
 // Usage:
 //
 //	benchtab [-size f] [-spills n] [tab1|tab2|fig1a|fig1b|fig4|fig5|fig6|grepvar|failtab|ablate|all]
-//	benchtab [-out file.json] [-stats file.json] faults
-//	benchtab [-out file.json] [-stats file.json] readahead
-//	benchtab [-out BENCH_tracker.json] tracker
-//	benchtab [-out BENCH_combine.json] combine
+//	benchtab faults|readahead|tracker|combine
 //
 // -size scales the macro datasets (1.0 = the paper's 10 GB inputs).
 //
-// -stats threads one obs metrics registry through every cell of the
-// faults or readahead experiment and writes its aggregated snapshot
-// (spill outcomes, retries, fault injections, readahead hits) as JSON
-// alongside the BENCH report.
+// The four sweeps print one table each, none of them part of "all";
+// EXPERIMENTS.md keeps the tables and names the make target that
+// regenerates each.
 //
 // The faults experiment sweeps transport drop rates over the simulated
 // and the real-TCP wire transports, recording spill placement, retries,
-// and timing (checked in as BENCH_faults.json). Also not part of "all".
+// and timing.
 //
 // The readahead experiment sweeps the readahead window depth against
 // injected per-exchange latency over both transports, measuring
-// read-back throughput of a fully remote file (checked in as
-// BENCH_readahead.json). Also not part of "all".
+// read-back throughput of a fully remote file.
 //
 // The tracker experiment sweeps simulated cluster size under the
 // paper's full-poll free-space dissemination and under delta
 // dissemination, with identical churn, recording tracker messages per
-// node per second (checked in as BENCH_tracker.json). Also not part of
-// "all".
+// node per second.
 //
 // The combine experiment sweeps combining scope (none, per-task,
 // per-node, per-node with sponge-backed overflow) against key skew
 // over a wordcount and an algebraic Pig query, recording shuffle
-// volume, spill traffic, and runtime (checked in as
-// BENCH_combine.json). Also not part of "all".
+// volume, spill traffic, and runtime.
 package main
 
 import (
@@ -46,29 +39,13 @@ import (
 
 	"spongefiles/internal/bench"
 	"spongefiles/internal/media"
-	"spongefiles/internal/obs"
 )
 
-// flags are the command-line settings the BENCH_* experiments read.
-type flags struct {
-	out, stats string
-}
-
-// outcome is what one BENCH_* experiment hands back after printing its
-// banner and running: the table, and how to keep the report.
-type outcome struct {
-	header []string
-	rows   [][]string
-	// save writes the report to the -out path.
-	save func(path string) error
-	// stats is the registry the cells ran against, dumped under -stats.
-	stats *obs.Registry
-}
-
-// experiments are the BENCH_* producers, none of them part of "all".
+// experiments are the sweeps, none of them part of "all": each prints
+// its banner, runs, and returns its table.
 var experiments = []struct {
 	name string
-	run  func(flags) outcome
+	run  func() (header []string, rows [][]string)
 }{
 	{"faults", faults},
 	{"readahead", readahead},
@@ -79,9 +56,6 @@ var experiments = []struct {
 func main() {
 	size := flag.Float64("size", 1.0, "dataset scale factor (1.0 = paper size)")
 	spills := flag.Int("spills", 10000, "microbenchmark spill count")
-	var f flags
-	flag.StringVar(&f.out, "out", "", "write the experiment's JSON report to this file")
-	flag.StringVar(&f.stats, "stats", "", "write the experiment's metrics registry snapshot (JSON) to this file (faults, readahead)")
 	flag.Parse()
 	which := "all"
 	if flag.NArg() > 0 {
@@ -91,16 +65,7 @@ func main() {
 		if e.name != which {
 			continue
 		}
-		o := e.run(f)
-		fmt.Println(bench.FormatTable(o.header, o.rows))
-		if f.out != "" {
-			if err := o.save(f.out); err != nil {
-				fmt.Fprintf(os.Stderr, "-out %s: %v\n", f.out, err)
-				os.Exit(1)
-			}
-			fmt.Printf("report written to %s\n", f.out)
-		}
-		dumpStats(o.stats, f.stats)
+		fmt.Println(bench.FormatTable(e.run()))
 		return
 	}
 	ran := false
@@ -131,68 +96,32 @@ func main() {
 	}
 }
 
-// writeReport is the save of an experiment whose report is one file.
-func writeReport(report []byte) func(string) error {
-	return func(path string) error { return os.WriteFile(path, report, 0o644) }
-}
-
-func faults(f flags) outcome {
+func faults() ([]string, [][]string) {
 	cfg := bench.DefaultFaults()
-	if f.stats != "" {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	fmt.Printf("== Fault injection: spill placement vs exchange drop rate (%d workers, %d files x %d chunks, seed %d) ==\n",
 		cfg.Workers, cfg.Files, cfg.FileChunks, cfg.Seed)
-	cells := bench.RunFaults(cfg)
-	return outcome{header: bench.FaultsHeader, rows: bench.FaultsRows(cells),
-		save: writeReport(bench.FaultsJSON(cfg, cells)), stats: cfg.Metrics}
+	return bench.FaultsHeader, bench.FaultsRows(bench.RunFaults(cfg))
 }
 
-func readahead(f flags) outcome {
+func readahead() ([]string, [][]string) {
 	cfg := bench.DefaultReadAhead()
-	if f.stats != "" {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	fmt.Printf("== Readahead window: depth x injected exchange delay (%d workers, %d-chunk file, seed %d) ==\n",
 		cfg.Workers, cfg.FileChunks, cfg.Seed)
-	cells := bench.RunReadAhead(cfg)
-	return outcome{header: bench.ReadAheadHeader, rows: bench.ReadAheadRows(cells),
-		save: writeReport(bench.ReadAheadJSON(cfg, cells)), stats: cfg.Metrics}
+	return bench.ReadAheadHeader, bench.ReadAheadRows(bench.RunReadAhead(cfg))
 }
 
-func tracker(flags) outcome {
+func tracker() ([]string, [][]string) {
 	cfg := bench.DefaultTracker()
 	fmt.Printf("== Tracker dissemination at scale: full poll vs delta (%d s, %d churn ops/s) ==\n",
 		cfg.Seconds, cfg.ChurnPerSec)
-	cells := bench.RunTracker(cfg)
-	return outcome{header: bench.TrackerHeader, rows: bench.TrackerRows(cells),
-		save: writeReport(bench.TrackerJSON(cfg, cells))}
+	return bench.TrackerHeader, bench.TrackerRows(bench.RunTracker(cfg))
 }
 
-func combine(flags) outcome {
+func combine() ([]string, [][]string) {
 	cfg := bench.DefaultCombine()
 	fmt.Printf("== Combine scope: task vs node combining x skew (%d workers, %d records, vocab %d, zipf s=%.1f) ==\n",
 		cfg.Workers, cfg.Records, cfg.Vocab, cfg.ZipfS)
-	cells := bench.RunCombine(cfg)
-	return outcome{header: bench.CombineHeader, rows: bench.CombineRows(cells),
-		save: writeReport(bench.CombineJSON(cfg, cells))}
-}
-
-// dumpStats writes the sweep's aggregated registry snapshot as JSON.
-func dumpStats(reg *obs.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	snap, err := obs.SnapshotJSON(reg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, snap, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("metrics snapshot written to %s\n", path)
+	return bench.CombineHeader, bench.CombineRows(bench.RunCombine(cfg))
 }
 
 func table1(spills int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spongefiles/internal/cluster"
+	"spongefiles/internal/failure"
 	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/sponge"
@@ -68,7 +69,7 @@ func chunkRemoteCost(chunkVirtual int64, spills int) float64 {
 				if n > left {
 					n = left
 				}
-				h, err := remote.AllocWriteRemote(p, c.Nodes[0], agent.Task(), buf[:n])
+				h, err := remote.AllocWrite(p, c.Nodes[0], agent.Task(), buf[:n])
 				if err != nil {
 					panic(err)
 				}
@@ -248,26 +249,11 @@ func AffinityAblation() []AffinityRow {
 		rows = append(rows, AffinityRow{
 			Affinity:     aff,
 			MachinesUsed: machines,
-			FailureProb:  failureProb(machines),
+			// §4.3, at the paper's MTTF and a 120-minute task.
+			FailureProb: failure.TaskFailureProbability(machines, 120*simtime.Minute, failure.PaperMTTF()),
 		})
 	}
 	return rows
-}
-
-func failureProb(machines int) float64 {
-	const mttfMonths = 100.0
-	t := 120.0 / (60 * 24 * 30) // 120 minutes in months
-	return 1 - expNeg(float64(machines)*t/mttfMonths)
-}
-
-func expNeg(x float64) float64 {
-	// Small-x exp(-x) without importing math here.
-	sum, term := 1.0, 1.0
-	for i := 1; i < 12; i++ {
-		term *= -x / float64(i)
-		sum += term
-	}
-	return sum
 }
 
 // RackRow is one mode of the rack-locality ablation.

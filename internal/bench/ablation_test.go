@@ -76,11 +76,10 @@ func TestAffinityShrinksFailureSurface(t *testing.T) {
 	if with.FailureProb > without.FailureProb {
 		t.Fatal("failure probability should follow machine count")
 	}
-	// The analytic model must agree with the failure package's formula:
-	// P = 1 − e^(−10·(120 min in months)/100 months) ≈ 2.777e-4.
-	p := failureProb(10)
-	if math.Abs(p-2.777e-4) > 1e-6 {
-		t.Fatalf("failureProb(10) = %g", p)
+	// The column is §4.3's formula at the paper's parameters:
+	// P = 1 − e^(−N·(120 min in months)/100 months), 2.777e-5 a machine.
+	if p := with.FailureProb; math.Abs(p-2.777e-5*float64(with.MachinesUsed)) > 1e-6 {
+		t.Fatalf("P(task failure) over %d machines = %g", with.MachinesUsed, p)
 	}
 }
 

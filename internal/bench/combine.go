@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,10 +9,10 @@ import (
 	"spongefiles/internal/dfs"
 	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/media"
-	"spongefiles/internal/pig"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/spill"
 	"spongefiles/internal/sponge"
+	"spongefiles/internal/workload"
 )
 
 // CombineConfig selects the combine-scope sweep: three jobs (a
@@ -25,26 +24,27 @@ import (
 // records what each scope takes off the shuffle and what it costs.
 type CombineConfig struct {
 	// Workers is the simulated cluster size.
-	Workers int `json:"workers"`
+	Workers int
 	// Records is the wordcount corpus size; Vocab its key space.
-	Records int `json:"records"`
-	Vocab   int `json:"vocab"`
+	Records int
+	Vocab   int
 	// ZipfS is the skew exponent of the heavy-skew wordcount (s > 1).
-	ZipfS float64 `json:"zipfS"`
+	ZipfS float64
 	// PigTuples is the Pig domain-count corpus size.
-	PigTuples int `json:"pigTuples"`
+	PigTuples int
 	// BlockMB is the DFS block size in virtual MB — small enough that
 	// every node runs several co-located map tasks.
-	BlockMB int64 `json:"blockMB"`
+	BlockMB int64
 	// NCBufMB caps the shared node-combine buffer (virtual MB) in both
 	// node modes, sized so the buffer overflows and the overflow medium
 	// (disk versus sponge) is what the last two columns compare.
-	NCBufMB int64 `json:"ncBufMB"`
+	NCBufMB int64
 	// Seed drives the Zipf and domain generators.
-	Seed int64 `json:"seed"`
+	Seed int64
 }
 
-// DefaultCombine is the checked-in BENCH_combine.json configuration.
+// DefaultCombine is the configuration of EXPERIMENTS.md's combine-scope
+// table.
 func DefaultCombine() CombineConfig {
 	return CombineConfig{
 		Workers:   8,
@@ -66,23 +66,23 @@ var (
 
 // CombineCell is one (job, mode) measurement.
 type CombineCell struct {
-	Job  string `json:"job"`
-	Mode string `json:"mode"`
+	Job  string
+	Mode string
 	// RuntimeS is the job's virtual runtime.
-	RuntimeS float64 `json:"runtimeS"`
+	RuntimeS float64
 	// ShuffleVirtual is the reduce-side input volume (virtual bytes) —
 	// the number each combining scope is trying to shrink.
-	ShuffleVirtual int64 `json:"shuffleVirtualBytes"`
+	ShuffleVirtual int64
 	// MapSpillReal is the map tasks' spill traffic (real bytes).
-	MapSpillReal int64 `json:"mapSpillRealBytes"`
+	MapSpillReal int64
 	// Node-combine stage accounting (zero outside the node modes).
-	NCPublished   int64   `json:"ncPublished"`
-	NCBypassed    int64   `json:"ncBypassed"`
-	NCSavedBytes  int64   `json:"ncSavedBytes"`
-	NCOverflows   int64   `json:"ncOverflows"`
-	NCSpillReal   int64   `json:"ncSpillRealBytes"`
-	NCSpillChunks int64   `json:"ncSpillChunks"`
-	WallMs        float64 `json:"wallMs"`
+	NCPublished   int64
+	NCBypassed    int64
+	NCSavedBytes  int64
+	NCOverflows   int64
+	NCSpillReal   int64
+	NCSpillChunks int64
+	WallMs        float64
 }
 
 // RunCombine sweeps every job under every combining mode.
@@ -119,12 +119,16 @@ func runCombineCell(job, mode string, cfg CombineConfig) CombineCell {
 	switch job {
 	case "wordcount-zipf", "wordcount-uniform":
 		conf = combineWordJob(c, fs, cfg, job == "wordcount-zipf")
+		conf.SpillFactory = factory
 	case "pig-domain-count":
-		conf = combinePigJob(c, fs, ccfg.TaskHeap, cfg)
+		// The algebraic compile sets the fold as the combiner and enables
+		// node combining; the mode switch below strips those back off
+		// for the off/task cells.
+		q, _ := workload.DomainCount(c, fs, "combine-domains", cfg.PigTuples, cfg.Seed)
+		conf = q.Compile(ccfg.TaskHeap, factory)
 	default:
 		panic("bench: unknown combine job " + job)
 	}
-	conf.SpillFactory = factory
 	switch mode {
 	case "off":
 		conf.Combine = nil
@@ -169,110 +173,18 @@ func runCombineCell(job, mode string, cfg CombineConfig) CombineCell {
 // co-located map tasks either way; skew concentrates the recurrence on
 // the hot keys, which is where node-scoped combining pays most.
 func combineWordJob(c *cluster.Cluster, fs *dfs.DFS, cfg CombineConfig, zipf bool) mapreduce.JobConf {
-	const keyLen = 6 // "k%05d"
-	keys := make([]uint32, cfg.Records)
+	key := func(i int) int { return i % cfg.Vocab }
 	if zipf {
 		z := rand.NewZipf(rand.New(rand.NewSource(cfg.Seed)), cfg.ZipfS, 1, uint64(cfg.Vocab-1))
+		keys := make([]uint32, cfg.Records)
 		for i := range keys {
 			keys[i] = uint32(z.Uint64())
 		}
-	} else {
-		for i := range keys {
-			keys[i] = uint32(i % cfg.Vocab)
-		}
+		key = func(i int) int { return int(keys[i]) }
 	}
-
-	realRec := keyLen + 4 + 8 // key + uint32 count + record header
-	name := "/in/combine-words"
-	fs.AddExisting(name, c.Cfg.V(cfg.Records*realRec))
-	blocks := len(fs.Lookup(name).Blocks)
-	one := make([]byte, 4)
-	binary.LittleEndian.PutUint32(one, 1)
-	sum := func(vals *mapreduce.ValueIter) uint32 {
-		var total uint32
-		for {
-			v, ok := vals.Next()
-			if !ok {
-				return total
-			}
-			total += binary.LittleEndian.Uint32(v)
-		}
-	}
-	return mapreduce.JobConf{
-		Name: "combine-words",
-		Input: mapreduce.Input{
-			File: name,
-			MakeRecords: func(split int) mapreduce.RecordGen {
-				return func(emit mapreduce.Emit) {
-					per := cfg.Records / blocks
-					lo, hi := split*per, (split+1)*per
-					if split == blocks-1 {
-						hi = cfg.Records
-					}
-					for _, k := range keys[lo:hi] {
-						emit(nil, []byte(fmt.Sprintf("k%05d", k)))
-					}
-				}
-			},
-		},
-		Map: func(ctx *mapreduce.TaskContext, k, v []byte, emit mapreduce.Emit) {
-			emit(v[:keyLen], one)
-		},
-		Combine: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-			var out [4]byte
-			binary.LittleEndian.PutUint32(out[:], sum(vals))
-			emit(key, out[:])
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-			var out [4]byte
-			binary.LittleEndian.PutUint32(out[:], sum(vals))
-			emit(key, out[:])
-		},
-		NumReducers: cfg.Workers,
-	}
-}
-
-// combinePigJob compiles the algebraic domain-count query (GROUP BY
-// domain, COUNT) over a skewed corpus: one hot domain holds half the
-// tuples, the rest spread thin. The algebraic compile sets the fold as
-// the combiner and enables node combining; the mode switch in
-// runCombineCell then strips those back off for the off/task cells.
-func combinePigJob(c *cluster.Cluster, fs *dfs.DFS, heap int64, cfg CombineConfig) mapreduce.JobConf {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	blobs := make([][]byte, cfg.PigTuples)
-	totalReal := 0
-	for i := range blobs {
-		dom := "hot.com"
-		if rng.Intn(2) == 1 {
-			dom = fmt.Sprintf("d%d.com", 1+rng.Intn(40))
-		}
-		blobs[i] = pig.AppendTuple(nil, pig.Tuple{fmt.Sprintf("url%d", i), dom})
-		totalReal += len(blobs[i]) + 8
-	}
-	name := "/in/combine-domains"
-	fs.AddExisting(name, c.Cfg.V(totalReal))
-	blocks := len(fs.Lookup(name).Blocks)
-	q := &pig.GroupQuery{
-		Name: "combine-domains",
-		Input: mapreduce.Input{
-			File: name,
-			MakeRecords: func(split int) mapreduce.RecordGen {
-				return func(emit mapreduce.Emit) {
-					per := (len(blobs) + blocks - 1) / blocks
-					lo, hi := split*per, (split+1)*per
-					if hi > len(blobs) {
-						hi = len(blobs)
-					}
-					for _, b := range blobs[lo:hi] {
-						emit(nil, b)
-					}
-				}
-			},
-		},
-		GroupKey:  func(t pig.Cursor) string { return t.String(1) },
-		Algebraic: pig.CountFold(),
-	}
-	return q.Compile(heap, spill.DiskFactory())
+	conf := workload.KeyCount(c, fs, "combine-words", cfg.Records, key)
+	conf.NumReducers = cfg.Workers
+	return conf
 }
 
 // CombineHeader labels CombineRows' columns.
@@ -300,6 +212,3 @@ func CombineRows(cells []CombineCell) [][]string {
 	}
 	return out
 }
-
-// CombineJSON renders the cells as the BENCH_combine.json artifact.
-func CombineJSON(cfg CombineConfig, cells []CombineCell) []byte { return reportJSON(cfg, cells) }

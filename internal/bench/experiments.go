@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -256,19 +255,6 @@ func FormatTable(header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// reportJSON renders one BENCH_* experiment report: the configuration
-// it ran under and its measured cells, the one shape benchtab saves.
-func reportJSON(config, cells any) []byte {
-	b, err := json.MarshalIndent(struct {
-		Config any `json:"config"`
-		Cells  any `json:"cells"`
-	}{config, cells}, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
 }
 
 // HumanBytes formats virtual bytes compactly.

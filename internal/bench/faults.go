@@ -6,7 +6,6 @@ import (
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/media"
-	"spongefiles/internal/obs"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/sponge"
 	"spongefiles/internal/sponge/wire"
@@ -29,14 +28,10 @@ type FaultsConfig struct {
 	DropRates []float64
 	// Seed drives the deterministic fault stream.
 	Seed int64
-	// Metrics, when non-nil, is the obs registry every cell's sponge
-	// service (and fault wrapper) instruments itself into, so one
-	// snapshot aggregates the whole sweep. Nil keeps registries
-	// private. Simulated results are identical either way.
-	Metrics *obs.Registry
 }
 
-// DefaultFaults is the checked-in BENCH_faults.json configuration.
+// DefaultFaults is the configuration of EXPERIMENTS.md's fault-injection
+// table.
 func DefaultFaults() FaultsConfig {
 	return FaultsConfig{
 		Workers:    4,
@@ -49,26 +44,26 @@ func DefaultFaults() FaultsConfig {
 
 // FaultCell is one (transport, drop rate) measurement.
 type FaultCell struct {
-	Transport string  `json:"transport"`
-	DropRate  float64 `json:"dropRate"`
+	Transport string
+	DropRate  float64
 	// Chunk placement summed over every file of the run.
-	Chunks     int `json:"chunks"`
-	RemoteMem  int `json:"remoteMemChunks"`
-	DiskChunks int `json:"diskChunks"`
+	Chunks     int
+	RemoteMem  int
+	DiskChunks int
 	// SpillSuccess is the fraction of chunks that stayed in memory
 	// (local or remote) instead of degrading to disk.
-	SpillSuccess float64 `json:"spillSuccess"`
+	SpillSuccess float64
 	// Retries are lost exchanges re-sent by the retry loop; LostReads
 	// counts files whose read-back hit ErrChunkLost after the budget.
-	Retries   int `json:"retries"`
-	LostReads int `json:"lostReads"`
+	Retries   int
+	LostReads int
 	// Exchanges/Drops are the fault wrapper's counters.
-	Exchanges int64 `json:"exchanges"`
-	Drops     int64 `json:"drops"`
+	Exchanges int64
+	Drops     int64
 	// VirtualMs is simulated time (timeouts and backoff are charged
 	// there); WallMs is host time, where the TCP round trips live.
-	VirtualMs int64   `json:"virtualMs"`
-	WallMs    float64 `json:"wallMs"`
+	VirtualMs int64
+	WallMs    float64
 }
 
 // RunFaults sweeps the drop rates over both transports. Cells are
@@ -93,9 +88,7 @@ func runFaultCell(transport string, drop float64, cfg FaultsConfig) FaultCell {
 	sim := simtime.New()
 	defer sim.Close()
 	c := cluster.New(sim, ccfg)
-	scfg := sponge.DefaultConfig()
-	scfg.Metrics = cfg.Metrics
-	svc := sponge.Start(c, scfg)
+	svc := sponge.Start(c, sponge.DefaultConfig())
 
 	base, stopWire := svc.Transport(), func() {}
 	if transport == "wire" {
@@ -204,6 +197,3 @@ func FaultsRows(cells []FaultCell) [][]string {
 	}
 	return out
 }
-
-// FaultsJSON renders the cells as the BENCH_faults.json artifact.
-func FaultsJSON(cfg FaultsConfig, cells []FaultCell) []byte { return reportJSON(cfg, cells) }

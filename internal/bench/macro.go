@@ -15,7 +15,6 @@ import (
 	"spongefiles/internal/dfs"
 	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/media"
-	"spongefiles/internal/obs"
 	"spongefiles/internal/pig"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/spill"
@@ -79,11 +78,6 @@ type MacroConfig struct {
 	// prefetcher bit for bit (the equivalence tests pin this against
 	// recorded seed results).
 	ReadAheadDepth int
-	// Metrics, when non-nil, is the obs registry the cell's sponge
-	// service instruments itself into (benchtab's -stats snapshot); nil
-	// gives the service a private registry. Instrumentation is always
-	// on and changes no simulated result either way.
-	Metrics *obs.Registry
 }
 
 // MacroResult is one macrobenchmark run's outcome.
@@ -168,7 +162,6 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	scfg.ReadAheadDepth = mc.ReadAheadDepth
 	scfg.RemoteDisabled = mc.RemoteDisabled
 	scfg.Remote = dfs.NewSpillStore(fs)
-	scfg.Metrics = mc.Metrics
 	svc := sponge.Start(c, scfg)
 
 	factory := spill.DiskFactory()

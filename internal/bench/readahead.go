@@ -6,7 +6,6 @@ import (
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/media"
-	"spongefiles/internal/obs"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/sponge"
 )
@@ -36,13 +35,10 @@ type ReadAheadConfig struct {
 	// Seed drives the fault transport (which injects no faults here, only
 	// delay, but keeps its deterministic stream).
 	Seed int64
-	// Metrics, when non-nil, is the obs registry every cell's sponge
-	// service instruments itself into, so one snapshot aggregates the
-	// whole sweep. Nil keeps registries private.
-	Metrics *obs.Registry
 }
 
-// DefaultReadAhead is the checked-in BENCH_readahead.json configuration.
+// DefaultReadAhead is the configuration of EXPERIMENTS.md's readahead
+// table.
 func DefaultReadAhead() ReadAheadConfig {
 	return ReadAheadConfig{
 		Workers:    4,
@@ -55,23 +51,23 @@ func DefaultReadAhead() ReadAheadConfig {
 
 // ReadAheadCell is one (transport, delay, depth) measurement.
 type ReadAheadCell struct {
-	Transport string `json:"transport"`
-	DelayMs   int    `json:"delayMs"`
-	Depth     int    `json:"depth"`
+	Transport string
+	DelayMs   int
+	Depth     int
 	// Chunks and RemoteMem confirm the intended placement: every
 	// measured chunk should be remote memory.
-	Chunks    int `json:"chunks"`
-	RemoteMem int `json:"remoteMemChunks"`
+	Chunks    int
+	RemoteMem int
 	// ReadVirtualMs is the virtual time the sequential read-back took;
 	// ThroughputMBs is virtual file megabytes over that time.
-	ReadVirtualMs float64 `json:"readVirtualMs"`
-	ThroughputMBs float64 `json:"throughputMBs"`
+	ReadVirtualMs float64
+	ThroughputMBs float64
 	// Speedup is this cell's read throughput over the depth-1 cell of the
 	// same transport and delay.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// WallMs is host time for the whole cell (the TCP round trips live
 	// here on the wire transport).
-	WallMs float64 `json:"wallMs"`
+	WallMs float64
 }
 
 // RunReadAhead sweeps depth × injected delay over both transports. Cells
@@ -113,7 +109,6 @@ func runReadAheadCell(transport string, delayMs, depth int, cfg ReadAheadConfig)
 	c := cluster.New(sim, ccfg)
 	scfg := sponge.DefaultConfig()
 	scfg.ReadAheadDepth = depth
-	scfg.Metrics = cfg.Metrics
 	svc := sponge.Start(c, scfg)
 
 	base, stopWire := svc.Transport(), func() {}
@@ -203,6 +198,3 @@ func ReadAheadRows(cells []ReadAheadCell) [][]string {
 	}
 	return out
 }
-
-// ReadAheadJSON renders the cells as the BENCH_readahead.json artifact.
-func ReadAheadJSON(cfg ReadAheadConfig, cells []ReadAheadCell) []byte { return reportJSON(cfg, cells) }

@@ -129,7 +129,7 @@ func table1Medium(medium, spills int) float64 {
 			buf := make([]byte, oneMBReal)
 			remote := svc.Servers[1]
 			for i := 0; i < spills; i++ {
-				h, err := remote.AllocWriteRemote(p, node, agent.Task(), buf)
+				h, err := remote.AllocWrite(p, node, agent.Task(), buf)
 				if err != nil {
 					panic(err)
 				}

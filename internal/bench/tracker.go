@@ -22,19 +22,19 @@ import (
 // with churn (plus cluster/AntiEntropy) instead of cluster size.
 type TrackerConfig struct {
 	// Nodes is the sweep of simulated cluster sizes.
-	Nodes []int `json:"nodes"`
+	Nodes []int
 	// Seconds is each cell's virtual running time after the warm-up
 	// tick.
-	Seconds int `json:"seconds"`
+	Seconds int
 	// ChurnPerSec is how many alloc-or-free operations the churn driver
 	// issues per virtual second, spread round-robin over the cluster —
 	// the knob that decouples activity from cluster size.
-	ChurnPerSec int `json:"churnPerSec"`
+	ChurnPerSec int
 	// AntiEntropyEvery is the delta mode's full-poll period in cycles.
-	AntiEntropyEvery int `json:"antiEntropyEvery"`
+	AntiEntropyEvery int
 }
 
-// DefaultTracker is the checked-in BENCH_tracker.json configuration:
+// DefaultTracker is the configuration of EXPERIMENTS.md's tracker table:
 // 100- and 1000-node clusters under identical churn.
 func DefaultTracker() TrackerConfig {
 	return TrackerConfig{
@@ -47,27 +47,27 @@ func DefaultTracker() TrackerConfig {
 
 // TrackerCell is one (mode, cluster size) measurement.
 type TrackerCell struct {
-	Mode  string `json:"mode"` // "poll" or "delta"
-	Nodes int    `json:"nodes"`
+	Mode  string // "poll" or "delta"
+	Nodes int
 	// PollMsgs counts per-server Stat exchanges (full polls and, under
 	// delta, the anti-entropy sweeps); DeltaMsgs counts server-pushed
 	// incremental reports. Msgs is their sum — every tracker-bound
 	// message on the control plane.
-	PollMsgs  int64 `json:"pollMsgs"`
-	DeltaMsgs int64 `json:"deltaMsgs"`
-	Msgs      int64 `json:"trackerMsgs"`
+	PollMsgs  int64
+	DeltaMsgs int64
+	Msgs      int64
 	// PerNodePerSec normalises Msgs by cluster size and virtual
 	// duration — the acceptance number: delta mode's value must stay
 	// well under full polling's 1.0 as the cluster grows.
-	PerNodePerSec float64 `json:"msgsPerNodePerSec"`
+	PerNodePerSec float64
 	// Snapshot-entry refreshes by source, and stale delta drops.
-	UpdatesFull  int64 `json:"updatesFull"`
-	UpdatesDelta int64 `json:"updatesDelta"`
-	StaleDeltas  int64 `json:"staleDeltas"`
+	UpdatesFull  int64
+	UpdatesDelta int64
+	StaleDeltas  int64
 	// Polls is how many full sweep cycles the tracker completed.
-	Polls    int64   `json:"polls"`
-	VirtualS float64 `json:"virtualS"`
-	WallMs   float64 `json:"wallMs"`
+	Polls    int64
+	VirtualS float64
+	WallMs   float64
 }
 
 // RunTracker sweeps cluster sizes under both dissemination modes.
@@ -118,11 +118,11 @@ func runTrackerCell(mode string, nodes int, cfg TrackerConfig) TrackerCell {
 					next = 1
 				}
 				if h, ok := handles[n]; ok {
-					svc.Servers[n].FreeRemote(p, c.Nodes[0], h)
+					svc.Servers[n].Free(p, c.Nodes[0], h)
 					delete(handles, n)
 					continue
 				}
-				h, err := svc.Servers[n].AllocWriteRemote(p, c.Nodes[0], owner, data)
+				h, err := svc.Servers[n].AllocWrite(p, c.Nodes[0], owner, data)
 				if err != nil {
 					panic(fmt.Sprintf("bench: tracker churn alloc on node %d: %v", n, err))
 				}
@@ -173,6 +173,3 @@ func TrackerRows(cells []TrackerCell) [][]string {
 	}
 	return out
 }
-
-// TrackerJSON renders the cells as the BENCH_tracker.json artifact.
-func TrackerJSON(cfg TrackerConfig, cells []TrackerCell) []byte { return reportJSON(cfg, cells) }

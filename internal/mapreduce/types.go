@@ -94,60 +94,28 @@ func (s *memStream) value() []byte { return s.v }
 // fileStream iterates a serialized spill file with buffered reads, so
 // I/O is charged in large operations rather than per record.
 type fileStream struct {
-	f    spill.File
-	buf  []byte
-	fill int
-	off  int
-	eof  bool
+	spill.RunReader
 	k, v []byte
 }
 
-// streamBufReal is the read granularity of spill-file streams.
-const streamBufReal = 64 << 10
+// streamBufReal is the read and write granularity of spill-file streams.
+const streamBufReal = spill.RunBufReal
 
 func newFileStream(f spill.File) *fileStream {
-	return &fileStream{f: f, buf: make([]byte, 0, streamBufReal)}
-}
-
-// refill ensures at least need unconsumed bytes are buffered (compacting
-// the consumed prefix first), reporting false at end of stream.
-func (s *fileStream) refill(p *simtime.Proc, need int) bool {
-	if s.off > 0 {
-		copy(s.buf[:cap(s.buf)], s.buf[s.off:s.fill])
-		s.fill -= s.off
-		s.off = 0
-	}
-	for s.fill < need && !s.eof {
-		if cap(s.buf) < need {
-			grown := make([]byte, s.fill, need+streamBufReal)
-			copy(grown, s.buf[:s.fill])
-			s.buf = grown
-		}
-		s.buf = s.buf[:cap(s.buf)]
-		n, err := s.f.Read(p, s.buf[s.fill:])
-		if err != nil {
-			panic(err) // surfaced via task failure in the engine wrapper
-		}
-		if n == 0 {
-			s.eof = true
-		}
-		s.fill += n
-	}
-	s.buf = s.buf[:s.fill]
-	return s.fill >= need
+	return &fileStream{RunReader: spill.NewRunReader(f, streamBufReal, nil)}
 }
 
 func (s *fileStream) next(p *simtime.Proc) bool {
-	if s.fill-s.off < recHeader && !s.refill(p, recHeader) {
+	if !s.Need(p, recHeader) {
 		return false
 	}
-	kl := int(binary.LittleEndian.Uint32(s.buf[s.off : s.off+4]))
-	vl := int(binary.LittleEndian.Uint32(s.buf[s.off+4 : s.off+8]))
-	total := recHeader + kl + vl
-	if s.fill-s.off < total && !s.refill(p, total) {
+	w := s.Window()
+	total := recHeader + int(binary.LittleEndian.Uint32(w[0:4])) + int(binary.LittleEndian.Uint32(w[4:8]))
+	if !s.Need(p, total) {
 		panic("mapreduce: truncated record in spill")
 	}
-	s.k, s.v, s.off = decodeRecord(s.buf, s.off)
+	s.k, s.v, _ = decodeRecord(s.Window(), 0)
+	s.Skip(total)
 	return true
 }
 

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -99,17 +97,6 @@ func ParseText(text string) (map[string]int64, error) {
 	return out, nil
 }
 
-// SnapshotJSON renders the registry snapshot as a sorted JSON object of
-// series id -> value, for dumping alongside BENCH json files.
-func SnapshotJSON(r *Registry) ([]byte, error) {
-	samples := r.Snapshot()
-	m := make(map[string]int64, len(samples))
-	for _, s := range samples {
-		m[s.ID] = s.Value
-	}
-	return json.MarshalIndent(m, "", "  ") // json sorts object keys
-}
-
 // MergeSamples sums several parsed scrapes into one series id -> value
 // map. Counters from different nodes add; for the scenario harness's
 // merged evidence the producers keep their series disjoint (sponge_* on
@@ -123,17 +110,4 @@ func MergeSamples(maps ...map[string]int64) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// MatchPrefix returns the ids in samples whose bare metric name starts
-// with prefix, sorted. A convenience for tests and filtering.
-func MatchPrefix(samples map[string]int64, prefix string) []string {
-	var ids []string
-	for id := range samples {
-		if strings.HasPrefix(id, prefix) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }

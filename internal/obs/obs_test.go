@@ -160,20 +160,6 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(1)
-	r.Gauge("b").Set(2)
-	js, err := SnapshotJSON(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(js)
-	if !strings.Contains(s, `"a": 1`) || !strings.Contains(s, `"b": 2`) {
-		t.Fatalf("json: %s", s)
-	}
-}
-
 func TestRenderNodeTable(t *testing.T) {
 	nodes := []NodeSamples{
 		{Name: "n1", Samples: map[string]int64{"hits": 3, "misses": 1}},

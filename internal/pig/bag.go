@@ -292,66 +292,28 @@ func (b *Bag) consolidate(p *simtime.Proc) {
 
 // runIter reads tuples from one spill file with buffered reads.
 type runIter struct {
-	f    spill.File
-	buf  []byte
-	fill int
-	off  int
-	eof  bool
-	cur  Cursor  // valid until the next call to next
-	key  float64 // cur's sort key, kept by mergeIter
-}
-
-const runBufReal = 64 << 10
-
-// refill ensures at least need unconsumed bytes are buffered (compacting
-// the consumed prefix first), reporting false at end of stream.
-func (r *runIter) refill(p *simtime.Proc, need int) bool {
-	if r.off > 0 {
-		copy(r.buf[:cap(r.buf)], r.buf[r.off:r.fill])
-		r.fill -= r.off
-		r.off = 0
-	}
-	for r.fill < need && !r.eof {
-		if cap(r.buf) < need {
-			grown := make([]byte, r.fill, need+runBufReal)
-			copy(grown, r.buf[:r.fill])
-			r.buf = grown
-		}
-		r.buf = r.buf[:cap(r.buf)]
-		n, err := r.f.Read(p, r.buf[r.fill:])
-		if err != nil {
-			panic(err)
-		}
-		if n == 0 {
-			r.eof = true
-		}
-		r.fill += n
-	}
-	r.buf = r.buf[:r.fill]
-	return r.fill >= need
+	spill.RunReader
+	cur Cursor  // valid until the next call to next
+	key float64 // cur's sort key, kept by mergeIter
 }
 
 // newRunIter reads f through reuse's backing array when it is big
 // enough. The buffer always starts at the same capacity, because the
 // capacity sets the size of each read and so what the medium charges.
 func newRunIter(f spill.File, reuse []byte) runIter {
-	const initial = 4 + runBufReal
-	if cap(reuse) < initial {
-		reuse = make([]byte, 0, initial)
-	}
-	return runIter{f: f, buf: reuse[:0:initial]}
+	return runIter{RunReader: spill.NewRunReader(f, 4+spill.RunBufReal, reuse)}
 }
 
 func (r *runIter) next(p *simtime.Proc) bool {
-	if r.fill-r.off < 4 && !r.refill(p, 4) {
+	if !r.Need(p, 4) {
 		return false
 	}
-	n := int(binary.LittleEndian.Uint32(r.buf[r.off:]))
-	if r.fill-r.off < 4+n && !r.refill(p, 4+n) {
+	n := int(binary.LittleEndian.Uint32(r.Window()))
+	if !r.Need(p, 4+n) {
 		panic("pig: truncated tuple in bag run")
 	}
-	r.cur = mustScan(r.buf[r.off+4 : r.off+4+n])
-	r.off += 4 + n
+	r.cur = mustScan(r.Window()[4 : 4+n])
+	r.Skip(4 + n)
 	return true
 }
 
@@ -360,18 +322,19 @@ type chainIter struct {
 	b      *Bag
 	runIdx int
 	cur    runIter
+	open   bool // cur is reading runs[runIdx]
 	memIdx int
 }
 
 func (c *chainIter) Next(p *simtime.Proc) (Cursor, bool) {
 	for c.runIdx < len(c.b.runs) {
-		if c.cur.f == nil {
-			c.cur = newRunIter(c.b.runs[c.runIdx], c.cur.buf)
+		if !c.open {
+			c.cur, c.open = newRunIter(c.b.runs[c.runIdx], c.cur.Buffer()), true
 		}
 		if c.cur.next(p) {
 			return c.cur.cur, true
 		}
-		c.cur.f = nil
+		c.open = false
 		c.runIdx++
 	}
 	if c.memIdx < len(c.b.recs) {

@@ -288,6 +288,11 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 	for _, msg := range rc.faultErrs {
 		failf("%s", msg)
 	}
+	// Teardown invariant, every case, asserted or not: with the workload
+	// over, every chunk buffer is back in the service's pool.
+	if out := svc.BufPoolStats().Outstanding(); out != 0 {
+		failf("leak: the case ends with %d chunk buffers outstanding, want 0", out)
+	}
 
 	// Evidence: the parent registry (sponge_*, mr_*, scenario_*) merged
 	// with every live child's wire scrape (spongewire_*) — the producers

@@ -118,7 +118,7 @@ func SeedSuite() Suite {
 					{Phase: PhasePostDelete, Op: OpLeaveNode, Node: 2},
 					{Phase: PhasePostDelete, Op: OpJoinNode},
 				},
-				Workload: SpillWorkload{MB: 16, Delete: true},
+				Workload: SpillWorkload{MB: 16},
 				Assert: with(
 					Assertion{Metric: "sponge_membership_epoch", Op: ">=", Value: 2},
 					Assertion{Metric: `sponge_membership_changes_total{kind="leave"}`, Op: ">=", Value: 1},

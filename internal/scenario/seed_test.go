@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"regexp"
+	"strings"
 	"testing"
 
 	"spongefiles/internal/cluster"
@@ -124,5 +125,39 @@ func TestRunCaseEndToEnd(t *testing.T) {
 	}
 	if len(cr.Artifacts) != 3 {
 		t.Errorf("want 3 child address artifacts, got %v", cr.Artifacts)
+	}
+}
+
+// leakyWorkload spills a file past every pool — one local chunk, one in
+// the child's pool, the rest on the disk fallback, whose chunks carry
+// their payload in service buffers — and walks away without deleting it.
+type leakyWorkload struct{}
+
+func (leakyWorkload) Name() string { return "leaky" }
+
+func (leakyWorkload) Run(rc *RunContext, p *simtime.Proc) error {
+	agent := rc.Svc.NewAgent(rc.Cluster.Nodes[0])
+	defer agent.Close()
+	f := agent.Create(p, "leaky")
+	if err := f.Write(p, make([]byte, 4*rc.Svc.ChunkReal())); err != nil {
+		return err
+	}
+	return f.Close(p)
+}
+
+// The runner's other teardown invariant: a case whose assertions all
+// hold still fails when its service ends with chunk buffers out.
+func TestRunCaseFailsOnOutstandingBuffers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	cr := RunCase(Case{
+		Name:     "leaky",
+		Spec:     Spec{Nodes: 1, PoolChunks: 1, LocalChunks: 1},
+		Workload: leakyWorkload{},
+		Assert:   []Assertion{{Metric: "scenario_workload_ok", Op: "==", Value: 1}},
+	}, RunOptions{})
+	if cr.Pass || len(cr.Failures) != 1 || !strings.Contains(cr.Failures[0], "2 chunk buffers outstanding") {
+		t.Fatalf("pass = %v, failures = %q; want the one buffer leak", cr.Pass, cr.Failures)
 	}
 }

@@ -4,8 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"sort"
+	"maps"
 
 	"spongefiles/internal/dfs"
 	"spongefiles/internal/mapreduce"
@@ -13,6 +12,7 @@ import (
 	"spongefiles/internal/pig"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/spill"
+	"spongefiles/internal/workload"
 )
 
 // Workload drives one case's job against the cluster. Run executes on
@@ -29,16 +29,13 @@ type Workload interface {
 // SpillWorkload is the paper's core loop as a scenario workload: write
 // a patterned payload through a SpongeFile whose local pool is too
 // small to hold it (forcing the allocator chain across the real child
-// servers), read it back, and compare digests. Phases fired in order:
-// pre-write, mid-write, post-write, mid-read, post-read, and — when
-// Delete is set — post-delete after the file is deleted.
+// servers), read it back, compare digests, and delete it. Phases fired
+// in order: pre-write, mid-write, post-write, mid-read, post-read, and
+// post-delete once every chunk is freed (membership cases hang
+// drain-dependent events there).
 type SpillWorkload struct {
 	// MB is the virtual payload size (default 32).
 	MB int64
-	// Delete removes the file after verification (freeing every chunk)
-	// and then fires the post-delete phase; membership cases hang
-	// drain-dependent events there.
-	Delete bool
 }
 
 // Name implements Workload.
@@ -95,10 +92,8 @@ func (w SpillWorkload) Run(rc *RunContext, p *simtime.Proc) error {
 	h.Sum(sum[:0])
 	rc.SetDigestMatch(got == len(data) && sum == want)
 	rc.Phase(p, PhasePostRead)
-	if w.Delete {
-		f.Delete(p)
-		rc.Phase(p, PhasePostDelete)
-	}
+	f.Delete(p)
+	rc.Phase(p, PhasePostDelete)
 	if got != len(data) {
 		return fmt.Errorf("short read: %d of %d bytes", got, len(data))
 	}
@@ -145,67 +140,17 @@ func (w WordCountWorkload) Run(rc *RunContext, p *simtime.Proc) error {
 	if vocab <= 0 {
 		vocab = 2000
 	}
-	reducers := w.Reducers
-	if reducers <= 0 {
-		reducers = 2
-	}
-	const keyLen = 6
 	c := rc.Cluster
 	fs := dfs.New(c)
 	fs.BlockVirtual = 16 * media.MB // several map tasks per node
 	eng := mapreduce.NewEngine(c, fs)
-	realRec := keyLen + 4 + 8 // key + uint32 value + record header
-	fs.AddExisting("/in/scenario-wordcount", c.Cfg.V(records*realRec))
-	blocks := len(fs.Lookup("/in/scenario-wordcount").Blocks)
-	one := make([]byte, 4)
-	binary.LittleEndian.PutUint32(one, 1)
-	sum := func(vals *mapreduce.ValueIter) uint32 {
-		var total uint32
-		for {
-			v, ok := vals.Next()
-			if !ok {
-				return total
-			}
-			total += binary.LittleEndian.Uint32(v)
-		}
+	conf := workload.KeyCount(c, fs, "scenario-"+rc.Case.Name, records, func(i int) int { return i % vocab })
+	conf.NumReducers = w.Reducers
+	if conf.NumReducers <= 0 {
+		conf.NumReducers = 2
 	}
-	// counts[key] is set (not added) by the reduce, so a retried
-	// attempt overwrites its predecessor's partial output instead of
-	// double counting.
-	counts := make(map[string]int64, vocab)
-	conf := mapreduce.JobConf{
-		Name: "scenario-" + rc.Case.Name,
-		Input: mapreduce.Input{
-			File: "/in/scenario-wordcount",
-			MakeRecords: func(split int) mapreduce.RecordGen {
-				return func(emit mapreduce.Emit) {
-					per := records / blocks
-					lo, hi := split*per, (split+1)*per
-					if split == blocks-1 {
-						hi = records
-					}
-					for i := lo; i < hi; i++ {
-						emit(nil, []byte(fmt.Sprintf("k%05d", i%vocab)))
-					}
-				}
-			},
-		},
-		Map: func(ctx *mapreduce.TaskContext, k, v []byte, emit mapreduce.Emit) {
-			emit(v[:keyLen], one)
-		},
-		Combine: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-			var out [4]byte
-			binary.LittleEndian.PutUint32(out[:], sum(vals))
-			emit(key, out[:])
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-			counts[string(key)] = int64(sum(vals))
-			emit(key, nil)
-		},
-		NumReducers:  reducers,
-		SpillFactory: spill.SpongeFactory(rc.Svc),
-		Metrics:      rc.Reg,
-	}
+	conf.SpillFactory = spill.SpongeFactory(rc.Svc)
+	conf.Metrics = rc.Reg
 	if w.NodeCombine {
 		conf.NodeCombine = true
 		conf.NodeCombineVirtual = w.CombineVirtual
@@ -213,26 +158,40 @@ func (w WordCountWorkload) Run(rc *RunContext, p *simtime.Proc) error {
 			conf.NodeCombineVirtual = 4 * media.MB
 		}
 	}
+	want := make(map[string]int64, vocab)
+	for k := 0; k < vocab; k++ {
+		n := int64(records / vocab)
+		if k < records%vocab {
+			n++
+		}
+		want[workload.CountKey(k)] = n
+	}
+	got := tallyReduce(&conf, func(v []byte) int64 { return int64(binary.LittleEndian.Uint32(v)) })
 	rc.Phase(p, PhasePreWrite)
 	res := eng.Submit(conf).Wait(p)
 	if res.Failed {
 		rc.SetDigestMatch(false)
 		return fmt.Errorf("wordcount job failed")
 	}
-	match := len(counts) == vocab
-	for k := 0; k < vocab; k++ {
-		want := int64(records / vocab)
-		if k < records%vocab {
-			want++
-		}
-		if counts[fmt.Sprintf("k%05d", k)] != want {
-			match = false
-			break
-		}
-	}
-	rc.SetDigestMatch(match)
+	rc.SetDigestMatch(maps.Equal(got, want))
 	rc.Phase(p, PhasePostRead)
 	return nil
+}
+
+// tallyReduce wraps conf's reduce so that the count it emits for each
+// key also lands in the returned map — set, not added, so a retried
+// attempt overwrites its predecessor's partial output instead of double
+// counting.
+func tallyReduce(conf *mapreduce.JobConf, count func(v []byte) int64) map[string]int64 {
+	got := make(map[string]int64)
+	inner := conf.Reduce
+	conf.Reduce = func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
+		inner(ctx, key, vals, func(k, v []byte) {
+			got[string(k)] = count(v)
+			emit(k, v)
+		})
+	}
+	return got
 }
 
 // PigWorkload runs the algebraic domain-count Pig query (GROUP BY
@@ -268,81 +227,21 @@ func (w PigWorkload) Run(rc *RunContext, p *simtime.Proc) error {
 	fs := dfs.New(c)
 	fs.BlockVirtual = 16 * media.MB
 	eng := mapreduce.NewEngine(c, fs)
-
-	rng := rand.New(rand.NewSource(seed))
-	blobs := make([][]byte, tuples)
-	want := make(map[string]int64)
-	totalReal := 0
-	for i := range blobs {
-		dom := "hot.com"
-		if rng.Intn(2) == 1 {
-			dom = fmt.Sprintf("d%d.com", 1+rng.Intn(40))
-		}
-		want[dom]++
-		blobs[i] = pig.AppendTuple(nil, pig.Tuple{fmt.Sprintf("url%d", i), dom})
-		totalReal += len(blobs[i]) + 8
-	}
-	name := "/in/scenario-domains"
-	fs.AddExisting(name, c.Cfg.V(totalReal))
-	blocks := len(fs.Lookup(name).Blocks)
-	q := &pig.GroupQuery{
-		Name: "scenario-" + rc.Case.Name,
-		Input: mapreduce.Input{
-			File: name,
-			MakeRecords: func(split int) mapreduce.RecordGen {
-				return func(emit mapreduce.Emit) {
-					per := (len(blobs) + blocks - 1) / blocks
-					lo, hi := split*per, (split+1)*per
-					if hi > len(blobs) {
-						hi = len(blobs)
-					}
-					for _, b := range blobs[lo:hi] {
-						emit(nil, b)
-					}
-				}
-			},
-		},
-		GroupKey:  func(t pig.Cursor) string { return t.String(1) },
-		Algebraic: pig.CountFold(),
-	}
+	q, want := workload.DomainCount(c, fs, "scenario-"+rc.Case.Name, tuples, seed)
 	conf := q.Compile(1*media.GB, spill.SpongeFactory(rc.Svc))
 	conf.Metrics = rc.Reg
 	conf.NodeCombineVirtual = w.CombineVirtual
 	if conf.NodeCombineVirtual <= 0 {
 		conf.NodeCombineVirtual = 2 * media.MB
 	}
-	// Capture the final per-group counts off the compiled reduce;
-	// set-semantics keeps a retried reduce attempt from double
-	// counting.
-	got := make(map[string]int64)
-	innerReduce := conf.Reduce
-	conf.Reduce = func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
-		innerReduce(ctx, key, vals, func(k, v []byte) {
-			got[string(k)] = pig.DecodeTuple(v).Int(0)
-			emit(k, v)
-		})
-	}
+	got := tallyReduce(&conf, func(v []byte) int64 { return pig.DecodeTuple(v).Int(0) })
 	rc.Phase(p, PhasePreWrite)
 	res := eng.Submit(conf).Wait(p)
 	if res.Failed {
 		rc.SetDigestMatch(false)
 		return fmt.Errorf("pig job failed")
 	}
-	match := len(got) == len(want)
-	if match {
-		keys := make([]string, 0, len(want))
-		for k := range want {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if got[k] != want[k] {
-				match = false
-				break
-			}
-		}
-	}
-	rc.SetDigestMatch(match)
+	rc.SetDigestMatch(maps.Equal(got, want))
 	rc.Phase(p, PhasePostRead)
 	return nil
 }

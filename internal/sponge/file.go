@@ -299,19 +299,8 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 
 	f.outstanding++
 	if f.asyncSlots == nil {
-		// Synchronous configuration.
-		f.outstanding--
-		ref, retries := f.spillNonLocal(p, payload)
-		ref.size = n
-		ref.nonce = nonce
-		f.chunks[idx] = ref
-		f.stats.ByKind[ref.kind]++
-		m.spill[ref.kind].Inc()
-		m.event(obs.EvAlloc, int8(ref.kind), refNode(&ref), idx, retries)
-		m.event(obs.EvWrite, int8(ref.kind), refNode(&ref), idx, retries)
-		if ref.data == nil {
-			f.agent.svc.putBuf(payload)
-		}
+		// Synchronous configuration: the task itself is the writer.
+		write(p)
 		return nil
 	}
 	f.asyncSlots.Acquire(p) // bounds buffering; blocks when pipeline is full

@@ -314,6 +314,39 @@ func TestGCSparesLiveTasks(t *testing.T) {
 	r.sim.MustRun()
 }
 
+// A reclaim that beats the owner's Delete — a GC sweep after the agent
+// closed, a quota sweep — leaves the file holding a stale remote handle.
+// The simulated peer answers that free the way the wire server does,
+// with a status the file ignores, not with the pool's double-free panic.
+func TestDeleteAfterRemoteChunkReclaimed(t *testing.T) {
+	r := newRig(t, 2, 4, nil)
+	r.sim.Spawn("task", func(p *simtime.Proc) {
+		agent := r.svc.NewAgent(r.c.Nodes[0])
+		defer agent.Close()
+		f := agent.Create(p, "reclaimed")
+		if err := f.Write(p, pattern(5*r.svc.ChunkReal(), 9)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if st := f.Stats(); st.ByKind[RemoteMem] != 1 {
+			t.Errorf("remote chunks = %d, want 1: %+v", st.ByKind[RemoteMem], st)
+		}
+		if n := r.svc.Servers[1].Pool().FreeOwnedBy(agent.Task()); n != 1 {
+			t.Errorf("reclaimed %d chunks behind the file's back, want 1", n)
+		}
+		f.Delete(p)
+	})
+	r.sim.MustRun()
+	if free := r.svc.TotalFreeChunks(); free != 8 {
+		t.Errorf("free = %d of 8 after delete", free)
+	}
+	if out := r.svc.BufPoolStats().Outstanding(); out != 0 {
+		t.Errorf("%d buffers outstanding after delete", out)
+	}
+}
+
 func TestStaleTrackerFallsBackGracefully(t *testing.T) {
 	// Two tasks race for the same remote pool: the tracker's snapshot
 	// says both can use node 1, but it only fits 2 chunks; the loser

@@ -10,6 +10,9 @@ import (
 // memory tracker, serves allocation/read/write requests from remote
 // SpongeFiles, answers liveness queries about local tasks, and runs a
 // periodic garbage collection that frees chunks owned by dead tasks.
+//
+// It is the simulated Peer: the five remote operations are its methods,
+// each charging the exchange's network cost in virtual time.
 type Server struct {
 	svc  *Service
 	node *cluster.Node
@@ -41,14 +44,14 @@ func (s *Server) RegisterTask(pid int64) { s.live[pid] = true }
 // UnregisterTask marks a local task dead (normal exit or kill).
 func (s *Server) UnregisterTask(pid int64) { delete(s.live, pid) }
 
-// TaskAlive reports whether a local PID is registered.
-func (s *Server) TaskAlive(pid int64) bool { return s.live[pid] }
+// taskAlive reports whether a local PID is registered.
+func (s *Server) taskAlive(pid int64) bool { return s.live[pid] }
 
 // FreeChunks returns the pool's current free chunk count (what the
 // server exports to the tracker).
 func (s *Server) FreeChunks() int { return s.pool.Free() }
 
-// --- Remote operations -------------------------------------------------
+// --- Remote operations (Peer) -----------------------------------------
 //
 // Each remote operation is invoked by a task running on another node and
 // charges the network cost of the exchange: a small control message both
@@ -59,11 +62,11 @@ func (s *Server) FreeChunks() int { return s.pool.Free() }
 
 const ctlBytes = 256 // real bytes of a control message at scale 1:1
 
-// AllocWriteRemote allocates a chunk for owner and stores data in it, all
-// in one exchange from the caller's node. On success it returns the chunk
+// AllocWrite allocates a chunk for owner and stores data in it, all in
+// one exchange from the caller's node. On success it returns the chunk
 // handle. On a full pool the caller has wasted only a control round trip
 // (the stale-free-list case of §3.1.1).
-func (s *Server) AllocWriteRemote(p *simtime.Proc, from *cluster.Node, owner TaskID, data []byte) (int, error) {
+func (s *Server) AllocWrite(p *simtime.Proc, from *cluster.Node, owner TaskID, data []byte) (int, error) {
 	if s.pool.Failed() {
 		return 0, ErrChunkLost
 	}
@@ -95,8 +98,8 @@ func (s *Server) AllocWriteRemote(p *simtime.Proc, from *cluster.Node, owner Tas
 	return h, nil
 }
 
-// ReadRemote fetches a chunk's contents back to the caller's node.
-func (s *Server) ReadRemote(p *simtime.Proc, to *cluster.Node, h int, buf []byte) (int, error) {
+// Read fetches a chunk's contents back to the caller's node.
+func (s *Server) Read(p *simtime.Proc, to *cluster.Node, h int, buf []byte) (int, error) {
 	if s.pool.Failed() {
 		return 0, ErrChunkLost
 	}
@@ -110,28 +113,31 @@ func (s *Server) ReadRemote(p *simtime.Proc, to *cluster.Node, h int, buf []byte
 	return n, nil
 }
 
-// FreeRemote releases a chunk on behalf of a remote task.
-func (s *Server) FreeRemote(p *simtime.Proc, from *cluster.Node, h int) {
+// Free releases a chunk on behalf of a remote task. The handle is the
+// caller's word, not the server's: a chunk that a GC or quota sweep
+// reclaimed first is reported (ErrNoFreeChunk), as the wire server
+// reports it, not taken for a double free.
+func (s *Server) Free(p *simtime.Proc, from *cluster.Node, h int) error {
 	if s.pool.Failed() {
-		return
+		return ErrChunkLost
 	}
 	s.svc.Cluster.RPC(p, from, s.node, ctlBytes, ctlBytes)
-	s.pool.FreeChunk(h)
+	return s.pool.TryFree(h)
 }
 
-// FreeSpaceRemote answers a free-space poll from another node (what the
+// FreeSpace answers a free-space poll from another node (what the
 // memory tracker sends every PollInterval), charging the control round
 // trip.
-func (s *Server) FreeSpaceRemote(p *simtime.Proc, from *cluster.Node) (int, error) {
+func (s *Server) FreeSpace(p *simtime.Proc, from *cluster.Node) (int, error) {
 	s.svc.Cluster.RPC(p, from, s.node, ctlBytes, ctlBytes)
 	return s.pool.Free(), nil
 }
 
-// TaskAliveRemote answers a delegated liveness check from another node's
+// TaskAlive answers a delegated liveness check from another node's
 // garbage collector (§3.1.3), charging the control round trip.
-func (s *Server) TaskAliveRemote(p *simtime.Proc, from *cluster.Node, pid int64) (bool, error) {
+func (s *Server) TaskAlive(p *simtime.Proc, from *cluster.Node, pid int64) (bool, error) {
 	s.svc.Cluster.RPC(p, from, s.node, ctlBytes, ctlBytes)
-	return s.TaskAlive(pid), nil
+	return s.taskAlive(pid), nil
 }
 
 // --- Local (via-server) operation ---------------------------------------
@@ -175,7 +181,7 @@ func (s *Server) gcSweep(p *simtime.Proc) int {
 	for owner := range s.pool.Owners() {
 		alive := false
 		if owner.Node == s.node.ID {
-			alive = s.TaskAlive(owner.PID)
+			alive = s.taskAlive(owner.PID)
 		} else if owner.Node >= 0 && owner.Node < len(s.svc.Servers) {
 			var err error
 			alive, err = s.svc.peer(owner.Node).TaskAlive(p, s.node, owner.PID)

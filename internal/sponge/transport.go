@@ -11,8 +11,8 @@ import (
 // tracker polls FreeSpace, and the garbage collector delegates liveness
 // checks with TaskAlive.
 //
-// Implementations decide what "remote" means. The simulated transport
-// calls the peer's Server directly and charges virtual network time; the
+// Implementations decide what "remote" means. The simulated peer is the
+// node's *Server itself, charging virtual network time; the
 // wire transport (internal/sponge/wire) performs the same operations
 // over real TCP. Errors split into two classes that callers must treat
 // differently:
@@ -57,28 +57,4 @@ type Transport interface {
 // — so simulations are bit-identical to the direct-call implementation.
 type simTransport struct{ svc *Service }
 
-func (t simTransport) Peer(node int) Peer { return simPeer{t.svc.Servers[node]} }
-
-// simPeer adapts one simulated Server to the Peer interface.
-type simPeer struct{ srv *Server }
-
-func (sp simPeer) AllocWrite(p *simtime.Proc, from *cluster.Node, owner TaskID, data []byte) (int, error) {
-	return sp.srv.AllocWriteRemote(p, from, owner, data)
-}
-
-func (sp simPeer) Read(p *simtime.Proc, to *cluster.Node, handle int, buf []byte) (int, error) {
-	return sp.srv.ReadRemote(p, to, handle, buf)
-}
-
-func (sp simPeer) Free(p *simtime.Proc, from *cluster.Node, handle int) error {
-	sp.srv.FreeRemote(p, from, handle)
-	return nil
-}
-
-func (sp simPeer) FreeSpace(p *simtime.Proc, from *cluster.Node) (int, error) {
-	return sp.srv.FreeSpaceRemote(p, from)
-}
-
-func (sp simPeer) TaskAlive(p *simtime.Proc, from *cluster.Node, pid int64) (bool, error) {
-	return sp.srv.TaskAliveRemote(p, from, pid)
-}
+func (t simTransport) Peer(node int) Peer { return t.svc.Servers[node] }

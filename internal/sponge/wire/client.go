@@ -450,19 +450,6 @@ func (c *Client) AllocWrite(owner sponge.TaskID, data []byte) (int, error) {
 	return int(binary.LittleEndian.Uint32(rep.body)), nil
 }
 
-// Read fetches a chunk's contents into a fresh buffer sized to the
-// chunk's length.
-func (c *Client) Read(handle int) ([]byte, error) {
-	var head [5]byte
-	head[0] = OpRead
-	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
-	rep, err := c.do(head[:], nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return rep.body, nil
-}
-
 // locBufPool recycles the 24-byte destination buffers for the loc
 // exchange on the pread fast path.
 var locBufPool = sync.Pool{New: func() any { b := make([]byte, 24); return &b }}
@@ -602,34 +589,4 @@ func (c *Client) Metrics() (string, error) {
 		return "", err
 	}
 	return string(rep.body), nil
-}
-
-// Ping reports whether pid is alive on the server's node.
-func (c *Client) Ping(pid uint64) (bool, error) {
-	var head [9]byte
-	head[0] = OpPing
-	binary.LittleEndian.PutUint64(head[1:], pid)
-	rep, err := c.do(head[:], nil, nil)
-	if err != nil {
-		return false, err
-	}
-	return len(rep.body) == 1 && rep.body[0] == 1, nil
-}
-
-// Register marks pid live on the server's node.
-func (c *Client) Register(pid uint64) error {
-	return c.pidOp(OpRegister, pid)
-}
-
-// Unregister marks pid dead on the server's node.
-func (c *Client) Unregister(pid uint64) error {
-	return c.pidOp(OpUnregister, pid)
-}
-
-func (c *Client) pidOp(op byte, pid uint64) error {
-	var head [9]byte
-	head[0] = op
-	binary.LittleEndian.PutUint64(head[1:], pid)
-	_, err := c.do(head[:], nil, nil)
-	return err
 }

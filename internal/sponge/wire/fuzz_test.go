@@ -101,10 +101,11 @@ func FuzzServerDispatch(f *testing.F) {
 		frame(OpFree, poolH), frame(OpFree, spillH),
 		frame(OpPoolLoc, poolH), frame(OpPoolLoc, spillH),
 		frame(OpSpillLoc, poolH), frame(OpSpillLoc, spillH),
-		frame(OpStat), frame(OpPing, uint64(51)),
-		frame(OpRegister, uint64(51)), frame(OpUnregister, uint64(51)),
+		// 5, 6, 7 and below them 9, 15, 16, 17: the retired codes, with the
+		// bodies they once carried — unknown ops.
+		frame(OpStat), frame(5, uint64(51)),
+		frame(6, uint64(51)), frame(7, uint64(51)),
 		frame(OpHello, []byte{ProtocolV2}), frame(OpPoolFD),
-		// The retired codes, with the bodies they once carried: unknown ops.
 		frame(9), frame(OpMetrics), frame(17),
 		frame(15, uint64(1), uint32(3), uint16(3), "a:1"),
 		frame(16, uint64(1), uint16(0)),
@@ -157,6 +158,86 @@ func FuzzServerDispatch(f *testing.F) {
 		if live, _ := srv.spill.stats(); live != 0 {
 			t.Fatalf("%d spill records live after the reset", live)
 		}
+	})
+}
+
+// pipelinedOps decodes fuzz bytes into request bodies, two bytes a
+// request: the first picks the op — alloc_write, read, free, pool_loc or
+// one of the retired codes 5–7 — the second an alloc_write's payload
+// length, or for the others a handle: one of the pool's four slots
+// (live, freed or never allocated, as the stream so far left it), one
+// past the pool, or one with the spill bit set. At most 64 requests, so
+// the stream and its answers fit the socket buffers unread.
+func pipelinedOps(stream []byte) [][]byte {
+	ops := [...]byte{OpAllocWrite, OpRead, OpFree, OpPoolLoc, 5, 6, 7}
+	handles := [...]uint32{0, 1, 2, 3, 9, SpillHandleBit}
+	var bodies [][]byte
+	for ; len(stream) >= 2 && len(bodies) < 64; stream = stream[2:] {
+		op, arg := ops[int(stream[0])%len(ops)], int(stream[1])
+		if op == OpAllocWrite {
+			bodies = append(bodies, frame(op, uint32(1), uint64(51), make([]byte, arg%(pipelineChunk+1))))
+		} else {
+			bodies = append(bodies, frame(op, handles[arg%len(handles)]))
+		}
+	}
+	return bodies
+}
+
+const pipelineChunk = 64
+
+// FuzzPipelinedOps writes a whole sequence of requests to one connection
+// before reading any response, so the server's workers overlap them: a
+// read races the free of its chunk, eight frees race for one handle, a
+// slot is freed and reallocated under a loc. Every request must get
+// exactly one response under its id — a retired code's a bad request —
+// nothing may panic, and once the one owner's chunks are reclaimed the
+// pool must be whole: every chunk free, none pinned, every generation
+// even. Each execution gets its own server, so handles are handed out
+// the same way every time and a finding replays from its input.
+func FuzzPipelinedOps(f *testing.F) {
+	for _, seed := range [][]byte{
+		{0, 8, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0}, // eight frees of one handle
+		{0, 64, 1, 0, 2, 0, 1, 0},                              // read racing free
+		{0, 5, 2, 0, 0, 7, 1, 0, 3, 0},                         // alloc, free, alloc of one slot
+		{0, 1, 4, 0, 1, 0, 5, 0, 6, 0, 2, 0},                   // retired codes 5–7 mid-stream
+		{1, 3, 2, 3, 3, 4, 1, 5, 2, 5, 3, 5},                   // never allocated, out of range, spill bit
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		// Over the unix socket: a closed connection leaves no port in
+		// TIME_WAIT, so a long fuzz run does not eat the ephemeral range.
+		srv := startServerOptions(t, pipelineChunk, 4, Options{LocalSocketDir: shortSockDir(t)})
+		conn := dialRaw(t, srv, "unix")
+		bodies := pipelinedOps(stream)
+		if _, err := conn.Write(v2frame(bodies...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(conn)
+		answered := make([]bool, len(bodies))
+		for range bodies {
+			n, id, err := readFrameV2Header(br, srv.frameLimit)
+			if err != nil {
+				t.Fatalf("reading %d responses: %v", len(bodies), err)
+			}
+			body := make([]byte, n)
+			if _, err := io.ReadFull(br, body); err != nil {
+				t.Fatal(err)
+			}
+			i := int(id) - 1
+			switch {
+			case i < 0 || i >= len(bodies) || n == 0:
+				t.Fatalf("response of %d bytes under id %d to %d requests", n, id, len(bodies))
+			case answered[i]:
+				t.Fatalf("request %d answered twice", id)
+			case bodies[i][0] >= 5 && bodies[i][0] <= 7 && body[0] != StatusBadRequest:
+				t.Errorf("retired code %d answered status %d, want StatusBadRequest", bodies[i][0], body[0])
+			}
+			answered[i] = true
+		}
+		srv.pool.FreeOwnedBy(sponge.TaskID{Node: 1, PID: 51})
+		settled(t, srv, conn, 4)
 	})
 }
 

@@ -23,7 +23,7 @@ func TestMetricsOverV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(h); err != nil {
+	if _, err := readChunk(c, h); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Free(h); err != nil {

@@ -1,8 +1,9 @@
 // Package wire implements the sponge server's network protocol over real
 // TCP: the interface a production deployment exposes so remote tasks can
-// allocate, write, read and free chunks in a node's sponge memory, query
-// free space, and check task liveness (the paper's sponge server,
-// §3.1.1, as an actual daemon rather than a simulated one).
+// allocate, write, read and free chunks in a node's sponge memory and
+// query free space (the paper's sponge server, §3.1.1, as an actual
+// daemon rather than a simulated one; tasks are simulated processes, so
+// task liveness, like the tracker, stays with the simulator).
 //
 // The same protocol runs over two transports. Every daemon listens on
 // TCP; with Options.LocalSocketDir set it additionally listens on a
@@ -72,13 +73,9 @@ const (
 	// OpStat asks for pool state. Response: free chunks (u32), total
 	// chunks (u32), chunk size (u32).
 	OpStat
-	// OpPing checks task liveness (garbage collection, §3.1.3).
-	// Payload: pid (u64). Response: alive (u8).
-	OpPing
-	// OpRegister marks a task live on this node. Payload: pid (u64).
-	OpRegister
-	// OpUnregister marks a task dead. Payload: pid (u64).
-	OpUnregister
+	_ // 5, retired: task liveness ping — liveness is the simulator's
+	_ // 6, retired: task register
+	_ // 7, retired: task unregister
 	// OpHello negotiates the protocol version; always sent v1-framed as
 	// a connection's first request. Payload: version (u8). Response:
 	// version (u8), free chunks (u32), total chunks (u32), chunk size

@@ -74,34 +74,6 @@ func SocketPath(dir, tcpAddr string) (string, error) {
 	return filepath.Join(dir, "sponge-"+port+".sock"), nil
 }
 
-// mapLiveness is the task-liveness registry a sponge server consults for
-// OpPing and mutates for OpRegister/OpUnregister, from a concurrent
-// worker pool.
-type mapLiveness struct {
-	mu   sync.Mutex
-	live map[uint64]bool
-}
-
-func newMapLiveness() *mapLiveness { return &mapLiveness{live: make(map[uint64]bool)} }
-
-func (m *mapLiveness) Register(pid uint64) {
-	m.mu.Lock()
-	m.live[pid] = true
-	m.mu.Unlock()
-}
-
-func (m *mapLiveness) Unregister(pid uint64) {
-	m.mu.Lock()
-	delete(m.live, pid)
-	m.mu.Unlock()
-}
-
-func (m *mapLiveness) Alive(pid uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.live[pid]
-}
-
 // response is what a dispatch hands back to the connection: exactly one
 // of three payload shapes. The zero value is not a response.
 //
@@ -146,9 +118,6 @@ var opNames = [opMax + 1]string{
 	OpRead:       "read",
 	OpFree:       "free",
 	OpStat:       "stat",
-	OpPing:       "ping",
-	OpRegister:   "register",
-	OpUnregister: "unregister",
 	OpHello:      "hello",
 	OpMetrics:    "metrics",
 	OpSpillLoc:   "spill_loc",

@@ -41,7 +41,7 @@ func TestInflightOneStillPipelines(t *testing.T) {
 				errs <- err
 				return
 			}
-			got, err := c.Read(h)
+			got, err := readChunk(c, h)
 			if err != nil {
 				errs <- err
 				return
@@ -178,7 +178,7 @@ func TestAcceptRetriesTemporaryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Read(h); err != nil || !bytes.Equal(got, data) {
+	if got, err := readChunk(c, h); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back %q, %v", got, err)
 	}
 	if n := srv.acceptRetries.Value(); n != 2 {

@@ -41,7 +41,6 @@ import (
 // wholesale when its last record dies.
 type Server struct {
 	pool  *sponge.Pool
-	live  *mapLiveness
 	spill *spillFile // nil without Options.SpillDir
 	geom  fdGeom     // the pool's layout, as the fd handshake states it
 	opts  Options
@@ -103,7 +102,6 @@ func Serve(pool *sponge.Pool, addr string, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		pool: pool,
-		live: newMapLiveness(),
 		geom: fdGeom{
 			segChunks: pool.SegmentChunks(),
 			chunks:    pool.Chunks(),
@@ -423,26 +421,6 @@ func (s *Server) dispatch(req []byte) response {
 		binary.LittleEndian.PutUint32(out[5:9], uint32(s.pool.Chunks()))
 		binary.LittleEndian.PutUint32(out[9:13], uint32(s.pool.ChunkSize()))
 		return response{body: out}
-	case OpPing:
-		if len(payload) != 8 {
-			return statusOnly(StatusBadRequest)
-		}
-		alive := byte(0)
-		if s.live.Alive(binary.LittleEndian.Uint64(payload)) {
-			alive = 1
-		}
-		return response{body: []byte{StatusOK, alive}}
-	case OpRegister, OpUnregister:
-		if len(payload) != 8 {
-			return statusOnly(StatusBadRequest)
-		}
-		pid := binary.LittleEndian.Uint64(payload)
-		if op == OpRegister {
-			s.live.Register(pid)
-		} else {
-			s.live.Unregister(pid)
-		}
-		return statusOnly(StatusOK)
 	}
 	return statusOnly(StatusBadRequest)
 }

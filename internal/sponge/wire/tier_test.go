@@ -193,39 +193,6 @@ func TestTransportTierSelectionAndFallback(t *testing.T) {
 	}
 }
 
-// Unmapped nodes route to the fallback transport and count as the sim
-// tier.
-func TestTransportSimTierCounting(t *testing.T) {
-	srv := startServerOptions(t, 1024, 2, Options{})
-	inner := stubTransport{}
-	tr := NewTransportOptions(map[int]string{1: srv.Addr()}, inner, TransportOptions{})
-	defer tr.Close()
-	if _, err := tr.Peer(9).FreeSpace(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Peer(9).FreeSpace(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := tierSample(t, tr.Metrics(), `sponge_transport_tier_total{tier="sim"}`); got != 2 {
-		t.Errorf("sim tier ops = %d, want 2", got)
-	}
-}
-
-// stubTransport is a minimal fallback for tier-counting tests.
-type stubTransport struct{}
-
-func (stubTransport) Peer(node int) sponge.Peer { return stubPeer{} }
-
-type stubPeer struct{}
-
-func (stubPeer) AllocWrite(*simtime.Proc, *cluster.Node, sponge.TaskID, []byte) (int, error) {
-	return 0, sponge.ErrNoFreeChunk
-}
-func (stubPeer) Read(*simtime.Proc, *cluster.Node, int, []byte) (int, error) { return 0, nil }
-func (stubPeer) Free(*simtime.Proc, *cluster.Node, int) error                { return nil }
-func (stubPeer) FreeSpace(*simtime.Proc, *cluster.Node) (int, error)         { return 7, nil }
-func (stubPeer) TaskAlive(*simtime.Proc, *cluster.Node, int64) (bool, error) { return true, nil }
-
 // fillPool exhausts the server's memory pool so subsequent AllocWrites
 // overflow into the spill tier, returning the pool handles.
 func fillPool(t *testing.T, c *Client, owner sponge.TaskID, chunk, chunks int) []int {
@@ -332,7 +299,7 @@ func TestSpillOverflowRoundTrip(t *testing.T) {
 			// Both read forms: exact-size allocation and zero-copy into.
 			buf := make([]byte, 2048)
 			for i, h := range spilled {
-				got, err := c.Read(h)
+				got, err := readChunk(c, h)
 				if err != nil || !bytes.Equal(got, payloads[i]) {
 					t.Fatalf("spill read %d corrupt (err=%v, %d bytes)", i, err, len(got))
 				}
@@ -351,7 +318,7 @@ func TestSpillOverflowRoundTrip(t *testing.T) {
 				t.Fatalf("spill file not reclaimed: %d live, %d bytes", live, bytes)
 			}
 			// Reading a freed spill handle fails cleanly.
-			if _, err := c.Read(spilled[0]); !errors.Is(err, ErrNoFreeChunk) {
+			if _, err := readChunk(c, spilled[0]); !errors.Is(err, ErrNoFreeChunk) {
 				t.Fatalf("read of freed spill chunk = %v, want ErrNoFreeChunk", err)
 			}
 

@@ -15,8 +15,11 @@ import (
 
 // Transport adapts the pipelined wire client to the sponge package's
 // transport seam, so a simulated workload's allocator chain, tracker
-// polling, GC liveness checks, and failover all run over real TCP
-// against live sponge daemons (install with Service.SetTransport).
+// polling, and failover all run over real TCP against live sponge
+// daemons (install with Service.SetTransport). Task liveness is the one
+// question a daemon cannot answer — tasks are simulated processes, and
+// only the simulated server they registered with knows them — so a GC
+// liveness check on a mapped node is answered by the fallback.
 //
 // Nodes are mapped to server addresses; a node with no address is
 // served by the fallback transport (typically the service's simulated
@@ -39,32 +42,30 @@ import (
 // are pread directly; otherwise, or when the socket dial fails
 // (missing or stale socket file), it transparently falls back to TCP
 // and counts the fallback. Per-op tier usage is exported as
-// sponge_transport_tier_total{tier="unix|tcp|sim"}.
+// sponge_transport_tier_total{tier="unix|tcp|pool_fd"}.
 type Transport struct {
 	fallback sponge.Transport
 	opts     TransportOptions
 
-	mu       sync.Mutex
-	addrs    map[int]string
-	clients  map[int]*Client
-	simPeers map[int]sponge.Peer
-	closed   bool
+	mu      sync.Mutex
+	addrs   map[int]string
+	clients map[int]*Client
+	closed  bool
 
 	metrics      *obs.Registry
-	tierOps      [4]*obs.Counter // indexed by tierUnix/tierTCP/tierSim/tierPoolFD
+	tierOps      [3]*obs.Counter // indexed by tierUnix/tierTCP/tierPoolFD
 	unixFallback *obs.Counter
 	genMiss      *obs.Counter
 	revoked      *obs.Counter
 }
 
-// tier indexes for Transport.tierOps. tierPoolFD is not a fourth
+// tier indexes for Transport.tierOps. tierPoolFD is not a third
 // dial-time tier but a refinement of tierUnix: it additionally counts
 // the unix-tier reads whose payload came from a pread of a passed file
 // — pool segment or spill file — rather than the socket.
 const (
 	tierUnix = iota
 	tierTCP
-	tierSim
 	tierPoolFD
 )
 
@@ -94,7 +95,6 @@ func NewTransportOptions(addrs map[int]string, fallback sponge.Transport, opts T
 		opts:     opts,
 		addrs:    a,
 		clients:  make(map[int]*Client),
-		simPeers: make(map[int]sponge.Peer),
 		metrics:  opts.Metrics,
 	}
 	if t.metrics == nil {
@@ -102,7 +102,6 @@ func NewTransportOptions(addrs map[int]string, fallback sponge.Transport, opts T
 	}
 	t.tierOps[tierUnix] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "unix"))
 	t.tierOps[tierTCP] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "tcp"))
-	t.tierOps[tierSim] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "sim"))
 	t.tierOps[tierPoolFD] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "pool_fd"))
 	t.unixFallback = t.metrics.Counter("sponge_transport_unix_fallback_total")
 	t.genMiss = t.metrics.Counter("sponge_poolfd_gen_miss_total")
@@ -173,15 +172,14 @@ func (t *Transport) Close() error {
 // RevokePeer tears down this transport's cached state for a departed
 // node: the pipelined client closes — and with it every passed
 // descriptor and the generation-table mmap, so a same-host reader that raced
-// the departure degrades to TCP instead of reading a dead pool — and
-// the sim-tier wrapper is dropped. The address mapping stays: the next
-// operation against the node re-dials, so a node that rejoins under the
-// same address needs no special handling.
+// the departure degrades to TCP instead of reading a dead pool. The
+// address mapping stays: the next operation against the node re-dials,
+// so a node that rejoins under the same address needs no special
+// handling.
 func (t *Transport) RevokePeer(node int) {
 	t.mu.Lock()
 	c := t.clients[node]
 	delete(t.clients, node)
-	delete(t.simPeers, node)
 	t.mu.Unlock()
 	if c != nil {
 		c.Close()
@@ -190,23 +188,12 @@ func (t *Transport) RevokePeer(node int) {
 }
 
 // Peer returns the handle on a node's sponge server: a wire peer for
-// mapped nodes, the fallback transport's peer (wrapped to count the
-// "sim" tier) otherwise.
+// mapped nodes, the fallback transport's peer otherwise.
 func (t *Transport) Peer(node int) sponge.Peer {
-	t.mu.Lock()
-	_, mapped := t.addrs[node]
-	if !mapped && t.fallback != nil {
-		// Cache the counting wrapper per node so repeated Peer calls on
-		// hot paths stay allocation-free.
-		p := t.simPeers[node]
-		if p == nil {
-			p = countingPeer{p: t.fallback.Peer(node), ops: t.tierOps[tierSim]}
-			t.simPeers[node] = p
-		}
-		t.mu.Unlock()
-		return p
+	// addrs is fixed at construction; no lock.
+	if _, mapped := t.addrs[node]; !mapped && t.fallback != nil {
+		return t.fallback.Peer(node)
 	}
-	t.mu.Unlock()
 	return wirePeer{t: t, node: node}
 }
 
@@ -368,48 +355,13 @@ func (wp wirePeer) FreeSpace(p *simtime.Proc, from *cluster.Node) (int, error) {
 	return free, nil
 }
 
+// TaskAlive is answered by the fallback's peer for the node: tasks run
+// in the parent, under the simulated server they registered with, and a
+// daemon has no record of them. Without a fallback nobody can say, which
+// the garbage collector reads as "alive".
 func (wp wirePeer) TaskAlive(p *simtime.Proc, from *cluster.Node, pid int64) (bool, error) {
-	c, err := wp.t.client(wp.node)
-	if err != nil {
-		return false, err
+	if wp.t.fallback == nil {
+		return false, fmt.Errorf("%w: no liveness registry for node %d", sponge.ErrPeerUnreachable, wp.node)
 	}
-	wp.t.countOp(c)
-	alive, err := c.Ping(uint64(pid))
-	if err != nil {
-		return false, wp.t.mapErr(wp.node, c, err)
-	}
-	return alive, nil
-}
-
-// countingPeer wraps a fallback (simulated) peer so sim-tier operations
-// show up beside the wire tiers in the tier counters. It changes no
-// behaviour — same calls, same errors, same simulated-time charges.
-type countingPeer struct {
-	p   sponge.Peer
-	ops *obs.Counter
-}
-
-func (cp countingPeer) AllocWrite(p *simtime.Proc, from *cluster.Node, owner sponge.TaskID, data []byte) (int, error) {
-	cp.ops.Inc()
-	return cp.p.AllocWrite(p, from, owner, data)
-}
-
-func (cp countingPeer) Read(p *simtime.Proc, to *cluster.Node, handle int, buf []byte) (int, error) {
-	cp.ops.Inc()
-	return cp.p.Read(p, to, handle, buf)
-}
-
-func (cp countingPeer) Free(p *simtime.Proc, from *cluster.Node, handle int) error {
-	cp.ops.Inc()
-	return cp.p.Free(p, from, handle)
-}
-
-func (cp countingPeer) FreeSpace(p *simtime.Proc, from *cluster.Node) (int, error) {
-	cp.ops.Inc()
-	return cp.p.FreeSpace(p, from)
-}
-
-func (cp countingPeer) TaskAlive(p *simtime.Proc, from *cluster.Node, pid int64) (bool, error) {
-	cp.ops.Inc()
-	return cp.p.TaskAlive(p, from, pid)
+	return wp.t.fallback.Peer(wp.node).TaskAlive(p, from, pid)
 }

@@ -31,6 +31,14 @@ func startServer(t *testing.T, chunkSize, chunks int) (*Server, *Client) {
 	return srv, c
 }
 
+// readChunk reads a whole chunk through ReadInto, the client's one read
+// call, into a buffer the size of the server's chunks.
+func readChunk(c *Client, h int) ([]byte, error) {
+	buf := make([]byte, c.ChunkSize())
+	n, err := c.ReadInto(h, buf)
+	return buf[:n], err
+}
+
 func TestAllocWriteReadFree(t *testing.T) {
 	_, c := startServer(t, 4096, 4)
 	owner := sponge.TaskID{Node: 3, PID: 77}
@@ -39,7 +47,7 @@ func TestAllocWriteReadFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(h)
+	got, err := readChunk(c, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,32 +91,12 @@ func TestFullChunkPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(h)
+	got, err := readChunk(c, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("full-chunk payload corrupt")
-	}
-}
-
-func TestLivenessProtocol(t *testing.T) {
-	_, c := startServer(t, 128, 1)
-	alive, err := c.Ping(42)
-	if err != nil || alive {
-		t.Fatalf("unknown pid alive=%v err=%v", alive, err)
-	}
-	if err := c.Register(42); err != nil {
-		t.Fatal(err)
-	}
-	if alive, _ := c.Ping(42); !alive {
-		t.Fatal("registered pid should be alive")
-	}
-	if err := c.Unregister(42); err != nil {
-		t.Fatal(err)
-	}
-	if alive, _ := c.Ping(42); alive {
-		t.Fatal("unregistered pid should be dead")
 	}
 }
 
@@ -134,7 +122,7 @@ func TestConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := c.Read(h)
+				got, err := readChunk(c, h)
 				if err != nil || !bytes.Equal(got, data) {
 					errs <- fmt.Errorf("g%d i%d corrupt (%v)", g, i, err)
 					return
@@ -227,7 +215,7 @@ func TestConcurrentFreeOfOneHandle(t *testing.T) {
 		t.Fatalf("pool not restored: %d of %d chunks free, %d pinned", st.FreeChunks, chunks, st.Pinned)
 	}
 	h := alloc()
-	if got, err := c.Read(h); err != nil || string(got) != "x" {
+	if got, err := readChunk(c, h); err != nil || string(got) != "x" {
 		t.Fatalf("read on the connection after the races = (%q, %v)", got, err)
 	}
 	if err := c.Free(h); err != nil {
@@ -535,7 +523,7 @@ func TestClientRejectsOversizedResponseFrame(t *testing.T) {
 		t.Fatal("oversized response frame should fail the request")
 	}
 	// The violation poisons the connection: later requests fail fast.
-	if _, err := c.Read(0); err == nil {
+	if _, err := readChunk(c, 0); err == nil {
 		t.Fatal("connection should be poisoned after a protocol violation")
 	}
 }
@@ -558,7 +546,7 @@ func TestClientRejectsTruncatedResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Read(0); err == nil {
+	if _, err := readChunk(c, 0); err == nil {
 		t.Fatal("truncated response should fail the request")
 	}
 }

@@ -106,6 +106,13 @@ echo "== client demux fuzz, 10 s =="
 # run as part of `go test`.
 go test -run '^$' -fuzz '^FuzzClientDemux$' -fuzztime 10s ./internal/sponge/wire
 
+echo "== pipelined ops fuzz, 10 s =="
+# Both at once: up to 64 alloc_write / read / free / pool_loc requests
+# (and retired codes) over live, freed, never-allocated and spill-bit
+# handles, all written before any response is read. One response per
+# id, then the pool whole: all free, none pinned, generations even.
+go test -run '^$' -fuzz '^FuzzPipelinedOps$' -fuzztime 10s ./internal/sponge/wire
+
 echo "== scenario matrix smoke (quick cases) =="
 # The two quick seed scenarios — a digest-verified spill round trip and
 # the delta-dissemination convergence case — run against real child

@@ -126,6 +126,93 @@ func TestWireTransportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireTransportGCSparesLiveTask puts a task on a wire-mapped node
+// and two of its chunks in a simulated peer's pool. That peer's garbage
+// collector delegates the liveness check to the owner's node, and a
+// daemon knows no tasks: the fallback answers, so the chunks of a live
+// task outlive the sweeps and those of a dead one — and only those — are
+// reclaimed.
+func TestWireTransportGCSparesLiveTask(t *testing.T) {
+	cfg := cluster.PaperConfig()
+	cfg.Workers = 2
+	cfg.SpongeMemory = 2 * media.MB
+	sim := simtime.New()
+	c := cluster.New(sim, cfg)
+	scfg := sponge.DefaultConfig()
+	scfg.LocalDiskEnabled = false
+	svc := sponge.Start(c, scfg)
+	srv, err := wire.Serve(sponge.NewPool(svc.ChunkReal(), 2), "127.0.0.1:0", wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := wire.NewTransportOptions(map[int]string{1: srv.Addr()}, svc.Transport(), wire.TransportOptions{})
+	defer tr.Close()
+	svc.SetTransport(tr)
+
+	data := make([]byte, 4*svc.ChunkReal())
+	for i := range data {
+		data[i] = byte(i*11 + 7)
+	}
+	// spill writes the four chunks from node 1: two fill its own
+	// simulated pool, two go to node 0's through the fallback.
+	spill := func(p *simtime.Proc, agent *sponge.Agent) *sponge.File {
+		f := agent.Create(p, "gc-over-tcp")
+		if err := f.Write(p, data); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if st := f.Stats(); st.ByKind[sponge.LocalMem] != 2 || st.ByKind[sponge.RemoteMem] != 2 {
+			t.Errorf("placement %+v, want 2 local and 2 remote", st.ByKind)
+		}
+		if free := svc.Servers[0].Pool().Free(); free != 0 {
+			t.Errorf("node 0's simulated pool has %d chunks free, want 0", free)
+		}
+		return f
+	}
+	sim.Spawn("tasks", func(p *simtime.Proc) {
+		live := svc.NewAgent(c.Nodes[1])
+		f := spill(p, live)
+		p.Sleep(2 * svc.Config.GCInterval)
+		got := make([]byte, 0, len(data))
+		buf := make([]byte, svc.ChunkReal())
+		for {
+			n, err := f.Read(p, buf)
+			if err != nil {
+				t.Errorf("read at byte %d after two GC sweeps: %v", len(got), err)
+				return
+			}
+			if n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("live task's data corrupted across the GC sweeps")
+		}
+		f.Delete(p)
+		live.Close()
+		if freed := svc.Servers[0].GCFreed(); freed != 0 {
+			t.Errorf("GC freed %d chunks of a live task", freed)
+		}
+
+		p.Sleep(2 * svc.Config.PollInterval)
+		dead := svc.NewAgent(c.Nodes[1])
+		spill(p, dead)
+		dead.Close() // exits without deleting: four orphans, two on each node
+		p.Sleep(2 * svc.Config.GCInterval)
+		if freed := svc.Servers[0].GCFreed(); freed != 2 {
+			t.Errorf("GC freed %d chunks on node 0, want exactly the dead task's 2", freed)
+		}
+		if free := svc.TotalFreeChunks(); free != 4 {
+			t.Errorf("%d of 4 simulated chunks free after the orphans were swept", free)
+		}
+	})
+	sim.MustRun()
+}
+
 // TestWireTransportServerFailure kills one TCP server mid-read: its
 // chunks must surface ErrChunkLost only after the retry budget is
 // spent, while the tracker's next poll writes the dead server off.
