@@ -343,9 +343,9 @@ func OverlapAblation() []OverlapRow {
 		sim := simtime.New()
 		c := cluster.New(sim, cfg)
 		scfg := sponge.DefaultConfig()
-		scfg.Prefetch = on
 		if !on {
 			scfg.AsyncWriteDepth = 0
+			scfg.ReadAheadDepth = 0
 		}
 		svc := sponge.Start(c, scfg)
 		row := OverlapRow{Prefetch: on, AsyncDepth: scfg.AsyncWriteDepth}

@@ -73,11 +73,6 @@ type MacroConfig struct {
 	SizeFactor float64
 	// Workers overrides the cluster size (default 29).
 	Workers int
-	// ReadAheadDepth overrides the sponge service's readahead window
-	// depth; 0 keeps the service default. Depth 1 reproduces the seed
-	// prefetcher bit for bit (the equivalence tests pin this against
-	// recorded seed results).
-	ReadAheadDepth int
 }
 
 // MacroResult is one macrobenchmark run's outcome.
@@ -159,7 +154,6 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	fs := dfs.New(c)
 	eng := mapreduce.NewEngine(c, fs)
 	scfg := sponge.DefaultConfig()
-	scfg.ReadAheadDepth = mc.ReadAheadDepth
 	scfg.RemoteDisabled = mc.RemoteDisabled
 	scfg.Remote = dfs.NewSpillStore(fs)
 	svc := sponge.Start(c, scfg)

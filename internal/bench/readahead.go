@@ -22,8 +22,8 @@ type ReadAheadConfig struct {
 	// chunks lands in remote memory: a decoy file pins the local pool
 	// first, and the peer pools are sized to hold the whole file.
 	FileChunks int
-	// Depths is the sweep of ReadAheadDepth values; 1 is the seed
-	// prefetcher's behaviour and the speedup baseline.
+	// Depths is the sweep of ReadAheadDepth values; the first is the
+	// speedup baseline.
 	Depths []int
 	// DelaysMs is the sweep of injected per-exchange delays (virtual
 	// milliseconds, via the fault transport). Depth pays off exactly when

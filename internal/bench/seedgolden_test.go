@@ -12,8 +12,8 @@ import (
 // seedGolden pins the seed prefetcher's simulated results for one
 // benchtab baseline cell, captured from commit 59499b2 (the last commit
 // with the single-slot prefetcher) before the readahead ring replaced
-// it. ReadAheadDepth 1 promises bit-identical behaviour to that
-// prefetcher, so every field must match exactly — not approximately.
+// it. The ring at its default depth still reproduces them, so every
+// field must match exactly — not approximately.
 type seedGolden struct {
 	kind            JobKind
 	memGB           int64
@@ -47,20 +47,19 @@ var anchortextRows = map[string]string{
 	"zh": "term0008:14 term0162:12 term0038:11 term0080:10 term0086:10 term0147:10 term0005:9 term0023:9 term0027:9 term0030:9",
 }
 
-// TestReadAheadDepth1MatchesSeedPrefetcher verifies the compat contract
-// on ServiceConfig.ReadAheadDepth: depth 1 reproduces the seed's
-// single-slot prefetcher simulation-identically on all six benchtab
-// baseline cells (three jobs × two memory sizes). Any drift in virtual
-// runtime, straggler accounting, or job output means the windowed ring
-// changed scheduling at depth 1 and is a bug, not noise.
-func TestReadAheadDepth1MatchesSeedPrefetcher(t *testing.T) {
+// TestDefaultReadAheadMatchesSeedGoldens runs all six benchtab baseline
+// cells (three jobs × two memory sizes) at the service's default
+// readahead depth and holds them to the seed prefetcher's recorded
+// results. Any drift in virtual runtime, straggler accounting, or job
+// output means the windowed ring changed scheduling and is a bug, not
+// noise.
+func TestDefaultReadAheadMatchesSeedGoldens(t *testing.T) {
 	for _, g := range seedGoldens {
 		res := RunMacro(g.kind, MacroConfig{
-			NodeMemory:     g.memGB * media.GB,
-			Sponge:         true,
-			SizeFactor:     0.02,
-			Workers:        8,
-			ReadAheadDepth: 1,
+			NodeMemory: g.memGB * media.GB,
+			Sponge:     true,
+			SizeFactor: 0.02,
+			Workers:    8,
 		})
 		if int64(res.Runtime) != g.runtime {
 			t.Errorf("%s/%dGB: runtime %d, seed golden %d", g.kind, g.memGB, int64(res.Runtime), g.runtime)

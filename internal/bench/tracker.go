@@ -18,8 +18,9 @@ import (
 // node one Stat exchange per interval regardless of activity, so
 // per-node traffic is constant and total traffic grows linearly with
 // the cluster. Deltas are pushed only by nodes whose free count
-// changed, plus a periodic anti-entropy poll, so total traffic scales
-// with churn (plus cluster/AntiEntropy) instead of cluster size.
+// changed, plus an anti-entropy poll every ten intervals, so total
+// traffic scales with churn (plus a tenth of the cluster) instead of
+// cluster size.
 type TrackerConfig struct {
 	// Nodes is the sweep of simulated cluster sizes.
 	Nodes []int
@@ -30,18 +31,15 @@ type TrackerConfig struct {
 	// issues per virtual second, spread round-robin over the cluster —
 	// the knob that decouples activity from cluster size.
 	ChurnPerSec int
-	// AntiEntropyEvery is the delta mode's full-poll period in cycles.
-	AntiEntropyEvery int
 }
 
 // DefaultTracker is the configuration of EXPERIMENTS.md's tracker table:
 // 100- and 1000-node clusters under identical churn.
 func DefaultTracker() TrackerConfig {
 	return TrackerConfig{
-		Nodes:            []int{100, 1000},
-		Seconds:          30,
-		ChurnPerSec:      8,
-		AntiEntropyEvery: 10,
+		Nodes:       []int{100, 1000},
+		Seconds:     30,
+		ChurnPerSec: 8,
 	}
 }
 
@@ -97,10 +95,7 @@ func runTrackerCell(mode string, nodes int, cfg TrackerConfig) TrackerCell {
 	reg := obs.NewRegistry()
 	scfg := sponge.DefaultConfig()
 	scfg.Metrics = reg
-	if mode == "delta" {
-		scfg.DeltaDissemination = true
-		scfg.AntiEntropyEvery = cfg.AntiEntropyEvery
-	}
+	scfg.DeltaDissemination = mode == "delta"
 	svc := sponge.Start(c, scfg)
 
 	start := time.Now()

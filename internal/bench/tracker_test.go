@@ -6,10 +6,9 @@ import "testing"
 // of magnitude apart, a short run, constant churn.
 func testTrackerConfig() TrackerConfig {
 	return TrackerConfig{
-		Nodes:            []int{10, 100},
-		Seconds:          10,
-		ChurnPerSec:      4,
-		AntiEntropyEvery: 10,
+		Nodes:       []int{10, 100},
+		Seconds:     10,
+		ChurnPerSec: 4,
 	}
 }
 

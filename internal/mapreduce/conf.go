@@ -24,30 +24,38 @@ type Input struct {
 	MakeRecords func(split int) RecordGen
 }
 
-// CPUModel carries the engine's compute-cost constants. Rates are in
-// virtual bytes per second; fixed costs are per record or comparison.
-type CPUModel struct {
-	// MapRate and ReduceRate convert processed virtual bytes to time in
+// The engine's compute-cost constants, calibrated roughly to the
+// paper's testbed (2.5 GHz Xeon running Java): the background grep's
+// 128 MB map tasks take ~15 s, which puts the effective map scan rate
+// near 8-10 MB/s. Rates are in virtual bytes per second.
+const (
+	// mapRate and reduceRate convert processed virtual bytes to time in
 	// the user map/reduce functions.
-	MapRate    int64
-	ReduceRate int64
-	// PerRecord is the framework's fixed per-record overhead.
-	PerRecord simtime.Duration
-	// Compare is one key comparison during sort or merge.
-	Compare simtime.Duration
-}
+	mapRate    = 9 * media.MB
+	reduceRate = 40 * media.MB
+	// perRecord is the framework's fixed per-record overhead.
+	perRecord = 1 * simtime.Microsecond
+	// compareCost is one key comparison during sort or merge.
+	compareCost = 250 * simtime.Nanosecond
+)
 
-// DefaultCPU calibrates compute roughly to the paper's testbed (2.5 GHz
-// Xeon running Java): the background grep's 128 MB map tasks take ~15 s,
-// which puts the effective map scan rate near 8-10 MB/s.
-func DefaultCPU() CPUModel {
-	return CPUModel{
-		MapRate:    9 * media.MB,
-		ReduceRate: 40 * media.MB,
-		PerRecord:  1 * simtime.Microsecond,
-		Compare:    250 * simtime.Nanosecond,
-	}
-}
+// The engine's Hadoop constants. Nothing runs with other values.
+const (
+	// mergeFactor is io.sort.factor (10): when more than this many
+	// on-disk runs exist, reduce-side merging happens in multiple rounds
+	// — unless the spill target is remote memory, where merging needs no
+	// seek avoidance and runs in a single round regardless (§4.2.3,
+	// Figure 6 discussion).
+	mergeFactor = 10
+	// maxAttempts bounds task attempts: a task failing this many times
+	// fails the job.
+	maxAttempts = 4
+	// nodeCombineLinger is how long a node's shared combine buffer stays
+	// open after the node's most recent publish. A map task finishing
+	// after the window closed bypasses to the stock per-task output path,
+	// so a straggler never blocks the node's combined output.
+	nodeCombineLinger = 60 * simtime.Second
+)
 
 // JobConf describes one job.
 type JobConf struct {
@@ -66,13 +74,8 @@ type JobConf struct {
 	Partition func(key []byte, n int) int
 
 	// SortBufferVirtual is the map-side sort buffer (io.sort.mb; the
-	// paper's default is 128 MB). MergeFactor is io.sort.factor (10):
-	// when more than this many on-disk runs exist, reduce-side merging
-	// happens in multiple rounds — unless the spill target is remote
-	// memory, where merging needs no seek avoidance and runs in a
-	// single round regardless (§4.2.3, Figure 6 discussion).
+	// paper's default is 128 MB).
 	SortBufferVirtual int64
-	MergeFactor       int
 	// MergeMemFraction is the reduce heap fraction holding shuffled
 	// segments (0.7 by default); RetainFraction is how much merged
 	// input may stay in memory for the reduce function (0 by default:
@@ -80,15 +83,10 @@ type JobConf struct {
 	MergeMemFraction float64
 	RetainFraction   float64
 
-	CPU CPUModel
-
 	// SpillFactory builds the reduce-side (and Pig) spill target per
 	// task; map-side spills always use the local disk, as in the
 	// paper's integration.
 	SpillFactory spill.Factory
-
-	// MaxAttempts bounds task retries after failures.
-	MaxAttempts int
 
 	// NodeCombine opts into the per-node shared combine stage: map
 	// tasks on the same node publish their sorted, task-combined
@@ -104,11 +102,6 @@ type JobConf struct {
 	// spills through SpillFactory — with a sponge factory the overflow
 	// lands in distributed memory instead of stalling mappers.
 	NodeCombineVirtual int64
-	// NodeCombineLinger is how long the shared buffer stays open after
-	// the node's most recent publish. A map task finishing after the
-	// window closed bypasses to the stock per-task output path, so a
-	// straggler never blocks the node's combined output. Default 60 s.
-	NodeCombineLinger simtime.Duration
 
 	// Metrics, when non-nil, receives the engine's node-combine
 	// instrumentation (mr_node_combine_* series). Nil gives the job a
@@ -127,17 +120,8 @@ func (c *JobConf) Defaults() {
 	if c.SortBufferVirtual <= 0 {
 		c.SortBufferVirtual = 128 * media.MB
 	}
-	if c.MergeFactor <= 0 {
-		c.MergeFactor = 10
-	}
 	if c.MergeMemFraction <= 0 {
 		c.MergeMemFraction = 0.7
-	}
-	if c.CPU == (CPUModel{}) {
-		c.CPU = DefaultCPU()
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
 	}
 	if c.SpillFactory == nil {
 		c.SpillFactory = spill.DiskFactory()
@@ -147,13 +131,8 @@ func (c *JobConf) Defaults() {
 		// without a reduce there is no shuffle to shrink.
 		c.NodeCombine = false
 	}
-	if c.NodeCombine {
-		if c.NodeCombineVirtual <= 0 {
-			c.NodeCombineVirtual = 128 * media.MB
-		}
-		if c.NodeCombineLinger <= 0 {
-			c.NodeCombineLinger = 60 * simtime.Second
-		}
+	if c.NodeCombine && c.NodeCombineVirtual <= 0 {
+		c.NodeCombineVirtual = 128 * media.MB
 	}
 }
 
@@ -212,9 +191,6 @@ func (c *TaskContext) FlushCPU() {
 
 // chargeBytes charges rate-based compute for n real bytes.
 func (c *TaskContext) chargeBytes(n int, rate int64) {
-	if rate <= 0 {
-		return
-	}
 	v := c.Node.Scale() * int64(n)
 	c.ChargeCPU(simtime.Duration(float64(v) / float64(rate) * float64(simtime.Second)))
 }

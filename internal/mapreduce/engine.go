@@ -365,7 +365,7 @@ func (e *Engine) taskDone(rj *runningJob, t *pendingTask, nodeID int, err error)
 	switch {
 	case err != nil && !rj.cancelled:
 		t.attempt++
-		if t.attempt >= rj.conf.MaxAttempts {
+		if t.attempt >= maxAttempts {
 			rj.failed = true
 		} else {
 			// The framework restarts failed tasks (the paper's recovery

@@ -202,7 +202,7 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 			if n == 0 {
 				break
 			}
-			ctx.ChargeCPU(simtime.Duration(float64(n) / float64(conf.CPU.MapRate) * float64(simtime.Second)))
+			ctx.ChargeCPU(simtime.Duration(float64(n) / float64(mapRate) * float64(simtime.Second)))
 		}
 		ctx.FlushCPU()
 		return nil, nil
@@ -224,7 +224,7 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 
 	spillBuffer := func() error {
 		segs, cmps := buf.sortAndSlice()
-		ctx.ChargeCPU(simtime.Duration(cmps) * conf.CPU.Compare)
+		ctx.ChargeCPU(simtime.Duration(cmps) * compareCost)
 		combineSegs(ctx, conf, segs)
 		sp := &mapSpill{files: make([]spill.File, len(segs))}
 		for part, seg := range segs {
@@ -268,8 +268,8 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 			reader.ReadCharge(p, ioDebt)
 			ioDebt = 0
 		}
-		ctx.ChargeCPU(conf.CPU.PerRecord)
-		ctx.chargeBytes(recSize(k, v), conf.CPU.MapRate)
+		ctx.ChargeCPU(perRecord)
+		ctx.chargeBytes(recSize(k, v), mapRate)
 		ctx.run.InputRecords++
 		conf.Map(ctx, k, v, emit)
 	})
@@ -284,7 +284,7 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 	if len(spills) == 0 {
 		segs, cmps := buf.sortAndSlice()
 		releaseBuf()
-		ctx.ChargeCPU(simtime.Duration(cmps) * conf.CPU.Compare)
+		ctx.ChargeCPU(simtime.Duration(cmps) * compareCost)
 		combineSegs(ctx, conf, segs)
 		ctx.FlushCPU()
 		deliverMapOutput(ctx, job, split, segs)
@@ -316,7 +316,7 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 		seg := make([]byte, 0, size)
 		for m.next(p) {
 			seg = appendRecord(seg, m.key(), m.value())
-			ctx.ChargeCPU(simtime.Duration(bits.Len(uint(width))) * conf.CPU.Compare)
+			ctx.ChargeCPU(simtime.Duration(bits.Len(uint(width))) * compareCost)
 		}
 		out[part] = seg
 	}
@@ -364,7 +364,7 @@ func combineSegs(ctx *TaskContext, conf *JobConf, segs [][]byte) {
 	cs := &ctx.combine
 	if cs.emit == nil {
 		cs.emit = func(k, v []byte) { cs.out = appendRecord(cs.out, k, v) }
-		cs.onRec = func(k, v []byte) { ctx.ChargeCPU(ctx.Conf.CPU.PerRecord) }
+		cs.onRec = func(k, v []byte) { ctx.ChargeCPU(perRecord) }
 		cs.vi.g = &cs.g
 	}
 	for part, seg := range segs {

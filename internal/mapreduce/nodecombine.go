@@ -20,7 +20,7 @@ import (
 // capacity the combined content spills through the job's spill.Factory
 // — with a sponge factory the overflow is absorbed by distributed
 // memory instead of stalling mappers — and the spilled runs rejoin the
-// final merge at flush. A task finishing more than NodeCombineLinger
+// final merge at flush. A task finishing more than nodeCombineLinger
 // after the node's most recent publish finds the buffer closed and
 // bypasses to the stock per-task output path, so a straggler never
 // blocks the node.
@@ -139,7 +139,7 @@ type nodeCombiner struct {
 	// overflow-spill charges); the linger timer never flushes under one.
 	publishing int
 	// deadline is the linger window's close: the most recent publish
-	// plus NodeCombineLinger. The timer process re-checks on wake, so
+	// plus nodeCombineLinger. The timer process re-checks on wake, so
 	// publishes slide the window.
 	deadline simtime.Time
 
@@ -168,7 +168,7 @@ func (jc *jobCombine) combinerFor(p *simtime.Proc, node *cluster.Node) *nodeComb
 		jc:       jc,
 		node:     node,
 		open:     true,
-		deadline: p.Now().Add(conf.NodeCombineLinger),
+		deadline: p.Now().Add(nodeCombineLinger),
 		parts:    make([][][]byte, conf.NumReducers),
 		runs:     make([][]spill.File, conf.NumReducers),
 		capReal:  node.RealOf(conf.NodeCombineVirtual),
@@ -252,7 +252,7 @@ func (jc *jobCombine) publish(ctx *TaskContext, split int, segs [][]byte) bool {
 	}
 	nc.bufBytes += incoming
 	nc.totalIn += int64(incoming)
-	nc.deadline = ctx.P.Now().Add(ctx.Conf.NodeCombineLinger)
+	nc.deadline = ctx.P.Now().Add(nodeCombineLinger)
 	nc.published = append(nc.published, publishedTask{split: split, attempt: ctx.run.Attempt})
 
 	jc.m.published.Inc()
@@ -431,7 +431,7 @@ func (jc *jobCombine) flushFailed(nc *nodeCombiner, err error) {
 	for _, pub := range nc.published {
 		rj.mapOut[pub.split] = nil
 		attempt := pub.attempt + 1
-		if attempt >= rj.conf.MaxAttempts {
+		if attempt >= maxAttempts {
 			rj.failed = true
 			continue
 		}
@@ -490,11 +490,11 @@ func combineStreams(ctx *TaskContext, conf *JobConf, streams []recordStream) []b
 	if width == 0 {
 		width = 1
 	}
-	cmp := simtime.Duration(bits.Len(uint(width))) * conf.CPU.Compare
+	cmp := simtime.Duration(bits.Len(uint(width))) * compareCost
 	var out []byte
 	emit := func(k, v []byte) { out = appendRecord(out, k, v) }
 	g := newGrouper(ctx.P, m, func(k, v []byte) {
-		ctx.ChargeCPU(conf.CPU.PerRecord + cmp)
+		ctx.ChargeCPU(perRecord + cmp)
 	})
 	vi := &ValueIter{g: g}
 	for {

@@ -189,10 +189,19 @@ func TestNodeCombineLingerBypass(t *testing.T) {
 	r := newCombineRig()
 	conf := wordJob(r, "/in/nc-linger", records, vocab)
 	conf.NodeCombine = true
-	// A one-tick linger window closes each node's buffer right after its
-	// first publish: the first task in publishes, later tasks find the
-	// buffer closed and must bypass to the stock per-task path.
-	conf.NodeCombineLinger = 1 * simtime.Nanosecond
+	// Split 0's map stalls for five virtual minutes, far past the 60 s
+	// linger window: every other task publishes, the window closes and
+	// the timer flushes, and the straggler must bypass to the stock
+	// per-task path.
+	inner := conf.Map
+	stalled := false
+	conf.Map = func(ctx *TaskContext, k, v []byte, emit Emit) {
+		if ctx.Run().Index == 0 && !stalled {
+			stalled = true
+			ctx.P.Sleep(5 * 60 * simtime.Second)
+		}
+		inner(ctx, k, v, emit)
+	}
 	counts, _, res := runWordJob(t, r, conf)
 	checkWordCounts(t, counts, records, vocab)
 	st := res.NodeCombine
@@ -260,7 +269,7 @@ func TestNodeCombineFlushFailureRetriesTasks(t *testing.T) {
 }
 
 // TestCombinerDuringMultiRoundMerges is the satellite regression: when
-// MergeFactor forces multiple reduce-side merge rounds, the combiner
+// io.sort.factor forces multiple reduce-side merge rounds, the combiner
 // must re-run over each intermediate merge so re-merged runs carry
 // combined records. Keys are unique within each map (map-side combining
 // is a no-op) but shared across maps, so all folding happens at the
@@ -431,7 +440,7 @@ func TestCombineSegsSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime allocations would drown the guard")
 	}
-	conf := JobConf{} // zero CPU model: ChargeCPU(0) never sleeps
+	conf := JobConf{}
 	var acc [4]byte
 	conf.Combine = func(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
 		var total uint32
@@ -445,8 +454,6 @@ func TestCombineSegsSteadyStateAllocationFree(t *testing.T) {
 		binary.LittleEndian.PutUint32(acc[:], total)
 		emit(key, acc[:])
 	}
-	ctx := &TaskContext{Conf: &conf, run: &TaskRun{}}
-
 	// A sorted segment: 500 keys × 4 duplicates, built once.
 	var template []byte
 	one := make([]byte, 4)
@@ -459,17 +466,27 @@ func TestCombineSegsSteadyStateAllocationFree(t *testing.T) {
 	}
 	in := append([]byte(nil), template...)
 	segs := make([][]byte, 1)
-	run := func() {
-		segs[0] = in
-		combineSegs(ctx, &conf, segs)
-		// Rebuild the next input into this call's output backing — the
-		// scratch combineSegs now holds is the old input, so the two
-		// never alias.
-		in = append(segs[0][:0], template...)
-	}
-	run() // warm-up: allocates the scratch slab once
-	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Fatalf("combineSegs steady state allocates %.1f per segment, want 0", n)
+	// The per-record CPU charge sleeps, so the combiner runs on a
+	// simulated process.
+	sim := simtime.New()
+	defer sim.Close()
+	var allocs float64
+	sim.Spawn("combiner", func(p *simtime.Proc) {
+		ctx := &TaskContext{P: p, Conf: &conf, run: &TaskRun{}}
+		run := func() {
+			segs[0] = in
+			combineSegs(ctx, &conf, segs)
+			// Rebuild the next input into this call's output backing —
+			// the scratch combineSegs now holds is the old input, so the
+			// two never alias.
+			in = append(segs[0][:0], template...)
+		}
+		run() // warm-up: allocates the scratch slab once
+		allocs = testing.AllocsPerRun(100, run)
+	})
+	sim.MustRun()
+	if allocs != 0 {
+		t.Fatalf("combineSegs steady state allocates %.1f per segment, want 0", allocs)
 	}
 }
 

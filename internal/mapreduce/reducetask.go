@@ -100,17 +100,17 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		}
 	}
 
-	// Multi-round merging: with more on-disk runs than MergeFactor, the
+	// Multi-round merging: with more on-disk runs than mergeFactor, the
 	// disk path merges rounds of runs into bigger runs to bound the
 	// number of concurrently-read files (seek avoidance). Remote-memory
 	// spills have no seeks to avoid, so the sponge path merges all runs
 	// in a single round — this asymmetry is why the paper's median job
 	// spills 16.1 GB via disk but only 10.3 GB via SpongeFiles (§4.2.3).
 	singleRound := ctx.Spill.Stats().RemoteMode
-	for !singleRound && len(runs) > conf.MergeFactor {
-		// Merge the MergeFactor smallest runs (Hadoop's policy).
+	for !singleRound && len(runs) > mergeFactor {
+		// Merge the mergeFactor smallest runs (Hadoop's policy).
 		sort.Slice(runs, func(i, j int) bool { return runs[i].Size() < runs[j].Size() })
-		batch := runs[:conf.MergeFactor]
+		batch := runs[:mergeFactor]
 		streams := make([]recordStream, len(batch))
 		size := 0
 		for i, f := range batch {
@@ -128,7 +128,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		for _, f := range batch {
 			f.Delete(p)
 		}
-		runs = append(runs[conf.MergeFactor:], merged)
+		runs = append(runs[mergeFactor:], merged)
 		ctx.run.MergeRounds++
 	}
 
@@ -153,8 +153,8 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		}
 	}
 	g := newGrouper(p, merge, func(k, v []byte) {
-		ctx.ChargeCPU(conf.CPU.PerRecord + simtime.Duration(bits.Len(uint(width)))*conf.CPU.Compare)
-		ctx.chargeBytes(recSize(k, v), conf.CPU.ReduceRate)
+		ctx.ChargeCPU(perRecord + simtime.Duration(bits.Len(uint(width)))*compareCost)
+		ctx.chargeBytes(recSize(k, v), reduceRate)
 	})
 	vi := &ValueIter{g: g}
 	for {
@@ -202,7 +202,7 @@ func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, 
 	if width == 0 {
 		width = 1
 	}
-	cmp := simtime.Duration(bits.Len(uint(width))) * ctx.Conf.CPU.Compare
+	cmp := simtime.Duration(bits.Len(uint(width))) * compareCost
 	var buf []byte
 	var werr error
 	flush := func(force bool) {
@@ -231,7 +231,7 @@ func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, 
 			flush(false)
 		}
 		g := newGrouper(p, m, func(k, v []byte) {
-			ctx.ChargeCPU(ctx.Conf.CPU.PerRecord + cmp)
+			ctx.ChargeCPU(perRecord + cmp)
 		})
 		vi := &ValueIter{g: g}
 		for {

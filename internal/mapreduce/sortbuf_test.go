@@ -188,17 +188,18 @@ func TestSortBufferListDroppedWhenJobFailsOrIsCancelled(t *testing.T) {
 			Input: r.splitsInput("/in/doomed", 12, 10, 3),
 			Map: func(ctx *TaskContext, k, v []byte, emit Emit) {
 				checkSortBufs(t, doomed.rj, slab)
-				if ctx.run.Index == 5 {
+				// No split can be read. A retry queues behind every task
+				// already waiting, so split 0 fails its last attempt while
+				// the other splits' last attempts wait for a slot.
+				if ctx.run.Index == 0 && ctx.run.Attempt == maxAttempts-1 {
 					// The attempt's own buffer joins the list as it dies.
 					p.Sim().After(0, func() { heldAtFailure = len(doomed.rj.sortBufs) })
-					panic("split 5 cannot be read")
 				}
-				emit(k, v)
+				panic("split cannot be read")
 			},
-			MaxAttempts: 1,
 		})
 		if res := doomed.Wait(p); !res.Failed {
-			t.Error("a job whose split fails its only attempt should fail")
+			t.Error("a job whose splits fail all their attempts should fail")
 		}
 		if heldAtFailure != 1 {
 			t.Errorf("%d buffers in the list as the job failed, want 1; the test proves nothing", heldAtFailure)

@@ -106,9 +106,6 @@ func (d *Disk) NewStream() StreamID {
 // Stats returns a copy of the disk's counters.
 func (d *Disk) Stats() DiskStats { return d.stats }
 
-// CacheCapacity returns the page-cache size in virtual bytes.
-func (d *Disk) CacheCapacity() int64 { return d.capacity }
-
 // CacheDirty returns the current dirty bytes.
 func (d *Disk) CacheDirty() int64 { return d.dirty }
 

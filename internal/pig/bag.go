@@ -26,9 +26,8 @@ type MemoryManager struct {
 	// into a separate SpongeFile", §3.2).
 	ChunkReal int
 
-	used   int
-	bags   []*Bag
-	spills int
+	used int
+	bags []*Bag
 }
 
 // NewMemoryManager creates a manager spilling through target.
@@ -41,9 +40,6 @@ func NewMemoryManager(p *simtime.Proc, target spill.Target, budgetReal, chunkRea
 
 // Used reports current in-memory bag bytes (real).
 func (m *MemoryManager) Used() int { return m.used }
-
-// Spills reports how many spill events the manager has triggered.
-func (m *MemoryManager) Spills() int { return m.spills }
 
 func (m *MemoryManager) grow(n int) {
 	m.used += n
@@ -62,7 +58,6 @@ func (m *MemoryManager) grow(n int) {
 			// Nothing big enough left to spill profitably.
 			return
 		}
-		m.spills++
 		victim.spillNow(m.p)
 	}
 }
@@ -116,9 +111,6 @@ func (m *MemoryManager) NewSortedBag(name string, key func(Cursor) float64) *Bag
 
 // Len returns the number of tuples added.
 func (b *Bag) Len() int64 { return b.total }
-
-// MemBytes returns the in-memory portion's real size.
-func (b *Bag) MemBytes() int { return b.memBytes }
 
 // SpilledRuns returns how many spill files the bag has written.
 func (b *Bag) SpilledRuns() int { return len(b.runs) }

@@ -121,7 +121,6 @@ func serveArgs(opts HarnessOptions) []string {
 		"-addr", "127.0.0.1:0",
 		"-chunk", fmt.Sprint(opts.ChunkBytes),
 		"-chunks", fmt.Sprint(opts.Chunks),
-		"-inflight", fmt.Sprint(opts.Wire.Inflight),
 		"-read-timeout", opts.Wire.ReadTimeout.String(),
 		"-write-timeout", opts.Wire.WriteTimeout.String(),
 	}

@@ -178,7 +178,9 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 	c := cluster.New(sim, cfg)
 	reg := obs.NewRegistry()
 	scfg := sponge.DefaultConfig()
-	scfg.ReadAheadDepth = spec.ReadAhead
+	if spec.ReadAhead > 0 {
+		scfg.ReadAheadDepth = spec.ReadAhead
+	}
 	scfg.TrackerReplicas = spec.TrackerReplicas
 	scfg.DeltaDissemination = spec.Delta
 	scfg.Metrics = reg
@@ -219,7 +221,7 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 			SocketDir: socketDir,
 			Metrics:   reg,
 		}),
-		sponge.FaultConfig{Seed: spec.Seed, DropRate: spec.DropRate, ErrRate: spec.ErrRate})
+		sponge.FaultConfig{Seed: spec.Seed, DropRate: spec.DropRate})
 	// SetTransport attaches the fault counters to the service registry,
 	// so sponge_fault_* evidence is always scrapeable.
 	svc.SetTransport(faults)

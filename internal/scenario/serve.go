@@ -27,7 +27,6 @@ func ServeCmd(args []string) {
 	chunk := fs.Int("chunk", 1<<20, "chunk size in bytes (the paper: 1 MB)")
 	chunks := fs.Int("chunks", 1024, "number of chunks in the sponge pool")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP sidecar address serving /metrics (empty = none; OpMetrics always works)")
-	inflight := fs.Int("inflight", 0, "per-connection worker-pool bound (0 = default 16)")
 	readTO := fs.Duration("read-timeout", 0, "per-frame read deadline (0 = none)")
 	writeTO := fs.Duration("write-timeout", 0, "per-write deadline (0 = none)")
 	socketDir := fs.String("local-socket-dir", "", "directory for the same-host unix socket (empty = TCP only)")
@@ -44,7 +43,6 @@ func ServeCmd(args []string) {
 
 	pool := sponge.NewPool(*chunk, *chunks)
 	srv, err := wire.Serve(pool, *addr, wire.Options{
-		Inflight:       *inflight,
 		ReadTimeout:    *readTO,
 		WriteTimeout:   *writeTO,
 		LocalSocketDir: *socketDir,

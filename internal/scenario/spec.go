@@ -31,11 +31,10 @@ type Spec struct {
 	// parent transport auto-selects the same-host tier (and arms the
 	// fd-passing fast paths).
 	UnixSockets bool
-	// DropRate and ErrRate seed the fault transport's random faults;
-	// the wrapper is installed for every case (rate 0 injects nothing)
-	// so drop-rate ramp events always have a place to land.
+	// DropRate seeds the fault transport's random drops; the wrapper is
+	// installed for every case (rate 0 injects nothing) so drop-rate
+	// ramp events always have a place to land.
 	DropRate float64
-	ErrRate  float64
 	// Seed drives the deterministic fault stream (default 1).
 	Seed int64
 }

@@ -111,12 +111,6 @@ func (r *Resource) Use(p *Proc, d Duration) {
 	r.Release()
 }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of processes waiting.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
-
 // BusyTime reports the total virtual time during which at least one unit
 // was held.
 func (r *Resource) BusyTime() Duration {
@@ -165,9 +159,6 @@ func (s *Signal) Broadcast() {
 	s.waiters = s.waiters[:0]
 }
 
-// Waiting reports the number of parked processes.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
 // Queue is an unbounded FIFO of values with blocking receive, the
 // simulated analogue of a channel.
 type Queue struct {
@@ -202,14 +193,6 @@ func (q *Queue) Get(p *Proc) interface{} {
 		q.waiters.pop().unpark()
 	}
 	return v
-}
-
-// TryGet removes and returns the head item without blocking.
-func (q *Queue) TryGet() (interface{}, bool) {
-	if q.items.len() == 0 {
-		return nil, false
-	}
-	return q.items.pop(), true
 }
 
 // Len reports the number of queued items.

@@ -43,11 +43,6 @@ func (t *PagingTarget) Stats() Stats { return t.stats }
 // Close implements Target.
 func (t *PagingTarget) Close() {}
 
-// PagingFactory returns a Factory paging to the given remote node.
-func PagingFactory(c *cluster.Cluster, remote *cluster.Node) Factory {
-	return func(node *cluster.Node) Target { return NewPagingTarget(c, node, remote) }
-}
-
 type pagedFile struct {
 	t      *PagingTarget
 	data   []byte

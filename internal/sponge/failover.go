@@ -39,9 +39,6 @@ func (s *Service) FailTracker() {
 	s.Tracker.down = true
 }
 
-// NodeAlive reports whether a node is still up (live or draining).
-func (s *Service) NodeAlive(node int) bool { return !s.nodeDown(node) }
-
 // Standbys returns the warm tracker replicas in succession order.
 func (s *Service) Standbys() []*Tracker { return s.standbys }
 

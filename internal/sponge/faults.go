@@ -19,26 +19,22 @@ type FaultConfig struct {
 	// seed, rates, and operation order inject the same faults.
 	Seed int64
 	// DropRate is the probability an exchange is lost in transit: the
-	// caller waits out Timeout in virtual time and gets
+	// caller waits out faultTimeout in virtual time and gets
 	// ErrPeerUnreachable. The request never reaches the peer (request
 	// loss, not response loss — the peer performs no side effect).
 	DropRate float64
-	// ErrRate is the probability an exchange fails fast — connection
-	// refused rather than a silent loss: ErrPeerUnreachable with no
-	// timeout charged.
-	ErrRate float64
 	// Delay is extra virtual latency added to every delivered exchange.
 	Delay simtime.Duration
-	// Timeout is the virtual time a caller waits before concluding an
-	// exchange was dropped; 0 means the default (100 ms).
-	Timeout simtime.Duration
 }
+
+// faultTimeout is the virtual time a caller waits before concluding an
+// exchange was dropped or partitioned away.
+const faultTimeout = 100 * simtime.Millisecond
 
 // FaultStats counts what the wrapper did to the traffic.
 type FaultStats struct {
 	Exchanges int64 // total exchanges attempted through the wrapper
 	Drops     int64 // lost in transit (timeout charged)
-	FastErrs  int64 // failed fast (no timeout)
 	Blocked   int64 // refused because the link or a node is partitioned
 }
 
@@ -53,8 +49,8 @@ func link(a, b int) linkKey {
 }
 
 // FaultTransport wraps any Transport and injects per-link faults: random
-// drops and fast errors, fixed delivery delay, per-link drop overrides,
-// and hard partitions of links or whole nodes. Loopback exchanges
+// drops, fixed delivery delay, per-link drop overrides, and hard
+// partitions of links or whole nodes. Loopback exchanges
 // (caller and peer on the same node) never traverse the network and are
 // delivered untouched.
 //
@@ -75,14 +71,11 @@ type FaultTransport struct {
 	// Registered counters mirroring FaultStats into an obs registry;
 	// nil until AttachMetrics. The increments happen after the random
 	// rolls, so attaching metrics never perturbs the fault stream.
-	mExchanges, mDrops, mFastErrs, mBlocked *obs.Counter
+	mExchanges, mDrops, mBlocked *obs.Counter
 }
 
 // NewFaultTransport wraps inner with fault injection per cfg.
 func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 100 * simtime.Millisecond
-	}
 	return &FaultTransport{
 		inner:    inner,
 		cfg:      cfg,
@@ -146,13 +139,6 @@ func (ft *FaultTransport) SetDropRate(rate float64) {
 	ft.mu.Unlock()
 }
 
-// SetErrRate replaces the global fast-error probability at runtime.
-func (ft *FaultTransport) SetErrRate(rate float64) {
-	ft.mu.Lock()
-	ft.cfg.ErrRate = rate
-	ft.mu.Unlock()
-}
-
 // AttachMetrics mirrors the wrapper's counters into reg as
 // sponge_fault_*_total series. Service.SetTransport calls this
 // automatically; callers wiring a FaultTransport around a raw wire
@@ -164,7 +150,6 @@ func (ft *FaultTransport) AttachMetrics(reg *obs.Registry) {
 	defer ft.mu.Unlock()
 	ft.mExchanges = reg.Counter("sponge_fault_exchanges_total")
 	ft.mDrops = reg.Counter("sponge_fault_drops_total")
-	ft.mFastErrs = reg.Counter("sponge_fault_fast_errs_total")
 	ft.mBlocked = reg.Counter("sponge_fault_blocked_total")
 }
 
@@ -188,33 +173,28 @@ func (ft *FaultTransport) RevokePeer(node int) {
 	}
 }
 
-// outcome is what the wrapper decided to do with one exchange.
-type outcome int
-
-const (
-	deliver outcome = iota
-	dropped         // lost in transit: charge the timeout
-	fastErr         // failed fast: no timeout
-	blocked         // partitioned: charge the timeout
-)
-
-// decide rolls the fault dice for one exchange from -> to. Two rolls are
-// always consumed so the random stream does not depend on the configured
-// rates, only on the exchange order.
-func (ft *FaultTransport) decide(from, to int) outcome {
+// decide rolls the fault dice for one exchange from -> to and reports
+// whether it is lost, partitioned away or dropped in transit. The roll is
+// consumed even when the exchange is partitioned, so the random stream
+// depends only on the exchange order, not on the configured rates.
+func (ft *FaultTransport) decide(from, to int) (lost bool) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.stats.Exchanges++
 	if ft.mExchanges != nil {
 		ft.mExchanges.Inc()
 	}
-	dropRoll, errRoll := ft.rng.Float64(), ft.rng.Float64()
+	dropRoll := ft.rng.Float64()
+	// A second number is drawn and discarded: the retired fast-error
+	// class rolled it, and drawing it still keeps every seeded fault
+	// stream — and so every recorded fault run — where it was.
+	ft.rng.Float64()
 	if ft.cutNodes[from] || ft.cutNodes[to] || ft.cutLinks[link(from, to)] {
 		ft.stats.Blocked++
 		if ft.mBlocked != nil {
 			ft.mBlocked.Inc()
 		}
-		return blocked
+		return true
 	}
 	drop := ft.cfg.DropRate
 	if r, ok := ft.linkDrop[link(from, to)]; ok {
@@ -225,16 +205,9 @@ func (ft *FaultTransport) decide(from, to int) outcome {
 		if ft.mDrops != nil {
 			ft.mDrops.Inc()
 		}
-		return dropped
+		return true
 	}
-	if errRoll < ft.cfg.ErrRate {
-		ft.stats.FastErrs++
-		if ft.mFastErrs != nil {
-			ft.mFastErrs.Inc()
-		}
-		return fastErr
-	}
-	return deliver
+	return false
 }
 
 // exchange applies the fault decision for one exchange, returning a
@@ -243,12 +216,9 @@ func (ft *FaultTransport) exchange(p *simtime.Proc, from, to int) error {
 	if from == to {
 		return nil
 	}
-	switch ft.decide(from, to) {
-	case dropped, blocked:
-		p.Sleep(ft.cfg.Timeout)
+	if ft.decide(from, to) {
+		p.Sleep(faultTimeout)
 		return fmt.Errorf("%w: exchange node%d->node%d timed out", ErrPeerUnreachable, from, to)
-	case fastErr:
-		return fmt.Errorf("%w: exchange node%d->node%d refused", ErrPeerUnreachable, from, to)
 	}
 	if ft.cfg.Delay > 0 {
 		p.Sleep(ft.cfg.Delay)

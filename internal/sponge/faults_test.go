@@ -71,7 +71,7 @@ func (fp flakyPeer) TaskAlive(p *simtime.Proc, from *cluster.Node, pid int64) (b
 }
 
 // TestRetryRecoversLostExchange loses the first two alloc exchanges;
-// the retry budget (default 2) absorbs them and the chunk still lands
+// the retry budget (retryLimit, 2) absorbs them and the chunk still lands
 // in remote memory, with the retries counted.
 func TestRetryRecoversLostExchange(t *testing.T) {
 	r := newRig(t, 2, 2, nil) // two local chunks; the rest must go remote
@@ -108,8 +108,8 @@ func TestExhaustedRetriesBlacklistCandidate(t *testing.T) {
 	// At least one full retry budget was spent before the blacklist
 	// (concurrent async writers may each spend their own before the
 	// first one's verdict lands).
-	if st.Retries < r.svc.Config.RetryLimit {
-		t.Fatalf("retries = %d, want >= %d", st.Retries, r.svc.Config.RetryLimit)
+	if st.Retries < retryLimit {
+		t.Fatalf("retries = %d, want >= %d", st.Retries, retryLimit)
 	}
 }
 

@@ -403,12 +403,12 @@ func (f *File) allocRemote(p *simtime.Proc, node int, payload []byte) (int, int,
 		if err == nil {
 			return h, attempt, nil
 		}
-		if !errors.Is(err, ErrPeerUnreachable) || attempt >= svc.Config.RetryLimit {
+		if !errors.Is(err, ErrPeerUnreachable) || attempt >= retryLimit {
 			return 0, attempt, err
 		}
 		f.stats.Retries++
 		svc.metrics.retriesAlloc.Inc()
-		p.Sleep(svc.Config.RetryBackoff)
+		p.Sleep(retryBackoff)
 	}
 }
 
@@ -521,31 +521,13 @@ func (f *File) raLookup(i int) *raSlot {
 }
 
 // fillWindow tops the readahead window up to ReadAheadDepth in-flight
-// fetches of upcoming non-local chunks (§3.1.2, widened). At depth 1 it
-// reproduces the seed's single-slot prefetcher exactly: only the chunk
-// right after the one being consumed is considered, and a LocalMem or
-// RemoteFS chunk there stops the lookahead — the bit-identical compat
-// baseline that ReadAheadDepth documents. At depth >= 2 the scan looks
+// fetches of upcoming non-local chunks (§3.1.2, widened). The scan looks
 // past non-prefetchable kinds (LocalMem needs no fetch; RemoteFS shares
 // one sequential cursor with the foreground reader and is fetched in
 // line) to the next remote-memory or disk chunk instead of giving up.
 func (f *File) fillWindow(p *simtime.Proc, from int) {
-	if !f.agent.svc.Config.Prefetch {
-		return
-	}
 	if f.raNext < from {
 		f.raNext = from
-	}
-	if len(f.ra) == 1 {
-		s := &f.ra[0]
-		if s.chunk != -1 || from >= len(f.chunks) {
-			return
-		}
-		if k := f.chunks[from].kind; k == LocalMem || k == RemoteFS {
-			return
-		}
-		f.startFetch(p, 0, from)
-		return
 	}
 	inFlight := 0
 	for k := range f.ra {
@@ -677,13 +659,13 @@ func (f *File) readRemote(p *simtime.Proc, node, handle int, buf []byte) (int, e
 		if !errors.Is(err, ErrPeerUnreachable) {
 			return attempt, err
 		}
-		if attempt >= svc.Config.RetryLimit {
+		if attempt >= retryLimit {
 			svc.metrics.chunksLost.Inc()
 			return attempt, fmt.Errorf("%w: node %d unreachable after %d attempts", ErrChunkLost, node, attempt+1)
 		}
 		f.stats.Retries++
 		svc.metrics.retriesRead.Inc()
-		p.Sleep(svc.Config.RetryBackoff)
+		p.Sleep(retryBackoff)
 	}
 }
 

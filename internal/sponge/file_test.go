@@ -748,17 +748,13 @@ func TestDeleteMidWindow(t *testing.T) {
 // dropped fetches are retried inside their window slot, delaying only
 // that slot, and the reader still sees every byte in order.
 func TestWindowRetriesKeepOrder(t *testing.T) {
-	r := newRig(t, 3, 2, func(c *ServiceConfig) {
-		c.RetryLimit = 10
-		c.RetryBackoff = 5 * simtime.Millisecond
-	})
+	r := newRig(t, 3, 2, nil)
+	// Seed 5 drops two fetches, each recovered inside the retry budget.
 	r.svc.SetTransport(NewFaultTransport(r.svc.Transport(), FaultConfig{
-		Seed:     7,
+		Seed:     5,
 		DropRate: 0.3,
-		Timeout:  10 * simtime.Millisecond,
 	}))
 	data := pattern(8*r.svc.ChunkReal(), 23)
-	var retries int
 	r.sim.Spawn("t", func(p *simtime.Proc) {
 		agent := r.svc.NewAgent(r.c.Nodes[0])
 		defer agent.Close()
@@ -785,12 +781,11 @@ func TestWindowRetriesKeepOrder(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Error("lossy windowed read reordered or corrupted bytes")
 		}
-		retries = f.Stats().Retries
 		f.Delete(p)
 	})
 	r.sim.MustRun()
-	if retries == 0 {
-		t.Error("expected the lossy transport to force at least one retry")
+	if n := r.svc.metrics.retriesRead.Value(); n == 0 {
+		t.Error("expected the lossy transport to force at least one fetch retry")
 	}
 	if out := r.svc.BufPoolStats().Outstanding(); out != 0 {
 		t.Fatalf("chunk buffers leaked: outstanding = %d", out)
@@ -861,8 +856,8 @@ func TestFileReadSteadyStateAllocationFree(t *testing.T) {
 }
 
 func TestPrefetchOverlapsRemoteReads(t *testing.T) {
-	measure := func(prefetch bool) simtime.Duration {
-		r := newRig(t, 3, 2, func(c *ServiceConfig) { c.Prefetch = prefetch })
+	measure := func(depth int) simtime.Duration {
+		r := newRig(t, 3, 2, func(c *ServiceConfig) { c.ReadAheadDepth = depth })
 		var d simtime.Duration
 		r.sim.Spawn("t", func(p *simtime.Proc) {
 			agent := r.svc.NewAgent(r.c.Nodes[0])
@@ -895,7 +890,7 @@ func TestPrefetchOverlapsRemoteReads(t *testing.T) {
 		r.sim.MustRun()
 		return d
 	}
-	with, without := measure(true), measure(false)
+	with, without := measure(DefaultConfig().ReadAheadDepth), measure(0)
 	if with >= without {
 		t.Fatalf("prefetch should speed up remote reads: with=%v without=%v", with, without)
 	}

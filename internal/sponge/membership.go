@@ -210,7 +210,11 @@ func (s *Service) LeaveNode(p *simtime.Proc, node int) error {
 }
 
 // evacuate moves one batch of chunks off a draining node, recording a
-// forwarding entry per move.
+// forwarding entry per move. The copy yields virtual time, and the owner
+// may free the chunk meanwhile (its Delete finds no forward yet and frees
+// the original): the chunk's generation, read before the copy and again
+// after, tells. Such a chunk gets no forward, and its copy is freed at
+// the target.
 func (s *Service) evacuate(p *simtime.Proc, node int, handles []int) error {
 	srv := s.Servers[node]
 	pool := srv.Pool()
@@ -221,7 +225,7 @@ func (s *Service) evacuate(p *simtime.Proc, node int, handles []int) error {
 		if err != nil {
 			continue // freed since the pass started
 		}
-		n, err := pool.Length(h)
+		_, _, n, gen, err := pool.Loc(h)
 		if err != nil {
 			continue
 		}
@@ -236,6 +240,10 @@ func (s *Service) evacuate(p *simtime.Proc, node int, handles []int) error {
 		s.putBuf(buf)
 		if err != nil {
 			failed++
+			continue
+		}
+		if _, _, _, now, err := pool.Loc(h); err != nil || now != gen {
+			_ = s.peer(target).Free(p, from, handle)
 			continue
 		}
 		if s.forwards == nil {

@@ -128,6 +128,48 @@ func TestLeaveNodeEvacuatesAndForwards(t *testing.T) {
 	r.sim.MustRun()
 }
 
+// TestLeaveOverlappingOwnerDelete: the owner deletes its file 1 ms into
+// a planned leave of the node holding its remote chunks. The chunk being
+// copied is freed under the copy; the evacuation must notice, free the
+// copy at the target and move on — not free the original a second time.
+func TestLeaveOverlappingOwnerDelete(t *testing.T) {
+	r := newRig(t, 3, 4, nil)
+	r.sim.Spawn("task", func(p *simtime.Proc) {
+		agent := r.svc.NewAgent(r.c.Nodes[0])
+		defer agent.Close()
+		f := agent.Create(p, "spill")
+		if err := f.Write(p, pattern(8*r.svc.ChunkReal(), 7)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if f.Stats().ByKind[RemoteMem] != 4 {
+			t.Errorf("placement before leave: %+v", f.Stats().ByKind)
+			return
+		}
+		r.sim.Spawn("leave", func(p *simtime.Proc) {
+			if err := r.svc.LeaveNode(p, 1); err != nil {
+				t.Errorf("leave: %v", err)
+			}
+		})
+		p.Sleep(simtime.Millisecond)
+		f.Delete(p)
+	})
+	r.sim.MustRun()
+	if st := r.svc.NodeState(1); st != NodeDeparted {
+		t.Errorf("state after leave = %s, want departed", st)
+	}
+	for i, srv := range r.svc.Servers {
+		if free := srv.Pool().Free(); free != 4 {
+			t.Errorf("node %d: %d chunks free, want all 4", i, free)
+		}
+	}
+	if out := r.svc.BufPoolStats().Outstanding(); out != 0 {
+		t.Errorf("chunk buffers leaked: outstanding = %d", out)
+	}
+}
+
 // TestLeaveNodeAbortsWithoutCapacity: when no live server can absorb the
 // draining chunks, the leave reports the failure and the node returns to
 // live service instead of stranding data.
@@ -315,8 +357,8 @@ func TestWatchdogPromotesStandbyOnHostDeath(t *testing.T) {
 func TestDeltaDisseminationConverges(t *testing.T) {
 	r := newRig(t, 3, 4, func(c *ServiceConfig) {
 		c.DeltaDissemination = true
+		// Anti-entropy runs every tenth cycle, past this run's end.
 		c.PollInterval = 500 * simtime.Millisecond
-		c.AntiEntropyEvery = 100 // out of reach in this run
 	})
 	r.sim.Spawn("task", func(p *simtime.Proc) {
 		agent := r.svc.NewAgent(r.c.Nodes[0])
@@ -382,11 +424,11 @@ func TestDrainedNodeCannotReadvertiseByDelta(t *testing.T) {
 // the tracker process is down reaches nobody, so the reporter must not
 // mark it sent. Once the watchdog promotes the standby, the reporter's
 // next cycle pushes the count again and the successor's row shows it —
-// by delta, with no poll (anti-entropy is out of reach in this run).
+// by delta, with no poll (anti-entropy runs every tenth cycle; this run
+// sees five).
 func TestDeltaLostToDeadLeaderIsResent(t *testing.T) {
 	r := newRig(t, 3, 4, func(c *ServiceConfig) {
 		c.DeltaDissemination = true
-		c.AntiEntropyEvery = 1000
 		c.TrackerReplicas = 1
 		c.PollInterval = 500 * simtime.Millisecond
 	})

@@ -215,7 +215,6 @@ func faultCounterRun(t *testing.T) map[string]int64 {
 	keys := []string{
 		"sponge_fault_exchanges_total",
 		"sponge_fault_drops_total",
-		"sponge_fault_fast_errs_total",
 		`sponge_retries_total{op="alloc"}`,
 		`sponge_retries_total{op="read"}`,
 		`sponge_retries_total{op="poll"}`,

@@ -22,26 +22,21 @@ type ServiceConfig struct {
 	GCInterval   simtime.Duration
 	// AsyncWriteDepth and ReadAheadDepth are the two halves of the file
 	// pipeline; a SpongeFile is written once and then read once, so the
-	// windows never overlap and are tuned independently.
+	// windows never overlap and are tuned independently. Depth 0 turns
+	// either half off.
 	//
 	// AsyncWriteDepth bounds outstanding asynchronous chunk writes per
 	// file — the write-side window (§3.1.2's double buffering is depth
-	// 2). 0 disables async writes entirely: every spill is synchronous.
+	// 2). At 0 every spill is synchronous.
 	AsyncWriteDepth int
-	// Prefetch enables read-ahead of upcoming non-local chunks; the
-	// window's depth is ReadAheadDepth.
-	Prefetch bool
 	// ReadAheadDepth bounds outstanding prefetch fetches per file — the
 	// read-side window. Up to N chunk fetches cross the transport
 	// concurrently (over the pipelined wire client they multiplex on one
 	// cached connection per peer via request IDs), each filling one
 	// recycled chunk buffer, and deliver strictly in order to the
-	// sequential reader. 0 means the default (4); values below 1 are
-	// clamped to 1. Depth 1 reproduces the seed's single-slot prefetcher
-	// bit for bit — including its quirk of considering only the very next
-	// chunk — and is the compat baseline the equivalence tests pin; depth
-	// >= 2 additionally looks past non-prefetchable chunk kinds
-	// (LocalMem/RemoteFS) instead of stalling the window behind them.
+	// sequential reader. The window looks past chunks that need no fetch
+	// (LocalMem) or share the reader's cursor (RemoteFS) to the next
+	// remote-memory or disk chunk. At 0 every chunk is fetched in line.
 	ReadAheadDepth int
 	// Affinity prefers remote servers the task already stores chunks on,
 	// shrinking its failure surface (§3.1.1).
@@ -54,17 +49,6 @@ type ServiceConfig struct {
 	RemoteDisabled bool
 	// QuotaChunksPerTask caps chunks per task per node; 0 = unlimited.
 	QuotaChunksPerTask int
-	// RetryLimit is how many times a lost exchange (ErrPeerUnreachable)
-	// with one peer is retried before the peer is given up: the write
-	// path blacklists the candidate, the read path reports the chunk
-	// lost, the tracker records the server as having no free space. 0
-	// means the default (2); negative disables retries. Application
-	// errors — a full pool, a quota rejection — are never retried.
-	RetryLimit int
-	// RetryBackoff is the virtual time waited between retries of a lost
-	// exchange; 0 means the default (20 ms). Only charged when a
-	// transport fault actually occurs, so fault-free runs are unaffected.
-	RetryBackoff simtime.Duration
 	// LocalDiskEnabled allows the local-disk fallback; disable to force
 	// the RemoteStore path in tests.
 	LocalDiskEnabled bool
@@ -78,14 +62,10 @@ type ServiceConfig struct {
 	// sequence-numbered incremental reports: each server pushes its free
 	// count to the tracker leader only when it changed since the last
 	// acked report, and the leader runs a full-snapshot anti-entropy
-	// poll every AntiEntropyEvery cycles to reconcile anything the
+	// poll every antiEntropyEvery cycles to reconcile anything the
 	// deltas missed. Off by default — the full poll is the paper's
 	// behaviour and the seed-golden baselines pin it.
 	DeltaDissemination bool
-	// AntiEntropyEvery is, under DeltaDissemination, how many poll
-	// intervals pass between anti-entropy full polls; 0 means the
-	// default (10).
-	AntiEntropyEvery int
 	// Remote is the distributed-filesystem last resort; may be nil.
 	Remote RemoteStore
 	// Metrics, when non-nil, is the registry the service instruments
@@ -97,20 +77,38 @@ type ServiceConfig struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig returns the paper's configuration.
+// DefaultConfig returns the paper's configuration. It is the one home of
+// the defaults: every caller starts from it and changes what it studies.
 func DefaultConfig() ServiceConfig {
 	return ServiceConfig{
 		ChunkVirtual:     1 * media.MB,
 		PollInterval:     1 * simtime.Second,
 		GCInterval:       30 * simtime.Second,
 		AsyncWriteDepth:  2,
-		Prefetch:         true,
 		ReadAheadDepth:   4,
 		Affinity:         true,
 		RackLocalOnly:    true,
 		LocalDiskEnabled: true,
 	}
 }
+
+// The retry and dissemination constants. Nothing runs with other values.
+const (
+	// retryLimit is how many times a lost exchange (ErrPeerUnreachable)
+	// with one peer is retried before the peer is given up: the write
+	// path blacklists the candidate, the read path reports the chunk
+	// lost, the tracker records the server as having no free space.
+	// Application errors — a full pool, a quota rejection — are never
+	// retried.
+	retryLimit = 2
+	// retryBackoff is the virtual time waited between retries of a lost
+	// exchange. Only charged when a transport fault actually occurs, so
+	// fault-free runs are unaffected.
+	retryBackoff = 20 * simtime.Millisecond
+	// antiEntropyEvery is, under DeltaDissemination, how many poll
+	// intervals pass between anti-entropy full polls.
+	antiEntropyEvery = 10
+)
 
 // Service is a running sponge deployment: one pool and server per node
 // plus the tracker, with their daemons started on the cluster's
@@ -165,32 +163,13 @@ type Service struct {
 // Start deploys sponge servers on every node of the cluster (pool size
 // taken from the cluster's SpongeMemory carve-up) and the tracker on node
 // 0, and begins their daemons. The tracker's first poll happens
-// immediately so allocation works from virtual time zero.
+// immediately so allocation works from virtual time zero. Start takes
+// cfg as given — begin from DefaultConfig — and panics on a value no
+// deployment could run with.
 func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
-	if cfg.ChunkVirtual <= 0 {
-		cfg.ChunkVirtual = 1 * media.MB
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = simtime.Second
-	}
-	if cfg.GCInterval <= 0 {
-		cfg.GCInterval = 30 * simtime.Second
-	}
-	if cfg.RetryLimit == 0 {
-		cfg.RetryLimit = 2
-	} else if cfg.RetryLimit < 0 {
-		cfg.RetryLimit = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 20 * simtime.Millisecond
-	}
-	if cfg.ReadAheadDepth == 0 {
-		cfg.ReadAheadDepth = 4
-	} else if cfg.ReadAheadDepth < 1 {
-		cfg.ReadAheadDepth = 1
-	}
-	if cfg.AntiEntropyEvery <= 0 {
-		cfg.AntiEntropyEvery = 10
+	if cfg.ChunkVirtual <= 0 || cfg.PollInterval <= 0 || cfg.GCInterval <= 0 ||
+		cfg.AsyncWriteDepth < 0 || cfg.ReadAheadDepth < 0 {
+		panic(fmt.Sprintf("sponge: invalid config (start from DefaultConfig): %+v", cfg))
 	}
 	s := &Service{
 		Cluster:     c,

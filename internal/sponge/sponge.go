@@ -86,7 +86,7 @@ var (
 	// peer was lost — timeout, dropped message, network partition, or a
 	// dead connection. Unlike the application errors above, the request
 	// may or may not have executed on the peer; callers retry a bounded
-	// number of times (Config.RetryLimit) before blacklisting the peer.
+	// number of times (retryLimit) before blacklisting the peer.
 	ErrPeerUnreachable = errors.New("sponge: peer unreachable")
 )
 

@@ -76,7 +76,7 @@ func (t *Tracker) unavailable() bool { return t.down || t.svc.nodeDown(t.node.ID
 // the loop to the replacement transparently; while the tracker (or its
 // host) is down it idles and lets the watchdog elect a successor. Under
 // delta dissemination the periodic poll runs only every
-// AntiEntropyEvery cycles — the steady flow of updates arrives as
+// antiEntropyEvery cycles — the steady flow of updates arrives as
 // server-pushed deltas instead.
 func (s *Service) trackerLoop(p *simtime.Proc) {
 	cycle := 0
@@ -88,7 +88,7 @@ func (s *Service) trackerLoop(p *simtime.Proc) {
 		}
 		if s.Config.DeltaDissemination {
 			cycle++
-			if cycle >= s.Config.AntiEntropyEvery {
+			if cycle >= antiEntropyEvery {
 				cycle = 0
 				t.pollOnce(p)
 			}
@@ -138,11 +138,11 @@ func (t *Tracker) pollServer(p *simtime.Proc, node int) (int, error) {
 		if err == nil {
 			return free, nil
 		}
-		if !errors.Is(err, ErrPeerUnreachable) || attempt >= t.svc.Config.RetryLimit {
+		if !errors.Is(err, ErrPeerUnreachable) || attempt >= retryLimit {
 			return 0, err
 		}
 		t.svc.metrics.retriesPoll.Inc()
-		p.Sleep(t.svc.Config.RetryBackoff)
+		p.Sleep(retryBackoff)
 	}
 }
 

@@ -17,18 +17,15 @@ import (
 	"spongefiles/internal/sponge"
 )
 
-// defaultInflight is the default per-connection worker-pool bound: how
-// many v2 requests one connection may have executing at once. The
-// reader stops pulling frames when all workers are busy, so it doubles
-// as backpressure.
-const defaultInflight = 16
+// connWorkers is the per-connection worker-pool bound: how many v2
+// requests one connection may have executing at once. The reader stops
+// pulling frames when all workers are busy, so it doubles as
+// backpressure.
+const connWorkers = 16
 
-// Options tunes a sponge server. The zero value is 16 in-flight requests
-// per connection, no I/O deadlines, TCP only, and no disk-spill tier.
+// Options tunes a sponge server. The zero value is no I/O deadlines, TCP
+// only, and no disk-spill tier.
 type Options struct {
-	// Inflight bounds the per-connection worker pool in v2 framing;
-	// 0 means the default (16).
-	Inflight int
 	// ReadTimeout is the per-frame read deadline: a connection that
 	// sends no complete frame for this long is dropped. 0 disables it.
 	ReadTimeout time.Duration
@@ -53,13 +50,6 @@ type Options struct {
 	SpillDir string
 	// SpillChunks caps the live chunks in the spill file; 0 = unbounded.
 	SpillChunks int
-}
-
-func (o Options) inflight() int {
-	if o.Inflight > 0 {
-		return o.Inflight
-	}
-	return defaultInflight
 }
 
 // SocketPath derives the well-known unix-socket path for a daemon from
@@ -351,7 +341,7 @@ type v2req struct {
 }
 
 // serveV2 runs a connection in pipelined framing: the reader pulls
-// frames and hands each to one of Options.Inflight long-lived workers;
+// frames and hands each to one of connWorkers long-lived workers;
 // workers dispatch and write their response — tagged with the request
 // ID — in completion order through the connection's batching writer,
 // which coalesces small responses into one flush when several workers
@@ -365,7 +355,7 @@ type v2req struct {
 func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 	work := make(chan v2req)
 	var wg sync.WaitGroup
-	for i := 0; i < s.opts.inflight(); i++ {
+	for i := 0; i < connWorkers; i++ {
 		wg.Add(1)
 		go s.v2worker(conn, fw, work, &wg)
 	}

@@ -12,12 +12,12 @@ import (
 	"spongefiles/internal/sponge"
 )
 
-// TestInflightOneStillPipelines: a worker pool bounded to a single slot
-// must still serve a burst of concurrent requests correctly — the bound
-// is backpressure, not a correctness constraint.
-func TestInflightOneStillPipelines(t *testing.T) {
+// TestBurstPastWorkerPoolStillPipelines: a burst of concurrent requests
+// larger than the connection's worker pool must still be served
+// correctly — the bound is backpressure, not a correctness constraint.
+func TestBurstPastWorkerPoolStillPipelines(t *testing.T) {
 	pool := sponge.NewPool(512, 64)
-	srv, err := Serve(pool, "127.0.0.1:0", Options{Inflight: 1})
+	srv, err := Serve(pool, "127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestInflightOneStillPipelines(t *testing.T) {
 	}
 	defer c.Close()
 
-	const burst = 24
+	const burst = connWorkers + 8
 	var wg sync.WaitGroup
 	errs := make(chan error, burst)
 	for i := 0; i < burst; i++ {
@@ -61,7 +61,7 @@ func TestInflightOneStillPipelines(t *testing.T) {
 		}
 	}
 	if pool.Free() != pool.Chunks() {
-		t.Fatalf("pool leaked under inflight=1: %d/%d", pool.Free(), pool.Chunks())
+		t.Fatalf("pool leaked under a burst past the workers: %d/%d", pool.Free(), pool.Chunks())
 	}
 }
 
@@ -105,6 +105,44 @@ func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("idle connection survived the read deadline")
 		}
+	}
+}
+
+// TestWriteTimeoutReleasesStalledReader: a peer that asks for a chunk
+// again and again and never reads a response leaves every worker stuck
+// mid-send with the chunk pinned. The write deadline is what drops the
+// connection and lets the pins go, so the owner can free the chunk.
+func TestWriteTimeoutReleasesStalledReader(t *testing.T) {
+	const chunk = 1 << 20
+	srv := startServerOptions(t, chunk, 2, Options{WriteTimeout: 200 * time.Millisecond})
+	owner := sponge.TaskID{Node: 1, PID: 51}
+	h, err := srv.pool.Alloc(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.pool.Write(h, bytes.Repeat([]byte{0x5A}, chunk)); err != nil {
+		t.Fatal(err)
+	}
+	conn := dialRawV2(t, srv.Addr())
+	reads := make([][]byte, 64)
+	for i := range reads {
+		reads[i] = frame(OpRead, uint32(h))
+	}
+	if _, err := conn.Write(v2frame(reads...)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for srv.connsOpen.Value() != 0 {
+		if time.Since(start) > time.Second {
+			t.Fatalf("connection still open %v after the stall; pinned = %d", time.Since(start), srv.pool.Stats().Pinned)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.pool.Stats(); st.Pinned != 0 {
+		t.Fatalf("%d chunks still pinned after the connection dropped", st.Pinned)
+	}
+	if err := srv.pool.TryFree(h); err != nil {
+		t.Fatalf("freeing the chunk the stalled reader asked for: %v", err)
 	}
 }
 

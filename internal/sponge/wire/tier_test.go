@@ -444,7 +444,7 @@ func TestFaultStreamIdenticalAcrossTiers(t *testing.T) {
 			TransportOptions{SocketDir: socketDir})
 		defer tr.Close()
 		ft := sponge.NewFaultTransport(tr, sponge.FaultConfig{
-			Seed: 42, DropRate: 0.4, Timeout: simtime.Millisecond,
+			Seed: 42, DropRate: 0.4,
 		})
 		cfg := cluster.PaperConfig()
 		cfg.Workers = 2

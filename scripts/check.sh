@@ -54,8 +54,10 @@ echo "== pool fill/view brackets against free and close, -race -count=10 =="
 # and hold the pool to free count restored, no pins, even generations.
 # A free's handle is the network's word too: eight pipelined frees of
 # one chunk, and one racing the owner's reaping, free it exactly once.
+# A reader that never drains its responses holds pins mid-send until the
+# write deadline drops it.
 go test -race -count=10 -run 'TestPoolFill|TestPoolView' ./internal/sponge
-go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle' ./internal/sponge/wire
+go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle|TestWriteTimeoutReleasesStalledReader' ./internal/sponge/wire
 
 echo "== benchmarks compile and run once =="
 go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
