@@ -44,9 +44,9 @@ bench:
 bench-tier:
 	go test ./internal/sponge/wire -run '^$$' -bench BenchmarkTier -benchtime 2s
 
-# The four virtual-time sweeps (benchtab's doc comment says what each
+# The three virtual-time sweeps (benchtab's doc comment says what each
 # varies): each prints the table EXPERIMENTS.md keeps, and writes no file.
-bench-faults bench-readahead bench-tracker bench-combine: bench-%:
+bench-faults bench-readahead bench-combine: bench-%:
 	go run ./cmd/benchtab $*
 
-.PHONY: tier1 tier2 scenarios scenarios-quick stats-smoke bench-wire bench bench-faults bench-readahead bench-tier bench-tracker bench-combine
+.PHONY: tier1 tier2 scenarios scenarios-quick stats-smoke bench-wire bench bench-faults bench-readahead bench-tier bench-combine

@@ -4,11 +4,11 @@
 // Usage:
 //
 //	benchtab [-size f] [-spills n] [tab1|tab2|fig1a|fig1b|fig4|fig5|fig6|grepvar|failtab|ablate|all]
-//	benchtab faults|readahead|tracker|combine
+//	benchtab faults|readahead|combine
 //
 // -size scales the macro datasets (1.0 = the paper's 10 GB inputs).
 //
-// The four sweeps print one table each, none of them part of "all";
+// The three sweeps print one table each, none of them part of "all";
 // EXPERIMENTS.md keeps the tables and names the make target that
 // regenerates each.
 //
@@ -19,11 +19,6 @@
 // The readahead experiment sweeps the readahead window depth against
 // injected per-exchange latency over both transports, measuring
 // read-back throughput of a fully remote file.
-//
-// The tracker experiment sweeps simulated cluster size under the
-// paper's full-poll free-space dissemination and under delta
-// dissemination, with identical churn, recording tracker messages per
-// node per second.
 //
 // The combine experiment sweeps combining scope (none, per-task,
 // per-node, per-node with sponge-backed overflow) against key skew
@@ -49,7 +44,6 @@ var experiments = []struct {
 }{
 	{"faults", faults},
 	{"readahead", readahead},
-	{"tracker", tracker},
 	{"combine", combine},
 }
 
@@ -108,13 +102,6 @@ func readahead() ([]string, [][]string) {
 	fmt.Printf("== Readahead window: depth x injected exchange delay (%d workers, %d-chunk file, seed %d) ==\n",
 		cfg.Workers, cfg.FileChunks, cfg.Seed)
 	return bench.ReadAheadHeader, bench.ReadAheadRows(bench.RunReadAhead(cfg))
-}
-
-func tracker() ([]string, [][]string) {
-	cfg := bench.DefaultTracker()
-	fmt.Printf("== Tracker dissemination at scale: full poll vs delta (%d s, %d churn ops/s) ==\n",
-		cfg.Seconds, cfg.ChurnPerSec)
-	return bench.TrackerHeader, bench.TrackerRows(bench.RunTracker(cfg))
 }
 
 func combine() ([]string, [][]string) {

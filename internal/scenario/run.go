@@ -181,8 +181,6 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 	if spec.ReadAhead > 0 {
 		scfg.ReadAheadDepth = spec.ReadAhead
 	}
-	scfg.TrackerReplicas = spec.TrackerReplicas
-	scfg.DeltaDissemination = spec.Delta
 	scfg.Metrics = reg
 	svc := sponge.Start(c, scfg)
 
@@ -238,10 +236,10 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 		digestMatch: reg.Gauge("scenario_output_digest_match"),
 		workloadOK:  reg.Gauge("scenario_workload_ok"),
 	}
-	var timed []FaultEvent
-	// Delta dissemination pushes on the poll interval, so delta cases
-	// must outlive at least one cycle to have evidence to assert on.
-	needsSettle := spec.Delta
+	var (
+		timed       []FaultEvent
+		needsSettle bool
+	)
 	for _, ev := range cs.Faults {
 		if ev.Phase != "" {
 			rc.phaseEvents[ev.Phase] = append(rc.phaseEvents[ev.Phase], ev)

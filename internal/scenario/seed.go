@@ -30,16 +30,16 @@ func SeedSuite() Suite {
 				),
 			},
 			{
-				Name: "tracker-failover-mid-job",
-				Desc: "tracker leader killed mid-write with a warm standby; no chunk lost",
-				Spec: Spec{Nodes: 3, TrackerReplicas: 1},
+				Name:  "tracker-failover-mid-job",
+				Desc:  "tracker killed mid-write; the watchdog's cold election re-polls under the next epoch, no chunk lost",
+				Quick: true,
+				Spec:  Spec{Nodes: 3},
 				Faults: []FaultEvent{
 					{Phase: PhaseMidWrite, Op: OpKillTracker},
 				},
 				Workload: SpillWorkload{MB: 32},
 				Assert: with(
 					Assertion{Metric: "sponge_tracker_failovers_total", Op: ">=", Value: 1},
-					Assertion{Metric: "sponge_tracker_promotions_total", Op: ">=", Value: 1},
 					Assertion{Metric: "sponge_tracker_leader_epoch", Op: ">=", Value: 2},
 				),
 			},
@@ -139,16 +139,6 @@ func SeedSuite() Suite {
 				Assert: with(
 					Assertion{Metric: `sponge_transport_tier_total{tier="unix"}`, Op: ">=", Value: 1},
 					Assertion{Metric: "sponge_transport_peer_revocations_total", Op: ">=", Value: 1},
-				),
-			},
-			{
-				Name:     "delta-convergence",
-				Desc:     "delta free-space dissemination replaces the full poll; incremental updates reach the tracker",
-				Quick:    true,
-				Spec:     Spec{Nodes: 3, Delta: true},
-				Workload: SpillWorkload{MB: 8},
-				Assert: with(
-					Assertion{Metric: `sponge_tracker_updates_total{kind="delta"}`, Op: ">=", Value: 1},
 				),
 			},
 			{

@@ -59,7 +59,6 @@ func TestSeedAssertedMetricsExist(t *testing.T) {
 	c := cluster.New(sim, cfg)
 	reg := obs.NewRegistry()
 	scfg := sponge.DefaultConfig()
-	scfg.TrackerReplicas = 1
 	scfg.Metrics = reg
 	svc := sponge.Start(c, scfg)
 	// No children here: an empty address map routes everything through

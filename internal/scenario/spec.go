@@ -20,11 +20,6 @@ type Spec struct {
 	// (default 2) — kept tiny so spills go remote, through the real
 	// children.
 	LocalChunks int
-	// TrackerReplicas recruits warm standby trackers (0 = standalone).
-	TrackerReplicas int
-	// Delta switches free-space dissemination to sequence-numbered
-	// server-pushed deltas.
-	Delta bool
 	// ReadAhead overrides the readahead window depth (0 = default 4).
 	ReadAhead int
 	// UnixSockets gives the children a shared socket directory so the
@@ -66,10 +61,10 @@ type FaultOp string
 // the peer's transport state is revoked, the epoch bumps). The
 // partition/heal/isolate/drop ops drive the seeded FaultTransport;
 // kill-tracker fails the simulated tracker daemon so the watchdog's
-// failover (and any warm-standby promotion) runs; revoke-peer drops
-// the wire transport's cached client (and any passed fds) for a node
-// that is still alive, proving reads re-negotiate; join-node and
-// leave-node exercise elastic membership.
+// cold election runs; revoke-peer drops the wire transport's cached
+// client (and any passed fds) for a node that is still alive, proving
+// reads re-negotiate; join-node and leave-node exercise elastic
+// membership.
 const (
 	OpKillNode    FaultOp = "kill-node"
 	OpFailNode    FaultOp = "fail-node"
@@ -121,7 +116,7 @@ const (
 // Assertion is one predicate over the merged metric scrape (the
 // parent service's registry plus the sum of every live child's
 // OpMetrics exposition). Metric is a full series id — labels included,
-// e.g. `sponge_tracker_updates_total{kind="delta"}` — and must exist
+// e.g. `sponge_tracker_updates_total{kind="full"}` — and must exist
 // in the scrape: asserting a renamed or never-registered series fails
 // the case loudly instead of vacuously passing.
 type Assertion struct {

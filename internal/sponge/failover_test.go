@@ -41,6 +41,9 @@ func TestTrackerFailover(t *testing.T) {
 	if got := r.svc.Tracker.Node().ID; got != 1 {
 		t.Fatalf("new tracker on node %d, want 1 (lowest live)", got)
 	}
+	if e := r.svc.Tracker.LeaderEpoch(); e != 2 {
+		t.Fatalf("leader epoch = %d, want 2 (the dead leader's 1, plus one)", e)
+	}
 	// 8 local + 4 remote; the dead node 0 must not hold any chunk.
 	if st.ByKind[RemoteMem] != 4 || st.ByKind[LocalDisk] != 0 {
 		t.Fatalf("post-failover placement: %+v", st.ByKind)

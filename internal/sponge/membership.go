@@ -132,10 +132,10 @@ func (s *Service) resolveChunk(node, handle int) (int, int) {
 
 // JoinNode grows the live deployment by one node: the cluster gains a
 // worker, the service deploys a pool and server on it, every per-node
-// registry (tracker snapshot, standby snapshots, metrics, peer cache)
-// grows to cover the new ID, and the membership epoch bumps. The
-// tracker advertises the newcomer's free space immediately, so
-// allocation can land there without waiting for the next poll cycle.
+// registry (tracker snapshot, metrics, peer cache) grows to cover the
+// new ID, and the membership epoch bumps. The tracker advertises the
+// newcomer's free space immediately, so allocation can land there
+// without waiting for the next poll cycle.
 func (s *Service) JoinNode() *cluster.Node {
 	n := s.Cluster.AddNode()
 	pool := NewPool(s.chunkReal, int(s.Cluster.Cfg.SpongeMemory/s.Config.ChunkVirtual))
@@ -149,13 +149,7 @@ func (s *Service) JoinNode() *cluster.Node {
 	s.metrics.ensureNodes(len(s.Servers))
 	s.metrics.registerNodeGauges(n.ID, srv)
 	s.Cluster.Sim.SpawnDaemon(fmt.Sprintf("spongegc@%s", n.Name()), srv.gcLoop)
-	if s.Config.DeltaDissemination {
-		s.Cluster.Sim.SpawnDaemon(fmt.Sprintf("spongedelta@%s", n.Name()), srv.deltaReportLoop)
-	}
 	s.Tracker.table.Set(n.ID, srv.FreeChunks())
-	for _, st := range s.standbys {
-		st.table.Set(n.ID, 0)
-	}
 	s.bumpEpoch()
 	s.metrics.membershipJoins.Inc()
 	return n
@@ -183,9 +177,6 @@ func (s *Service) LeaveNode(p *simtime.Proc, node int) error {
 	}
 	s.memberState[node] = NodeLeaving
 	s.Tracker.table.Set(node, 0)
-	for _, st := range s.standbys {
-		st.table.Set(node, 0)
-	}
 	srv := s.Servers[node]
 	// Drain until a pass finds the pool empty. Allocations granted
 	// before the state flip may still land between passes; the loop

@@ -227,6 +227,127 @@ func TestLeaveRejectsWrongState(t *testing.T) {
 	r.sim.MustRun()
 }
 
+// TestDrainedNodeCannotReadvertiseByDelta: a server's free count reaches
+// the tracker only by the poll, so the poll holds the draining rule. A
+// planned leave frees chunks on the draining node as it evacuates them;
+// every poll cycle that starts during the leave must still advertise 0
+// for it, however much of its pool has come free. (A cycle already under
+// way when the drain begins may still write the count it read before —
+// the stale-free-list trade of §3.1.1, which AllocWrite's refusal covers.)
+func TestDrainedNodeCannotReadvertiseByDelta(t *testing.T) {
+	r := newRig(t, 3, 8, func(c *ServiceConfig) { c.PollInterval = simtime.Millisecond })
+	// checked counts the watcher's samples taken after a full cycle that
+	// began during the drain, with more of node 1's pool free than before.
+	checked := 0
+	r.sim.Spawn("task", func(p *simtime.Proc) {
+		agent := r.svc.NewAgent(r.c.Nodes[0])
+		defer agent.Close()
+		f := agent.Create(p, "spill")
+		if err := f.Write(p, pattern(14*r.svc.ChunkReal(), 9)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		defer f.Delete(p)
+		if got := f.Stats().ByKind[RemoteMem]; got != 6 {
+			t.Fatalf("placement before leave: %+v", f.Stats().ByKind)
+		}
+		p.Sleep(2 * r.svc.Config.PollInterval)
+		if got := r.svc.Tracker.Advertised(1); got != 2 {
+			t.Fatalf("before the leave node 1 advertises %d, want 2", got)
+		}
+		done := false
+		r.sim.Spawn("watch", func(p *simtime.Proc) {
+			drainSeen := int64(-1) // poll count when the drain was first seen
+			for ; !done; p.Sleep(simtime.Millisecond / 2) {
+				if !r.svc.retiring(1) {
+					continue
+				}
+				polls, _ := r.svc.Tracker.Stats()
+				if drainSeen < 0 {
+					drainSeen = polls
+				}
+				if polls < drainSeen+2 { // the second completion on began after the flip
+					continue
+				}
+				if got := r.svc.Tracker.Advertised(1); got != 0 {
+					t.Errorf("draining node 1 advertised %d chunks at %v", got, p.Now())
+				}
+				if r.svc.Servers[1].Pool().Free() > 2 {
+					checked++
+				}
+			}
+		})
+		if err := r.svc.LeaveNode(p, 1); err != nil {
+			t.Errorf("leave: %v", err)
+		}
+		done = true
+	})
+	r.sim.MustRun()
+	if checked == 0 {
+		t.Fatal("no poll cycle ran while node 1 drained with chunks come free; nothing was tested")
+	}
+}
+
+// TestWatchdogPromotesStandbyOnHostDeath: the leader's host dies mid-run
+// and the watchdog promotes the next node in line within one poll
+// interval. The successor is elected cold — it carries no table over —
+// so it polls every server before it answers: its table is full the
+// moment the election lands, and a task spilling right then still
+// reaches remote memory and never the dead node.
+func TestWatchdogPromotesStandbyOnHostDeath(t *testing.T) {
+	r := newRig(t, 4, 8, func(c *ServiceConfig) { c.PollInterval = simtime.Second })
+	death := simtime.Second + simtime.Second/2
+	r.sim.Spawn("chaos", func(p *simtime.Proc) {
+		p.Sleep(death)
+		r.svc.FailNode(0)
+	})
+	var st FileStats
+	r.sim.Spawn("task", func(p *simtime.Proc) {
+		for r.svc.Failovers() == 0 {
+			p.Sleep(10 * simtime.Millisecond)
+		}
+		if lag := p.Now().Sub(simtime.Time(death)); lag > r.svc.Config.PollInterval+10*simtime.Millisecond {
+			t.Errorf("successor elected %v after the host death, want within one poll interval", lag)
+		}
+		nt := r.svc.Tracker
+		if got := nt.Advertised(0); got != 0 {
+			t.Errorf("successor advertises %d chunks on the dead node 0", got)
+		}
+		for _, n := range []int{1, 2, 3} {
+			if got := nt.Advertised(n); got != 8 {
+				t.Errorf("successor advertises %d chunks on live node %d, want 8 from its own poll", got, n)
+			}
+		}
+		agent := r.svc.NewAgent(r.c.Nodes[2])
+		defer agent.Close()
+		f := agent.Create(p, "post-failover")
+		if err := f.Write(p, pattern(12*r.svc.ChunkReal(), 5)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		st = f.Stats()
+		f.Delete(p)
+	})
+	r.sim.MustRun()
+	if r.svc.Failovers() != 1 {
+		t.Fatalf("failovers = %d, want 1", r.svc.Failovers())
+	}
+	if got := r.svc.Tracker.Node().ID; got != 1 {
+		t.Fatalf("promoted tracker on node %d, want 1 (lowest live)", got)
+	}
+	if e := r.svc.Tracker.LeaderEpoch(); e != 2 {
+		t.Fatalf("leader epoch = %d, want 2", e)
+	}
+	// 8 local + 4 remote, nothing on disk: the successor's first poll served.
+	if st.ByKind[RemoteMem] != 4 || st.ByKind[LocalDisk] != 0 {
+		t.Fatalf("post-failover placement: %+v", st.ByKind)
+	}
+}
+
 // recordingRevoker wraps a transport and records membership revocations,
 // standing in for the wire transport's fd/mmap teardown.
 type recordingRevoker struct {
@@ -261,209 +382,4 @@ func TestMembershipChangeRevokesPeer(t *testing.T) {
 		t.Fatalf("revocations through FaultTransport = %v, want [1]", rec2.revoked)
 	}
 	r2.sim.MustRun()
-}
-
-// TestWarmStandbyPromotion: with TrackerReplicas, a tracker-process
-// crash promotes the standby, which serves from its handed-off snapshot
-// immediately — zero polls of its own — under a bumped leader epoch.
-func TestWarmStandbyPromotion(t *testing.T) {
-	r := newRig(t, 3, 8, func(c *ServiceConfig) {
-		c.TrackerReplicas = 1
-		c.PollInterval = simtime.Hour // keep the daemons out of the way
-	})
-	if got := len(r.svc.Standbys()); got != 1 {
-		t.Fatalf("standbys at start = %d, want 1", got)
-	}
-	if got := r.svc.Standbys()[0].Node().ID; got != 1 {
-		t.Fatalf("standby on node %d, want 1", got)
-	}
-	r.sim.Spawn("probe", func(p *simtime.Proc) {
-		r.svc.FailTracker()
-		if !r.svc.electTracker(p) {
-			t.Fatal("election failed with a live standby")
-		}
-		nt := r.svc.Tracker
-		if nt.Node().ID != 1 {
-			t.Errorf("promoted tracker on node %d, want 1", nt.Node().ID)
-		}
-		if nt.LeaderEpoch() != 2 {
-			t.Errorf("leader epoch = %d, want 2", nt.LeaderEpoch())
-		}
-		if polls, _ := nt.Stats(); polls != 0 {
-			t.Errorf("promoted standby polled %d times — promotion should be warm", polls)
-		}
-		// The handed-off snapshot serves allocation without any re-poll.
-		if got := len(nt.Query(p, r.c.Nodes[2])); got == 0 {
-			t.Error("promoted tracker's snapshot is empty")
-		}
-		// The replica set is topped back up from the survivors (node 0's
-		// host is still alive — only the tracker process died).
-		if got := len(r.svc.Standbys()); got != 1 {
-			t.Errorf("standbys after promotion = %d, want 1", got)
-		}
-		if r.svc.Failovers() != 1 {
-			t.Errorf("failovers = %d, want 1", r.svc.Failovers())
-		}
-	})
-	r.sim.MustRun()
-}
-
-// TestWatchdogPromotesStandbyOnHostDeath is the end-to-end version: the
-// leader's host dies mid-run, the watchdog promotes the standby, and a
-// task spilling right after still reaches remote memory.
-func TestWatchdogPromotesStandbyOnHostDeath(t *testing.T) {
-	r := newRig(t, 4, 8, func(c *ServiceConfig) {
-		c.TrackerReplicas = 2
-		c.PollInterval = 500 * simtime.Millisecond
-	})
-	r.sim.Spawn("chaos", func(p *simtime.Proc) {
-		p.Sleep(simtime.Second)
-		r.svc.FailNode(0)
-	})
-	var st FileStats
-	r.sim.Spawn("task", func(p *simtime.Proc) {
-		p.Sleep(3 * simtime.Second)
-		agent := r.svc.NewAgent(r.c.Nodes[1])
-		defer agent.Close()
-		f := agent.Create(p, "post-failover")
-		if err := f.Write(p, pattern(12*r.svc.ChunkReal(), 5)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		st = f.Stats()
-		f.Delete(p)
-	})
-	r.sim.MustRun()
-	if r.svc.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", r.svc.Failovers())
-	}
-	if got := r.svc.Tracker.Node().ID; got != 1 {
-		t.Fatalf("promoted tracker on node %d, want 1 (first standby)", got)
-	}
-	if e := r.svc.Tracker.LeaderEpoch(); e != 2 {
-		t.Fatalf("leader epoch = %d, want 2", e)
-	}
-	// 8 local + 4 remote, nothing on disk: the promoted tracker served.
-	if st.ByKind[RemoteMem] != 4 || st.ByKind[LocalDisk] != 0 {
-		t.Fatalf("post-failover placement: %+v", st.ByKind)
-	}
-}
-
-// TestDeltaDisseminationConvergesWithoutPolling: under delta mode the
-// tracker's snapshot follows pool churn via pushed reports while full
-// polls stay parked until the anti-entropy cycle.
-func TestDeltaDisseminationConverges(t *testing.T) {
-	r := newRig(t, 3, 4, func(c *ServiceConfig) {
-		c.DeltaDissemination = true
-		// Anti-entropy runs every tenth cycle, past this run's end.
-		c.PollInterval = 500 * simtime.Millisecond
-	})
-	r.sim.Spawn("task", func(p *simtime.Proc) {
-		agent := r.svc.NewAgent(r.c.Nodes[0])
-		defer agent.Close()
-		f := agent.Create(p, "churn")
-		if err := f.Write(p, pattern(8*r.svc.ChunkReal(), 6)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		defer f.Delete(p)
-		// Two report intervals later the tracker must have heard that
-		// node 1 is full — via deltas, not polls.
-		p.Sleep(2 * r.svc.Config.PollInterval)
-		nt := r.svc.Tracker
-		if applied, _ := nt.DeltaStats(); applied == 0 {
-			t.Error("no delta updates applied")
-		}
-		if polls, _ := nt.Stats(); polls != 0 {
-			t.Errorf("tracker polled %d times in delta mode before anti-entropy", polls)
-		}
-		entries := nt.Query(p, r.c.Nodes[2])
-		for _, e := range entries {
-			if e.Key == 1 && e.Free > 0 {
-				t.Errorf("tracker still advertises full node 1: %+v", entries)
-			}
-		}
-	})
-	r.sim.MustRun()
-}
-
-// TestDrainedNodeCannotReadvertiseByDelta: the simulated driver's own
-// rule on top of the shared table — a report from a node that is no
-// longer live is acked but not advertised. (That a duplicate or
-// reordered sequence is dropped is the table's rule; the both-drivers
-// script in wire/tracker_script_test.go checks it on both trackers.)
-func TestDrainedNodeCannotReadvertiseByDelta(t *testing.T) {
-	r := newRig(t, 2, 4, func(c *ServiceConfig) { c.PollInterval = simtime.Hour })
-	r.sim.Spawn("probe", func(p *simtime.Proc) {
-		nt := r.svc.Tracker
-		if !nt.ReportDelta(p, r.c.Nodes[1], 5, 3) || nt.Advertised(1) != 3 {
-			t.Errorf("live node's report: advertised %d, want 3", nt.Advertised(1))
-		}
-		r.svc.memberState[1] = NodeLeaving
-		nt.table.Set(1, 0)
-		if !nt.ReportDelta(p, r.c.Nodes[1], 6, 4) {
-			t.Error("a live tracker must take (ack) a drained node's report")
-		}
-		if nt.Advertised(1) != 0 {
-			t.Errorf("retired node re-advertised %d chunks via delta", nt.Advertised(1))
-		}
-		// Acked all the same: the report's duplicate is stale.
-		nt.ReportDelta(p, r.c.Nodes[1], 6, 4)
-		if applied, stale := nt.DeltaStats(); applied != 1 || stale != 1 {
-			t.Errorf("delta stats = (%d applied, %d stale), want (1, 1)", applied, stale)
-		}
-	})
-	r.sim.MustRun()
-}
-
-// TestDeltaLostToDeadLeaderIsResent: a free-count change reported while
-// the tracker process is down reaches nobody, so the reporter must not
-// mark it sent. Once the watchdog promotes the standby, the reporter's
-// next cycle pushes the count again and the successor's row shows it —
-// by delta, with no poll (anti-entropy runs every tenth cycle; this run
-// sees five).
-func TestDeltaLostToDeadLeaderIsResent(t *testing.T) {
-	r := newRig(t, 3, 4, func(c *ServiceConfig) {
-		c.DeltaDissemination = true
-		c.TrackerReplicas = 1
-		c.PollInterval = 500 * simtime.Millisecond
-	})
-	polls := r.svc.metrics.trackerPolls
-	r.sim.Spawn("probe", func(p *simtime.Proc) {
-		tick := r.svc.Config.PollInterval
-		// The watchdog wakes at whole ticks; a reporter that has pushed
-		// once wakes a round trip later. One nanosecond past a tick is
-		// after the first and before the second.
-		p.Sleep(3*tick + 1)
-		if got := r.svc.Tracker.Advertised(2); got != 4 {
-			t.Fatalf("before the failure node 2 advertises %d, want 4", got)
-		}
-		pollsBefore := polls.Value()
-		r.svc.FailTracker()
-		// Inside the gap: node 2's free count changes, and its reporter's
-		// cycle finds no live leader.
-		if _, err := r.svc.Servers[2].Pool().Alloc(TaskID{Node: 0, PID: 1}); err != nil {
-			t.Fatalf("alloc: %v", err)
-		}
-		p.Sleep(tick) // the lost report, then the watchdog's promotion
-		if r.svc.Failovers() != 1 || r.svc.Tracker.Node().ID != 1 {
-			t.Fatalf("failovers = %d, leader on node %d; want the standby on node 1 promoted",
-				r.svc.Failovers(), r.svc.Tracker.Node().ID)
-		}
-		if got := r.svc.Tracker.Advertised(2); got != 4 {
-			t.Fatalf("successor already advertises %d on node 2: the report was not lost, the test missed the gap", got)
-		}
-		p.Sleep(tick) // two intervals after the change
-		if got := r.svc.Tracker.Advertised(2); got != 3 {
-			t.Errorf("successor advertises %d chunks on node 2, want 3 (the change made while no leader was up)", got)
-		}
-		if polls.Value() != pollsBefore {
-			t.Errorf("sponge_tracker_polls_total grew %d -> %d: the count must arrive by delta", pollsBefore, polls.Value())
-		}
-	})
-	r.sim.MustRun()
 }

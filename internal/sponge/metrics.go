@@ -55,21 +55,13 @@ type svcMetrics struct {
 	raOccupancy *obs.Histogram
 
 	// Tracker health.
-	trackerPolls     *obs.Counter
-	trackerQueries   *obs.Counter
-	trackerFailovers *obs.Counter
-	trackerLastPoll  *obs.Gauge
-	trackerDrops     []*obs.Counter // per polled node
-
-	// Tracker replication and delta dissemination.
-	trackerLeaderEpoch  *obs.Gauge
-	trackerPromotions   *obs.Counter // warm standby promotions
-	trackerHandoffs     *obs.Counter // leader -> standby state pushes
-	trackerUpdatesFull  *obs.Counter // snapshot entries refreshed by polls
-	trackerUpdatesDelta *obs.Counter
-	trackerDeltaStale   *obs.Counter // out-of-sequence reports dropped
-	trackerMsgsPoll     *obs.Counter // poll exchanges attempted
-	trackerMsgsDelta    *obs.Counter // delta pushes received
+	trackerPolls       *obs.Counter
+	trackerQueries     *obs.Counter
+	trackerFailovers   *obs.Counter
+	trackerLastPoll    *obs.Gauge
+	trackerLeaderEpoch *obs.Gauge
+	trackerUpdatesFull *obs.Counter   // snapshot entries refreshed by polls
+	trackerDrops       []*obs.Counter // per polled node
 
 	// Elastic membership.
 	membershipEpoch  *obs.Gauge
@@ -105,13 +97,7 @@ func newSvcMetrics(reg *obs.Registry, clock obs.Clock, nnodes int) *svcMetrics {
 		trackerFailovers:    reg.Counter("sponge_tracker_failovers_total"),
 		trackerLastPoll:     reg.Gauge("sponge_tracker_last_poll_ns"),
 		trackerLeaderEpoch:  reg.Gauge("sponge_tracker_leader_epoch"),
-		trackerPromotions:   reg.Counter("sponge_tracker_promotions_total"),
-		trackerHandoffs:     reg.Counter("sponge_tracker_handoffs_total"),
 		trackerUpdatesFull:  reg.Counter("sponge_tracker_updates_total", obs.L("kind", "full")),
-		trackerUpdatesDelta: reg.Counter("sponge_tracker_updates_total", obs.L("kind", "delta")),
-		trackerDeltaStale:   reg.Counter("sponge_tracker_delta_stale_total"),
-		trackerMsgsPoll:     reg.Counter("sponge_tracker_msgs_total", obs.L("kind", "poll")),
-		trackerMsgsDelta:    reg.Counter("sponge_tracker_msgs_total", obs.L("kind", "delta")),
 		membershipEpoch:     reg.Gauge("sponge_membership_epoch"),
 		membershipJoins:     reg.Counter("sponge_membership_changes_total", obs.L("kind", "join")),
 		membershipLeaves:    reg.Counter("sponge_membership_changes_total", obs.L("kind", "leave")),

@@ -52,20 +52,6 @@ type ServiceConfig struct {
 	// LocalDiskEnabled allows the local-disk fallback; disable to force
 	// the RemoteStore path in tests.
 	LocalDiskEnabled bool
-	// TrackerReplicas is how many warm standby trackers shadow the
-	// leader. The leader hands its snapshot off to every standby each
-	// poll cycle, so a failover promotes a standby and serves from the
-	// handed-off state instead of cold-starting with a full re-poll. 0
-	// (the default) reproduces the paper's single stateless tracker.
-	TrackerReplicas int
-	// DeltaDissemination replaces the 1/s full-cluster poll with
-	// sequence-numbered incremental reports: each server pushes its free
-	// count to the tracker leader only when it changed since the last
-	// acked report, and the leader runs a full-snapshot anti-entropy
-	// poll every antiEntropyEvery cycles to reconcile anything the
-	// deltas missed. Off by default — the full poll is the paper's
-	// behaviour and the seed-golden baselines pin it.
-	DeltaDissemination bool
 	// Remote is the distributed-filesystem last resort; may be nil.
 	Remote RemoteStore
 	// Metrics, when non-nil, is the registry the service instruments
@@ -92,7 +78,7 @@ func DefaultConfig() ServiceConfig {
 	}
 }
 
-// The retry and dissemination constants. Nothing runs with other values.
+// The retry constants. Nothing runs with other values.
 const (
 	// retryLimit is how many times a lost exchange (ErrPeerUnreachable)
 	// with one peer is retried before the peer is given up: the write
@@ -105,9 +91,6 @@ const (
 	// exchange. Only charged when a transport fault actually occurs, so
 	// fault-free runs are unaffected.
 	retryBackoff = 20 * simtime.Millisecond
-	// antiEntropyEvery is, under DeltaDissemination, how many poll
-	// intervals pass between anti-entropy full polls.
-	antiEntropyEvery = 10
 )
 
 // Service is a running sponge deployment: one pool and server per node
@@ -145,9 +128,7 @@ type Service struct {
 	memberEpoch int64
 	forwards    map[chunkAddr]chunkAddr
 
-	// standbys are warm tracker replicas awaiting promotion (in leader
-	// succession order); failovers counts tracker re-elections.
-	standbys  []*Tracker
+	// failovers counts tracker re-elections.
 	failovers int
 
 	// metrics holds the pre-registered observability handles the hot
@@ -196,22 +177,13 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 		c.Sim.SpawnDaemon(fmt.Sprintf("spongegc@%s", n.Name()), srv.gcLoop)
 	}
 	s.metrics.registerGauges(s)
-	s.Tracker = newTracker(s, c.Nodes[0])
-	s.Tracker.table.Promote()
-	s.metrics.trackerLeaderEpoch.Set(s.Tracker.LeaderEpoch())
+	s.Tracker = newTracker(s, c.Nodes[0], 1)
+	s.metrics.trackerLeaderEpoch.Set(s.Tracker.epoch)
 	// The service is deployed long before any task runs; seed the
 	// tracker's snapshot so allocation works from virtual time zero
 	// instead of racing the first poll.
 	for i, srv := range s.Servers {
 		s.Tracker.table.Set(i, srv.FreeChunks())
-	}
-	if cfg.TrackerReplicas > 0 {
-		s.recruitStandbys()
-	}
-	if cfg.DeltaDissemination {
-		for _, srv := range s.Servers {
-			c.Sim.SpawnDaemon(fmt.Sprintf("spongedelta@%s", srv.node.Name()), srv.deltaReportLoop)
-		}
 	}
 	c.Sim.SpawnDaemon("tracker", s.trackerLoop)
 	c.Sim.SpawnDaemon("tracker.watchdog", s.watchdogLoop)

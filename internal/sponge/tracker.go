@@ -13,30 +13,23 @@ import (
 // of servers that had free memory. Staleness is the design's deliberate
 // trade: lightweight allocation over a perfectly consistent global view.
 //
-// The snapshot refreshes one of two ways. The paper's full poll stats
-// every server each PollInterval. With ServiceConfig.DeltaDissemination
-// the servers push sequence-numbered incremental reports instead —
-// only when their count changed — and the poll degrades to a periodic
-// anti-entropy sweep, so tracker traffic scales with churn rather than
-// cluster size.
+// The snapshot is the paper's full poll: every server is asked for its
+// free count each PollInterval. The tracker is stateless — a successor
+// the watchdog elects (Service.electTracker) starts cold and rebuilds
+// the table from its first poll.
 //
-// With ServiceConfig.TrackerReplicas the tracker is replicated: the
-// leader hands its state off to warm standbys every cycle, and a
-// failover promotes one under a new leader epoch instead of cold-
-// starting with a full re-poll.
-//
-// The table and its rules — sequence dedupe, term fencing, ranking —
-// are the FreeTable's; this type is the simulator's driver for it: it
-// charges each exchange's virtual time, skips servers membership says
-// are gone or draining, and leaves leadership to the service's watchdog.
+// The table and its ranking are the FreeTable's; this type is the
+// simulator's driver for it: it charges each exchange's virtual time,
+// retries lost polls, writes off servers membership says are gone or
+// draining, and leaves leadership to the service's watchdog.
 type Tracker struct {
 	svc  *Service
 	node *cluster.Node
 
-	// table is the per-node free-chunk snapshot with each node's acked
-	// delta sequence, plus this tracker's term and role. A new tracker is
-	// a follower at term 0 until it is promoted.
+	// table is the per-node free-chunk snapshot; epoch is the leadership
+	// term this tracker serves under.
 	table   FreeTable
+	epoch   int64
 	polls   int64
 	queries int64
 	// down marks a crashed tracker process (the host may still serve
@@ -50,19 +43,16 @@ type Tracker struct {
 	pollDropsNode map[int]int64
 }
 
-func newTracker(svc *Service, node *cluster.Node) *Tracker {
-	return &Tracker{svc: svc, node: node, pollDropsNode: make(map[int]int64)}
+func newTracker(svc *Service, node *cluster.Node, epoch int64) *Tracker {
+	return &Tracker{svc: svc, node: node, epoch: epoch, pollDropsNode: make(map[int]int64)}
 }
 
 // Node returns the tracker's host.
 func (t *Tracker) Node() *cluster.Node { return t.node }
 
 // LeaderEpoch returns the leadership term this tracker serves under;
-// every promotion starts a new one.
-func (t *Tracker) LeaderEpoch() int64 { return int64(t.table.Epoch()) }
-
-// IsLeader reports whether this tracker leads (false for a standby).
-func (t *Tracker) IsLeader() bool { return t.table.Leader() }
+// every election starts a new one.
+func (t *Tracker) LeaderEpoch() int64 { return t.epoch }
 
 // Advertised returns the free-chunk count the tracker currently holds
 // for a node — what a query would be answered from.
@@ -74,28 +64,13 @@ func (t *Tracker) unavailable() bool { return t.down || t.svc.nodeDown(t.node.ID
 // trackerLoop is the polling daemon. It drives whatever tracker is
 // currently installed, so a failover (Service.electTracker) transfers
 // the loop to the replacement transparently; while the tracker (or its
-// host) is down it idles and lets the watchdog elect a successor. Under
-// delta dissemination the periodic poll runs only every
-// antiEntropyEvery cycles — the steady flow of updates arrives as
-// server-pushed deltas instead.
+// host) is down it idles and lets the watchdog elect a successor.
 func (s *Service) trackerLoop(p *simtime.Proc) {
-	cycle := 0
 	for {
 		p.Sleep(s.Config.PollInterval)
-		t := s.Tracker
-		if t.unavailable() {
-			continue
-		}
-		if s.Config.DeltaDissemination {
-			cycle++
-			if cycle >= antiEntropyEvery {
-				cycle = 0
-				t.pollOnce(p)
-			}
-		} else {
+		if t := s.Tracker; !t.unavailable() {
 			t.pollOnce(p)
 		}
-		s.handoff(p, t)
 	}
 }
 
@@ -112,7 +87,6 @@ func (t *Tracker) pollOnce(p *simtime.Proc) {
 			t.table.Set(i, 0)
 			continue
 		}
-		m.trackerMsgsPoll.Inc()
 		free, err := t.pollServer(p, i)
 		if err != nil {
 			t.table.Set(i, 0)
@@ -146,63 +120,6 @@ func (t *Tracker) pollServer(p *simtime.Proc, node int) (int, error) {
 	}
 }
 
-// ReportDelta delivers one sequence-numbered incremental free-space
-// report pushed by a server (the delta-dissemination successor of the
-// full poll), charging the control round trip from the reporting node.
-// The table drops a stale sequence and acks a fresh one; the count is
-// installed only while the reporter is live, so a drained node cannot
-// re-advertise itself. It reports whether a live tracker took the
-// report — applied or deduplicated, either way it holds that state;
-// false means the report was lost and the reporter must push again.
-func (t *Tracker) ReportDelta(p *simtime.Proc, from *cluster.Node, seq uint64, free int) bool {
-	if t.unavailable() {
-		return false
-	}
-	t.svc.Cluster.RPC(p, from, t.node, ctlBytes, ctlBytes)
-	m := t.svc.metrics
-	m.trackerMsgsDelta.Inc()
-	applied0, stale0 := t.table.DeltaStats()
-	t.table.Delta(from.ID, seq, free, t.svc.NodeState(from.ID) == NodeLive)
-	applied, stale := t.table.DeltaStats()
-	m.trackerUpdatesDelta.Add(applied - applied0)
-	m.trackerDeltaStale.Add(stale - stale0)
-	return true
-}
-
-// InstallState delivers a leader's handed-off state (FreeTable.State)
-// to this tracker, charging the replication traffic from the leader's
-// node: 12 bytes per row (free count + acked sequence) plus a control
-// header out, a control ack back. It reports whether the state was
-// installed: not on a tracker that is down, that leads, or that is
-// already on a later term.
-func (t *Tracker) InstallState(p *simtime.Proc, from *cluster.Node, epoch uint64, rows []FreeRow) bool {
-	if t.unavailable() {
-		return false
-	}
-	t.svc.Cluster.RPC(p, from, t.node, ctlBytes+12*len(rows), ctlBytes)
-	return t.table.Install(epoch, rows)
-}
-
-// deltaReportLoop is the per-server push daemon under delta
-// dissemination: each interval it reports the node's free count to the
-// current tracker leader, but only when the count differs from the last
-// one a leader took — an idle node costs the tracker nothing, and a
-// report lost to a dead leader goes out again to its successor.
-func (srv *Server) deltaReportLoop(p *simtime.Proc) {
-	var src DeltaSource
-	for {
-		p.Sleep(srv.svc.Config.PollInterval)
-		s := srv.svc
-		if s.nodeDown(srv.node.ID) || srv.pool.Failed() {
-			return
-		}
-		free := srv.FreeChunks()
-		if seq, send := src.Next(free); send && s.Tracker.ReportDelta(p, srv.node, seq, free) {
-			src.Acked(free)
-		}
-	}
-}
-
 // queryTimeout is what a task waits before giving up on a dead tracker.
 const queryTimeout = 100 * simtime.Millisecond
 
@@ -226,10 +143,6 @@ func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeRow {
 
 // Stats returns (polls completed, queries served).
 func (t *Tracker) Stats() (polls, queries int64) { return t.polls, t.queries }
-
-// DeltaStats returns (incremental updates applied, stale reports
-// dropped).
-func (t *Tracker) DeltaStats() (applied, stale int64) { return t.table.DeltaStats() }
 
 // PollDrops returns how many per-server polls were lost in the network
 // even after retrying.

@@ -11,16 +11,22 @@ import (
 )
 
 // One script of tracker events — a server's pool filling or draining, a
-// server cut off and healed, a tracker cycle (poll + handoff), pushed
-// deltas, pushed state, the leader's death, the standby's promotion —
-// played to the simulated tracker pair and to two tableModels, which
-// must show the same observable state after every step: the free list
-// each tracker answers with, its term, its role, and its applied/stale
-// delta counts. Tracker 0 starts as leader (node 0), tracker 1 as its
-// standby (node 1).
+// server cut off and healed, a server draining for a planned leave and
+// returning, a poll cycle, the tracker's crash and the watchdog's cold
+// election — played to the simulated tracker and to a tableModel, which
+// must show the same observable state after every step: where the
+// tracker runs, its term, and the free list it answers with.
 //
-// What the model has no notion of stays out of the script: the refusal
-// to advertise a drained node (TestDrainedNodeCannotReadvertiseByDelta).
+// The model's rules are the driver's:
+//   - a poll cycle sets every server's row to its pool's free count;
+//   - a draining server advertises 0 on every cycle, whatever its pool
+//     holds;
+//   - a poll that fails (the server is cut off, or the tracker's own host
+//     is) advertises 0 — the tracker's poll of its own host is loopback
+//     and always gets through;
+//   - the election lands on the lowest-numbered server that is not
+//     draining, under the dead tracker's term plus one, and polls every
+//     server before it answers.
 
 type scriptOp int
 
@@ -28,23 +34,19 @@ const (
 	opPool      scriptOp = iota // server key's pool has free chunks free
 	opCut                       // server key stops answering
 	opHeal                      // server key answers again
-	opCycle                     // the leader polls every server, then hands off
-	opDelta                     // a report (key, seq, free) pushed at tracker on
-	opPush                      // state (epoch, rows) pushed at tracker on
-	opFail                      // the leader's process dies
-	opExpire                    // the failure is noticed: the standby takes over and runs its first cycle
+	opDrain                     // server key starts draining for a planned leave
+	opUndrain                   // server key is live again
+	opCycle                     // the tracker polls every server
+	opFail                      // the tracker's process dies
+	opExpire                    // the watchdog notices: a cold election installs a successor
 	scriptNodes = 4
 	scriptPool  = 4 // chunks per server
 )
 
 type scriptStep struct {
-	op    scriptOp
-	on    int // tracker: 0 the first leader, 1 its standby
-	key   int
-	seq   uint64
-	free  int
-	epoch uint64
-	rows  []FreeRow
+	op   scriptOp
+	key  int
+	free int
 }
 
 func (s scriptStep) String() string {
@@ -55,101 +57,98 @@ func (s scriptStep) String() string {
 		return fmt.Sprintf("cut server %d", s.key)
 	case opHeal:
 		return fmt.Sprintf("heal server %d", s.key)
+	case opDrain:
+		return fmt.Sprintf("drain server %d", s.key)
+	case opUndrain:
+		return fmt.Sprintf("undrain server %d", s.key)
 	case opCycle:
-		return "leader cycle"
-	case opDelta:
-		return fmt.Sprintf("delta to tracker %d: server %d seq %d free %d", s.on, s.key, s.seq, s.free)
-	case opPush:
-		return fmt.Sprintf("push to tracker %d: epoch %d rows %v", s.on, s.epoch, s.rows)
+		return "poll cycle"
 	case opFail:
-		return "leader dies"
+		return "tracker dies"
 	}
-	return "standby takes over"
+	return "cold election"
 }
 
 // trackerScript is the fixed opening — every rule once, in an order a
 // reader can follow — then a seeded tail of the same events at random.
+// Server 3 never drains, so an election always has somewhere to land.
 func trackerScript(seed int64) []scriptStep {
-	row := func(k, free int, seq uint64) FreeRow {
-		return FreeRow{Key: k, Free: free, Seq: seq}
-	}
 	steps := []scriptStep{
 		{op: opCycle},
 		{op: opPool, key: 2, free: 1},
 		{op: opCycle}, // 0, 1, 3 tie at 4 free (key order), then 2
-		{op: opDelta, key: 3, seq: 5, free: 2},
-		{op: opDelta, key: 3, seq: 5, free: 9}, // duplicate: stale
-		{op: opDelta, key: 3, seq: 4, free: 9}, // reordered: stale
 		{op: opCut, key: 3},
-		{op: opCycle},                          // the poll fails: 3 advertises nothing
-		{op: opDelta, key: 3, seq: 6, free: 3}, // a push gets through where the poll did not
+		{op: opCycle}, // the poll fails: 3 advertises nothing
 		{op: opHeal, key: 3},
-		{op: opPool, key: 3, free: 2},
-		{op: opCycle},
-		{op: opPush, on: 0, epoch: 7, rows: []FreeRow{row(1, 0, 0)}}, // a leader follows nobody
-		{op: opPush, on: 1, epoch: 0, rows: []FreeRow{row(1, 0, 0)}}, // an older term
-		{op: opPush, on: 1, epoch: 1, rows: []FreeRow{row(2, 3, 3)}}, // the current term: taken
-		{op: opCycle},                          // the real leader's handoff overwrites it
-		{op: opDelta, key: 1, seq: 2, free: 1}, // never handed off: dies with the leader
+		{op: opDrain, key: 1},
+		{op: opCycle},         // 1 still has 4 free, but advertises nothing
+		{op: opCycle},         // ... on every cycle
+		{op: opDrain, key: 0}, // the tracker's own host
 		{op: opFail},
-		{op: opExpire},
-		{op: opDelta, on: 1, key: 1, seq: 2, free: 1}, // fresh to the successor
-		{op: opDelta, on: 1, key: 3, seq: 6, free: 1}, // stale: acked sequences were handed off
-		{op: opPush, on: 1, epoch: 9, rows: []FreeRow{row(0, 0, 0)}},
+		{op: opExpire}, // skips draining 0 and 1: node 2, epoch 2
+		{op: opUndrain, key: 1},
+		{op: opCycle},
+		{op: opCut, key: 2}, // the tracker's host: every other poll fails
+		{op: opCycle},
+		{op: opHeal, key: 2},
+		{op: opUndrain, key: 0},
 		{op: opPool, key: 0, free: 0},
-		{op: opCycle}, // the successor polls the servers it inherited
+		{op: opFail},
+		{op: opExpire}, // node 0 again, epoch 3
 	}
 	rng := rand.New(rand.NewSource(seed))
-	cut := map[int]bool{}
+	var cut, drained [scriptNodes]bool
+	down := false
 	for i := 0; i < 40; i++ {
-		key := 2 + rng.Intn(2) // the trackers' own hosts stay reachable
+		key := rng.Intn(scriptNodes)
 		switch op := rng.Intn(10); {
 		case op < 2:
-			steps = append(steps, scriptStep{op: opPool, key: rng.Intn(scriptNodes), free: rng.Intn(scriptPool + 1)})
-		case op < 4:
+			steps = append(steps, scriptStep{op: opPool, key: key, free: rng.Intn(scriptPool + 1)})
+		case op < 5 && down:
+			steps = append(steps, scriptStep{op: opExpire})
+			down = false
+		case op < 5:
 			steps = append(steps, scriptStep{op: opCycle})
-		case op < 8:
-			steps = append(steps, scriptStep{op: opDelta, on: 1, key: rng.Intn(scriptNodes), seq: uint64(rng.Intn(10)), free: rng.Intn(scriptPool + 1)})
+		case op < 7:
+			s := scriptStep{op: opCut, key: key}
+			if cut[key] {
+				s.op = opHeal
+			}
+			steps = append(steps, s)
+			cut[key] = !cut[key]
 		case op < 9:
-			steps = append(steps, scriptStep{op: opPush, on: 1, epoch: uint64(rng.Intn(4)), rows: []FreeRow{row(key, 1, 1)}})
-		case !cut[key]:
-			steps = append(steps, scriptStep{op: opCut, key: key})
-			cut[key] = true
-		default:
-			steps = append(steps, scriptStep{op: opHeal, key: key})
-			cut[key] = false
+			key %= scriptNodes - 1
+			s := scriptStep{op: opDrain, key: key}
+			if drained[key] {
+				s.op = opUndrain
+			}
+			steps = append(steps, s)
+			drained[key] = !drained[key]
+		case !down:
+			steps = append(steps, scriptStep{op: opFail})
+			down = true
 		}
+	}
+	if down {
+		steps = append(steps, scriptStep{op: opExpire})
 	}
 	return steps
 }
 
-// trackerView is what the script compares: everything a client of a
-// tracker can see. Rows are "key:free" in answer order.
-type trackerView struct {
-	Rows           []string
-	Epoch          uint64
-	Leader         bool
-	Applied, Stale int64
+// scriptView is what the script compares after a step: everything a
+// client of the tracker can see. Rows are "key:free" in answer order.
+type scriptView struct {
+	Down  bool
+	Node  int
+	Epoch int64
+	Rows  []string
 }
 
-// scriptResult is one step's outcome: whether the pushed delta or state
-// was taken (false for other ops), and each tracker's view — a nil view
-// once the tracker is dead.
-type scriptResult struct {
-	Took  bool
-	Views [2]*trackerView
-}
-
-func (r scriptResult) String() string {
-	s := fmt.Sprintf("took=%v", r.Took)
-	for i, v := range r.Views {
-		if v == nil {
-			s += fmt.Sprintf(" | tracker %d dead", i)
-			continue
-		}
-		s += fmt.Sprintf(" | tracker %d: %v epoch %d leader %v applied %d stale %d", i, v.Rows, v.Epoch, v.Leader, v.Applied, v.Stale)
+func (v scriptView) String() string {
+	if v.Down {
+		return "tracker down"
 	}
-	return s
+	return fmt.Sprintf("tracker on node %d epoch %d: %v", v.Node, v.Epoch, v.Rows)
 }
 
 // setPoolFree allocates or frees chunks until the pool has free free.
@@ -169,9 +168,11 @@ func setPoolFree(t *testing.T, pool *Pool, owner TaskID, free int) {
 }
 
 // runScriptSim plays the script against the simulated tracker. Events
-// happen between the tracker loop's cycles: the cycle step sleeps until
-// the leader's poll count moves and its handoff has landed.
-func runScriptSim(t *testing.T, steps []scriptStep) []scriptResult {
+// happen between the tracker loop's cycles: a cycle step sleeps until
+// the tracker's poll count moves, an election step until the watchdog's
+// failover count does. Cycles are ten seconds apart and the events
+// between them take milliseconds, so none goes unscripted.
+func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 	ccfg := cluster.PaperConfig()
 	ccfg.Workers = scriptNodes
 	ccfg.SpongeMemory = scriptPool * media.MB
@@ -179,31 +180,16 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptResult {
 	defer sim.Close()
 	c := cluster.New(sim, ccfg)
 	scfg := DefaultConfig()
-	scfg.TrackerReplicas = 1
 	scfg.PollInterval = 10 * simtime.Second
 	scfg.GCInterval = 1000 * simtime.Hour
 	svc := Start(c, scfg)
 	faults := NewFaultTransport(svc.Transport(), FaultConfig{})
 	svc.SetTransport(faults)
-	trackers := [2]*Tracker{svc.Tracker, svc.Standbys()[0]}
 	owner := TaskID{Node: 0, PID: 1}
 
-	var out []scriptResult
+	var out []scriptView
 	sim.Spawn("script", func(p *simtime.Proc) {
-		leader, dead := 0, -1
-		// awaitCycle sleeps until tr completes its next poll and the
-		// handoff that follows it. Cycles are ten seconds apart and the
-		// events between them take milliseconds, so none goes unscripted.
-		awaitCycle := func(tr *Tracker) {
-			for polls, _ := tr.Stats(); ; p.Sleep(simtime.Second) {
-				if now, _ := tr.Stats(); now > polls {
-					break
-				}
-			}
-			p.Sleep(simtime.Second)
-		}
 		for _, s := range steps {
-			var res scriptResult
 			switch s.op {
 			case opPool:
 				setPoolFree(t, svc.Servers[s.key].Pool(), owner, s.free)
@@ -211,107 +197,99 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptResult {
 				faults.IsolateNode(s.key)
 			case opHeal:
 				faults.RejoinNode(s.key)
+			case opDrain:
+				svc.memberState[s.key] = NodeLeaving
+			case opUndrain:
+				svc.memberState[s.key] = NodeLive
 			case opCycle:
-				awaitCycle(trackers[leader])
-			case opDelta:
-				res.Took = trackers[s.on].ReportDelta(p, c.Nodes[s.key], s.seq, s.free)
-			case opPush:
-				res.Took = trackers[s.on].InstallState(p, c.Nodes[scriptNodes-1], s.epoch, s.rows)
+				tr := svc.Tracker
+				for polls, _ := tr.Stats(); ; p.Sleep(simtime.Second) {
+					if now, _ := tr.Stats(); now > polls {
+						break
+					}
+				}
 			case opFail:
 				svc.FailTracker()
-				dead = leader
 			case opExpire:
-				// The watchdog promotes on its next tick, and the tracker
-				// loop's next wake-up after that is the successor's first
-				// cycle; no script event falls in between.
-				leader = 1
-				awaitCycle(trackers[leader])
-				if svc.Tracker != trackers[1] || svc.Failovers() != 1 {
-					t.Errorf("sim: after %d failovers the tracker is on node %d, not the promoted standby", svc.Failovers(), svc.Tracker.Node().ID)
+				for n := svc.Failovers(); svc.Failovers() == n; {
+					p.Sleep(simtime.Second)
 				}
 			}
-			for i, tr := range trackers {
-				if i == dead {
-					continue
-				}
-				v := &trackerView{Epoch: uint64(tr.LeaderEpoch()), Leader: tr.IsLeader()}
-				for _, r := range tr.Query(p, c.Nodes[scriptNodes-1]) {
-					v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
-				}
-				v.Applied, v.Stale = tr.DeltaStats()
-				res.Views[i] = v
+			tr := svc.Tracker
+			if tr.unavailable() {
+				out = append(out, scriptView{Down: true})
+				continue
 			}
-			out = append(out, res)
+			v := scriptView{Node: tr.Node().ID, Epoch: tr.LeaderEpoch()}
+			for _, r := range tr.Query(p, c.Nodes[scriptNodes-1]) {
+				v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
+			}
+			out = append(out, v)
 		}
 	})
 	sim.MustRun()
 	return out
 }
 
-// runScriptModel plays the script against two tableModels, with the
-// servers' pools and reachability as two arrays.
-func runScriptModel(steps []scriptStep) []scriptResult {
+// runScriptModel plays the script against a tableModel, with the
+// servers' pools, reachability and membership as three arrays.
+func runScriptModel(steps []scriptStep) []scriptView {
 	var (
-		pool   [scriptNodes]int
-		cut    [scriptNodes]bool
-		tabs   = [2]*tableModel{newTableModel(), newTableModel()}
-		leader = 0
-		dead   = -1
+		pool    [scriptNodes]int
+		cut     [scriptNodes]bool
+		drained [scriptNodes]bool
+		tab     = tableModel{}
+		host    = 0
+		epoch   = int64(1)
+		down    = false
 	)
 	for k := range pool {
 		pool[k] = scriptPool
+		tab[k] = scriptPool
 	}
-	tabs[0].promote()
 	cycle := func() {
 		for k, free := range pool {
-			if cut[k] {
-				free = 0 // the poll fails: the server advertises nothing
+			if drained[k] || k != host && (cut[k] || cut[host]) {
+				free = 0
 			}
-			tabs[leader].free[k] = free
-		}
-		if leader == 0 {
-			tabs[1].install(tabs[0].epoch, tabs[0].rows())
+			tab[k] = free
 		}
 	}
-	var out []scriptResult
+	var out []scriptView
 	for _, s := range steps {
-		var res scriptResult
 		switch s.op {
 		case opPool:
 			pool[s.key] = s.free
 		case opCut, opHeal:
 			cut[s.key] = s.op == opCut
+		case opDrain, opUndrain:
+			drained[s.key] = s.op == opDrain
 		case opCycle:
 			cycle()
-		case opDelta:
-			tabs[s.on].delta(s.key, s.seq, s.free, true)
-			res.Took = true // a live tracker holds the report's state either way
-		case opPush:
-			res.Took = tabs[s.on].install(s.epoch, s.rows)
 		case opFail:
-			dead = leader
+			down = true
 		case opExpire:
-			leader = 1
-			tabs[1].promote()
-			cycle()
-		}
-		for i, m := range tabs {
-			if i == dead {
-				continue
+			for host = 0; drained[host]; host++ {
 			}
-			v := &trackerView{Epoch: m.epoch, Leader: m.leader, Applied: m.applied, Stale: m.stale}
-			for _, r := range m.query() {
-				v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
-			}
-			res.Views[i] = v
+			epoch++
+			down = false
+			cycle() // sets every row: nothing of the dead tracker's table shows
 		}
-		out = append(out, res)
+		if down {
+			out = append(out, scriptView{Down: true})
+			continue
+		}
+		v := scriptView{Node: host, Epoch: epoch}
+		for _, r := range tab.query() {
+			v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
+		}
+		out = append(out, v)
 	}
 	return out
 }
 
 func TestTrackerScript(t *testing.T) {
-	var simRes []scriptResult
+	var simRes []scriptView
 	for _, seed := range []int64{20, 4, 1} { // the tails differ; the last run's opening is spot-checked below
 		steps := trackerScript(seed)
 		simRes = runScriptSim(t, steps)
@@ -333,15 +311,15 @@ func TestTrackerScript(t *testing.T) {
 		step int
 		want string
 	}{
-		{2, "took=false | tracker 0: [0:4 1:4 3:4 2:1] epoch 1 leader true applied 0 stale 0 | tracker 1: [0:4 1:4 3:4 2:1] epoch 1 leader false applied 0 stale 0"},
-		{5, "took=true | tracker 0: [0:4 1:4 3:2 2:1] epoch 1 leader true applied 1 stale 2 | tracker 1: [0:4 1:4 3:4 2:1] epoch 1 leader false applied 0 stale 0"},
-		{7, "took=false | tracker 0: [0:4 1:4 2:1] epoch 1 leader true applied 1 stale 2 | tracker 1: [0:4 1:4 2:1] epoch 1 leader false applied 0 stale 0"},
-		{12, "took=false | tracker 0: [0:4 1:4 3:2 2:1] epoch 1 leader true applied 2 stale 2 | tracker 1: [0:4 1:4 3:2 2:1] epoch 1 leader false applied 0 stale 0"},
-		{13, "took=false | tracker 0: [0:4 1:4 3:2 2:1] epoch 1 leader true applied 2 stale 2 | tracker 1: [0:4 1:4 3:2 2:1] epoch 1 leader false applied 0 stale 0"},
-		{14, "took=true | tracker 0: [0:4 1:4 3:2 2:1] epoch 1 leader true applied 2 stale 2 | tracker 1: [0:4 1:4 2:3 3:2] epoch 1 leader false applied 0 stale 0"},
-		{18, "took=false | tracker 0 dead | tracker 1: [0:4 1:4 3:2 2:1] epoch 2 leader true applied 0 stale 0"},
-		{20, "took=true | tracker 0 dead | tracker 1: [0:4 3:2 1:1 2:1] epoch 2 leader true applied 1 stale 1"},
-		{23, "took=false | tracker 0 dead | tracker 1: [1:4 3:2 2:1] epoch 2 leader true applied 1 stale 1"},
+		{2, "tracker on node 0 epoch 1: [0:4 1:4 3:4 2:1]"},
+		{4, "tracker on node 0 epoch 1: [0:4 1:4 2:1]"},
+		{7, "tracker on node 0 epoch 1: [0:4 3:4 2:1]"},
+		{8, "tracker on node 0 epoch 1: [0:4 3:4 2:1]"},
+		{10, "tracker down"},
+		{11, "tracker on node 2 epoch 2: [3:4 2:1]"},
+		{13, "tracker on node 2 epoch 2: [1:4 3:4 2:1]"},
+		{15, "tracker on node 2 epoch 2: [2:1]"},
+		{20, "tracker on node 0 epoch 3: [1:4 3:4 2:1]"},
 	} {
 		if got := simRes[c.step].String(); got != c.want {
 			t.Errorf("step %d (%v):\n got  %s\n want %s", c.step, steps[c.step], got, c.want)

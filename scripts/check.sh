@@ -40,11 +40,12 @@ go test -race -count=10 ./internal/simtime
 go test -race -count=10 -run 'SortBuffer' ./internal/mapreduce
 
 echo "== the tracker's table and its driver, -race -count=10 =="
-# FreeTable keeps the free list's rules: the seeded property test holds
-# the table to a model, and the script plays one event sequence to the
-# simulated tracker pair and holds their answers, terms, roles and delta
-# counts to the same model after every step.
-go test -race -count=10 -run 'TestFreeTable|TestDeltaSource|TestTrackerScript' ./internal/sponge
+# One tracker, the paper's: FreeTable keeps the free list's ranking,
+# held to a model by the seeded property test, and the script plays one
+# event sequence — pools, cuts, drains, crashes and cold elections — to
+# the polled tracker and holds its answers and term to the same model
+# after every step.
+go test -race -count=10 -run 'TestFreeTable|TestTrackerScript' ./internal/sponge
 
 echo "== pool fill/view brackets against free and close, -race -count=10 =="
 # The wire server receives a chunk into the pool slab and sends it from
@@ -117,9 +118,9 @@ go test -run '^$' -fuzz '^FuzzPipelinedOps$' -fuzztime 10s ./internal/sponge/wir
 
 echo "== scenario matrix smoke (quick cases) =="
 # The two quick seed scenarios — a digest-verified spill round trip and
-# the delta-dissemination convergence case — run against real child
-# server processes, end to end through the spongesim runner.
-go run ./cmd/spongesim -run 'spill-roundtrip-clean|delta-convergence' -report /tmp/scenario-smoke.json
+# a tracker killed mid-write and cold-elected again — run against real
+# child server processes, end to end through the spongesim runner.
+go run ./cmd/spongesim -run 'spill-roundtrip-clean|tracker-failover-mid-job' -report /tmp/scenario-smoke.json
 
 echo "== benchmark module smoke =="
 # The repository's benchmark is a module of its own that compiles

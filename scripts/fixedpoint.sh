@@ -4,7 +4,7 @@
 # builds cmd/benchtab from <base> (exported into a temporary directory,
 # removed on exit) and from the working tree, runs each experiment id
 # once on both, and compares the output. The paper's tables and the
-# ablations must match byte for byte; the four sweeps must match with
+# ablations must match byte for byte; the three sweeps must match with
 # their last column — wall ms, the only host-time column — dropped.
 # Prints one line per id and exits non-zero on any difference.
 set -e
@@ -31,11 +31,11 @@ dropLastColumn() {
 }
 
 status=0
-for id in tab1 tab2 fig4 fig5 fig6 ablate faults readahead tracker combine; do
+for id in tab1 tab2 fig4 fig5 fig6 ablate faults readahead combine; do
 	for side in base head; do
 		"$tmp/benchtab.$side" -size 0.1 "$id" >"$tmp/$id.$side"
 		case $id in
-		faults | readahead | tracker | combine)
+		faults | readahead | combine)
 			dropLastColumn <"$tmp/$id.$side" >"$tmp/$id.$side.cut"
 			mv "$tmp/$id.$side.cut" "$tmp/$id.$side"
 			;;
