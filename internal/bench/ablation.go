@@ -162,8 +162,8 @@ func stalenessRun(poll simtime.Duration) StalenessRow {
 	}
 	sim.MustRun()
 	var fails int64
-	for _, srv := range svc.Servers {
-		_, f := srv.RemoteAllocStats()
+	for i := range svc.Servers {
+		f, _ := svc.Metrics().Lookup(fmt.Sprintf(`sponge_remote_alloc_fails_total{node="%d"}`, i))
 		fails += f
 	}
 	return StalenessRow{PollInterval: poll, RemoteFailures: fails, DiskChunks: disk}

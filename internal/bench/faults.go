@@ -138,8 +138,8 @@ func runFaultCell(transport string, drop float64, cfg FaultsConfig) FaultCell {
 	stopWire()
 	cell.WallMs = float64(time.Since(start).Microseconds()) / 1000
 	cell.VirtualMs = simtime.Duration(sim.Now()).Std().Milliseconds()
-	fs := faults.Stats()
-	cell.Exchanges, cell.Drops = fs.Exchanges, fs.Drops
+	cell.Exchanges, _ = svc.Metrics().Lookup("sponge_fault_exchanges_total")
+	cell.Drops, _ = svc.Metrics().Lookup("sponge_fault_drops_total")
 	if cell.Chunks > 0 {
 		cell.SpillSuccess = float64(cell.Chunks-cell.DiskChunks) / float64(cell.Chunks)
 	}

@@ -66,10 +66,10 @@ func bareName(id string) string {
 }
 
 // ParseText parses text exposition output back into series id -> value.
-// It is the inverse of WriteText for the integer-valued metrics this
-// package produces; # comment lines and blank lines are skipped, and
-// malformed lines are reported rather than dropped so a truncated
-// scrape fails loudly.
+// It is the inverse of WriteText, which writes only integers; # comment
+// lines and blank lines are skipped, and malformed lines — a value that
+// is not an integer among them — are reported rather than dropped so a
+// truncated or foreign scrape fails loudly.
 func ParseText(text string) (map[string]int64, error) {
 	out := make(map[string]int64)
 	for ln, line := range strings.Split(text, "\n") {
@@ -85,12 +85,7 @@ func ParseText(text string) (map[string]int64, error) {
 		val := line[sp+1:]
 		v, err := strconv.ParseInt(val, 10, 64)
 		if err != nil {
-			// Tolerate float renderings from other producers.
-			f, ferr := strconv.ParseFloat(val, 64)
-			if ferr != nil {
-				return nil, fmt.Errorf("obs: metrics line %d: bad value %q", ln+1, val)
-			}
-			v = int64(f)
+			return nil, fmt.Errorf("obs: metrics line %d: bad value %q", ln+1, val)
 		}
 		out[id] = v
 	}

@@ -65,29 +65,19 @@ func (g *Gauge) Set(n int64) { atomic.StoreInt64(&g.v, n) }
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) { atomic.AddInt64(&g.v, n) }
 
-// SetMax raises the gauge to n if n exceeds the current value —
-// a high-water mark update.
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := atomic.LoadInt64(&g.v)
-		if n <= cur || atomic.CompareAndSwapInt64(&g.v, cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
 // Histogram is a fixed-bucket histogram over int64 observations.
 // Bounds are inclusive upper edges in ascending order; an implicit
 // +Inf bucket catches the rest. Observe is allocation-free: a linear
-// scan over the (small, fixed) bound slice plus three atomics.
+// scan over the (small, fixed) bound slice plus two atomics. The count
+// is not kept apart from the buckets: it is the +Inf bucket's cumulative
+// value, so the two can never disagree.
 type Histogram struct {
 	bounds []int64
 	counts []int64 // len(bounds)+1, last is +Inf
 	sum    int64
-	count  int64
 }
 
 func newHistogram(bounds []int64) *Histogram {
@@ -109,11 +99,17 @@ func (h *Histogram) Observe(v int64) {
 	}
 	atomic.AddInt64(&h.counts[i], 1)
 	atomic.AddInt64(&h.sum, v)
-	atomic.AddInt64(&h.count, 1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.count) }
+// Count returns the number of observations: the +Inf bucket's
+// cumulative value, the fold Buckets ends with.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += atomic.LoadInt64(&h.counts[i])
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }

@@ -1,35 +1,14 @@
 // Package obs is the repository's dependency-free observability core:
 // sharded atomic counters, gauges (stored and callback-backed),
-// fixed-bucket histograms, a labeled registry with point-in-time
-// snapshots and Prometheus-style text exposition, and a bounded ring
-// buffer for chunk-lifecycle trace events.
+// fixed-bucket histograms, and a labeled registry with point-in-time
+// snapshots and Prometheus-style text exposition. The registry is the
+// one record of what an instrumented component did: nothing keeps a
+// second copy of a count beside it.
 //
 // The package exists to make the sponge hot paths measurable without
 // perturbing them: every mutation on a pre-registered handle is a plain
 // atomic operation (no map lookups, no allocation, no locks on the
 // counter path), and nothing in here touches the simulator — recording
 // a metric charges no virtual time and consumes no randomness, so
-// instrumented runs stay bit-identical to uninstrumented ones. Time
-// stamps flow through the pluggable Clock seam: simulated services
-// install a virtual clock, real daemons use WallClock.
+// instrumented runs stay bit-identical to uninstrumented ones.
 package obs
-
-import "time"
-
-// Clock supplies the timestamps recorded on trace events. Simulated
-// services install an adapter over the simulation's virtual clock so
-// traces line up with the experiment timeline; real daemons use
-// WallClock. Implementations must be cheap and allocation-free — Now is
-// called on the spill hot path.
-type Clock interface {
-	// Now returns the current time in nanoseconds. The epoch is the
-	// clock's own: virtual nanoseconds since simulation start, or Unix
-	// nanoseconds for WallClock.
-	Now() int64
-}
-
-// WallClock is the real-time Clock: Unix nanoseconds.
-type WallClock struct{}
-
-// Now returns the wall time in Unix nanoseconds.
-func (WallClock) Now() int64 { return time.Now().UnixNano() }

@@ -25,16 +25,11 @@ func TestCounterConcurrentSum(t *testing.T) {
 	}
 }
 
-func TestGaugeSetMax(t *testing.T) {
+func TestGaugeSetAdd(t *testing.T) {
 	var g Gauge
-	g.Set(5)
-	g.SetMax(3)
-	if g.Value() != 5 {
-		t.Fatalf("SetMax lowered the gauge: %d", g.Value())
-	}
-	g.SetMax(9)
+	g.Set(9)
 	if g.Value() != 9 {
-		t.Fatalf("SetMax did not raise: %d", g.Value())
+		t.Fatalf("Set: %d", g.Value())
 	}
 	g.Add(-2)
 	if g.Value() != 7 {
@@ -58,6 +53,52 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if h.Count() != 7 || h.Sum() != 113 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
+	}
+}
+
+// TestHistogramCountMatchesInfBucketUnderObserve: a scrape taken while
+// other goroutines Observe must expose a _count equal to its +Inf bucket,
+// as the exposition format requires of one histogram sample.
+func TestHistogramCountMatchesInfBucketUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", []int64{1, 2, 4})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(v int64) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(v)
+				}
+			}
+		}(int64(w * 2))
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	torn := 0
+	for i := 0; i < 2000; i++ {
+		var inf, count int64
+		for _, s := range r.Snapshot() {
+			switch s.ID {
+			case `h_bucket{le="+Inf"}`:
+				inf = s.Value
+			case "h_count":
+				count = s.Value
+			}
+		}
+		if inf != count {
+			torn++
+		}
+	}
+	if torn > 0 {
+		t.Fatalf("%d of 2000 snapshots exposed h_count != h_bucket{le=\"+Inf\"}", torn)
 	}
 }
 
@@ -151,6 +192,13 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 	if _, err := ParseText("ok 1\nbroken-line\n"); err == nil {
 		t.Fatal("malformed line accepted")
 	}
+	// WriteText writes integers only: anything else is not a value this
+	// package produced, and truncating it would report a wrong count.
+	for _, line := range []string{"x NaN", "x +Inf", "x 1e30", "x 2.9"} {
+		if got, err := ParseText("ok 1\n" + line + "\n"); err == nil {
+			t.Errorf("%q accepted as %d", line, got["x"])
+		}
+	}
 	got, err := ParseText("# comment\n\nx 5\ny{a=\"b\"} 6\n")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +255,6 @@ func TestMetricOpsSteadyStateAllocationFree(t *testing.T) {
 		c.Add(3)
 		g.Set(7)
 		g.Add(1)
-		g.SetMax(100)
 		h.Observe(5)
 	}); n != 0 {
 		t.Fatalf("metric mutators allocate: %v allocs/op", n)

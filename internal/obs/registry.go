@@ -191,11 +191,14 @@ func (r *Registry) Snapshot() []Sample {
 		case kindGaugeFunc:
 			out = append(out, Sample{s.id, s.gaugeFn()})
 		case kindHistogram:
-			for i, cum := range s.hist.Buckets() {
+			// _count is the +Inf bucket of the same read, so the two
+			// agree under concurrent Observes.
+			buckets := s.hist.Buckets()
+			for i, cum := range buckets {
 				out = append(out, Sample{s.histBucketIDs[i], cum})
 			}
 			out = append(out, Sample{s.histSumID, s.hist.Sum()})
-			out = append(out, Sample{s.histCountID, s.hist.Count()})
+			out = append(out, Sample{s.histCountID, buckets[len(buckets)-1]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -44,16 +44,12 @@ func (s *Service) electTracker(p *simtime.Proc) bool {
 		t := newTracker(s, s.Cluster.Nodes[i], s.Tracker.epoch+1)
 		t.pollOnce(p)
 		s.Tracker = t
-		s.failovers++
 		s.metrics.trackerFailovers.Inc()
 		s.metrics.trackerLeaderEpoch.Set(t.epoch)
 		return true
 	}
 	return false
 }
-
-// Failovers returns how many times the tracker has been re-elected.
-func (s *Service) Failovers() int { return s.failovers }
 
 // watchdogLoop monitors the tracker and re-elects on failure of either
 // the tracker process or its host.

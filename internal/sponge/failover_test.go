@@ -35,8 +35,8 @@ func TestTrackerFailover(t *testing.T) {
 		f.Delete(p)
 	})
 	r.sim.MustRun()
-	if r.svc.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", r.svc.Failovers())
+	if got := metricOf(t, r.svc, "sponge_tracker_failovers_total"); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
 	}
 	if got := r.svc.Tracker.Node().ID; got != 1 {
 		t.Fatalf("new tracker on node %d, want 1 (lowest live)", got)

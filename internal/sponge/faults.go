@@ -31,13 +31,6 @@ type FaultConfig struct {
 // exchange was dropped or partitioned away.
 const faultTimeout = 100 * simtime.Millisecond
 
-// FaultStats counts what the wrapper did to the traffic.
-type FaultStats struct {
-	Exchanges int64 // total exchanges attempted through the wrapper
-	Drops     int64 // lost in transit (timeout charged)
-	Blocked   int64 // refused because the link or a node is partitioned
-}
-
 // linkKey identifies an undirected node pair.
 type linkKey struct{ a, b int }
 
@@ -66,12 +59,12 @@ type FaultTransport struct {
 	cutLinks map[linkKey]bool
 	cutNodes map[int]bool
 	linkDrop map[linkKey]float64
-	stats    FaultStats
 
-	// Registered counters mirroring FaultStats into an obs registry;
-	// nil until AttachMetrics. The increments happen after the random
-	// rolls, so attaching metrics never perturbs the fault stream.
-	mExchanges, mDrops, mBlocked *obs.Counter
+	// What the wrapper did to the traffic: exchanges attempted, lost in
+	// transit, refused by a partition. Nil — nothing is counted — until
+	// AttachMetrics; counting draws no randomness, so attaching never
+	// perturbs the fault stream.
+	exchanges, drops, blocked *obs.Counter
 }
 
 // NewFaultTransport wraps inner with fault injection per cfg.
@@ -139,25 +132,16 @@ func (ft *FaultTransport) SetDropRate(rate float64) {
 	ft.mu.Unlock()
 }
 
-// AttachMetrics mirrors the wrapper's counters into reg as
-// sponge_fault_*_total series. Service.SetTransport calls this
-// automatically; callers wiring a FaultTransport around a raw wire
-// transport may also attach by hand. Attaching consumes no randomness
-// and charges no virtual time, so the injected fault stream is
-// bit-identical with or without metrics.
+// AttachMetrics counts the wrapper's traffic from here on in reg's
+// sponge_fault_*_total series, the one record of it; Service.SetTransport
+// calls it. Attaching consumes no randomness and charges no virtual time,
+// so the injected fault stream is bit-identical with or without metrics.
 func (ft *FaultTransport) AttachMetrics(reg *obs.Registry) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	ft.mExchanges = reg.Counter("sponge_fault_exchanges_total")
-	ft.mDrops = reg.Counter("sponge_fault_drops_total")
-	ft.mBlocked = reg.Counter("sponge_fault_blocked_total")
-}
-
-// Stats snapshots the wrapper's counters.
-func (ft *FaultTransport) Stats() FaultStats {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.stats
+	ft.exchanges = reg.Counter("sponge_fault_exchanges_total")
+	ft.drops = reg.Counter("sponge_fault_drops_total")
+	ft.blocked = reg.Counter("sponge_fault_blocked_total")
 }
 
 // Peer returns the fault-wrapped handle on a node's server.
@@ -180,9 +164,8 @@ func (ft *FaultTransport) RevokePeer(node int) {
 func (ft *FaultTransport) decide(from, to int) (lost bool) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	ft.stats.Exchanges++
-	if ft.mExchanges != nil {
-		ft.mExchanges.Inc()
+	if ft.exchanges != nil {
+		ft.exchanges.Inc()
 	}
 	dropRoll := ft.rng.Float64()
 	// A second number is drawn and discarded: the retired fast-error
@@ -190,9 +173,8 @@ func (ft *FaultTransport) decide(from, to int) (lost bool) {
 	// stream — and so every recorded fault run — where it was.
 	ft.rng.Float64()
 	if ft.cutNodes[from] || ft.cutNodes[to] || ft.cutLinks[link(from, to)] {
-		ft.stats.Blocked++
-		if ft.mBlocked != nil {
-			ft.mBlocked.Inc()
+		if ft.blocked != nil {
+			ft.blocked.Inc()
 		}
 		return true
 	}
@@ -201,9 +183,8 @@ func (ft *FaultTransport) decide(from, to int) (lost bool) {
 		drop = r
 	}
 	if dropRoll < drop {
-		ft.stats.Drops++
-		if ft.mDrops != nil {
-			ft.mDrops.Inc()
+		if ft.drops != nil {
+			ft.drops.Inc()
 		}
 		return true
 	}

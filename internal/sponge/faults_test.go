@@ -132,8 +132,8 @@ func TestPartitionForcesDiskFallback(t *testing.T) {
 	if st.ByKind[LocalDisk] == 0 {
 		t.Fatalf("no disk fallback under partition: %+v", st)
 	}
-	if s := faults.Stats(); s.Blocked == 0 {
-		t.Fatalf("partition never blocked an exchange: %+v", s)
+	if metricOf(t, r.svc, "sponge_fault_blocked_total") == 0 {
+		t.Fatal("partition never blocked an exchange")
 	}
 
 	faults.RejoinNode(1)
@@ -148,18 +148,21 @@ func TestPartitionForcesDiskFallback(t *testing.T) {
 // fallback absorb the losses), and the same seed must inject exactly
 // the same faults on a rerun.
 func TestSeededDropsRoundTripAndDeterminism(t *testing.T) {
-	run := func() (FileStats, FaultStats) {
+	type faultCounts struct{ exchanges, drops int64 }
+	run := func() (FileStats, faultCounts) {
 		r := newRig(t, 4, 2, nil)
-		faults := NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 42, DropRate: 0.2})
-		r.svc.SetTransport(faults)
+		r.svc.SetTransport(NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 42, DropRate: 0.2}))
 		data := pattern(6*r.svc.ChunkReal(), 6)
 		f := writeReadDelete(t, r, 0, data)
-		return f.Stats(), faults.Stats()
+		return f.Stats(), faultCounts{
+			metricOf(t, r.svc, "sponge_fault_exchanges_total"),
+			metricOf(t, r.svc, "sponge_fault_drops_total"),
+		}
 	}
 	st1, fs1 := run()
 	st2, fs2 := run()
-	if fs1.Drops == 0 {
-		t.Fatalf("a 20%% drop rate dropped nothing over %d exchanges", fs1.Exchanges)
+	if fs1.drops == 0 {
+		t.Fatalf("a 20%% drop rate dropped nothing over %d exchanges", fs1.exchanges)
 	}
 	if st1 != st2 || fs1 != fs2 {
 		t.Fatalf("same seed diverged:\nrun1 %+v %+v\nrun2 %+v %+v", st1, fs1, st2, fs2)
@@ -224,15 +227,15 @@ func TestElectTrackerAllNodesDead(t *testing.T) {
 	for i := range r.svc.Servers {
 		r.svc.FailNode(i)
 	}
-	before := r.svc.Failovers()
+	before := metricOf(t, r.svc, "sponge_tracker_failovers_total")
 	r.sim.Spawn("probe", func(p *simtime.Proc) {
 		if r.svc.electTracker(p) {
 			t.Error("electTracker found a live node in a fully dead cluster")
 		}
 	})
 	r.sim.MustRun()
-	if r.svc.Failovers() != before {
-		t.Fatalf("failover count moved on a failed election: %d -> %d", before, r.svc.Failovers())
+	if after := metricOf(t, r.svc, "sponge_tracker_failovers_total"); after != before {
+		t.Fatalf("failover count moved on a failed election: %d -> %d", before, after)
 	}
 }
 
@@ -251,28 +254,29 @@ func TestWatchdogReelectionUnderPollDrops(t *testing.T) {
 		// tracker's own host dies.
 		faults.SetLinkDrop(1, 2, 1.0)
 		r.svc.FailNode(0)
+		// The dead leader polls no more: every drop from here on is the
+		// successor's.
+		before := perNode(t, r.svc, "sponge_tracker_poll_drops_total")
 		p.Sleep(3 * r.svc.Config.PollInterval)
 
-		if r.svc.Failovers() == 0 {
+		if metricOf(t, r.svc, "sponge_tracker_failovers_total") == 0 {
 			t.Error("watchdog never re-elected a tracker")
 		}
 		nt := r.svc.Tracker
 		if nt.Node().ID != 1 {
 			t.Errorf("tracker elected on node %d, want 1 (lowest live)", nt.Node().ID)
 		}
-		if nt.PollDrops() == 0 {
-			t.Error("dropped polls to node 2 went uncounted")
-		}
 		// Per-node attribution: every drop belongs to node 2 (the cut
 		// link). Node 0 is dead and skipped, node 1 is the tracker's own
 		// loopback poll, so neither may accumulate drops.
-		if got := nt.PollDropsFor(2); got == 0 || got != nt.PollDrops() {
-			t.Errorf("node 2 attributed %d of %d poll drops", got, nt.PollDrops())
+		after := perNode(t, r.svc, "sponge_tracker_poll_drops_total")
+		if after[2] == before[2] {
+			t.Error("dropped polls to node 2 went uncounted")
 		}
-		if got := nt.PollDropsFor(0); got != 0 {
+		if got := after[0] - before[0]; got != 0 {
 			t.Errorf("dead node 0 attributed %d poll drops", got)
 		}
-		if got := nt.PollDropsFor(1); got != 0 {
+		if got := after[1] - before[1]; got != 0 {
 			t.Errorf("loopback poll to node 1 attributed %d drops", got)
 		}
 		if nt.Advertised(2) != 0 {
@@ -320,8 +324,8 @@ func TestSimultaneousTrackerAndStorageDeath(t *testing.T) {
 		r.svc.FailNode(1) // the file's remote chunks
 		p.Sleep(3 * r.svc.Config.PollInterval)
 
-		if r.svc.Failovers() != 1 {
-			t.Errorf("failovers = %d, want 1", r.svc.Failovers())
+		if got := metricOf(t, r.svc, "sponge_tracker_failovers_total"); got != 1 {
+			t.Errorf("failovers = %d, want 1", got)
 		}
 		if got := r.svc.Tracker.Node().ID; got != 2 {
 			t.Errorf("tracker elected on node %d, want 2 (lowest live)", got)
@@ -370,10 +374,11 @@ func TestAsymmetricPartitionReelection(t *testing.T) {
 		// still reaches everyone — the classic asymmetric split-view.
 		faults.Cut(1, 2)
 		r.svc.FailNode(0)
+		before := perNode(t, r.svc, "sponge_tracker_poll_drops_total") // the successor's drops start here
 		p.Sleep(3 * r.svc.Config.PollInterval)
 
 		nt := r.svc.Tracker
-		if r.svc.Failovers() == 0 {
+		if metricOf(t, r.svc, "sponge_tracker_failovers_total") == 0 {
 			t.Error("watchdog never re-elected under the asymmetric partition")
 		}
 		if nt.Node().ID != 1 {
@@ -386,8 +391,13 @@ func TestAsymmetricPartitionReelection(t *testing.T) {
 		if nt.Advertised(3) == 0 {
 			t.Error("reachable node 3 missing from the free list")
 		}
-		if got := nt.PollDropsFor(2); got == 0 || got != nt.PollDrops() {
-			t.Errorf("node 2 attributed %d of %d poll drops", got, nt.PollDrops())
+		var total int64
+		after := perNode(t, r.svc, "sponge_tracker_poll_drops_total")
+		for i := range after {
+			total += after[i] - before[i]
+		}
+		if got := after[2] - before[2]; got == 0 || got != total {
+			t.Errorf("node 2 attributed %d of %d poll drops", got, total)
 		}
 
 		// A task on node 3 (which reaches both) allocates remotely via

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"spongefiles/internal/media"
-	"spongefiles/internal/obs"
 	"spongefiles/internal/simtime"
 )
 
@@ -235,8 +234,6 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 	if f.agent.cipher != nil {
 		nonce = f.agent.cipher.nextNonce()
 		f.agent.cipher.seal(p, f.agent.node, nonce, plain)
-		// Sealed before placement: the medium is not yet known.
-		f.agent.svc.metrics.event(obs.EvSeal, -1, -1, len(f.chunks), 0)
 	}
 
 	// 1. Local sponge memory through shared memory.
@@ -253,8 +250,6 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 		f.chunks = append(f.chunks, chunkRef{kind: LocalMem, node: f.agent.node.ID, handle: h, size: n, nonce: nonce})
 		f.stats.ByKind[LocalMem]++
 		m.spill[LocalMem].Inc()
-		m.event(obs.EvAlloc, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
-		m.event(obs.EvWrite, int8(LocalMem), f.agent.node.ID, len(f.chunks)-1, 0)
 		return nil
 	}
 	// The local pool turned the chunk away; it falls down the chain.
@@ -279,14 +274,12 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 	f.chunks = append(f.chunks, chunkRef{pending: true, size: n})
 
 	write := func(wp *simtime.Proc) {
-		ref, retries := f.spillNonLocal(wp, payload)
+		ref := f.spillNonLocal(wp, payload)
 		ref.size = n
 		ref.nonce = nonce
 		f.chunks[idx] = ref
 		f.stats.ByKind[ref.kind]++
 		m.spill[ref.kind].Inc()
-		m.event(obs.EvAlloc, int8(ref.kind), refNode(&ref), idx, retries)
-		m.event(obs.EvWrite, int8(ref.kind), refNode(&ref), idx, retries)
 		if ref.data == nil {
 			f.agent.svc.putBuf(payload)
 		}
@@ -310,12 +303,10 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 }
 
 // spillNonLocal stores payload in remote memory, local disk, or the
-// remote FS, in that order, and returns the resulting reference plus
-// how many lost exchanges were retried along the way (for the trace).
-func (f *File) spillNonLocal(p *simtime.Proc, payload []byte) (chunkRef, int) {
-	ref, retries, ok := f.tryRemoteMemory(p, payload)
-	if ok {
-		return ref, retries
+// remote FS, in that order, and returns the resulting reference.
+func (f *File) spillNonLocal(p *simtime.Proc, payload []byte) chunkRef {
+	if ref, ok := f.tryRemoteMemory(p, payload); ok {
+		return ref
 	}
 	if f.agent.svc.Config.LocalDiskEnabled {
 		if !f.hasDisk {
@@ -328,14 +319,14 @@ func (f *File) spillNonLocal(p *simtime.Proc, payload []byte) (chunkRef, int) {
 		// pread by an fd-holding same-host reader).
 		off := f.agent.node.Disk.StreamBytes(f.diskStream)
 		f.agent.node.WriteFile(p, f.diskStream, len(payload))
-		return chunkRef{kind: LocalDisk, data: payload, off: off}, retries
+		return chunkRef{kind: LocalDisk, data: payload, off: off}
 	}
 	if f.agent.svc.Config.Remote != nil {
 		if f.remoteSpill == nil {
 			f.remoteSpill = f.agent.svc.Config.Remote.CreateSpill(p, f.agent.node, f.agent.task)
 		}
 		f.remoteSpill.Append(p, payload)
-		return chunkRef{kind: RemoteFS, data: payload}, retries
+		return chunkRef{kind: RemoteFS, data: payload}
 	}
 	panic("sponge: no spill medium available for " + f.name)
 }
@@ -343,12 +334,11 @@ func (f *File) spillNonLocal(p *simtime.Proc, payload []byte) (chunkRef, int) {
 // tryRemoteMemory walks the candidate servers — affinity nodes first,
 // then by advertised free space — and attempts an allocate-and-write on
 // each. Stale entries simply fail and are dropped from this file's list.
-func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, bool) {
+func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, bool) {
 	svc := f.agent.svc
 	if svc.Config.RemoteDisabled {
-		return chunkRef{}, 0, false
+		return chunkRef{}, false
 	}
-	retries := 0
 	order := make([]FreeRow, 0, len(f.candidates))
 	if svc.Config.Affinity {
 		for _, c := range f.candidates {
@@ -371,8 +361,7 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, 
 		if svc.Config.RackLocalOnly && !svc.Cluster.SameRack(f.agent.node, svc.Cluster.Nodes[c.Key]) {
 			continue
 		}
-		h, r, err := f.allocRemote(p, c.Key, payload)
-		retries += r
+		h, err := f.allocRemote(p, c.Key, payload)
 		if err != nil {
 			// Stale free-list entry, failed node, or a peer that stayed
 			// unreachable through the retry budget: forget it for the
@@ -382,12 +371,12 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, 
 			continue
 		}
 		f.agent.usedNodes[c.Key] = true
-		return chunkRef{kind: RemoteMem, node: c.Key, handle: h}, retries, true
+		return chunkRef{kind: RemoteMem, node: c.Key, handle: h}, true
 	}
 	// Every candidate refused (or none existed): the chunk falls past
 	// remote memory to the disk / remote-FS legs of the chain.
 	svc.metrics.fallbackRemoteExhst.Inc()
-	return chunkRef{}, retries, false
+	return chunkRef{}, false
 }
 
 // allocRemote attempts an allocate-and-write on one candidate through
@@ -395,16 +384,16 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, int, 
 // retried up to the service's retry limit with backoff; application
 // refusals — a full pool, a quota rejection, a failed node — are final
 // for this candidate and returned at once.
-func (f *File) allocRemote(p *simtime.Proc, node int, payload []byte) (int, int, error) {
+func (f *File) allocRemote(p *simtime.Proc, node int, payload []byte) (int, error) {
 	svc := f.agent.svc
 	peer := svc.peer(node)
 	for attempt := 0; ; attempt++ {
 		h, err := peer.AllocWrite(p, f.agent.node, f.agent.task, payload)
 		if err == nil {
-			return h, attempt, nil
+			return h, nil
 		}
 		if !errors.Is(err, ErrPeerUnreachable) || attempt >= retryLimit {
-			return 0, attempt, err
+			return 0, err
 		}
 		f.stats.Retries++
 		svc.metrics.retriesAlloc.Inc()
@@ -587,7 +576,6 @@ func (f *File) fetchChunk(p *simtime.Proc, i int) ([]byte, error) {
 // recycles it when the read cursor moves past the chunk.
 func (f *File) fetchRaw(p *simtime.Proc, i int) ([]byte, error) {
 	ref := &f.chunks[i]
-	m := f.agent.svc.metrics
 	buf := f.agent.svc.getBuf()[:ref.size]
 	switch ref.kind {
 	case LocalMem:
@@ -596,20 +584,16 @@ func (f *File) fetchRaw(p *simtime.Proc, i int) ([]byte, error) {
 			f.agent.svc.putBuf(buf)
 			return nil, err
 		}
-		m.event(obs.EvRead, int8(LocalMem), ref.node, i, 0)
 		return buf, nil
 	case RemoteMem:
-		retries, err := f.readRemote(p, ref.node, ref.handle, buf)
-		if err != nil {
+		if err := f.readRemote(p, ref.node, ref.handle, buf); err != nil {
 			f.agent.svc.putBuf(buf)
 			return nil, err
 		}
-		m.event(obs.EvRead, int8(RemoteMem), ref.node, i, retries)
 		return buf, nil
 	case LocalDisk:
 		f.agent.node.ReadFile(p, f.diskStream, ref.size)
 		copy(buf, ref.data)
-		m.event(obs.EvRead, int8(LocalDisk), -1, i, 0)
 		return buf, nil
 	case RemoteFS:
 		if f.remoteSpill == nil {
@@ -626,7 +610,6 @@ func (f *File) fetchRaw(p *simtime.Proc, i int) ([]byte, error) {
 		}
 		f.remoteSpill.Read(p, buf)
 		copy(buf, ref.data)
-		m.event(obs.EvRead, int8(RemoteFS), -1, i, 0)
 		return buf, nil
 	}
 	panic("sponge: unknown chunk kind")
@@ -637,7 +620,7 @@ func (f *File) fetchRaw(p *simtime.Proc, i int) ([]byte, error) {
 // retry budget means the chunk cannot be recovered: the caller gets
 // ErrChunkLost — exactly what a failed hosting node produces — and the
 // framework restarts the owning task (§3.1).
-func (f *File) readRemote(p *simtime.Proc, node, handle int, buf []byte) (int, error) {
+func (f *File) readRemote(p *simtime.Proc, node, handle int, buf []byte) error {
 	svc := f.agent.svc
 	// A planned leave may have evacuated the chunk; the forwarding
 	// table points at its current home (nil table = static membership,
@@ -647,7 +630,7 @@ func (f *File) readRemote(p *simtime.Proc, node, handle int, buf []byte) (int, e
 	for attempt := 0; ; attempt++ {
 		_, err := peer.Read(p, f.agent.node, handle, buf)
 		if err == nil {
-			return attempt, nil
+			return nil
 		}
 		if rn, rh := svc.resolveChunk(node, handle); rn != node || rh != handle {
 			// The chunk moved while the read was in flight (evacuation
@@ -657,11 +640,11 @@ func (f *File) readRemote(p *simtime.Proc, node, handle int, buf []byte) (int, e
 			continue
 		}
 		if !errors.Is(err, ErrPeerUnreachable) {
-			return attempt, err
+			return err
 		}
 		if attempt >= retryLimit {
 			svc.metrics.chunksLost.Inc()
-			return attempt, fmt.Errorf("%w: node %d unreachable after %d attempts", ErrChunkLost, node, attempt+1)
+			return fmt.Errorf("%w: node %d unreachable after %d attempts", ErrChunkLost, node, attempt+1)
 		}
 		f.stats.Retries++
 		svc.metrics.retriesRead.Inc()
@@ -724,7 +707,6 @@ func (f *File) Delete(p *simtime.Proc) {
 		f.prefetchDone.Wait(p)
 	}
 	pool := f.agent.svc.Servers[f.agent.node.ID].Pool()
-	m := f.agent.svc.metrics
 	for i := range f.chunks {
 		ref := &f.chunks[i]
 		switch ref.kind {
@@ -741,7 +723,6 @@ func (f *File) Delete(p *simtime.Proc) {
 			node, handle := f.agent.svc.resolveChunk(ref.node, ref.handle)
 			_ = f.agent.svc.peer(node).Free(p, f.agent.node, handle)
 		}
-		m.event(obs.EvFree, int8(ref.kind), refNode(ref), i, 0)
 		if ref.data != nil {
 			f.agent.svc.putBuf(ref.data)
 			ref.data = nil

@@ -270,8 +270,8 @@ func TestGarbageCollectionFreesOrphans(t *testing.T) {
 			t.Errorf("after GC free = %d of 8", free)
 		}
 		var freed int64
-		for _, s := range r.svc.Servers {
-			freed += s.GCFreed()
+		for _, n := range perNode(t, r.svc, "sponge_gc_freed_chunks_total") {
+			freed += n
 		}
 		if freed != 6 {
 			t.Errorf("gc freed = %d chunks, want 6", freed)

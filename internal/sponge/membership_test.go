@@ -264,7 +264,7 @@ func TestDrainedNodeCannotReadvertiseByDelta(t *testing.T) {
 				if !r.svc.retiring(1) {
 					continue
 				}
-				polls, _ := r.svc.Tracker.Stats()
+				polls := metricOf(t, r.svc, "sponge_tracker_polls_total")
 				if drainSeen < 0 {
 					drainSeen = polls
 				}
@@ -305,7 +305,7 @@ func TestWatchdogPromotesStandbyOnHostDeath(t *testing.T) {
 	})
 	var st FileStats
 	r.sim.Spawn("task", func(p *simtime.Proc) {
-		for r.svc.Failovers() == 0 {
+		for metricOf(t, r.svc, "sponge_tracker_failovers_total") == 0 {
 			p.Sleep(10 * simtime.Millisecond)
 		}
 		if lag := p.Now().Sub(simtime.Time(death)); lag > r.svc.Config.PollInterval+10*simtime.Millisecond {
@@ -333,8 +333,8 @@ func TestWatchdogPromotesStandbyOnHostDeath(t *testing.T) {
 		f.Delete(p)
 	})
 	r.sim.MustRun()
-	if r.svc.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", r.svc.Failovers())
+	if got := metricOf(t, r.svc, "sponge_tracker_failovers_total"); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
 	}
 	if got := r.svc.Tracker.Node().ID; got != 1 {
 		t.Fatalf("promoted tracker on node %d, want 1 (lowest live)", got)

@@ -4,22 +4,7 @@ import (
 	"strconv"
 
 	"spongefiles/internal/obs"
-	"spongefiles/internal/simtime"
 )
-
-// simClock adapts the simulation's virtual clock to the obs.Clock seam,
-// so trace events from simulated runs carry virtual-nanosecond
-// timestamps that line up with the experiment timeline. The adapter is
-// a single pointer, so storing it in the Clock interface allocates
-// nothing and recording an event stays on the zero-alloc hot path.
-type simClock struct {
-	sim *simtime.Sim
-}
-
-func (c simClock) Now() int64 { return int64(c.sim.Now()) }
-
-// defaultTraceCap bounds the per-service chunk-lifecycle trace ring.
-const defaultTraceCap = 1024
 
 // kindNames are the exposition labels for the allocator chain, indexed
 // by ChunkKind.
@@ -27,13 +12,14 @@ var kindNames = [4]string{"local_mem", "remote_mem", "local_disk", "remote_fs"}
 
 // svcMetrics holds every pre-registered handle the service's hot paths
 // mutate. All handles are resolved once at Start — the spill and read
-// paths never touch the registry map, only atomic counters, gauges,
-// histogram cells, and the trace ring's fixed buffer, keeping the
-// steady state at zero allocations and zero virtual-time/RNG impact
-// (the seed-golden baselines stay bit-identical with metrics on).
+// paths never touch the registry map, only atomic counters, gauges and
+// histogram cells, keeping the steady state at zero allocations and
+// zero virtual-time/RNG impact (the seed-golden baselines stay
+// bit-identical with metrics on). These handles are the service's one
+// record of what it did: no tracker, server or pool field keeps a
+// second copy of a count.
 type svcMetrics struct {
-	reg   *obs.Registry
-	trace *obs.Ring
+	reg *obs.Registry
 
 	// Allocator-chain outcomes: one counter per landing medium, plus
 	// the fallback reasons that pushed a chunk down the chain.
@@ -77,10 +63,9 @@ type svcMetrics struct {
 	gcFreed          []*obs.Counter
 }
 
-func newSvcMetrics(reg *obs.Registry, clock obs.Clock, nnodes int) *svcMetrics {
+func newSvcMetrics(reg *obs.Registry, nnodes int) *svcMetrics {
 	m := &svcMetrics{
 		reg:                 reg,
-		trace:               obs.NewRing(defaultTraceCap, clock),
 		fallbackLocalFull:   reg.Counter("sponge_spill_fallback_total", obs.L("reason", "local_full")),
 		fallbackRemoteExhst: reg.Counter("sponge_spill_fallback_total", obs.L("reason", "remote_exhausted")),
 		blacklists:          reg.Counter("sponge_candidates_blacklisted_total"),
@@ -160,32 +145,6 @@ func (m *svcMetrics) registerNodeGauges(i int, srv *Server) {
 	}, node)
 }
 
-// event appends one chunk-lifecycle record to the trace ring. medium is
-// a ChunkKind, or -1 when the medium is not yet decided (seal happens
-// before placement); node is the hosting peer, or -1 for local media.
-func (m *svcMetrics) event(kind obs.EventKind, medium int8, node, chunk, retries int) {
-	m.trace.Append(obs.Event{
-		Kind:    kind,
-		Medium:  medium,
-		Node:    int32(node),
-		Chunk:   int32(chunk),
-		Retries: uint16(retries),
-	})
-}
-
-// refNode is the trace-event node for a chunk reference: the hosting
-// node for memory media, -1 for disk and remote-FS chunks (whose bytes
-// ride with the file itself).
-func refNode(ref *chunkRef) int {
-	if ref.kind == LocalMem || ref.kind == RemoteMem {
-		return ref.node
-	}
-	return -1
-}
-
 // Metrics returns the service's registry: the one passed in
 // ServiceConfig.Metrics, or the private registry created at Start.
 func (s *Service) Metrics() *obs.Registry { return s.metrics.reg }
-
-// Trace returns the service's chunk-lifecycle trace ring.
-func (s *Service) Trace() *obs.Ring { return s.metrics.trace }

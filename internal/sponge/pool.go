@@ -80,9 +80,8 @@ type Pool struct {
 	// access errors out.
 	closed bool
 
-	// Stats. highWater is the most chunks ever simultaneously in use.
-	allocs, allocFails, frees int64
-	highWater                 int
+	// highWater is the most chunks ever simultaneously in use.
+	highWater int
 }
 
 // segmentChunks caps chunks per slab, mirroring the paper's ≤2 GB
@@ -163,16 +162,13 @@ func (p *Pool) Alloc(owner TaskID) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failed || p.closed {
-		p.allocFails++
 		return 0, ErrChunkLost
 	}
 	n := len(p.freeList)
 	if n == 0 {
-		p.allocFails++
 		return 0, ErrNoFreeChunk
 	}
 	if p.quota > 0 && p.held[owner] >= p.quota {
-		p.allocFails++
 		return 0, ErrQuotaExceeded
 	}
 	h := p.freeList[n-1]
@@ -180,7 +176,6 @@ func (p *Pool) Alloc(owner TaskID) (int, error) {
 	p.owners[h] = owner
 	p.lengths[h] = 0
 	p.held[owner]++
-	p.allocs++
 	if used := len(p.owners) - len(p.freeList); used > p.highWater {
 		p.highWater = used
 	}
@@ -467,7 +462,6 @@ func (p *Pool) reclaim(h int, owner TaskID) bool {
 	p.owners[h] = TaskID{}
 	p.lengths[h] = 0
 	p.freeList = append(p.freeList, h)
-	p.frees++
 	if p.held[owner] <= 1 {
 		delete(p.held, owner)
 	} else {
@@ -581,19 +575,16 @@ func (p *Pool) Closed() bool {
 }
 
 // PoolStats is a consistent snapshot of one pool's occupancy and
-// lifetime counters, taken under the metadata lock.
+// high-water mark, taken under the metadata lock.
 type PoolStats struct {
 	FreeChunks  int // chunks on the free list right now
 	TotalChunks int // pool capacity
 	HighWater   int // most chunks ever simultaneously in use
 	Owners      int // distinct tasks currently holding chunks
 	Pinned      int // in-flight unlocked payload copies right now
-	Allocs      int64
-	AllocFails  int64
-	Frees       int64
 }
 
-// Stats snapshots the pool's occupancy and counters in one lock
+// Stats snapshots the pool's occupancy in one lock
 // acquisition, so invariants relating the fields (free + in-use =
 // total) hold within the returned value.
 func (p *Pool) Stats() PoolStats {
@@ -605,8 +596,5 @@ func (p *Pool) Stats() PoolStats {
 		HighWater:   p.highWater,
 		Owners:      len(p.held),
 		Pinned:      p.pinned,
-		Allocs:      p.allocs,
-		AllocFails:  p.allocFails,
-		Frees:       p.frees,
 	}
 }

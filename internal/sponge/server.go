@@ -21,10 +21,6 @@ type Server struct {
 	// live is the node's task liveness registry: the execution framework
 	// registers a task's PID when it starts and unregisters it at exit.
 	live map[int64]bool
-
-	// Stats.
-	remoteAllocs, remoteAllocFails int64
-	gcFreed                        int64
 }
 
 func newServer(svc *Service, node *cluster.Node, pool *Pool) *Server {
@@ -76,13 +72,11 @@ func (s *Server) AllocWrite(p *simtime.Proc, from *cluster.Node, owner TaskID, d
 	if s.svc.retiring(s.node.ID) {
 		// Draining for a planned leave: refuse new chunks like any
 		// stale-free-list miss; the caller falls to its next candidate.
-		s.remoteAllocFails++
 		s.svc.metrics.remoteAllocFails[s.node.ID].Inc()
 		return 0, ErrNoFreeChunk
 	}
 	h, err := s.pool.Alloc(owner)
 	if err != nil {
-		s.remoteAllocFails++
 		s.svc.metrics.remoteAllocFails[s.node.ID].Inc()
 		return 0, err
 	}
@@ -93,7 +87,6 @@ func (s *Server) AllocWrite(p *simtime.Proc, from *cluster.Node, owner TaskID, d
 		s.pool.FreeChunk(h)
 		return 0, err
 	}
-	s.remoteAllocs++
 	s.svc.metrics.remoteAllocs[s.node.ID].Inc()
 	return h, nil
 }
@@ -176,8 +169,7 @@ func (s *Server) AllocWriteLocalIPC(p *simtime.Proc, owner TaskID, data []byte) 
 // query lost in the network is treated as "alive": freeing a live task's
 // chunks on a dropped message would corrupt it, while an orphan merely
 // waits for the next sweep.
-func (s *Server) gcSweep(p *simtime.Proc) int {
-	freed := 0
+func (s *Server) gcSweep(p *simtime.Proc) {
 	for owner := range s.pool.Owners() {
 		alive := false
 		if owner.Node == s.node.ID {
@@ -190,13 +182,9 @@ func (s *Server) gcSweep(p *simtime.Proc) int {
 			}
 		}
 		if !alive {
-			n := s.pool.FreeOwnedBy(owner)
-			freed += n
-			s.gcFreed += int64(n)
-			s.svc.metrics.gcFreed[s.node.ID].Add(int64(n))
+			s.svc.metrics.gcFreed[s.node.ID].Add(int64(s.pool.FreeOwnedBy(owner)))
 		}
 	}
-	return freed
 }
 
 // quotaSweep finds tasks holding more chunks than their per-node quota
@@ -204,21 +192,19 @@ func (s *Server) gcSweep(p *simtime.Proc) int {
 // report the offender (the runtime typically kills it). Alloc already
 // enforces the quota inline, so sweeps only catch violations introduced
 // by configuration changes or bugs.
-func (s *Server) quotaSweep() int {
+func (s *Server) quotaSweep() {
 	quota := s.svc.Config.QuotaChunksPerTask
 	if quota <= 0 {
-		return 0
+		return
 	}
-	reclaimed := 0
 	for owner, n := range s.pool.Owners() {
 		if n > quota {
-			reclaimed += s.pool.FreeOwnedBy(owner)
+			s.pool.FreeOwnedBy(owner)
 			if s.svc.OnQuotaViolation != nil {
 				s.svc.OnQuotaViolation(owner)
 			}
 		}
 	}
-	return reclaimed
 }
 
 // gcLoop is the server's periodic garbage collection daemon.
@@ -231,12 +217,4 @@ func (s *Server) gcLoop(p *simtime.Proc) {
 		s.gcSweep(p)
 		s.quotaSweep()
 	}
-}
-
-// GCFreed returns the total chunks reclaimed by garbage collection.
-func (s *Server) GCFreed() int64 { return s.gcFreed }
-
-// RemoteAllocStats returns (successful remote allocations, failures).
-func (s *Server) RemoteAllocStats() (ok, fail int64) {
-	return s.remoteAllocs, s.remoteAllocFails
 }

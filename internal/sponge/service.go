@@ -128,9 +128,6 @@ type Service struct {
 	memberEpoch int64
 	forwards    map[chunkAddr]chunkAddr
 
-	// failovers counts tracker re-elections.
-	failovers int
-
 	// metrics holds the pre-registered observability handles the hot
 	// paths mutate; always non-nil after Start.
 	metrics *svcMetrics
@@ -165,7 +162,7 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s.metrics = newSvcMetrics(reg, simClock{c.Sim}, len(c.Nodes))
+	s.metrics = newSvcMetrics(reg, len(c.Nodes))
 	chunksPerNode := int(c.Cfg.SpongeMemory / cfg.ChunkVirtual)
 	for _, n := range c.Nodes {
 		pool := NewPool(s.chunkReal, chunksPerNode)

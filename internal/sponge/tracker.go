@@ -28,23 +28,15 @@ type Tracker struct {
 
 	// table is the per-node free-chunk snapshot; epoch is the leadership
 	// term this tracker serves under.
-	table   FreeTable
-	epoch   int64
-	polls   int64
-	queries int64
+	table FreeTable
+	epoch int64
 	// down marks a crashed tracker process (the host may still serve
 	// chunks).
 	down bool
-	// pollDrops counts per-server polls lost in the network even after
-	// retrying; the server is recorded as having no free space until a
-	// later poll reaches it (the stale-free-list trade of §3.1.1).
-	// pollDropsNode attributes the same drops to the polled node.
-	pollDrops     int64
-	pollDropsNode map[int]int64
 }
 
 func newTracker(svc *Service, node *cluster.Node, epoch int64) *Tracker {
-	return &Tracker{svc: svc, node: node, epoch: epoch, pollDropsNode: make(map[int]int64)}
+	return &Tracker{svc: svc, node: node, epoch: epoch}
 }
 
 // Node returns the tracker's host.
@@ -90,15 +82,12 @@ func (t *Tracker) pollOnce(p *simtime.Proc) {
 		free, err := t.pollServer(p, i)
 		if err != nil {
 			t.table.Set(i, 0)
-			t.pollDrops++
-			t.pollDropsNode[i]++
 			m.trackerDrops[i].Inc()
 			continue
 		}
 		t.table.Set(i, free)
 		m.trackerUpdatesFull.Inc()
 	}
-	t.polls++
 	m.trackerPolls.Inc()
 	m.trackerLastPoll.Set(int64(p.Now()))
 }
@@ -136,19 +125,6 @@ func (t *Tracker) Query(p *simtime.Proc, from *cluster.Node) []FreeRow {
 		return nil
 	}
 	t.svc.Cluster.RPC(p, from, t.node, ctlBytes, ctlBytes)
-	t.queries++
 	t.svc.metrics.trackerQueries.Inc()
 	return t.table.Query()
 }
-
-// Stats returns (polls completed, queries served).
-func (t *Tracker) Stats() (polls, queries int64) { return t.polls, t.queries }
-
-// PollDrops returns how many per-server polls were lost in the network
-// even after retrying.
-func (t *Tracker) PollDrops() int64 { return t.pollDrops }
-
-// PollDropsFor returns how many of this tracker's lost polls were
-// directed at one node, attributing drops to the unreachable server
-// rather than only to the aggregate.
-func (t *Tracker) PollDropsFor(node int) int64 { return t.pollDropsNode[node] }

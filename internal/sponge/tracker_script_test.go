@@ -189,6 +189,12 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 
 	var out []scriptView
 	sim.Spawn("script", func(p *simtime.Proc) {
+		// awaitMove sleeps until the counter series id moves.
+		awaitMove := func(id string) {
+			for n := metricOf(t, svc, id); metricOf(t, svc, id) == n; {
+				p.Sleep(simtime.Second)
+			}
+		}
 		for _, s := range steps {
 			switch s.op {
 			case opPool:
@@ -202,18 +208,11 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 			case opUndrain:
 				svc.memberState[s.key] = NodeLive
 			case opCycle:
-				tr := svc.Tracker
-				for polls, _ := tr.Stats(); ; p.Sleep(simtime.Second) {
-					if now, _ := tr.Stats(); now > polls {
-						break
-					}
-				}
+				awaitMove("sponge_tracker_polls_total")
 			case opFail:
 				svc.FailTracker()
 			case opExpire:
-				for n := svc.Failovers(); svc.Failovers() == n; {
-					p.Sleep(simtime.Second)
-				}
+				awaitMove("sponge_tracker_failovers_total")
 			}
 			tr := svc.Tracker
 			if tr.unavailable() {

@@ -60,15 +60,21 @@ echo "== pool fill/view brackets against free and close, -race -count=10 =="
 go test -race -count=10 -run 'TestPoolFill|TestPoolView' ./internal/sponge
 go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle|TestWriteTimeoutReleasesStalledReader' ./internal/sponge/wire
 
+echo "== histogram snapshots under concurrent Observe, -race -count=10 =="
+# A scrape taken while Observes land must expose _count equal to the
+# +Inf bucket; the interleaving that tore them is timing-dependent, so
+# the tear test gets ten chances per run.
+go test -race -count=10 -run 'TestHistogram' ./internal/obs
+
 echo "== benchmarks compile and run once =="
 go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
 
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
 # File.Write and windowed File.Read at zero allocations, plus the
-# absolute ceiling on a whole Median job run. The obs guards keep counter/gauge/histogram ops
-# and trace-ring appends allocation-free so instrumentation stays off
-# the spill path's alloc budget. The mapreduce guards pin the map-side
+# absolute ceiling on a whole Median job run. The obs guard keeps
+# counter, gauge and histogram ops allocation-free so instrumentation
+# stays off the spill path's alloc budget. The mapreduce guards pin the map-side
 # combiner scratch, the node-combine publish path and sortBuffer.add at
 # zero steady-state allocations per record. The record-path guards hold
 # the Pig codec (encode into scratch + cursor read) at zero and a whole

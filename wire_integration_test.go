@@ -9,6 +9,7 @@ package spongefiles_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"spongefiles/internal/cluster"
@@ -194,7 +195,11 @@ func TestWireTransportGCSparesLiveTask(t *testing.T) {
 		}
 		f.Delete(p)
 		live.Close()
-		if freed := svc.Servers[0].GCFreed(); freed != 0 {
+		gcFreed := func() int64 {
+			v, _ := svc.Metrics().Lookup(`sponge_gc_freed_chunks_total{node="0"}`)
+			return v
+		}
+		if freed := gcFreed(); freed != 0 {
 			t.Errorf("GC freed %d chunks of a live task", freed)
 		}
 
@@ -203,7 +208,7 @@ func TestWireTransportGCSparesLiveTask(t *testing.T) {
 		spill(p, dead)
 		dead.Close() // exits without deleting: four orphans, two on each node
 		p.Sleep(2 * svc.Config.GCInterval)
-		if freed := svc.Servers[0].GCFreed(); freed != 2 {
+		if freed := gcFreed(); freed != 2 {
 			t.Errorf("GC freed %d chunks on node 0, want exactly the dead task's 2", freed)
 		}
 		if free := svc.TotalFreeChunks(); free != 4 {
@@ -271,7 +276,7 @@ func TestWireTransportServerFailure(t *testing.T) {
 		// The tracker's next poll sees the dead server as unreachable and
 		// records zero free space for it.
 		p.Sleep(2 * s.svc.Config.PollInterval)
-		if s.svc.Tracker.PollDrops() == 0 {
+		if v, _ := s.svc.Metrics().Lookup(fmt.Sprintf(`sponge_tracker_poll_drops_total{node="%d"}`, victim)); v == 0 {
 			t.Error("tracker never recorded the dead server's poll as dropped")
 		}
 		// Delete with the dead server still down: its frees are lost (the
