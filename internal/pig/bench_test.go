@@ -1,10 +1,17 @@
 package pig
 
 import (
+	"fmt"
 	"testing"
+
+	"spongefiles/internal/cluster"
+	"spongefiles/internal/mapreduce"
+	"spongefiles/internal/simtime"
+	"spongefiles/internal/spill"
 )
 
-// Wall-clock micro-benchmarks of the tuple codec and the planner.
+// Wall-clock micro-benchmarks of the tuple codec, the planner and the
+// Frequent Anchortext UDF.
 
 func BenchmarkTupleEncodeDecode(b *testing.B) {
 	t := Tuple{
@@ -40,4 +47,26 @@ STORE top INTO 'frequent-anchortext';
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTopK runs TopK's two passes, with the table size the macro
+// Anchortext job uses, over an in-memory bag of 10,000 Zipf-drawn term
+// lists.
+func BenchmarkTopK(b *testing.B) {
+	vocab := make([]string, 20000)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("term%05d", i)
+	}
+	bagRig(b, func(p *simtime.Proc, c *cluster.Cluster, target spill.Target) {
+		mm := NewMemoryManager(p, target, 1<<30, 1<<20)
+		bag := mm.NewBag("en")
+		addZipfTerms(bag, 1, vocab, 10000, 4)
+		uctx := &UDFContext{P: p, Task: &mapreduce.TaskContext{P: p}, MM: mm}
+		udf := TopK(1, 10, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			udf(uctx, "en", bag, func(Tuple) {})
+		}
+	})
 }

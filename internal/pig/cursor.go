@@ -107,8 +107,10 @@ func skipValue(data []byte, off int) (int, error) {
 
 // viewString returns b's bytes as a string without copying. The string
 // aliases b: it is valid only until b's backing array is overwritten or
-// reused, and whoever keeps it longer must strings.Clone it first. This
-// is the package's one unsafe view; every Cursor string goes through it.
+// reused, and whoever keeps it longer must copy it first. This is the
+// package's one unsafe view. Its callers are Cursor.String, over
+// serialized bytes a buffer will reuse, and TopK's counter table, over
+// its arena copies, which are never rewritten.
 func viewString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +53,7 @@ func TestPropertyValueRoundTrip(t *testing.T) {
 func cursorOf(t Tuple) Cursor { return mustScan(AppendTuple(nil, t)) }
 
 // bagRig builds a one-node cluster and returns a proc-running helper.
-func bagRig(t *testing.T, fn func(p *simtime.Proc, node *cluster.Cluster, target spill.Target)) {
+func bagRig(t testing.TB, fn func(p *simtime.Proc, node *cluster.Cluster, target spill.Target)) {
 	t.Helper()
 	cfg := cluster.PaperConfig()
 	cfg.Workers = 1
@@ -206,8 +207,15 @@ func TestMemoryManagerSpillsLargestFirst(t *testing.T) {
 	})
 }
 
-// queryRig runs a GroupQuery end to end on a small cluster.
+// runQuery runs a GroupQuery end to end on a small cluster.
 func runQuery(t *testing.T, q *GroupQuery, tuples []Tuple, useSponge bool) (map[string][]Tuple, *mapreduce.JobResult) {
+	t.Helper()
+	return runPlan(t, q, tuples, useSponge, q.Compile)
+}
+
+// runPlan is runQuery with the step that compiles q supplied.
+func runPlan(t *testing.T, q *GroupQuery, tuples []Tuple, useSponge bool,
+	compile func(heapVirtual int64, factory spill.Factory) mapreduce.JobConf) (map[string][]Tuple, *mapreduce.JobResult) {
 	t.Helper()
 	cfg := cluster.PaperConfig()
 	cfg.Workers = 4
@@ -250,7 +258,7 @@ func runQuery(t *testing.T, q *GroupQuery, tuples []Tuple, useSponge bool) (map[
 	if useSponge {
 		factory = spill.SpongeFactory(svc)
 	}
-	conf := q.Compile(cfg.TaskHeap, factory)
+	conf := compile(cfg.TaskHeap, factory)
 
 	out := map[string][]Tuple{}
 	inner := conf.Reduce
@@ -366,6 +374,77 @@ func TestQueryBagSpillGoesThroughTarget(t *testing.T) {
 	}
 }
 
+// TestGroupBagReuseInvisible runs a reduce whose first group spills and
+// whose next five are small, so each small group's bag starts from the
+// slab and index the big one left behind. Every group's UDF must see its
+// own tuples only, and the spill files, spilled bytes and job runtime
+// must equal a run that compiles a fresh plan per group, where every bag
+// starts empty.
+func TestGroupBagReuseInvisible(t *testing.T) {
+	want := map[string]int64{"big": 4000}
+	var tuples []Tuple
+	for i := 0; i < 4000; i++ {
+		tuples = append(tuples, Tuple{"big", float64(i), "padding-padding-padding-padding-padding"})
+	}
+	for g := 0; g < 5; g++ {
+		group := fmt.Sprintf("small%d", g)
+		want[group] = int64(10 + g)
+		for i := 0; i < 10+g; i++ {
+			tuples = append(tuples, Tuple{group, float64(i), "pad"})
+		}
+	}
+	for _, sorted := range []bool{false, true} {
+		q := &GroupQuery{
+			Name:     "reuse",
+			GroupKey: func(c Cursor) string { return c.String(0) },
+			UDF: func(ctx *UDFContext, group string, bag *Bag, emit func(Tuple)) {
+				it := bag.Iterate(ctx.P)
+				var n int64
+				for {
+					c, ok := it.Next(ctx.P)
+					if !ok {
+						break
+					}
+					if c.String(0) != group {
+						t.Errorf("sorted=%v: group %s's UDF saw a tuple of %s", sorted, group, c.String(0))
+					}
+					n++
+				}
+				emit(Tuple{n})
+			},
+			BagMemFraction: 0.00002, // tiny budget, so the big group spills
+		}
+		if sorted {
+			q.SortKey = func(c Cursor) float64 { return c.Float(1) }
+		}
+		out, reused := runQuery(t, q, tuples, true)
+		for group, n := range want {
+			if len(out[group]) != 1 || out[group][0].Int(0) != n {
+				t.Errorf("sorted=%v: group %s emitted %v, want (%d)", sorted, group, out[group], n)
+			}
+		}
+		fresh := func(heapVirtual int64, factory spill.Factory) mapreduce.JobConf {
+			conf := q.Compile(heapVirtual, factory)
+			conf.Reduce = func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
+				q.Compile(heapVirtual, factory).Reduce(ctx, key, vals, emit)
+			}
+			return conf
+		}
+		_, empty := runPlan(t, q, tuples, true, fresh)
+		r, e := reused.Straggler(), empty.Straggler()
+		if r.Spill.Files < 3 {
+			t.Fatalf("sorted=%v: the big group wrote %d spill files, want several", sorted, r.Spill.Files)
+		}
+		if r.Spill.Files != e.Spill.Files || r.Spill.BytesReal != e.Spill.BytesReal {
+			t.Errorf("sorted=%v: spilled %d files, %d bytes with reused bags; %d files, %d bytes with empty ones",
+				sorted, r.Spill.Files, r.Spill.BytesReal, e.Spill.Files, e.Spill.BytesReal)
+		}
+		if rd, ed := reused.End.Sub(reused.Start), empty.End.Sub(empty.Start); rd != ed {
+			t.Errorf("sorted=%v: job ran %v with reused bags, %v with empty ones", sorted, rd, ed)
+		}
+	}
+}
+
 func TestPruneCountsKeepsHeaviest(t *testing.T) {
 	counts := newTermCounts(8)
 	for term, n := range map[string]int{"a": 10, "b": 1, "c": 5, "d": 2, "e": 8, "f": 8} {
@@ -414,4 +493,136 @@ func TestTopKDeterministicOnTies(t *testing.T) {
 			}
 		}
 	})
+}
+
+// addZipfTerms adds tuples of ("en", terms) to b, each with perTuple
+// terms drawn from vocab by a seeded Zipf law, so the first words are
+// the most frequent.
+func addZipfTerms(b *Bag, seed int64, vocab []string, tuples, perTuple int) {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(vocab)-1))
+	terms := make(Tuple, perTuple)
+	for i := 0; i < tuples; i++ {
+		for j := range terms {
+			terms[j] = vocab[zipf.Uint64()]
+		}
+		b.Add(Tuple{"en", terms})
+	}
+}
+
+// cloningCounts is TopK's counter table as it was before the arena:
+// each term that enters the table is cloned on its own.
+type cloningCounts struct{ termCounts }
+
+func (c *cloningCounts) add(term string) {
+	if i, ok := c.slot[term]; ok {
+		c.all[i].n++
+		return
+	}
+	term = strings.Clone(term)
+	c.slot[term] = len(c.all)
+	c.all = append(c.all, termCount{term, 1})
+}
+
+// cloningTopK is TopK over cloningCounts, the model the arena is held to.
+func cloningTopK(termField, k, tableCap int) UDF {
+	return func(ctx *UDFContext, group string, bag *Bag, emit func(Tuple)) {
+		eachTerm := func(fn func(term string)) {
+			it := bag.Iterate(ctx.P)
+			for {
+				t, ok := it.Next(ctx.P)
+				if !ok {
+					return
+				}
+				terms := t.Nested(termField)
+				for i, n := 0, terms.Len(); i < n; i++ {
+					fn(terms.String(i))
+				}
+			}
+		}
+		counts := cloningCounts{*newTermCounts(tableCap)}
+		eachTerm(func(term string) {
+			counts.add(term)
+			if len(counts.all) > tableCap {
+				counts.prune(tableCap / 2)
+			}
+		})
+		for i := range counts.all {
+			counts.all[i].n = 0
+		}
+		eachTerm(func(term string) {
+			if i, cand := counts.slot[term]; cand {
+				counts.all[i].n++
+			}
+		})
+		counts.rank()
+		for _, e := range counts.all[:min(k, len(counts.all))] {
+			emit(Tuple{e.term, e.n})
+		}
+	}
+}
+
+// TestTopKMatchesCloningModel holds TopK's arena-backed table to the
+// cloning one over seeded Zipf streams. The terms come through the
+// bag's reused buffers: a small budget and chunk spill the bag into runs
+// longer than the run reader's buffer, which compacts as it reads and
+// passes from run to run. A small table prunes constantly, and the
+// vocabulary holds an empty term and a term longer than an arena chunk.
+func TestTopKMatchesCloningModel(t *testing.T) {
+	vocab := make([]string, 3000)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%04d", i)
+	}
+	vocab[1] = ""
+	vocab[3] = strings.Repeat("long", termArenaChunk/4+200)
+	for _, k := range []int{1, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			bagRig(t, func(p *simtime.Proc, c *cluster.Cluster, target spill.Target) {
+				mm := NewMemoryManager(p, target, 128<<10, 96<<10)
+				b := mm.NewBag("g")
+				addZipfTerms(b, seed, vocab, 6000, 4)
+				if b.SpilledRuns() < 3 {
+					t.Errorf("bag spilled %d runs, want several", b.SpilledRuns())
+				}
+				uctx := &UDFContext{P: p, Task: &mapreduce.TaskContext{P: p}, MM: mm}
+				var got, want []Tuple
+				TopK(1, k, 0)(uctx, "g", b, func(t Tuple) { got = append(got, t) })
+				cloningTopK(1, k, 8*k)(uctx, "g", b, func(t Tuple) { want = append(want, t) })
+				if len(want) != k || !reflect.DeepEqual(got, want) {
+					t.Errorf("k=%d seed=%d: TopK emitted %.60v, the cloning model %.60v", k, seed, got, want)
+				}
+				b.Delete(p)
+			})
+		}
+	}
+}
+
+// TestTopKAllocsAmortized holds a TopK pass whose every term enters the
+// counter table to one allocation per arena chunk filled, plus the
+// table, the iterator and the emitted rows.
+func TestTopKAllocsAmortized(t *testing.T) {
+	const tuples, perTuple = 3000, 4
+	var allocs float64
+	entered := 0
+	bagRig(t, func(p *simtime.Proc, c *cluster.Cluster, target spill.Target) {
+		mm := NewMemoryManager(p, target, 1<<30, 1<<20)
+		b := mm.NewBag("g")
+		for i := 0; i < tuples; i++ {
+			terms := make(Tuple, perTuple)
+			for j := range terms {
+				term := fmt.Sprintf("term%06d", i*perTuple+j) // every term distinct
+				terms[j] = term
+				entered += len(term)
+			}
+			b.Add(Tuple{"en", terms})
+		}
+		uctx := &UDFContext{P: p, Task: &mapreduce.TaskContext{P: p}, MM: mm}
+		udf := TopK(1, 3, 0)
+		allocs = testing.AllocsPerRun(3, func() { udf(uctx, "g", b, func(Tuple) {}) })
+	})
+	if ceiling := float64(entered/termArenaChunk + 1 + 32); allocs > ceiling {
+		t.Fatalf("%d table entries, %d bytes: %.0f allocs per pass, ceiling %.0f",
+			tuples*perTuple, entered, allocs, ceiling)
+	}
+	t.Logf("%d table entries, %d bytes: %.0f allocs per pass", tuples*perTuple, entered, allocs)
 }

@@ -103,8 +103,14 @@ func SumFold(f int) *AlgebraicFold {
 // (an emit that spills, a CPU charge that sleeps), so each call takes
 // its own from the plan's free list and returns it when done; tasks
 // run one at a time, which makes the list safe without a lock.
+//
+// A holistic reduce call also leaves its group's bag slab and index
+// here, so the next group's bag starts from them instead of growing
+// its own.
 type planScratch struct {
 	key, val, tmp []byte
+	slab          []byte
+	recs          []bagRec
 }
 
 type scratchList []*planScratch
@@ -178,6 +184,7 @@ func (q *GroupQuery) Compile(heapVirtual int64, factory spill.Factory) mapreduce
 			} else {
 				bag = mm.NewBag(group)
 			}
+			bag.slab, bag.recs = s.slab[:0], s.recs[:0]
 			for {
 				v, ok := vals.Next()
 				if !ok {
@@ -190,6 +197,7 @@ func (q *GroupQuery) Compile(heapVirtual int64, factory spill.Factory) mapreduce
 				s.val = AppendTuple(s.val[:0], t)
 				emit(key, s.val)
 			})
+			s.slab, s.recs = bag.slab, bag.recs
 			bag.Delete(ctx.P)
 		},
 	}

@@ -65,13 +65,21 @@ type termCount struct {
 	n    int64
 }
 
+// termArenaChunk is the size of one chunk of a termCounts arena.
+const termArenaChunk = 4 << 10
+
 // termCounts is TopK's counter table. The bag hands out terms as views
-// into buffers it reuses, so a term is cloned once, when it enters the
-// table, and slot is only ever read with a view: assigning through one
-// would store the view as the map's key.
+// into buffers it reuses, so a term is copied once, when it enters the
+// table, onto the end of an append-only arena, and the table keeps a
+// view of that copy. Arena bytes are never rewritten: a full chunk is
+// left to the collector, which frees it once no kept term points into
+// it, so no more than one chunk per kept term, plus the current one,
+// stays pinned. slot is only ever assigned arena views; a bag view may
+// read it but never key it.
 type termCounts struct {
-	all  []termCount
-	slot map[string]int // term → index in all
+	all   []termCount
+	slot  map[string]int // term → index in all
+	arena []byte         // the current chunk; only ever appended to
 }
 
 func newTermCounts(tableCap int) *termCounts {
@@ -87,9 +95,21 @@ func (c *termCounts) add(term string) {
 		c.all[i].n++
 		return
 	}
-	term = strings.Clone(term)
+	term = c.keep(term)
 	c.slot[term] = len(c.all)
 	c.all = append(c.all, termCount{term, 1})
+}
+
+// keep copies term onto the arena and returns a view of the copy. A
+// term that does not fit starts a fresh chunk, sized to the term if it
+// is longer than termArenaChunk.
+func (c *termCounts) keep(term string) string {
+	if len(term) > cap(c.arena)-len(c.arena) {
+		c.arena = make([]byte, 0, max(termArenaChunk, len(term)))
+	}
+	off := len(c.arena)
+	c.arena = append(c.arena, term...)
+	return viewString(c.arena[off:])
 }
 
 // rank orders the counters most frequent first, ties by term, so the

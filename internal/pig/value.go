@@ -17,10 +17,11 @@
 // projection, the group key, a bag's sort key and the UDFs' passes cost
 // no allocation per tuple. A view is valid until its buffer is reused:
 // a map function's input until it returns, an Iterator's cursor until
-// the next call to Next. Anything kept longer is cloned (TopK clones a
-// term when it enters the count table). Tuple, with its boxed Value
-// fields, is the materialised form for the edges — query output, tests,
-// tools — and DecodeTuple is Scan followed by Cursor.Tuple.
+// the next call to Next. Anything kept longer is copied (TopK copies a
+// term onto its count table's arena when it enters). Tuple, with its
+// boxed Value fields, is the materialised form for the edges — query
+// output, tests, tools — and DecodeTuple is Scan followed by
+// Cursor.Tuple.
 package pig
 
 import (

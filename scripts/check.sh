@@ -67,7 +67,7 @@ echo "== histogram snapshots under concurrent Observe, -race -count=10 =="
 go test -race -count=10 -run 'TestHistogram' ./internal/obs
 
 echo "== benchmarks compile and run once =="
-go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
+go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce ./internal/pig
 
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
@@ -77,9 +77,10 @@ echo "== allocation-regression guards =="
 # stays off the spill path's alloc budget. The mapreduce guards pin the map-side
 # combiner scratch, the node-combine publish path and sortBuffer.add at
 # zero steady-state allocations per record. The record-path guards hold
-# the Pig codec (encode into scratch + cursor read) at zero and a whole
-# Pig job under ten allocations per input record.
-go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAllocsPerRecord' \
+# the Pig codec (encode into scratch + cursor read) at zero, a whole Pig
+# job under two allocations per input record, and a TopK pass to one
+# allocation per arena chunk its counter table fills plus a constant.
+go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAllocsPerRecord|TestTopKAllocsAmortized' \
 	./internal/sponge ./internal/simtime ./internal/bench ./internal/obs \
 	./internal/mapreduce ./internal/pig
 
