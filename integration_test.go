@@ -7,7 +7,9 @@ package spongefiles_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/dfs"
@@ -263,5 +265,71 @@ func TestManyConcurrentJobs(t *testing.T) {
 	}
 	if free := s.svc.TotalFreeChunks(); free != totalChunks {
 		t.Fatalf("chunks leaked across jobs: %d of %d", free, totalChunks)
+	}
+}
+
+// TestDroppedSimulationIsCollected runs a cluster, the sponge service and
+// a spilling job to completion, never calls Close, and drops every
+// reference: the simulation must be garbage within three collections,
+// and the goroutine count, less the simulator's pool of idle process
+// goroutines, back where it started. While the service daemons parked
+// between rounds on processes of their own, those goroutines kept every
+// finished job's cluster reachable for good.
+func TestDroppedSimulationIsCollected(t *testing.T) {
+	live := func() int { return runtime.NumGoroutine() - simtime.IdleProcs() }
+	before := live()
+	// The finalizer goes on a tag only a callback in the simulation's
+	// queue refers to: the Sim itself is reachable from its own queue,
+	// and the runtime never finalizes an object in a cycle.
+	collected := make(chan struct{})
+	func() {
+		s := newStack(3, 64)
+		tag := new([64]byte)
+		runtime.SetFinalizer(tag, func(*[64]byte) { close(collected) })
+		s.sim.AfterDaemon(1000*simtime.Hour, func() { runtime.KeepAlive(tag) })
+		nums := workload.DefaultNumbers(s.c.Cfg.Scale)
+		nums.TotalVirtual = 256 * media.MB
+		s.fs.AddExisting("/in/numbers", nums.TotalVirtual)
+		conf := mapreduce.JobConf{
+			Name:        "sort",
+			Input:       nums.Input("/in/numbers", len(s.fs.Lookup("/in/numbers").Blocks)),
+			NumReducers: 1,
+			Map: func(ctx *mapreduce.TaskContext, k, v []byte, emit mapreduce.Emit) {
+				emit(v[:8], v[8:])
+			},
+			Reduce: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
+				for {
+					if _, ok := vals.Next(); !ok {
+						break
+					}
+				}
+			},
+			SpillFactory: spill.SpongeFactory(s.svc),
+		}
+		var res *mapreduce.JobResult
+		s.sim.Spawn("driver", func(p *simtime.Proc) { res = s.eng.Submit(conf).Wait(p) })
+		s.sim.MustRun()
+		if res.Failed || res.Counters()["reduce.spill.chunks"] == 0 {
+			t.Fatalf("the job failed or spilled nothing: %v", res.Counters())
+		}
+	}()
+	gone := false
+	for i := 0; i < 3 && !gone; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	if !gone {
+		t.Fatal("a finished simulation nobody references was not collected")
+	}
+	// Exiting goroutines need a moment to leave the count.
+	for i := 0; live() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines before the job, %d after", before, live())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -146,7 +146,7 @@ func (j *Job) Result() *JobResult {
 // already finished.
 func (j *Job) Cancel() {
 	j.rj.cancelled = true
-	j.eng.events.Put(schedEvent{kind: evKick})
+	j.eng.kick()
 }
 
 // pendingTask is a task waiting for a slot.
@@ -178,19 +178,6 @@ type runningJob struct {
 	sortBufs []*sortBuffer
 }
 
-type schedEventKind int
-
-const (
-	evKick schedEventKind = iota
-	evTaskDone
-)
-
-type schedEvent struct {
-	kind schedEventKind
-	node int
-	task TaskKind
-}
-
 // Engine is the cluster's MapReduce runtime: a FIFO scheduler (jobs get
 // slots in submission order, so a background job soaks up whatever the
 // foreground job leaves idle, as in §4.2.3) plus the task machinery.
@@ -198,7 +185,11 @@ type Engine struct {
 	C  *cluster.Cluster
 	FS *dfs.DFS
 
-	events     *simtime.Queue
+	// kicks counts the scheduling passes asked for — by a submission, a
+	// finished task, a cancellation, a dead node — that schedule, the
+	// daemon callback the first of them scheduled, has yet to make.
+	kicks      int
+	scheduleFn func() // schedule, bound once: a kick allocates nothing
 	jobs       []*runningJob
 	freeMap    []int
 	freeReduce []int
@@ -206,13 +197,12 @@ type Engine struct {
 	taskSeq    int
 }
 
-// NewEngine starts a MapReduce runtime on the cluster; its scheduler
-// daemon runs for the life of the simulation.
+// NewEngine starts a MapReduce runtime on the cluster. Its scheduler
+// holds no process: each kick schedules a daemon callback.
 func NewEngine(c *cluster.Cluster, fs *dfs.DFS) *Engine {
 	e := &Engine{
 		C:          c,
 		FS:         fs,
-		events:     simtime.NewQueue("mr.sched"),
 		freeMap:    make([]int, len(c.Nodes)),
 		freeReduce: make([]int, len(c.Nodes)),
 		deadNode:   make([]bool, len(c.Nodes)),
@@ -221,7 +211,7 @@ func NewEngine(c *cluster.Cluster, fs *dfs.DFS) *Engine {
 		e.freeMap[i] = c.Cfg.MapSlots
 		e.freeReduce[i] = c.Cfg.ReduceSlots
 	}
-	c.Sim.SpawnDaemon("mr.scheduler", e.schedLoop)
+	e.scheduleFn = e.schedule
 	return e
 }
 
@@ -252,16 +242,26 @@ func (e *Engine) Submit(conf JobConf) *Job {
 	j := &Job{eng: e, rj: rj, done: simtime.NewSignal("job." + conf.Name)}
 	rj.job = j
 	e.jobs = append(e.jobs, rj)
-	e.events.Put(schedEvent{kind: evKick})
+	e.kick()
 	return j
 }
 
-// schedLoop is the scheduler daemon: it reacts to submissions and task
+// kick asks the scheduler for one dispatch pass. The first kick since
+// the last pass schedules the daemon callback, at the current instant;
+// later ones join it.
+func (e *Engine) kick() {
+	e.kicks++
+	if e.kicks == 1 {
+		e.C.Sim.AfterDaemon(0, e.scheduleFn)
+	}
+}
+
+// schedule is the scheduler: it reacts to submissions and task
 // completions by assigning pending tasks to free slots, jobs in
-// submission order, preferring data-local nodes for map tasks.
-func (e *Engine) schedLoop(p *simtime.Proc) {
-	for {
-		e.events.Get(p)
+// submission order, preferring data-local nodes for map tasks — one
+// dispatch pass per kick.
+func (e *Engine) schedule() {
+	for ; e.kicks > 0; e.kicks-- {
 		e.dispatch()
 	}
 }
@@ -294,7 +294,7 @@ func (e *Engine) MarkNodeDead(node int) {
 	if node >= 0 && node < len(e.deadNode) {
 		e.deadNode[node] = true
 	}
-	e.events.Put(schedEvent{kind: evKick})
+	e.kick()
 }
 
 // pickNode finds a free slot for the task: a preferred (data-local) node
@@ -388,7 +388,7 @@ func (e *Engine) taskDone(rj *runningJob, t *pendingTask, nodeID int, err error)
 		rj.redsLeft--
 	}
 	e.maybeFinish(rj)
-	e.events.Put(schedEvent{kind: evTaskDone, node: nodeID, task: t.kind})
+	e.kick()
 }
 
 // enqueueReduces queues the job's reduce phase.

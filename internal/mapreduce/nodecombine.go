@@ -442,7 +442,7 @@ func (jc *jobCombine) flushFailed(nc *nodeCombiner, err error) {
 		rj.mapsLeft++
 	}
 	nc.published = nil
-	jc.eng.events.Put(schedEvent{kind: evKick})
+	jc.eng.kick()
 }
 
 // flushPending starts the end-of-map-phase barrier: every combiner not
@@ -473,7 +473,7 @@ func (jc *jobCombine) flushPending(e *Engine) bool {
 					if jc.rj.mapsLeft == 0 && !jc.rj.failed && !jc.rj.cancelled {
 						e.enqueueReduces(jc.rj)
 					}
-					e.events.Put(schedEvent{kind: evKick})
+					e.kick()
 				}
 			})
 	}

@@ -42,8 +42,9 @@ type cacheEntry struct {
 
 // Disk models one node's disk: a single arm (FIFO resource), a page cache
 // that absorbs writes and serves re-reads, and a background flusher daemon
-// that writes dirty data back in large batches. Writers are throttled when
-// the dirty fraction exceeds hw.DirtyRatio, as in Linux.
+// that writes dirty data back in large batches; it runs only while there is
+// dirty data to write. Writers are throttled when the dirty fraction
+// exceeds hw.DirtyRatio, as in Linux.
 type Disk struct {
 	sim  *simtime.Sim
 	name string
@@ -59,7 +60,7 @@ type Disk struct {
 	touchSeq uint64
 
 	nextStream StreamID
-	dirtyWork  *simtime.Signal // wakes the flusher
+	flusher    *simtime.Daemon // woken by dirty work
 	flushDone  *simtime.Signal // wakes throttled writers
 	throttled  int
 
@@ -76,8 +77,7 @@ type Disk struct {
 }
 
 // NewDisk creates a disk with the given page-cache capacity (virtual
-// bytes; the free memory of the node after task heaps and sponge memory)
-// and starts its flusher daemon.
+// bytes; the free memory of the node after task heaps and sponge memory).
 func NewDisk(sim *simtime.Sim, name string, hw Hardware, cacheBytes int64) *Disk {
 	if cacheBytes < 0 {
 		cacheBytes = 0
@@ -90,10 +90,9 @@ func NewDisk(sim *simtime.Sim, name string, hw Hardware, cacheBytes int64) *Disk
 		lastStream: noStream,
 		capacity:   cacheBytes,
 		entries:    make(map[StreamID]*cacheEntry),
-		dirtyWork:  simtime.NewSignal(name + ".dirtywork"),
 		flushDone:  simtime.NewSignal(name + ".flushdone"),
 	}
-	sim.SpawnDaemon(name+".flusher", d.flusher)
+	d.flusher = sim.NewDaemon(name+".flusher", d.flush)
 	return d
 }
 
@@ -259,7 +258,7 @@ func (d *Disk) Write(p *simtime.Proc, stream StreamID, n int64) {
 		d.dirty += n
 		d.stats.AbsorbedBytes += n
 		p.Sleep(d.hw.CopyTime(n))
-		d.dirtyWork.Broadcast()
+		d.flusher.Wake()
 		d.throttle(p)
 		return
 	}
@@ -286,7 +285,7 @@ func (d *Disk) throttle(p *simtime.Proc) {
 	}
 	start := p.Now()
 	d.throttled++
-	d.dirtyWork.Broadcast()
+	d.flusher.Wake()
 	for d.dirty > high {
 		d.flushDone.Wait(p)
 	}
@@ -379,15 +378,13 @@ func (d *Disk) FullyResident(stream StreamID) bool {
 	return ok && e.full && e.total > 0
 }
 
-// flusher is the background writeback daemon: it starts when dirty bytes
-// exceed 10% of the cache (or a writer is throttled) and drains in
-// FlushBatch bursts, oldest streams first.
-func (d *Disk) flusher(p *simtime.Proc) {
+// flush is the background writeback daemon's round, started by dirty
+// work: once dirty bytes exceed 10% of the cache (or a writer is
+// throttled) it drains in FlushBatch bursts, oldest streams first, and it
+// returns as soon as neither holds.
+func (d *Disk) flush(p *simtime.Proc) {
 	bgStart := d.capacity / 10
-	for {
-		for d.dirty == 0 || (d.dirty <= bgStart && d.throttled == 0) {
-			d.dirtyWork.Wait(p)
-		}
+	for d.dirty != 0 && (d.dirty > bgStart || d.throttled > 0) {
 		var victim *cacheEntry
 		for _, e := range d.entries {
 			if e.dirty <= 0 {

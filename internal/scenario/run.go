@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -146,7 +147,26 @@ func (rc *RunContext) apply(p *simtime.Proc, ev FaultEvent) {
 // schedule the fault events, run the workload, scrape the evidence
 // (parent registry plus every live child), evaluate the assertions,
 // and tear the children down gracefully.
+//
+// Teardown invariant, every case, asserted or not: the case leaves no
+// goroutine behind. The simulator's pool of idle process goroutines
+// belongs to no case and is not counted; the connections to the
+// children take a moment to see them gone.
 func RunCase(cs Case, opts RunOptions) CaseReport {
+	live := func() int { return runtime.NumGoroutine() - simtime.IdleProcs() }
+	before := live()
+	rep := runCase(cs, opts)
+	for deadline := time.Now().Add(time.Second); live() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := live(); n > before {
+		rep.Failures = append(rep.Failures, fmt.Sprintf("leak: the case ends with %d goroutines, %d more than it started with", n, n-before))
+		rep.Pass = false
+	}
+	return rep
+}
+
+func runCase(cs Case, opts RunOptions) CaseReport {
 	start := time.Now()
 	rep := CaseReport{
 		Name:      cs.Name,

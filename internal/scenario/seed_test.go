@@ -160,3 +160,32 @@ func TestRunCaseFailsOnOutstandingBuffers(t *testing.T) {
 		t.Fatalf("pass = %v, failures = %q; want the one buffer leak", cr.Pass, cr.Failures)
 	}
 }
+
+// leakyGoroutine starts a goroutine that outlives the case.
+type leakyGoroutine struct{ release chan struct{} }
+
+func (leakyGoroutine) Name() string { return "leaky-goroutine" }
+
+func (w leakyGoroutine) Run(rc *RunContext, p *simtime.Proc) error {
+	go func() { <-w.release }()
+	return nil
+}
+
+// The third teardown invariant: a case that leaves a goroutine behind
+// fails, however clean its evidence.
+func TestRunCaseFailsOnLeakedGoroutine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	w := leakyGoroutine{release: make(chan struct{})}
+	defer close(w.release)
+	cr := RunCase(Case{
+		Name:     "leaky-goroutine",
+		Spec:     Spec{Nodes: 1},
+		Workload: w,
+		Assert:   []Assertion{{Metric: "scenario_workload_ok", Op: "==", Value: 1}},
+	}, RunOptions{})
+	if cr.Pass || len(cr.Failures) != 1 || !strings.Contains(cr.Failures[0], "1 more than it started with") {
+		t.Fatalf("pass = %v, failures = %q; want the one goroutine leak", cr.Pass, cr.Failures)
+	}
+}

@@ -19,6 +19,7 @@ package simtime
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -69,10 +70,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 type event struct {
 	at      Time
 	seq     uint64
-	proc    *Proc  // non-nil: resume this process
-	procGen uint64 // incarnation of proc this event targets (proc reuse)
-	fn      func() // non-nil: run this callback on the dispatching goroutine
-	daemon  bool   // event belongs to a daemon process
+	proc    *Proc   // non-nil: resume this process
+	procGen uint64  // incarnation of proc this event targets (proc reuse)
+	fn      func()  // non-nil: run this callback on the dispatching goroutine
+	round   *Daemon // non-nil: start one of this daemon's rounds
+	daemon  bool    // a daemon's event: it does not keep Run going
 }
 
 // before orders events by (time, sequence number); the sequence tiebreak
@@ -132,11 +134,47 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// maxProcFree bounds the pool of finished processes kept for reuse. Every
-// asynchronous chunk spill spawns a writer process; recycling the Proc,
-// its resume channel, and its goroutine keeps steady-state spawning
-// allocation-free. Beyond the bound, finished goroutines simply exit.
+// maxProcFree bounds each pool of finished processes kept for reuse: a
+// Sim's while it runs, and the package's between Runs. Every
+// asynchronous chunk spill spawns a writer process and every daemon
+// round takes one; recycling the Proc, its resume channel, and its
+// goroutine keeps steady-state spawning allocation-free, across Runs and
+// across Sims. Beyond the bound, finished goroutines simply exit.
 const maxProcFree = 256
+
+// idle is the package's pool. When Run returns, the Sim's finished
+// processes move here with their sim cleared, so no goroutine refers to
+// a simulation that is not running: a quiescent Sim nobody references is
+// garbage, Close or no Close. The next Spawn on any Sim takes one back.
+// Like a sync.Pool's, its goroutines are never stopped; the bound caps
+// them.
+var idle struct {
+	sync.Mutex
+	procs []*Proc
+}
+
+// takeIdle returns a process from the package's pool, or nil.
+func takeIdle() *Proc {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.procs)
+	if n == 0 {
+		return nil
+	}
+	p := idle.procs[n-1]
+	idle.procs[n-1] = nil
+	idle.procs = idle.procs[:n-1]
+	return p
+}
+
+// IdleProcs reports how many finished process goroutines the package
+// keeps for reuse. They belong to no Sim; a teardown that counts
+// goroutines subtracts them.
+func IdleProcs() int {
+	idle.Lock()
+	defer idle.Unlock()
+	return len(idle.procs)
+}
 
 // Sim is a discrete-event simulation instance. It is not safe for use from
 // multiple OS threads except through the process mechanism it provides.
@@ -148,9 +186,8 @@ type Sim struct {
 	// is nothing left to dispatch, and Close, each time a process it
 	// resumed blocks again or exits. One slot, so that Run finding nothing
 	// to dispatch can tell itself.
-	yield  chan struct{}
-	procs  map[*Proc]struct{}
-	nextID uint64
+	yield chan struct{}
+	procs map[*Proc]struct{}
 	// pending counts scheduled non-daemon events; parkedUser counts
 	// parked non-daemon processes. Run halts when only daemon activity
 	// remains (daemons typically loop forever and would otherwise keep
@@ -159,7 +196,8 @@ type Sim struct {
 	parkedUser int
 
 	// procFree holds finished processes whose goroutines are parked
-	// awaiting reuse by the next Spawn.
+	// awaiting reuse by the next Spawn; Run hands them to the package's
+	// pool when it returns.
 	procFree []*Proc
 	// closed makes every process goroutine exit the next time it is
 	// resumed; see Close.
@@ -177,7 +215,8 @@ func New() *Sim {
 	}
 }
 
-// ProcStats returns (total Spawn calls, spawns satisfied by proc reuse).
+// ProcStats returns (process lives started — Spawns and daemon rounds —,
+// lives started on a reused process).
 func (s *Sim) ProcStats() (spawns, reuses int64) { return s.spawns, s.procReuses }
 
 // Now returns the current virtual time.
@@ -222,7 +261,6 @@ const (
 // process's own goroutine while it is running.
 type Proc struct {
 	sim    *Sim
-	id     uint64
 	name   string
 	resume chan struct{}
 	state  procState
@@ -251,39 +289,40 @@ func (p *Proc) Now() Time { return p.sim.now }
 
 // Spawn creates a process running fn and schedules it to start now. The
 // name is used in diagnostics only. Finished processes (Proc, resume
-// channel, goroutine) are reused by later Spawns, so steady-state
-// spawning — e.g. one writer process per spilled chunk — allocates
-// nothing.
+// channel, goroutine) are reused by later Spawns, on this Sim or any
+// other, so steady-state spawning — e.g. one writer process per spilled
+// chunk — allocates nothing.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	s.nextID++
+	p := s.proc(name, fn)
+	s.schedule(s.now, p, nil)
+	return p
+}
+
+// proc readies a process for a life running fn: one this Sim finished
+// with, else one from the package's pool, else a new one.
+func (s *Sim) proc(name string, fn func(p *Proc)) *Proc {
 	s.spawns++
 	var p *Proc
 	if n := len(s.procFree); n > 0 {
 		p = s.procFree[n-1]
 		s.procFree[n-1] = nil
 		s.procFree = s.procFree[:n-1]
-		p.id = s.nextID
-		p.name = name
-		p.daemon = false
-		p.killed = false
-		p.parkedOn = ""
-		p.gen++
-		p.fn = fn
+		s.procReuses++
+	} else if p = takeIdle(); p != nil {
+		p.sim = s
 		s.procReuses++
 	} else {
-		p = &Proc{
-			sim:    s,
-			id:     s.nextID,
-			name:   name,
-			resume: make(chan struct{}),
-			state:  stateNew,
-			fn:     fn,
-		}
+		p = &Proc{sim: s, resume: make(chan struct{})}
 		go p.loop()
 	}
-	s.procs[p] = struct{}{}
+	p.name = name
+	p.daemon = false
+	p.killed = false
+	p.parkedOn = ""
+	p.gen++
+	p.fn = fn
 	p.state = stateRunnable
-	s.schedule(s.now, p, nil)
+	s.procs[p] = struct{}{}
 	return p
 }
 
@@ -291,15 +330,20 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 // life, pool the Proc for the next Spawn, pass the clock on. Only one
 // goroutine holds the clock at a time and it changes hands through a
 // channel, so procFree and the Proc fields are handed over race-free.
+// Between lives the Proc may change Sims, so sim is read afresh on every
+// resume; nil means the package's pool dismissed it.
 func (p *Proc) loop() {
-	s := p.sim
 	own := false // the event that starts the next life was dispatched here
 	for {
 		if !own {
 			<-p.resume // wait for first scheduling of this life
 		}
-		if s.closed {
-			// Pooled, or spawned and never started: nothing to unwind.
+		s := p.sim
+		switch {
+		case s == nil:
+			return
+		case s.closed:
+			// Spawned and never started: nothing to unwind.
 			delete(s.procs, p)
 			s.yield <- struct{}{}
 			return
@@ -312,7 +356,8 @@ func (p *Proc) loop() {
 		case len(s.procFree) < maxProcFree:
 			s.procFree = append(s.procFree, p)
 			// A callback dispatched here may Spawn this very Proc back out
-			// of the pool; its next life then starts without a receive.
+			// of the pool, or a daemon's round start on it; its next life
+			// then starts without a receive.
 			own = s.next(p)
 		default:
 			s.next(nil)
@@ -321,11 +366,32 @@ func (p *Proc) loop() {
 	}
 }
 
-// Close ends the simulation: every process still alive — daemons parked
-// in their service loops, processes a deadlocked Run left behind — is
-// unwound the way Kill unwinds one, and the pooled goroutines exit.
-// Until then those goroutines pin everything the processes reference,
-// the whole simulated cluster included. Close must be called from
+// releaseIdle hands the Sim's finished processes to the package's pool,
+// dismissing those past its bound. Their goroutines are all parked
+// awaiting a resume, so nothing reads the cleared sim until the next
+// Spawn hands them out again, or a dismissal makes them exit.
+func (s *Sim) releaseIdle() {
+	for _, p := range s.procFree {
+		p.sim = nil
+	}
+	idle.Lock()
+	keep := min(len(s.procFree), maxProcFree-len(idle.procs))
+	idle.procs = append(idle.procs, s.procFree[:keep]...)
+	idle.Unlock()
+	for _, p := range s.procFree[keep:] {
+		p.resume <- struct{}{}
+	}
+	clear(s.procFree)
+	s.procFree = s.procFree[:0]
+}
+
+// Close ends the simulation: every process still alive — a daemon parked
+// mid-round, a process a deadlocked Run left behind — is unwound the way
+// Kill unwinds one. Until then those goroutines pin everything the
+// processes reference, the whole simulated cluster included. A Sim whose
+// Run returned with no process alive needs no Close to be collected:
+// Run already handed its idle goroutines to the package's pool, and
+// daemons hold no process between rounds. Close must be called from
 // outside the simulation, after Run has returned; the Sim must not be
 // used afterwards.
 func (s *Sim) Close() {
@@ -339,11 +405,7 @@ func (s *Sim) Close() {
 			<-s.yield
 		}
 	}
-	for _, p := range s.procFree {
-		p.resume <- struct{}{}
-		<-s.yield
-	}
-	s.procFree = nil
+	s.releaseIdle()
 }
 
 // runLife executes the process body, unwinding cleanly when killed.
@@ -364,13 +426,89 @@ func (p *Proc) runLife() {
 	p.fn(p)
 }
 
-// SpawnDaemon is Spawn for background service processes (flushers,
-// trackers, garbage collectors). Daemons may still be parked when the
-// event queue drains; Run does not treat that as deadlock.
+// SpawnDaemon is Spawn for background processes that loop forever, such
+// as load generators. Daemons may still be parked when the event queue
+// drains; Run does not treat that as deadlock. A parked daemon holds its
+// goroutine, and through it the Sim, until Close: a service that should
+// let a finished simulation go runs as Every or NewDaemon rounds instead.
 func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	p := s.Spawn(name, fn)
 	p.daemon = true
 	return p
+}
+
+// Daemon is a background service — a writeback flusher, a poller, a
+// sweeper — that holds no process between rounds. Each round is started
+// by one daemon event and runs on a process from the pool, which goes
+// back when the round returns. Like a SpawnDaemon process's, a round's
+// events do not keep Run going.
+type Daemon struct {
+	sim   *Sim
+	name  string
+	every Duration           // Every's period
+	round func(p *Proc) bool // true: tick again in every
+	body  func(p *Proc)      // run, bound once: starting a round allocates nothing
+	busy  bool               // a woken round is scheduled or running
+}
+
+func (s *Sim) daemon(name string, every Duration, round func(p *Proc) bool) *Daemon {
+	d := &Daemon{sim: s, name: name, every: every, round: round}
+	d.body = d.run
+	return d
+}
+
+// Every runs round on a daemon process every d of virtual time, the
+// first time d from now, until a round returns false. It matches the
+// loop `for { p.Sleep(d); if !round(p) { return } }` on a SpawnDaemon
+// process event for event: it starts with an ordinary event now, as that
+// process did, each tick is scheduled where the loop's Sleep schedules
+// its wake, and the tick hands the clock straight to the round's
+// process.
+func (s *Sim) Every(name string, d Duration, round func(p *Proc) bool) {
+	s.After(0, s.daemon(name, d, round).arm)
+}
+
+// NewDaemon returns a daemon that runs round once each time it is woken.
+func (s *Sim) NewDaemon(name string, round func(p *Proc)) *Daemon {
+	return s.daemon(name, 0, func(p *Proc) bool { round(p); return false })
+}
+
+// Wake starts a round at the current instant, behind the events already
+// due, unless one is scheduled or running — as a Signal broadcast
+// resumes a service process parked at the top of its loop and passes
+// over one that is busy.
+func (d *Daemon) Wake() {
+	if !d.busy {
+		d.busy = true
+		d.sim.scheduleDaemon(d.sim.now, d, nil)
+	}
+}
+
+// arm schedules the daemon's next tick.
+func (d *Daemon) arm() { d.sim.scheduleDaemon(d.sim.now.Add(d.every), d, nil) }
+
+func (d *Daemon) run(p *Proc) {
+	if d.round(p) {
+		d.arm()
+	} else {
+		d.busy = false
+	}
+}
+
+// AfterDaemon is After for a daemon's callback: it does not keep Run
+// going.
+func (s *Sim) AfterDaemon(d Duration, fn func()) {
+	s.scheduleDaemon(s.now.Add(d), nil, fn)
+}
+
+// scheduleDaemon enqueues a daemon event: the start of one of d's
+// rounds, or the callback fn.
+func (s *Sim) scheduleDaemon(at Time, d *Daemon, fn func()) {
+	if at < s.now {
+		at = s.now
+	}
+	s.seq++
+	s.events.push(event{at: at, seq: s.seq, fn: fn, round: d, daemon: true})
 }
 
 // Sleep blocks the process for d of virtual time.
@@ -474,6 +612,16 @@ func (s *Sim) next(self *Proc) bool {
 		switch {
 		case e.fn != nil:
 			e.fn()
+		case e.round != nil:
+			// The round starts here, on a pooled process, with no second
+			// event: self, if it has just pooled itself.
+			p := s.proc(e.round.name, e.round.body)
+			p.daemon = true
+			if p == self {
+				return true
+			}
+			p.resume <- struct{}{}
+			return false
 		case e.proc.state == stateDone || e.proc.gen != e.procGen:
 			// Stale event: the process finished (and possibly began a
 			// new life via reuse) after this was scheduled.
@@ -496,10 +644,13 @@ func (s *Sim) next(self *Proc) bool {
 //
 // Run dispatches only until the first process is resumed; from there the
 // processes pass the clock among themselves and the last one to find
-// nothing left to dispatch wakes Run.
+// nothing left to dispatch wakes Run. No goroutine outlives Run on the
+// Sim's behalf but a process still alive — parked, or asleep in a
+// daemon's round: the finished ones go to the package's pool.
 func (s *Sim) Run() (Time, error) {
 	s.next(nil)
 	<-s.yield
+	s.releaseIdle()
 	var stuck []string
 	for p := range s.procs {
 		if p.state == stateParked && !p.daemon {

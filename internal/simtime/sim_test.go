@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -329,28 +330,226 @@ func TestPropertyResourceSerialization(t *testing.T) {
 	}
 }
 
-// TestSpawnRunSteadyStateAllocationFree guards the engine's hot path:
-// once the typed event heap and the process-reuse pool are warm, a full
-// spawn → sleep → finish → run cycle must not touch the Go allocator.
+// TestSpawnRunSteadyStateAllocationFree guards the engine's hot path in
+// the two shapes its drivers take. Spawn+Run cycles on one Sim — a spill
+// loop's — must not touch the Go allocator once the typed event heap,
+// the procs map and the process pools are warm, although every Run hands
+// its finished processes to the package's pool and the next Spawn takes
+// them back. A fresh Sim per cycle — a job loop's — pays for its own
+// set-up, but no process: each comes back from the package's pool, and
+// the goroutine count stays put.
 func TestSpawnRunSteadyStateAllocationFree(t *testing.T) {
-	s := New()
-	cycle := func() {
-		s.Spawn("w", func(p *Proc) {
-			for i := 0; i < 4; i++ {
-				p.Sleep(Millisecond)
+	body := func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.Sleep(Millisecond)
+		}
+	}
+	t.Run("one Sim", func(t *testing.T) {
+		s := New()
+		cycle := func() {
+			s.Spawn("a", body)
+			s.Spawn("b", body)
+			s.MustRun()
+		}
+		for i := 0; i < 16; i++ {
+			cycle() // warm the heap, the pools and the procs map
+		}
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Fatalf("steady-state spawn+run allocates %.2f objects per cycle, want 0", avg)
+		}
+		if spawns, reuses := s.ProcStats(); reuses < spawns-2 {
+			t.Fatalf("process reuse not engaged: %d spawns, %d reuses", spawns, reuses)
+		}
+	})
+	t.Run("Sim per cycle", func(t *testing.T) {
+		cycle := func() *Sim {
+			s := New()
+			s.Spawn("a", body)
+			s.Spawn("b", body)
+			s.MustRun()
+			return s
+		}
+		cycle() // fill the package's pool
+		before := liveGoroutines()
+		for i := 0; i < 200; i++ {
+			if spawns, reuses := cycle().ProcStats(); reuses != spawns {
+				t.Fatalf("cycle %d: a fresh Sim made %d of its %d processes", i, spawns-reuses, spawns)
 			}
+		}
+		waitGoroutines(t, before)
+	})
+}
+
+// sleepLoop is the daemon Every replaced, kept as its model: a
+// SpawnDaemon process that sleeps at the top of its loop.
+func sleepLoop(s *Sim, name string, d Duration, round func(p *Proc) bool) {
+	s.SpawnDaemon(name, func(p *Proc) {
+		for {
+			p.Sleep(d)
+			if !round(p) {
+				return
+			}
+		}
+	})
+}
+
+// tickScript logs every resumption, as (now, process, step), of two
+// periodic daemons started by start among user processes that sleep to
+// the very instants the daemons tick at: one spawned before the daemons
+// and one after. One daemon's rounds yield at their own instant and it
+// stops itself after three; the other's queue on a resource a user
+// holds at a tick.
+func tickScript(start func(s *Sim, name string, d Duration, round func(p *Proc) bool)) []string {
+	s := New()
+	defer s.Close()
+	var log []string
+	rec := func(p *Proc, step string) {
+		log = append(log, fmt.Sprintf("%v %s %s", p.Now(), p.Name(), step))
+	}
+	disk := NewResource(s, "disk", 1)
+	s.Spawn("early", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			p.Sleep(Second)
+			rec(p, "woke")
+			if i == 3 {
+				disk.Use(p, 300*Millisecond)
+				rec(p, "used")
+			}
+		}
+	})
+	polls := 0
+	start(s, "poller", Second, func(p *Proc) bool {
+		rec(p, "poll")
+		p.Yield()
+		rec(p, "polled")
+		polls++
+		return polls < 3
+	})
+	start(s, "sweeper", 2*Second, func(p *Proc) bool {
+		rec(p, "sweep")
+		disk.Use(p, 500*Millisecond)
+		rec(p, "swept")
+		return true
+	})
+	s.Spawn("late", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(2 * Second)
+			rec(p, "woke")
+		}
+	})
+	return append(log, fmt.Sprintf("end %v", s.MustRun()))
+}
+
+// TestEveryMatchesSleepLoop holds Every to the loop it replaced: same
+// resumptions at the same instants in the same order, and a round that
+// returns false ends its daemon as the loop's return did.
+func TestEveryMatchesSleepLoop(t *testing.T) {
+	want := tickScript(sleepLoop)
+	got := tickScript((*Sim).Every)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Every's order differs from the sleep loop's:\n got %q\nwant %q", got, want)
+	}
+	polls, sweeps := 0, 0
+	for _, line := range got {
+		switch {
+		case strings.HasSuffix(line, "poller poll"):
+			polls++
+		case strings.HasSuffix(line, "sweeper sweep"):
+			sweeps++
+		}
+	}
+	if polls != 3 || sweeps < 2 {
+		t.Fatalf("%d polls and %d sweeps, want 3 and at least 2: %q", polls, sweeps, got)
+	}
+}
+
+// TestRoundFalseStopsTick runs a daemon whose third round returns false
+// under a user process that outlives it by far: no fourth round.
+func TestRoundFalseStopsTick(t *testing.T) {
+	s := New()
+	defer s.Close()
+	var at []Time
+	s.Every("thrice", Second, func(p *Proc) bool {
+		at = append(at, p.Now())
+		return len(at) < 3
+	})
+	s.Spawn("user", func(p *Proc) { p.Sleep(Minute) })
+	s.MustRun()
+	if fmt.Sprint(at) != fmt.Sprint([]Time{Time(Second), Time(2 * Second), Time(3 * Second)}) {
+		t.Fatalf("rounds at %v, want 1s 2s 3s", at)
+	}
+}
+
+// collection returns a channel closed once s is garbage. The finalizer
+// cannot go on s itself: a Sim is reachable from its own queue (a
+// daemon's tick refers back to it), and the runtime never finalizes an
+// object in a cycle. It goes on a tag that only a callback in s's queue
+// refers to, which is garbage exactly when s is.
+func collection(s *Sim) <-chan struct{} {
+	done := make(chan struct{})
+	tag := new([64]byte)
+	runtime.SetFinalizer(tag, func(*[64]byte) { close(done) })
+	s.AfterDaemon(1000*Hour, func() { runtime.KeepAlive(tag) })
+	return done
+}
+
+// within reports whether done is closed within n collections.
+func within(done <-chan struct{}, n int) bool {
+	for i := 0; i < n; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// TestNoGoroutineBetweenRounds: between rounds a daemon — periodic or
+// woken — holds no process. Once Run returns with the next tick queued,
+// the live goroutine count is back where it started, and the Sim, never
+// closed, is collected as soon as nothing references it. A round still
+// asleep when Run returns does hold its process, until Close.
+func TestNoGoroutineBetweenRounds(t *testing.T) {
+	before := liveGoroutines()
+	var collected <-chan struct{}
+	func() {
+		s := New()
+		collected = collection(s)
+		flushes := 0
+		flusher := s.NewDaemon("flusher", func(p *Proc) {
+			p.Sleep(Millisecond)
+			flushes++
 		})
+		s.Every("poller", Second, func(p *Proc) bool {
+			flusher.Wake()
+			flusher.Wake() // busy: joins the first
+			return true
+		})
+		s.Spawn("user", func(p *Proc) { p.Sleep(10*Second + Second/2) })
 		s.MustRun()
+		if flushes != 10 {
+			t.Errorf("%d flushes, want 10", flushes)
+		}
+		waitGoroutines(t, before)
+	}()
+	if !within(collected, 3) {
+		t.Fatal("a quiescent Sim was not collected")
 	}
-	for i := 0; i < 16; i++ {
-		cycle() // warm the heap, proc pool and procs map
+
+	s := New()
+	s.NewDaemon("slow", func(p *Proc) { p.Sleep(Hour) }).Wake()
+	s.Spawn("user", func(p *Proc) { p.Sleep(Second) })
+	s.MustRun()
+	if len(s.procs) != 1 {
+		t.Fatalf("%d processes alive after Run, want the one asleep round", len(s.procs))
 	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Fatalf("steady-state spawn+run allocates %.2f objects per cycle, want 0", avg)
+	s.Close()
+	if len(s.procs) != 0 {
+		t.Fatalf("%d processes alive after Close", len(s.procs))
 	}
-	if spawns, reuses := s.ProcStats(); reuses < spawns-17 {
-		t.Fatalf("process reuse not engaged: %d spawns, %d reuses", spawns, reuses)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestCloseUnwindsEveryGoroutine builds a simulation that ends the way
@@ -360,7 +559,7 @@ func TestSpawnRunSteadyStateAllocationFree(t *testing.T) {
 // processes' deferred calls, including one that blocks again and one
 // that wakes a process Close has already unwound.
 func TestCloseUnwindsEveryGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	s := New()
 	sig, q := NewSignal("never"), NewQueue("empty")
 	res := NewResource(s, "held", 1)
@@ -397,7 +596,7 @@ func TestCloseUnwindsEveryGoroutine(t *testing.T) {
 	}
 	s.MustRun()
 	s.Spawn("never-started", func(p *Proc) { t.Error("ran after Close") })
-	if runtime.NumGoroutine() <= before {
+	if liveGoroutines() <= before {
 		t.Fatal("the simulation parked no goroutines; the test proves nothing")
 	}
 	s.Close()
@@ -407,13 +606,17 @@ func TestCloseUnwindsEveryGoroutine(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// waitGoroutines fails the test unless the goroutine count falls back
-// to before; exiting goroutines need a moment to leave the count.
+// liveGoroutines counts the goroutines outside the package's idle pool,
+// which belong to no Sim.
+func liveGoroutines() int { return runtime.NumGoroutine() - IdleProcs() }
+
+// waitGoroutines fails the test unless the live goroutine count falls
+// back to before; exiting goroutines need a moment to leave the count.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
-	for i := 0; runtime.NumGoroutine() > before; i++ {
+	for i := 0; liveGoroutines() > before; i++ {
 		if i == 200 {
-			t.Fatalf("%d goroutines before, %d after Close", before, runtime.NumGoroutine())
+			t.Fatalf("%d goroutines before, %d after", before, liveGoroutines())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -458,7 +661,7 @@ func TestCallbackRespawnsDispatchingProc(t *testing.T) {
 // not keep Run going); the second must pick it up in order, and a Run
 // with nothing to do must return at once.
 func TestRunTwice(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	s := New()
 	q := NewQueue("work")
 	var served []Time
@@ -494,7 +697,7 @@ func TestRunTwice(t *testing.T) {
 // Close unwind what the deadlocked Run left behind, including a process
 // whose deferred call sleeps again while it is being killed.
 func TestCloseAfterDeadlock(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	s := New()
 	r := NewResource(s, "r", 1)
 	sig := NewSignal("s")

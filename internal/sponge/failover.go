@@ -51,15 +51,9 @@ func (s *Service) electTracker(p *simtime.Proc) bool {
 	return false
 }
 
-// watchdogLoop monitors the tracker and re-elects on failure of either
-// the tracker process or its host.
-func (s *Service) watchdogLoop(p *simtime.Proc) {
-	for {
-		p.Sleep(s.Config.PollInterval)
-		if s.Tracker.unavailable() {
-			if !s.electTracker(p) {
-				return
-			}
-		}
-	}
+// watchdogRound is one round of the daemon that monitors the tracker: it
+// re-elects on failure of either the tracker process or its host, and
+// ends the daemon when no node is left to host one.
+func (s *Service) watchdogRound(p *simtime.Proc) bool {
+	return !s.Tracker.unavailable() || s.electTracker(p)
 }

@@ -148,7 +148,7 @@ func (s *Service) JoinNode() *cluster.Node {
 	s.peers = append(s.peers, nil)
 	s.metrics.ensureNodes(len(s.Servers))
 	s.metrics.registerNodeGauges(n.ID, srv)
-	s.Cluster.Sim.SpawnDaemon(fmt.Sprintf("spongegc@%s", n.Name()), srv.gcLoop)
+	s.Cluster.Sim.Every(fmt.Sprintf("spongegc@%s", n.Name()), s.Config.GCInterval, srv.gcRound)
 	s.Tracker.table.Set(n.ID, srv.FreeChunks())
 	s.bumpEpoch()
 	s.metrics.membershipJoins.Inc()

@@ -207,14 +207,13 @@ func (s *Server) quotaSweep() {
 	}
 }
 
-// gcLoop is the server's periodic garbage collection daemon.
-func (s *Server) gcLoop(p *simtime.Proc) {
-	for {
-		p.Sleep(s.svc.Config.GCInterval)
-		if s.pool.Failed() {
-			return
-		}
-		s.gcSweep(p)
-		s.quotaSweep()
+// gcRound is one round of the server's periodic garbage collection
+// daemon; a failed pool ends the daemon.
+func (s *Server) gcRound(p *simtime.Proc) bool {
+	if s.pool.Failed() {
+		return false
 	}
+	s.gcSweep(p)
+	s.quotaSweep()
+	return true
 }

@@ -171,7 +171,7 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 		}
 		srv := newServer(s, n, pool)
 		s.Servers = append(s.Servers, srv)
-		c.Sim.SpawnDaemon(fmt.Sprintf("spongegc@%s", n.Name()), srv.gcLoop)
+		c.Sim.Every(fmt.Sprintf("spongegc@%s", n.Name()), cfg.GCInterval, srv.gcRound)
 	}
 	s.metrics.registerGauges(s)
 	s.Tracker = newTracker(s, c.Nodes[0], 1)
@@ -182,8 +182,8 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 	for i, srv := range s.Servers {
 		s.Tracker.table.Set(i, srv.FreeChunks())
 	}
-	c.Sim.SpawnDaemon("tracker", s.trackerLoop)
-	c.Sim.SpawnDaemon("tracker.watchdog", s.watchdogLoop)
+	c.Sim.Every("tracker", cfg.PollInterval, s.trackerRound)
+	c.Sim.Every("tracker.watchdog", cfg.PollInterval, s.watchdogRound)
 	return s
 }
 

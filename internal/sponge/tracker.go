@@ -53,17 +53,16 @@ func (t *Tracker) Advertised(node int) int { return t.table.Free(node) }
 // unavailable reports whether the tracker process or its host is down.
 func (t *Tracker) unavailable() bool { return t.down || t.svc.nodeDown(t.node.ID) }
 
-// trackerLoop is the polling daemon. It drives whatever tracker is
-// currently installed, so a failover (Service.electTracker) transfers
-// the loop to the replacement transparently; while the tracker (or its
-// host) is down it idles and lets the watchdog elect a successor.
-func (s *Service) trackerLoop(p *simtime.Proc) {
-	for {
-		p.Sleep(s.Config.PollInterval)
-		if t := s.Tracker; !t.unavailable() {
-			t.pollOnce(p)
-		}
+// trackerRound is one round of the polling daemon. It drives whatever
+// tracker is currently installed, so a failover (Service.electTracker)
+// transfers the polling to the replacement transparently; while the
+// tracker (or its host) is down it idles and lets the watchdog elect a
+// successor.
+func (s *Service) trackerRound(p *simtime.Proc) bool {
+	if t := s.Tracker; !t.unavailable() {
+		t.pollOnce(p)
 	}
+	return true
 }
 
 // pollOnce refreshes the snapshot immediately, skipping dead, departed,

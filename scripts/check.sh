@@ -39,6 +39,15 @@ echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
 go test -race -count=10 ./internal/simtime
 go test -race -count=10 -run 'SortBuffer' ./internal/mapreduce
 
+echo "== daemon rounds and dropped simulations, -race -count=20 =="
+# No goroutine outlives Run: idle process goroutines change Sims through
+# the package's pool, and a daemon takes one per round. The periodic
+# daemon is held to the sleep loop it replaced, a round holds no process
+# between ticks, and a cluster with its sponge service and a finished
+# job, never closed, is collected with its goroutines gone.
+go test -race -count=20 -run 'TestEveryMatchesSleepLoop|TestRoundFalseStopsTick|TestNoGoroutineBetweenRounds|TestSpawnRunSteadyStateAllocationFree' ./internal/simtime
+go test -race -count=20 -run 'TestDroppedSimulationIsCollected' .
+
 echo "== the tracker's table and its driver, -race -count=10 =="
 # One tracker, the paper's: FreeTable keeps the free list's ranking,
 # held to a model by the seeded property test, and the script plays one
@@ -71,7 +80,8 @@ go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce
 
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
-# File.Write and windowed File.Read at zero allocations, plus the
+# File.Write and windowed File.Read at zero allocations, spawning with no
+# process allocated on one Sim or a fresh one per cycle, plus the
 # absolute ceiling on a whole Median job run. The obs guard keeps
 # counter, gauge and histogram ops allocation-free so instrumentation
 # stays off the spill path's alloc budget. The mapreduce guards pin the map-side
@@ -80,7 +90,7 @@ echo "== allocation-regression guards =="
 # the Pig codec (encode into scratch + cursor read) at zero, a whole Pig
 # job under two allocations per input record, and a TopK pass to one
 # allocation per arena chunk its counter table fills plus a constant.
-go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestPigJobAllocsPerRecord|TestTopKAllocsAmortized' \
+go test -count=1 -run 'AllocationFree|TestSpawnRunSteadyStateAllocationFree|TestMacroAllocRegressionGuard|TestPigJobAllocsPerRecord|TestTopKAllocsAmortized' \
 	./internal/sponge ./internal/simtime ./internal/bench ./internal/obs \
 	./internal/mapreduce ./internal/pig
 
