@@ -34,7 +34,7 @@ bench-wire:
 # EXPERIMENTS.md's macro table is regenerated from this. End to end
 # across processes it is the repository benchmark's macro-sim workload.
 bench:
-	go test ./internal/bench -run '^$$' -bench BenchmarkMacro -benchmem
+	go test ./internal/bench -run '^$$' -bench BenchmarkMacroJobs -benchmem
 
 # Local transport tier ladder: steady-state 64KiB reads over loopback
 # TCP, unix sockets, sendfile spill serves, and the fd-passing pread

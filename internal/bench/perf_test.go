@@ -40,21 +40,26 @@ func TestMacroAllocRegressionGuard(t *testing.T) {
 	}
 }
 
-// Host cost of one run of each paper job (wall clock, allocations,
-// bytes), the cell the benchmark's macro-sim workload runs end to end:
-// `go test ./internal/bench -run '^$' -bench BenchmarkMacro -benchmem`
-// (make bench) regenerates EXPERIMENTS.md's macro host-cost table.
-func benchMacro(b *testing.B, kind JobKind) {
-	b.ReportAllocs()
+// BenchmarkMacroJobs is the host cost of one run of each paper job (wall
+// clock, allocations, bytes) on the cell the benchmark's macro-sim
+// workload runs end to end: `go test ./internal/bench -run '^$' -bench
+// BenchmarkMacroJobs -benchmem` (make bench) regenerates EXPERIMENTS.md's
+// macro host-cost table, and `scripts/profile.sh ./internal/bench
+// BenchmarkMacroJobs/anchortext` profiles one job.
+func BenchmarkMacroJobs(b *testing.B) {
 	mc := perfConfig(0.05, 8)
-	for i := 0; i < b.N; i++ {
-		RunMacro(kind, mc)
+	for _, job := range []struct {
+		name string
+		kind JobKind
+	}{{"median", Median}, {"anchortext", Anchortext}, {"spam", SpamQuantiles}} {
+		b.Run(job.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RunMacro(job.kind, mc)
+			}
+		})
 	}
 }
-
-func BenchmarkMacroMedian(b *testing.B)        { benchMacro(b, Median) }
-func BenchmarkMacroAnchortext(b *testing.B)    { benchMacro(b, Anchortext) }
-func BenchmarkMacroSpamQuantiles(b *testing.B) { benchMacro(b, SpamQuantiles) }
 
 // TestRunMacroLeavesNoGoroutines holds RunMacro to closing its
 // simulation: twenty runs back to back leave the goroutine count where

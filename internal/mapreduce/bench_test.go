@@ -33,7 +33,8 @@ func BenchmarkSortBuffer(b *testing.B) {
 		keys[i] = []byte(fmt.Sprintf("key-%08d", rng.Intn(1_000_000)))
 	}
 	val := make([]byte, 100)
-	buf := newSortBuffer(records*(recHeader+12+100)+1024, 4)
+	slab := records*(recHeader+12+100) + 1024
+	buf := newSortBuffer(slab, slab, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, k := range keys {
@@ -46,6 +47,34 @@ func BenchmarkSortBuffer(b *testing.B) {
 			b.Fatal("bad segments")
 		}
 	}
+}
+
+// BenchmarkSortBufferZipf fills and sorts one map task's worth of the
+// benchmark's job-wordcount-nc output: 100 k records of six-byte keys
+// drawn Zipf(1.1) from 20 k words, hash-partitioned two ways, so that
+// most comparisons meet an equal key.
+func BenchmarkSortBufferZipf(b *testing.B) {
+	const records, vocab, parts = 100_000, 20_000, 2
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, vocab-1)
+	keys := make([][]byte, records)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%05d", zipf.Uint64()))
+	}
+	one := []byte{1, 0, 0, 0}
+	slab := records * recSize(keys[0], one)
+	buf := newSortBuffer(slab, slab, parts)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			if !buf.add(HashPartition(k, parts), k, one) {
+				b.Fatal("buffer full")
+			}
+		}
+		if segs, _ := buf.sortAndSlice(); len(segs) != parts {
+			b.Fatal("bad segments")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 func BenchmarkMergeStream(b *testing.B) {

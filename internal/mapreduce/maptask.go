@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
@@ -16,25 +15,42 @@ import (
 // sortBuffer is the map-side in-memory sort buffer (io.sort.mb): emitted
 // records are serialized into one slab and sorted by (partition, key)
 // through an offset index, exactly as Hadoop's MapOutputBuffer does.
+//
+// The buffer is full when its serialized bytes would pass limit, the
+// job's io.sort.mb in real bytes; the slab's capacity never decides a
+// spill. The slab starts at what the task's split needs and grows only
+// when the task's output outgrows it.
 type sortBuffer struct {
 	data  []byte
 	index []bufRec
+	limit int
 	parts int
+	// pbits is how many of a word's top bits hold the partition.
+	pbits uint
 }
 
-// bufRec is one record's index entry. prefix caches the key's first
-// eight bytes, big-endian and zero-padded, so that most comparisons are
-// settled by two integers and never touch the slab.
+// bufRec is one record's index entry. word packs the partition into
+// its top pbits bits and the key's first eight bytes, big-endian and
+// zero-padded, below them, so that one integer comparison settles most
+// of the sort's comparisons without touching the slab; low keeps the
+// prefix's last 32 bits, which hold every bit the partition of a job of
+// up to 2^32 reducers pushes out of word.
 type bufRec struct {
-	prefix   uint64
-	part     int32
+	word     uint64
+	low      uint32
 	off      int32
 	klen     int32
 	totallen int32
 }
 
-func newSortBuffer(capReal int, parts int) *sortBuffer {
-	return &sortBuffer{data: make([]byte, 0, capReal), parts: parts}
+// newSortBuffer makes a buffer that spills past limit bytes, with a slab
+// of slab bytes to start, for a job of parts reducers.
+func newSortBuffer(slab, limit, parts int) *sortBuffer {
+	return &sortBuffer{
+		data:  make([]byte, 0, min(slab, limit)),
+		limit: limit, parts: parts,
+		pbits: uint(bits.Len(uint(parts - 1))),
+	}
 }
 
 // reset empties the buffer, keeping the slab and the index's backing.
@@ -44,15 +60,16 @@ func (b *sortBuffer) reset() {
 }
 
 // takeSortBuffer gives a starting map task its sort buffer: one a
-// finished task of this job left behind, else a new one.
-func (rj *runningJob) takeSortBuffer(capReal int) *sortBuffer {
+// finished task of this job left behind, else a new one with a slab of
+// the task's split and an eighth.
+func (rj *runningJob) takeSortBuffer(splitReal, limit int) *sortBuffer {
 	if n := len(rj.sortBufs); n > 0 {
 		b := rj.sortBufs[n-1]
 		rj.sortBufs[n-1] = nil
 		rj.sortBufs = rj.sortBufs[:n-1]
 		return b
 	}
-	return newSortBuffer(capReal, rj.conf.NumReducers)
+	return newSortBuffer(splitReal+splitReal/8, limit, rj.conf.NumReducers)
 }
 
 // putSortBuffer takes back the buffer of a map attempt that has sorted
@@ -62,9 +79,9 @@ func (rj *runningJob) takeSortBuffer(capReal int) *sortBuffer {
 // outnumbers the waiting tasks and is empty once the last has started:
 // no buffer outlives the map phase, where it would only raise the
 // heap's peak under the reduce-side merges. dispatch drops the list of a
-// job that fails or is cancelled. The list is the job's because nothing
-// longer lived may hold 2 MiB slabs: a driver that never Closes its Sim
-// leaves the engine reachable from parked daemons for good.
+// job that fails or is cancelled. The list is the job's, not the
+// engine's, so a job's buffers are never held longer than it needs
+// them, and a buffer never passes to a job with another io.sort.mb.
 func (rj *runningJob) putSortBuffer(b *sortBuffer) {
 	if len(rj.sortBufs) >= rj.waitingMaps() {
 		return
@@ -100,15 +117,24 @@ func keyPrefix(k []byte) uint64 {
 // add appends a record, reporting false when the buffer is full (the
 // caller must spill first).
 func (b *sortBuffer) add(part int, k, v []byte) bool {
-	if len(b.data)+recSize(k, v) > cap(b.data) {
+	if uint(part) >= uint(b.parts) {
+		panic(fmt.Sprintf("mapreduce: partition %d of %d", part, b.parts))
+	}
+	off, size := len(b.data), recSize(k, v)
+	if off+size > b.limit {
 		return false
 	}
-	off := len(b.data)
+	if off+size > cap(b.data) {
+		grown := make([]byte, off, min(max(2*cap(b.data), off+size), b.limit))
+		copy(grown, b.data)
+		b.data = grown
+	}
 	b.data = appendRecord(b.data, k, v)
+	prefix := keyPrefix(k)
 	b.index = append(b.index, bufRec{
-		prefix: keyPrefix(k),
-		part:   int32(part), off: int32(off),
-		klen: int32(len(k)), totallen: int32(recSize(k, v)),
+		word: uint64(part)<<(64-b.pbits) | prefix>>b.pbits,
+		low:  uint32(prefix),
+		off:  int32(off), klen: int32(len(k)), totallen: int32(size),
 	})
 	return true
 }
@@ -116,24 +142,37 @@ func (b *sortBuffer) add(part int, k, v []byte) bool {
 func (b *sortBuffer) empty() bool { return len(b.index) == 0 }
 func (b *sortBuffer) bytes() int  { return len(b.data) }
 
-func (b *sortBuffer) keyOf(r bufRec) []byte {
-	return b.data[r.off+recHeader : r.off+recHeader+r.klen]
+// partOf is the partition packed into r's word.
+func (b *sortBuffer) partOf(r bufRec) int { return int(r.word >> (64 - b.pbits)) }
+
+func keyAt(slab []byte, r bufRec) []byte {
+	return slab[r.off+recHeader : r.off+recHeader+r.klen]
 }
 
-// compare orders index entries by (partition, key), with the sign
-// bytes.Compare gives the full keys.
-func (b *sortBuffer) compare(x, y bufRec) int {
+// lessRec orders index entries by (partition, key), as bytes.Compare
+// orders the full keys. It must stay inlinable (scripts/check.sh fails
+// if the compiler stops saying so): it is the sort's every comparison.
+func lessRec(slab []byte, x, y bufRec) bool {
+	if x.word != y.word {
+		return x.word < y.word
+	}
+	return tieRec(slab, x, y) < 0
+}
+
+// tieRec compares two entries whose words are equal: the same partition
+// and the same leading prefix bits.
+//
+//go:noinline
+func tieRec(slab []byte, x, y bufRec) int {
 	switch {
-	case x.part != y.part:
-		return cmp.Compare(x.part, y.part)
-	case x.prefix != y.prefix:
-		return cmp.Compare(x.prefix, y.prefix)
+	case x.low != y.low:
+		return cmp.Compare(x.low, y.low)
 	case x.klen <= 8 && y.klen <= 8:
 		// Equal prefixes of keys this short: one key is the other
 		// followed by zero bytes, so the shorter sorts first.
 		return cmp.Compare(x.klen, y.klen)
 	}
-	return bytes.Compare(b.keyOf(x), b.keyOf(y))
+	return bytes.Compare(keyAt(slab, x), keyAt(slab, y))
 }
 
 // sortAndSlice sorts by (partition, key) and returns the serialized
@@ -143,21 +182,20 @@ func (b *sortBuffer) compare(x, y bufRec) int {
 // The sort is not stable, and where records with equal keys land is
 // part of the output: a reduce sees a key's values in merge order, and
 // the bytes of every spill and shuffle segment follow from it. That
-// order is pinned to pdqsort's, which slices.SortFunc and the
-// sort.Slice this replaced both run step for step given equal
-// comparison results (TestSortBufferOrderMatchesSortSlice).
+// order is pinned to pdqsort's: sortRecs is slices.SortFunc's, step for
+// step (TestSortBufferOrderMatchesSortSlice).
 func (b *sortBuffer) sortAndSlice() (segs [][]byte, comparisons int) {
 	n := len(b.index)
 	segs = make([][]byte, b.parts)
 	if n == 0 {
 		return segs, 0
 	}
-	slices.SortFunc(b.index, b.compare)
+	sortRecs(b.index, b.data)
 	// The index is now grouped by partition: size each segment from it
 	// before copying, so every segment is allocated once.
 	for lo := 0; lo < n; {
-		part, size, hi := b.index[lo].part, 0, lo
-		for ; hi < n && b.index[hi].part == part; hi++ {
+		part, size, hi := b.partOf(b.index[lo]), 0, lo
+		for ; hi < n && b.partOf(b.index[hi]) == part; hi++ {
 			size += int(b.index[hi].totallen)
 		}
 		seg := make([]byte, 0, size)
@@ -208,7 +246,7 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 		return nil, nil
 	}
 
-	buf := job.takeSortBuffer(ctx.Node.RealOf(conf.SortBufferVirtual))
+	buf := job.takeSortBuffer(ctx.Node.RealOf(block.Size), ctx.Node.RealOf(conf.SortBufferVirtual))
 	// The buffer goes back as soon as the last record is sorted out of
 	// it — the task still has its output to merge and write, and the slab
 	// must not stay reachable through that — or when the attempt dies.

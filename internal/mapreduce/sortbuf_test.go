@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spongefiles/internal/cluster"
-	"spongefiles/internal/dfs"
 	"spongefiles/internal/simtime"
 )
 
@@ -17,7 +16,7 @@ import (
 // an Input whose every split yields perSplit records keyed k<i%keys>
 // with the record's global number as value.
 func (r *rig) splitsInput(name string, splits, perSplit, keys int) Input {
-	r.fs.AddExisting(name, int64(splits)*dfs.DefaultBlockVirtual)
+	r.fs.AddExisting(name, int64(splits)*r.fs.BlockVirtual)
 	return Input{
 		File: name,
 		MakeRecords: func(split int) RecordGen {
@@ -47,25 +46,25 @@ func collectReduce(into map[string][]uint64) ReduceFunc {
 }
 
 // checkSortBufs asserts the free list's lifetime rule at one instant: no
-// more buffers than map tasks waiting for a slot, each of the capacity
-// this job sorts in.
-func checkSortBufs(t *testing.T, rj *runningJob, capReal int) {
+// more buffers than map tasks waiting for a slot, each empty and
+// spilling at the limit this job sorts to.
+func checkSortBufs(t *testing.T, rj *runningJob, limit int) {
 	t.Helper()
 	if held, waiting := len(rj.sortBufs), rj.waitingMaps(); held > waiting {
 		t.Errorf("job %s holds %d sort buffers for %d waiting map tasks", rj.conf.Name, held, waiting)
 	}
 	for _, b := range rj.sortBufs {
-		if cap(b.data) != capReal || len(b.data) != 0 || len(b.index) != 0 {
-			t.Errorf("job %s pooled a buffer of cap %d holding %d bytes, %d entries; want cap %d, empty",
-				rj.conf.Name, cap(b.data), len(b.data), len(b.index), capReal)
+		if b.limit != limit || cap(b.data) > limit || len(b.data) != 0 || len(b.index) != 0 {
+			t.Errorf("job %s pooled a buffer of limit %d, cap %d, holding %d bytes, %d entries; want limit %d, empty",
+				rj.conf.Name, b.limit, cap(b.data), len(b.data), len(b.index), limit)
 		}
 	}
 }
 
 // TestMapTasksRecycleSortBuffers runs a 40-task map phase on two slots.
-// Forty tasks used to make forty zeroed 2 MiB slabs; now the two that
-// run first make theirs and the rest inherit them, and the list is gone
-// with the last dispatch.
+// Without the job's free list each task would make a slab of its own;
+// the two that run first make theirs and the rest inherit them, and the
+// list is gone with the last dispatch.
 func TestMapTasksRecycleSortBuffers(t *testing.T) {
 	const splits, slots = 40, 2
 	r := newRig(1, func(c *cluster.Config) { c.MapSlots = slots })
@@ -285,5 +284,131 @@ func TestJobsDoNotShareSortBuffers(t *testing.T) {
 	}
 	if !overlapped {
 		t.Fatal("the jobs' map phases never overlapped; the test proves nothing")
+	}
+}
+
+// TestMapSlabSizedBySplit runs map tasks over 256 KiB splits under the
+// default io.sort.mb, 2 MiB real, on one slot. The buffer a task hands
+// back for the next, seen from its combiner (which runs after the last
+// sort), has a slab of the split and an eighth, not of io.sort.mb.
+func TestMapSlabSizedBySplit(t *testing.T) {
+	r := newRig(1, func(c *cluster.Config) { c.MapSlots = 1 })
+	defer r.sim.Close()
+	r.fs.BlockVirtual = r.c.Cfg.V(256 << 10)
+	const maxSlab = 288 << 10
+	var job *Job
+	seen := 0
+	conf := JobConf{
+		Name:  "split-sized",
+		Input: r.splitsInput("/in/split-sized", 3, 50, 7),
+		Map:   func(ctx *TaskContext, k, v []byte, emit Emit) { emit(k, v) },
+		Combine: func(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
+			checkSortBufs(t, job.rj, r.c.Cfg.R(128<<20))
+			for _, b := range job.rj.sortBufs {
+				seen++
+				if c := cap(b.data); c > maxSlab {
+					t.Errorf("a map task over a 256 KiB split sorted in a %d-byte slab, want at most %d", c, maxSlab)
+				}
+			}
+			for {
+				v, ok := vals.Next()
+				if !ok {
+					return
+				}
+				emit(key, v)
+			}
+		},
+		Reduce: collectReduce(map[string][]uint64{}),
+	}
+	var res *JobResult
+	r.sim.Spawn("driver", func(p *simtime.Proc) {
+		job = r.eng.Submit(conf)
+		res = job.Wait(p)
+	})
+	r.sim.MustRun()
+	if res == nil || res.Failed {
+		t.Fatalf("job failed: %+v", res)
+	}
+	if seen == 0 {
+		t.Fatal("no buffer was ever in the list while a combiner ran; the test proves nothing")
+	}
+}
+
+// TestGrowingSlabSpillsWhereAFullOneDoes runs map tasks whose output is
+// three times their 64 KiB split against a 128 KiB io.sort.mb: each
+// slab starts at 72 KiB, grows to the limit and spills there. A run
+// whose one slot is handed a full io.sort.mb slab before any task starts
+// must agree with it on every task's spills, every output byte, every
+// value's place and the virtual end time.
+func TestGrowingSlabSpillsWhereAFullOneDoes(t *testing.T) {
+	type outcome struct {
+		end    simtime.Time
+		spills []int
+		parts  [][][]byte
+		got    map[string][]uint64
+	}
+	run := func(full bool) outcome {
+		r := newRig(1, func(c *cluster.Config) { c.MapSlots = 1 })
+		defer r.sim.Close()
+		const split, limit = 64 << 10, 128 << 10
+		r.fs.BlockVirtual = r.c.Cfg.V(split)
+		perSplit := split / recSize([]byte("k000"), make([]byte, 8))
+		o := outcome{got: map[string][]uint64{}}
+		conf := JobConf{
+			Name:  "grow",
+			Input: r.splitsInput("/in/grow", 4, perSplit, 97),
+			Map: func(ctx *TaskContext, k, v []byte, emit Emit) {
+				// Three records a record, each valued apart, so that where
+				// equal keys land shows in what the reduce sees.
+				var out [8]byte
+				for i := uint64(0); i < 3; i++ {
+					binary.LittleEndian.PutUint64(out[:], 3*binary.LittleEndian.Uint64(v)+i)
+					emit(k, out[:])
+				}
+			},
+			Reduce:            collectReduce(o.got),
+			NumReducers:       3,
+			SortBufferVirtual: r.c.Cfg.V(limit),
+		}
+		var res *JobResult
+		r.sim.Spawn("driver", func(p *simtime.Proc) {
+			job := r.eng.Submit(conf)
+			if full {
+				job.rj.sortBufs = append(job.rj.sortBufs, newSortBuffer(limit, limit, conf.NumReducers))
+			}
+			res = job.Wait(p)
+			for _, mo := range job.rj.mapOut {
+				o.parts = append(o.parts, mo.parts)
+			}
+		})
+		r.sim.MustRun()
+		if res == nil || res.Failed {
+			t.Fatalf("full=%v: job failed: %+v", full, res)
+		}
+		o.end = res.End
+		for _, tr := range res.Tasks {
+			if tr.Kind == MapTask {
+				o.spills = append(o.spills, tr.SpillEvents)
+			}
+		}
+		return o
+	}
+	grown, full := run(false), run(true)
+	for i, n := range grown.spills {
+		if n < 2 {
+			t.Fatalf("map %d spilled %d times, want its output to pass io.sort.mb", i, n)
+		}
+	}
+	if !slices.Equal(grown.spills, full.spills) {
+		t.Errorf("spill events per map %v with growing slabs, %v with full ones", grown.spills, full.spills)
+	}
+	if !reflect.DeepEqual(grown.parts, full.parts) {
+		t.Error("map output segments differ between growing and full slabs")
+	}
+	if !reflect.DeepEqual(grown.got, full.got) {
+		t.Error("reduce input differs between growing and full slabs")
+	}
+	if grown.end != full.end {
+		t.Errorf("job ended at %v with growing slabs, %v with full ones", grown.end, full.end)
 	}
 }

@@ -453,10 +453,15 @@ func TestPruneCountsKeepsHeaviest(t *testing.T) {
 		}
 	}
 	counts.prune(2)
-	// e and f tie at 8; the tie goes to the smaller term.
-	if len(counts.all) != 2 || len(counts.slot) != 2 ||
-		counts.all[0] != (termCount{"a", 10}) || counts.all[1] != (termCount{"e", 8}) {
+	// e and f tie at 8; the tie goes to the smaller term. The survivors
+	// are a set: prune keeps them in whatever order they were in.
+	if len(counts.all) != 2 || len(counts.slot) != 2 {
 		t.Fatalf("wrong survivors: %v", counts.all)
+	}
+	for i, e := range counts.all {
+		if want := map[string]int64{"a": 10, "e": 8}[e.term]; e.n != want || counts.slot[e.term] != i {
+			t.Fatalf("wrong survivors: %v, slots %v", counts.all, counts.slot)
+		}
 	}
 }
 
@@ -510,9 +515,22 @@ func addZipfTerms(b *Bag, seed int64, vocab []string, tuples, perTuple int) {
 	}
 }
 
-// cloningCounts is TopK's counter table as it was before the arena:
-// each term that enters the table is cloned on its own.
+// cloningCounts is TopK's counter table as it was before the arena and
+// the selecting prune: each term that enters the table is cloned on its
+// own, and a prune ranks the whole table.
 type cloningCounts struct{ termCounts }
+
+func (c *cloningCounts) prune(keep int) {
+	if len(c.all) <= keep {
+		return
+	}
+	c.rank()
+	for _, e := range c.all[keep:] {
+		delete(c.slot, e.term)
+	}
+	clear(c.all[keep:])
+	c.all = c.all[:keep]
+}
 
 func (c *cloningCounts) add(term string) {
 	if i, ok := c.slot[term]; ok {
@@ -562,8 +580,8 @@ func cloningTopK(termField, k, tableCap int) UDF {
 	}
 }
 
-// TestTopKMatchesCloningModel holds TopK's arena-backed table to the
-// cloning one over seeded Zipf streams. The terms come through the
+// TestTopKMatchesCloningModel holds TopK's arena-backed, selecting table
+// to the cloning, sorting one over seeded Zipf streams. The terms come through the
 // bag's reused buffers: a small budget and chunk spill the bag into runs
 // longer than the run reader's buffer, which compacts as it reads and
 // passes from run to run. A small table prunes constantly, and the

@@ -1,9 +1,7 @@
 package pig
 
 import (
-	"cmp"
 	"slices"
-	"strings"
 
 	"spongefiles/internal/simtime"
 )
@@ -77,9 +75,10 @@ const termArenaChunk = 4 << 10
 // stays pinned. slot is only ever assigned arena views; a bag view may
 // read it but never key it.
 type termCounts struct {
-	all   []termCount
-	slot  map[string]int // term → index in all
-	arena []byte         // the current chunk; only ever appended to
+	all     []termCount
+	slot    map[string]int // term → index in all
+	arena   []byte         // the current chunk; only ever appended to
+	scratch []termCount    // prune's selection works on a copy of all
 }
 
 func newTermCounts(tableCap int) *termCounts {
@@ -112,31 +111,87 @@ func (c *termCounts) keep(term string) string {
 	return viewString(c.arena[off:])
 }
 
+// ranksBefore reports whether rank puts a before b: the higher count
+// first, ties by term. Terms in the table are unique, so no two counters
+// rank alike.
+func ranksBefore(a, b termCount) bool {
+	return a.n > b.n || a.n == b.n && a.term < b.term
+}
+
 // rank orders the counters most frequent first, ties by term, so the
 // order never depends on map iteration or on when a term arrived.
 func (c *termCounts) rank() {
 	slices.SortFunc(c.all, func(a, b termCount) int {
-		if a.n != b.n {
-			return cmp.Compare(b.n, a.n)
+		switch {
+		case ranksBefore(a, b):
+			return -1
+		case ranksBefore(b, a):
+			return 1
 		}
-		return strings.Compare(a.term, b.term)
+		return 0
 	})
 	for i, e := range c.all {
 		c.slot[e.term] = i
 	}
 }
 
-// prune drops the lowest-ranked counters until at most keep remain.
+// prune drops the lowest-ranked counters until at most keep remain. The
+// survivors are the keep that rank first, a set no arrival order
+// changes; they stay in the order they were in, and only those that move
+// down into a dropped counter's place are re-keyed.
 func (c *termCounts) prune(keep int) {
 	if len(c.all) <= keep {
 		return
 	}
-	c.rank()
-	for _, e := range c.all[keep:] {
-		delete(c.slot, e.term)
+	c.scratch = append(c.scratch[:0], c.all...)
+	cut := nthRanked(c.scratch, keep) // the first counter dropped
+	clear(c.scratch)
+	w := 0
+	for i, e := range c.all {
+		if !ranksBefore(e, cut) {
+			delete(c.slot, e.term)
+			continue
+		}
+		if w != i {
+			c.all[w] = e
+			c.slot[e.term] = w
+		}
+		w++
 	}
-	clear(c.all[keep:])
-	c.all = c.all[:keep]
+	clear(c.all[w:])
+	c.all = c.all[:w]
+}
+
+// nthRanked reorders s so that s[n] is the counter rank would put at n,
+// and returns it (Hoare's selection).
+func nthRanked(s []termCount, n int) termCount {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		pivot := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for ranksBefore(s[i], pivot) {
+				i++
+			}
+			for ranksBefore(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return s[n]
+		}
+	}
+	return s[n]
 }
 
 // Quantiles returns a UDF computing the q-quantiles of a float field by

@@ -37,7 +37,7 @@ echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
 # seeded event-order script and the Close/re-Spawn edge cases), and map
 # tasks inherit each other's sort buffers through the job's free list.
 go test -race -count=10 ./internal/simtime
-go test -race -count=10 -run 'SortBuffer' ./internal/mapreduce
+go test -race -count=10 -run 'SortBuffer|Slab' ./internal/mapreduce
 
 echo "== daemon rounds and dropped simulations, -race -count=20 =="
 # No goroutine outlives Run: idle process goroutines change Sims through
@@ -76,7 +76,21 @@ echo "== histogram snapshots under concurrent Observe, -race -count=10 =="
 go test -race -count=10 -run 'TestHistogram' ./internal/obs
 
 echo "== benchmarks compile and run once =="
-go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce ./internal/pig
+# Among them the two the profile recipe runs (scripts/profile.sh):
+# BenchmarkMacroJobs, one macro-sim pass job by job, and
+# BenchmarkSortBufferZipf, one job-wordcount-nc map task's sort.
+go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce ./internal/pig ./internal/bench
+
+echo "== map-side sort order, -count=5, and its comparator inlines =="
+# The sort buffer's pdqsort must leave the index in exactly the
+# permutation slices.SortFunc leaves under the old comparator: where
+# equal keys land decides values order, segment bytes and virtual time.
+# Its speed rests on lessRec inlining into every comparison.
+go test -count=5 -run 'TestSortBufferOrderMatchesSortSlice|FuzzSortBufferOrder' ./internal/mapreduce
+if ! go build -gcflags=-m ./internal/mapreduce 2>&1 | grep -q 'can inline lessRec'; then
+	echo "the compiler no longer inlines mapreduce.lessRec" >&2
+	exit 1
+fi
 
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
@@ -86,7 +100,8 @@ echo "== allocation-regression guards =="
 # counter, gauge and histogram ops allocation-free so instrumentation
 # stays off the spill path's alloc budget. The mapreduce guards pin the map-side
 # combiner scratch, the node-combine publish path and sortBuffer.add at
-# zero steady-state allocations per record. The record-path guards hold
+# zero steady-state allocations per record, and sortAndSlice at its
+# segments alone. The record-path guards hold
 # the Pig codec (encode into scratch + cursor read) at zero, a whole Pig
 # job under two allocations per input record, and a TopK pass to one
 # allocation per arena chunk its counter table fills plus a constant.
@@ -132,6 +147,12 @@ echo "== pipelined ops fuzz, 10 s =="
 # handles, all written before any response is read. One response per
 # id, then the pool whole: all free, none pinned, generations even.
 go test -run '^$' -fuzz '^FuzzPipelinedOps$' -fuzztime 10s ./internal/sponge/wire
+
+echo "== map-side sort order fuzz, 10 s =="
+# Any records, any reducer count up to 65535: the sort buffer's index
+# must come out in the model's exact permutation and its segments in the
+# model's bytes.
+go test -run '^$' -fuzz '^FuzzSortBufferOrder$' -fuzztime 10s ./internal/mapreduce
 
 echo "== scenario matrix smoke (quick cases) =="
 # The two quick seed scenarios — a digest-verified spill round trip and
