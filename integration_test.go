@@ -14,6 +14,7 @@ import (
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/dfs"
 	"spongefiles/internal/failure"
+	"spongefiles/internal/leakcheck"
 	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/media"
 	"spongefiles/internal/pig"
@@ -270,14 +271,17 @@ func TestManyConcurrentJobs(t *testing.T) {
 
 // TestDroppedSimulationIsCollected runs a cluster, the sponge service and
 // a spilling job to completion, never calls Close, and drops every
-// reference: the simulation must be garbage within three collections,
-// and the goroutine count, less the simulator's pool of idle process
-// goroutines, back where it started. While the service daemons parked
-// between rounds on processes of their own, those goroutines kept every
-// finished job's cluster reachable for good.
+// reference: the simulation must be garbage within three collections;
+// the goroutine count, less the simulator's pool of idle process
+// goroutines, back where it started; and so the descriptor and
+// shared-memory mapping counts, with every node's pool slabs unmapped.
+// While the service daemons parked between rounds on processes of their
+// own, those goroutines kept every finished job's cluster reachable for
+// good; while nothing but Close unmapped a pool, its slabs outlived it.
 func TestDroppedSimulationIsCollected(t *testing.T) {
 	live := func() int { return runtime.NumGoroutine() - simtime.IdleProcs() }
 	before := live()
+	host, _ := leakcheck.Snapshot()
 	// The finalizer goes on a tag only a callback in the simulation's
 	// queue refers to: the Sim itself is reachable from its own queue,
 	// and the runtime never finalizes an object in a cycle.
@@ -331,5 +335,8 @@ func TestDroppedSimulationIsCollected(t *testing.T) {
 			t.Fatalf("%d goroutines before the job, %d after", before, live())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if now, ok := leakcheck.Settle(host, time.Second); !ok {
+		t.Fatalf("%v before the job, %v after", host, now)
 	}
 }

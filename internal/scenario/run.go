@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"spongefiles/internal/cluster"
+	"spongefiles/internal/leakcheck"
 	"spongefiles/internal/media"
 	"spongefiles/internal/obs"
 	"spongefiles/internal/simtime"
@@ -148,19 +149,26 @@ func (rc *RunContext) apply(p *simtime.Proc, ev FaultEvent) {
 // (parent registry plus every live child), evaluate the assertions,
 // and tear the children down gracefully.
 //
-// Teardown invariant, every case, asserted or not: the case leaves no
-// goroutine behind. The simulator's pool of idle process goroutines
-// belongs to no case and is not counted; the connections to the
-// children take a moment to see them gone.
+// Teardown invariants, every case, asserted or not: the case leaves no
+// goroutine behind, and no open descriptor or shared-memory mapping.
+// The simulator's pool of idle process goroutines belongs to no case and
+// is not counted; the connections to the children take a moment to see
+// them gone, and the simulated service's pools, never closed, are
+// unmapped when the collector finds them unreferenced.
 func RunCase(cs Case, opts RunOptions) CaseReport {
 	live := func() int { return runtime.NumGoroutine() - simtime.IdleProcs() }
 	before := live()
+	host, _ := leakcheck.Snapshot()
 	rep := runCase(cs, opts)
 	for deadline := time.Now().Add(time.Second); live() > before && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := live(); n > before {
 		rep.Failures = append(rep.Failures, fmt.Sprintf("leak: the case ends with %d goroutines, %d more than it started with", n, n-before))
+		rep.Pass = false
+	}
+	if now, ok := leakcheck.Settle(host, time.Second); !ok {
+		rep.Failures = append(rep.Failures, fmt.Sprintf("leak: the case ends holding %v, against %v at its start", now, host))
 		rep.Pass = false
 	}
 	return rep
@@ -227,18 +235,20 @@ func runCase(cs Case, opts RunOptions) CaseReport {
 		return done()
 	}
 	defer h.Stop()
-	// Unwind the simulation first: a process unwinding may still talk to
-	// the children.
-	defer sim.Close()
 	for node, addr := range h.Addrs() {
 		rep.Artifacts[fmt.Sprintf("node%d", node)] = addr
 	}
 
-	faults := sponge.NewFaultTransport(
-		wire.NewTransportOptions(h.Addrs(), svc.Transport(), wire.TransportOptions{
-			SocketDir: socketDir,
-			Metrics:   reg,
-		}),
+	wt := wire.NewTransportOptions(h.Addrs(), svc.Transport(), wire.TransportOptions{
+		SocketDir: socketDir,
+		Metrics:   reg,
+	})
+	// Closing the clients releases their passed descriptors and mappings.
+	defer wt.Close()
+	// Unwind the simulation first: a process unwinding may still talk to
+	// the children.
+	defer sim.Close()
+	faults := sponge.NewFaultTransport(wt,
 		sponge.FaultConfig{Seed: spec.Seed, DropRate: spec.DropRate})
 	// SetTransport attaches the fault counters to the service registry,
 	// so sponge_fault_* evidence is always scrapeable.

@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"spongefiles/internal/cluster"
+	"spongefiles/internal/leakcheck"
 	"spongefiles/internal/media"
 	"spongefiles/internal/obs"
 	"spongefiles/internal/simtime"
@@ -187,5 +189,38 @@ func TestRunCaseFailsOnLeakedGoroutine(t *testing.T) {
 	}, RunOptions{})
 	if cr.Pass || len(cr.Failures) != 1 || !strings.Contains(cr.Failures[0], "1 more than it started with") {
 		t.Fatalf("pass = %v, failures = %q; want the one goroutine leak", cr.Pass, cr.Failures)
+	}
+}
+
+// leakyFD opens a file and keeps it reachable past the case.
+type leakyFD struct{ f *os.File }
+
+func (*leakyFD) Name() string { return "leaky-fd" }
+
+func (w *leakyFD) Run(rc *RunContext, p *simtime.Proc) error {
+	var err error
+	w.f, err = os.Open(os.DevNull)
+	return err
+}
+
+// The fourth teardown invariant: a case that leaves a descriptor open
+// fails, however clean its evidence.
+func TestRunCaseFailsOnLeakedFD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	if _, ok := leakcheck.Snapshot(); !ok {
+		t.Skip("no /proc/self to count descriptors in")
+	}
+	w := &leakyFD{}
+	defer func() { w.f.Close() }()
+	cr := RunCase(Case{
+		Name:     "leaky-fd",
+		Spec:     Spec{Nodes: 1},
+		Workload: w,
+		Assert:   []Assertion{{Metric: "scenario_workload_ok", Op: "==", Value: 1}},
+	}, RunOptions{})
+	if cr.Pass || len(cr.Failures) != 1 || !strings.Contains(cr.Failures[0], "descriptors") {
+		t.Fatalf("pass = %v, failures = %q; want the one descriptor leak", cr.Pass, cr.Failures)
 	}
 }

@@ -29,18 +29,41 @@ var memfdNR = map[string]uintptr{
 // spawned children (it is passed deliberately over SCM_RIGHTS instead).
 const memfdCloexec = 0x1
 
-// poolSlab is one pool segment's backing store. On linux a slab is an
-// anonymous memory file (memfd_create, or an unlinked tmpfs file where
-// the syscall is unavailable) mapped MAP_SHARED into the process:
-// writes through data are immediately visible to anyone who preads the
-// descriptor, which is what lets same-host clients holding the fd read
-// chunks without the payload ever crossing a socket. When no file
-// backing can be obtained the slab degrades to a plain heap allocation
-// and the pool simply is not fd-passable.
+// poolSlab is one pool segment's backing store, or the generation
+// table's. On linux a slab is an anonymous memory file (memfd_create, or
+// an unlinked tmpfs file where the syscall is unavailable) mapped
+// MAP_SHARED into the process: writes through data are immediately
+// visible to anyone who preads the descriptor, which is what lets
+// same-host clients holding the fd read chunks without the payload ever
+// crossing a socket. The mapping belongs to a slabMap, which releases it
+// when the pool is closed or, unclosed, dropped. When no file backing
+// can be obtained the slab degrades to a plain heap allocation and the
+// pool simply is not fd-passable.
 type poolSlab struct {
-	data   []byte
-	f      *os.File
-	mapped bool // data is an mmap of f rather than heap memory
+	data []byte
+	m    *slabMap // owner of data's mapping; nil when data is heap memory
+}
+
+// slabMap owns one slab's mapping and the memory file behind it. The
+// collector cannot see an mmap, so a slabMap nobody references unmaps
+// and closes from its finalizer: a Pool that is dropped without Close —
+// every simulated node's, once its simulation is garbage — gives its
+// memory back. The finalizer sits here and not on the Pool because a
+// Pool is in a cycle (its drained condition locks &p.mu), and the
+// runtime never finalizes an object in a cycle. A slabMap is referenced
+// only by its poolSlab, so it becomes unreachable exactly when the Pool
+// does; a slice into data is kept valid by the bracket that handed it
+// out, whose closing call uses the Pool.
+type slabMap struct {
+	data []byte
+	f    *os.File
+}
+
+// release unmaps the slab and closes its file. It runs once: from
+// poolSlab.close, which clears the finalizer first, or as the finalizer.
+func (m *slabMap) release() {
+	syscall.Munmap(m.data)
+	m.f.Close()
 }
 
 // newPoolSlab obtains n bytes of slab, preferring file-backed memory.
@@ -49,7 +72,9 @@ func newPoolSlab(n int, name string) poolSlab {
 		data, err := syscall.Mmap(int(f.Fd()), 0, n,
 			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 		if err == nil {
-			return poolSlab{data: data, f: f, mapped: true}
+			m := &slabMap{data: data, f: f}
+			runtime.SetFinalizer(m, (*slabMap).release)
+			return poolSlab{data: data, m: m}
 		}
 		f.Close()
 	}
@@ -90,7 +115,12 @@ func memfdFile(n int, name string) *os.File {
 }
 
 // file returns the slab's backing descriptor, nil when heap-backed.
-func (s *poolSlab) file() *os.File { return s.f }
+func (s *poolSlab) file() *os.File {
+	if s.m == nil {
+		return nil
+	}
+	return s.m.f
+}
 
 // uint64s views the slab's first n*8 bytes as a []uint64, for the
 // generation table that must be visible to fd-holding peers. The mmap
@@ -102,18 +132,15 @@ func (s *poolSlab) uint64s(n int) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&s.data[0])), n)
 }
 
-// close unmaps and releases the slab. The backing pages survive in the
-// kernel for as long as any passed descriptor stays open elsewhere;
-// only this process's view goes away.
+// close unmaps and releases the slab now, in place of its finalizer. The
+// backing pages survive in the kernel for as long as any passed
+// descriptor stays open elsewhere; only this process's view goes away.
 func (s *poolSlab) close() {
-	if s.mapped && s.data != nil {
-		syscall.Munmap(s.data)
+	if s.m != nil {
+		runtime.SetFinalizer(s.m, nil)
+		s.m.release()
 	}
-	s.data = nil
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
+	*s = poolSlab{}
 }
 
 // newGenSlab builds the pool's generation table: one u64 per chunk,
@@ -124,7 +151,7 @@ func (s *poolSlab) close() {
 func newGenSlab(nchunks int) (poolSlab, []uint64) {
 	if nchunks > 0 {
 		slab := newPoolSlab(nchunks*8, "sponge-pool-meta")
-		if slab.mapped {
+		if slab.m != nil {
 			return slab, slab.uint64s(nchunks)
 		}
 		slab.close()

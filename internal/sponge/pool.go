@@ -14,10 +14,16 @@ import (
 // recording the owning task (§3.1.1). Following the paper's Java
 // implementation, which splits the region into multiple memory-mapped
 // segments to get past the 2 GB mmap limit, the pool is backed by
-// several slabs; allocation tries any segment. On linux each slab is an
+// several slabs of up to segmentChunks chunks, each materialized on its
+// first touch; allocation tries any segment. On linux each slab is an
 // anonymous memory file (memfd_create) mapped MAP_SHARED, so the wire
 // server can pass segment descriptors to same-host clients who then
 // pread chunks without the payload ever crossing a socket.
+//
+// Close releases the slabs at once; a pool nobody references releases
+// them when it is collected (see slabMap), so a dropped simulation's
+// pools need no Close. A slice a bracket hands out stays mapped until
+// the bracket's closing call, which uses the pool.
 //
 // The pool is guarded by a single lock, like the paper's global spin
 // lock over the metadata region. Under the simulator the lock is
@@ -544,7 +550,9 @@ func (p *Pool) Failed() bool {
 
 // Close shuts the pool down: it waits for every in-flight unlocked copy
 // to unpin, then unmaps and closes the segment and generation slabs.
-// All subsequent access errors with ErrChunkLost. Close is idempotent.
+// All subsequent access errors with ErrChunkLost. Close is idempotent,
+// and optional: an unreferenced pool's slabs are released when it is
+// collected.
 // Peers holding passed descriptors are unaffected by the unmap — the
 // kernel keeps the memory alive for them — but their location lookups
 // fail cleanly from here on.

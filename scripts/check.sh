@@ -44,9 +44,12 @@ echo "== daemon rounds and dropped simulations, -race -count=20 =="
 # the package's pool, and a daemon takes one per round. The periodic
 # daemon is held to the sleep loop it replaced, a round holds no process
 # between ticks, and a cluster with its sponge service and a finished
-# job, never closed, is collected with its goroutines gone.
+# job, never closed, is collected with its goroutines gone and its
+# descriptors and pool mappings released. A dropped pool's slabs are
+# unmapped by their owners' finalizers, and a closed one's exactly once.
 go test -race -count=20 -run 'TestEveryMatchesSleepLoop|TestRoundFalseStopsTick|TestNoGoroutineBetweenRounds|TestSpawnRunSteadyStateAllocationFree' ./internal/simtime
 go test -race -count=20 -run 'TestDroppedSimulationIsCollected' .
+go test -race -count=20 -run 'TestDroppedPoolIsUnmapped|TestClosedPoolReleasesOnce' ./internal/sponge
 
 echo "== the tracker's table and its driver, -race -count=10 =="
 # One tracker, the paper's: FreeTable keeps the free list's ranking,
@@ -166,5 +169,17 @@ echo "== benchmark module smoke =="
 # schema and self-check tests, so an API change it depends on fails here
 # and not in the next benchmark run.
 go -C benchmark test -count=1 ./...
+
+echo "== per-process memory trace smoke (macro-sim, 1 s) =="
+# The /proc sampler behind EXPERIMENTS' process-by-process tables must
+# find the client and the macro-pass workers and pass the result through.
+trace=$(scripts/memtrace.sh macro-sim 1 2>/dev/null)
+echo "$trace"
+for role in client macro-pass; do
+	if ! echo "$trace" | grep -q "^max  *$role "; then
+		echo "memtrace.sh sampled no $role process" >&2
+		exit 1
+	fi
+done
 
 echo "tier2 OK"
