@@ -197,7 +197,7 @@ func AffinityAblation() []AffinityRow {
 		machines := 0
 		// Churn: a rotating tenant occupies and releases pool space so
 		// the tracker's most-free ranking changes between files.
-		sim.SpawnDaemon("tenant", func(p *simtime.Proc) {
+		sim.NewDaemon("tenant", func(p *simtime.Proc) {
 			var held []int
 			heldNode := -1
 			for i := 0; ; i++ {
@@ -218,7 +218,7 @@ func AffinityAblation() []AffinityRow {
 				heldNode = node
 				p.Sleep(simtime.Second)
 			}
-		})
+		}).Wake()
 		sim.Spawn("task", func(p *simtime.Proc) {
 			agent := svc.NewAgent(c.Nodes[0])
 			defer agent.Close()
@@ -293,11 +293,11 @@ func RackLocalityAblation() []RackRow {
 			}
 		}
 		// Steady cross-rack background traffic congests the uplink.
-		sim.SpawnDaemon("xrack", func(p *simtime.Proc) {
+		sim.NewDaemon("xrack", func(p *simtime.Proc) {
 			for {
 				c.Transfer(p, c.Nodes[1], c.Nodes[7], c.Cfg.R(32*media.MB))
 			}
-		})
+		}).Wake()
 		row := RackRow{RackLocalOnly: local}
 		sim.Spawn("task", func(p *simtime.Proc) {
 			p.Sleep(simtime.Second)

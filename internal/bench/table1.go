@@ -73,22 +73,22 @@ func table1Medium(medium, spills int) float64 {
 		}
 		for g := 0; g < 2; g++ {
 			stream := disk.NewStream()
-			sim.SpawnDaemon(fmt.Sprintf("grep%d", g), func(p *simtime.Proc) {
+			sim.NewDaemon(fmt.Sprintf("grep%d", g), func(p *simtime.Proc) {
 				for {
 					disk.Read(p, stream, grepOp)
 				}
-			})
+			}).Wake()
 		}
 	}
 	// Memory pressure additionally induces kernel swap and dirty-page
 	// writeback storms: long scattered bursts with a seek each.
 	if medium == 5 {
-		sim.SpawnDaemon("swapper", func(p *simtime.Proc) {
+		sim.NewDaemon("swapper", func(p *simtime.Proc) {
 			for {
 				disk.ReadRandom(p, 16*media.MB)
 				disk.WriteRandom(p, 16*media.MB)
 			}
-		})
+		}).Wake()
 	}
 
 	var avg float64

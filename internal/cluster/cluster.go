@@ -148,7 +148,7 @@ func New(sim *simtime.Sim, cfg Config) *Cluster {
 	if cfg.NodesPerRack <= 0 {
 		cfg.NodesPerRack = cfg.Workers
 	}
-	c := &Cluster{Sim: sim, Cfg: cfg, Net: media.NewNetwork(sim, cfg.Hardware)}
+	c := &Cluster{Sim: sim, Cfg: cfg, Net: media.NewNetwork(cfg.Hardware)}
 	for i := 0; i < cfg.Workers; i++ {
 		name := fmt.Sprintf("node%d", i)
 		n := &Node{
@@ -158,8 +158,8 @@ func New(sim *simtime.Sim, cfg Config) *Cluster {
 			Disk:        media.NewDisk(sim, name+".disk", cfg.Hardware, cfg.CacheBytes()),
 			NIC:         c.Net.NewNIC(name),
 			Bus:         media.NewMemBus(cfg.Hardware),
-			MapSlots:    simtime.NewResource(sim, name+".mapslots", max1(cfg.MapSlots)),
-			ReduceSlots: simtime.NewResource(sim, name+".reduceslots", max1(cfg.ReduceSlots)),
+			MapSlots:    simtime.NewResource(name+".mapslots", max1(cfg.MapSlots)),
+			ReduceSlots: simtime.NewResource(name+".reduceslots", max1(cfg.ReduceSlots)),
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
@@ -190,8 +190,8 @@ func (c *Cluster) AddNode() *Node {
 		Disk:        media.NewDisk(c.Sim, name+".disk", c.Cfg.Hardware, c.Cfg.CacheBytes()),
 		NIC:         c.Net.NewNIC(name),
 		Bus:         media.NewMemBus(c.Cfg.Hardware),
-		MapSlots:    simtime.NewResource(c.Sim, name+".mapslots", max1(c.Cfg.MapSlots)),
-		ReduceSlots: simtime.NewResource(c.Sim, name+".reduceslots", max1(c.Cfg.ReduceSlots)),
+		MapSlots:    simtime.NewResource(name+".mapslots", max1(c.Cfg.MapSlots)),
+		ReduceSlots: simtime.NewResource(name+".reduceslots", max1(c.Cfg.ReduceSlots)),
 	}
 	c.Nodes = append(c.Nodes, n)
 	if c.Cfg.Workers > c.Cfg.NodesPerRack {

@@ -86,7 +86,7 @@ func NewDisk(sim *simtime.Sim, name string, hw Hardware, cacheBytes int64) *Disk
 		sim:        sim,
 		name:       name,
 		hw:         hw,
-		arm:        simtime.NewResource(sim, name+".arm", 1),
+		arm:        simtime.NewResource(name+".arm", 1),
 		lastStream: noStream,
 		capacity:   cacheBytes,
 		entries:    make(map[StreamID]*cacheEntry),
@@ -107,9 +107,6 @@ func (d *Disk) Stats() DiskStats { return d.stats }
 
 // CacheDirty returns the current dirty bytes.
 func (d *Disk) CacheDirty() int64 { return d.dirty }
-
-// Arm exposes the disk-arm resource for utilization reporting.
-func (d *Disk) Arm() *simtime.Resource { return d.arm }
 
 func (d *Disk) entry(id StreamID) *cacheEntry {
 	e, ok := d.entries[id]

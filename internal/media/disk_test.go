@@ -116,19 +116,3 @@ func TestReadRandomAlwaysSeeks(t *testing.T) {
 		t.Fatalf("random reads seeks = %d, want 5", got)
 	}
 }
-
-func TestArmUtilizationReporting(t *testing.T) {
-	hw := DefaultHardware()
-	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, 0)
-	s := disk.NewStream()
-	sim.Spawn("t", func(p *simtime.Proc) {
-		disk.Write(p, s, 64*MB)
-		p.Sleep(simtime.Second)
-	})
-	end := sim.MustRun()
-	busy := disk.Arm().BusyTime()
-	if busy <= 0 || busy > simtime.Duration(end) {
-		t.Fatalf("arm busy = %v of %v", busy, end)
-	}
-}

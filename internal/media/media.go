@@ -128,7 +128,6 @@ type NIC struct {
 // the switch is non-blocking; traffic between racks also crosses both
 // racks' oversubscribed uplinks when a rack topology is configured.
 type Network struct {
-	sim    *simtime.Sim
 	hw     Hardware
 	nextID int
 
@@ -142,8 +141,8 @@ type Network struct {
 }
 
 // NewNetwork returns a network with hw's bandwidth and latency.
-func NewNetwork(sim *simtime.Sim, hw Hardware) *Network {
-	return &Network{sim: sim, hw: hw}
+func NewNetwork(hw Hardware) *Network {
+	return &Network{hw: hw}
 }
 
 // NewNIC creates a NIC attached to this network.
@@ -151,8 +150,8 @@ func (n *Network) NewNIC(name string) *NIC {
 	n.nextID++
 	return &NIC{
 		id: n.nextID,
-		tx: simtime.NewResource(n.sim, name+".tx", 1),
-		rx: simtime.NewResource(n.sim, name+".rx", 1),
+		tx: simtime.NewResource(name+".tx", 1),
+		rx: simtime.NewResource(name+".rx", 1),
 		bw: n.hw.NetBW,
 	}
 }
@@ -166,7 +165,7 @@ func (n *Network) AssignRack(nic *NIC, rack int) {
 	}
 	n.rackOf[nic.id] = rack
 	if _, ok := n.uplinks[rack]; !ok {
-		n.uplinks[rack] = simtime.NewResource(n.sim, fmt.Sprintf("rack%d.uplink", rack), 1)
+		n.uplinks[rack] = simtime.NewResource(fmt.Sprintf("rack%d.uplink", rack), 1)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestMemCopyCost(t *testing.T) {
 func TestNetworkTransferCost(t *testing.T) {
 	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(sim, hw)
+	net := NewNetwork(hw)
 	a, b := net.NewNIC("a"), net.NewNIC("b")
 	var d simtime.Duration
 	sim.Spawn("t", func(p *simtime.Proc) {
@@ -50,7 +50,7 @@ func TestNetworkTransferCost(t *testing.T) {
 func TestNetworkLoopbackIsMemcpy(t *testing.T) {
 	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(sim, hw)
+	net := NewNetwork(hw)
 	a := net.NewNIC("a")
 	var d simtime.Duration
 	sim.Spawn("t", func(p *simtime.Proc) {
@@ -65,7 +65,7 @@ func TestNetworkLoopbackIsMemcpy(t *testing.T) {
 func TestNetworkNICSerializesFlows(t *testing.T) {
 	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(sim, hw)
+	net := NewNetwork(hw)
 	src := net.NewNIC("src")
 	d1, d2 := net.NewNIC("d1"), net.NewNIC("d2")
 	var end simtime.Time
@@ -241,16 +241,17 @@ func TestContendedDiskSlowerThanIdle(t *testing.T) {
 	hw := DefaultHardware()
 	run := func(background bool) simtime.Duration {
 		sim := simtime.New()
+		defer sim.Close()
 		// A healthy cache keeps the background stream's readahead
 		// bursts full-size, so the spiller queues behind long ops.
 		disk := NewDisk(sim, "d", hw, 1*GB)
 		if background {
 			bg := disk.NewStream()
-			sim.SpawnDaemon("grep", func(p *simtime.Proc) {
+			sim.NewDaemon("grep", func(p *simtime.Proc) {
 				for {
 					disk.Read(p, bg, hw.ReadAhead)
 				}
-			})
+			}).Wake()
 		}
 		var d simtime.Duration
 		sim.Spawn("spill", func(p *simtime.Proc) {

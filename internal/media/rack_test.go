@@ -9,7 +9,7 @@ import (
 func TestCrossRackTransferUsesUplinks(t *testing.T) {
 	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(sim, hw)
+	net := NewNetwork(hw)
 	a, b := net.NewNIC("a"), net.NewNIC("b")
 	net.AssignRack(a, 0)
 	net.AssignRack(b, 1)
@@ -25,7 +25,7 @@ func TestCrossRackTransferUsesUplinks(t *testing.T) {
 func TestSameRackAvoidsUplinks(t *testing.T) {
 	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(sim, hw)
+	net := NewNetwork(hw)
 	a, b := net.NewNIC("a"), net.NewNIC("b")
 	net.AssignRack(a, 0)
 	net.AssignRack(b, 0)
@@ -45,7 +45,7 @@ func TestUplinkSerializesCrossRackFlows(t *testing.T) {
 	run := func(sameRack bool) simtime.Duration {
 		hw := DefaultHardware()
 		sim := simtime.New()
-		net := NewNetwork(sim, hw)
+		net := NewNetwork(hw)
 		const flows = 8
 		var end simtime.Time
 		for i := 0; i < flows; i++ {

@@ -40,18 +40,20 @@ func BenchmarkSleepPingPong(b *testing.B) {
 }
 
 // BenchmarkResourceUseContended8 queues eight processes on one unit, the
-// shape of a disk arm or a NIC under a wave of tasks. One op is one Use:
-// a park until the releaser hands the unit over, then a sleep — two
-// events.
+// shape of a disk arm or a NIC under a wave of tasks. One op is one
+// hold: a park until the releaser hands the unit over, then a sleep —
+// two events.
 func BenchmarkResourceUseContended8(b *testing.B) {
 	s := New()
 	defer s.Close()
-	r := NewResource(s, "disk", 1)
+	r := NewResource("disk", 1)
 	for i := 0; i < 8; i++ {
 		n := (b.N + 7 - i) / 8
 		s.Spawn("p", func(p *Proc) {
 			for i := 0; i < n; i++ {
-				r.Use(p, Microsecond)
+				r.Acquire(p)
+				p.Sleep(Microsecond)
+				r.Release()
 			}
 		})
 	}

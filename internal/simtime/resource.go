@@ -37,92 +37,45 @@ func (f *fifo[T]) pop() T {
 // models contended devices (a disk arm, a NIC) and bounded pools (task
 // slots).
 type Resource struct {
-	sim      *Sim
 	name     string
 	parkName string // "resource <name>", precomputed: park happens per wait
 	cap      int
 	inUse    int
 	waiters  fifo[*Proc]
-	// Busy time accounting for utilization reports.
-	busySince  Time
-	busyTotal  Duration
-	totalHolds int64
 }
 
-// NewResource creates a resource with the given capacity (>= 1).
-func NewResource(sim *Sim, name string, capacity int) *Resource {
+// NewResource creates a named resource with the given capacity (>= 1);
+// the name appears in deadlock reports.
+func NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("simtime: resource capacity must be >= 1")
 	}
-	return &Resource{sim: sim, name: name, parkName: "resource " + name, cap: capacity}
+	return &Resource{name: name, parkName: "resource " + name, cap: capacity}
 }
 
 // Acquire blocks p until a unit of the resource is available, then holds it.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.cap && r.waiters.len() == 0 {
-		r.take()
+		r.inUse++
 		return
 	}
 	r.waiters.push(p)
 	p.park(r.parkName)
-	// Ownership was transferred by Release before unparking; the unit is
-	// already accounted to us.
-}
-
-// TryAcquire acquires a unit if one is free without blocking, reporting
-// whether it succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && r.waiters.len() == 0 {
-		r.take()
-		return true
-	}
-	return false
-}
-
-func (r *Resource) take() {
-	if r.inUse == 0 {
-		r.busySince = r.sim.now
-	}
-	r.inUse++
-	r.totalHolds++
+	// Release handed its unit over before unparking: it is already ours.
 }
 
 // Release returns one unit. If processes are queued, the unit passes
-// directly to the first waiter (FIFO), preserving its accounting.
+// directly to the first waiter (FIFO).
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("simtime: release of idle resource " + r.name)
 	}
 	if r.waiters.len() > 0 {
-		r.totalHolds++
 		r.waiters.pop().unpark()
 		return
 	}
 	r.inUse--
-	if r.inUse == 0 {
-		r.busyTotal += r.sim.now.Sub(r.busySince)
-	}
 }
-
-// Use acquires the resource, holds it for d, then releases it.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}
-
-// BusyTime reports the total virtual time during which at least one unit
-// was held.
-func (r *Resource) BusyTime() Duration {
-	t := r.busyTotal
-	if r.inUse > 0 {
-		t += r.sim.now.Sub(r.busySince)
-	}
-	return t
-}
-
-// Holds reports the total number of successful acquisitions.
-func (r *Resource) Holds() int64 { return r.totalHolds }
 
 // Signal is a broadcast-style condition: processes Wait on it and are all
 // woken by Broadcast. There is no associated predicate; callers re-check
@@ -158,42 +111,3 @@ func (s *Signal) Broadcast() {
 	}
 	s.waiters = s.waiters[:0]
 }
-
-// Queue is an unbounded FIFO of values with blocking receive, the
-// simulated analogue of a channel.
-type Queue struct {
-	name     string
-	parkName string // "queue <name>", precomputed: park happens per wait
-	items    fifo[interface{}]
-	waiters  fifo[*Proc]
-}
-
-// NewQueue creates a named queue; the name appears in deadlock reports.
-func NewQueue(name string) *Queue {
-	return &Queue{name: name, parkName: "queue " + name}
-}
-
-// Put appends v and wakes one waiting receiver, if any.
-func (q *Queue) Put(v interface{}) {
-	q.items.push(v)
-	if q.waiters.len() > 0 {
-		q.waiters.pop().unpark()
-	}
-}
-
-// Get removes and returns the head item, blocking p until one is present.
-func (q *Queue) Get(p *Proc) interface{} {
-	for q.items.len() == 0 {
-		q.waiters.push(p)
-		p.park(q.parkName)
-	}
-	v := q.items.pop()
-	// If items remain and receivers are queued, keep the wake chain going.
-	if q.items.len() > 0 && q.waiters.len() > 0 {
-		q.waiters.pop().unpark()
-	}
-	return v
-}
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int { return q.items.len() }

@@ -14,6 +14,12 @@
 // either carries on, when the next process due is the one that just
 // blocked, or wakes that process's goroutine and goes to sleep. Run only
 // starts the chain and waits to be told that it has ended.
+//
+// There are two kinds of process. Spawn starts an ordinary one, which
+// keeps Run going until it ends. A Daemon — Every's periodic rounds,
+// NewDaemon's woken ones — runs each round on a pooled process whose
+// events do not keep Run going, and holds no process between rounds.
+// Close is the one way to unwind a process that has not ended.
 package simtime
 
 import (
@@ -203,7 +209,8 @@ type Sim struct {
 	// resumed; see Close.
 	closed bool
 
-	// Stats.
+	// Process lives started (Spawns and daemon rounds), and how many of
+	// them on a reused process.
 	spawns, procReuses int64
 }
 
@@ -214,10 +221,6 @@ func New() *Sim {
 		procs: make(map[*Proc]struct{}),
 	}
 }
-
-// ProcStats returns (process lives started — Spawns and daemon rounds —,
-// lives started on a reused process).
-func (s *Sim) ProcStats() (spawns, reuses int64) { return s.spawns, s.procReuses }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
@@ -250,8 +253,7 @@ func (s *Sim) After(d Duration, fn func()) {
 type procState int
 
 const (
-	stateNew procState = iota
-	stateRunnable
+	stateRunnable procState = iota
 	stateRunning
 	stateParked // waiting on a resource or signal, no scheduled event
 	stateDone
@@ -275,8 +277,8 @@ type Proc struct {
 	gen uint64
 }
 
-// interrupted is the sentinel panic payload used to unwind a killed process.
-type interrupted struct{ reason string }
+// interrupted is the sentinel panic payload Close unwinds a process with.
+type interrupted struct{}
 
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
@@ -317,7 +319,6 @@ func (s *Sim) proc(name string, fn func(p *Proc)) *Proc {
 	}
 	p.name = name
 	p.daemon = false
-	p.killed = false
 	p.parkedOn = ""
 	p.gen++
 	p.fn = fn
@@ -386,10 +387,10 @@ func (s *Sim) releaseIdle() {
 }
 
 // Close ends the simulation: every process still alive — a daemon parked
-// mid-round, a process a deadlocked Run left behind — is unwound the way
-// Kill unwinds one. Until then those goroutines pin everything the
-// processes reference, the whole simulated cluster included. A Sim whose
-// Run returned with no process alive needs no Close to be collected:
+// mid-round, a process a deadlocked Run left behind — is resumed into a
+// sentinel panic that runs its deferred calls. Until then those
+// goroutines pin everything the processes reference, the whole simulated
+// cluster included. A Sim whose Run returned with no process alive needs no Close to be collected:
 // Run already handed its idle goroutines to the package's pool, and
 // daemons hold no process between rounds. Close must be called from
 // outside the simulation, after Run has returned; the Sim must not be
@@ -408,12 +409,12 @@ func (s *Sim) Close() {
 	s.releaseIdle()
 }
 
-// runLife executes the process body, unwinding cleanly when killed.
+// runLife executes the process body, unwinding cleanly under Close.
 func (p *Proc) runLife() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(interrupted); !ok {
-				// Not a kill: the body's own panic crashes the program
+				// Not Close's: the body's own panic crashes the program
 				// from here, where its stack is.
 				panic(r)
 			}
@@ -426,22 +427,13 @@ func (p *Proc) runLife() {
 	p.fn(p)
 }
 
-// SpawnDaemon is Spawn for background processes that loop forever, such
-// as load generators. Daemons may still be parked when the event queue
-// drains; Run does not treat that as deadlock. A parked daemon holds its
-// goroutine, and through it the Sim, until Close: a service that should
-// let a finished simulation go runs as Every or NewDaemon rounds instead.
-func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	p := s.Spawn(name, fn)
-	p.daemon = true
-	return p
-}
-
 // Daemon is a background service — a writeback flusher, a poller, a
 // sweeper — that holds no process between rounds. Each round is started
 // by one daemon event and runs on a process from the pool, which goes
-// back when the round returns. Like a SpawnDaemon process's, a round's
-// events do not keep Run going.
+// back when the round returns. A round's events do not keep Run going,
+// and a round parked when the queue drains is not a deadlock. A round
+// that never returns — a benchmark's background load — holds its process,
+// and through it the Sim, until Close.
 type Daemon struct {
 	sim   *Sim
 	name  string
@@ -459,11 +451,12 @@ func (s *Sim) daemon(name string, every Duration, round func(p *Proc) bool) *Dae
 
 // Every runs round on a daemon process every d of virtual time, the
 // first time d from now, until a round returns false. It matches the
-// loop `for { p.Sleep(d); if !round(p) { return } }` on a SpawnDaemon
-// process event for event: it starts with an ordinary event now, as that
-// process did, each tick is scheduled where the loop's Sleep schedules
-// its wake, and the tick hands the clock straight to the round's
-// process.
+// loop `for { p.Sleep(d); if !round(p) { return } }` run as one woken
+// NewDaemon round event for event: its start takes the place in the
+// queue that the round's start does (an ordinary event, though, which
+// keeps Run going), each tick is scheduled where the loop's Sleep
+// schedules its wake, and the tick hands the clock straight to the
+// round's process.
 func (s *Sim) Every(name string, d Duration, round func(p *Proc) bool) {
 	s.After(0, s.daemon(name, d, round).arm)
 }
@@ -521,10 +514,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.switchOut()
 }
 
-// Yield reschedules the process at the current time, letting other
-// processes scheduled for this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // park blocks the process with no scheduled wakeup; some other process or
 // callback must call unpark.
 func (p *Proc) park(what string) {
@@ -569,24 +558,7 @@ func (p *Proc) switchOut() {
 	p.state = stateRunning
 	if p.killed {
 		p.killed = false
-		panic(interrupted{reason: "killed"})
-	}
-}
-
-// Kill marks the process so that it unwinds (via an internal panic that
-// Spawn recovers) the next time it would resume. Killing a running or
-// done process is a no-op. Resources held by the process are not
-// released; Kill is intended for processes blocked in Sleep or on
-// primitives whose state the caller owns.
-func (p *Proc) Kill() {
-	switch p.state {
-	case stateDone, stateRunning:
-		return
-	case stateParked:
-		p.killed = true
-		p.unpark()
-	default:
-		p.killed = true
+		panic(interrupted{})
 	}
 }
 

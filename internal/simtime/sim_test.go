@@ -80,11 +80,11 @@ func TestAfterCallback(t *testing.T) {
 
 func TestResourceSerializesHolders(t *testing.T) {
 	s := New()
-	r := NewResource(s, "disk", 1)
+	r := NewResource("disk", 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		s.Spawn("user", func(p *Proc) {
-			r.Use(p, 10*Millisecond)
+			use(r, p, 10*Millisecond)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -99,11 +99,11 @@ func TestResourceSerializesHolders(t *testing.T) {
 
 func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	s := New()
-	r := NewResource(s, "nic", 2)
+	r := NewResource("nic", 2)
 	var ends []Time
 	for i := 0; i < 4; i++ {
 		s.Spawn("user", func(p *Proc) {
-			r.Use(p, 10*Millisecond)
+			use(r, p, 10*Millisecond)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -118,7 +118,7 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 
 func TestResourceFIFOOrder(t *testing.T) {
 	s := New()
-	r := NewResource(s, "r", 1)
+	r := NewResource("r", 1)
 	var order []int
 	for i := 0; i < 6; i++ {
 		i := i
@@ -136,43 +136,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("resource served out of FIFO order: %v", order)
 		}
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	s := New()
-	r := NewResource(s, "r", 1)
-	var got []bool
-	s.Spawn("p", func(p *Proc) {
-		got = append(got, r.TryAcquire()) // true
-		got = append(got, r.TryAcquire()) // false: full
-		r.Release()
-		got = append(got, r.TryAcquire()) // true again
-		r.Release()
-	})
-	s.MustRun()
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TryAcquire sequence = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestResourceBusyTime(t *testing.T) {
-	s := New()
-	r := NewResource(s, "disk", 1)
-	s.Spawn("a", func(p *Proc) { r.Use(p, 30*Millisecond) })
-	s.Spawn("b", func(p *Proc) {
-		p.Sleep(100 * Millisecond)
-		r.Use(p, 20*Millisecond)
-	})
-	s.MustRun()
-	if got := r.BusyTime(); got != 50*Millisecond {
-		t.Fatalf("busy time = %v, want 50ms", got)
-	}
-	if r.Holds() != 2 {
-		t.Fatalf("holds = %d, want 2", r.Holds())
 	}
 }
 
@@ -196,32 +159,9 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	}
 }
 
-func TestQueueBlockingGet(t *testing.T) {
-	s := New()
-	q := NewQueue("q")
-	var got []interface{}
-	s.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	s.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(Millisecond)
-			q.Put(i)
-		}
-	})
-	s.MustRun()
-	for i := 0; i < 3; i++ {
-		if got[i] != i {
-			t.Fatalf("queue order = %v", got)
-		}
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
-	r := NewResource(s, "r", 1)
+	r := NewResource("r", 1)
 	s.Spawn("holder", func(p *Proc) {
 		r.Acquire(p)
 		// never releases, but finishes; second proc parks forever
@@ -237,32 +177,15 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestDaemonParkedAtExitIsNotDeadlock(t *testing.T) {
 	s := New()
-	q := NewQueue("work")
-	s.SpawnDaemon("flusher", func(p *Proc) {
+	q := newQueue("work")
+	s.NewDaemon("flusher", func(p *Proc) {
 		for {
-			q.Get(p)
+			q.get(p)
 		}
-	})
+	}).Wake()
 	s.Spawn("w", func(p *Proc) { p.Sleep(Second) })
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("daemon should not deadlock the sim: %v", err)
-	}
-}
-
-func TestKillUnwindsSleepingProc(t *testing.T) {
-	s := New()
-	reached := false
-	victim := s.Spawn("victim", func(p *Proc) {
-		p.Sleep(Hour)
-		reached = true
-	})
-	s.Spawn("killer", func(p *Proc) {
-		p.Sleep(Second)
-		victim.Kill()
-	})
-	s.MustRun()
-	if reached {
-		t.Fatal("killed process ran past its sleep")
 	}
 }
 
@@ -318,9 +241,9 @@ func TestPropertyResourceSerialization(t *testing.T) {
 		count := int(n%20) + 1
 		d := Duration(dRaw%1e6 + 1)
 		s := New()
-		r := NewResource(s, "r", 1)
+		r := NewResource("r", 1)
 		for i := 0; i < count; i++ {
-			s.Spawn("u", func(p *Proc) { r.Use(p, d) })
+			s.Spawn("u", func(p *Proc) { use(r, p, d) })
 		}
 		end := s.MustRun()
 		return end == Time(Duration(count)*d)
@@ -357,8 +280,8 @@ func TestSpawnRunSteadyStateAllocationFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 			t.Fatalf("steady-state spawn+run allocates %.2f objects per cycle, want 0", avg)
 		}
-		if spawns, reuses := s.ProcStats(); reuses < spawns-2 {
-			t.Fatalf("process reuse not engaged: %d spawns, %d reuses", spawns, reuses)
+		if s.procReuses < s.spawns-2 {
+			t.Fatalf("process reuse not engaged: %d spawns, %d reuses", s.spawns, s.procReuses)
 		}
 	})
 	t.Run("Sim per cycle", func(t *testing.T) {
@@ -372,25 +295,25 @@ func TestSpawnRunSteadyStateAllocationFree(t *testing.T) {
 		cycle() // fill the package's pool
 		before := liveGoroutines()
 		for i := 0; i < 200; i++ {
-			if spawns, reuses := cycle().ProcStats(); reuses != spawns {
-				t.Fatalf("cycle %d: a fresh Sim made %d of its %d processes", i, spawns-reuses, spawns)
+			if s := cycle(); s.procReuses != s.spawns {
+				t.Fatalf("cycle %d: a fresh Sim made %d of its %d processes", i, s.spawns-s.procReuses, s.spawns)
 			}
 		}
 		waitGoroutines(t, before)
 	})
 }
 
-// sleepLoop is the daemon Every replaced, kept as its model: a
-// SpawnDaemon process that sleeps at the top of its loop.
+// sleepLoop is the daemon Every replaced, kept as its model: one woken
+// round that sleeps at the top of its loop.
 func sleepLoop(s *Sim, name string, d Duration, round func(p *Proc) bool) {
-	s.SpawnDaemon(name, func(p *Proc) {
+	s.NewDaemon(name, func(p *Proc) {
 		for {
 			p.Sleep(d)
 			if !round(p) {
 				return
 			}
 		}
-	})
+	}).Wake()
 }
 
 // tickScript logs every resumption, as (now, process, step), of two
@@ -406,13 +329,13 @@ func tickScript(start func(s *Sim, name string, d Duration, round func(p *Proc) 
 	rec := func(p *Proc, step string) {
 		log = append(log, fmt.Sprintf("%v %s %s", p.Now(), p.Name(), step))
 	}
-	disk := NewResource(s, "disk", 1)
+	disk := NewResource("disk", 1)
 	s.Spawn("early", func(p *Proc) {
 		for i := 0; i < 6; i++ {
 			p.Sleep(Second)
 			rec(p, "woke")
 			if i == 3 {
-				disk.Use(p, 300*Millisecond)
+				use(disk, p, 300*Millisecond)
 				rec(p, "used")
 			}
 		}
@@ -420,14 +343,14 @@ func tickScript(start func(s *Sim, name string, d Duration, round func(p *Proc) 
 	polls := 0
 	start(s, "poller", Second, func(p *Proc) bool {
 		rec(p, "poll")
-		p.Yield()
+		p.Sleep(0)
 		rec(p, "polled")
 		polls++
 		return polls < 3
 	})
 	start(s, "sweeper", 2*Second, func(p *Proc) bool {
 		rec(p, "sweep")
-		disk.Use(p, 500*Millisecond)
+		use(disk, p, 500*Millisecond)
 		rec(p, "swept")
 		return true
 	})
@@ -553,28 +476,28 @@ func TestNoGoroutineBetweenRounds(t *testing.T) {
 }
 
 // TestCloseUnwindsEveryGoroutine builds a simulation that ends the way
-// a cluster's does — daemons parked on a signal, a queue and in a sleep,
-// finished processes pooled for reuse, one process spawned and never run
-// — and requires Close to leave no goroutine behind and to run the
+// a cluster's does — daemon rounds parked on a signal, a resource and a
+// queue, and one asleep; finished processes pooled for reuse; one
+// process spawned and never run — and requires Close to leave no goroutine behind and to run the
 // processes' deferred calls, including one that blocks again and one
 // that wakes a process Close has already unwound.
 func TestCloseUnwindsEveryGoroutine(t *testing.T) {
 	before := liveGoroutines()
 	s := New()
-	sig, q := NewSignal("never"), NewQueue("empty")
-	res := NewResource(s, "held", 1)
+	sig, q := NewSignal("never"), newQueue("empty")
+	res := NewResource("held", 1)
 	unwound := 0
 	for i := 0; i < 4; i++ {
-		s.SpawnDaemon("waiter", func(p *Proc) {
+		s.NewDaemon("waiter", func(p *Proc) {
 			defer func() { unwound++ }()
 			sig.Wait(p)
-		})
+		}).Wake()
 	}
-	s.SpawnDaemon("getter", func(p *Proc) {
+	s.NewDaemon("getter", func(p *Proc) {
 		defer func() { unwound++ }()
-		q.Get(p)
-	})
-	s.SpawnDaemon("holder", func(p *Proc) {
+		q.get(p)
+	}).Wake()
+	s.NewDaemon("holder", func(p *Proc) {
 		res.Acquire(p)
 		defer func() {
 			res.Release() // hands the unit to a waiter that may be gone
@@ -586,11 +509,11 @@ func TestCloseUnwindsEveryGoroutine(t *testing.T) {
 		for {
 			p.Sleep(Hour)
 		}
-	})
-	s.SpawnDaemon("queued", func(p *Proc) {
+	}).Wake()
+	s.NewDaemon("queued", func(p *Proc) {
 		defer func() { unwound++ }()
 		res.Acquire(p)
-	})
+	}).Wake()
 	for i := 0; i < 8; i++ {
 		s.Spawn("short", func(p *Proc) { p.Sleep(Millisecond) })
 	}
@@ -663,18 +586,18 @@ func TestCallbackRespawnsDispatchingProc(t *testing.T) {
 func TestRunTwice(t *testing.T) {
 	before := liveGoroutines()
 	s := New()
-	q := NewQueue("work")
+	q := newQueue("work")
 	var served []Time
-	s.SpawnDaemon("server", func(p *Proc) {
+	s.NewDaemon("server", func(p *Proc) {
 		for {
-			q.Get(p)
+			q.get(p)
 			p.Sleep(Millisecond)
 			served = append(served, p.Now())
 		}
-	})
+	}).Wake()
 	s.Spawn("a", func(p *Proc) {
 		p.Sleep(Second)
-		q.Put(1)
+		q.put(1)
 	})
 	if end := s.MustRun(); end != Time(Second) || len(served) != 0 {
 		t.Fatalf("first Run ended at %v with %d served, want 1s and 0", end, len(served))
@@ -699,7 +622,7 @@ func TestRunTwice(t *testing.T) {
 func TestCloseAfterDeadlock(t *testing.T) {
 	before := liveGoroutines()
 	s := New()
-	r := NewResource(s, "r", 1)
+	r := NewResource("r", 1)
 	sig := NewSignal("s")
 	unwound := 0
 	s.Spawn("holder", func(p *Proc) { r.Acquire(p) })
@@ -731,9 +654,65 @@ func TestCloseAfterDeadlock(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// use holds r for d.
+func use(r *Resource, p *Proc, d Duration) {
+	r.Acquire(p)
+	p.Sleep(d)
+	r.Release()
+}
+
+// kill makes p unwind the next time it resumes, at once if it is parked;
+// the pinned script's killers strike with it. It leaves a parked p in
+// its waiter list, where the next wake would find it not parked and
+// panic, so the script parks its victims on a signal nothing else waits
+// on.
+func kill(p *Proc) {
+	switch p.state {
+	case stateDone, stateRunning:
+	case stateParked:
+		p.killed = true
+		p.unpark()
+	default:
+		p.killed = true
+	}
+}
+
+// queue is an unbounded FIFO of values with blocking receive, the
+// simulated analogue of a channel.
+type queue struct {
+	parkName string
+	items    fifo[int]
+	waiters  fifo[*Proc]
+}
+
+func newQueue(name string) *queue { return &queue{parkName: "queue " + name} }
+
+// put appends v and wakes one waiting receiver, if any.
+func (q *queue) put(v int) {
+	q.items.push(v)
+	if q.waiters.len() > 0 {
+		q.waiters.pop().unpark()
+	}
+}
+
+// get removes and returns the head item, blocking p until one is present.
+func (q *queue) get(p *Proc) int {
+	for q.items.len() == 0 {
+		q.waiters.push(p)
+		p.park(q.parkName)
+	}
+	v := q.items.pop()
+	// If items remain and receivers are queued, keep the wake chain going.
+	if q.items.len() > 0 && q.waiters.len() > 0 {
+		q.waiters.pop().unpark()
+	}
+	return v
+}
+
 // eventScript is a seeded workload over every blocking primitive the
-// package offers. Each resumption — a blocking call returning, a process
-// starting, a callback firing, a killed process unwinding — is hashed as
+// package offers and a queue. Each resumption — a blocking call
+// returning, a process starting, a callback firing, a killed process
+// unwinding — is hashed as
 // (now, name); the script draws its next step from one generator shared
 // by all processes, so any change in event order changes every draw
 // after it and the digest with them.
@@ -744,7 +723,7 @@ type eventScript struct {
 	n     int // resumptions recorded
 	res   []*Resource
 	sigs  []*Signal
-	q     *Queue
+	q     *queue
 	never *Signal // never broadcast: parks a process for good
 	ids   int
 }
@@ -781,7 +760,7 @@ func (r *eventScript) child(p *Proc) {
 	p.Sleep(r.dur(800))
 	r.at(p)
 	if r.rand(2) == 0 {
-		r.res[r.rand(len(r.res))].Use(p, r.dur(300))
+		use(r.res[r.rand(len(r.res))], p, r.dur(300))
 		r.at(p)
 	}
 }
@@ -810,7 +789,7 @@ func (r *eventScript) worker(ops int) func(p *Proc) {
 				p.Sleep(r.dur(3000))
 				r.at(p)
 			case 2:
-				p.Yield()
+				p.Sleep(0)
 				r.at(p)
 			case 3:
 				res := r.res[r.rand(len(r.res))]
@@ -820,7 +799,7 @@ func (r *eventScript) worker(ops int) func(p *Proc) {
 				r.at(p)
 				res.Release()
 			case 4:
-				r.res[r.rand(len(r.res))].Use(p, r.dur(500))
+				use(r.res[r.rand(len(r.res))], p, r.dur(500))
 				r.at(p)
 			case 5:
 				r.sigs[r.rand(len(r.sigs))].Wait(p)
@@ -828,9 +807,9 @@ func (r *eventScript) worker(ops int) func(p *Proc) {
 			case 6:
 				r.sigs[r.rand(len(r.sigs))].Broadcast()
 			case 7:
-				r.q.Put(i)
+				r.q.put(i)
 			case 8:
-				r.q.Get(p)
+				r.q.get(p)
 				r.at(p)
 			case 9:
 				sig := r.sigs[r.rand(len(r.sigs))]
@@ -841,28 +820,28 @@ func (r *eventScript) worker(ops int) func(p *Proc) {
 			case 10:
 				r.s.After(r.dur(2000), func() {
 					r.rec(r.s.Now(), "cb.spawn")
-					r.q.Put(-1)
+					r.q.put(-1)
 					r.s.Spawn(r.name("cbchild"), r.child)
 				})
 			case 11:
 				r.s.Spawn(r.name("child"), r.child)
 			case 12:
 				if r.rand(2) == 0 {
-					r.s.SpawnDaemon(r.name("daemon"), func(p *Proc) {
+					r.s.NewDaemon(r.name("daemon"), func(p *Proc) {
 						r.child(p)
 						r.never.Wait(p)
-					})
+					}).Wake()
 				} else {
-					r.s.SpawnDaemon(r.name("daemon"), r.child)
+					r.s.NewDaemon(r.name("daemon"), r.child).Wake()
 				}
 			case 13:
 				v := r.s.Spawn(r.name("victim"), r.victim(r.rand(2) == 0))
 				if r.rand(2) == 0 {
-					r.s.After(Millisecond+r.dur(5000), v.Kill)
+					r.s.After(Millisecond+r.dur(5000), func() { kill(v) })
 				} else {
 					p.Sleep(Millisecond + r.dur(5000))
 					r.at(p)
-					v.Kill()
+					kill(v)
 				}
 			}
 		}
@@ -880,7 +859,7 @@ func (r *eventScript) ticker(p *Proc) {
 			sig.Broadcast()
 		}
 		for n := r.q.waiters.len(); n > 0; n-- {
-			r.q.Put(0)
+			r.q.put(0)
 		}
 	}
 }
@@ -898,12 +877,12 @@ func TestEventOrderPinned(t *testing.T) {
 	)
 	s := New()
 	defer s.Close()
-	r := &eventScript{s: s, rng: 2014, h: sha256.New(), q: NewQueue("q"), never: NewSignal("never")}
+	r := &eventScript{s: s, rng: 2014, h: sha256.New(), q: newQueue("q"), never: NewSignal("never")}
 	for i := 0; i < 3; i++ {
-		r.res = append(r.res, NewResource(s, fmt.Sprintf("res%d", i), 1+i))
+		r.res = append(r.res, NewResource(fmt.Sprintf("res%d", i), 1+i))
 		r.sigs = append(r.sigs, NewSignal(fmt.Sprintf("sig%d", i)))
 	}
-	s.SpawnDaemon("ticker", r.ticker)
+	s.NewDaemon("ticker", r.ticker).Wake()
 	for i := 0; i < workers; i++ {
 		s.Spawn(fmt.Sprintf("w%d", i), r.worker(ops))
 	}

@@ -170,7 +170,7 @@ func (a *Agent) Create(p *simtime.Proc, name string) *File {
 	}
 	depth := a.svc.Config.AsyncWriteDepth
 	if depth > 0 {
-		f.asyncSlots = simtime.NewResource(a.svc.Cluster.Sim, name+".async", depth)
+		f.asyncSlots = simtime.NewResource(name+".async", depth)
 	}
 	f.ra = make([]raSlot, a.svc.Config.ReadAheadDepth)
 	for i := range f.ra {

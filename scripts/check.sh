@@ -11,11 +11,15 @@ go build ./...
 echo "== GOOS=darwin go build ./... (portable fallback must compile) =="
 # The zero-copy serve path (sendfile, SCM_RIGHTS fd passing) is linux-only
 # behind build tags; the darwin cross-compile proves the portable
-# buffered fallback keeps every package building off-linux.
+# buffered fallback keeps every package building off-linux. The
+# benchmark is a module of its own, which ./... stops at; -o /dev/null
+# keeps its main package from leaving a binary in the tree.
 GOOS=darwin go build ./...
+GOOS=darwin go -C benchmark build -o /dev/null ./...
 
-echo "== go vet ./... =="
+echo "== go vet ./... (both modules) =="
 go vet ./...
+go -C benchmark vet ./...
 
 echo "== gofmt -l (tracked .go files) =="
 unformatted=$(git ls-files '*.go' | xargs gofmt -l)
@@ -45,9 +49,12 @@ echo "== daemon rounds and dropped simulations, -race -count=20 =="
 # daemon is held to the sleep loop it replaced, a round holds no process
 # between ticks, and a cluster with its sponge service and a finished
 # job, never closed, is collected with its goroutines gone and its
-# descriptors and pool mappings released. A dropped pool's slabs are
-# unmapped by their owners' finalizers, and a closed one's exactly once.
-go test -race -count=20 -run 'TestEveryMatchesSleepLoop|TestRoundFalseStopsTick|TestNoGoroutineBetweenRounds|TestSpawnRunSteadyStateAllocationFree' ./internal/simtime
+# descriptors and pool mappings released. The rounds that do outlive
+# Run — parked or looping forever, as the benchmark load generators'
+# do — are not a deadlock, resume in a second Run, and are unwound by
+# Close with no goroutine left. A dropped pool's slabs are unmapped by
+# their owners' finalizers, and a closed one's exactly once.
+go test -race -count=20 -run 'TestEveryMatchesSleepLoop|TestRoundFalseStopsTick|TestNoGoroutineBetweenRounds|TestSpawnRunSteadyStateAllocationFree|TestDaemonParkedAtExitIsNotDeadlock|TestRunTwice|TestCloseUnwindsEveryGoroutine' ./internal/simtime
 go test -race -count=20 -run 'TestDroppedSimulationIsCollected' .
 go test -race -count=20 -run 'TestDroppedPoolIsUnmapped|TestClosedPoolReleasesOnce' ./internal/sponge
 
