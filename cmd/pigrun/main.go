@@ -76,7 +76,7 @@ func main() {
 		factory = spill.SpongeFactory(svc)
 		mode = "SpongeFiles"
 	}
-	conf := q.Compile(cfg.TaskHeap, factory)
+	conf := q.Compile(cfg.ReduceHeap, factory)
 	if *reducers > 0 {
 		conf.NumReducers = *reducers
 	} else {

@@ -80,7 +80,7 @@ STORE quant INTO 'spam-quantiles';
 
 	s := newStack(6, 1024)
 	q.Input = s.webInput(512 * media.MB)
-	conf := q.Compile(s.c.Cfg.TaskHeap, spill.SpongeFactory(s.svc))
+	conf := q.Compile(s.c.Cfg.ReduceHeap, spill.SpongeFactory(s.svc))
 	conf.NumReducers = 6
 
 	out := map[string][]pig.Tuple{}

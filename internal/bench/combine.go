@@ -125,7 +125,7 @@ func runCombineCell(job, mode string, cfg CombineConfig) CombineCell {
 		// node combining; the mode switch below strips those back off
 		// for the off/task cells.
 		q, _ := workload.DomainCount(c, fs, "combine-domains", cfg.PigTuples, cfg.Seed)
-		conf = q.Compile(ccfg.TaskHeap, factory)
+		conf = q.Compile(ccfg.ReduceHeap, factory)
 	default:
 		panic("bench: unknown combine job " + job)
 	}

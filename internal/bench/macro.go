@@ -63,8 +63,8 @@ type MacroConfig struct {
 	SpongeMemory int64
 	// RemoteDisabled restricts sponge spilling to local memory (Fig. 6).
 	RemoteDisabled bool
-	// NoSpill gives the task a huge heap and full retain fractions so
-	// nothing spills (Figure 6's optimal baseline).
+	// NoSpill gives the reduce JVM a 12 GB heap and runs the reduce in
+	// memory, so nothing spills (Figure 6's optimal baseline).
 	NoSpill bool
 	// Contention runs the background 1 TB grep job alongside (Fig. 5).
 	Contention bool
@@ -142,10 +142,8 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	if mc.NoSpill {
 		// The paper gives the reduce JVM a 12 GB heap; map slots keep
 		// their 1 GB, so roughly 1.5 GB of cache remains.
-		cfg.TaskHeap = 12 * media.GB
+		cfg.ReduceHeap = 12 * media.GB
 		cfg.SpongeMemory = 0
-		cfg.CacheOverride = cfg.NodeMemory - 12*media.GB -
-			2*media.GB - cfg.OSReserve
 	}
 
 	sim := simtime.New()
@@ -169,14 +167,11 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	case Median:
 		conf = medianJob(c, fs, factory, mc, &res)
 	case Anchortext:
-		conf = anchortextJob(c, fs, factory, mc, cfg.TaskHeap, &res)
+		conf = anchortextJob(c, fs, factory, mc, cfg.ReduceHeap, &res)
 	case SpamQuantiles:
-		conf = spamJob(c, fs, factory, mc, cfg.TaskHeap, &res)
+		conf = spamJob(c, fs, factory, mc, cfg.ReduceHeap, &res)
 	}
-	if mc.NoSpill {
-		conf.MergeMemFraction = 1.0
-		conf.RetainFraction = 1.0
-	}
+	conf.ReduceInMemory = mc.NoSpill
 
 	var bgConf *mapreduce.JobConf
 	if mc.Contention {

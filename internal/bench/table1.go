@@ -69,7 +69,7 @@ func table1Medium(medium, spills int) float64 {
 	if medium >= 4 {
 		grepOp := 4 * media.MB
 		if medium == 5 {
-			grepOp = cfg.Hardware.ReadAhead
+			grepOp = media.ReadAhead
 		}
 		for g := 0; g < 2; g++ {
 			stream := disk.NewStream()
@@ -110,7 +110,7 @@ func table1Medium(medium, spills int) float64 {
 					}
 					svc.Servers[0].Pool().FreeChunk(h)
 				} else {
-					p.Sleep(pool.LockCost())
+					p.Sleep(sponge.PoolLockCost)
 					h, err := pool.Alloc(agent.Task())
 					if err != nil {
 						panic(err)
@@ -119,7 +119,7 @@ func table1Medium(medium, spills int) float64 {
 					if err := pool.Write(h, buf); err != nil {
 						panic(err)
 					}
-					p.Sleep(pool.LockCost())
+					p.Sleep(sponge.PoolLockCost)
 					pool.FreeChunk(h)
 				}
 			}

@@ -25,25 +25,26 @@ type Config struct {
 	// 10 GB job carry ~160 MB of real data.
 	Scale int64
 
-	Hardware media.Hardware
-
-	// NodeMemory is total physical memory per node. MapSlots/ReduceSlots
-	// and TaskHeap describe the per-slot JVMs; SpongeMemory is the
-	// shared sponge pool reserved outside the heaps (0 = stock Hadoop);
-	// OSReserve approximates kernel + daemons. What remains becomes the
-	// page cache.
+	// NodeMemory is total physical memory per node. MapSlots and
+	// ReduceSlots count the per-slot JVMs: a map JVM's heap is mapHeap,
+	// a reduce JVM's is ReduceHeap (the merge memory, and Pig's bag
+	// budget). SpongeMemory is the shared sponge pool reserved outside
+	// the heaps (0 = stock Hadoop); OSReserve approximates kernel +
+	// daemons. What remains becomes the page cache.
 	NodeMemory   int64
 	MapSlots     int
 	ReduceSlots  int
-	TaskHeap     int64
+	ReduceHeap   int64
 	SpongeMemory int64
 	OSReserve    int64
-
-	// CacheOverride, when positive, fixes the page-cache size instead
-	// of deriving it from the carve-up — for configurations where only
-	// some slots get a non-standard heap (Figure 6's 12 GB reduce JVM).
-	CacheOverride int64
 }
+
+// mapHeap is a map JVM's heap (§4.2.2). No experiment varies it: Figure
+// 6's no-spill baseline enlarges the reduce JVM alone.
+const mapHeap = 1 * media.GB
+
+// minCache is the page-cache floor: the kernel always keeps some cache.
+const minCache = 64 * media.MB
 
 // PaperConfig returns the testbed of §4.2.2: 29 workers in one rack,
 // 16 GB nodes, two map slots and one reduce slot with 1 GB heaps, 1 GB of
@@ -53,28 +54,20 @@ func PaperConfig() Config {
 		Workers:      29,
 		NodesPerRack: 40,
 		Scale:        64,
-		Hardware:     media.DefaultHardware(),
 		NodeMemory:   16 * media.GB,
 		MapSlots:     2,
 		ReduceSlots:  1,
-		TaskHeap:     1 * media.GB,
+		ReduceHeap:   1 * media.GB,
 		SpongeMemory: 1 * media.GB,
 		OSReserve:    512 * media.MB,
 	}
 }
 
 // CacheBytes returns the page-cache capacity implied by the memory
-// carve-up, never less than 64 MB (the kernel always keeps some cache).
+// carve-up, never less than minCache.
 func (c Config) CacheBytes() int64 {
-	if c.CacheOverride > 0 {
-		return c.CacheOverride
-	}
-	heaps := int64(c.MapSlots+c.ReduceSlots) * c.TaskHeap
-	cache := c.NodeMemory - heaps - c.SpongeMemory - c.OSReserve
-	if cache < 64*media.MB {
-		cache = 64 * media.MB
-	}
-	return cache
+	heaps := int64(c.MapSlots)*mapHeap + int64(c.ReduceSlots)*c.ReduceHeap
+	return max(c.NodeMemory-heaps-c.SpongeMemory-c.OSReserve, minCache)
 }
 
 // V converts real bytes to virtual bytes.
@@ -94,7 +87,6 @@ type Node struct {
 	cfg  Config
 	Disk *media.Disk
 	NIC  *media.NIC
-	Bus  *media.MemBus
 
 	// MapSlots and ReduceSlots bound concurrent tasks, like Hadoop's
 	// TaskTracker slots.
@@ -116,7 +108,7 @@ func (n *Node) RealOf(virtual int64) int { return n.cfg.R(virtual) }
 
 // ChargeCopy charges a memory copy of real bytes on this node.
 func (n *Node) ChargeCopy(p *simtime.Proc, realBytes int) {
-	n.Bus.Copy(p, n.cfg.V(realBytes))
+	p.Sleep(media.CopyTime(n.cfg.V(realBytes)))
 }
 
 // WriteFile appends real bytes to a disk stream (through the page cache).
@@ -148,55 +140,36 @@ func New(sim *simtime.Sim, cfg Config) *Cluster {
 	if cfg.NodesPerRack <= 0 {
 		cfg.NodesPerRack = cfg.Workers
 	}
-	c := &Cluster{Sim: sim, Cfg: cfg, Net: media.NewNetwork(cfg.Hardware)}
+	c := &Cluster{Sim: sim, Cfg: cfg, Net: media.NewNetwork()}
 	for i := 0; i < cfg.Workers; i++ {
-		name := fmt.Sprintf("node%d", i)
-		n := &Node{
-			ID:          i,
-			Rack:        i / cfg.NodesPerRack,
-			cfg:         cfg,
-			Disk:        media.NewDisk(sim, name+".disk", cfg.Hardware, cfg.CacheBytes()),
-			NIC:         c.Net.NewNIC(name),
-			Bus:         media.NewMemBus(cfg.Hardware),
-			MapSlots:    simtime.NewResource(name+".mapslots", max1(cfg.MapSlots)),
-			ReduceSlots: simtime.NewResource(name+".reduceslots", max1(cfg.ReduceSlots)),
-		}
-		c.Nodes = append(c.Nodes, n)
-	}
-	// With more than one rack, cross-rack traffic serializes through
-	// oversubscribed uplinks (§3.1.1's motivation for rack-local
-	// spilling); a single-rack cluster keeps the flat switch.
-	if cfg.Workers > cfg.NodesPerRack {
-		for _, n := range c.Nodes {
-			c.Net.AssignRack(n.NIC, n.Rack)
-		}
+		c.AddNode()
 	}
 	return c
 }
 
-// AddNode grows a live cluster by one worker node, mirroring New's
-// construction: the node receives the same hardware carve-up and the
-// rack its ID implies. Clusters built rack-structured (Workers >
-// NodesPerRack) attach the new NIC to its rack uplink; clusters built
-// flat keep the flat switch — the switch topology is fixed at
-// construction, only membership is elastic.
+// AddNode grows the cluster by one worker node; New builds every node
+// through it. The node gets the config's carve-up. A cluster built with
+// more than one rack (Workers > NodesPerRack) puts it in the rack its ID
+// implies, its NIC on that rack's oversubscribed uplink (§3.1.1's
+// motivation for rack-local spilling). A cluster built flat has one
+// switch and every node in rack 0, joined ones too: membership is
+// elastic, the switch topology is fixed at construction.
 func (c *Cluster) AddNode() *Node {
 	i := len(c.Nodes)
 	name := fmt.Sprintf("node%d", i)
 	n := &Node{
 		ID:          i,
-		Rack:        i / c.Cfg.NodesPerRack,
 		cfg:         c.Cfg,
-		Disk:        media.NewDisk(c.Sim, name+".disk", c.Cfg.Hardware, c.Cfg.CacheBytes()),
+		Disk:        media.NewDisk(c.Sim, name+".disk", c.Cfg.CacheBytes()),
 		NIC:         c.Net.NewNIC(name),
-		Bus:         media.NewMemBus(c.Cfg.Hardware),
 		MapSlots:    simtime.NewResource(name+".mapslots", max1(c.Cfg.MapSlots)),
 		ReduceSlots: simtime.NewResource(name+".reduceslots", max1(c.Cfg.ReduceSlots)),
 	}
-	c.Nodes = append(c.Nodes, n)
 	if c.Cfg.Workers > c.Cfg.NodesPerRack {
+		n.Rack = i / c.Cfg.NodesPerRack
 		c.Net.AssignRack(n.NIC, n.Rack)
 	}
+	c.Nodes = append(c.Nodes, n)
 	return n
 }
 
@@ -219,14 +192,3 @@ func (c *Cluster) RPC(p *simtime.Proc, from, to *Node, reqReal, respReal int) {
 
 // SameRack reports whether two nodes share a rack.
 func (c *Cluster) SameRack(a, b *Node) bool { return a.Rack == b.Rack }
-
-// RackPeers returns the nodes in the same rack as n, excluding n itself.
-func (c *Cluster) RackPeers(n *Node) []*Node {
-	var peers []*Node
-	for _, m := range c.Nodes {
-		if m != n && m.Rack == n.Rack {
-			peers = append(peers, m)
-		}
-	}
-	return peers
-}

@@ -9,11 +9,22 @@ import (
 )
 
 func TestPaperConfigCarveUp(t *testing.T) {
-	cfg := PaperConfig()
-	// 16 GB - 3 GB heaps - 1 GB sponge - 0.5 GB OS = 11.5 GB cache.
-	want := 16*media.GB - 3*media.GB - 1*media.GB - 512*media.MB
-	if got := cfg.CacheBytes(); got != want {
-		t.Fatalf("cache = %d, want %d", got, want)
+	noSpill := PaperConfig() // Figure 6's baseline: a 12 GB reduce JVM
+	noSpill.ReduceHeap = 12 * media.GB
+	noSpill.SpongeMemory = 0
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int64
+	}{
+		// 16 GB - 3 GB heaps - 1 GB sponge - 0.5 GB OS = 11.5 GB cache.
+		{"paper", PaperConfig(), 16*media.GB - 3*media.GB - 1*media.GB - 512*media.MB},
+		// 16 GB - 2×1 GB map heaps - 12 GB reduce heap - 0.5 GB OS.
+		{"no-spill", noSpill, 1536 * media.MB},
+	} {
+		if got := tc.cfg.CacheBytes(); got != tc.want {
+			t.Errorf("%s: cache = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -63,14 +74,20 @@ func TestRackAssignment(t *testing.T) {
 	if !c.SameRack(c.Nodes[0], c.Nodes[39]) || c.SameRack(c.Nodes[0], c.Nodes[40]) {
 		t.Fatal("SameRack wrong")
 	}
-	peers := c.RackPeers(c.Nodes[0])
-	if len(peers) != 39 {
-		t.Fatalf("rack peers = %d, want 39", len(peers))
+	if joined := c.AddNode(); joined.Rack != 2 || !c.SameRack(joined, c.Nodes[89]) {
+		t.Fatalf("node joining a racked cluster: rack %d, want 2", joined.Rack)
 	}
-	for _, pn := range peers {
-		if pn.Rack != 0 || pn.ID == 0 {
-			t.Fatal("peer list contains wrong node")
-		}
+}
+
+// A flat cluster has one switch and no uplinks, so a node that joins it
+// is in the same rack as every other node — rack-local placement and
+// evacuation must see it — however far its ID runs past NodesPerRack.
+func TestAddNodeToFlatClusterStaysInRack(t *testing.T) {
+	cfg := PaperConfig()
+	cfg.Workers = 40 // exactly one full rack: still a flat switch
+	c := New(simtime.New(), cfg)
+	if joined := c.AddNode(); joined.Rack != 0 || !c.SameRack(c.Nodes[0], joined) {
+		t.Fatalf("node joining a flat cluster: rack %d, want 0", joined.Rack)
 	}
 }
 

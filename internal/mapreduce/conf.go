@@ -47,6 +47,9 @@ const (
 	// seek avoidance and runs in a single round regardless (§4.2.3,
 	// Figure 6 discussion).
 	mergeFactor = 10
+	// mergeMemFraction is the reduce heap fraction holding shuffled
+	// segments (mapred.job.shuffle.input.buffer.percent, 0.7).
+	mergeMemFraction = 0.7
 	// maxAttempts bounds task attempts: a task failing this many times
 	// fails the job.
 	maxAttempts = 4
@@ -76,12 +79,13 @@ type JobConf struct {
 	// SortBufferVirtual is the map-side sort buffer (io.sort.mb; the
 	// paper's default is 128 MB).
 	SortBufferVirtual int64
-	// MergeMemFraction is the reduce heap fraction holding shuffled
-	// segments (0.7 by default); RetainFraction is how much merged
-	// input may stay in memory for the reduce function (0 by default:
-	// everything is spilled again after the merge, §2.1.2).
-	MergeMemFraction float64
-	RetainFraction   float64
+	// ReduceInMemory runs the reduce with its whole heap as merge
+	// memory and keeps the merged input in memory for the reduce
+	// function (Figure 6's no-spill baseline). Off, the default Hadoop
+	// configuration: mergeMemFraction of the heap holds shuffled
+	// segments, and everything is spilled again after the merge
+	// (§2.1.2).
+	ReduceInMemory bool
 
 	// SpillFactory builds the reduce-side (and Pig) spill target per
 	// task; map-side spills always use the local disk, as in the
@@ -119,9 +123,6 @@ func (c *JobConf) Defaults() {
 	}
 	if c.SortBufferVirtual <= 0 {
 		c.SortBufferVirtual = 128 * media.MB
-	}
-	if c.MergeMemFraction <= 0 {
-		c.MergeMemFraction = 0.7
 	}
 	if c.SpillFactory == nil {
 		c.SpillFactory = spill.DiskFactory()

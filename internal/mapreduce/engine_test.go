@@ -209,40 +209,60 @@ func TestMapOnlyJob(t *testing.T) {
 }
 
 func TestReduceSpillsWhenInputExceedsMergeMemory(t *testing.T) {
-	// One reducer, input far beyond 70% of a 1 GB heap: must spill, and
-	// with RetainFraction 0 the spilled bytes ≈ input bytes (Table 2).
-	r := newRig(5, nil)
-	const n = 40_000 // × 16 real bytes × 64 scale = 40 MB real = 2.5 GB virtual
-	in := r.numbersInput("/in/big", n)
-	conf := JobConf{
-		Name:        "bigreduce",
-		Input:       in,
-		Map:         identityMap,
-		NumReducers: 1,
-		Reduce: func(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
-			for {
-				if _, ok := vals.Next(); !ok {
-					break
+	// One reducer whose 48 MB heap holds the 39 MB input, but whose 70%
+	// merge share (33.6 MB) does not: the shuffle must spill, and since
+	// the merged input is spilled again before the reduce runs, the
+	// spilled bytes ≈ input bytes (Table 2). Run in memory (Figure 6's
+	// no-spill baseline), the whole heap is merge memory and the same
+	// job spills nothing and reduces to the same output.
+	run := func(inMemory bool) (st *TaskRun, inputReal int64, out []byte) {
+		r := newRig(5, func(c *cluster.Config) { c.ReduceHeap = 48 * media.MB })
+		const n = 40_000 // × 16 real bytes × 64 scale ≈ 39 MB virtual
+		in := r.numbersInput("/in/big", n)
+		conf := JobConf{
+			Name:        "bigreduce",
+			Input:       in,
+			Map:         identityMap,
+			NumReducers: 1,
+			Reduce: func(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
+				var count [4]byte
+				for {
+					if _, ok := vals.Next(); !ok {
+						break
+					}
+					count[0]++
 				}
-			}
-		},
+				out = appendRecord(out, key, count[:])
+			},
+			ReduceInMemory: inMemory,
+		}
+		var res *JobResult
+		r.sim.Spawn("driver", func(p *simtime.Proc) {
+			res = r.eng.Submit(conf).Wait(p)
+		})
+		r.sim.MustRun()
+		st = res.Straggler()
+		if st == nil {
+			t.Fatal("no reduce run")
+		}
+		return st, st.InputVirtual / r.c.Cfg.Scale, out
 	}
-	var res *JobResult
-	r.sim.Spawn("driver", func(p *simtime.Proc) {
-		res = r.eng.Submit(conf).Wait(p)
-	})
-	r.sim.MustRun()
-	st := res.Straggler()
-	if st == nil {
-		t.Fatal("no reduce run")
-	}
-	if st.Spill.BytesReal == 0 {
+
+	st, inputReal, out := run(false)
+	if st.Spill.BytesReal == 0 || st.SpillEvents == 0 {
 		t.Fatal("reduce did not spill")
 	}
-	inputReal := st.InputVirtual / r.c.Cfg.Scale
 	ratio := float64(st.Spill.BytesReal) / float64(inputReal)
 	if ratio < 0.95 || ratio > 1.3 {
-		t.Fatalf("spilled/input = %.2f, want ≈ 1 (retain fraction 0)", ratio)
+		t.Fatalf("spilled/input = %.2f, want ≈ 1 (merged input spilled again)", ratio)
+	}
+
+	mst, _, mout := run(true)
+	if mst.SpillEvents != 0 || mst.Spill.BytesReal != 0 {
+		t.Fatalf("in-memory reduce spilled: %d events, %d bytes", mst.SpillEvents, mst.Spill.BytesReal)
+	}
+	if len(out) == 0 || !bytes.Equal(out, mout) {
+		t.Fatalf("in-memory reduce output differs: %d bytes, spilling %d bytes", len(mout), len(out))
 	}
 }
 
@@ -253,7 +273,7 @@ func TestDiskMultiRoundVsSpongeSingleRound(t *testing.T) {
 		// ~20 runs, exceeding the merge factor of 10.
 		r := newRig(8, func(c *cluster.Config) {
 			c.SpongeMemory = 2 * media.GB
-			c.TaskHeap = 32 * media.MB
+			c.ReduceHeap = 32 * media.MB
 		})
 		if factory == nil {
 			factory = spill.SpongeFactory(r.svc)

@@ -277,7 +277,7 @@ func TestNodeCombineFlushFailureRetriesTasks(t *testing.T) {
 // every duplicate and total spill volume runs ~40% over the input.
 func TestCombinerDuringMultiRoundMerges(t *testing.T) {
 	r := newRig(8, func(c *cluster.Config) {
-		c.TaskHeap = 32 * media.MB // tiny merge memory: every segment spills
+		c.ReduceHeap = 32 * media.MB // tiny merge memory: every segment spills
 	})
 	r.fs.BlockVirtual = 32 * media.MB
 	const (

@@ -32,7 +32,11 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 	conf := &job.conf
 	p := ctx.P
 
-	mergeMemReal := ctx.Node.RealOf(int64(float64(eng.C.Cfg.TaskHeap) * conf.MergeMemFraction))
+	mergeMem := int64(float64(eng.C.Cfg.ReduceHeap) * mergeMemFraction)
+	if conf.ReduceInMemory {
+		mergeMem = eng.C.Cfg.ReduceHeap
+	}
+	mergeMemReal := ctx.Node.RealOf(mergeMem)
 
 	var (
 		inMem    [][]byte // shuffled segments currently in memory
@@ -42,9 +46,9 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 	)
 
 	// spillInMem merges the in-memory segments into one sorted run and
-	// writes it through the spill target (the InMemoryMerger; with
-	// RetainFraction 0 everything shuffled passes through here, per the
-	// paper's description of the default configuration).
+	// writes it through the spill target (the InMemoryMerger; unless
+	// the reduce runs in memory everything shuffled passes through here,
+	// per the paper's description of the default configuration).
 	spillInMem := func() error {
 		if len(inMem) == 0 {
 			return nil
@@ -88,7 +92,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 	}
 
 	var finalStreams []recordStream
-	if conf.RetainFraction <= 0 {
+	if !conf.ReduceInMemory {
 		// Default Hadoop: merged inputs are spilled again before the
 		// reduce consumes them.
 		if err := spillInMem(); err != nil {

@@ -44,11 +44,10 @@ type cacheEntry struct {
 // that absorbs writes and serves re-reads, and a background flusher daemon
 // that writes dirty data back in large batches; it runs only while there is
 // dirty data to write. Writers are throttled when the dirty fraction
-// exceeds hw.DirtyRatio, as in Linux.
+// exceeds dirtyRatio, as in Linux.
 type Disk struct {
 	sim  *simtime.Sim
 	name string
-	hw   Hardware
 
 	arm        *simtime.Resource
 	lastStream StreamID
@@ -78,14 +77,13 @@ type Disk struct {
 
 // NewDisk creates a disk with the given page-cache capacity (virtual
 // bytes; the free memory of the node after task heaps and sponge memory).
-func NewDisk(sim *simtime.Sim, name string, hw Hardware, cacheBytes int64) *Disk {
+func NewDisk(sim *simtime.Sim, name string, cacheBytes int64) *Disk {
 	if cacheBytes < 0 {
 		cacheBytes = 0
 	}
 	d := &Disk{
 		sim:        sim,
 		name:       name,
-		hw:         hw,
 		arm:        simtime.NewResource(name+".arm", 1),
 		lastStream: noStream,
 		capacity:   cacheBytes,
@@ -153,17 +151,13 @@ outer:
 // full readahead window when one stream owns the disk, shrinking as more
 // streams compete for cache-backed readahead state.
 func (d *Disk) effectiveReadahead() int64 {
-	ra := d.hw.ReadAhead
-	if ra <= 0 {
-		ra = 8 * MB
-	}
 	w := d.interleaveWidth()
 	if w <= 1 {
-		return ra
+		return ReadAhead
 	}
 	eff := d.capacity / int64(8*w)
-	if eff > ra {
-		eff = ra
+	if eff > ReadAhead {
+		eff = ReadAhead
 	}
 	if eff < 256*KB {
 		eff = 256 * KB
@@ -192,7 +186,7 @@ func (d *Disk) platterOp(p *simtime.Proc, stream StreamID, n int64, write bool) 
 	d.lastStream = stream
 	d.noteOp(stream)
 	d.stats.Seeks += seeks
-	cost := simtime.Duration(seeks)*d.hw.DiskSeek + bwTime(n, d.hw.DiskBW)
+	cost := simtime.Duration(seeks)*diskSeek + bwTime(n, diskBW)
 	p.Sleep(cost)
 	d.arm.Release()
 	if write {
@@ -254,7 +248,7 @@ func (d *Disk) Write(p *simtime.Proc, stream StreamID, n int64) {
 		d.used += n
 		d.dirty += n
 		d.stats.AbsorbedBytes += n
-		p.Sleep(d.hw.CopyTime(n))
+		p.Sleep(CopyTime(n))
 		d.flusher.Wake()
 		d.throttle(p)
 		return
@@ -276,7 +270,7 @@ func (d *Disk) WriteRandom(p *simtime.Proc, n int64) {
 
 // throttle blocks the writer while dirty bytes exceed the dirty ratio.
 func (d *Disk) throttle(p *simtime.Proc) {
-	high := int64(float64(d.capacity) * d.hw.DirtyRatio)
+	high := int64(float64(d.capacity) * dirtyRatio)
 	if d.dirty <= high {
 		return
 	}
@@ -301,7 +295,7 @@ func (d *Disk) Read(p *simtime.Proc, stream StreamID, n int64) {
 	e := d.entry(stream)
 	if e.full && e.total > 0 {
 		d.stats.CacheHitBytes += n
-		p.Sleep(d.hw.CopyTime(n))
+		p.Sleep(CopyTime(n))
 		return
 	}
 	for left := n; left > 0; {
@@ -377,7 +371,7 @@ func (d *Disk) FullyResident(stream StreamID) bool {
 
 // flush is the background writeback daemon's round, started by dirty
 // work: once dirty bytes exceed 10% of the cache (or a writer is
-// throttled) it drains in FlushBatch bursts, oldest streams first, and it
+// throttled) it drains in flushBatch bursts, oldest streams first, and it
 // returns as soon as neither holds.
 func (d *Disk) flush(p *simtime.Proc) {
 	bgStart := d.capacity / 10
@@ -398,10 +392,7 @@ func (d *Disk) flush(p *simtime.Proc) {
 			d.dirty = 0
 			continue
 		}
-		batch := d.hw.FlushBatch
-		if batch <= 0 {
-			batch = 8 * MB
-		}
+		batch := flushBatch
 		if batch > victim.dirty {
 			batch = victim.dirty
 		}

@@ -7,10 +7,8 @@ import (
 )
 
 func TestStreamingReadsEvictOtherStreams(t *testing.T) {
-	hw := DefaultHardware()
-	hw.DirtyRatio = 1.0 // keep the writer unthrottled
 	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, 100*MB)
+	disk := NewDisk(sim, "d", 100*MB)
 	spillStream := disk.NewStream()
 	grep := disk.NewStream()
 	sim.Spawn("t", func(p *simtime.Proc) {
@@ -37,11 +35,10 @@ func TestStreamingReadsEvictOtherStreams(t *testing.T) {
 }
 
 func TestEffectiveReadaheadShrinksWithInterleaving(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, 64*MB)
-	if got := disk.effectiveReadahead(); got != hw.ReadAhead {
-		t.Fatalf("single-stream readahead = %d, want full %d", got, hw.ReadAhead)
+	disk := NewDisk(sim, "d", 64*MB)
+	if got := disk.effectiveReadahead(); got != ReadAhead {
+		t.Fatalf("single-stream readahead = %d, want full %d", got, ReadAhead)
 	}
 	streams := []StreamID{disk.NewStream(), disk.NewStream(), disk.NewStream(), disk.NewStream()}
 	sim.Spawn("t", func(p *simtime.Proc) {
@@ -51,8 +48,8 @@ func TestEffectiveReadaheadShrinksWithInterleaving(t *testing.T) {
 			}
 		}
 		got := disk.effectiveReadahead()
-		if got >= hw.ReadAhead {
-			t.Errorf("interleaved readahead = %d, want < %d", got, hw.ReadAhead)
+		if got >= ReadAhead {
+			t.Errorf("interleaved readahead = %d, want < %d", got, ReadAhead)
 		}
 		if got < 256*KB {
 			t.Errorf("readahead below the floor: %d", got)
@@ -62,9 +59,8 @@ func TestEffectiveReadaheadShrinksWithInterleaving(t *testing.T) {
 }
 
 func TestInsertCleanRespectsCapacity(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, 10*MB)
+	disk := NewDisk(sim, "d", 10*MB)
 	s := disk.NewStream()
 	sim.Spawn("t", func(p *simtime.Proc) {
 		// Reading far more than the cache holds must not blow the
@@ -78,9 +74,8 @@ func TestInsertCleanRespectsCapacity(t *testing.T) {
 }
 
 func TestZeroCapacityCacheWritesThrough(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, 0)
+	disk := NewDisk(sim, "d", 0)
 	s := disk.NewStream()
 	sim.Spawn("t", func(p *simtime.Proc) {
 		disk.Write(p, s, 5*MB)
@@ -93,9 +88,8 @@ func TestZeroCapacityCacheWritesThrough(t *testing.T) {
 }
 
 func TestDeleteUnknownStreamIsNoop(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, MB)
+	disk := NewDisk(sim, "d", MB)
 	disk.Delete(StreamID(999)) // must not panic or corrupt accounting
 	if disk.CacheDirty() != 0 {
 		t.Fatal("dirty changed by deleting a missing stream")
@@ -103,9 +97,8 @@ func TestDeleteUnknownStreamIsNoop(t *testing.T) {
 }
 
 func TestReadRandomAlwaysSeeks(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	disk := NewDisk(sim, "d", hw, 0)
+	disk := NewDisk(sim, "d", 0)
 	sim.Spawn("t", func(p *simtime.Proc) {
 		for i := 0; i < 5; i++ {
 			disk.ReadRandom(p, 1*MB)

@@ -19,41 +19,6 @@ import (
 	"spongefiles/internal/simtime"
 )
 
-// Hardware holds the device constants for one cluster, calibrated by
-// default to the paper's testbed (§4.1): two quad-core Xeons, 16 GB RAM,
-// a 7200 rpm 300 GB ATA disk, and 1 GbE.
-type Hardware struct {
-	// MemBW is memory-copy bandwidth in virtual bytes/second.
-	MemBW int64
-	// IPCMsgLatency is the cost of one message over a local socket
-	// (context switches included); a local sponge-server operation
-	// exchanges IPCMsgsPerOp of them.
-	IPCMsgLatency simtime.Duration
-	IPCMsgsPerOp  int
-
-	// NetBW is NIC bandwidth in virtual bytes/second; NetRTT is the
-	// round-trip latency of one request/response exchange. UplinkBW is
-	// the aggregate bandwidth of one rack's off-rack uplink — data
-	// centers oversubscribe it heavily, which is why the paper restricts
-	// spilling to within a rack (§3.1.1).
-	NetBW    int64
-	NetRTT   simtime.Duration
-	UplinkBW int64
-
-	// DiskSeek is the average seek + rotational delay; DiskBW is
-	// sequential transfer bandwidth in virtual bytes/second.
-	DiskSeek simtime.Duration
-	DiskBW   int64
-
-	// ReadAhead is the granularity of streaming read operations (the
-	// OS readahead window). FlushBatch is the size of one background
-	// writeback burst. DirtyRatio is the fraction of the page cache
-	// that may be dirty before writers are throttled.
-	ReadAhead  int64
-	FlushBatch int64
-	DirtyRatio float64
-}
-
 const (
 	// KB, MB, GB are virtual byte units (binary).
 	KB int64 = 1 << 10
@@ -61,54 +26,54 @@ const (
 	GB int64 = 1 << 30
 )
 
-// DefaultHardware returns constants calibrated to reproduce Table 1's
-// microbenchmark ordering on the paper's hardware.
-func DefaultHardware() Hardware {
-	return Hardware{
-		MemBW:         1 * GB, // 1 MB memcpy ≈ 1 ms
-		IPCMsgLatency: 1250 * simtime.Microsecond,
-		IPCMsgsPerOp:  4,
-		NetBW:         119 * MB, // 1 Gb/s
-		NetRTT:        200 * simtime.Microsecond,
-		UplinkBW:      4 * 119 * MB, // 10:1 oversubscription for a 40-node rack
-		DiskSeek:      8 * simtime.Millisecond,
-		DiskBW:        64 * MB,
-		ReadAhead:     8 * MB,
-		FlushBatch:    8 * MB,
-		DirtyRatio:    0.2, // Linux's default dirty_ratio
-	}
-}
+// The device constants of the paper's testbed (§4.1): two quad-core
+// Xeons, 16 GB RAM, a 7200 rpm 300 GB ATA disk, and 1 GbE, calibrated to
+// reproduce Table 1's microbenchmark ordering. Every cluster runs on it.
+const (
+	// memBW is memory-copy bandwidth in virtual bytes/second.
+	memBW = 1 * GB // 1 MB memcpy ≈ 1 ms
+	// ipcMsgLatency is the cost of one message over a local socket
+	// (context switches included); a local sponge-server operation
+	// exchanges ipcMsgsPerOp of them.
+	ipcMsgLatency = 1250 * simtime.Microsecond
+	ipcMsgsPerOp  = 4
+
+	// netBW is NIC bandwidth in virtual bytes/second; netRTT is the
+	// round-trip latency of one request/response exchange. uplinkBW is
+	// the aggregate bandwidth of one rack's off-rack uplink — data
+	// centers oversubscribe it heavily, which is why the paper restricts
+	// spilling to within a rack (§3.1.1).
+	netBW    = 119 * MB // 1 Gb/s
+	netRTT   = 200 * simtime.Microsecond
+	uplinkBW = 4 * 119 * MB // 10:1 oversubscription for a 40-node rack
+
+	// diskSeek is the average seek + rotational delay; diskBW is
+	// sequential transfer bandwidth in virtual bytes/second.
+	diskSeek = 8 * simtime.Millisecond
+	diskBW   = 64 * MB
+
+	// ReadAhead is the granularity of streaming read operations (the
+	// OS readahead window). flushBatch is the size of one background
+	// writeback burst. dirtyRatio is the fraction of the page cache
+	// that may be dirty before writers are throttled.
+	ReadAhead  = 8 * MB
+	flushBatch = 8 * MB
+	dirtyRatio = 0.2 // Linux's default dirty_ratio
+)
+
+// IPCOpTime is the fixed message overhead of one local sponge-server
+// operation (excluding data copies).
+const IPCOpTime = ipcMsgsPerOp * ipcMsgLatency
 
 // CopyTime returns the duration of a memory copy of n virtual bytes.
-func (h Hardware) CopyTime(n int64) simtime.Duration {
-	return bwTime(n, h.MemBW)
-}
-
-// IPCOpTime returns the fixed message overhead of one local sponge-server
-// operation (excluding data copies).
-func (h Hardware) IPCOpTime() simtime.Duration {
-	return simtime.Duration(h.IPCMsgsPerOp) * h.IPCMsgLatency
+// Memory is uncontended: per-node bandwidth is far above what one
+// spilling task consumes.
+func CopyTime(n int64) simtime.Duration {
+	return bwTime(n, memBW)
 }
 
 func bwTime(n, bw int64) simtime.Duration {
-	if bw <= 0 {
-		panic("media: nonpositive bandwidth")
-	}
 	return simtime.Duration(float64(n) / float64(bw) * float64(simtime.Second))
-}
-
-// MemBus charges memory-copy time. It is uncontended: per-node memory
-// bandwidth is far above what one spilling task consumes.
-type MemBus struct {
-	hw Hardware
-}
-
-// NewMemBus returns a memory bus using hw's copy bandwidth.
-func NewMemBus(hw Hardware) *MemBus { return &MemBus{hw: hw} }
-
-// Copy charges the time to copy n virtual bytes.
-func (m *MemBus) Copy(p *simtime.Proc, n int64) {
-	p.Sleep(m.hw.CopyTime(n))
 }
 
 // NIC is one node's network interface: independent transmit and receive
@@ -118,17 +83,12 @@ type NIC struct {
 	id int
 	tx *simtime.Resource
 	rx *simtime.Resource
-	bw int64
-
-	// Stats in virtual bytes.
-	BytesSent, BytesReceived int64
 }
 
-// Network creates NICs that share its latency constants. Within a rack
+// Network connects NICs. Within a rack
 // the switch is non-blocking; traffic between racks also crosses both
 // racks' oversubscribed uplinks when a rack topology is configured.
 type Network struct {
-	hw     Hardware
 	nextID int
 
 	// rackOf maps a NIC id to its rack; uplinks holds one shared
@@ -140,9 +100,9 @@ type Network struct {
 	CrossRackBytes int64
 }
 
-// NewNetwork returns a network with hw's bandwidth and latency.
-func NewNetwork(hw Hardware) *Network {
-	return &Network{hw: hw}
+// NewNetwork returns a network with one flat switch.
+func NewNetwork() *Network {
+	return &Network{}
 }
 
 // NewNIC creates a NIC attached to this network.
@@ -152,7 +112,6 @@ func (n *Network) NewNIC(name string) *NIC {
 		id: n.nextID,
 		tx: simtime.NewResource(name+".tx", 1),
 		rx: simtime.NewResource(name+".rx", 1),
-		bw: n.hw.NetBW,
 	}
 }
 
@@ -169,9 +128,6 @@ func (n *Network) AssignRack(nic *NIC, rack int) {
 	}
 }
 
-// RTT returns the network's round-trip latency.
-func (n *Network) RTT() simtime.Duration { return n.hw.NetRTT }
-
 // Transfer moves nbytes from one NIC to another, holding the sender's tx
 // and receiver's rx sides for the transfer duration plus one round trip.
 // Cross-rack transfers additionally serialize through both racks'
@@ -180,7 +136,7 @@ func (n *Network) RTT() simtime.Duration { return n.hw.NetRTT }
 // global order to exclude deadlock.
 func (n *Network) Transfer(p *simtime.Proc, from, to *NIC, nbytes int64) {
 	if from == to {
-		p.Sleep(n.hw.CopyTime(nbytes))
+		p.Sleep(CopyTime(nbytes))
 		return
 	}
 	a, b := from.tx, to.rx
@@ -199,28 +155,15 @@ func (n *Network) Transfer(p *simtime.Proc, from, to *NIC, nbytes int64) {
 		}
 		ra.Acquire(p)
 		rb.Acquire(p)
-		up := n.hw.UplinkBW
-		if up <= 0 {
-			up = n.hw.NetBW
-		}
-		p.Sleep(n.hw.NetRTT + bwTime(nbytes, minI64(from.bw, up)))
+		p.Sleep(netRTT + bwTime(nbytes, min(netBW, uplinkBW)))
 		rb.Release()
 		ra.Release()
 		n.CrossRackBytes += nbytes
 	} else {
-		p.Sleep(n.hw.NetRTT + bwTime(nbytes, from.bw))
+		p.Sleep(netRTT + bwTime(nbytes, netBW))
 	}
 	b.Release()
 	a.Release()
-	from.BytesSent += nbytes
-	to.BytesReceived += nbytes
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RPC performs a small request/large response (or vice versa) exchange:

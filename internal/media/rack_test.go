@@ -7,9 +7,8 @@ import (
 )
 
 func TestCrossRackTransferUsesUplinks(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(hw)
+	net := NewNetwork()
 	a, b := net.NewNIC("a"), net.NewNIC("b")
 	net.AssignRack(a, 0)
 	net.AssignRack(b, 1)
@@ -23,9 +22,8 @@ func TestCrossRackTransferUsesUplinks(t *testing.T) {
 }
 
 func TestSameRackAvoidsUplinks(t *testing.T) {
-	hw := DefaultHardware()
 	sim := simtime.New()
-	net := NewNetwork(hw)
+	net := NewNetwork()
 	a, b := net.NewNIC("a"), net.NewNIC("b")
 	net.AssignRack(a, 0)
 	net.AssignRack(b, 0)
@@ -43,9 +41,8 @@ func TestUplinkSerializesCrossRackFlows(t *testing.T) {
 	// queue on the shared uplink, while the same flows within a rack
 	// would overlap freely.
 	run := func(sameRack bool) simtime.Duration {
-		hw := DefaultHardware()
 		sim := simtime.New()
-		net := NewNetwork(hw)
+		net := NewNetwork()
 		const flows = 8
 		var end simtime.Time
 		for i := 0; i < flows; i++ {

@@ -258,7 +258,7 @@ func runPlan(t *testing.T, q *GroupQuery, tuples []Tuple, useSponge bool,
 	if useSponge {
 		factory = spill.SpongeFactory(svc)
 	}
-	conf := compile(cfg.TaskHeap, factory)
+	conf := compile(cfg.ReduceHeap, factory)
 
 	out := map[string][]Tuple{}
 	inner := conf.Reduce

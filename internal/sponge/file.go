@@ -239,7 +239,7 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 	// 1. Local sponge memory through shared memory.
 	m := f.agent.svc.metrics
 	pool := f.agent.svc.Servers[f.agent.node.ID].Pool()
-	p.Sleep(pool.LockCost())
+	p.Sleep(PoolLockCost)
 	h, err := pool.Alloc(f.agent.task)
 	if err == nil {
 		f.agent.node.ChargeCopy(p, n)
@@ -712,7 +712,7 @@ func (f *File) Delete(p *simtime.Proc) {
 		switch ref.kind {
 		case LocalMem:
 			if !pool.Failed() {
-				p.Sleep(pool.LockCost())
+				p.Sleep(PoolLockCost)
 				pool.FreeChunk(ref.handle)
 			}
 		case RemoteMem:

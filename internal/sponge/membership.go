@@ -225,7 +225,7 @@ func (s *Service) evacuate(p *simtime.Proc, node int, handles []int) error {
 			s.putBuf(buf)
 			continue
 		}
-		p.Sleep(pool.LockCost())
+		p.Sleep(PoolLockCost)
 		from.ChargeCopy(p, n)
 		target, handle, err := s.evacuateChunk(p, from, owner, buf)
 		s.putBuf(buf)

@@ -77,9 +77,6 @@ type Pool struct {
 	quota int
 	held  map[TaskID]int
 
-	// lockCost is the virtual time to take the metadata lock.
-	lockCost simtime.Duration
-
 	// failed marks the hosting node as dead: all chunks are lost.
 	failed bool
 	// closed marks the pool shut down: segments are unmapped and all
@@ -112,7 +109,6 @@ func NewPool(chunkReal, nchunks int) *Pool {
 		pins:      make([]int32, nchunks),
 		freeList:  make([]int, nchunks),
 		held:      make(map[TaskID]int),
-		lockCost:  2 * simtime.Microsecond,
 	}
 	p.drained = sync.NewCond(&p.mu)
 	p.genSlab, p.gens = newGenSlab(nchunks)
@@ -153,9 +149,9 @@ func (p *Pool) Free() int {
 	return len(p.freeList)
 }
 
-// LockCost returns the virtual cost of one metadata-lock acquisition,
-// charged by callers running under the simulator.
-func (p *Pool) LockCost() simtime.Duration { return p.lockCost }
+// PoolLockCost is the virtual cost of one pool metadata-lock
+// acquisition, charged by callers running under the simulator.
+const PoolLockCost = 2 * simtime.Microsecond
 
 // Alloc claims a free chunk for owner and returns its handle in O(1) by
 // popping the free list. It returns ErrNoFreeChunk when the pool is

@@ -2,6 +2,7 @@ package sponge
 
 import (
 	"spongefiles/internal/cluster"
+	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
 )
 
@@ -145,8 +146,7 @@ func (s *Server) AllocWriteLocalIPC(p *simtime.Proc, owner TaskID, data []byte) 
 	if s.pool.Failed() {
 		return 0, ErrChunkLost
 	}
-	hw := s.svc.hardware()
-	p.Sleep(hw.IPCOpTime())
+	p.Sleep(media.IPCOpTime)
 	h, err := s.pool.Alloc(owner)
 	if err != nil {
 		return 0, err

@@ -187,8 +187,6 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 	return s
 }
 
-func (s *Service) hardware() media.Hardware { return s.Cluster.Cfg.Hardware }
-
 // Transport returns the transport currently carrying the service's
 // node-to-node exchanges (initially the direct-call simulated one).
 func (s *Service) Transport() Transport { return s.transport }

@@ -3,7 +3,8 @@
 #   scripts/fixedpoint.sh <base>
 # builds cmd/benchtab from <base> (exported into a temporary directory,
 # removed on exit) and from the working tree, runs each experiment id
-# once on both, and compares the output. The paper's tables and the
+# once on both, and compares the output. The paper's tables and figures,
+# the grep-variance, failure and effective-memory analyses, and the
 # ablations must match byte for byte; the three sweeps must match with
 # their last column — wall ms, the only host-time column — dropped.
 # Prints one line per id and exits non-zero on any difference.
@@ -31,7 +32,7 @@ dropLastColumn() {
 }
 
 status=0
-for id in tab1 tab2 fig4 fig5 fig6 ablate faults readahead combine; do
+for id in tab1 tab2 fig1a fig1b fig4 fig5 fig6 grepvar failtab effective ablate faults readahead combine; do
 	for side in base head; do
 		"$tmp/benchtab.$side" -size 0.1 "$id" >"$tmp/$id.$side"
 		case $id in
