@@ -179,13 +179,15 @@ func TestPinLeaksSeesAChildsOpenReceive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// The hello, then an alloc_write that declares a whole chunk and
-	// delivers the head and half of it.
-	if _, err := conn.Write([]byte{2, 0, 0, 0, wire.OpHello, wire.ProtocolV2}); err != nil {
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	// The hello (length, request id 0, op, version), then an alloc_write
+	// that declares a whole chunk and delivers the head and half of it.
+	if _, err := conn.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0, wire.OpHello, wire.ProtocolV2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := io.ReadFull(conn, make([]byte, 4+14)); err != nil {
-		t.Fatalf("hello reply: %v", err)
+	reply := make([]byte, 8+6) // header, then status, version, chunk size
+	if _, err := io.ReadFull(conn, reply); err != nil || reply[8] != wire.StatusOK {
+		t.Fatalf("hello reply % x: %v", reply, err)
 	}
 	req := binary.LittleEndian.AppendUint32(nil, 13+chunk) // body length
 	req = binary.LittleEndian.AppendUint32(req, 1)         // request id

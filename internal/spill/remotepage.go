@@ -17,17 +17,17 @@ type PagingTarget struct {
 	c      *cluster.Cluster
 	node   *cluster.Node
 	remote *cluster.Node
-	// PageVirtual is the paging granularity (default 4 KB).
-	PageVirtual int64
-	stats       Stats
+	stats  Stats
 }
+
+// pageVirtual is the paging granularity: one kernel page.
+const pageVirtual = 4 * media.KB
 
 // NewPagingTarget pages between node and a remote host.
 func NewPagingTarget(c *cluster.Cluster, node, remote *cluster.Node) *PagingTarget {
 	return &PagingTarget{
 		c: c, node: node, remote: remote,
-		PageVirtual: 4 * media.KB,
-		stats:       Stats{Machines: 2, RemoteMode: true},
+		stats: Stats{Machines: 2, RemoteMode: true},
 	}
 }
 
@@ -54,7 +54,7 @@ type pagedFile struct {
 // pageOut sends full pages one round trip at a time (the kernel cannot
 // know more data is coming).
 func (f *pagedFile) pageOut(p *simtime.Proc, all bool) {
-	pageReal := f.t.node.RealOf(f.t.PageVirtual)
+	pageReal := f.t.node.RealOf(pageVirtual)
 	for len(f.data)-f.synced >= pageReal || (all && f.synced < len(f.data)) {
 		n := pageReal
 		if n > len(f.data)-f.synced {
@@ -92,7 +92,7 @@ func (f *pagedFile) Read(p *simtime.Proc, buf []byte) (int, error) {
 	}
 	// Page-fault semantics: fetch one page per fault, round trip each,
 	// regardless of how much the caller asked for.
-	pageReal := f.t.node.RealOf(f.t.PageVirtual)
+	pageReal := f.t.node.RealOf(pageVirtual)
 	n := pageReal
 	if n > len(f.data)-f.pos {
 		n = len(f.data) - f.pos

@@ -25,7 +25,6 @@ type Client struct {
 	br        *bufio.Reader
 	fw        *frameWriter
 	chunkSize int
-	version   int    // the peer's, from its hello reply
 	network   string // "tcp" or "unix"
 	addr      string // dial address (socket path for "unix")
 
@@ -136,10 +135,9 @@ func newClient(conn net.Conn, network, addr string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	// The hello reply carries the pool geometry; from here on the
-	// connection speaks pipelined framing.
-	c.version = int(hello[1])
-	c.chunkSize = int(binary.LittleEndian.Uint32(hello[10:14]))
+	// The hello reply carries the chunk size; from here on the
+	// connection is pipelined.
+	c.chunkSize = int(binary.LittleEndian.Uint32(hello[2:6]))
 	go c.demux()
 	return c, nil
 }
@@ -148,14 +146,19 @@ func newClient(conn net.Conn, network, addr string) (*Client, error) {
 // peer that refuses it does not speak this version, and the error says
 // so.
 func (c *Client) hello() ([]byte, error) {
-	if err := writeFrame(c.conn, []byte{OpHello, ProtocolV2}); err != nil {
+	if err := writeFrameV2(c.fw, 0, []byte{OpHello, ProtocolV2}); err != nil {
 		return nil, err
 	}
-	resp, err := readFrame(c.br, handshakeLimit)
+	n, id, err := readFrameV2Header(c.br, handshakeLimit)
 	if err != nil {
 		return nil, err
 	}
+	resp := make([]byte, n)
+	if _, err := io.ReadFull(c.br, resp); err != nil {
+		return nil, err
+	}
 	switch {
+	case id != 0: // not an answer to the hello
 	case len(resp) == helloRespLen && resp[0] == StatusOK && resp[1] >= ProtocolV2:
 		return resp, nil
 	case len(resp) >= 1 && resp[0] == StatusBadRequest:
@@ -163,10 +166,6 @@ func (c *Client) hello() ([]byte, error) {
 	}
 	return nil, fmt.Errorf("wire: malformed hello response (%d bytes)", len(resp))
 }
-
-// Version reports the protocol version the peer answered the hello
-// with.
-func (c *Client) Version() int { return c.version }
 
 // ChunkSize reports the server's chunk size learned at dial time.
 func (c *Client) ChunkSize() int { return c.chunkSize }
@@ -193,7 +192,7 @@ func (c *Client) Close() error {
 // payload never moves through the socket. Only a unix-socket client on
 // a build with fd-passing can succeed; everyone else, and a client of a
 // server with nothing to pass, gets an error and keeps using OpRead.
-// The handshake runs on its own short-lived lock-step connection:
+// The handshake is the one exchange of its own short-lived connection:
 // descriptors must land exactly on a recvmsg boundary, which the
 // pipelined main connection cannot guarantee.
 func (c *Client) FetchPoolFDs() error {

@@ -274,13 +274,14 @@ func runDemux(t *testing.T, stream []byte) [3]error {
 	go func() {
 		defer pc.Close()
 		br := bufio.NewReader(pc)
-		if _, err := readFrame(br, handshakeLimit); err != nil {
+		id, _, err := readTestFrame(br)
+		if err != nil {
 			return
 		}
 		hello := make([]byte, helloRespLen)
 		hello[0], hello[1] = StatusOK, ProtocolV2
-		binary.LittleEndian.PutUint32(hello[10:14], demuxChunk)
-		if writeFrame(pc, hello) != nil {
+		binary.LittleEndian.PutUint32(hello[2:6], demuxChunk)
+		if writeTestFrame(pc, id, hello) != nil {
 			return
 		}
 		for i := 0; i < 3; i++ {

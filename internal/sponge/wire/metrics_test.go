@@ -15,9 +15,6 @@ func reqID(listen, op string) string {
 
 func TestMetricsOverV2(t *testing.T) {
 	srv, c := startServer(t, 4096, 4)
-	if c.Version() != ProtocolV2 {
-		t.Fatalf("version = %d, want v2", c.Version())
-	}
 	owner := sponge.TaskID{Node: 1, PID: 7}
 	h, err := c.AllocWrite(owner, []byte("observed"))
 	if err != nil {

@@ -9,10 +9,10 @@ import (
 
 // TestOpTable holds the server to its op table, code by code from 1 to
 // three past opMax, over TCP and the unix socket. A code with an opNames
-// entry gets a well-formed request in the framing it is served in —
-// OpHello and OpPoolFD v1-framed on a fresh connection, the rest v2 —
-// and must be answered with something other than StatusBadRequest and
-// counted under its own label. A blank or out-of-range code must be
+// entry gets a well-formed request where it is served — OpHello and
+// OpPoolFD as the first frame of a fresh connection, the rest after the
+// hello — and must be answered with something other than
+// StatusBadRequest and counted under its own label. A blank or out-of-range code must be
 // answered StatusBadRequest, counted as a bad request, and leave the
 // connection in step. A new op with no request here fails the test, as
 // does a retired one that is still answered.
@@ -75,7 +75,7 @@ func TestOpTable(t *testing.T) {
 			switch op {
 			case OpHello:
 				before = count(id)
-				raw := dialRaw(t, srv, tier) // the hello, v1-framed, is how it dials
+				raw := dialRaw(t, srv, tier) // the hello is how it dials
 				raw.Close()
 			case OpPoolFD:
 				if tier != "unix" || !zeroCopyAvailable || fdErr != nil {

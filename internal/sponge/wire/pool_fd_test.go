@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"testing"
+	"time"
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/obs"
@@ -96,9 +98,10 @@ func TestPoolFDRefusedOverTCP(t *testing.T) {
 
 // A raw OpPoolFD frame against a server with nothing to pass — a
 // zero-chunk pool has no generation table to back with a file, and
-// there is no spill tier — must answer StatusBadRequest, counting the
-// refusal, rather than poison the stream.
-func TestPoolFDBadRequestKeepsStream(t *testing.T) {
+// there is no spill tier — is answered StatusBadRequest under its
+// request's ID, counted as a descriptor-passing failure, and the
+// connection closed: a descriptor connection carries one exchange.
+func TestPoolFDRefusalCountedThenEOF(t *testing.T) {
 	dir := shortSockDir(t)
 	srv := startServerOptions(t, 1024, 0, Options{LocalSocketDir: dir})
 	conn, err := net.Dial("unix", srv.LocalSocket())
@@ -106,25 +109,22 @@ func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, []byte{OpPoolFD}); err != nil {
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeTestFrame(conn, 3, []byte{OpPoolFD}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(conn, handshakeLimit)
+	id, resp, err := readTestFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp) != 1 || resp[0] != StatusBadRequest {
-		t.Fatalf("OpPoolFD on a server with nothing to pass = %v, want [StatusBadRequest]", resp)
-	}
-	// The same connection still answers the hello.
-	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != helloRespLen || resp[0] != StatusOK {
-		t.Fatalf("hello after refused OpPoolFD = (%v, %v)", resp, err)
+	if id != 3 || len(resp) != 1 || resp[0] != StatusBadRequest {
+		t.Fatalf("OpPoolFD on a server with nothing to pass = (id %d, %v), want (id 3, [StatusBadRequest])", id, resp)
 	}
 	if got := tierSample(t, srv.Metrics(), `spongewire_fdpass_fail_total{listen="`+srv.Addr()+`"}`); got != 1 {
 		t.Errorf("fdpass failures = %d, want 1", got)
+	}
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the refusal = (%d, %v), want EOF", n, err)
 	}
 }
 
@@ -231,8 +231,8 @@ func TestFDHandshakeRefusesShortFiles(t *testing.T) {
 			dir := shortSockDir(t)
 			srv := startServerOptions(t, chunk, 1024, Options{LocalSocketDir: dir})
 			files := []*os.File{sized(tc.table), sized(tc.seg)}
-			srv.sendFDs = func(conn net.Conn) error {
-				return sendFilesOverUnix(conn.(*net.UnixConn), files,
+			srv.sendFDs = func(conn net.Conn, id uint32) error {
+				return sendFilesOverUnix(conn.(*net.UnixConn), id, files,
 					fdGeom{segChunks: lieChunks, chunks: lieChunks, chunkSize: chunk, flags: fdHasPool})
 			}
 			c, err := DialLocal(srv.LocalSocket())

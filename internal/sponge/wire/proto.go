@@ -15,30 +15,30 @@
 // automatically for peers that resolve to the caller's own host,
 // falling back to TCP when the socket is missing or stale.
 //
-// The protocol has two framings:
+// Every frame on every connection has one shape:
 //
-//	v1 (handshakes): frame := length(u32 LE, bytes after this field) body
-//	v2 (pipelined):  frame := length(u32 LE, bytes after requestID) requestID(u32 LE) body
+//	frame         := length(u32 LE, bytes after requestID) requestID(u32 LE) body
 //	request  body := op(u8) payload
 //	response body := status(u8) payload
 //
-// A client opens every connection with a v1-framed OpHello carrying the
+// and every response echoes the ID of the request it answers. A client
+// opens every connection with an OpHello (request ID 0) carrying the
 // protocol version it speaks. The server answers StatusOK plus its
-// version and pool geometry and both sides switch to v2 framing; a peer
-// that answers StatusBadRequest does not speak the version and the dial
-// fails. v1 framing otherwise carries only the lock-step descriptor
-// handshake (OpPoolFD) on its dedicated unix connection; a daemon
-// refuses any other op before the hello and drops the connection. A
-// same-host client that has run the handshake holds every file the
-// server keeps chunks in — the pool's memfd segments and the spill file
-// — and reads a chunk by asking where it lives (OpPoolLoc, OpSpillLoc:
-// one reply layout) and preading that file itself. Under v2 the
-// request ID multiplexes any number of concurrent requests over one
-// connection: the client demultiplexes responses back to waiting
-// callers by ID, and the server dispatches requests through a bounded
-// worker pool while serializing frame writes, so responses may arrive
-// in any order. Hot-path frames travel as vectored writes (net.Buffers)
-// — header and chunk payload are never coalesced into one allocation.
+// version and chunk size; a peer that answers StatusBadRequest does not
+// speak the version and the dial fails. The only other request a daemon
+// serves before the hello is the descriptor handshake (OpPoolFD), on a
+// unix connection of its own that carries that one exchange; it refuses
+// anything else and drops the connection. A same-host client that has
+// run the handshake holds every file the server keeps chunks in — the
+// pool's memfd segments and the spill file — and reads a chunk by
+// asking where it lives (OpPoolLoc, OpSpillLoc: one reply layout) and
+// preading that file itself. After the hello the request ID multiplexes
+// any number of concurrent requests over one connection: the client
+// demultiplexes responses back to waiting callers by ID, and the server
+// dispatches requests through a bounded worker pool while serializing
+// frame writes, so responses may arrive in any order. Hot-path frames
+// travel as vectored writes (net.Buffers) — header and chunk payload are
+// never coalesced into one allocation.
 // The server keeps no copy of a pool chunk beside the pool: it receives
 // an OpAllocWrite payload from the socket into the chunk's slab and
 // answers an OpRead from the slab, each under the pool's pin.
@@ -76,10 +76,10 @@ const (
 	_ // 5, retired: task liveness ping — liveness is the simulator's
 	_ // 6, retired: task register
 	_ // 7, retired: task unregister
-	// OpHello negotiates the protocol version; always sent v1-framed as
-	// a connection's first request. Payload: version (u8). Response:
-	// version (u8), free chunks (u32), total chunks (u32), chunk size
-	// (u32) — the stat fields spare dialers a second round trip.
+	// OpHello negotiates the protocol version; always a connection's
+	// first request, sent with request ID 0. Payload: version (u8).
+	// Response: version (u8), chunk size (u32) — the one pool field a
+	// dialer needs to size its frame limit.
 	OpHello
 	_ // 9, retired: the TCP tracker's free-list query
 	// OpMetrics asks a daemon for its metrics registry rendered in the
@@ -106,9 +106,9 @@ const (
 	_ // 12, retired: the spill file's own descriptor handshake
 	OpPoolLoc
 	// OpPoolFD asks the server to pass the files it keeps chunks in over
-	// SCM_RIGHTS. Only answered on a unix-socket connection, v1-framed,
-	// lock-step (descriptors need a recvmsg boundary, which the
-	// pipelined stream cannot give): the response frame is StatusOK
+	// SCM_RIGHTS. Only answered as the first and only exchange of a
+	// unix-socket connection (descriptors need a recvmsg boundary, which
+	// the pipelined stream cannot give): the response frame is StatusOK
 	// plus the 16-byte fdGeom — segment-chunk capacity, chunk count,
 	// chunk size, flags (all u32) — and rides one sendmsg with the
 	// descriptors as ancillary data. With fdHasPool the generation table
@@ -116,7 +116,8 @@ const (
 	// the spill file comes last. TCP connections, non-linux builds, and
 	// servers with nothing to pass (a heap-backed or over-large pool and
 	// no spill tier) answer a plain StatusBadRequest frame; callers
-	// degrade to OpRead.
+	// degrade to OpRead. Either way the server then closes the
+	// connection.
 	OpPoolFD
 )
 
@@ -181,9 +182,9 @@ const frameSlack = 64
 // known (a hello response is a few bytes).
 const handshakeLimit = 1 << 20
 
-// helloRespLen is the v1-framed body of a successful hello response:
-// status, version, free (u32), total (u32), chunk size (u32).
-const helloRespLen = 14
+// helloRespLen is the body of a successful hello response: status,
+// version, chunk size (u32).
+const helloRespLen = 6
 
 // hdrPool recycles the small scratch buffers that carry frame headers
 // (and request op headers) into vectored writes.
@@ -337,29 +338,6 @@ func copyFileRange(dst io.Writer, f *os.File, off, n int64) error {
 	return nil
 }
 
-// writeFrameV1 sends one v1 length-prefixed frame through a
-// connection's batching writer.
-func writeFrameV1(w *frameWriter, body []byte) error {
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	err := w.writeFrame(hdr, body)
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
-	return err
-}
-
-// writeFrame sends one v1 length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // writeFrameVec sends one frame as a vectored write: hdr already holds
 // the frame header plus any op header; payload rides behind it without
 // being copied into a joint buffer. Runs under w.mu (the caller holds
@@ -385,24 +363,7 @@ func (w *frameWriter) writeFrameVec(hdr, payload []byte) error {
 	return err
 }
 
-// readFrame receives one v1 frame, enforcing the size limit.
-func readFrame(r io.Reader, limit int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) > limit {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// readFrameV2Header reads a v2 frame header, returning the body length
+// readFrameV2Header reads a frame header, returning the body length
 // and request ID. The caller reads the body (it may want to place it in
 // a pooled or caller-supplied buffer). Peek/Discard parse the header in
 // place inside the bufio buffer — a local [8]byte would escape through
@@ -424,7 +385,7 @@ func readFrameV2Header(r *bufio.Reader, limit int) (n int, id uint32, err error)
 	return n, id, nil
 }
 
-// writeFrameV2 sends one v2 frame (length, request ID, body) through a
+// writeFrameV2 sends one frame (length, request ID, body) through a
 // connection's batching writer.
 func writeFrameV2(w *frameWriter, id uint32, body []byte) error {
 	hp := hdrPool.Get().(*[]byte)

@@ -51,19 +51,15 @@ func settled(t *testing.T, srv *Server, conn net.Conn, wantFree int) {
 	}
 }
 
-// exchange sends one request and reads its response off a raw v2
+// exchange sends one request and reads its response off a raw
 // connection.
 func exchange(t *testing.T, conn net.Conn, body []byte) (status byte, payload []byte) {
 	t.Helper()
-	if _, err := conn.Write(v2frame(body)); err != nil {
+	if err := writeTestFrame(conn, 1, body); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatalf("reading the response header: %v", err)
-	}
-	resp := make([]byte, binary.LittleEndian.Uint32(hdr[0:4]))
-	if _, err := io.ReadFull(conn, resp); err != nil || len(resp) == 0 {
+	_, resp, err := readTestFrame(conn)
+	if err != nil || len(resp) == 0 {
 		t.Fatalf("reading a %d-byte response: %v", len(resp), err)
 	}
 	return resp[0], resp[1:]

@@ -287,49 +287,47 @@ func (s *Server) respond(fw *frameWriter, id uint32, r response) error {
 // itself cannot make the daemon size a buffer.
 const preHelloLimit = 2
 
-// handle serves a connection's v1-framed prologue: the fd-pass
-// handshake, any number of times, then the OpHello that switches the
-// connection to v2 framing for the rest of its life. Anything else is
-// refused and the connection dropped. All writes flow through one
-// batching frame writer, shared with the v2 phase.
+// handle serves a connection's first frame. OpHello switches the
+// connection to pipelined serving for the rest of its life. OpPoolFD
+// passes the server's files, or refuses, and ends the connection: a
+// descriptor connection carries one exchange. Anything else is refused
+// and the connection dropped. Every reply echoes the request's ID, and
+// every write but the descriptors' flows through one batching frame
+// writer, shared with serveV2.
 func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFrameWriter(conn, s.opts.WriteTimeout)
-	for {
-		s.armRead(conn)
-		req, err := readFrame(br, preHelloLimit)
-		if err != nil {
-			return // EOF or protocol violation: drop the connection
-		}
-		s.countOp(req)
-		switch {
-		case len(req) == 1 && req[0] == OpPoolFD:
-			// Descriptor passing happens outside the frame writer: the
-			// exchange owns the connection (lock-step, nothing buffered)
-			// and the descriptors must ride their own sendmsg.
-			err := s.sendFDs(conn)
-			if err == nil {
-				continue
-			}
+	s.armRead(conn)
+	n, id, err := readFrameV2Header(br, preHelloLimit)
+	if err != nil {
+		return // EOF or a frame past the limit: drop it unread
+	}
+	var req [preHelloLimit]byte
+	if _, err := io.ReadFull(br, req[:n]); err != nil {
+		return
+	}
+	s.countOp(req[:n])
+	switch {
+	case n == 1 && req[0] == OpPoolFD:
+		// The descriptors ride a sendmsg of their own, outside the frame
+		// writer, with nothing buffered ahead of them.
+		if err := s.sendFDs(conn, id); err != nil {
 			s.fdFail.Inc()
 			// errZCUnsupported — TCP connection, nothing to pass, or
-			// portable build — wrote nothing: refuse, stream intact. Any
-			// other failure is a half-written handshake that poisons it.
-			if err != errZCUnsupported || writeFrameV1(fw, []byte{StatusBadRequest}) != nil {
-				return
+			// portable build — wrote nothing, so a refusal can follow.
+			if err == errZCUnsupported {
+				_ = writeFrameV2(fw, id, []byte{StatusBadRequest})
 			}
-		case len(req) == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
-			if err := writeFrameV1(fw, s.helloResponse()); err == nil {
-				s.serveV2(conn, br, fw)
-			}
-			return
-		default:
-			// Not a handshake, or a hello for a version this daemon does
-			// not serve. The connection is dropped whether or not the
-			// refusal goes out.
-			_ = writeFrameV1(fw, []byte{StatusBadRequest})
-			return
 		}
+	case n == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
+		if err := writeFrameV2(fw, id, s.helloResponse()); err == nil {
+			s.serveV2(conn, br, fw)
+		}
+	default:
+		// Not a handshake, or a hello for a version this daemon does
+		// not serve. The connection is dropped whether or not the
+		// refusal goes out.
+		_ = writeFrameV2(fw, id, []byte{StatusBadRequest})
 	}
 }
 

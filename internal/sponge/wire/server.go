@@ -22,11 +22,11 @@ import (
 // across machines) safe together, exactly as the paper's mmap-plus-
 // daemon design intends.
 //
-// Each connection opens with a v1-framed prologue — the descriptor
-// handshake (OpPoolFD) any number of times, then the OpHello that
-// switches it to the pipelined v2 framing, where requests dispatch
-// concurrently through a bounded worker pool and responses (tagged with
-// the request ID) are written back in completion order.
+// Every connection opens with one handshake frame. An OpHello makes it
+// pipelined for the rest of its life: requests dispatch concurrently
+// through a bounded worker pool and responses (tagged with the request
+// ID) are written back in completion order. An OpPoolFD (the descriptor
+// handshake) is answered and the connection closed.
 //
 // With Options.SpillDir set the server grows the paper's local-disk
 // tier: AllocWrites that find the pool full overflow into an
@@ -47,12 +47,13 @@ type Server struct {
 
 	lns       []net.Listener // TCP first, then the unix socket if any
 	localPath string         // unix socket path, "" when TCP-only
-	// frameLimit bounds inbound v2 frames: a chunk plus protocol overhead.
+	// frameLimit bounds inbound frames after the hello: a chunk plus
+	// protocol overhead.
 	frameLimit int
 	// sendFDs answers OpPoolFD on a unix connection by passing the
 	// server's files over SCM_RIGHTS (passFiles; a field so a test can
 	// pass files that break the handshake's promises).
-	sendFDs func(conn net.Conn) error
+	sendFDs func(conn net.Conn, id uint32) error
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -240,9 +241,9 @@ func (s *Server) Close() error {
 // pool's generation table and segments when they are file-backed (and
 // fit one message beside the spill file), the spill file when there is
 // a spill tier. Non-unix connections, non-linux builds, and a server
-// with neither degrade to errZCUnsupported, which the prologue answers as
+// with neither degrade to errZCUnsupported, which handle answers as
 // StatusBadRequest.
-func (s *Server) passFiles(conn net.Conn) error {
+func (s *Server) passFiles(conn net.Conn, id uint32) error {
 	uc, ok := conn.(*net.UnixConn)
 	if !ok {
 		return errZCUnsupported
@@ -265,18 +266,16 @@ func (s *Server) passFiles(conn net.Conn) error {
 	if len(files) == 0 {
 		return errZCUnsupported
 	}
-	return sendFilesOverUnix(uc, files, g)
+	return sendFilesOverUnix(uc, id, files, g)
 }
 
-// helloResponse builds the v1-framed reply to OpHello: status, version,
-// and the stat triple so v2 dialers skip a round trip.
+// helloResponse builds the reply to OpHello: status, version, and the
+// chunk size a dialer sizes its frame limit by.
 func (s *Server) helloResponse() []byte {
 	out := make([]byte, helloRespLen)
 	out[0] = StatusOK
 	out[1] = ProtocolV2
-	binary.LittleEndian.PutUint32(out[2:6], uint32(s.pool.Free()))
-	binary.LittleEndian.PutUint32(out[6:10], uint32(s.pool.Chunks()))
-	binary.LittleEndian.PutUint32(out[10:14], uint32(s.pool.ChunkSize()))
+	binary.LittleEndian.PutUint32(out[2:6], uint32(s.pool.ChunkSize()))
 	return out
 }
 

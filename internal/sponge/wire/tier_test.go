@@ -67,11 +67,8 @@ func TestUnixTierRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Network() != "unix" {
-		t.Fatalf("Network() = %q, want unix", c.Network())
-	}
-	if c.Version() != ProtocolV2 {
-		t.Fatalf("unix tier negotiated v%d, want v2", c.Version())
+	if c.Network() != "unix" || c.ChunkSize() != 4096 {
+		t.Fatalf("unix tier dialed %q with chunk size %d, want unix and 4096", c.Network(), c.ChunkSize())
 	}
 	data := bytes.Repeat([]byte("local"), 300)
 	h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 9}, data)

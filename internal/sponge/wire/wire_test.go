@@ -225,9 +225,6 @@ func TestConcurrentFreeOfOneHandle(t *testing.T) {
 
 func TestDialNegotiatesV2(t *testing.T) {
 	_, c := startServer(t, 4096, 4)
-	if c.Version() != ProtocolV2 {
-		t.Fatalf("version = %d, want %d", c.Version(), ProtocolV2)
-	}
 	if c.ChunkSize() != 4096 {
 		t.Fatalf("chunk size = %d, want 4096", c.ChunkSize())
 	}
@@ -336,10 +333,11 @@ func TestDialRefusedHelloNamesVersion(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := readFrame(conn, handshakeLimit); err != nil {
+		id, _, err := readTestFrame(conn)
+		if err != nil {
 			return
 		}
-		writeFrame(conn, []byte{StatusBadRequest})
+		writeTestFrame(conn, id, []byte{StatusBadRequest})
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		n, _ := io.Copy(io.Discard, conn)
 		extra <- int(n)
@@ -353,48 +351,65 @@ func TestDialRefusedHelloNamesVersion(t *testing.T) {
 	}
 }
 
-// Before the hello a daemon reads nothing longer than a hello: a longer
-// first frame is dropped on its length alone, and an op that is not a
-// handshake is refused and the connection closed.
+// Before the hello a daemon reads exactly one frame, and nothing longer
+// than a hello: a longer frame is dropped on its length alone, with its
+// body unread. An empty frame or an op that
+// is not a handshake is refused under its request's ID and the
+// connection closed. A hello is answered under its request's ID, and
+// the connection is then pipelined.
 func TestPreHelloFrameLimit(t *testing.T) {
-	srv, _ := startServer(t, 64<<10, 4)
-	dial := func() net.Conn {
-		t.Helper()
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		return conn
+	const chunk = 64 << 10
+	srv, _ := startServer(t, chunk, 4)
+	header := func(n, id uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, n), id)
 	}
-
-	// A 4 KiB frame is well inside the chunk-size limit. Only its
-	// header is sent: a server that waits for the body never closes.
-	conn := dial()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], 4<<10)
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read after a 4 KiB pre-hello frame header = (%d, %v), want EOF with the body unread", n, err)
-	}
-
-	conn = dial()
-	if err := writeFrame(conn, []byte{OpStat}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := readFrame(conn, handshakeLimit); err != nil || !bytes.Equal(resp, []byte{StatusBadRequest}) {
-		t.Fatalf("pre-hello OpStat answered (%v, %v), want StatusBadRequest", resp, err)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read after the refusal = %v, want EOF (connection dropped)", err)
+	hello := []byte{StatusOK, ProtocolV2}
+	hello = binary.LittleEndian.AppendUint32(hello, chunk)
+	for _, tc := range []struct {
+		name string
+		send []byte // a frame header and whatever of its body is sent
+		id   uint32 // the reply's request ID
+		// reply is the reply's body; nil when the connection is dropped
+		// unanswered. Only a hello's reply leaves the connection open.
+		reply []byte
+	}{
+		// 4 KiB is well inside the chunk-size limit. A server that waits
+		// for the body never closes.
+		{"4KiB-header-only", header(4<<10, 1), 0, nil},
+		{"one-past-the-limit", header(preHelloLimit+1, 1), 0, nil},
+		{"empty-frame", header(0, 5), 5, []byte{StatusBadRequest}},
+		{"stat", append(header(1, 1), OpStat), 1, []byte{StatusBadRequest}},
+		{"hello-as-request-7", append(header(2, 7), OpHello, ProtocolV2), 7, hello},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			if tc.reply != nil {
+				id, resp, err := readTestFrame(conn)
+				if err != nil || id != tc.id || !bytes.Equal(resp, tc.reply) {
+					t.Fatalf("reply = (id %d, %v, %v), want (id %d, %v)", id, resp, err, tc.id, tc.reply)
+				}
+			}
+			if tc.reply != nil && tc.reply[0] == StatusOK {
+				roundTrip(t, conn, []byte("pipelined"))
+				return
+			}
+			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after the first frame = (%d, %v), want EOF (connection dropped)", n, err)
+			}
+		})
 	}
 }
 
 // dialRawV2 opens a raw TCP socket and completes the hello by hand so
-// tests can then speak malformed v2 frames.
+// tests can then speak malformed frames.
 func dialRawV2(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	return dialRawAddr(t, "tcp", addr)
@@ -417,13 +432,34 @@ func dialRawAddr(t *testing.T, network, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeTestFrame(conn, 0, []byte{OpHello, ProtocolV2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(conn, handshakeLimit); err != nil {
-		t.Fatal(err)
+	if _, resp, err := readTestFrame(conn); err != nil || len(resp) != helloRespLen || resp[0] != StatusOK {
+		t.Fatalf("hello reply = (%v, %v)", resp, err)
 	}
 	return conn
+}
+
+// writeTestFrame writes one frame by hand: length, request id, body.
+func writeTestFrame(w io.Writer, id uint32, body []byte) error {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	f = binary.LittleEndian.AppendUint32(f, id)
+	_, err := w.Write(append(f, body...))
+	return err
+}
+
+// readTestFrame reads one frame by hand, returning its request id and
+// body.
+func readTestFrame(r io.Reader) (id uint32, body []byte, err error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	body = make([]byte, binary.LittleEndian.Uint32(hdr[0:4]))
+	_, err = io.ReadFull(r, body)
+	return binary.LittleEndian.Uint32(hdr[4:8]), body, err
 }
 
 func TestServerDropsOversizedV2Frame(t *testing.T) {
@@ -482,14 +518,15 @@ func fakeV2Server(t *testing.T, chunkSize int, misbehave func(conn net.Conn)) st
 			}
 			go func() {
 				defer conn.Close()
-				if _, err := readFrame(conn, handshakeLimit); err != nil {
+				id, _, err := readTestFrame(conn)
+				if err != nil {
 					return
 				}
 				resp := make([]byte, helloRespLen)
 				resp[0] = StatusOK
 				resp[1] = ProtocolV2
-				binary.LittleEndian.PutUint32(resp[10:14], uint32(chunkSize))
-				if err := writeFrame(conn, resp); err != nil {
+				binary.LittleEndian.PutUint32(resp[2:6], uint32(chunkSize))
+				if err := writeTestFrame(conn, id, resp); err != nil {
 					return
 				}
 				misbehave(conn)

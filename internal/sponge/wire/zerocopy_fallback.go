@@ -30,7 +30,7 @@ func (z *zeroCopier) sendFile(f *os.File, off, n int64) (int64, error) {
 // sendFilesOverUnix and recvFilesOverUnix need SCM_RIGHTS plumbing that
 // this build does not compile in; servers answer OpPoolFD with
 // StatusBadRequest and clients never attempt the handshake.
-func sendFilesOverUnix(uc *net.UnixConn, files []*os.File, g fdGeom) error {
+func sendFilesOverUnix(uc *net.UnixConn, id uint32, files []*os.File, g fdGeom) error {
 	return errZCUnsupported
 }
 

@@ -108,39 +108,40 @@ func (z *zeroCopier) sendFile(f *os.File, off, n int64) (int64, error) {
 	return sent, err
 }
 
-// fdReplyLen is the OpPoolFD response as it crosses the socket: the v1
+// fdReplyLen is the OpPoolFD response as it crosses the socket: the
 // frame header, the status byte, and the 16-byte geometry.
-const fdReplyLen = 4 + 1 + 16
+const fdReplyLen = 8 + 1 + 16
 
-// sendFilesOverUnix answers one OpPoolFD exchange on a unix connection:
-// the whole v1 response frame — StatusOK, then the geometry — rides one
+// sendFilesOverUnix answers OpPoolFD request id on a unix connection:
+// the whole response frame — StatusOK, then the geometry — rides one
 // sendmsg with every file's descriptor as SCM_RIGHTS ancillary data.
-// The caller guarantees the connection is lock-step with nothing
-// buffered, so the descriptors land exactly on the receiver's recvmsg
-// boundary.
-func sendFilesOverUnix(uc *net.UnixConn, files []*os.File, g fdGeom) error {
+// The caller guarantees nothing is buffered ahead of it, so the
+// descriptors land exactly on the receiver's recvmsg boundary.
+func sendFilesOverUnix(uc *net.UnixConn, id uint32, files []*os.File, g fdGeom) error {
 	fds := make([]int, len(files))
 	for i, f := range files {
 		fds[i] = int(f.Fd())
 	}
 	var msg [fdReplyLen]byte
-	binary.LittleEndian.PutUint32(msg[0:4], fdReplyLen-4)
-	msg[4] = StatusOK
-	binary.LittleEndian.PutUint32(msg[5:9], uint32(g.segChunks))
-	binary.LittleEndian.PutUint32(msg[9:13], uint32(g.chunks))
-	binary.LittleEndian.PutUint32(msg[13:17], uint32(g.chunkSize))
-	binary.LittleEndian.PutUint32(msg[17:21], uint32(g.flags))
+	binary.LittleEndian.PutUint32(msg[0:4], fdReplyLen-8)
+	binary.LittleEndian.PutUint32(msg[4:8], id)
+	msg[8] = StatusOK
+	binary.LittleEndian.PutUint32(msg[9:13], uint32(g.segChunks))
+	binary.LittleEndian.PutUint32(msg[13:17], uint32(g.chunks))
+	binary.LittleEndian.PutUint32(msg[17:21], uint32(g.chunkSize))
+	binary.LittleEndian.PutUint32(msg[21:25], uint32(g.flags))
 	_, _, err := uc.WriteMsgUnix(msg[:], syscall.UnixRights(fds...), nil)
 	return err
 }
 
-// recvFilesOverUnix performs the client half of the OpPoolFD handshake
-// on a dedicated raw unix connection (no buffered reader may sit
-// between: a buffered read would consume the descriptor-carrying bytes
-// and the kernel would drop the ancillary data). On success the
+// recvFilesOverUnix performs the client half of the OpPoolFD handshake,
+// request ID 0, on a dedicated raw unix connection (no buffered reader
+// may sit between: a buffered read would consume the descriptor-carrying
+// bytes and the kernel would drop the ancillary data). On success the
 // returned files, in the order sent, are owned by the caller.
 func recvFilesOverUnix(uc *net.UnixConn) (files []*os.File, g fdGeom, err error) {
-	if err := writeFrame(uc, []byte{OpPoolFD}); err != nil {
+	req := [9]byte{1, 0, 0, 0, 0, 0, 0, 0, OpPoolFD} // length 1, request ID 0, the op
+	if _, err := uc.Write(req[:]); err != nil {
 		return nil, g, err
 	}
 	var msg [fdReplyLen]byte
@@ -161,14 +162,15 @@ func recvFilesOverUnix(uc *net.UnixConn) (files []*os.File, g fdGeom, err error)
 		}
 	}
 	err = errors.New("wire: malformed pool-fd response")
-	if n >= 5 && msg[4] != StatusOK {
-		err = statusErr(msg[4])
-	} else if n == fdReplyLen && binary.LittleEndian.Uint32(msg[0:4]) == fdReplyLen-4 && len(files) > 0 {
+	if n >= 9 && msg[8] != StatusOK {
+		err = statusErr(msg[8])
+	} else if n == fdReplyLen && binary.LittleEndian.Uint32(msg[0:4]) == fdReplyLen-8 &&
+		binary.LittleEndian.Uint32(msg[4:8]) == 0 && len(files) > 0 {
 		return files, fdGeom{
-			segChunks: int(binary.LittleEndian.Uint32(msg[5:9])),
-			chunks:    int(binary.LittleEndian.Uint32(msg[9:13])),
-			chunkSize: int(binary.LittleEndian.Uint32(msg[13:17])),
-			flags:     int(binary.LittleEndian.Uint32(msg[17:21])),
+			segChunks: int(binary.LittleEndian.Uint32(msg[9:13])),
+			chunks:    int(binary.LittleEndian.Uint32(msg[13:17])),
+			chunkSize: int(binary.LittleEndian.Uint32(msg[17:21])),
+			flags:     int(binary.LittleEndian.Uint32(msg[21:25])),
 		}, nil
 	}
 	for _, f := range files {

@@ -32,8 +32,11 @@ fi
 echo "== go test -race ./... =="
 # The whole tree, not a list of names: the only tests that sit a race
 # build out are the allocation guards behind race_on_test.go, which the
-# next step runs without the detector.
-go test -race -count=1 ./...
+# next step runs without the detector. The slowest package under the
+# detector, internal/bench, takes about 42 s on a 2-core host; a test
+# binary gets about three times that, so a hang fails in minutes rather
+# than at go test's ten-minute default.
+go test -race -count=1 -timeout 130s ./...
 
 echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
 # The two places where goroutines hand state to one another without a
