@@ -87,13 +87,13 @@ type File struct {
 	// reader is strictly sequential no matter in which order the fetches
 	// complete (retries inside one window member only delay that slot).
 	// raNext is the next chunk index the window scan will consider; it
-	// is monotonic within a read pass and reset by Rewind. raFree is a
-	// free list of fetcher tasks so a steady-state windowed read spawns
-	// without allocating.
+	// is monotonic within a read pass and reset by Rewind. Fetchers are
+	// records from the service's free list (Service.raFree), so a
+	// steady-state windowed read spawns without allocating, and a new
+	// file allocates no fetcher once any file before it has read.
 	ra           []raSlot
 	raNext       int
 	raInFlight   int
-	raFree       *raFetch
 	prefetchDone *simtime.Signal
 	// prefetchGen counts prefetch epochs. Every event that invalidates
 	// the in-flight window (Rewind, Delete) bumps it; a fetcher only
@@ -120,8 +120,8 @@ type raSlot struct {
 }
 
 // raFetch is the argument block for one spawned window fetcher. The run
-// closure is bound once per task and the task recycles through the
-// file's free list, so repeated spawns allocate nothing.
+// method value is bound once per record and the record recycles through
+// the service's free list, so repeated spawns allocate nothing.
 type raFetch struct {
 	f     *File
 	slot  int
@@ -136,8 +136,7 @@ func (rf *raFetch) fetch(p *simtime.Proc) {
 	buf, err := f.fetchChunk(p, rf.chunk)
 	stale := f.prefetchGen != rf.gen
 	slot := rf.slot
-	rf.next = f.raFree
-	f.raFree = rf
+	f.agent.svc.putFetcher(rf)
 	f.raInFlight--
 	if stale {
 		// The reader rewound (or deleted the file) while this fetch was
@@ -264,48 +263,113 @@ func (f *File) flushChunk(p *simtime.Proc, last bool) error {
 	// payload (remote memory stores the bytes in its pool) return the
 	// buffer immediately; disk and remote-FS references keep it until
 	// Delete.
-	payload := plain
+	svc := f.agent.svc
 	f.buf = nil
 	if !last {
-		f.buf = f.agent.svc.getBuf()
+		f.buf = svc.getBuf()
 	}
 	f.agent.node.ChargeCopy(p, n)
 	idx := len(f.chunks)
 	f.chunks = append(f.chunks, chunkRef{pending: true, size: n})
 
-	write := func(wp *simtime.Proc) {
-		ref := f.spillNonLocal(wp, payload)
-		ref.size = n
-		ref.nonce = nonce
-		f.chunks[idx] = ref
-		f.stats.ByKind[ref.kind]++
-		m.spill[ref.kind].Inc()
-		if ref.data == nil {
-			f.agent.svc.putBuf(payload)
-		}
-		f.outstanding--
-		if f.asyncSlots != nil {
-			f.asyncSlots.Release()
-		}
-		f.writersDone.Broadcast()
-	}
-
 	f.outstanding++
 	if f.asyncSlots == nil {
 		// Synchronous configuration: the task itself is the writer.
-		write(p)
+		svc.getWriter(f, plain, idx, nonce).write(p)
 		return nil
 	}
 	f.asyncSlots.Acquire(p) // bounds buffering; blocks when pipeline is full
-	sim := p.Sim()
-	sim.Spawn(f.writerName, write)
+	p.Sim().Spawn(f.writerName, svc.getWriter(f, plain, idx, nonce).run)
 	return nil
 }
 
+// chunkWriter is the argument block for one non-local chunk write: the
+// file, the staging buffer handed off as payload, the chunk's index in
+// the table and its nonce. The run method value is bound once per record
+// and the record recycles through the service's free list, so a
+// steady-state spill spawns without allocating. order is the record's
+// own scratch for the candidate walk: a writer can park mid-walk (a
+// remote allocate-and-write takes time), and another writer of the same
+// file then walks a list of its own.
+type chunkWriter struct {
+	f       *File
+	payload []byte
+	idx     int
+	nonce   uint64
+	order   []FreeRow
+	next    *chunkWriter
+	run     func(*simtime.Proc)
+}
+
+func (cw *chunkWriter) write(p *simtime.Proc) {
+	f, payload := cw.f, cw.payload
+	svc := f.agent.svc
+	ref := f.spillNonLocal(p, payload, &cw.order)
+	ref.size = len(payload)
+	ref.nonce = cw.nonce
+	f.chunks[cw.idx] = ref
+	svc.putWriter(cw)
+	f.stats.ByKind[ref.kind]++
+	svc.metrics.spill[ref.kind].Inc()
+	if ref.data == nil {
+		svc.putBuf(payload)
+	}
+	f.outstanding--
+	if f.asyncSlots != nil {
+		f.asyncSlots.Release()
+	}
+	f.writersDone.Broadcast()
+}
+
+// getWriter takes a writer record off the service's free list (or makes
+// one) and arms it for one chunk of f.
+func (s *Service) getWriter(f *File, payload []byte, idx int, nonce uint64) *chunkWriter {
+	cw := s.cwFree
+	if cw == nil {
+		cw = &chunkWriter{}
+		cw.run = cw.write
+	} else {
+		s.cwFree = cw.next
+	}
+	cw.f, cw.payload, cw.idx, cw.nonce, cw.next = f, payload, idx, nonce, nil
+	return cw
+}
+
+// putWriter returns a finished writer record to the free list, dropping
+// its file and payload so the list keeps neither alive.
+func (s *Service) putWriter(cw *chunkWriter) {
+	cw.f, cw.payload = nil, nil
+	cw.next = s.cwFree
+	s.cwFree = cw
+}
+
+// getFetcher takes a fetcher record off the service's free list (or
+// makes one) for a window slot of f.
+func (s *Service) getFetcher(f *File) *raFetch {
+	rf := s.raFree
+	if rf == nil {
+		rf = &raFetch{}
+		rf.run = rf.fetch
+	} else {
+		s.raFree = rf.next
+	}
+	rf.f, rf.next = f, nil
+	return rf
+}
+
+// putFetcher returns a landed fetcher record to the free list, dropping
+// its file.
+func (s *Service) putFetcher(rf *raFetch) {
+	rf.f = nil
+	rf.next = s.raFree
+	s.raFree = rf
+}
+
 // spillNonLocal stores payload in remote memory, local disk, or the
-// remote FS, in that order, and returns the resulting reference.
-func (f *File) spillNonLocal(p *simtime.Proc, payload []byte) chunkRef {
-	if ref, ok := f.tryRemoteMemory(p, payload); ok {
+// remote FS, in that order, and returns the resulting reference. order
+// is the calling writer's scratch for the remote candidate walk.
+func (f *File) spillNonLocal(p *simtime.Proc, payload []byte, order *[]FreeRow) chunkRef {
+	if ref, ok := f.tryRemoteMemory(p, payload, order); ok {
 		return ref
 	}
 	if f.agent.svc.Config.LocalDiskEnabled {
@@ -334,12 +398,14 @@ func (f *File) spillNonLocal(p *simtime.Proc, payload []byte) chunkRef {
 // tryRemoteMemory walks the candidate servers — affinity nodes first,
 // then by advertised free space — and attempts an allocate-and-write on
 // each. Stale entries simply fail and are dropped from this file's list.
-func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, bool) {
+// The walk order is built in the writer's scratch, which keeps its
+// capacity from chunk to chunk.
+func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte, scratch *[]FreeRow) (chunkRef, bool) {
 	svc := f.agent.svc
 	if svc.Config.RemoteDisabled {
 		return chunkRef{}, false
 	}
-	order := make([]FreeRow, 0, len(f.candidates))
+	order := (*scratch)[:0]
 	if svc.Config.Affinity {
 		for _, c := range f.candidates {
 			if f.agent.usedNodes[c.Key] {
@@ -354,6 +420,7 @@ func (f *File) tryRemoteMemory(p *simtime.Proc, payload []byte) (chunkRef, bool)
 	} else {
 		order = append(order, f.candidates...)
 	}
+	*scratch = order
 	for _, c := range order {
 		if c.Key == f.agent.node.ID || f.deadNodes[c.Key] {
 			continue // local pool already tried, or known stale
@@ -546,13 +613,7 @@ func (f *File) fillWindow(p *simtime.Proc, from int) {
 func (f *File) startFetch(p *simtime.Proc, slot, chunk int) {
 	s := &f.ra[slot]
 	s.chunk, s.done, s.buf, s.err = chunk, false, nil, nil
-	rf := f.raFree
-	if rf == nil {
-		rf = &raFetch{f: f}
-		rf.run = rf.fetch
-	} else {
-		f.raFree = rf.next
-	}
+	rf := f.agent.svc.getFetcher(f)
 	rf.slot, rf.chunk, rf.gen = slot, chunk, f.prefetchGen
 	f.raInFlight++
 	p.Sim().Spawn(f.prefetchName, rf.run)

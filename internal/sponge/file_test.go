@@ -3,6 +3,7 @@ package sponge
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -653,6 +654,188 @@ func TestFileWriteSteadyStateAllocationFree(t *testing.T) {
 		f.Delete(p)
 	})
 	r.sim.MustRun()
+}
+
+// TestFileRemoteSpillSteadyStateAllocationFree guards the remote spill
+// hot path: with the async writers on and the local pool pinned by a
+// decoy, writing a chunk that goes to remote memory — hand-off, writer
+// spawn, candidate walk, allocate-and-write — and reading it back
+// through the window must not allocate once the writer and fetcher
+// records, chunk buffers and simulator are warm.
+func TestFileRemoteSpillSteadyStateAllocationFree(t *testing.T) {
+	r := newRig(t, 2, 512, nil)
+	r.sim.Spawn("t", func(p *simtime.Proc) {
+		agent := r.svc.NewAgent(r.c.Nodes[0])
+		defer agent.Close()
+		chunk := r.svc.ChunkReal()
+		decoy := agent.Create(p, "decoy")
+		if err := decoy.Write(p, pattern(512*chunk, 37)); err != nil {
+			t.Errorf("decoy write: %v", err)
+			return
+		}
+		if err := decoy.Close(p); err != nil {
+			t.Errorf("decoy close: %v", err)
+			return
+		}
+		f := agent.Create(p, "steady")
+		data := pattern(chunk, 41)
+		write := func() {
+			if err := f.Write(p, data); err != nil {
+				t.Errorf("write: %v", err)
+			}
+		}
+		// 300 warm-up chunks and AllocsPerRun's 101 stay inside node 1's
+		// 512-chunk pool and the chunk table's capacity.
+		for i := 0; i < 300; i++ {
+			write()
+		}
+		if avg := testing.AllocsPerRun(100, write); avg != 0 {
+			t.Errorf("steady-state remote Write allocates %.2f objects per chunk, want 0", avg)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+			return
+		}
+		if remote := f.Stats().ByKind[RemoteMem]; remote != 401 {
+			t.Errorf("expected all 401 chunks remote, got %d", remote)
+			return
+		}
+		buf := make([]byte, chunk)
+		read := func() {
+			for off := 0; off < chunk; {
+				n, err := f.Read(p, buf[off:])
+				if err != nil || n == 0 {
+					t.Errorf("read: n=%d err=%v", n, err)
+					return
+				}
+				off += n
+			}
+			if !bytes.Equal(buf, data) {
+				t.Error("read-back differs from the written chunk")
+			}
+		}
+		for i := 0; i < 250; i++ {
+			read()
+		}
+		if avg := testing.AllocsPerRun(100, read); avg != 0 {
+			t.Errorf("steady-state read-back allocates %.2f objects per chunk, want 0", avg)
+		}
+		f.Delete(p)
+		decoy.Delete(p)
+	})
+	r.sim.MustRun()
+	if out := r.svc.BufPoolStats().Outstanding(); out != 0 {
+		t.Fatalf("chunk buffers leaked: outstanding = %d", out)
+	}
+}
+
+// TestRecycledRecordsLeaveNoTrace runs two files back to back on one
+// service, the second on the writer and fetcher records the first left
+// on the free lists. A stale candidate — node 1 advertises free chunks
+// but its pool is full — refuses, and every exchange is slowed so that
+// several writers park on it in the middle of their candidate walk. Both
+// files must place every chunk alike and read back their own bytes, the
+// second must make no new record, and once each file is deleted no
+// record on either list may reference a File.
+func TestRecycledRecordsLeaveNoTrace(t *testing.T) {
+	r := newRig(t, 3, 8, func(c *ServiceConfig) {
+		c.AsyncWriteDepth = 3
+		c.PollInterval = simtime.Hour // the tracker never learns node 1 filled
+	})
+	r.svc.SetTransport(NewFaultTransport(r.svc.Transport(), FaultConfig{Delay: 5 * simtime.Millisecond}))
+	lists := func() (writers, fetchers int) {
+		for cw := r.svc.cwFree; cw != nil; cw = cw.next {
+			if cw.f != nil || cw.payload != nil {
+				t.Error("a free writer record references a file or its payload")
+			}
+			writers++
+		}
+		for rf := r.svc.raFree; rf != nil; rf = rf.next {
+			if rf.f != nil {
+				t.Error("a free fetcher record references a file")
+			}
+			fetchers++
+		}
+		return writers, fetchers
+	}
+	type placement struct{ kind, node int }
+	var places [2][]placement
+	var records [2][2]int
+	r.sim.Spawn("t", func(p *simtime.Proc) {
+		// Past the tracker's first poll, pin node 0's pool (no local
+		// chunk) and node 1's (a stale candidate) under a live task.
+		p.Sleep(simtime.Second)
+		for _, node := range []int{0, 1} {
+			holder := r.svc.NewAgent(r.c.Nodes[node])
+			defer holder.Close()
+			pool := r.svc.Servers[node].Pool()
+			for pool.Free() > 0 {
+				if _, err := pool.Alloc(holder.Task()); err != nil {
+					t.Errorf("pin node %d: %v", node, err)
+					return
+				}
+			}
+		}
+		chunk := r.svc.ChunkReal()
+		for i := range places {
+			fails := metricOf(t, r.svc, `sponge_remote_alloc_fails_total{node="1"}`)
+			agent := r.svc.NewAgent(r.c.Nodes[0])
+			f := agent.Create(p, fmt.Sprintf("f%d", i))
+			data := pattern(6*chunk+chunk/2, byte(43+i))
+			if err := f.Write(p, data); err != nil {
+				t.Errorf("file %d write: %v", i, err)
+				return
+			}
+			if err := f.Close(p); err != nil {
+				t.Errorf("file %d close: %v", i, err)
+				return
+			}
+			if n := metricOf(t, r.svc, `sponge_remote_alloc_fails_total{node="1"}`) - fails; n < 2 {
+				t.Errorf("file %d: node 1 refused %d writers, want ≥ 2 parked on it at once", i, n)
+			}
+			for _, ref := range f.chunks {
+				places[i] = append(places[i], placement{int(ref.kind), ref.node})
+			}
+			got := make([]byte, 0, len(data))
+			buf := make([]byte, 4096)
+			for {
+				n, err := f.Read(p, buf)
+				if err != nil {
+					t.Errorf("file %d read: %v", i, err)
+					return
+				}
+				if n == 0 {
+					break
+				}
+				got = append(got, buf[:n]...)
+			}
+			if !bytes.Equal(got, data) {
+				t.Errorf("file %d read back other bytes than it wrote", i)
+			}
+			f.Delete(p)
+			agent.Close()
+			w, fe := lists()
+			records[i] = [2]int{w, fe}
+		}
+	})
+	r.sim.MustRun()
+	if len(places[0]) != 7 || !slices.Equal(places[0], places[1]) {
+		t.Errorf("placements differ: first file %v, second %v", places[0], places[1])
+	}
+	for _, pl := range places[0] {
+		if pl != (placement{int(RemoteMem), 2}) {
+			t.Errorf("chunk placed %v, want remote memory on node 2", pl)
+		}
+	}
+	if records[0][0] == 0 || records[0][1] == 0 {
+		t.Errorf("free lists after the first file: %d writers, %d fetchers; want both in use", records[0][0], records[0][1])
+	}
+	if records[1] != records[0] {
+		t.Errorf("the second file made records: lists %v after the first file, %v after the second", records[0], records[1])
+	}
+	if out := r.svc.BufPoolStats().Outstanding(); out != 0 {
+		t.Fatalf("chunk buffers leaked: outstanding = %d", out)
+	}
 }
 
 // TestRewindMidWindow rewinds with a full readahead window in flight:

@@ -30,9 +30,9 @@ type ServiceConfig struct {
 	// 2). At 0 every spill is synchronous.
 	AsyncWriteDepth int
 	// ReadAheadDepth bounds outstanding prefetch fetches per file — the
-	// read-side window. Up to N chunk fetches cross the transport
-	// concurrently (over the pipelined wire client they multiplex on one
-	// cached connection per peer via request IDs), each filling one
+	// read-side window. Up to N chunk fetches are in flight in virtual
+	// time (on the wire transport each exchange blocks the simulation,
+	// so they cross the socket one at a time), each filling one
 	// recycled chunk buffer, and deliver strictly in order to the
 	// sequential reader. The window looks past chunks that need no fetch
 	// (LocalMem) or share the reader's cursor (RemoteFS) to the next
@@ -119,6 +119,13 @@ type Service struct {
 	// bufs recycles chunk payload buffers across every file of the
 	// service (staging, async hand-off, fetch, prefetch).
 	bufs *bufPool
+	// cwFree and raFree recycle the argument blocks of asynchronous chunk
+	// writers and readahead fetchers across every file of the service, so
+	// neither a spilled chunk nor a new file allocates one once warm. A
+	// record on either list references no File. Only simulated processes
+	// touch them, one at a time.
+	cwFree *chunkWriter
+	raFree *raFetch
 
 	// memberState tracks each node's membership lifecycle (live,
 	// leaving, dead, departed); memberEpoch bumps on every change.

@@ -34,6 +34,11 @@ type Client struct {
 	pending map[uint32]*wireCall
 	cerr    error // sticky transport error; guarded by pmu
 	done    chan struct{}
+	// short is the demux goroutine's landing buffer for a short reply
+	// body, copied from here into the reply value: reading into the
+	// value itself would hand the reader a pointer into it and move it
+	// to the heap, one allocation per response.
+	short [shortReply]byte
 
 	// fds is the server's passed files once FetchPoolFDs has run the
 	// descriptor handshake; chunks living in them are then pread directly.
@@ -90,12 +95,29 @@ type wireCall struct {
 // allocate a call record and channel per exchange.
 var callPool = sync.Pool{New: func() any { return &wireCall{ch: make(chan wireReply, 1)} }}
 
+// shortReply bounds a reply body carried inline in its wireReply: the
+// alloc-write handle (4 bytes) and the stat triple (12) travel with no
+// allocation.
+const shortReply = 16
+
 // wireReply carries a decoded response (or transport error) to a caller.
+// Of a payload after the status byte, one of three holds it: the
+// caller's into buffer, the first n bytes of short, or body.
 type wireReply struct {
 	status byte
-	body   []byte // payload after the status byte (nil when into was used)
-	n      int    // bytes stored into the caller's buffer
+	body   []byte // a payload longer than shortReply
+	short  [shortReply]byte
+	n      int // bytes stored into the caller's buffer or short
 	err    error
+}
+
+// payload returns the reply's body when it came without a destination
+// buffer.
+func (r *wireReply) payload() []byte {
+	if r.body != nil {
+		return r.body
+	}
+	return r.short[:r.n]
 }
 
 // Dial connects to a sponge server over TCP, negotiates the protocol
@@ -315,7 +337,8 @@ func (c *Client) fail(err error) {
 
 // demux routes v2 responses to their waiting callers by request ID.
 // Responses whose caller supplied a destination buffer are decoded
-// straight off the socket into it; others get an exact-size allocation.
+// straight off the socket into it; a short one rides inline in the
+// reply; a longer one gets an exact-size allocation.
 func (c *Client) demux() {
 	defer close(c.done)
 	for {
@@ -366,13 +389,20 @@ func (c *Client) demux() {
 				rep.n = rest
 			}
 		} else {
-			body := make([]byte, rest)
-			if _, err := io.ReadFull(c.br, body); err != nil {
+			dst := c.short[:0]
+			if rest > shortReply {
+				dst = make([]byte, rest)
+			}
+			if _, err := io.ReadFull(c.br, dst[:rest]); err != nil {
 				c.fail(err)
 				call.ch <- wireReply{err: err}
 				return
 			}
-			rep.body = body
+			if rest > shortReply {
+				rep.body = dst
+			} else {
+				rep.n = copy(rep.short[:], dst[:rest])
+			}
 		}
 		call.ch <- rep
 	}
@@ -443,10 +473,11 @@ func (c *Client) AllocWrite(owner sponge.TaskID, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(rep.body) != 4 {
+	body := rep.payload()
+	if len(body) != 4 {
 		return 0, fmt.Errorf("wire: bad alloc response")
 	}
-	return int(binary.LittleEndian.Uint32(rep.body)), nil
+	return int(binary.LittleEndian.Uint32(body)), nil
 }
 
 // locBufPool recycles the 24-byte destination buffers for the loc
@@ -571,12 +602,13 @@ func (c *Client) Stat() (free, total, chunkSize int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if len(rep.body) != 12 {
+	body := rep.payload()
+	if len(body) != 12 {
 		return 0, 0, 0, fmt.Errorf("wire: bad stat response")
 	}
-	return int(binary.LittleEndian.Uint32(rep.body[0:4])),
-		int(binary.LittleEndian.Uint32(rep.body[4:8])),
-		int(binary.LittleEndian.Uint32(rep.body[8:12])), nil
+	return int(binary.LittleEndian.Uint32(body[0:4])),
+		int(binary.LittleEndian.Uint32(body[4:8])),
+		int(binary.LittleEndian.Uint32(body[8:12])), nil
 }
 
 // Metrics fetches the daemon's metrics registry rendered in the text
@@ -587,5 +619,5 @@ func (c *Client) Metrics() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return string(rep.body), nil
+	return string(rep.payload()), nil
 }

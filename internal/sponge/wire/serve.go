@@ -88,8 +88,20 @@ type response struct {
 	chunk []byte
 }
 
-// statusOnly is a response carrying nothing but its status byte.
-func statusOnly(status byte) response { return response{body: []byte{status}} }
+// statusOnly is a response carrying nothing but its status byte. The
+// body is a one-byte window on a shared table, capacity 1 so recycle
+// drops it: a free's or a refusal's reply costs no allocation.
+func statusOnly(status byte) response {
+	return response{body: statusBytes[status : status+1 : status+1]}
+}
+
+// statusBytes holds every status byte at its own index.
+var statusBytes = func() (b [256]byte) {
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return b
+}()
 
 // minRecycledBuf is the smallest buffer worth pooling in the chunk
 // class; smallRecycledBuf is the fixed capacity of the small class that

@@ -414,7 +414,7 @@ func (s *Server) dispatch(req []byte) response {
 		s.metrics.WriteText(&b)
 		return response{body: b.Bytes()}
 	case OpStat:
-		out := make([]byte, 13)
+		out := s.getBuf(13)
 		out[0] = StatusOK
 		binary.LittleEndian.PutUint32(out[1:5], uint32(s.pool.Free()))
 		binary.LittleEndian.PutUint32(out[5:9], uint32(s.pool.Chunks()))

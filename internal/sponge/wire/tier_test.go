@@ -2,9 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -187,6 +185,71 @@ func TestTransportTierSelectionAndFallback(t *testing.T) {
 	}
 	if got := tierSample(t, reg, `sponge_transport_unix_fallback_total`); got != 2 {
 		t.Errorf("unix fallbacks = %d, want 2 (missing socket + stale socket)", got)
+	}
+}
+
+// Every peer exchange the transport counts in a tier counter is timed
+// in the exchange histogram of its op and tier, so per tier the
+// histograms' counts add up to the counter's, op by op to the
+// calls made; recording costs the exchange no allocation.
+func TestTransportExchangeHistograms(t *testing.T) {
+	dir := shortSockDir(t)
+	const chunk = 4096
+	tr := NewTransportOptions(map[int]string{
+		1: startServerOptions(t, chunk, 4, Options{LocalSocketDir: dir}).Addr(),
+		2: startServerOptions(t, chunk, 4, Options{}).Addr(), // no socket: TCP
+	}, nil, TransportOptions{SocketDir: dir})
+	defer tr.Close()
+	reg := tr.Metrics()
+	count := func(op, tier string) int64 {
+		return tierSample(t, reg, `sponge_transport_exchange_ns_count{op="`+op+`",tier="`+tier+`"}`)
+	}
+	owner := sponge.TaskID{Node: 1, PID: 7}
+	data := bytes.Repeat([]byte{0x3C}, chunk)
+	buf := make([]byte, chunk)
+	roundTrip := func(peer sponge.Peer) {
+		h, err := peer.AllocWrite(nil, nil, owner, data)
+		if err != nil {
+			t.Fatalf("AllocWrite: %v", err)
+		}
+		if _, err := peer.Read(nil, nil, h, buf); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if err := peer.Free(nil, nil, h); err != nil {
+			t.Fatalf("Free: %v", err)
+		}
+		if _, err := peer.FreeSpace(nil, nil); err != nil {
+			t.Fatalf("FreeSpace: %v", err)
+		}
+	}
+	peers := []sponge.Peer{tr.Peer(1), tr.Peer(2)}
+	const rounds = 3
+	for i := 0; i < rounds; i++ {
+		for _, peer := range peers {
+			roundTrip(peer)
+		}
+	}
+	for _, tier := range []string{"unix", "tcp"} {
+		var sum int64
+		for _, op := range []string{"alloc_write", "read", "free", "stat"} {
+			n := count(op, tier)
+			if n != rounds {
+				t.Errorf("exchange_ns{op=%q,tier=%q} counted %d, want %d", op, tier, n, rounds)
+			}
+			sum += n
+		}
+		if n := tierSample(t, reg, `sponge_transport_tier_total{tier="`+tier+`"}`); n != sum {
+			t.Errorf("tier %s: tier_total counted %d, exchange histograms %d", tier, n, sum)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	for _, peer := range peers {
+		roundTrip(peer) // warm the pools behind the timed exchanges
+		if avg := testing.AllocsPerRun(50, func() { roundTrip(peer) }); avg != 0 {
+			t.Errorf("a timed round trip allocates %.2f objects, want 0", avg)
+		}
 	}
 }
 
@@ -557,30 +620,44 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 			}
 		})
 	}
-	// The server's half of AllocWrite, over a raw connection so that the
-	// client's own allocations (it makes one for the handle) stay out of
-	// the count: the payload lands in the slab and the 5-byte reply comes
-	// from the small-buffer pool.
+	// AllocWrite and Stat, client and server together on both socket
+	// tiers: the payload goes from the caller's buffer to the slab, the
+	// short replies come from the server's small-buffer pool and land in
+	// the client's reply value.
 	for _, tier := range []string{"tcp", "unix"} {
-		t.Run("alloc-write-server-"+tier, func(t *testing.T) {
+		t.Run("alloc-write-stat-"+tier, func(t *testing.T) {
 			srv := startServerOptions(t, chunk, 4, Options{LocalSocketDir: dir})
-			conn := dialRaw(t, srv, tier)
-			req := v2frame(frame(OpAllocWrite, uint32(1), uint64(31), bytes.Repeat([]byte{0xA5}, chunk)))
-			reply := make([]byte, 8+5)
+			c, err := Dial(srv.Addr())
+			if tier == "unix" {
+				c, err = DialLocal(srv.LocalSocket())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			owner := sponge.TaskID{Node: 1, PID: 31}
+			data := bytes.Repeat([]byte{0xA5}, chunk)
 			allocWrite := func() {
-				if _, err := conn.Write(req); err != nil {
-					t.Fatal(err)
+				h, err := c.AllocWrite(owner, data)
+				if err != nil {
+					t.Fatalf("AllocWrite: %v", err)
 				}
-				if _, err := io.ReadFull(conn, reply); err != nil || reply[8] != StatusOK {
-					t.Fatalf("alloc_write reply % x, %v", reply, err)
+				srv.pool.FreeChunk(h)
+			}
+			stat := func() {
+				if _, _, size, err := c.Stat(); err != nil || size != chunk {
+					t.Fatalf("Stat = (chunk size %d, %v)", size, err)
 				}
-				srv.pool.FreeChunk(int(binary.LittleEndian.Uint32(reply[9:])))
 			}
 			for i := 0; i < 50; i++ {
 				allocWrite()
+				stat()
 			}
 			if avg := testing.AllocsPerRun(100, allocWrite); avg != 0 {
-				t.Errorf("steady-state %s AllocWrite allocates %.2f objects per chunk on the server, want 0", tier, avg)
+				t.Errorf("steady-state %s AllocWrite allocates %.2f objects per chunk, want 0", tier, avg)
+			}
+			if avg := testing.AllocsPerRun(100, stat); avg != 0 {
+				t.Errorf("steady-state %s Stat allocates %.2f objects per call, want 0", tier, avg)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/obs"
@@ -42,7 +43,9 @@ import (
 // are pread directly; otherwise, or when the socket dial fails
 // (missing or stale socket file), it transparently falls back to TCP
 // and counts the fallback. Per-op tier usage is exported as
-// sponge_transport_tier_total{tier="unix|tcp|pool_fd"}.
+// sponge_transport_tier_total{tier="unix|tcp|pool_fd"}, and the host
+// time each exchange takes as the histogram
+// sponge_transport_exchange_ns{op="alloc_write|read|free|stat",tier="unix|tcp"}.
 type Transport struct {
 	fallback sponge.Transport
 	opts     TransportOptions
@@ -54,6 +57,7 @@ type Transport struct {
 
 	metrics      *obs.Registry
 	tierOps      [3]*obs.Counter // indexed by tierUnix/tierTCP/tierPoolFD
+	exchange     [exStat + 1][tierTCP + 1]*obs.Histogram
 	unixFallback *obs.Counter
 	genMiss      *obs.Counter
 	revoked      *obs.Counter
@@ -68,6 +72,27 @@ const (
 	tierTCP
 	tierPoolFD
 )
+
+// The op indexes of Transport.exchange, and their label values.
+const (
+	exAllocWrite = iota
+	exRead
+	exFree
+	exStat
+)
+
+var exchangeOps = [...]string{exAllocWrite: "alloc_write", exRead: "read", exFree: "free", exStat: "stat"}
+
+// exchangeBounds are the exchange histogram's bucket edges in
+// nanoseconds: powers of two from 8.2 µs to 16.8 ms, which spans a small
+// exchange on an idle socket through a 1 MiB chunk on a loaded host.
+var exchangeBounds = func() []int64 {
+	b := make([]int64, 0, 12)
+	for ns := int64(1) << 13; ns <= 1<<24; ns <<= 1 {
+		b = append(b, ns)
+	}
+	return b
+}()
 
 // TransportOptions tunes the wire transport's tier selection.
 type TransportOptions struct {
@@ -103,6 +128,12 @@ func NewTransportOptions(addrs map[int]string, fallback sponge.Transport, opts T
 	t.tierOps[tierUnix] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "unix"))
 	t.tierOps[tierTCP] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "tcp"))
 	t.tierOps[tierPoolFD] = t.metrics.Counter("sponge_transport_tier_total", obs.L("tier", "pool_fd"))
+	for op, name := range exchangeOps {
+		for tier, label := range [...]string{tierUnix: "unix", tierTCP: "tcp"} {
+			t.exchange[op][tier] = t.metrics.Histogram("sponge_transport_exchange_ns", exchangeBounds,
+				obs.L("op", name), obs.L("tier", label))
+		}
+	}
 	t.unixFallback = t.metrics.Counter("sponge_transport_unix_fallback_total")
 	t.genMiss = t.metrics.Counter("sponge_poolfd_gen_miss_total")
 	t.revoked = t.metrics.Counter("sponge_transport_peer_revocations_total")
@@ -223,13 +254,20 @@ func (t *Transport) dialNode(addr string) (*Client, error) {
 	return Dial(addr)
 }
 
-// countOp records one peer operation in the tier counters.
-func (t *Transport) countOp(c *Client) {
+// countOp records one peer operation in the tier counters and returns
+// its tier, under which observe records the exchange's duration.
+func (t *Transport) countOp(c *Client) int {
+	tier := tierTCP
 	if c.network == "unix" {
-		t.tierOps[tierUnix].Inc()
-	} else {
-		t.tierOps[tierTCP].Inc()
+		tier = tierUnix
 	}
+	t.tierOps[tier].Inc()
+	return tier
+}
+
+// observe records the host time of one exchange begun at start.
+func (t *Transport) observe(op, tier int, start time.Time) {
+	t.exchange[op][tier].Observe(int64(time.Since(start)))
 }
 
 // client returns the cached pipelined client for a node, dialing on
@@ -309,8 +347,9 @@ func (wp wirePeer) AllocWrite(p *simtime.Proc, from *cluster.Node, owner sponge.
 	if err != nil {
 		return 0, err
 	}
-	wp.t.countOp(c)
+	tier, start := wp.t.countOp(c), time.Now()
 	h, err := c.AllocWrite(owner, data)
+	wp.t.observe(exAllocWrite, tier, start)
 	if err != nil {
 		return 0, wp.t.mapErr(wp.node, c, err)
 	}
@@ -322,8 +361,9 @@ func (wp wirePeer) Read(p *simtime.Proc, to *cluster.Node, handle int, buf []byt
 	if err != nil {
 		return 0, err
 	}
-	wp.t.countOp(c)
+	tier, start := wp.t.countOp(c), time.Now()
 	n, err := c.ReadInto(handle, buf)
+	wp.t.observe(exRead, tier, start)
 	if err != nil {
 		return 0, wp.t.mapErr(wp.node, c, err)
 	}
@@ -335,8 +375,10 @@ func (wp wirePeer) Free(p *simtime.Proc, from *cluster.Node, handle int) error {
 	if err != nil {
 		return err
 	}
-	wp.t.countOp(c)
-	if err := c.Free(handle); err != nil {
+	tier, start := wp.t.countOp(c), time.Now()
+	err = c.Free(handle)
+	wp.t.observe(exFree, tier, start)
+	if err != nil {
 		return wp.t.mapErr(wp.node, c, err)
 	}
 	return nil
@@ -347,8 +389,9 @@ func (wp wirePeer) FreeSpace(p *simtime.Proc, from *cluster.Node) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	wp.t.countOp(c)
+	tier, start := wp.t.countOp(c), time.Now()
 	free, _, _, err := c.Stat()
+	wp.t.observe(exStat, tier, start)
 	if err != nil {
 		return 0, wp.t.mapErr(wp.node, c, err)
 	}

@@ -106,8 +106,10 @@ if ! go build -gcflags=-m ./internal/mapreduce 2>&1 | grep -q 'can inline lessRe
 fi
 
 echo "== allocation-regression guards =="
-# The hot-path guards must hold: O(1) pool alloc/free and steady-state
-# File.Write and windowed File.Read at zero allocations, spawning with no
+# The hot-path guards must hold: O(1) pool alloc/free, steady-state
+# File.Write to local memory, the remote write path (a chunk handed to a
+# recycled async writer, placed in remote memory and read back through
+# the window) and windowed File.Read at zero allocations, spawning with no
 # process allocated on one Sim or a fresh one per cycle, plus the
 # absolute ceiling on a whole Median job run. The obs guard keeps
 # counter, gauge and histogram ops allocation-free so instrumentation
@@ -128,9 +130,12 @@ go test -count=1 -run 'AllocationFree|TestSpawnRunSteadyStateAllocationFree|Test
 # portable buffered spill serve (behind a connection that hides its
 # socket, so linux covers it too), and the descriptor pread of whatever
 # file the chunk lives in, spill file or memfd pool segment — and so
-# must the server's half of AllocWrite on both socket tiers. The server
-# runs in-process, so the guard sees its side too.
-go test -count=1 -run 'TestWireReadSteadyStateAllocationFree' \
+# must AllocWrite and Stat on both socket tiers, the client's half (the
+# short reply decoded into the reply value) with the server's. The
+# server runs in-process, so the guard sees its side too. The transport
+# seam's exchange histograms must count every exchange the tier
+# counters do and add no allocation to it.
+go test -count=1 -run 'TestWireReadSteadyStateAllocationFree|TestTransportExchangeHistograms' \
 	./internal/sponge/wire
 
 echo "== wire dispatch fuzz, 10 s =="
