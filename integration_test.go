@@ -279,7 +279,7 @@ func TestManyConcurrentJobs(t *testing.T) {
 // own, those goroutines kept every finished job's cluster reachable for
 // good; while nothing but Close unmapped a pool, its slabs outlived it.
 func TestDroppedSimulationIsCollected(t *testing.T) {
-	live := func() int { return runtime.NumGoroutine() - simtime.IdleProcs() }
+	live := func() int { return len(simtime.Goroutines()) }
 	before := live()
 	host, _ := leakcheck.Snapshot()
 	// The finalizer goes on a tag only a callback in the simulation's

@@ -142,19 +142,18 @@ func New(sim *simtime.Sim, cfg Config) *Cluster {
 	}
 	c := &Cluster{Sim: sim, Cfg: cfg, Net: media.NewNetwork()}
 	for i := 0; i < cfg.Workers; i++ {
-		c.AddNode()
+		c.addNode()
 	}
 	return c
 }
 
-// AddNode grows the cluster by one worker node; New builds every node
-// through it. The node gets the config's carve-up. A cluster built with
-// more than one rack (Workers > NodesPerRack) puts it in the rack its ID
-// implies, its NIC on that rack's oversubscribed uplink (§3.1.1's
-// motivation for rack-local spilling). A cluster built flat has one
-// switch and every node in rack 0, joined ones too: membership is
-// elastic, the switch topology is fixed at construction.
-func (c *Cluster) AddNode() *Node {
+// addNode adds one worker node; New builds every node through it. The
+// node gets the config's carve-up. A cluster built with more than one
+// rack (Workers > NodesPerRack) puts it in the rack its ID implies, its
+// NIC on that rack's oversubscribed uplink (§3.1.1's motivation for
+// rack-local spilling). A cluster built flat has one switch and every
+// node in rack 0.
+func (c *Cluster) addNode() {
 	i := len(c.Nodes)
 	name := fmt.Sprintf("node%d", i)
 	n := &Node{
@@ -170,7 +169,6 @@ func (c *Cluster) AddNode() *Node {
 		c.Net.AssignRack(n.NIC, n.Rack)
 	}
 	c.Nodes = append(c.Nodes, n)
-	return n
 }
 
 func max1(v int) int {

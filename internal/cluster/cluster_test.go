@@ -74,21 +74,6 @@ func TestRackAssignment(t *testing.T) {
 	if !c.SameRack(c.Nodes[0], c.Nodes[39]) || c.SameRack(c.Nodes[0], c.Nodes[40]) {
 		t.Fatal("SameRack wrong")
 	}
-	if joined := c.AddNode(); joined.Rack != 2 || !c.SameRack(joined, c.Nodes[89]) {
-		t.Fatalf("node joining a racked cluster: rack %d, want 2", joined.Rack)
-	}
-}
-
-// A flat cluster has one switch and no uplinks, so a node that joins it
-// is in the same rack as every other node — rack-local placement and
-// evacuation must see it — however far its ID runs past NodesPerRack.
-func TestAddNodeToFlatClusterStaysInRack(t *testing.T) {
-	cfg := PaperConfig()
-	cfg.Workers = 40 // exactly one full rack: still a flat switch
-	c := New(simtime.New(), cfg)
-	if joined := c.AddNode(); joined.Rack != 0 || !c.SameRack(c.Nodes[0], joined) {
-		t.Fatalf("node joining a flat cluster: rack %d, want 0", joined.Rack)
-	}
 }
 
 func TestNodeTransferChargesScaledBytes(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 	"regexp"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -74,7 +74,7 @@ func (rc *RunContext) Phase(p *simtime.Proc, name string) {
 	events := rc.phaseEvents[name]
 	delete(rc.phaseEvents, name)
 	for _, ev := range events {
-		rc.apply(p, ev)
+		rc.apply(ev)
 	}
 }
 
@@ -90,8 +90,8 @@ func (rc *RunContext) SetDigestMatch(ok bool) {
 
 // apply executes one fault event. Kill events reach into the real
 // world (SIGKILL of a child process); the rest drive the fault
-// transport, the tracker, or the membership layer.
-func (rc *RunContext) apply(p *simtime.Proc, ev FaultEvent) {
+// transport, the tracker, or the service's node-failure path.
+func (rc *RunContext) apply(ev FaultEvent) {
 	fail := func(err error) {
 		rc.faultErrs = append(rc.faultErrs, fmt.Sprintf("fault %s: %v", ev.Op, err))
 	}
@@ -101,9 +101,9 @@ func (rc *RunContext) apply(p *simtime.Proc, ev FaultEvent) {
 			fail(err)
 		}
 	case OpFailNode:
-		// Kill the real process first, then acknowledge the failure at
-		// the membership layer (epoch bump, peer revocation, chunk-loss
-		// accounting) the way a detector would.
+		// Kill the real process first, then acknowledge the failure to
+		// the service (peer revocation, chunk-loss accounting) the way a
+		// detector would.
 		if err := rc.Harness.KillNode(ev.Node); err != nil {
 			fail(err)
 		}
@@ -132,12 +132,6 @@ func (rc *RunContext) apply(p *simtime.Proc, ev FaultEvent) {
 		rc.Faults.SetLinkDrop(ev.Node, ev.Peer, ev.Rate)
 	case OpRevokePeer:
 		rc.Faults.RevokePeer(ev.Node)
-	case OpJoinNode:
-		rc.Svc.JoinNode()
-	case OpLeaveNode:
-		if err := rc.Svc.LeaveNode(p, ev.Node); err != nil {
-			fail(err)
-		}
 	default:
 		fail(fmt.Errorf("unknown op"))
 	}
@@ -151,20 +145,31 @@ func (rc *RunContext) apply(p *simtime.Proc, ev FaultEvent) {
 //
 // Teardown invariants, every case, asserted or not: the case leaves no
 // goroutine behind, and no open descriptor or shared-memory mapping.
-// The simulator's pool of idle process goroutines belongs to no case and
-// is not counted; the connections to the children take a moment to see
-// them gone, and the simulated service's pools, never closed, are
-// unmapped when the collector finds them unreferenced.
+// Goroutines are compared by identity, so one of an earlier case that
+// exits during this one cannot hide a leak. The simulator's pool of idle
+// process goroutines belongs to no case and is left out; the
+// connections to the children take a moment to see them gone, and the
+// simulated service's pools, never closed, are unmapped when the
+// collector finds them unreferenced.
 func RunCase(cs Case, opts RunOptions) CaseReport {
-	live := func() int { return runtime.NumGoroutine() - simtime.IdleProcs() }
-	before := live()
+	started := simtime.Goroutines()
 	host, _ := leakcheck.Snapshot()
 	rep := runCase(cs, opts)
-	for deadline := time.Now().Add(time.Second); live() > before && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
+	var fresh []uint64
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		fresh = fresh[:0]
+		for id := range simtime.Goroutines() {
+			if !started[id] {
+				fresh = append(fresh, id)
+			}
+		}
+		if len(fresh) == 0 || !time.Now().Before(deadline) {
+			break
+		}
 	}
-	if n := live(); n > before {
-		rep.Failures = append(rep.Failures, fmt.Sprintf("leak: the case ends with %d goroutines, %d more than it started with", n, n-before))
+	if len(fresh) > 0 {
+		slices.Sort(fresh)
+		rep.Failures = append(rep.Failures, fmt.Sprintf("leak: the case ends with goroutines %v, %d more than it started with", fresh, len(fresh)))
 		rep.Pass = false
 	}
 	if now, ok := leakcheck.Settle(host, time.Second); !ok {
@@ -290,7 +295,7 @@ func runCase(cs Case, opts RunOptions) CaseReport {
 			for _, ev := range timed {
 				p.Sleep(ev.At - now)
 				now = ev.At
-				rc.apply(p, ev)
+				rc.apply(ev)
 			}
 		})
 	}
@@ -305,7 +310,7 @@ func runCase(cs Case, opts RunOptions) CaseReport {
 		}
 		if needsSettle {
 			// Outlive the watchdog's next check so a tracker failover
-			// (or membership convergence) completes before the scrape.
+			// completes before the scrape.
 			p.Sleep(2 * svc.Config.PollInterval)
 		}
 	})

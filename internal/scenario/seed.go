@@ -111,22 +111,6 @@ func SeedSuite() Suite {
 				),
 			},
 			{
-				Name: "join-leave-after-drain",
-				Desc: "planned leave of a drained node plus an elastic join; epoch bumps, peer state revoked",
-				Spec: Spec{Nodes: 3},
-				Faults: []FaultEvent{
-					{Phase: PhasePostDelete, Op: OpLeaveNode, Node: 2},
-					{Phase: PhasePostDelete, Op: OpJoinNode},
-				},
-				Workload: SpillWorkload{MB: 16},
-				Assert: with(
-					Assertion{Metric: "sponge_membership_epoch", Op: ">=", Value: 2},
-					Assertion{Metric: `sponge_membership_changes_total{kind="leave"}`, Op: ">=", Value: 1},
-					Assertion{Metric: `sponge_membership_changes_total{kind="join"}`, Op: ">=", Value: 1},
-					Assertion{Metric: "sponge_peer_revocations_total", Op: ">=", Value: 1},
-				),
-			},
-			{
 				Name: "fd-revocation-fallback",
 				Desc: "unix-socket tier with fd passing; a peer's cached client and fds revoked mid-read, reads re-negotiate",
 				Spec: Spec{Nodes: 3, UnixSockets: true},

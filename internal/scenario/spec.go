@@ -57,14 +57,12 @@ type FaultOp string
 // The fault vocabulary. KillNode is a real SIGKILL of the child
 // process — discovery happens through live sockets (dial refused,
 // retries, blacklist), not through any side channel. FailNode
-// additionally tells the membership layer (chunk loss is acknowledged,
-// the peer's transport state is revoked, the epoch bumps). The
-// partition/heal/isolate/drop ops drive the seeded FaultTransport;
-// kill-tracker fails the simulated tracker daemon so the watchdog's
-// cold election runs; revoke-peer drops the wire transport's cached
-// client (and any passed fds) for a node that is still alive, proving
-// reads re-negotiate; join-node and leave-node exercise elastic
-// membership.
+// additionally tells the service (chunk loss is acknowledged, the
+// peer's transport state is revoked). The partition/heal/isolate/drop
+// ops drive the seeded FaultTransport; kill-tracker fails the simulated
+// tracker daemon so the watchdog's cold election runs; revoke-peer
+// drops the wire transport's cached client (and any passed fds) for a
+// node that is still alive, proving reads re-negotiate.
 const (
 	OpKillNode    FaultOp = "kill-node"
 	OpFailNode    FaultOp = "fail-node"
@@ -76,8 +74,6 @@ const (
 	OpDropRate    FaultOp = "drop-rate"
 	OpLinkDrop    FaultOp = "link-drop"
 	OpRevokePeer  FaultOp = "revoke-peer"
-	OpJoinNode    FaultOp = "join-node"
-	OpLeaveNode   FaultOp = "leave-node"
 )
 
 // FaultEvent is one scheduled fault. Events anchor either to a virtual
@@ -189,7 +185,7 @@ func (c *Case) Validate() error {
 			return fmt.Errorf("scenario: case %s: event %s has negative time", c.Name, ev.Op)
 		}
 		switch ev.Op {
-		case OpKillNode, OpFailNode, OpIsolate, OpRejoin, OpRevokePeer, OpLeaveNode:
+		case OpKillNode, OpFailNode, OpIsolate, OpRejoin, OpRevokePeer:
 			if ev.Node < 1 || ev.Node > spec.Nodes {
 				return fmt.Errorf("scenario: case %s: event %s targets node %d outside 1..%d",
 					c.Name, ev.Op, ev.Node, spec.Nodes)
@@ -198,7 +194,7 @@ func (c *Case) Validate() error {
 			if len(ev.A) == 0 || len(ev.B) == 0 {
 				return fmt.Errorf("scenario: case %s: %s needs both groups", c.Name, ev.Op)
 			}
-		case OpKillTracker, OpDropRate, OpLinkDrop, OpJoinNode:
+		case OpKillTracker, OpDropRate, OpLinkDrop:
 		default:
 			return fmt.Errorf("scenario: case %s: unknown fault op %q", c.Name, ev.Op)
 		}

@@ -31,8 +31,7 @@ type Workload interface {
 // small to hold it (forcing the allocator chain across the real child
 // servers), read it back, compare digests, and delete it. Phases fired
 // in order: pre-write, mid-write, post-write, mid-read, post-read, and
-// post-delete once every chunk is freed (membership cases hang
-// drain-dependent events there).
+// post-delete once every chunk is freed.
 type SpillWorkload struct {
 	// MB is the virtual payload size (default 32).
 	MB int64

@@ -23,7 +23,9 @@
 package simtime
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -173,13 +175,41 @@ func takeIdle() *Proc {
 	return p
 }
 
-// IdleProcs reports how many finished process goroutines the package
-// keeps for reuse. They belong to no Sim; a teardown that counts
-// goroutines subtracts them.
-func IdleProcs() int {
+// Goroutines returns the IDs of the program's goroutines, read from a
+// dump of every stack, less those of the package's idle pool: they
+// belong to no Sim, so a teardown that looks for leaked goroutines
+// leaves them out. A Sim's own processes, finished, parked or never
+// started, are all in it.
+func Goroutines() map[uint64]bool {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) { // the dump may be cut short: grow and retake it
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids := map[uint64]bool{}
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+		ids[goroutineID(g)] = true
+	}
 	idle.Lock()
 	defer idle.Unlock()
-	return len(idle.procs)
+	for _, p := range idle.procs {
+		delete(ids, p.g)
+	}
+	return ids
+}
+
+// goroutineID parses the ID from the head of a goroutine's stack trace,
+// "goroutine 7 [running]:".
+func goroutineID(trace []byte) uint64 {
+	var id uint64
+	for _, c := range bytes.TrimPrefix(trace, []byte("goroutine ")) {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = 10*id + uint64(c-'0')
+	}
+	return id
 }
 
 // Sim is a discrete-event simulation instance. It is not safe for use from
@@ -275,6 +305,8 @@ type Proc struct {
 	// resume a reused Proc.
 	fn  func(p *Proc)
 	gen uint64
+	// g is the ID of the goroutine that runs every life of the Proc.
+	g uint64
 }
 
 // interrupted is the sentinel panic payload Close unwinds a process with.
@@ -334,6 +366,8 @@ func (s *Sim) proc(name string, fn func(p *Proc)) *Proc {
 // Between lives the Proc may change Sims, so sim is read afresh on every
 // resume; nil means the package's pool dismissed it.
 func (p *Proc) loop() {
+	var head [32]byte
+	p.g = goroutineID(head[:runtime.Stack(head[:], false)])
 	own := false // the event that starts the next life was dispatched here
 	for {
 		if !own {

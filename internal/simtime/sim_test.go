@@ -529,9 +529,31 @@ func TestCloseUnwindsEveryGoroutine(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestGoroutinesLeavesOutTheIdlePool: Goroutines lists the caller and a
+// process goroutine a Sim holds, spawned and never started included, and
+// leaves out that same goroutine while it waits in the package's pool.
+func TestGoroutinesLeavesOutTheIdlePool(t *testing.T) {
+	s := New()
+	defer s.Close()
+	s.Spawn("short", func(p *Proc) {})
+	s.MustRun() // the package's pool is not empty now
+	idle := Goroutines()
+	p := s.Spawn("never-started", func(p *Proc) { t.Error("ran after Close") })
+	var head [32]byte
+	if self := goroutineID(head[:runtime.Stack(head[:], false)]); !idle[self] {
+		t.Errorf("the calling goroutine %d is not listed in %v", self, idle)
+	}
+	if idle[p.g] {
+		t.Errorf("goroutine %d is listed while it waits in the idle pool", p.g)
+	}
+	if !Goroutines()[p.g] {
+		t.Errorf("goroutine %d of a process spawned and never started is not listed", p.g)
+	}
+}
+
 // liveGoroutines counts the goroutines outside the package's idle pool,
 // which belong to no Sim.
-func liveGoroutines() int { return runtime.NumGoroutine() - IdleProcs() }
+func liveGoroutines() int { return len(Goroutines()) }
 
 // waitGoroutines fails the test unless the live goroutine count falls
 // back to before; exiting goroutines need a moment to leave the count.

@@ -200,3 +200,93 @@ func TestQuotaSweepReclaimsAndReports(t *testing.T) {
 		t.Fatalf("free = %d, want all 8 reclaimed", free)
 	}
 }
+
+// TestWatchdogPromotesStandbyOnHostDeath: the leader's host dies mid-run
+// and the watchdog promotes the next node in line within one poll
+// interval. The successor is elected cold — it carries no table over —
+// so it polls every server before it answers: its table is full the
+// moment the election lands, and a task spilling right then still
+// reaches remote memory and never the dead node.
+func TestWatchdogPromotesStandbyOnHostDeath(t *testing.T) {
+	r := newRig(t, 4, 8, func(c *ServiceConfig) { c.PollInterval = simtime.Second })
+	death := simtime.Second + simtime.Second/2
+	r.sim.Spawn("chaos", func(p *simtime.Proc) {
+		p.Sleep(death)
+		r.svc.FailNode(0)
+	})
+	var st FileStats
+	r.sim.Spawn("task", func(p *simtime.Proc) {
+		for metricOf(t, r.svc, "sponge_tracker_failovers_total") == 0 {
+			p.Sleep(10 * simtime.Millisecond)
+		}
+		if lag := p.Now().Sub(simtime.Time(death)); lag > r.svc.Config.PollInterval+10*simtime.Millisecond {
+			t.Errorf("successor elected %v after the host death, want within one poll interval", lag)
+		}
+		nt := r.svc.Tracker
+		if got := nt.Advertised(0); got != 0 {
+			t.Errorf("successor advertises %d chunks on the dead node 0", got)
+		}
+		for _, n := range []int{1, 2, 3} {
+			if got := nt.Advertised(n); got != 8 {
+				t.Errorf("successor advertises %d chunks on live node %d, want 8 from its own poll", got, n)
+			}
+		}
+		agent := r.svc.NewAgent(r.c.Nodes[2])
+		defer agent.Close()
+		f := agent.Create(p, "post-failover")
+		if err := f.Write(p, pattern(12*r.svc.ChunkReal(), 5)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		st = f.Stats()
+		f.Delete(p)
+	})
+	r.sim.MustRun()
+	if got := metricOf(t, r.svc, "sponge_tracker_failovers_total"); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
+	}
+	if got := r.svc.Tracker.Node().ID; got != 1 {
+		t.Fatalf("promoted tracker on node %d, want 1 (lowest live)", got)
+	}
+	if e := r.svc.Tracker.LeaderEpoch(); e != 2 {
+		t.Fatalf("leader epoch = %d, want 2", e)
+	}
+	// 8 local + 4 remote, nothing on disk: the successor's first poll served.
+	if st.ByKind[RemoteMem] != 4 || st.ByKind[LocalDisk] != 0 {
+		t.Fatalf("post-failover placement: %+v", st.ByKind)
+	}
+}
+
+// recordingRevoker wraps a transport and records peer revocations,
+// standing in for the wire transport's fd/mmap teardown.
+type recordingRevoker struct {
+	Transport
+	revoked []int
+}
+
+func (rt *recordingRevoker) RevokePeer(node int) { rt.revoked = append(rt.revoked, node) }
+
+// TestMembershipChangeRevokesPeer: every node failure must tear down the
+// dead peer's cached transport state, in the order the nodes die.
+func TestMembershipChangeRevokesPeer(t *testing.T) {
+	r := newRig(t, 3, 4, nil)
+	rec := &recordingRevoker{Transport: r.svc.Transport()}
+	r.svc.SetTransport(rec)
+	r.svc.FailNode(2)
+	r.svc.FailNode(1)
+	r.sim.MustRun()
+	if len(rec.revoked) != 2 || rec.revoked[0] != 2 || rec.revoked[1] != 1 {
+		t.Fatalf("revocations = %v, want [2 1]", rec.revoked)
+	}
+	// FaultTransport must forward revocations to its inner transport.
+	r2 := newRig(t, 2, 4, nil)
+	rec2 := &recordingRevoker{Transport: r2.svc.Transport()}
+	r2.svc.SetTransport(NewFaultTransport(rec2, FaultConfig{Seed: 1}))
+	r2.svc.FailNode(1)
+	if len(rec2.revoked) != 1 || rec2.revoked[0] != 1 {
+		t.Fatalf("revocations through FaultTransport = %v, want [1]", rec2.revoked)
+	}
+	r2.sim.MustRun()
+}

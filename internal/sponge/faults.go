@@ -149,7 +149,7 @@ func (ft *FaultTransport) Peer(node int) Peer {
 	return faultPeer{ft: ft, node: node, inner: ft.inner.Peer(node)}
 }
 
-// RevokePeer forwards a membership revocation to the wrapped transport,
+// RevokePeer forwards a peer revocation to the wrapped transport,
 // so fd/mmap teardown reaches the real transport under fault injection.
 func (ft *FaultTransport) RevokePeer(node int) {
 	if r, ok := ft.inner.(peerRevoker); ok {

@@ -431,48 +431,6 @@ func TestAsymmetricPartitionReelection(t *testing.T) {
 	r.sim.MustRun()
 }
 
-// TestLeaveUnderPartitionAbortsThenSucceeds: a planned leave whose only
-// evacuation target is unreachable must abort and restore the node to
-// live service; after the partition heals the same leave succeeds and
-// the relocated chunks still round-trip.
-func TestLeaveUnderPartitionAbortsThenSucceeds(t *testing.T) {
-	r := newRig(t, 3, 4, nil)
-	faults := NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 17})
-	r.svc.SetTransport(faults)
-
-	data := pattern(8*r.svc.ChunkReal(), 12)
-	r.sim.Spawn("task", func(p *simtime.Proc) {
-		agent := r.svc.NewAgent(r.c.Nodes[0])
-		defer agent.Close()
-		f := agent.Create(p, "spill")
-		if err := f.Write(p, data); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		// Remote chunks live on node 1; node 2 is the only possible
-		// evacuation target. Cut it off.
-		faults.Cut(1, 2)
-		if err := r.svc.LeaveNode(p, 1); err == nil {
-			t.Fatal("leave succeeded across a cut link")
-		}
-		if st := r.svc.NodeState(1); st != NodeLive {
-			t.Fatalf("state after aborted leave = %s, want live", st)
-		}
-		faults.Heal(1, 2)
-		if err := r.svc.LeaveNode(p, 1); err != nil {
-			t.Fatalf("leave after heal: %v", err)
-		}
-		got := readAll(t, p, f, len(data))
-		if !bytes.Equal(got, data) {
-			t.Error("round trip corrupt after healed leave")
-		}
-		f.Delete(p)
-	})
-	r.sim.MustRun()
-}
-
 // TestReadSurfacesChunkLostAfterRetries: a remote chunk whose host
 // stays unreachable through the retry budget is reported lost with
 // ErrChunkLost, the same verdict a failed node gets.

@@ -683,22 +683,11 @@ func (f *File) fetchRaw(p *simtime.Proc, i int) ([]byte, error) {
 // framework restarts the owning task (§3.1).
 func (f *File) readRemote(p *simtime.Proc, node, handle int, buf []byte) error {
 	svc := f.agent.svc
-	// A planned leave may have evacuated the chunk; the forwarding
-	// table points at its current home (nil table = static membership,
-	// one pointer check).
-	node, handle = svc.resolveChunk(node, handle)
 	peer := svc.peer(node)
 	for attempt := 0; ; attempt++ {
 		_, err := peer.Read(p, f.agent.node, handle, buf)
 		if err == nil {
 			return nil
-		}
-		if rn, rh := svc.resolveChunk(node, handle); rn != node || rh != handle {
-			// The chunk moved while the read was in flight (evacuation
-			// raced a delayed exchange): chase the forward.
-			node, handle = rn, rh
-			peer = svc.peer(node)
-			continue
 		}
 		if !errors.Is(err, ErrPeerUnreachable) {
 			return err
@@ -779,10 +768,8 @@ func (f *File) Delete(p *simtime.Proc) {
 		case RemoteMem:
 			// A free lost in the network is not retried: the chunk
 			// becomes an orphan and the owner node's garbage collector
-			// reclaims it once the task exits (§3.1.3). Evacuated chunks
-			// are freed at their forwarded home.
-			node, handle := f.agent.svc.resolveChunk(ref.node, ref.handle)
-			_ = f.agent.svc.peer(node).Free(p, f.agent.node, handle)
+			// reclaims it once the task exits (§3.1.3).
+			_ = f.agent.svc.peer(ref.node).Free(p, f.agent.node, ref.handle)
 		}
 		if ref.data != nil {
 			f.agent.svc.putBuf(ref.data)

@@ -31,7 +31,8 @@ func (t *FreeTable) find(k int) (int, bool) {
 }
 
 // Set records k's free count as the driver observed it: a poll result,
-// a join, or zero for a server that is unreachable, draining or gone.
+// the seed at deployment, or zero for a server that is unreachable or
+// dead.
 func (t *FreeTable) Set(k, free int) {
 	i, ok := t.find(k)
 	if !ok {

@@ -49,13 +49,9 @@ type svcMetrics struct {
 	trackerUpdatesFull *obs.Counter   // snapshot entries refreshed by polls
 	trackerDrops       []*obs.Counter // per polled node
 
-	// Elastic membership.
-	membershipEpoch  *obs.Gauge
-	membershipJoins  *obs.Counter
-	membershipLeaves *obs.Counter
-	membershipFails  *obs.Counter
-	evacuatedChunks  *obs.Counter
-	peerRevocations  *obs.Counter
+	// Node failure.
+	membershipFails *obs.Counter
+	peerRevocations *obs.Counter
 
 	// Per-node server counters.
 	remoteAllocs     []*obs.Counter
@@ -83,31 +79,20 @@ func newSvcMetrics(reg *obs.Registry, nnodes int) *svcMetrics {
 		trackerLastPoll:     reg.Gauge("sponge_tracker_last_poll_ns"),
 		trackerLeaderEpoch:  reg.Gauge("sponge_tracker_leader_epoch"),
 		trackerUpdatesFull:  reg.Counter("sponge_tracker_updates_total", obs.L("kind", "full")),
-		membershipEpoch:     reg.Gauge("sponge_membership_epoch"),
-		membershipJoins:     reg.Counter("sponge_membership_changes_total", obs.L("kind", "join")),
-		membershipLeaves:    reg.Counter("sponge_membership_changes_total", obs.L("kind", "leave")),
 		membershipFails:     reg.Counter("sponge_membership_changes_total", obs.L("kind", "fail")),
-		evacuatedChunks:     reg.Counter("sponge_evacuated_chunks_total"),
 		peerRevocations:     reg.Counter("sponge_peer_revocations_total"),
 	}
 	for k, name := range kindNames {
 		m.spill[k] = reg.Counter("sponge_spill_chunks_total", obs.L("kind", name))
 	}
-	m.ensureNodes(nnodes)
-	return m
-}
-
-// ensureNodes grows the per-node counter registries to cover n nodes.
-// Called at Start and again on every membership join, so hot paths can
-// keep indexing by node ID across elastic growth.
-func (m *svcMetrics) ensureNodes(n int) {
-	for i := len(m.trackerDrops); i < n; i++ {
+	for i := 0; i < nnodes; i++ {
 		node := obs.L("node", strconv.Itoa(i))
-		m.trackerDrops = append(m.trackerDrops, m.reg.Counter("sponge_tracker_poll_drops_total", node))
-		m.remoteAllocs = append(m.remoteAllocs, m.reg.Counter("sponge_remote_allocs_total", node))
-		m.remoteAllocFails = append(m.remoteAllocFails, m.reg.Counter("sponge_remote_alloc_fails_total", node))
-		m.gcFreed = append(m.gcFreed, m.reg.Counter("sponge_gc_freed_chunks_total", node))
+		m.trackerDrops = append(m.trackerDrops, reg.Counter("sponge_tracker_poll_drops_total", node))
+		m.remoteAllocs = append(m.remoteAllocs, reg.Counter("sponge_remote_allocs_total", node))
+		m.remoteAllocFails = append(m.remoteAllocFails, reg.Counter("sponge_remote_alloc_fails_total", node))
+		m.gcFreed = append(m.gcFreed, reg.Counter("sponge_gc_freed_chunks_total", node))
 	}
+	return m
 }
 
 // registerGauges wires the callback-backed gauges — pool depth and
@@ -116,7 +101,20 @@ func (m *svcMetrics) ensureNodes(n int) {
 // registry shared across services reflects the latest service.
 func (m *svcMetrics) registerGauges(s *Service) {
 	for i, srv := range s.Servers {
-		m.registerNodeGauges(i, srv)
+		node := obs.L("node", strconv.Itoa(i))
+		pool := srv.Pool()
+		m.reg.GaugeFunc("sponge_pool_free_chunks", func() int64 {
+			return int64(pool.Free())
+		}, node)
+		m.reg.GaugeFunc("sponge_pool_high_water", func() int64 {
+			return int64(pool.Stats().HighWater)
+		}, node)
+		m.reg.GaugeFunc("sponge_pool_owner_tasks", func() int64 {
+			return int64(pool.Stats().Owners)
+		}, node)
+		m.reg.GaugeFunc("sponge_pool_pinned_readers", func() int64 {
+			return int64(pool.Stats().Pinned)
+		}, node)
 	}
 	m.reg.GaugeFunc("sponge_buf_outstanding", func() int64 {
 		return s.BufPoolStats().Outstanding()
@@ -124,25 +122,6 @@ func (m *svcMetrics) registerGauges(s *Service) {
 	m.reg.GaugeFunc("sponge_buf_cached", func() int64 {
 		return int64(s.BufPoolStats().Cached)
 	})
-}
-
-// registerNodeGauges wires one node's pool gauges; membership joins
-// call it for each node added after Start.
-func (m *svcMetrics) registerNodeGauges(i int, srv *Server) {
-	node := obs.L("node", strconv.Itoa(i))
-	pool := srv.Pool()
-	m.reg.GaugeFunc("sponge_pool_free_chunks", func() int64 {
-		return int64(pool.Free())
-	}, node)
-	m.reg.GaugeFunc("sponge_pool_high_water", func() int64 {
-		return int64(pool.Stats().HighWater)
-	}, node)
-	m.reg.GaugeFunc("sponge_pool_owner_tasks", func() int64 {
-		return int64(pool.Stats().Owners)
-	}, node)
-	m.reg.GaugeFunc("sponge_pool_pinned_readers", func() int64 {
-		return int64(pool.Stats().Pinned)
-	}, node)
 }
 
 // Metrics returns the service's registry: the one passed in

@@ -122,13 +122,11 @@ func TestSeriesCatalog(t *testing.T) {
 		"sponge_buf_outstanding",
 		"sponge_candidates_blacklisted_total",
 		"sponge_chunks_lost_total",
-		"sponge_evacuated_chunks_total",
 		"sponge_fault_blocked_total",
 		"sponge_fault_drops_total",
 		"sponge_fault_exchanges_total",
 		"sponge_gc_freed_chunks_total",
 		"sponge_membership_changes_total",
-		"sponge_membership_epoch",
 		"sponge_peer_revocations_total",
 		"sponge_pool_free_chunks",
 		"sponge_pool_high_water",

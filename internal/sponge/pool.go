@@ -484,34 +484,6 @@ func (p *Pool) Owners() map[TaskID]int {
 	return out
 }
 
-// LiveHandles returns the handles of every allocated chunk, ascending.
-// The planned-leave evacuation walks this list to drain the pool before
-// the node departs.
-func (p *Pool) LiveHandles() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.failed || p.closed {
-		return nil
-	}
-	var out []int
-	for h, o := range p.owners {
-		if !o.IsZero() {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// Owner returns the task holding a live chunk.
-func (p *Pool) Owner(h int) (TaskID, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.check(h); err != nil {
-		return TaskID{}, err
-	}
-	return p.owners[h], nil
-}
-
 // FreeOwnedBy releases every chunk held by owner (garbage collection of
 // orphans) and returns how many were freed.
 func (p *Pool) FreeOwnedBy(owner TaskID) int {

@@ -70,12 +70,6 @@ func (s *Server) AllocWrite(p *simtime.Proc, from *cluster.Node, owner TaskID, d
 	// Control query first: "do you still have space?" — cheap when the
 	// tracker's information was stale.
 	s.svc.Cluster.RPC(p, from, s.node, ctlBytes, ctlBytes)
-	if s.svc.retiring(s.node.ID) {
-		// Draining for a planned leave: refuse new chunks like any
-		// stale-free-list miss; the caller falls to its next candidate.
-		s.svc.metrics.remoteAllocFails[s.node.ID].Inc()
-		return 0, ErrNoFreeChunk
-	}
 	h, err := s.pool.Alloc(owner)
 	if err != nil {
 		s.svc.metrics.remoteAllocFails[s.node.ID].Inc()

@@ -127,13 +127,9 @@ type Service struct {
 	cwFree *chunkWriter
 	raFree *raFetch
 
-	// memberState tracks each node's membership lifecycle (live,
-	// leaving, dead, departed); memberEpoch bumps on every change.
-	// forwards maps evacuated chunks to their new homes — nil until the
-	// first planned leave, so static-membership reads pay one nil check.
-	memberState []NodeState
-	memberEpoch int64
-	forwards    map[chunkAddr]chunkAddr
+	// dead marks the nodes FailNode has killed; membership is static
+	// otherwise.
+	dead []bool
 
 	// metrics holds the pre-registered observability handles the hot
 	// paths mutate; always non-nil after Start.
@@ -157,10 +153,10 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 		panic(fmt.Sprintf("sponge: invalid config (start from DefaultConfig): %+v", cfg))
 	}
 	s := &Service{
-		Cluster:     c,
-		Config:      cfg,
-		chunkReal:   c.Cfg.R(cfg.ChunkVirtual),
-		memberState: make([]NodeState, len(c.Nodes)),
+		Cluster:   c,
+		Config:    cfg,
+		chunkReal: c.Cfg.R(cfg.ChunkVirtual),
+		dead:      make([]bool, len(c.Nodes)),
 	}
 	s.transport = simTransport{s}
 	s.peers = make([]Peer, len(c.Nodes))

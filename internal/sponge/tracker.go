@@ -20,8 +20,8 @@ import (
 //
 // The table and its ranking are the FreeTable's; this type is the
 // simulator's driver for it: it charges each exchange's virtual time,
-// retries lost polls, writes off servers membership says are gone or
-// draining, and leaves leadership to the service's watchdog.
+// retries lost polls, writes off dead servers, and leaves leadership to
+// the service's watchdog.
 type Tracker struct {
 	svc  *Service
 	node *cluster.Node
@@ -65,16 +65,15 @@ func (s *Service) trackerRound(p *simtime.Proc) bool {
 	return true
 }
 
-// pollOnce refreshes the snapshot immediately, skipping dead, departed,
-// and draining servers. A poll lost in the network (ErrPeerUnreachable)
-// is retried up to the service's retry limit; a server that stays
-// unreachable is recorded as having no free space — allocation simply
-// stops considering it until a later poll gets through, the same
-// degradation a stale free list gives.
+// pollOnce refreshes the snapshot immediately, skipping dead servers. A
+// poll lost in the network (ErrPeerUnreachable) is retried up to the
+// service's retry limit; a server that stays unreachable is recorded as
+// having no free space — allocation simply stops considering it until a
+// later poll gets through, the same degradation a stale free list gives.
 func (t *Tracker) pollOnce(p *simtime.Proc) {
 	m := t.svc.metrics
 	for i := range t.svc.Servers {
-		if t.svc.nodeDown(i) || t.svc.retiring(i) {
+		if t.svc.nodeDown(i) {
 			t.table.Set(i, 0)
 			continue
 		}

@@ -11,21 +11,21 @@ import (
 )
 
 // One script of tracker events — a server's pool filling or draining, a
-// server cut off and healed, a server draining for a planned leave and
-// returning, a poll cycle, the tracker's crash and the watchdog's cold
-// election — played to the simulated tracker and to a tableModel, which
-// must show the same observable state after every step: where the
-// tracker runs, its term, and the free list it answers with.
+// server cut off and healed, a node's death, a poll cycle, the tracker's
+// crash and the watchdog's cold election — played to the simulated
+// tracker and to a tableModel, which must show the same observable state
+// after every step: where the tracker runs, its term, and the free list
+// it answers with.
 //
 // The model's rules are the driver's:
 //   - a poll cycle sets every server's row to its pool's free count;
-//   - a draining server advertises 0 on every cycle, whatever its pool
+//   - a dead server advertises 0 on every cycle, whatever its pool
 //     holds;
 //   - a poll that fails (the server is cut off, or the tracker's own host
 //     is) advertises 0 — the tracker's poll of its own host is loopback
 //     and always gets through;
 //   - the election lands on the lowest-numbered server that is not
-//     draining, under the dead tracker's term plus one, and polls every
+//     dead, under the dead tracker's term plus one, and polls every
 //     server before it answers.
 
 type scriptOp int
@@ -34,8 +34,7 @@ const (
 	opPool      scriptOp = iota // server key's pool has free chunks free
 	opCut                       // server key stops answering
 	opHeal                      // server key answers again
-	opDrain                     // server key starts draining for a planned leave
-	opUndrain                   // server key is live again
+	opKill                      // node key dies (Service.FailNode)
 	opCycle                     // the tracker polls every server
 	opFail                      // the tracker's process dies
 	opExpire                    // the watchdog notices: a cold election installs a successor
@@ -57,10 +56,8 @@ func (s scriptStep) String() string {
 		return fmt.Sprintf("cut server %d", s.key)
 	case opHeal:
 		return fmt.Sprintf("heal server %d", s.key)
-	case opDrain:
-		return fmt.Sprintf("drain server %d", s.key)
-	case opUndrain:
-		return fmt.Sprintf("undrain server %d", s.key)
+	case opKill:
+		return fmt.Sprintf("node %d dies", s.key)
 	case opCycle:
 		return "poll cycle"
 	case opFail:
@@ -71,7 +68,8 @@ func (s scriptStep) String() string {
 
 // trackerScript is the fixed opening — every rule once, in an order a
 // reader can follow — then a seeded tail of the same events at random.
-// Server 3 never drains, so an election always has somewhere to land.
+// Node 0 dies in the opening and the tail kills no other, so an election
+// always has somewhere to land.
 func trackerScript(seed int64) []scriptStep {
 	steps := []scriptStep{
 		{op: opCycle},
@@ -80,29 +78,26 @@ func trackerScript(seed int64) []scriptStep {
 		{op: opCut, key: 3},
 		{op: opCycle}, // the poll fails: 3 advertises nothing
 		{op: opHeal, key: 3},
-		{op: opDrain, key: 1},
-		{op: opCycle},         // 1 still has 4 free, but advertises nothing
-		{op: opCycle},         // ... on every cycle
-		{op: opDrain, key: 0}, // the tracker's own host
-		{op: opFail},
-		{op: opExpire}, // skips draining 0 and 1: node 2, epoch 2
-		{op: opUndrain, key: 1},
+		{op: opKill, key: 0}, // the tracker's own host
+		{op: opExpire},       // skips dead 0: node 1, epoch 2
+		{op: opCycle},        // 0's pool still has 4 free, but it advertises nothing
+		{op: opPool, key: 3, free: 2},
+		{op: opCycle},       // ... on every cycle
+		{op: opCut, key: 1}, // the tracker's host: every other poll fails
 		{op: opCycle},
-		{op: opCut, key: 2}, // the tracker's host: every other poll fails
-		{op: opCycle},
-		{op: opHeal, key: 2},
-		{op: opUndrain, key: 0},
-		{op: opPool, key: 0, free: 0},
+		{op: opHeal, key: 1},
+		{op: opPool, key: 1, free: 0},
 		{op: opFail},
-		{op: opExpire}, // node 0 again, epoch 3
+		{op: opExpire}, // node 1 again, epoch 3
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var cut, drained [scriptNodes]bool
+	var cut [scriptNodes]bool
 	down := false
 	for i := 0; i < 40; i++ {
 		key := rng.Intn(scriptNodes)
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(8); {
 		case op < 2:
+			key = 1 + key%(scriptNodes-1) // a live pool
 			steps = append(steps, scriptStep{op: opPool, key: key, free: rng.Intn(scriptPool + 1)})
 		case op < 5 && down:
 			steps = append(steps, scriptStep{op: opExpire})
@@ -116,14 +111,6 @@ func trackerScript(seed int64) []scriptStep {
 			}
 			steps = append(steps, s)
 			cut[key] = !cut[key]
-		case op < 9:
-			key %= scriptNodes - 1
-			s := scriptStep{op: opDrain, key: key}
-			if drained[key] {
-				s.op = opUndrain
-			}
-			steps = append(steps, s)
-			drained[key] = !drained[key]
 		case !down:
 			steps = append(steps, scriptStep{op: opFail})
 			down = true
@@ -152,25 +139,30 @@ func (v scriptView) String() string {
 }
 
 // setPoolFree allocates or frees chunks until the pool has free free.
-func setPoolFree(t *testing.T, pool *Pool, owner TaskID, free int) {
+// held is the handles it has allocated in the pool and not yet freed.
+func setPoolFree(t *testing.T, pool *Pool, owner TaskID, held *[]int, free int) {
 	t.Helper()
 	for pool.Free() > free {
-		if _, err := pool.Alloc(owner); err != nil {
+		h, err := pool.Alloc(owner)
+		if err != nil {
 			t.Fatalf("alloc: %v", err)
 		}
+		*held = append(*held, h)
 	}
-	for _, h := range pool.LiveHandles() {
-		if pool.Free() >= free {
-			break
-		}
-		pool.FreeChunk(h)
+	for pool.Free() < free {
+		last := len(*held) - 1
+		pool.FreeChunk((*held)[last])
+		*held = (*held)[:last]
 	}
 }
 
 // runScriptSim plays the script against the simulated tracker. Events
 // happen between the tracker loop's cycles: a cycle step sleeps until
 // the tracker's poll count moves, an election step until the watchdog's
-// failover count does. Cycles are ten seconds apart and the events
+// failover count does, so its view is the election's own poll. The
+// loop's next cycle may begin the moment the successor is installed, so
+// after an election's view the script also waits for that cycle to end
+// before its next event. Cycles are ten seconds apart and the events
 // between them take milliseconds, so none goes unscripted.
 func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 	ccfg := cluster.PaperConfig()
@@ -186,6 +178,7 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 	faults := NewFaultTransport(svc.Transport(), FaultConfig{})
 	svc.SetTransport(faults)
 	owner := TaskID{Node: 0, PID: 1}
+	var held [scriptNodes][]int
 
 	var out []scriptView
 	sim.Spawn("script", func(p *simtime.Proc) {
@@ -195,18 +188,27 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 				p.Sleep(simtime.Second)
 			}
 		}
+		view := func() scriptView {
+			tr := svc.Tracker
+			if tr.unavailable() {
+				return scriptView{Down: true}
+			}
+			v := scriptView{Node: tr.Node().ID, Epoch: tr.LeaderEpoch()}
+			for _, r := range tr.Query(p, c.Nodes[scriptNodes-1]) {
+				v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
+			}
+			return v
+		}
 		for _, s := range steps {
 			switch s.op {
 			case opPool:
-				setPoolFree(t, svc.Servers[s.key].Pool(), owner, s.free)
+				setPoolFree(t, svc.Servers[s.key].Pool(), owner, &held[s.key], s.free)
 			case opCut:
 				faults.IsolateNode(s.key)
 			case opHeal:
 				faults.RejoinNode(s.key)
-			case opDrain:
-				svc.memberState[s.key] = NodeLeaving
-			case opUndrain:
-				svc.memberState[s.key] = NodeLive
+			case opKill:
+				svc.FailNode(s.key)
 			case opCycle:
 				awaitMove("sponge_tracker_polls_total")
 			case opFail:
@@ -214,16 +216,10 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 			case opExpire:
 				awaitMove("sponge_tracker_failovers_total")
 			}
-			tr := svc.Tracker
-			if tr.unavailable() {
-				out = append(out, scriptView{Down: true})
-				continue
+			out = append(out, view())
+			if s.op == opExpire {
+				awaitMove("sponge_tracker_polls_total")
 			}
-			v := scriptView{Node: tr.Node().ID, Epoch: tr.LeaderEpoch()}
-			for _, r := range tr.Query(p, c.Nodes[scriptNodes-1]) {
-				v.Rows = append(v.Rows, fmt.Sprintf("%d:%d", r.Key, r.Free))
-			}
-			out = append(out, v)
 		}
 	})
 	sim.MustRun()
@@ -231,16 +227,16 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 }
 
 // runScriptModel plays the script against a tableModel, with the
-// servers' pools, reachability and membership as three arrays.
+// servers' pools, reachability and deaths as three arrays.
 func runScriptModel(steps []scriptStep) []scriptView {
 	var (
-		pool    [scriptNodes]int
-		cut     [scriptNodes]bool
-		drained [scriptNodes]bool
-		tab     = tableModel{}
-		host    = 0
-		epoch   = int64(1)
-		down    = false
+		pool  [scriptNodes]int
+		cut   [scriptNodes]bool
+		dead  [scriptNodes]bool
+		tab   = tableModel{}
+		host  = 0
+		epoch = int64(1)
+		down  = false
 	)
 	for k := range pool {
 		pool[k] = scriptPool
@@ -248,7 +244,7 @@ func runScriptModel(steps []scriptStep) []scriptView {
 	}
 	cycle := func() {
 		for k, free := range pool {
-			if drained[k] || k != host && (cut[k] || cut[host]) {
+			if dead[k] || k != host && (cut[k] || cut[host]) {
 				free = 0
 			}
 			tab[k] = free
@@ -261,14 +257,15 @@ func runScriptModel(steps []scriptStep) []scriptView {
 			pool[s.key] = s.free
 		case opCut, opHeal:
 			cut[s.key] = s.op == opCut
-		case opDrain, opUndrain:
-			drained[s.key] = s.op == opDrain
+		case opKill:
+			dead[s.key] = true
+			down = down || s.key == host
 		case opCycle:
 			cycle()
 		case opFail:
 			down = true
 		case opExpire:
-			for host = 0; drained[host]; host++ {
+			for host = 0; dead[host]; host++ {
 			}
 			epoch++
 			down = false
@@ -312,13 +309,12 @@ func TestTrackerScript(t *testing.T) {
 	}{
 		{2, "tracker on node 0 epoch 1: [0:4 1:4 3:4 2:1]"},
 		{4, "tracker on node 0 epoch 1: [0:4 1:4 2:1]"},
-		{7, "tracker on node 0 epoch 1: [0:4 3:4 2:1]"},
-		{8, "tracker on node 0 epoch 1: [0:4 3:4 2:1]"},
-		{10, "tracker down"},
-		{11, "tracker on node 2 epoch 2: [3:4 2:1]"},
-		{13, "tracker on node 2 epoch 2: [1:4 3:4 2:1]"},
-		{15, "tracker on node 2 epoch 2: [2:1]"},
-		{20, "tracker on node 0 epoch 3: [1:4 3:4 2:1]"},
+		{6, "tracker down"},
+		{7, "tracker on node 1 epoch 2: [1:4 3:4 2:1]"}, // the election's own poll: without it, empty
+		{8, "tracker on node 1 epoch 2: [1:4 3:4 2:1]"},
+		{10, "tracker on node 1 epoch 2: [1:4 3:2 2:1]"},
+		{12, "tracker on node 1 epoch 2: [1:4]"},
+		{16, "tracker on node 1 epoch 3: [3:2 2:1]"},
 	} {
 		if got := simRes[c.step].String(); got != c.want {
 			t.Errorf("step %d (%v):\n got  %s\n want %s", c.step, steps[c.step], got, c.want)

@@ -200,13 +200,12 @@ func (t *Transport) Close() error {
 	return first
 }
 
-// RevokePeer tears down this transport's cached state for a departed
-// node: the pipelined client closes — and with it every passed
-// descriptor and the generation-table mmap, so a same-host reader that raced
-// the departure degrades to TCP instead of reading a dead pool. The
-// address mapping stays: the next operation against the node re-dials,
-// so a node that rejoins under the same address needs no special
-// handling.
+// RevokePeer tears down this transport's cached state for a node: the
+// pipelined client closes — and with it every passed descriptor and the
+// generation-table mmap, so a same-host reader that raced the node's
+// death degrades to TCP instead of reading a dead pool. The address
+// mapping stays: the next operation against the node re-dials, which is
+// how a peer revoked while still alive is reached again.
 func (t *Transport) RevokePeer(node int) {
 	t.mu.Lock()
 	c := t.clients[node]

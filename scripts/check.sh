@@ -64,9 +64,9 @@ go test -race -count=20 -run 'TestDroppedPoolIsUnmapped|TestClosedPoolReleasesOn
 echo "== the tracker's table and its driver, -race -count=10 =="
 # One tracker, the paper's: FreeTable keeps the free list's ranking,
 # held to a model by the seeded property test, and the script plays one
-# event sequence — pools, cuts, drains, crashes and cold elections — to
-# the polled tracker and holds its answers and term to the same model
-# after every step.
+# event sequence — pools, cuts, a node's death, crashes and cold
+# elections — to the polled tracker and holds its answers and term to
+# the same model after every step.
 go test -race -count=10 -run 'TestFreeTable|TestTrackerScript' ./internal/sponge
 
 echo "== pool fill/view brackets against free and close, -race -count=10 =="
@@ -177,6 +177,12 @@ echo "== scenario matrix smoke (quick cases) =="
 # a tracker killed mid-write and cold-elected again — run against real
 # child server processes, end to end through the spongesim runner.
 go run ./cmd/spongesim -run 'spill-roundtrip-clean|tracker-failover-mid-job' -report /tmp/scenario-smoke.json
+
+echo "== scenario goroutine leak check, -count=20 =="
+# A case fails on any goroutine it leaves behind. The runner compares
+# goroutine IDs before and after the case, so the previous run's leaked
+# goroutine, released as that run returns, cannot cancel this run's out.
+go test -count=20 -run 'TestRunCaseFailsOnLeakedGoroutine' ./internal/scenario
 
 echo "== benchmark module smoke =="
 # The repository's benchmark is a module of its own that compiles
