@@ -207,15 +207,13 @@ func TestGCReclaimsAfterJobTasksExit(t *testing.T) {
 		if res.Failed {
 			t.Error("job failed")
 		}
-		p.Sleep(2 * s.svcGC()) // let GC run
+		p.Sleep(2 * sponge.GCInterval) // let GC run
 		if free := s.svc.TotalFreeChunks(); free != totalChunks {
 			t.Errorf("sponge chunks leaked: %d of %d free", free, totalChunks)
 		}
 	})
 	s.sim.MustRun()
 }
-
-func (s *stack) svcGC() simtime.Duration { return s.svc.Config.GCInterval }
 
 // TestManyConcurrentJobs runs several small jobs simultaneously through
 // one sponge service and checks isolation: every job completes and no

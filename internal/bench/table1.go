@@ -47,11 +47,10 @@ func table1Medium(medium, spills int) float64 {
 	// leaving a healthy page cache for the background-load cases.
 	cfg.SpongeMemory = 2 * media.GB
 	if medium == 5 {
-		// Memory pressure: a process pins 12 GB, leaving almost nothing
-		// for the page cache and inducing swap traffic.
-		cfg.NodeMemory = 16 * media.GB
-		cfg.OSReserve = 12*media.GB + 512*media.MB
-		cfg.SpongeMemory = 2 * media.GB
+		// Memory pressure: on a 4 GB node the heaps, the sponge and the
+		// OS reserve leave nothing, so the page cache shrinks to its
+		// floor.
+		cfg.NodeMemory = 4 * media.GB
 	}
 	sim := simtime.New()
 	defer sim.Close()

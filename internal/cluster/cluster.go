@@ -25,23 +25,26 @@ type Config struct {
 	// 10 GB job carry ~160 MB of real data.
 	Scale int64
 
-	// NodeMemory is total physical memory per node. MapSlots and
-	// ReduceSlots count the per-slot JVMs: a map JVM's heap is mapHeap,
-	// a reduce JVM's is ReduceHeap (the merge memory, and Pig's bag
-	// budget). SpongeMemory is the shared sponge pool reserved outside
-	// the heaps (0 = stock Hadoop); OSReserve approximates kernel +
-	// daemons. What remains becomes the page cache.
+	// NodeMemory is total physical memory per node. MapSlots counts the
+	// map JVMs, each with a heap of mapHeap, beside the one reduce JVM,
+	// whose heap is ReduceHeap (the merge memory, and Pig's bag budget).
+	// SpongeMemory is the shared sponge pool reserved outside the heaps
+	// (0 = stock Hadoop). What remains after osReserve becomes the page
+	// cache.
 	NodeMemory   int64
 	MapSlots     int
-	ReduceSlots  int
 	ReduceHeap   int64
 	SpongeMemory int64
-	OSReserve    int64
 }
 
-// mapHeap is a map JVM's heap (§4.2.2). No experiment varies it: Figure
-// 6's no-spill baseline enlarges the reduce JVM alone.
-const mapHeap = 1 * media.GB
+// The carve-up's fixed part (§4.2.2), which no experiment varies: a map
+// JVM's heap (Figure 6's no-spill baseline enlarges the reduce JVM
+// alone), one reduce slot per node, and the kernel's and daemons' share.
+const (
+	mapHeap     = 1 * media.GB
+	reduceSlots = 1
+	osReserve   = 512 * media.MB
+)
 
 // minCache is the page-cache floor: the kernel always keeps some cache.
 const minCache = 64 * media.MB
@@ -56,18 +59,16 @@ func PaperConfig() Config {
 		Scale:        64,
 		NodeMemory:   16 * media.GB,
 		MapSlots:     2,
-		ReduceSlots:  1,
 		ReduceHeap:   1 * media.GB,
 		SpongeMemory: 1 * media.GB,
-		OSReserve:    512 * media.MB,
 	}
 }
 
 // CacheBytes returns the page-cache capacity implied by the memory
 // carve-up, never less than minCache.
 func (c Config) CacheBytes() int64 {
-	heaps := int64(c.MapSlots)*mapHeap + int64(c.ReduceSlots)*c.ReduceHeap
-	return max(c.NodeMemory-heaps-c.SpongeMemory-c.OSReserve, minCache)
+	heaps := int64(c.MapSlots)*mapHeap + reduceSlots*c.ReduceHeap
+	return max(c.NodeMemory-heaps-c.SpongeMemory-osReserve, minCache)
 }
 
 // V converts real bytes to virtual bytes.
@@ -88,10 +89,9 @@ type Node struct {
 	Disk *media.Disk
 	NIC  *media.NIC
 
-	// MapSlots and ReduceSlots bound concurrent tasks, like Hadoop's
-	// TaskTracker slots.
-	MapSlots    *simtime.Resource
-	ReduceSlots *simtime.Resource
+	// MapSlots bounds concurrent map tasks, like Hadoop's TaskTracker
+	// slots.
+	MapSlots *simtime.Resource
 }
 
 // Name returns a diagnostic name such as "node7".
@@ -157,12 +157,11 @@ func (c *Cluster) addNode() {
 	i := len(c.Nodes)
 	name := fmt.Sprintf("node%d", i)
 	n := &Node{
-		ID:          i,
-		cfg:         c.Cfg,
-		Disk:        media.NewDisk(c.Sim, name+".disk", c.Cfg.CacheBytes()),
-		NIC:         c.Net.NewNIC(name),
-		MapSlots:    simtime.NewResource(name+".mapslots", max1(c.Cfg.MapSlots)),
-		ReduceSlots: simtime.NewResource(name+".reduceslots", max1(c.Cfg.ReduceSlots)),
+		ID:       i,
+		cfg:      c.Cfg,
+		Disk:     media.NewDisk(c.Sim, name+".disk", c.Cfg.CacheBytes()),
+		NIC:      c.Net.NewNIC(name),
+		MapSlots: simtime.NewResource(name+".mapslots", max1(c.Cfg.MapSlots)),
 	}
 	if c.Cfg.Workers > c.Cfg.NodesPerRack {
 		n.Rack = i / c.Cfg.NodesPerRack

@@ -21,9 +21,6 @@ import (
 
 // RunOptions configures a suite (or single-case) execution.
 type RunOptions struct {
-	// Exe is the binary re-executed as the child servers; empty means
-	// os.Executable(). It must implement the `serve` subcommand.
-	Exe string
 	// Filter selects cases by name; nil runs every case.
 	Filter *regexp.Regexp
 	// QuickOnly restricts the run to cases marked Quick — the
@@ -55,7 +52,8 @@ type RunContext struct {
 	Harness *Harness
 
 	// phaseEvents holds the phase-anchored fault events, in schedule
-	// order, keyed by phase name; Phase applies and consumes them.
+	// order, keyed by phase name; Phase applies and consumes them, and
+	// what is left when the simulation ends fails the case.
 	phaseEvents map[string][]FaultEvent
 
 	// The workload verdict gauges: scenario_output_digest_match is 1
@@ -88,9 +86,9 @@ func (rc *RunContext) SetDigestMatch(ok bool) {
 	}
 }
 
-// apply executes one fault event. Kill events reach into the real
+// apply executes one fault event. A kill-node reaches into the real
 // world (SIGKILL of a child process); the rest drive the fault
-// transport, the tracker, or the service's node-failure path.
+// transport or the tracker.
 func (rc *RunContext) apply(ev FaultEvent) {
 	fail := func(err error) {
 		rc.faultErrs = append(rc.faultErrs, fmt.Sprintf("fault %s: %v", ev.Op, err))
@@ -100,14 +98,6 @@ func (rc *RunContext) apply(ev FaultEvent) {
 		if err := rc.Harness.KillNode(ev.Node); err != nil {
 			fail(err)
 		}
-	case OpFailNode:
-		// Kill the real process first, then acknowledge the failure to
-		// the service (peer revocation, chunk-loss accounting) the way a
-		// detector would.
-		if err := rc.Harness.KillNode(ev.Node); err != nil {
-			fail(err)
-		}
-		rc.Svc.FailNode(ev.Node)
 	case OpKillTracker:
 		rc.Svc.FailTracker()
 	case OpPartition:
@@ -122,14 +112,8 @@ func (rc *RunContext) apply(ev FaultEvent) {
 				rc.Faults.Heal(a, b)
 			}
 		}
-	case OpIsolate:
-		rc.Faults.IsolateNode(ev.Node)
-	case OpRejoin:
-		rc.Faults.RejoinNode(ev.Node)
 	case OpDropRate:
 		rc.Faults.SetDropRate(ev.Rate)
-	case OpLinkDrop:
-		rc.Faults.SetLinkDrop(ev.Node, ev.Peer, ev.Rate)
 	case OpRevokePeer:
 		rc.Faults.RevokePeer(ev.Node)
 	default:
@@ -228,7 +212,6 @@ func runCase(cs Case, opts RunOptions) CaseReport {
 		defer os.RemoveAll(dir)
 	}
 	h, err := Spawn(HarnessOptions{
-		Exe:        opts.Exe,
 		Nodes:      spec.Nodes,
 		ChunkBytes: svc.ChunkReal(),
 		Chunks:     spec.PoolChunks,
@@ -281,9 +264,7 @@ func runCase(cs Case, opts RunOptions) CaseReport {
 		} else {
 			timed = append(timed, ev)
 		}
-		if ev.Op == OpKillTracker || ev.Op == OpFailNode {
-			needsSettle = true
-		}
+		needsSettle = needsSettle || ev.Op == OpKillTracker
 	}
 	if len(timed) > 0 {
 		sort.SliceStable(timed, func(i, j int) bool { return timed[i].At < timed[j].At })
@@ -323,6 +304,14 @@ func runCase(cs Case, opts RunOptions) CaseReport {
 	for _, msg := range rc.faultErrs {
 		failf("%s", msg)
 	}
+	var unfired []string
+	for phase, events := range rc.phaseEvents {
+		for _, ev := range events {
+			unfired = append(unfired, fmt.Sprintf("fault %s at phase %s never applied: the workload never reached that phase", ev.Op, phase))
+		}
+	}
+	sort.Strings(unfired)
+	rep.Failures = append(rep.Failures, unfired...)
 	// Teardown invariant, every case, asserted or not: with the workload
 	// over, every chunk buffer is back in the service's pool.
 	if out := svc.BufPoolStats().Outstanding(); out != 0 {

@@ -224,3 +224,35 @@ func TestRunCaseFailsOnLeakedFD(t *testing.T) {
 		t.Fatalf("pass = %v, failures = %q; want the one descriptor leak", cr.Pass, cr.Failures)
 	}
 }
+
+// A job workload fires only pre-write and post-read, so an event
+// anchored mid-write never lands: the case fails and names it, however
+// clean its evidence.
+func TestRunCaseFailsOnUnfiredPhase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	cr := RunCase(Case{
+		Name:     "unfired-phase",
+		Spec:     Spec{Nodes: 1},
+		Faults:   []FaultEvent{{Phase: PhaseMidWrite, Op: OpKillTracker}},
+		Workload: WordCountWorkload{Records: 2000, Vocab: 40},
+		Assert:   []Assertion{{Metric: "scenario_workload_ok", Op: "==", Value: 1}},
+	}, RunOptions{})
+	want := "fault kill-tracker at phase mid-write never applied"
+	if cr.Pass || len(cr.Failures) != 1 || !strings.Contains(cr.Failures[0], want) {
+		t.Fatalf("pass = %v, failures = %q; want the one %q", cr.Pass, cr.Failures, want)
+	}
+}
+
+func TestValidateRejectsUnknownPhase(t *testing.T) {
+	cs := Case{
+		Name:     "typo",
+		Faults:   []FaultEvent{{Phase: "mid_write", Op: OpKillTracker}},
+		Workload: leakyWorkload{},
+		Assert:   []Assertion{{Metric: "scenario_workload_ok", Op: "==", Value: 1}},
+	}
+	if err := cs.Validate(); err == nil || !strings.Contains(err.Error(), `"mid_write"`) {
+		t.Fatalf("Validate = %v; want the unknown phase \"mid_write\" rejected", err)
+	}
+}

@@ -56,23 +56,19 @@ type FaultOp string
 
 // The fault vocabulary. KillNode is a real SIGKILL of the child
 // process — discovery happens through live sockets (dial refused,
-// retries, blacklist), not through any side channel. FailNode
-// additionally tells the service (chunk loss is acknowledged, the
-// peer's transport state is revoked). The partition/heal/isolate/drop
-// ops drive the seeded FaultTransport; kill-tracker fails the simulated
-// tracker daemon so the watchdog's cold election runs; revoke-peer
-// drops the wire transport's cached client (and any passed fds) for a
-// node that is still alive, proving reads re-negotiate.
+// retries, blacklist), not through any side channel. Partition and
+// heal cut and restore every link between two groups of nodes, and
+// drop-rate ramps the random loss; all three drive the seeded
+// FaultTransport. Kill-tracker fails the simulated tracker daemon so
+// the watchdog's cold election runs; revoke-peer drops the wire
+// transport's cached client (and any passed fds) for a node that is
+// still alive, proving reads re-negotiate.
 const (
 	OpKillNode    FaultOp = "kill-node"
-	OpFailNode    FaultOp = "fail-node"
 	OpKillTracker FaultOp = "kill-tracker"
 	OpPartition   FaultOp = "partition"
 	OpHeal        FaultOp = "heal"
-	OpIsolate     FaultOp = "isolate"
-	OpRejoin      FaultOp = "rejoin"
 	OpDropRate    FaultOp = "drop-rate"
-	OpLinkDrop    FaultOp = "link-drop"
 	OpRevokePeer  FaultOp = "revoke-peer"
 )
 
@@ -86,20 +82,19 @@ type FaultEvent struct {
 	At    simtime.Duration
 	Phase string
 	Op    FaultOp
-	// Node is the primary target (kill/fail/isolate/rejoin/revoke/
-	// leave); Peer is the second endpoint of link ops.
+	// Node is the target of kill-node and revoke-peer.
 	Node int
-	Peer int
 	// A and B are the two sides of a partition/heal (every cross link
 	// is cut or healed).
 	A, B []int
-	// Rate is the drop rate for drop-rate and link-drop ops.
+	// Rate is the drop rate for drop-rate ops.
 	Rate float64
 }
 
 // The workload phases fault events may anchor to. Spill round-trip
 // workloads fire all of them in order; job workloads fire PreWrite
-// before submitting and PostRead after the result is verified.
+// before submitting and PostRead after the result is verified. An event
+// anchored at a phase its workload never fires fails the case.
 const (
 	PhasePreWrite   = "pre-write"
 	PhaseMidWrite   = "mid-write"
@@ -184,8 +179,13 @@ func (c *Case) Validate() error {
 		if ev.Phase == "" && ev.At < 0 {
 			return fmt.Errorf("scenario: case %s: event %s has negative time", c.Name, ev.Op)
 		}
+		switch ev.Phase {
+		case "", PhasePreWrite, PhaseMidWrite, PhasePostWrite, PhaseMidRead, PhasePostRead, PhasePostDelete:
+		default:
+			return fmt.Errorf("scenario: case %s: event %s anchors at unknown phase %q", c.Name, ev.Op, ev.Phase)
+		}
 		switch ev.Op {
-		case OpKillNode, OpFailNode, OpIsolate, OpRejoin, OpRevokePeer:
+		case OpKillNode, OpRevokePeer:
 			if ev.Node < 1 || ev.Node > spec.Nodes {
 				return fmt.Errorf("scenario: case %s: event %s targets node %d outside 1..%d",
 					c.Name, ev.Op, ev.Node, spec.Nodes)
@@ -194,7 +194,7 @@ func (c *Case) Validate() error {
 			if len(ev.A) == 0 || len(ev.B) == 0 {
 				return fmt.Errorf("scenario: case %s: %s needs both groups", c.Name, ev.Op)
 			}
-		case OpKillTracker, OpDropRate, OpLinkDrop:
+		case OpKillTracker, OpDropRate:
 		default:
 			return fmt.Errorf("scenario: case %s: unknown fault op %q", c.Name, ev.Op)
 		}

@@ -170,37 +170,6 @@ func TestEncryptionCostsCPU(t *testing.T) {
 	}
 }
 
-func TestQuotaSweepReclaimsAndReports(t *testing.T) {
-	r := newRig(t, 2, 8, func(c *ServiceConfig) {
-		c.GCInterval = simtime.Second
-		c.QuotaChunksPerTask = 6
-	})
-	var violators []TaskID
-	r.svc.OnQuotaViolation = func(id TaskID) { violators = append(violators, id) }
-	r.sim.Spawn("task", func(p *simtime.Proc) {
-		agent := r.svc.NewAgent(r.c.Nodes[0])
-		defer agent.Close()
-		f := agent.Create(p, "hog")
-		if err := f.Write(p, pattern(6*r.svc.ChunkReal(), 4)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		// An operator tightens the quota below the task's holdings; the
-		// next sweep must reclaim the task's chunks and report it.
-		r.svc.Config.QuotaChunksPerTask = 2
-		p.Sleep(3 * simtime.Second)
-	})
-	r.sim.MustRun()
-	if len(violators) == 0 {
-		t.Fatal("quota sweep reported no violators")
-	}
-	if free := r.svc.Servers[0].Pool().Free(); free != 8 {
-		t.Fatalf("free = %d, want all 8 reclaimed", free)
-	}
-}
-
 // TestWatchdogPromotesStandbyOnHostDeath: the leader's host dies mid-run
 // and the watchdog promotes the next node in line within one poll
 // interval. The successor is elected cold — it carries no table over —

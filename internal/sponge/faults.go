@@ -41,11 +41,11 @@ func link(a, b int) linkKey {
 	return linkKey{a, b}
 }
 
-// FaultTransport wraps any Transport and injects per-link faults: random
-// drops, fixed delivery delay, per-link drop overrides, and hard
-// partitions of links or whole nodes. Loopback exchanges
-// (caller and peer on the same node) never traverse the network and are
-// delivered untouched.
+// FaultTransport wraps any Transport and injects the paper's network
+// faults (§3.1.1): random drops, a fixed delivery delay, and cut links —
+// a partition is the set of links cut between its sides. Loopback
+// exchanges (caller and peer on the same node) never traverse the
+// network and are delivered untouched.
 //
 // The wrapper is deterministic under the simulator: one process runs at
 // a time, so the seeded random stream is consumed in a fixed order and a
@@ -57,8 +57,6 @@ type FaultTransport struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	cutLinks map[linkKey]bool
-	cutNodes map[int]bool
-	linkDrop map[linkKey]float64
 
 	// What the wrapper did to the traffic: exchanges attempted, lost in
 	// transit, refused by a partition. Nil — nothing is counted — until
@@ -74,8 +72,6 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		cutLinks: make(map[linkKey]bool),
-		cutNodes: make(map[int]bool),
-		linkDrop: make(map[linkKey]float64),
 	}
 }
 
@@ -94,38 +90,11 @@ func (ft *FaultTransport) Heal(a, b int) {
 	ft.mu.Unlock()
 }
 
-// IsolateNode partitions a node from everyone: all its links drop.
-func (ft *FaultTransport) IsolateNode(n int) {
-	ft.mu.Lock()
-	ft.cutNodes[n] = true
-	ft.mu.Unlock()
-}
-
-// RejoinNode ends a node's isolation.
-func (ft *FaultTransport) RejoinNode(n int) {
-	ft.mu.Lock()
-	delete(ft.cutNodes, n)
-	ft.mu.Unlock()
-}
-
-// SetLinkDrop overrides the drop rate on one link (both directions); a
-// negative rate removes the override.
-func (ft *FaultTransport) SetLinkDrop(a, b int, rate float64) {
-	ft.mu.Lock()
-	if rate < 0 {
-		delete(ft.linkDrop, link(a, b))
-	} else {
-		ft.linkDrop[link(a, b)] = rate
-	}
-	ft.mu.Unlock()
-}
-
 // SetDropRate replaces the global drop probability at runtime — the
 // scenario harness's drop-rate ramps (degrade mid-job, recover later).
-// Per-link overrides from SetLinkDrop still win. Changing the rate
-// consumes no randomness: the roll stream depends only on exchange
-// order, so a ramp at a fixed workload point is as deterministic as a
-// fixed rate.
+// A cut link stays cut whatever the rate. Changing the rate consumes no
+// randomness: the roll stream depends only on exchange order, so a ramp
+// at a fixed workload point is as deterministic as a fixed rate.
 func (ft *FaultTransport) SetDropRate(rate float64) {
 	ft.mu.Lock()
 	ft.cfg.DropRate = rate
@@ -172,17 +141,13 @@ func (ft *FaultTransport) decide(from, to int) (lost bool) {
 	// class rolled it, and drawing it still keeps every seeded fault
 	// stream — and so every recorded fault run — where it was.
 	ft.rng.Float64()
-	if ft.cutNodes[from] || ft.cutNodes[to] || ft.cutLinks[link(from, to)] {
+	if ft.cutLinks[link(from, to)] {
 		if ft.blocked != nil {
 			ft.blocked.Inc()
 		}
 		return true
 	}
-	drop := ft.cfg.DropRate
-	if r, ok := ft.linkDrop[link(from, to)]; ok {
-		drop = r
-	}
-	if dropRoll < drop {
+	if dropRoll < ft.cfg.DropRate {
 		if ft.drops != nil {
 			ft.drops.Inc()
 		}

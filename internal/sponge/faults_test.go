@@ -113,15 +113,15 @@ func TestExhaustedRetriesBlacklistCandidate(t *testing.T) {
 	}
 }
 
-// TestPartitionForcesDiskFallback isolates the only remote node via the
-// fault transport: every exchange to it times out, the write path
+// TestPartitionForcesDiskFallback cuts the link to the only remote node
+// in the fault transport: every exchange to it times out, the write path
 // blacklists it, and the data lands on disk. Healing the partition
 // lets a later file spill remote again.
 func TestPartitionForcesDiskFallback(t *testing.T) {
 	r := newRig(t, 2, 2, nil)
 	faults := NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 1})
 	r.svc.SetTransport(faults)
-	faults.IsolateNode(1)
+	faults.Cut(0, 1)
 
 	data := pattern(4*r.svc.ChunkReal(), 5)
 	f := writeReadDelete(t, r, 0, data)
@@ -136,7 +136,7 @@ func TestPartitionForcesDiskFallback(t *testing.T) {
 		t.Fatal("partition never blocked an exchange")
 	}
 
-	faults.RejoinNode(1)
+	faults.Heal(0, 1)
 	f2 := writeReadDelete(t, r, 0, data)
 	if st2 := f2.Stats(); st2.ByKind[RemoteMem] == 0 {
 		t.Fatalf("no remote chunks after healing the partition: %+v", st2)
@@ -169,12 +169,12 @@ func TestSeededDropsRoundTripAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestLinkDropOverride cuts only one link's delivery: traffic to the
-// other remote node is untouched, so chunks land there.
+// TestLinkDropOverride cuts only one link: traffic to the other remote
+// node is untouched, so chunks land there.
 func TestLinkDropOverride(t *testing.T) {
 	r := newRig(t, 3, 2, nil)
 	faults := NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 7})
-	faults.SetLinkDrop(0, 1, 1.0)
+	faults.Cut(0, 1)
 	r.svc.SetTransport(faults)
 
 	data := pattern(4*r.svc.ChunkReal(), 8)
@@ -216,7 +216,7 @@ func TestLinkDropOverride(t *testing.T) {
 		t.Fatalf("no remote chunks although node 2's link is clean: %+v", st)
 	}
 	if r.svc.Servers[1].Pool().Free() != r.svc.Servers[1].Pool().Chunks() {
-		t.Fatal("chunks crossed the fully-dropped link to node 1")
+		t.Fatal("chunks crossed the cut link to node 1")
 	}
 }
 
@@ -240,7 +240,7 @@ func TestElectTrackerAllNodesDead(t *testing.T) {
 }
 
 // TestWatchdogReelectionUnderPollDrops kills the tracker's host while
-// the fault transport is dropping every poll to one server: the
+// the fault transport has cut the link to one server: the
 // watchdog must still elect a successor, the successor's first poll
 // records the unreachable server as empty, and after healing the next
 // poll sees it again.
@@ -252,7 +252,7 @@ func TestWatchdogReelectionUnderPollDrops(t *testing.T) {
 	r.sim.Spawn("chaos", func(p *simtime.Proc) {
 		// Node 2 becomes unreachable (polls to it drop), then the
 		// tracker's own host dies.
-		faults.SetLinkDrop(1, 2, 1.0)
+		faults.Cut(1, 2)
 		r.svc.FailNode(0)
 		// The dead leader polls no more: every drop from here on is the
 		// successor's.
@@ -283,7 +283,7 @@ func TestWatchdogReelectionUnderPollDrops(t *testing.T) {
 			t.Errorf("unreachable server advertised %d free chunks", nt.Advertised(2))
 		}
 
-		faults.SetLinkDrop(1, 2, -1)
+		faults.Heal(1, 2)
 		p.Sleep(2 * r.svc.Config.PollInterval)
 		if nt.Advertised(2) == 0 {
 			t.Error("healed server still invisible to the tracker")

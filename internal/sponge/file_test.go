@@ -251,7 +251,7 @@ func TestChunkLostOnNodeFailure(t *testing.T) {
 }
 
 func TestGarbageCollectionFreesOrphans(t *testing.T) {
-	r := newRig(t, 2, 4, func(c *ServiceConfig) { c.GCInterval = 2 * simtime.Second })
+	r := newRig(t, 2, 4, nil)
 	r.sim.Spawn("leaky", func(p *simtime.Proc) {
 		agent := r.svc.NewAgent(r.c.Nodes[0])
 		f := agent.Create(p, "leak")
@@ -266,7 +266,7 @@ func TestGarbageCollectionFreesOrphans(t *testing.T) {
 		agent.Close()
 	})
 	r.sim.Spawn("observer", func(p *simtime.Proc) {
-		p.Sleep(10 * simtime.Second) // let at least one GC cycle run
+		p.Sleep(GCInterval + 5*simtime.Second) // let at least one GC cycle run
 		if free := r.svc.TotalFreeChunks(); free != 8 {
 			t.Errorf("after GC free = %d of 8", free)
 		}
@@ -282,7 +282,7 @@ func TestGarbageCollectionFreesOrphans(t *testing.T) {
 }
 
 func TestGCSparesLiveTasks(t *testing.T) {
-	r := newRig(t, 2, 4, func(c *ServiceConfig) { c.GCInterval = simtime.Second })
+	r := newRig(t, 2, 4, nil)
 	r.sim.Spawn("live", func(p *simtime.Proc) {
 		agent := r.svc.NewAgent(r.c.Nodes[0])
 		defer agent.Close()
@@ -293,7 +293,7 @@ func TestGCSparesLiveTasks(t *testing.T) {
 		if err := f.Close(p); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		p.Sleep(5 * simtime.Second) // several GC cycles while alive
+		p.Sleep(3 * GCInterval) // several GC cycles while alive
 		got := make([]byte, 0)
 		buf := make([]byte, 4096)
 		for {
@@ -315,8 +315,55 @@ func TestGCSparesLiveTasks(t *testing.T) {
 	r.sim.MustRun()
 }
 
+// TestGCSparesUnreachableOwners holds the sweep's safety rule: a
+// liveness query lost in the network counts as "alive". While the link
+// to the owner's node is cut, node 1 keeps a live task's remote chunks
+// and, after the task exits, its orphans too; the first sweep after the
+// link heals frees exactly those.
+func TestGCSparesUnreachableOwners(t *testing.T) {
+	r := newRig(t, 2, 2, nil)
+	faults := NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 1})
+	r.svc.SetTransport(faults)
+	r.sim.Spawn("task", func(p *simtime.Proc) {
+		freed := func() int64 { return perNode(t, r.svc, "sponge_gc_freed_chunks_total")[1] }
+		held := func() int { return r.svc.Servers[1].Pool().Chunks() - r.svc.Servers[1].Pool().Free() }
+		agent := r.svc.NewAgent(r.c.Nodes[0])
+		f := agent.Create(p, "stranded")
+		if err := f.Write(p, pattern(4*r.svc.ChunkReal(), 10)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		remote := f.Stats().ByKind[RemoteMem]
+		if remote == 0 || held() != remote {
+			t.Fatalf("node 1 holds %d chunks, file placed %d there; want a remote spill", held(), remote)
+		}
+		faults.Cut(0, 1)
+		blocked := metricOf(t, r.svc, "sponge_fault_blocked_total")
+		p.Sleep(2 * GCInterval)
+		if got := held(); got != remote || freed() != 0 {
+			t.Errorf("live task behind a cut link: node 1 holds %d of %d chunks, freed %d", got, remote, freed())
+		}
+		agent.Close()
+		p.Sleep(2 * GCInterval)
+		if got := held(); got != remote || freed() != 0 {
+			t.Errorf("orphan behind a cut link: node 1 holds %d of %d chunks, freed %d", got, remote, freed())
+		}
+		if metricOf(t, r.svc, "sponge_fault_blocked_total") == blocked {
+			t.Error("no exchange crossed the cut; the liveness queries were never lost")
+		}
+		faults.Heal(0, 1)
+		p.Sleep(GCInterval)
+		if got := held(); got != 0 || freed() != int64(remote) {
+			t.Errorf("after the heal's first sweep node 1 holds %d chunks and freed %d, want 0 and %d", got, freed(), remote)
+		}
+	})
+	r.sim.MustRun()
+}
+
 // A reclaim that beats the owner's Delete — a GC sweep after the agent
-// closed, a quota sweep — leaves the file holding a stale remote handle.
+// closed — leaves the file holding a stale remote handle.
 // The simulated peer answers that free the way the wire server does,
 // with a status the file ignores, not with the pool's double-free panic.
 func TestDeleteAfterRemoteChunkReclaimed(t *testing.T) {

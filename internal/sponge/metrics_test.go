@@ -105,7 +105,7 @@ func TestSeriesCatalog(t *testing.T) {
 	if f.Stats().ByKind[RemoteMem] == 0 {
 		t.Fatal("nothing spilled remotely; the catalog run exercises nothing")
 	}
-	r.sim.Spawn("gc", func(p *simtime.Proc) { p.Sleep(r.svc.Config.GCInterval + simtime.Second) })
+	r.sim.Spawn("gc", func(p *simtime.Proc) { p.Sleep(GCInterval + simtime.Second) })
 	r.sim.MustRun()
 
 	names := map[string]bool{}
@@ -296,7 +296,7 @@ func TestTrackerPollDropCountersPerNode(t *testing.T) {
 	faults := NewFaultTransport(r.svc.Transport(), FaultConfig{Seed: 5})
 	r.svc.SetTransport(faults)
 	r.sim.Spawn("chaos", func(p *simtime.Proc) {
-		faults.SetLinkDrop(0, 2, 1.0)
+		faults.Cut(0, 2)
 		p.Sleep(4 * r.svc.Config.PollInterval)
 	})
 	r.sim.MustRun()

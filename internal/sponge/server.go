@@ -102,9 +102,9 @@ func (s *Server) Read(p *simtime.Proc, to *cluster.Node, h int, buf []byte) (int
 }
 
 // Free releases a chunk on behalf of a remote task. The handle is the
-// caller's word, not the server's: a chunk that a GC or quota sweep
-// reclaimed first is reported (ErrNoFreeChunk), as the wire server
-// reports it, not taken for a double free.
+// caller's word, not the server's: a chunk that a GC sweep reclaimed
+// first is reported (ErrNoFreeChunk), as the wire server reports it,
+// not taken for a double free.
 func (s *Server) Free(p *simtime.Proc, from *cluster.Node, h int) error {
 	if s.pool.Failed() {
 		return ErrChunkLost
@@ -181,26 +181,6 @@ func (s *Server) gcSweep(p *simtime.Proc) {
 	}
 }
 
-// quotaSweep finds tasks holding more chunks than their per-node quota
-// and takes the corrective action of §3.1.4: reclaim the space and
-// report the offender (the runtime typically kills it). Alloc already
-// enforces the quota inline, so sweeps only catch violations introduced
-// by configuration changes or bugs.
-func (s *Server) quotaSweep() {
-	quota := s.svc.Config.QuotaChunksPerTask
-	if quota <= 0 {
-		return
-	}
-	for owner, n := range s.pool.Owners() {
-		if n > quota {
-			s.pool.FreeOwnedBy(owner)
-			if s.svc.OnQuotaViolation != nil {
-				s.svc.OnQuotaViolation(owner)
-			}
-		}
-	}
-}
-
 // gcRound is one round of the server's periodic garbage collection
 // daemon; a failed pool ends the daemon.
 func (s *Server) gcRound(p *simtime.Proc) bool {
@@ -208,6 +188,5 @@ func (s *Server) gcRound(p *simtime.Proc) bool {
 		return false
 	}
 	s.gcSweep(p)
-	s.quotaSweep()
 	return true
 }

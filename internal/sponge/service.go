@@ -16,10 +16,8 @@ type ServiceConfig struct {
 	// per-chunk setup cost (§3.2).
 	ChunkVirtual int64
 	// PollInterval is how often the tracker polls sponge servers (§3.1.1
-	// suggests every second); GCInterval is how often servers sweep for
-	// orphaned chunks.
+	// suggests every second).
 	PollInterval simtime.Duration
-	GCInterval   simtime.Duration
 	// AsyncWriteDepth and ReadAheadDepth are the two halves of the file
 	// pipeline; a SpongeFile is written once and then read once, so the
 	// windows never overlap and are tuned independently. Depth 0 turns
@@ -47,10 +45,11 @@ type ServiceConfig struct {
 	// go local memory → disk → remote FS (Figure 6's "local sponge
 	// only" configuration).
 	RemoteDisabled bool
-	// QuotaChunksPerTask caps chunks per task per node; 0 = unlimited.
+	// QuotaChunksPerTask caps chunks per task per node (§3.1.4), checked
+	// by Pool.Alloc on every path; 0 = unlimited.
 	QuotaChunksPerTask int
-	// LocalDiskEnabled allows the local-disk fallback; disable to force
-	// the RemoteStore path in tests.
+	// LocalDiskEnabled allows the local-disk fallback; false is a
+	// diskless node, which spills past memory to Remote.
 	LocalDiskEnabled bool
 	// Remote is the distributed-filesystem last resort; may be nil.
 	Remote RemoteStore
@@ -69,7 +68,6 @@ func DefaultConfig() ServiceConfig {
 	return ServiceConfig{
 		ChunkVirtual:     1 * media.MB,
 		PollInterval:     1 * simtime.Second,
-		GCInterval:       30 * simtime.Second,
 		AsyncWriteDepth:  2,
 		ReadAheadDepth:   4,
 		Affinity:         true,
@@ -77,6 +75,11 @@ func DefaultConfig() ServiceConfig {
 		LocalDiskEnabled: true,
 	}
 }
+
+// GCInterval is how often every sponge server sweeps its pool for
+// chunks whose owner task is dead (§3.1.3). Nothing runs with another
+// period.
+const GCInterval = 30 * simtime.Second
 
 // The retry constants. Nothing runs with other values.
 const (
@@ -134,11 +137,6 @@ type Service struct {
 	// metrics holds the pre-registered observability handles the hot
 	// paths mutate; always non-nil after Start.
 	metrics *svcMetrics
-
-	// OnQuotaViolation, when set, is invoked by the quota sweep with
-	// each task found holding more than its per-node quota (§3.1.4's
-	// corrective action — e.g. the engine kills the task).
-	OnQuotaViolation func(TaskID)
 }
 
 // Start deploys sponge servers on every node of the cluster (pool size
@@ -148,7 +146,7 @@ type Service struct {
 // cfg as given — begin from DefaultConfig — and panics on a value no
 // deployment could run with.
 func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
-	if cfg.ChunkVirtual <= 0 || cfg.PollInterval <= 0 || cfg.GCInterval <= 0 ||
+	if cfg.ChunkVirtual <= 0 || cfg.PollInterval <= 0 ||
 		cfg.AsyncWriteDepth < 0 || cfg.ReadAheadDepth < 0 {
 		panic(fmt.Sprintf("sponge: invalid config (start from DefaultConfig): %+v", cfg))
 	}
@@ -174,7 +172,7 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 		}
 		srv := newServer(s, n, pool)
 		s.Servers = append(s.Servers, srv)
-		c.Sim.Every(fmt.Sprintf("spongegc@%s", n.Name()), cfg.GCInterval, srv.gcRound)
+		c.Sim.Every(fmt.Sprintf("spongegc@%s", n.Name()), GCInterval, srv.gcRound)
 	}
 	s.metrics.registerGauges(s)
 	s.Tracker = newTracker(s, c.Nodes[0], 1)

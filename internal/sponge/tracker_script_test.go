@@ -156,7 +156,10 @@ func setPoolFree(t *testing.T, pool *Pool, owner TaskID, held *[]int, free int) 
 	}
 }
 
-// runScriptSim plays the script against the simulated tracker. Events
+// runScriptSim plays the script against the simulated tracker. A cut
+// server has every link to it cut; a heal restores those whose other
+// end is not cut itself. The pools' chunks belong to a task registered
+// on node 0, so the garbage collector keeps them. Events
 // happen between the tracker loop's cycles: a cycle step sleeps until
 // the tracker's poll count moves, an election step until the watchdog's
 // failover count does, so its view is the election's own poll. The
@@ -173,12 +176,15 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 	c := cluster.New(sim, ccfg)
 	scfg := DefaultConfig()
 	scfg.PollInterval = 10 * simtime.Second
-	scfg.GCInterval = 1000 * simtime.Hour
 	svc := Start(c, scfg)
 	faults := NewFaultTransport(svc.Transport(), FaultConfig{})
 	svc.SetTransport(faults)
 	owner := TaskID{Node: 0, PID: 1}
-	var held [scriptNodes][]int
+	svc.Servers[owner.Node].RegisterTask(owner.PID)
+	var (
+		held [scriptNodes][]int
+		cut  [scriptNodes]bool
+	)
 
 	var out []scriptView
 	sim.Spawn("script", func(p *simtime.Proc) {
@@ -203,10 +209,17 @@ func runScriptSim(t *testing.T, steps []scriptStep) []scriptView {
 			switch s.op {
 			case opPool:
 				setPoolFree(t, svc.Servers[s.key].Pool(), owner, &held[s.key], s.free)
-			case opCut:
-				faults.IsolateNode(s.key)
-			case opHeal:
-				faults.RejoinNode(s.key)
+			case opCut, opHeal:
+				cut[s.key] = s.op == opCut
+				for k := range cut {
+					switch {
+					case k == s.key:
+					case cut[s.key]:
+						faults.Cut(s.key, k)
+					case !cut[k]:
+						faults.Heal(s.key, k)
+					}
+				}
 			case opKill:
 				svc.FailNode(s.key)
 			case opCycle:

@@ -173,10 +173,11 @@ echo "== map-side sort order fuzz, 10 s =="
 go test -run '^$' -fuzz '^FuzzSortBufferOrder$' -fuzztime 10s ./internal/mapreduce
 
 echo "== scenario matrix smoke (quick cases) =="
-# The two quick seed scenarios — a digest-verified spill round trip and
-# a tracker killed mid-write and cold-elected again — run against real
-# child server processes, end to end through the spongesim runner.
-go run ./cmd/spongesim -run 'spill-roundtrip-clean|tracker-failover-mid-job' -report /tmp/scenario-smoke.json
+# The seed scenarios marked Quick — a digest-verified spill round trip
+# and a tracker killed mid-write and cold-elected again — run against
+# real child server processes, end to end through the spongesim runner.
+# The report lands in the gitignored report.json, which CI uploads.
+go run ./cmd/spongesim -run all -quick -report report.json
 
 echo "== scenario goroutine leak check, -count=20 =="
 # A case fails on any goroutine it leaves behind. The runner compares

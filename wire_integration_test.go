@@ -176,7 +176,7 @@ func TestWireTransportGCSparesLiveTask(t *testing.T) {
 	sim.Spawn("tasks", func(p *simtime.Proc) {
 		live := svc.NewAgent(c.Nodes[1])
 		f := spill(p, live)
-		p.Sleep(2 * svc.Config.GCInterval)
+		p.Sleep(2 * sponge.GCInterval)
 		got := make([]byte, 0, len(data))
 		buf := make([]byte, svc.ChunkReal())
 		for {
@@ -207,7 +207,7 @@ func TestWireTransportGCSparesLiveTask(t *testing.T) {
 		dead := svc.NewAgent(c.Nodes[1])
 		spill(p, dead)
 		dead.Close() // exits without deleting: four orphans, two on each node
-		p.Sleep(2 * svc.Config.GCInterval)
+		p.Sleep(2 * sponge.GCInterval)
 		if freed := gcFreed(); freed != 2 {
 			t.Errorf("GC freed %d chunks on node 0, want exactly the dead task's 2", freed)
 		}
