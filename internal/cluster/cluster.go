@@ -30,7 +30,8 @@ type Config struct {
 	// whose heap is ReduceHeap (the merge memory, and Pig's bag budget).
 	// SpongeMemory is the shared sponge pool reserved outside the heaps
 	// (0 = stock Hadoop). What remains after osReserve becomes the page
-	// cache.
+	// cache. The MapReduce engine counts each node's free slots from
+	// MapSlots and ReduceSlots.
 	NodeMemory   int64
 	MapSlots     int
 	ReduceHeap   int64
@@ -42,7 +43,7 @@ type Config struct {
 // alone), one reduce slot per node, and the kernel's and daemons' share.
 const (
 	mapHeap     = 1 * media.GB
-	reduceSlots = 1
+	ReduceSlots = 1
 	osReserve   = 512 * media.MB
 )
 
@@ -67,7 +68,7 @@ func PaperConfig() Config {
 // CacheBytes returns the page-cache capacity implied by the memory
 // carve-up, never less than minCache.
 func (c Config) CacheBytes() int64 {
-	heaps := int64(c.MapSlots)*mapHeap + reduceSlots*c.ReduceHeap
+	heaps := int64(c.MapSlots)*mapHeap + ReduceSlots*c.ReduceHeap
 	return max(c.NodeMemory-heaps-c.SpongeMemory-osReserve, minCache)
 }
 
@@ -88,10 +89,6 @@ type Node struct {
 	cfg  Config
 	Disk *media.Disk
 	NIC  *media.NIC
-
-	// MapSlots bounds concurrent map tasks, like Hadoop's TaskTracker
-	// slots.
-	MapSlots *simtime.Resource
 }
 
 // Name returns a diagnostic name such as "node7".
@@ -157,24 +154,16 @@ func (c *Cluster) addNode() {
 	i := len(c.Nodes)
 	name := fmt.Sprintf("node%d", i)
 	n := &Node{
-		ID:       i,
-		cfg:      c.Cfg,
-		Disk:     media.NewDisk(c.Sim, name+".disk", c.Cfg.CacheBytes()),
-		NIC:      c.Net.NewNIC(name),
-		MapSlots: simtime.NewResource(name+".mapslots", max1(c.Cfg.MapSlots)),
+		ID:   i,
+		cfg:  c.Cfg,
+		Disk: media.NewDisk(c.Sim, name+".disk", c.Cfg.CacheBytes()),
+		NIC:  c.Net.NewNIC(name),
 	}
 	if c.Cfg.Workers > c.Cfg.NodesPerRack {
 		n.Rack = i / c.Cfg.NodesPerRack
 		c.Net.AssignRack(n.NIC, n.Rack)
 	}
 	c.Nodes = append(c.Nodes, n)
-}
-
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
 
 // Transfer moves real bytes between two nodes over the network.

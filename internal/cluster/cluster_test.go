@@ -94,25 +94,3 @@ func TestNodeTransferChargesScaledBytes(t *testing.T) {
 		t.Fatalf("scaled transfer = %.2f ms, want ≈ 8.6", ms)
 	}
 }
-
-func TestSlotResourcesBoundConcurrency(t *testing.T) {
-	cfg := PaperConfig()
-	cfg.Workers = 1
-	sim := simtime.New()
-	c := New(sim, cfg)
-	n := c.Nodes[0]
-	var finished []simtime.Time
-	for i := 0; i < 4; i++ {
-		sim.Spawn("map", func(p *simtime.Proc) {
-			n.MapSlots.Acquire(p)
-			p.Sleep(simtime.Second)
-			n.MapSlots.Release()
-			finished = append(finished, p.Now())
-		})
-	}
-	sim.MustRun()
-	// 2 map slots: 4 tasks of 1 s finish in two waves at t=1s and t=2s.
-	if finished[0] != simtime.Time(simtime.Second) || finished[3] != simtime.Time(2*simtime.Second) {
-		t.Fatalf("slot waves wrong: %v", finished)
-	}
-}

@@ -209,7 +209,7 @@ func NewEngine(c *cluster.Cluster, fs *dfs.DFS) *Engine {
 	}
 	for i := range c.Nodes {
 		e.freeMap[i] = c.Cfg.MapSlots
-		e.freeReduce[i] = 1 // the one reduce slot the cluster's carve-up counts
+		e.freeReduce[i] = cluster.ReduceSlots
 	}
 	e.scheduleFn = e.schedule
 	return e

@@ -348,13 +348,12 @@ func runMapTask(ctx *TaskContext, eng *Engine, job *runningJob, split int) (out 
 			continue
 		}
 		m := newMergeStream(streams)
-		width := m.Width()
 		// The spills were combined when they were written; the merge only
 		// interleaves them, so its output is their bytes exactly.
 		seg := make([]byte, 0, size)
 		for m.next(p) {
 			seg = appendRecord(seg, m.key(), m.value())
-			ctx.ChargeCPU(simtime.Duration(bits.Len(uint(width))) * compareCost)
+			ctx.ChargeCPU(m.cmp)
 		}
 		out[part] = seg
 	}
@@ -403,7 +402,6 @@ func combineSegs(ctx *TaskContext, conf *JobConf, segs [][]byte) {
 	if cs.emit == nil {
 		cs.emit = func(k, v []byte) { cs.out = appendRecord(cs.out, k, v) }
 		cs.onRec = func(k, v []byte) { ctx.ChargeCPU(perRecord) }
-		cs.vi.g = &cs.g
 	}
 	for part, seg := range segs {
 		if len(seg) == 0 {
@@ -416,14 +414,7 @@ func combineSegs(ctx *TaskContext, conf *JobConf, segs [][]byte) {
 		}
 		cs.out = cs.out[:0]
 		cs.src.reset(seg)
-		cs.g.reset(ctx.P, &cs.src, cs.onRec)
-		for {
-			key, ok := cs.g.nextKey()
-			if !ok {
-				break
-			}
-			conf.Combine(ctx, key, &cs.vi, cs.emit)
-		}
+		eachGroup(ctx, &cs.g, &cs.vi, &cs.src, cs.onRec, conf.Combine, cs.emit, nil)
 		// The combined output replaces the segment; the consumed input's
 		// backing is recycled as the next segment's output slab.
 		segs[part], cs.out = cs.out, seg[:0]

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"math/bits"
 
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/obs"
@@ -97,10 +96,12 @@ func newNCMetrics(reg *obs.Registry) ncMetrics {
 // jobCombine is one job's node-combine state: a combiner per node that
 // received at least one publish, plus the end-of-map-phase barrier.
 type jobCombine struct {
-	eng    *Engine
-	rj     *runningJob
-	m      ncMetrics
-	byNode map[int]*nodeCombiner
+	eng *Engine
+	rj  *runningJob
+	m   ncMetrics
+	// byNode is indexed by node ID, nil until the node's first publish;
+	// the barrier walks it in node order.
+	byNode []*nodeCombiner
 	// barrier counts outstanding end-of-phase flush processes; the last
 	// one to finish enqueues the reduce phase.
 	barrier int
@@ -115,7 +116,7 @@ func newJobCombine(eng *Engine, rj *runningJob) *jobCombine {
 		eng:    eng,
 		rj:     rj,
 		m:      newNCMetrics(reg),
-		byNode: make(map[int]*nodeCombiner),
+		byNode: make([]*nodeCombiner, len(eng.C.Nodes)),
 	}
 }
 
@@ -160,7 +161,7 @@ type nodeCombiner struct {
 
 // combinerFor returns (creating on first publish) the node's combiner.
 func (jc *jobCombine) combinerFor(p *simtime.Proc, node *cluster.Node) *nodeCombiner {
-	if nc, ok := jc.byNode[node.ID]; ok {
+	if nc := jc.byNode[node.ID]; nc != nil {
 		return nc
 	}
 	conf := &jc.rj.conf
@@ -289,7 +290,7 @@ func (nc *nodeCombiner) spillBuffered(ctx *TaskContext) {
 		}
 		f := nc.target.Create(ctx.P, fmt.Sprintf("%s-nc%d-run%d-p%d",
 			conf.Name, nc.node.ID, len(nc.runs[part]), part))
-		if err := writeMergedCombine(ctx, f, streams, 0, conf.Combine); err != nil {
+		if err := writeMerged(ctx, f, streams, 0, conf.Combine); err != nil {
 			panic(err) // surfaces as the publishing task's failure
 		}
 		nc.runs[part] = append(nc.runs[part], f)
@@ -453,7 +454,7 @@ func (jc *jobCombine) flushFailed(nc *nodeCombiner, err error) {
 func (jc *jobCombine) flushPending(e *Engine) bool {
 	var pending []*nodeCombiner
 	for _, nc := range jc.byNode {
-		if !nc.flushed {
+		if nc != nil && !nc.flushed {
 			pending = append(pending, nc)
 		}
 	}
@@ -486,23 +487,10 @@ func (jc *jobCombine) flushPending(e *Engine) bool {
 // combiner's per-record cost.
 func combineStreams(ctx *TaskContext, conf *JobConf, streams []recordStream) []byte {
 	m := newMergeStream(streams)
-	width := m.Width()
-	if width == 0 {
-		width = 1
-	}
-	cmp := simtime.Duration(bits.Len(uint(width))) * compareCost
 	var out []byte
-	emit := func(k, v []byte) { out = appendRecord(out, k, v) }
-	g := newGrouper(ctx.P, m, func(k, v []byte) {
-		ctx.ChargeCPU(perRecord + cmp)
-	})
-	vi := &ValueIter{g: g}
-	for {
-		key, ok := g.nextKey()
-		if !ok {
-			break
-		}
-		conf.Combine(ctx, key, vi, emit)
-	}
+	var g grouper
+	var vi ValueIter
+	eachGroup(ctx, &g, &vi, m, func(k, v []byte) { ctx.ChargeCPU(perRecord + m.cmp) }, conf.Combine,
+		func(k, v []byte) { out = appendRecord(out, k, v) }, nil)
 	return out
 }

@@ -2,10 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
-	"spongefiles/internal/simtime"
 	"spongefiles/internal/spill"
 )
 
@@ -59,7 +57,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		}
 		f := ctx.Spill.Create(p, fmt.Sprintf("%s-r%d-run%d", conf.Name, part, runCount))
 		runCount++
-		if err := writeMerged(ctx, f, streams, memUsed); err != nil {
+		if err := writeMerged(ctx, f, streams, memUsed, nil); err != nil {
 			return err
 		}
 		runs = append(runs, f)
@@ -126,7 +124,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		// Intermediate merge rounds re-run the combiner (as Hadoop
 		// does): without it, every round re-ships each hot key's
 		// uncombined duplicates from all its source runs.
-		if err := writeMergedCombine(ctx, merged, streams, size, conf.Combine); err != nil {
+		if err := writeMerged(ctx, merged, streams, size, conf.Combine); err != nil {
 			return err
 		}
 		for _, f := range batch {
@@ -142,10 +140,6 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 
 	// Final merge streams straight into the user's reduce function.
 	merge := newMergeStream(finalStreams)
-	width := merge.Width()
-	if width == 0 {
-		width = 1
-	}
 	out := eng.FS.Create(outName, ctx.Node)
 	var outBuf []byte
 	emit := func(k, v []byte) {
@@ -156,18 +150,12 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 			outBuf = outBuf[:0]
 		}
 	}
-	g := newGrouper(p, merge, func(k, v []byte) {
-		ctx.ChargeCPU(perRecord + simtime.Duration(bits.Len(uint(width)))*compareCost)
+	var g grouper
+	var vi ValueIter
+	eachGroup(ctx, &g, &vi, merge, func(k, v []byte) {
+		ctx.ChargeCPU(perRecord + merge.cmp)
 		ctx.chargeBytes(recSize(k, v), reduceRate)
-	})
-	vi := &ValueIter{g: g}
-	for {
-		key, ok := g.nextKey()
-		if !ok {
-			break
-		}
-		conf.Reduce(ctx, key, vi, emit)
-	}
+	}, conf.Reduce, emit, nil)
 	ctx.FlushCPU()
 	if len(outBuf) > 0 {
 		out.Write(p, outBuf)
@@ -187,26 +175,16 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 const streamBufSlack = 4 << 10
 
 // writeMerged streams a merge of the given sorted streams, size bytes in
-// all, into f, charging merge CPU, and closes it.
-func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream, size int) error {
-	return writeMergedCombine(ctx, f, streams, size, nil)
-}
-
-// writeMergedCombine is writeMerged with an optional combiner applied
-// over the merged record flow: each key's values, now adjacent, are
-// folded before the run is written, so re-merged runs ship combined
-// records instead of per-source duplicates (Hadoop re-combines during
-// intermediate merges the same way). Without a combiner the output is
-// the inputs' size bytes exactly and the staging buffer is allocated
-// once; what a combiner will emit is not known, and size is not used.
-func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, size int, combine ReduceFunc) error {
+// all, into f, charging merge CPU, and closes it. With a combiner, each
+// key's values, now adjacent, are folded before the run is written, so
+// re-merged runs ship combined records instead of per-source duplicates
+// (Hadoop re-combines during intermediate merges the same way). Without
+// one the output is the inputs' size bytes exactly and the staging
+// buffer is allocated once; what a combiner will emit is not known, and
+// size is not used.
+func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream, size int, combine ReduceFunc) error {
 	p := ctx.P
 	m := newMergeStream(streams)
-	width := m.Width()
-	if width == 0 {
-		width = 1
-	}
-	cmp := simtime.Duration(bits.Len(uint(width))) * compareCost
 	var buf []byte
 	var werr error
 	flush := func(force bool) {
@@ -221,33 +199,22 @@ func writeMergedCombine(ctx *TaskContext, f spill.File, streams []recordStream, 
 	}
 	if combine == nil {
 		buf = make([]byte, 0, min(size, streamBufReal+streamBufSlack))
-		for m.next(p) {
+		for werr == nil && m.next(p) {
 			buf = appendRecord(buf, m.key(), m.value())
-			ctx.ChargeCPU(cmp)
+			ctx.ChargeCPU(m.cmp)
 			flush(false)
-			if werr != nil {
-				return werr
-			}
 		}
 	} else {
-		emit := func(k, v []byte) {
-			buf = appendRecord(buf, k, v)
-			flush(false)
-		}
-		g := newGrouper(p, m, func(k, v []byte) {
-			ctx.ChargeCPU(perRecord + cmp)
-		})
-		vi := &ValueIter{g: g}
-		for {
-			key, ok := g.nextKey()
-			if !ok {
-				break
-			}
-			combine(ctx, key, vi, emit)
-			if werr != nil {
-				return werr
-			}
-		}
+		var g grouper
+		var vi ValueIter
+		eachGroup(ctx, &g, &vi, m, func(k, v []byte) { ctx.ChargeCPU(perRecord + m.cmp) }, combine,
+			func(k, v []byte) {
+				buf = appendRecord(buf, k, v)
+				flush(false)
+			}, &werr)
+	}
+	if werr != nil {
+		return werr
 	}
 	ctx.FlushCPU()
 	flush(true)

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/binary"
+	"math/bits"
 
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/spill"
@@ -123,10 +124,14 @@ func (s *fileStream) key() []byte   { return s.k }
 func (s *fileStream) value() []byte { return s.v }
 
 // mergeStream is a k-way merge of key-sorted streams, itself a
-// recordStream. Per-record comparison CPU is charged by the caller
-// (TaskContext.chargeMerge) to keep the merge reusable.
+// recordStream. It charges nothing: the caller charges cmp, the
+// merge's comparison CPU, per record it takes, so the merge stays
+// reusable.
 type mergeStream struct {
 	h mergeHeap
+	// cmp is the comparison CPU one record costs: compareCost times
+	// bits.Len of the stream count (at least one).
+	cmp simtime.Duration
 	// primed indicates the heap is initialized.
 	primed bool
 	k, v   []byte
@@ -151,11 +156,11 @@ func (h *mergeHeap) Pop() interface{} {
 
 // newMergeStream merges the given key-sorted streams.
 func newMergeStream(streams []recordStream) *mergeStream {
-	return &mergeStream{h: append(mergeHeap(nil), streams...)}
+	return &mergeStream{
+		h:   append(mergeHeap(nil), streams...),
+		cmp: simtime.Duration(bits.Len(uint(max(len(streams), 1)))) * compareCost,
+	}
 }
-
-// Width returns the number of source streams still or initially present.
-func (m *mergeStream) Width() int { return len(m.h) }
 
 func (m *mergeStream) next(p *simtime.Proc) bool {
 	if !m.primed {
@@ -207,35 +212,32 @@ type grouper struct {
 	onRec   func(k, v []byte) // per-record hook (CPU + counters)
 }
 
-func newGrouper(p *simtime.Proc, src recordStream, onRec func(k, v []byte)) *grouper {
-	return &grouper{src: src, p: p, onRec: onRec}
-}
-
-// reset re-arms the grouper over a new stream, keeping its key scratch
-// so steady-state reuse allocates nothing.
-func (g *grouper) reset(p *simtime.Proc, src recordStream, onRec func(k, v []byte)) {
-	g.src, g.p, g.onRec = src, p, onRec
-	g.started, g.pending, g.done = false, false, false
-}
-
-// nextKey advances to the next distinct key, skipping any unconsumed
-// values of the previous key, and reports whether one exists.
-func (g *grouper) nextKey() ([]byte, bool) {
+// eachGroup runs fn over each key group of src: its key, vi over its
+// values, and emit. onRec sees each value fn takes; values fn leaves
+// are skipped. A non-nil *stop after a group ends the pass before src
+// is read again (a failed spill write). The caller owns g and vi, so a
+// recycled pair allocates nothing; g keeps its key scratch.
+func eachGroup(ctx *TaskContext, g *grouper, vi *ValueIter, src recordStream, onRec func(k, v []byte), fn ReduceFunc, emit Emit, stop *error) {
+	*g = grouper{src: src, p: ctx.P, curKey: g.curKey, onRec: onRec}
+	vi.g = g
 	for {
 		if !g.pending {
-			if !g.src.next(g.p) {
-				g.done = true
-				return nil, false
+			if !src.next(ctx.P) {
+				return
 			}
 			g.pending = true
 		}
-		if !g.started || !bytes.Equal(g.src.key(), g.curKey) {
-			g.started = true
-			g.curKey = append(g.curKey[:0], g.src.key()...)
-			return g.curKey, true
+		if g.started && bytes.Equal(src.key(), g.curKey) {
+			// Unconsumed value of the previous key: skip it.
+			g.pending = false
+			continue
 		}
-		// Unconsumed value of the previous key: skip it.
-		g.pending = false
+		g.started = true
+		g.curKey = append(g.curKey[:0], src.key()...)
+		fn(ctx, g.curKey, vi, emit)
+		if stop != nil && *stop != nil {
+			return
+		}
 	}
 }
 

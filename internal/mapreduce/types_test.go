@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -397,23 +398,20 @@ func TestGrouperGroupsEqualKeys(t *testing.T) {
 		} {
 			seg = appendRecord(seg, []byte(kv.k), []byte(kv.v))
 		}
-		g := newGrouper(p, newMemStream(seg), nil)
-		vi := &ValueIter{g: g}
 		got := map[string][]string{}
-		for {
-			key, ok := g.nextKey()
-			if !ok {
-				break
-			}
-			k := string(key)
-			for {
-				v, ok := vi.Next()
-				if !ok {
-					break
+		var g grouper
+		var vi ValueIter
+		eachGroup(&TaskContext{P: p}, &g, &vi, newMemStream(seg), nil,
+			func(_ *TaskContext, key []byte, vals *ValueIter, _ Emit) {
+				k := string(key)
+				for {
+					v, ok := vals.Next()
+					if !ok {
+						break
+					}
+					got[k] = append(got[k], string(v))
 				}
-				got[k] = append(got[k], string(v))
-			}
-		}
+			}, nil, nil)
 		if len(got) != 3 || len(got["a"]) != 2 || len(got["b"]) != 1 || len(got["c"]) != 3 {
 			t.Errorf("groups = %v", got)
 		}
@@ -429,18 +427,60 @@ func TestGrouperSkipsUnconsumedValues(t *testing.T) {
 			seg = appendRecord(seg, []byte("x"), []byte{byte(i)})
 		}
 		seg = appendRecord(seg, []byte("y"), []byte{9})
-		g := newGrouper(p, newMemStream(seg), nil)
 		var keys []string
-		for {
-			key, ok := g.nextKey()
-			if !ok {
-				break
-			}
-			// Never consume the values: nextKey must skip them.
-			keys = append(keys, string(key))
-		}
+		var g grouper
+		var vi ValueIter
+		eachGroup(&TaskContext{P: p}, &g, &vi, newMemStream(seg), nil,
+			func(_ *TaskContext, key []byte, _ *ValueIter, _ Emit) {
+				// Never consume the values: the pass must skip them.
+				keys = append(keys, string(key))
+			}, nil, nil)
 		if fmt.Sprint(keys) != "[x y]" {
 			t.Errorf("keys = %v", keys)
+		}
+	})
+	sim.MustRun()
+}
+
+// countingStream counts the records a pass reads from its stream.
+type countingStream struct {
+	recordStream
+	reads int
+}
+
+func (s *countingStream) next(p *simtime.Proc) bool {
+	s.reads++
+	return s.recordStream.next(p)
+}
+
+// TestEachGroupStopsAtOnce sets the stop error inside the first group,
+// as a failed spill write does: the pass must end there, with no
+// further read of the stream.
+func TestEachGroupStopsAtOnce(t *testing.T) {
+	sim := simtime.New()
+	sim.Spawn("t", func(p *simtime.Proc) {
+		var seg []byte
+		for _, k := range []string{"a", "a", "b", "c"} {
+			seg = appendRecord(seg, []byte(k), []byte("v"))
+		}
+		src := &countingStream{recordStream: newMemStream(seg)}
+		var g grouper
+		var vi ValueIter
+		var stop error
+		groups := 0
+		eachGroup(&TaskContext{P: p}, &g, &vi, src, nil,
+			func(_ *TaskContext, _ []byte, vals *ValueIter, _ Emit) {
+				for {
+					if _, ok := vals.Next(); !ok {
+						break
+					}
+				}
+				groups++
+				stop = errors.New("write failed")
+			}, nil, &stop)
+		// Both "a" records and the "b" that ended their group.
+		if groups != 1 || src.reads != 3 {
+			t.Errorf("groups = %d, reads = %d; want 1 group and 3 reads", groups, src.reads)
 		}
 	})
 	sim.MustRun()

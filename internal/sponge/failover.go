@@ -19,15 +19,14 @@ import (
 // elsewhere that stored chunks there will see ErrChunkLost. The peer's
 // cached transport state (including any passed fds) is revoked.
 func (s *Service) FailNode(node int) {
-	s.dead[node] = true
 	s.Servers[node].Pool().Fail()
 	s.revokePeer(node)
 	s.metrics.membershipFails.Inc()
 }
 
 // nodeDown reports whether a node has failed and no longer serves
-// chunks.
-func (s *Service) nodeDown(node int) bool { return s.dead[node] }
+// chunks: its pool's failed flag is the one record of the death.
+func (s *Service) nodeDown(node int) bool { return s.Servers[node].Pool().Failed() }
 
 // peerRevoker is implemented by transports that hold per-peer resources
 // worth tearing down when a node dies — the wire transport's cached

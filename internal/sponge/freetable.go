@@ -14,41 +14,26 @@ type FreeRow struct {
 }
 
 // FreeTable is the memory tracking server's state (§3.1.1): one free
-// count per server. It has no clock, no lock, no I/O and no metrics —
-// its driver, Tracker, supplies those and calls Set — so the ranking
-// can be held to a model without a simulator (TestFreeTableProperties);
-// the zero value is an empty table.
-//
-// Rows are kept sorted by key, so a lookup is a binary search; rows are
-// never deleted (a server that goes away advertises zero).
-type FreeTable struct {
-	rows []FreeRow
-}
-
-// find returns where k's row is, or where it would be inserted.
-func (t *FreeTable) find(k int) (int, bool) {
-	return slices.BinarySearchFunc(t.rows, k, func(r FreeRow, k int) int { return cmp.Compare(r.Key, k) })
-}
+// count per server, indexed by node id and sized at construction
+// (make(FreeTable, nodes)) — membership is static, so no server arrives
+// later. It has no clock, no lock, no I/O and no metrics — its driver,
+// Tracker, supplies those and calls Set — so the ranking can be held to
+// a model without a simulator (TestFreeTableProperties). A server that
+// goes away advertises zero.
+type FreeTable []int
 
 // Set records k's free count as the driver observed it: a poll result,
 // the seed at deployment, or zero for a server that is unreachable or
 // dead.
-func (t *FreeTable) Set(k, free int) {
-	i, ok := t.find(k)
-	if !ok {
-		t.rows = slices.Insert(t.rows, i, FreeRow{Key: k})
-	}
-	t.rows[i].Free = free
-}
+func (t FreeTable) Set(k, free int) { t[k] = free }
 
 // Query returns the servers advertising free chunks, most free first,
-// key ascending on ties. The order is total, so the answer does not
-// depend on how the rows are stored. One allocation: File.Create asks
-// once per SpongeFile.
-func (t *FreeTable) Query() []FreeRow {
+// key ascending on ties. One allocation: File.Create asks once per
+// SpongeFile.
+func (t FreeTable) Query() []FreeRow {
 	n := 0
-	for i := range t.rows {
-		if t.rows[i].Free > 0 {
+	for _, free := range t {
+		if free > 0 {
 			n++
 		}
 	}
@@ -56,9 +41,9 @@ func (t *FreeTable) Query() []FreeRow {
 		return nil
 	}
 	out := make([]FreeRow, 0, n)
-	for _, r := range t.rows {
-		if r.Free > 0 {
-			out = append(out, r)
+	for k, free := range t {
+		if free > 0 {
+			out = append(out, FreeRow{Key: k, Free: free})
 		}
 	}
 	slices.SortFunc(out, func(a, b FreeRow) int {
@@ -70,10 +55,5 @@ func (t *FreeTable) Query() []FreeRow {
 	return out
 }
 
-// Free returns k's advertised count, zero for an unknown server.
-func (t *FreeTable) Free(k int) int {
-	if i, ok := t.find(k); ok {
-		return t.rows[i].Free
-	}
-	return 0
-}
+// Free returns k's advertised count, zero for a server never set.
+func (t FreeTable) Free(k int) int { return t[k] }

@@ -27,14 +27,14 @@ func (m tableModel) query() []FreeRow {
 	return out
 }
 
-// TestFreeTableProperties drives a FreeTable with seeded random Sets and
-// checks, after every one, that Free answers every key — zero for one
-// never set — and that Query is free-only, sorted most-free-first with
+// TestFreeTableProperties drives a nine-row FreeTable with seeded random
+// Sets of keys 0–7 and checks, after every one, that Free answers every
+// key — zero for one never set — and that Query is free-only, sorted most-free-first with
 // keys ascending on ties, and agrees with the model.
 func TestFreeTableProperties(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tab FreeTable
+		tab := make(FreeTable, 9)
 		m := tableModel{}
 		for step := 0; step < 400; step++ {
 			k, free := rng.Intn(8), rng.Intn(5)
@@ -56,8 +56,8 @@ func TestFreeTableProperties(t *testing.T) {
 // File.Create asks once per SpongeFile, so Query's allocations are part
 // of every spill's cost and of the benchmark's allocs_per_iter.
 func TestFreeTableQueryAllocatesOnce(t *testing.T) {
-	var tab FreeTable
-	for k := 0; k < 40; k++ {
+	tab := make(FreeTable, 40)
+	for k := range tab {
 		tab.Set(k, k%5)
 	}
 	var got []FreeRow

@@ -130,10 +130,6 @@ type Service struct {
 	cwFree *chunkWriter
 	raFree *raFetch
 
-	// dead marks the nodes FailNode has killed; membership is static
-	// otherwise.
-	dead []bool
-
 	// metrics holds the pre-registered observability handles the hot
 	// paths mutate; always non-nil after Start.
 	metrics *svcMetrics
@@ -154,7 +150,6 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 		Cluster:   c,
 		Config:    cfg,
 		chunkReal: c.Cfg.R(cfg.ChunkVirtual),
-		dead:      make([]bool, len(c.Nodes)),
 	}
 	s.transport = simTransport{s}
 	s.peers = make([]Peer, len(c.Nodes))

@@ -36,7 +36,7 @@ type Tracker struct {
 }
 
 func newTracker(svc *Service, node *cluster.Node, epoch int64) *Tracker {
-	return &Tracker{svc: svc, node: node, epoch: epoch}
+	return &Tracker{svc: svc, node: node, table: make(FreeTable, len(svc.Cluster.Nodes)), epoch: epoch}
 }
 
 // Node returns the tracker's host.

@@ -62,8 +62,9 @@ go test -race -count=20 -run 'TestDroppedSimulationIsCollected' .
 go test -race -count=20 -run 'TestDroppedPoolIsUnmapped|TestClosedPoolReleasesOnce' ./internal/sponge
 
 echo "== the tracker's table and its driver, -race -count=10 =="
-# One tracker, the paper's: FreeTable keeps the free list's ranking,
-# held to a model by the seeded property test, and the script plays one
+# One tracker, the paper's: FreeTable, one free count per node indexed
+# by node id, keeps the free list's ranking, held to a model by the
+# seeded property test, and the script plays one
 # event sequence — pools, cuts, a node's death, crashes and cold
 # elections — to the polled tracker and holds its answers and term to
 # the same model after every step.
