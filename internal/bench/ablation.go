@@ -51,7 +51,6 @@ func chunkRemoteCost(chunkVirtual int64, spills int) float64 {
 	c := cluster.New(sim, cfg)
 	scfg := sponge.DefaultConfig()
 	scfg.ChunkVirtual = chunkVirtual
-	scfg.AsyncWriteDepth = 0 // isolate the per-chunk cost
 	svc := sponge.Start(c, scfg)
 	var avg float64
 	sim.Spawn("micro", func(p *simtime.Proc) {

@@ -406,5 +406,5 @@ func (m *mergeIter) Next(p *simtime.Proc) (Cursor, bool) {
 	return c, true
 }
 
-// DefaultChunkVirtual is Pig's bag spill chunk size C (§2.1.3).
-const DefaultChunkVirtual = 10 * media.MB
+// bagChunkVirtual is Pig's bag spill chunk size C (§2.1.3).
+const bagChunkVirtual = 10 * media.MB

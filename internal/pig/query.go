@@ -57,8 +57,6 @@ type GroupQuery struct {
 	// bags before the memory manager spills (Pig's collection
 	// threshold); default 0.25.
 	BagMemFraction float64
-	// ChunkVirtual is the bag spill chunk size C; default 10 MB.
-	ChunkVirtual int64
 }
 
 // AlgebraicFold describes an algebraic group function as Pig's
@@ -154,10 +152,6 @@ func (q *GroupQuery) Compile(heapVirtual int64, factory spill.Factory) mapreduce
 	if bagFrac <= 0 {
 		bagFrac = 0.25
 	}
-	chunkV := q.ChunkVirtual
-	if chunkV <= 0 {
-		chunkV = DefaultChunkVirtual
-	}
 	var scratch scratchList
 	conf := mapreduce.JobConf{
 		Name:         q.Name,
@@ -175,7 +169,7 @@ func (q *GroupQuery) Compile(heapVirtual int64, factory spill.Factory) mapreduce
 			s := scratch.get()
 			defer scratch.put(s)
 			budget := ctx.Node.RealOf(int64(float64(heapVirtual) * bagFrac))
-			chunk := ctx.Node.RealOf(chunkV)
+			chunk := ctx.Node.RealOf(bagChunkVirtual)
 			mm := NewMemoryManager(ctx.P, ctx.Spill, budget, chunk)
 			var bag *Bag
 			group := string(key)

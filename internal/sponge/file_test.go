@@ -281,6 +281,54 @@ func TestGarbageCollectionFreesOrphans(t *testing.T) {
 	r.sim.MustRun()
 }
 
+// aliveRecorder is a transport that notes, in order, every delegated
+// liveness check its peers are asked, as the owner it asks about.
+type aliveRecorder struct {
+	Transport
+	asked *[]TaskID
+}
+
+func (r aliveRecorder) Peer(node int) Peer {
+	return alivePeer{Peer: r.Transport.Peer(node), node: node, asked: r.asked}
+}
+
+type alivePeer struct {
+	Peer
+	node  int
+	asked *[]TaskID
+}
+
+func (a alivePeer) TaskAlive(p *simtime.Proc, from *cluster.Node, pid int64) (bool, error) {
+	*a.asked = append(*a.asked, TaskID{Node: a.node, PID: pid})
+	return a.Peer.TaskAlive(p, from, pid)
+}
+
+// TestGCSweepVisitsOwnersInOrder: each remote owner costs the sweep one
+// delegated liveness exchange, so the order of those exchanges is part
+// of the simulation's timing. A pool holding chunks of three remote
+// owners must be swept in (Node, PID) order in every fresh simulation,
+// not in map order.
+func TestGCSweepVisitsOwnersInOrder(t *testing.T) {
+	owners := []TaskID{{Node: 2, PID: 5}, {Node: 1, PID: 8}, {Node: 2, PID: 3}}
+	want := []TaskID{{Node: 1, PID: 8}, {Node: 2, PID: 3}, {Node: 2, PID: 5}}
+	for run := 0; run < 20; run++ {
+		r := newRig(t, 3, 4, nil)
+		var asked []TaskID
+		r.svc.SetTransport(aliveRecorder{Transport: r.svc.Transport(), asked: &asked})
+		srv := r.svc.Servers[0]
+		for _, owner := range owners {
+			if _, err := srv.Pool().Alloc(owner); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.sim.Spawn("sweep", srv.gcSweep)
+		r.sim.MustRun()
+		if !slices.Equal(asked, want) {
+			t.Fatalf("run %d: the sweep asked after %v, want %v", run, asked, want)
+		}
+	}
+}
+
 func TestGCSparesLiveTasks(t *testing.T) {
 	r := newRig(t, 2, 4, nil)
 	r.sim.Spawn("live", func(p *simtime.Proc) {

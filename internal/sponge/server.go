@@ -1,6 +1,9 @@
 package sponge
 
 import (
+	"cmp"
+	"slices"
+
 	"spongefiles/internal/cluster"
 	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
@@ -162,9 +165,20 @@ func (s *Server) AllocWriteLocalIPC(p *simtime.Proc, owner TaskID, data []byte) 
 // owner node's server (§3.1.3), costing a control round trip. A liveness
 // query lost in the network is treated as "alive": freeing a live task's
 // chunks on a dropped message would corrupt it, while an orphan merely
-// waits for the next sweep.
+// waits for the next sweep. Owners are visited in (Node, PID) order: each
+// remote check is an exchange on the NICs, and under a fault transport a
+// draw from its seeded stream, so map order would make the timing and
+// every later fault decision vary from run to run.
 func (s *Server) gcSweep(p *simtime.Proc) {
-	for owner := range s.pool.Owners() {
+	held := s.pool.Owners()
+	owners := make([]TaskID, 0, len(held))
+	for owner := range held {
+		owners = append(owners, owner)
+	}
+	slices.SortFunc(owners, func(a, b TaskID) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.PID, b.PID))
+	})
+	for _, owner := range owners {
 		alive := false
 		if owner.Node == s.node.ID {
 			alive = s.taskAlive(owner.PID)

@@ -168,7 +168,7 @@ func newClient(conn net.Conn, network, addr string) (*Client, error) {
 // peer that refuses it does not speak this version, and the error says
 // so.
 func (c *Client) hello() ([]byte, error) {
-	if err := writeFrameV2(c.fw, 0, []byte{OpHello, ProtocolV2}); err != nil {
+	if err := c.send(0, []byte{OpHello, ProtocolV2}, nil); err != nil {
 		return nil, err
 	}
 	n, id, err := readFrameV2Header(c.br, handshakeLimit)

@@ -51,32 +51,26 @@ func v2frame(bodies ...[]byte) []byte {
 	return b
 }
 
-// serveFrame plays the connection reader and one worker over the first
-// frame of stream: readRequest (which receives an alloc_write straight
-// off the reader), then dispatch for a buffered request, as v2worker
-// does. A response that pins a chunk is returned still pinned; the
-// caller finishes it with finishResponse, as respond would after
-// writing.
-func serveFrame(s *Server, stream []byte) (response, error) {
-	_, req, resp, err := s.readRequest(bufio.NewReader(bytes.NewReader(stream)))
-	if err == nil && req != nil {
-		resp = s.dispatch(req)
-		s.recycle(req)
-	}
+// serveFrame serves the first frame of stream through serveRequest, the
+// one-request entry point a connection's serve loop calls, with sc as
+// the connection's scratch. A response that pins a chunk is returned
+// still pinned; the caller finishes it with finishResponse, as respond
+// would after writing.
+func serveFrame(s *Server, sc *connScratch, stream []byte) (response, error) {
+	_, resp, err := s.serveRequest(bufio.NewReader(bytes.NewReader(stream)), sc)
 	return resp, err
 }
 
-// finishResponse gives back what a response holds, as Server.respond
+// finishResponse gives back the pin a response holds, as Server.respond
 // does once the bytes are written.
-func finishResponse(s *Server, r response) {
+func finishResponse(r response) {
 	if r.pool != nil {
 		r.pool.Unpin(r.h)
 	}
-	s.recycle(r.body)
 }
 
 // FuzzServerDispatch feeds the sponge server arbitrary frame bytes on a
-// reader, through the entry point its connection reader uses, as a peer
+// reader, through the entry point its serve loop uses, as a peer
 // past the hello could: it must never panic, must answer every frame it
 // could read whole (inline, with a file region, or with a pinned chunk —
 // exactly one) with no more than a frame holds, and must drop the rest
@@ -92,6 +86,7 @@ func FuzzServerDispatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { srv.Close() })
+	sc := new(connScratch)
 	const poolH, spillH = uint32(0), uint32(SpillHandleBit)
 	alloc := frame(OpAllocWrite, uint32(1), uint64(51), make([]byte, chunk))
 
@@ -120,14 +115,14 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(v2frame(frame(12))) // retired too; last, so the seeds before it keep their numbers
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		for i := 0; i < 3; i++ { // two fill the pool, the third spills
-			resp, err := serveFrame(srv, v2frame(alloc))
+			resp, err := serveFrame(srv, sc, v2frame(alloc))
 			if err != nil || resp.body[0] != StatusOK {
 				t.Fatalf("fixture alloc %d = %v, %v", i, resp.body, err)
 			}
-			finishResponse(srv, resp)
+			finishResponse(resp)
 		}
-		srv.dispatch(frame(OpFree, uint32(1)))
-		if resp, err := serveFrame(srv, stream); err == nil {
+		srv.dispatch(sc, frame(OpFree, uint32(1)))
+		if resp, err := serveFrame(srv, sc, stream); err == nil {
 			shapes := 0
 			for _, has := range []bool{resp.body != nil, resp.f != nil, resp.pool != nil} {
 				if has {
@@ -147,10 +142,10 @@ func FuzzServerDispatch(f *testing.F) {
 				t.Errorf("response of %d/%d/%d bytes (inline/file/chunk) exceeds the frame limit %d",
 					len(resp.body), resp.n, len(resp.chunk), limit)
 			}
-			finishResponse(srv, resp)
+			finishResponse(resp)
 		}
 		for _, h := range []uint32{1, 0, spillH | 1, spillH} {
-			srv.dispatch(frame(OpFree, h))
+			srv.dispatch(sc, frame(OpFree, h))
 		}
 		if st := pool.Stats(); st.FreeChunks != 2 || st.Pinned != 0 {
 			t.Fatalf("after the reset %d pool chunks free and %d pinned, want 2 and 0", st.FreeChunks, st.Pinned)
@@ -186,9 +181,9 @@ func pipelinedOps(stream []byte) [][]byte {
 const pipelineChunk = 64
 
 // FuzzPipelinedOps writes a whole sequence of requests to one connection
-// before reading any response, so the server's workers overlap them: a
-// read races the free of its chunk, eight frees race for one handle, a
-// slot is freed and reallocated under a loc. Every request must get
+// before reading any response, so the server meets them back to back: a
+// read after the free of its chunk, eight frees of one handle, a slot
+// freed and reallocated under a loc. Every request must get
 // exactly one response under its id — a retired code's a bad request —
 // nothing may panic, and once the one owner's chunks are reclaimed the
 // pool must be whole: every chunk free, none pinned, every generation

@@ -34,9 +34,10 @@
 // asking where it lives (OpPoolLoc, OpSpillLoc: one reply layout) and
 // preading that file itself. After the hello the request ID multiplexes
 // any number of concurrent requests over one connection: the client
-// demultiplexes responses back to waiting callers by ID, and the server
-// dispatches requests through a bounded worker pool while serializing
-// frame writes, so responses may arrive in any order. Hot-path frames
+// demultiplexes responses back to waiting callers by ID. The server
+// serves a connection on one goroutine, reading each request and
+// answering it before it reads the next, so it answers in request order;
+// a client must not rely on that, only on the ID. Hot-path frames
 // travel as vectored writes (net.Buffers) — header and chunk payload are
 // never coalesced into one allocation.
 // The server keeps no copy of a pool chunk beside the pool: it receives
@@ -186,8 +187,10 @@ const handshakeLimit = 1 << 20
 // version, chunk size (u32).
 const helloRespLen = 6
 
-// hdrPool recycles the small scratch buffers that carry frame headers
-// (and request op headers) into vectored writes.
+// hdrPool recycles the small scratch buffers that carry a client's frame
+// headers (and request op headers) into vectored writes. A client's
+// callers are concurrent, so each send takes its own; the server builds
+// its headers in the connection's scratch.
 var hdrPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
 // directWriteMin is the payload size at which a frame bypasses the
@@ -383,19 +386,6 @@ func readFrameV2Header(r *bufio.Reader, limit int) (n int, id uint32, err error)
 		return 0, 0, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
 	}
 	return n, id, nil
-}
-
-// writeFrameV2 sends one frame (length, request ID, body) through a
-// connection's batching writer.
-func writeFrameV2(w *frameWriter, id uint32, body []byte) error {
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], id)
-	err := w.writeFrame(hdr, body)
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
-	return err
 }
 
 func statusErr(status byte) error {

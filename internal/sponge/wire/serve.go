@@ -10,18 +10,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"spongefiles/internal/obs"
 	"spongefiles/internal/sponge"
 )
-
-// connWorkers is the per-connection worker-pool bound: how many v2
-// requests one connection may have executing at once. The reader stops
-// pulling frames when all workers are busy, so it doubles as
-// backpressure.
-const connWorkers = 16
 
 // Options tunes a sponge server. The zero value is no I/O deadlines, TCP
 // only, and no disk-spill tier.
@@ -67,9 +60,8 @@ func SocketPath(dir, tcpAddr string) (string, error) {
 // response is what a dispatch hands back to the connection: exactly one
 // of three payload shapes. The zero value is not a response.
 //
-//   - body: the whole response inline, status byte first. It may come
-//     from the server's buffer pools; respond recycles it after
-//     writing.
+//   - body: the whole response inline, status byte first. It may be the
+//     connection's reply scratch, good until the next request is read.
 //   - f, off, n: StatusOK, then n bytes of a spill-file region, sent via
 //     sendfile (or the buffered fallback) without visiting user space.
 //   - pool, h, chunk: StatusOK, then a pool chunk's bytes where they
@@ -88,30 +80,35 @@ type response struct {
 	chunk []byte
 }
 
-// statusOnly is a response carrying nothing but its status byte. The
-// body is a one-byte window on a shared table, capacity 1 so recycle
-// drops it: a free's or a refusal's reply costs no allocation.
-func statusOnly(status byte) response {
-	return response{body: statusBytes[status : status+1 : status+1]}
+// connScratch is what one connection's serve loop reuses from request
+// to request. A connection is served on one goroutine, and a reply is on
+// the socket before the next request is read, so nothing here is shared
+// and nothing needs a pool.
+type connScratch struct {
+	// reply holds an inline answer: the longest is a loc's, status,
+	// file index, offset, length and generation.
+	reply [1 + 4 + 8 + 4 + 8]byte
+	// hdr holds a reply's frame header, and the StatusOK byte ahead of
+	// a payload that is not inline.
+	hdr [9]byte
+	// stage carries a chunk the full pool sends on to the spill tier;
+	// made at the connection's first overflow.
+	stage []byte
 }
 
-// statusBytes holds every status byte at its own index.
-var statusBytes = func() (b [256]byte) {
-	for i := range b {
-		b[i] = byte(i)
-	}
-	return b
-}()
+// status is a response carrying nothing but its status byte.
+func (sc *connScratch) status(b byte) response {
+	sc.reply[0] = b
+	return response{body: sc.reply[:1]}
+}
 
-// minRecycledBuf is the smallest buffer worth pooling in the chunk
-// class; smallRecycledBuf is the fixed capacity of the small class that
-// keeps header-size requests and responses (≤ 64 bytes: alloc_write and
-// stat replies, loc exchanges) off the allocator too. Buffers
-// between the two classes are cheaper to allocate than to pool.
-const (
-	minRecycledBuf   = 1 << 10
-	smallRecycledBuf = 64
-)
+// frameHeader builds the header of an n-byte reply frame for request id.
+func (sc *connScratch) frameHeader(id uint32, n int) []byte {
+	hdr := sc.hdr[:8]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], id)
+	return hdr
+}
 
 // opNames maps op codes to the label values used in the server's
 // per-op request counters. A blank entry means "not a real op".
@@ -184,7 +181,8 @@ func (s *Server) acceptLoop(ln net.Listener, tier int) {
 			return
 		default:
 		}
-		s.conns[conn] = struct{}{}
+		sc := new(connScratch)
+		s.conns[conn] = sc
 		s.mu.Unlock()
 		s.connsSeen[tier].Inc()
 		s.connsOpen.Add(1)
@@ -198,56 +196,9 @@ func (s *Server) acceptLoop(ln net.Listener, tier int) {
 				s.mu.Unlock()
 				s.connsOpen.Add(-1)
 			}()
-			s.handle(conn)
+			s.serve(conn, sc)
 		}()
 	}
-}
-
-// sliceHdrPool recycles the *[]byte boxes that carry buffers through
-// s.bufs. Boxing a local slice header at each recycle (`Put(&b)`) would
-// heap-allocate per request; instead the boxes cycle between the two
-// pools — getBuf unboxes and returns the empty box, recycle takes a box
-// back out to wrap the buffer.
-var sliceHdrPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getBuf returns a buffer of exactly need bytes, reusing a recycled one
-// when it is big enough. When the pool is empty (or only holds smaller
-// buffers) the fallback allocation is sized to need — the actual chunk
-// length — never to the full chunk size.
-func (s *Server) getBuf(need int) []byte {
-	pool := &s.bufs
-	if need <= smallRecycledBuf {
-		pool = &s.small
-	}
-	if v := pool.Get(); v != nil {
-		p := v.(*[]byte)
-		b := *p
-		*p = nil
-		sliceHdrPool.Put(p)
-		if cap(b) >= need {
-			return b[:need]
-		}
-	}
-	if need <= smallRecycledBuf {
-		return make([]byte, need, smallRecycledBuf)
-	}
-	return make([]byte, need)
-}
-
-// recycle returns a buffer to its size-class pool for reuse. Buffers
-// between the small and chunk classes are dropped.
-func (s *Server) recycle(b []byte) {
-	pool := &s.bufs
-	switch {
-	case cap(b) >= minRecycledBuf:
-	case cap(b) == smallRecycledBuf:
-		pool = &s.small
-	default:
-		return
-	}
-	p := sliceHdrPool.Get().(*[]byte)
-	*p = b[:cap(b)]
-	pool.Put(p)
 }
 
 // armRead applies the per-frame read deadline, when configured.
@@ -257,40 +208,32 @@ func (s *Server) armRead(conn net.Conn) {
 	}
 }
 
-// respond writes one response frame for request id and gives back
-// whatever the response held: the pooled body, or the chunk's pin. A
-// payload that is a file region or a pinned chunk goes out behind a
-// header that already carries the StatusOK byte — the first via sendfile
-// (accounting the outcome), the second as one vectored write straight
-// from the pool slab — so neither needs user-space staging.
-func (s *Server) respond(fw *frameWriter, id uint32, r response) error {
+// respond writes one response frame for request id and gives back the
+// chunk's pin, if the response held one. A payload that is a file region
+// or a pinned chunk goes out behind a header that already carries the
+// StatusOK byte — the first via sendfile (accounting the outcome), the
+// second as one vectored write straight from the pool slab — so neither
+// needs user-space staging.
+func (s *Server) respond(fw *frameWriter, sc *connScratch, id uint32, r response) error {
 	if r.f == nil && r.pool == nil {
-		err := writeFrameV2(fw, id, r.body)
-		s.recycle(r.body)
+		return fw.writeFrame(sc.frameHeader(id, len(r.body)), r.body)
+	}
+	n := int(r.n)
+	if r.pool != nil {
+		n = len(r.chunk)
+	}
+	hdr := append(sc.frameHeader(id, 1+n), StatusOK)
+	if r.pool != nil {
+		err := fw.writeFrame(hdr, r.chunk)
+		r.pool.Unpin(r.h)
 		return err
 	}
-	n := r.n
-	if r.pool != nil {
-		n = int64(len(r.chunk))
-	}
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+n))
-	binary.LittleEndian.PutUint32(hdr[4:8], id)
-	var err error
-	if r.pool != nil {
-		err = fw.writeFrame(hdr, r.chunk)
-		r.pool.Unpin(r.h)
+	zc, err := fw.writeFrameFile(hdr, r.f, r.off, r.n)
+	if zc > 0 {
+		s.zcBytes.Add(zc)
 	} else {
-		var zc int64
-		if zc, err = fw.writeFrameFile(hdr, r.f, r.off, r.n); zc > 0 {
-			s.zcBytes.Add(zc)
-		} else {
-			s.zcFallbk.Inc()
-		}
+		s.zcFallbk.Inc()
 	}
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
 	return err
 }
 
@@ -299,14 +242,16 @@ func (s *Server) respond(fw *frameWriter, id uint32, r response) error {
 // itself cannot make the daemon size a buffer.
 const preHelloLimit = 2
 
-// handle serves a connection's first frame. OpHello switches the
-// connection to pipelined serving for the rest of its life. OpPoolFD
+// serve runs one connection, on the goroutine acceptLoop spawned for it.
+// The first frame decides what the connection is. OpHello makes it a
+// request stream for the rest of its life, served one request at a
+// time: a frame is read and answered before the next is read, so replies
+// go out in request order, each echoing its request's ID. OpPoolFD
 // passes the server's files, or refuses, and ends the connection: a
 // descriptor connection carries one exchange. Anything else is refused
-// and the connection dropped. Every reply echoes the request's ID, and
-// every write but the descriptors' flows through one batching frame
-// writer, shared with serveV2.
-func (s *Server) handle(conn net.Conn) {
+// and the connection dropped. Every write but the descriptors' goes
+// through the connection's frame writer.
+func (s *Server) serve(conn net.Conn, sc *connScratch) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFrameWriter(conn, s.opts.WriteTimeout)
 	s.armRead(conn)
@@ -328,60 +273,24 @@ func (s *Server) handle(conn net.Conn) {
 			// errZCUnsupported — TCP connection, nothing to pass, or
 			// portable build — wrote nothing, so a refusal can follow.
 			if err == errZCUnsupported {
-				_ = writeFrameV2(fw, id, []byte{StatusBadRequest})
+				_ = s.respond(fw, sc, id, sc.status(StatusBadRequest))
 			}
 		}
+		return
 	case n == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
-		if err := writeFrameV2(fw, id, s.helloResponse()); err == nil {
-			s.serveV2(conn, br, fw)
-		}
 	default:
 		// Not a handshake, or a hello for a version this daemon does
 		// not serve. The connection is dropped whether or not the
 		// refusal goes out.
-		_ = writeFrameV2(fw, id, []byte{StatusBadRequest})
+		_ = s.respond(fw, sc, id, sc.status(StatusBadRequest))
+		return
 	}
-}
-
-// v2req is one pipelined request handed from the connection reader to a
-// worker.
-type v2req struct {
-	id  uint32
-	req []byte
-}
-
-// serveV2 runs a connection in pipelined framing: the reader pulls
-// frames and hands each to one of connWorkers long-lived workers;
-// workers dispatch and write their response — tagged with the request
-// ID — in completion order through the connection's batching writer,
-// which coalesces small responses into one flush when several workers
-// finish together. The workers are spawned once per connection and fed
-// over an unbuffered channel, so the steady state neither allocates nor
-// spawns: the reader blocks handing off when all workers are busy,
-// which is the same backpressure the old per-request semaphore gave.
-// A request the reader already served off the socket (an OpAllocWrite)
-// is answered from the reader: its reply is five bytes through the same
-// writer, not worth a hand-off.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
-	work := make(chan v2req)
-	var wg sync.WaitGroup
-	for i := 0; i < connWorkers; i++ {
-		wg.Add(1)
-		go s.v2worker(conn, fw, work, &wg)
-	}
-	defer func() {
-		close(work)
-		wg.Wait()
-	}()
-	for {
+	// The hello's reply, then one reply per request, each written before
+	// the next request is read.
+	resp := response{body: s.helloResponse(sc)}
+	for s.respond(fw, sc, id, resp) == nil {
 		s.armRead(conn)
-		id, req, resp, err := s.readRequest(br)
-		if err != nil {
-			return
-		}
-		if req != nil {
-			work <- v2req{id: id, req: req}
-		} else if s.respond(fw, id, resp) != nil {
+		if id, resp, err = s.serveRequest(br, sc); err != nil {
 			return
 		}
 	}
@@ -390,42 +299,42 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 // errEmptyFrame drops a connection that sent a frame with no op byte.
 var errEmptyFrame = errors.New("wire: empty request frame")
 
-// readRequest takes the next request frame off the connection. Most come
-// back as req, a pooled buffer holding the body for a worker to answer
-// (and recycle). An OpAllocWrite is served right here instead, on the
-// only goroutine that may touch br, its payload going from the socket
-// into the pool, and comes back as a finished resp with req nil. Any
-// error means the stream is over or out of step.
-func (s *Server) readRequest(br *bufio.Reader) (id uint32, req []byte, resp response, err error) {
+// maxReqLen is the longest request body but an alloc_write's: an op and
+// a handle.
+const maxReqLen = 1 + 4
+
+// serveRequest reads the next request frame off the connection and
+// builds its response. An OpAllocWrite is received from the socket
+// straight into the pool (allocWrite). Any other request is parsed where
+// it lies in the read buffer, or refused, its body skipped unparsed,
+// when it is longer than maxReqLen. Any error means the stream is over
+// or out of step.
+func (s *Server) serveRequest(br *bufio.Reader, sc *connScratch) (id uint32, resp response, err error) {
 	n, id, err := readFrameV2Header(br, s.frameLimit)
 	if err != nil {
-		return 0, nil, response{}, err
+		return 0, response{}, err
 	}
 	if n < 1 {
-		return 0, nil, response{}, errEmptyFrame
+		return 0, response{}, errEmptyFrame
 	}
-	if op, perr := br.Peek(1); perr == nil && op[0] == OpAllocWrite {
-		s.opReqs[OpAllocWrite].Inc()
-		resp, err = s.allocWrite(br, n)
-		return id, nil, resp, err
-	}
-	req = s.getBuf(n)
-	if _, err := io.ReadFull(br, req); err != nil {
-		s.recycle(req)
-		return 0, nil, response{}, err
+	req, err := br.Peek(min(n, maxReqLen))
+	if err != nil {
+		return 0, response{}, err
 	}
 	s.countOp(req)
-	return id, req, response{}, nil
-}
-
-// v2worker serves one slot of a connection's pipelined worker pool.
-func (s *Server) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for w := range work {
-		resp := s.dispatch(w.req)
-		s.recycle(w.req)
-		if s.respond(fw, w.id, resp) != nil {
-			conn.Close() // unblocks the reader; the connection is gone
-		}
+	switch {
+	case req[0] == OpAllocWrite:
+		resp, err = s.allocWrite(br, sc, n)
+		return id, resp, err
+	case n > maxReqLen:
+		resp = sc.status(StatusBadRequest)
+	default:
+		resp = s.dispatch(sc, req)
 	}
+	// A request short enough to dispatch was peeked whole, so only a
+	// refused long one can fail here, and it holds no pin.
+	if _, err := br.Discard(n); err != nil {
+		return 0, response{}, err
+	}
+	return id, resp, nil
 }

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -12,57 +12,65 @@ import (
 	"spongefiles/internal/sponge"
 )
 
-// TestBurstPastWorkerPoolStillPipelines: a burst of concurrent requests
-// larger than the connection's worker pool must still be served
-// correctly — the bound is backpressure, not a correctness constraint.
-func TestBurstPastWorkerPoolStillPipelines(t *testing.T) {
-	pool := sponge.NewPool(512, 64)
-	srv, err := Serve(pool, "127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const burst = connWorkers + 8
-	var wg sync.WaitGroup
-	errs := make(chan error, burst)
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			data := []byte{byte(i), byte(i + 1)}
-			h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: int64(i + 1)}, data)
-			if err != nil {
-				errs <- err
-				return
-			}
-			got, err := readChunk(c, h)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(got) != 2 || got[0] != byte(i) {
-				errs <- ErrBadRequest
-				return
-			}
-			errs <- c.Free(h)
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+// TestPipelinedBurstAnsweredInOrder: a connection that writes a burst of
+// requests before reading any reply gets one reply per request, in
+// request order, each under its request's ID. The stat replies show it:
+// each counts exactly the frees ahead of it in the burst.
+func TestPipelinedBurstAnsweredInOrder(t *testing.T) {
+	const chunk, chunks, burst = 512, 64, 40
+	srv := startServerOptions(t, chunk, chunks, Options{})
+	owner := sponge.TaskID{Node: 1, PID: 51}
+	handles := make([]uint32, (burst+2)/3)
+	for k := range handles {
+		h, err := srv.pool.Alloc(owner)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := srv.pool.Write(h, bytes.Repeat([]byte{byte(k)}, chunk)); err != nil {
+			t.Fatal(err)
+		}
+		handles[k] = uint32(h)
 	}
-	if pool.Free() != pool.Chunks() {
-		t.Fatalf("pool leaked under a burst past the workers: %d/%d", pool.Free(), pool.Chunks())
+	// Request i is a read, a stat or a free of chunk i/3, in turn.
+	ops := [3]byte{OpRead, OpStat, OpFree}
+	reqs := make([][]byte, burst)
+	for i := range reqs {
+		if op := ops[i%3]; op == OpStat {
+			reqs[i] = frame(op)
+		} else {
+			reqs[i] = frame(op, handles[i/3])
+		}
 	}
+	conn := dialRawV2(t, srv.Addr())
+	if _, err := conn.Write(v2frame(reqs...)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		id, resp, err := readTestFrame(conn)
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v", i+1, burst, err)
+		}
+		if id != uint32(i+1) || len(resp) == 0 || resp[0] != StatusOK {
+			t.Fatalf("reply %d is %d bytes under id %d, want StatusOK under id %d", i+1, len(resp), id, i+1)
+		}
+		k := i / 3
+		switch ops[i%3] {
+		case OpRead:
+			if !bytes.Equal(resp[1:], bytes.Repeat([]byte{byte(k)}, chunk)) {
+				t.Errorf("read %d returned %d bytes that are not chunk %d's", id, len(resp)-1, k)
+			}
+		case OpStat:
+			want := chunks - len(handles) + k // the frees of chunks 0..k-1 came first
+			if len(resp) != 13 || int(binary.LittleEndian.Uint32(resp[1:5])) != want {
+				t.Errorf("stat %d = %v, want %d chunks free", id, resp, want)
+			}
+		case OpFree:
+			if len(resp) != 1 {
+				t.Errorf("free %d answered %d bytes", id, len(resp))
+			}
+		}
+	}
+	settled(t, srv, conn, chunks-1) // the last chunk is read, never freed
 }
 
 // TestReadTimeoutDropsIdleConnection: a connection that sends nothing
@@ -109,9 +117,11 @@ func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 }
 
 // TestWriteTimeoutReleasesStalledReader: a peer that asks for a chunk
-// again and again and never reads a response leaves every worker stuck
-// mid-send with the chunk pinned. The write deadline is what drops the
-// connection and lets the pins go, so the owner can free the chunk.
+// again and again and never reads a response leaves the connection stuck
+// mid-send with the chunk pinned — once: the next read is not taken off
+// the socket until this one's reply is out. The write deadline is what
+// drops the connection and lets the pin go, so the owner can free the
+// chunk.
 func TestWriteTimeoutReleasesStalledReader(t *testing.T) {
 	const chunk = 1 << 20
 	srv := startServerOptions(t, chunk, 2, Options{WriteTimeout: 200 * time.Millisecond})
@@ -132,11 +142,17 @@ func TestWriteTimeoutReleasesStalledReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
+	peak := 0
 	for srv.connsOpen.Value() != 0 {
+		pinned := srv.pool.Stats().Pinned
+		peak = max(peak, pinned)
 		if time.Since(start) > time.Second {
-			t.Fatalf("connection still open %v after the stall; pinned = %d", time.Since(start), srv.pool.Stats().Pinned)
+			t.Fatalf("connection still open %v after the stall; pinned = %d", time.Since(start), pinned)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if peak > 1 {
+		t.Errorf("the stalled connection held %d chunks pinned at once, want at most 1", peak)
 	}
 	if st := srv.pool.Stats(); st.Pinned != 0 {
 		t.Fatalf("%d chunks still pinned after the connection dropped", st.Pinned)

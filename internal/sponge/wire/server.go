@@ -22,11 +22,11 @@ import (
 // across machines) safe together, exactly as the paper's mmap-plus-
 // daemon design intends.
 //
-// Every connection opens with one handshake frame. An OpHello makes it
-// pipelined for the rest of its life: requests dispatch concurrently
-// through a bounded worker pool and responses (tagged with the request
-// ID) are written back in completion order. An OpPoolFD (the descriptor
-// handshake) is answered and the connection closed.
+// Every connection opens with one handshake frame. An OpHello makes it a
+// request stream for the rest of its life, served on one goroutine: each
+// request is read and answered, its reply tagged with the request ID,
+// before the next is read. An OpPoolFD (the descriptor handshake) is
+// answered and the connection closed.
 //
 // With Options.SpillDir set the server grows the paper's local-disk
 // tier: AllocWrites that find the pool full overflow into an
@@ -56,7 +56,7 @@ type Server struct {
 	sendFDs func(conn net.Conn, id uint32) error
 
 	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	conns map[net.Conn]*connScratch
 
 	// metrics is the registry served over OpMetrics; opReqs are the
 	// per-op request counters (indexed by op code), badReqs counts
@@ -72,14 +72,6 @@ type Server struct {
 	zcFallbk      *obs.Counter // file responses that took the buffered path
 	fdFail        *obs.Counter // fd-pass handshakes refused or failed
 	spillAllocs   *obs.Counter
-
-	// bufs recycles large request bodies — a chunk on its way to the
-	// spill file — so they do not allocate per request. small does the
-	// same for header-size exchanges (a read is a 5-byte request, an
-	// alloc_write a 5-byte reply, the fd-passing fast path 25-byte loc
-	// responses).
-	bufs  sync.Pool
-	small sync.Pool
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -111,7 +103,7 @@ func Serve(pool *sponge.Pool, addr string, opts Options) (*Server, error) {
 		opts:       opts,
 		lns:        []net.Listener{ln},
 		frameLimit: pool.ChunkSize() + frameSlack,
-		conns:      make(map[net.Conn]struct{}),
+		conns:      make(map[net.Conn]*connScratch),
 		metrics:    opts.Metrics,
 		closed:     make(chan struct{}),
 	}
@@ -241,7 +233,7 @@ func (s *Server) Close() error {
 // pool's generation table and segments when they are file-backed (and
 // fit one message beside the spill file), the spill file when there is
 // a spill tier. Non-unix connections, non-linux builds, and a server
-// with neither degrade to errZCUnsupported, which handle answers as
+// with neither degrade to errZCUnsupported, which serve answers as
 // StatusBadRequest.
 func (s *Server) passFiles(conn net.Conn, id uint32) error {
 	uc, ok := conn.(*net.UnixConn)
@@ -271,8 +263,8 @@ func (s *Server) passFiles(conn net.Conn, id uint32) error {
 
 // helloResponse builds the reply to OpHello: status, version, and the
 // chunk size a dialer sizes its frame limit by.
-func (s *Server) helloResponse() []byte {
-	out := make([]byte, helloRespLen)
+func (s *Server) helloResponse(sc *connScratch) []byte {
+	out := sc.reply[:helloRespLen]
 	out[0] = StatusOK
 	out[1] = ProtocolV2
 	binary.LittleEndian.PutUint32(out[2:6], uint32(s.pool.ChunkSize()))
@@ -286,13 +278,14 @@ func (s *Server) helloResponse() []byte {
 // copy the server makes of a chunk is the kernel's. A request it refuses
 // (zero owner, data past the chunk size, no room anywhere) has its body
 // drained so the stream stays in step. Only a chunk the full pool sends
-// on to the spill tier passes through a buffer. An error means the peer
-// died or stalled mid-frame; the half-filled chunk is freed first.
-func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
+// on to the spill tier passes through a buffer, the connection's staging
+// scratch. An error means the peer died or stalled mid-frame; the
+// half-filled chunk is freed first.
+func (s *Server) allocWrite(br *bufio.Reader, sc *connScratch, n int) (response, error) {
 	const headLen = 1 + 12
 	if n < headLen {
 		_, err := br.Discard(n)
-		return statusOnly(StatusBadRequest), err
+		return sc.status(StatusBadRequest), err
 	}
 	head, err := br.Peek(headLen)
 	if err != nil {
@@ -309,7 +302,7 @@ func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
 	// a chunk does not.
 	if owner.IsZero() || size > s.pool.ChunkSize() {
 		_, err := br.Discard(size)
-		return statusOnly(StatusBadRequest), err
+		return sc.status(StatusBadRequest), err
 	}
 	h, err := s.pool.Alloc(owner)
 	switch {
@@ -319,7 +312,7 @@ func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
 			// Gone between the two calls — the pool failed or closed, or
 			// the owner's chunks were reaped: nothing is left to free.
 			_, derr := br.Discard(size)
-			return statusOnly(errStatus(ferr)), derr
+			return sc.status(errStatus(ferr)), derr
 		}
 		if _, rerr := io.ReadFull(br, dst[:size]); rerr != nil {
 			s.pool.AbortFill(h)
@@ -328,50 +321,47 @@ func (s *Server) allocWrite(br *bufio.Reader, n int) (response, error) {
 		s.pool.Filled(h, size)
 	case errors.Is(err, sponge.ErrNoFreeChunk) && s.spill != nil:
 		// Memory pool full: overflow into the disk tier, through a buffer.
-		buf := s.getBuf(size)
-		_, rerr := io.ReadFull(br, buf)
-		if rerr == nil {
-			h, err = s.spill.append(buf)
+		if sc.stage == nil {
+			sc.stage = make([]byte, s.pool.ChunkSize())
 		}
-		s.recycle(buf)
-		if rerr != nil {
+		if _, rerr := io.ReadFull(br, sc.stage[:size]); rerr != nil {
 			return response{}, rerr
 		}
-		if err != nil {
-			return statusOnly(errStatus(err)), nil
+		if h, err = s.spill.append(sc.stage[:size]); err != nil {
+			return sc.status(errStatus(err)), nil
 		}
 		s.spillAllocs.Inc()
 	default:
 		_, derr := br.Discard(size)
-		return statusOnly(errStatus(err)), derr
+		return sc.status(errStatus(err)), derr
 	}
-	out := s.getBuf(5)
+	out := sc.reply[:5]
 	out[0] = StatusOK
 	binary.LittleEndian.PutUint32(out[1:], uint32(h))
 	return response{body: out}, nil
 }
 
-// dispatch executes one buffered request and builds its response. (An
-// OpAllocWrite never gets here: the connection reader hands it to
-// allocWrite while it is still on the socket.)
-func (s *Server) dispatch(req []byte) response {
+// dispatch executes one request other than an OpAllocWrite, which
+// serveRequest hands to allocWrite while it is still on the socket, and
+// builds its response.
+func (s *Server) dispatch(sc *connScratch, req []byte) response {
 	if len(req) < 1 {
-		return statusOnly(StatusBadRequest)
+		return sc.status(StatusBadRequest)
 	}
 	op, payload := req[0], req[1:]
 	switch op {
 	case OpRead:
 		if len(payload) != 4 {
-			return statusOnly(StatusBadRequest)
+			return sc.status(StatusBadRequest)
 		}
 		h := int(binary.LittleEndian.Uint32(payload))
 		if h&SpillHandleBit != 0 {
 			if s.spill == nil {
-				return statusOnly(StatusBadRequest)
+				return sc.status(StatusBadRequest)
 			}
 			off, n, err := s.spill.loc(h)
 			if err != nil {
-				return statusOnly(errStatus(err))
+				return sc.status(errStatus(err))
 			}
 			return response{f: s.spill.file(), off: off, n: int64(n)}
 		}
@@ -379,34 +369,34 @@ func (s *Server) dispatch(req []byte) response {
 		// written it.
 		chunk, err := s.pool.View(h)
 		if err != nil {
-			return statusOnly(errStatus(err))
+			return sc.status(errStatus(err))
 		}
 		return response{pool: s.pool, h: h, chunk: chunk}
 	case OpFree:
 		if len(payload) != 4 {
-			return statusOnly(StatusBadRequest)
+			return sc.status(StatusBadRequest)
 		}
 		h := int(binary.LittleEndian.Uint32(payload))
 		if h&SpillHandleBit != 0 {
 			if s.spill == nil {
-				return statusOnly(StatusBadRequest)
+				return sc.status(StatusBadRequest)
 			}
 			if err := s.spill.freeRec(h); err != nil {
-				return statusOnly(errStatus(err))
+				return sc.status(errStatus(err))
 			}
-			return statusOnly(StatusOK)
+			return sc.status(StatusOK)
 		}
 		// The handle is the network's word: of several frees racing on one
 		// chunk — or one racing the owner's reaping — exactly one finds it.
 		if err := s.pool.TryFree(h); err != nil {
-			return statusOnly(errStatus(err))
+			return sc.status(errStatus(err))
 		}
-		return statusOnly(StatusOK)
+		return sc.status(StatusOK)
 	case OpPoolLoc, OpSpillLoc:
-		return response{body: s.loc(payload)}
+		return s.loc(sc, payload)
 	case OpMetrics:
 		if len(payload) != 0 {
-			return statusOnly(StatusBadRequest)
+			return sc.status(StatusBadRequest)
 		}
 		// StatusOK, then the registry's text exposition.
 		var b bytes.Buffer
@@ -414,14 +404,17 @@ func (s *Server) dispatch(req []byte) response {
 		s.metrics.WriteText(&b)
 		return response{body: b.Bytes()}
 	case OpStat:
-		out := s.getBuf(13)
+		if len(payload) != 0 {
+			return sc.status(StatusBadRequest)
+		}
+		out := sc.reply[:13]
 		out[0] = StatusOK
 		binary.LittleEndian.PutUint32(out[1:5], uint32(s.pool.Free()))
 		binary.LittleEndian.PutUint32(out[5:9], uint32(s.pool.Chunks()))
 		binary.LittleEndian.PutUint32(out[9:13], uint32(s.pool.ChunkSize()))
 		return response{body: out}
 	}
-	return statusOnly(StatusBadRequest)
+	return sc.status(StatusBadRequest)
 }
 
 // loc answers OpPoolLoc and OpSpillLoc — one exchange under two labels:
@@ -429,9 +422,9 @@ func (s *Server) dispatch(req []byte) response {
 // segments from index 0, then the spill file), and the generation an
 // fd-holding reader re-checks after its pread. A spilled chunk reports
 // generation 0: its region is stable for the record's lifetime.
-func (s *Server) loc(payload []byte) []byte {
+func (s *Server) loc(sc *connScratch, payload []byte) response {
 	if len(payload) != 4 {
-		return []byte{StatusBadRequest}
+		return sc.status(StatusBadRequest)
 	}
 	h := int(binary.LittleEndian.Uint32(payload))
 	var (
@@ -447,19 +440,18 @@ func (s *Server) loc(payload []byte) []byte {
 		idx = s.geom.segments()
 		off, n, err = s.spill.loc(h)
 	default:
-		return []byte{StatusBadRequest}
+		return sc.status(StatusBadRequest)
 	}
 	if err != nil {
-		return []byte{errStatus(err)}
+		return sc.status(errStatus(err))
 	}
-	// Pooled: this is the pread fast path's per-read exchange.
-	out := s.getBuf(25)
+	out := sc.reply[:]
 	out[0] = StatusOK
 	binary.LittleEndian.PutUint32(out[1:5], uint32(idx))
 	binary.LittleEndian.PutUint64(out[5:13], uint64(off))
 	binary.LittleEndian.PutUint32(out[13:17], uint32(n))
 	binary.LittleEndian.PutUint64(out[17:25], gen)
-	return out
+	return response{body: out}
 }
 
 func errStatus(err error) byte {

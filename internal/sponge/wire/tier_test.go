@@ -300,7 +300,7 @@ func servePortable(t *testing.T, srv *Server) string {
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				srv.handle(struct{ net.Conn }{conn})
+				srv.serve(struct{ net.Conn }{conn}, new(connScratch))
 			}()
 		}
 	}()
@@ -548,7 +548,7 @@ func TestFaultStreamIdenticalAcrossTiers(t *testing.T) {
 // spilled chunks via sendfile and via the portable pread+write loop, and
 // either kind pread from a passed descriptor — must not allocate once
 // warm, client or server side (the server runs in-process, so
-// AllocsPerRun sees its worker pool too).
+// AllocsPerRun sees its serve loop too).
 func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime allocations around socket I/O would drown the guard")
@@ -613,16 +613,23 @@ func TestWireReadSteadyStateAllocationFree(t *testing.T) {
 				t.Errorf("steady-state %s ReadInto allocates %.2f objects per chunk, want 0",
 					tc.name, avg)
 			}
-			if !spill && !tc.arm && srv.bufs.Get() != nil {
+			if !spill && !tc.arm {
 				// Socket → slab on the way in, slab → socket on the way out:
-				// nothing chunk-sized was ever staged, so nothing was recycled.
-				t.Errorf("%s: the daemon staged a pool chunk in a chunk-class buffer", tc.name)
+				// nothing chunk-sized was ever staged, so no connection has
+				// made its staging buffer.
+				srv.mu.Lock()
+				for _, sc := range srv.conns {
+					if sc.stage != nil {
+						t.Errorf("%s: the daemon staged a pool chunk in a connection's buffer", tc.name)
+					}
+				}
+				srv.mu.Unlock()
 			}
 		})
 	}
 	// AllocWrite and Stat, client and server together on both socket
 	// tiers: the payload goes from the caller's buffer to the slab, the
-	// short replies come from the server's small-buffer pool and land in
+	// short replies come from the connection's reply scratch and land in
 	// the client's reply value.
 	for _, tier := range []string{"tcp", "unix"} {
 		t.Run("alloc-write-stat-"+tier, func(t *testing.T) {

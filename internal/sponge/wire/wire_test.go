@@ -163,14 +163,24 @@ func TestFreeOfBadHandle(t *testing.T) {
 	}
 }
 
-// A handle is the network's word, and a pipelined connection runs its
-// requests concurrently: of several frees of one chunk exactly one is
-// answered StatusOK and the rest StatusNoFreeChunk, and a free that
-// races the owner's reaping loses or wins cleanly. Neither may take the
-// daemon down, leak a chunk or a pin, or put the connection out of step.
+// A handle is the network's word, and the server serves its connections
+// concurrently: of several frees of one chunk, one on each of eight
+// connections, exactly one is answered StatusOK and the rest
+// StatusNoFreeChunk, and a free that races the owner's reaping loses or
+// wins cleanly. Neither may take the daemon down, leak a chunk or a pin,
+// or put a connection out of step.
 func TestConcurrentFreeOfOneHandle(t *testing.T) {
 	const chunks, frees, rounds = 4, 8, 2000
 	srv, c := startServer(t, 64, chunks)
+	freers := make([]*Client, frees)
+	for g := range freers {
+		fc, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fc.Close()
+		freers[g] = fc
+	}
 	owner := sponge.TaskID{Node: 1, PID: 51}
 	alloc := func() int {
 		t.Helper()
@@ -183,8 +193,8 @@ func TestConcurrentFreeOfOneHandle(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		h := alloc()
 		errs := make(chan error, frees)
-		for g := 0; g < frees; g++ {
-			go func() { errs <- c.Free(h) }()
+		for _, fc := range freers {
+			go func() { errs <- fc.Free(h) }()
 		}
 		ok := 0
 		for g := 0; g < frees; g++ {

@@ -76,12 +76,16 @@ echo "== pool fill/view brackets against free and close, -race -count=10 =="
 # and viewers against concurrent FreeChunk, FreeOwnedBy and Close, and
 # the streamed-receive tests misbehave on real TCP and unix connections
 # and hold the pool to free count restored, no pins, even generations.
-# A free's handle is the network's word too: eight pipelined frees of
-# one chunk, and one racing the owner's reaping, free it exactly once.
-# A reader that never drains its responses holds pins mid-send until the
-# write deadline drops it.
-go test -race -count=10 -run 'TestPoolFill|TestPoolView' ./internal/sponge
-go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle|TestWriteTimeoutReleasesStalledReader' ./internal/sponge/wire
+# A free's handle is the network's word too: eight frees of one chunk,
+# one on each of eight connections, and one racing the owner's reaping,
+# free it exactly once. A connection is served on one goroutine, in
+# request order: a burst written before any reply is read is answered
+# one reply per id, in order, and a reader that never drains its
+# responses holds one pin mid-send until the write deadline drops it.
+# The pool's garbage collector asks after remote owners in (Node, PID)
+# order, the same in every fresh simulation.
+go test -race -count=10 -run 'TestPoolFill|TestPoolView|TestGCSweepVisitsOwnersInOrder' ./internal/sponge
+go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle|TestWriteTimeoutReleasesStalledReader|TestPipelinedBurstAnsweredInOrder' ./internal/sponge/wire
 
 echo "== histogram snapshots under concurrent Observe, -race -count=10 =="
 # A scrape taken while Observes land must expose _count equal to the
@@ -127,7 +131,7 @@ go test -count=1 -run 'AllocationFree|TestSpawnRunSteadyStateAllocationFree|Test
 
 # Wire transport guard: steady-state ReadInto must stay 0 allocs/chunk
 # on all five serve paths — TCP and unix pool reads (sent from the slab,
-# with no chunk-class buffer ever recycled), sendfile spill serves, the
+# with no connection's staging buffer ever made), sendfile spill serves, the
 # portable buffered spill serve (behind a connection that hides its
 # socket, so linux covers it too), and the descriptor pread of whatever
 # file the chunk lives in, spill file or memfd pool segment — and so
@@ -141,7 +145,7 @@ go test -count=1 -run 'TestWireReadSteadyStateAllocationFree|TestTransportExchan
 
 echo "== wire dispatch fuzz, 10 s =="
 # Whatever a peer past the hello sends to the sponge server — frame
-# bytes on a reader, through the connection reader's own entry point —
+# bytes on a reader, through the serve loop's one-request entry point —
 # must never panic, always be answered or dropped with the pool
 # restored, and never size an allocation or a response from an
 # untrusted field. The seed corpus (one well-formed frame per op, one
