@@ -2,17 +2,18 @@ package wire
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"spongefiles/internal/sponge"
 )
 
-// Wall-clock benchmarks of the real TCP sponge protocol over loopback:
-// the pipelined client (Dial, multiplexed request IDs). The Parallel
-// variants sweep the number of concurrent requesters (1, 4, 16 ×
-// GOMAXPROCS) via sub-benchmarks, so one run covers the concurrency
-// ladder.
+// Wall-clock benchmarks of the real TCP sponge protocol over loopback
+// through one Client, which runs one exchange at a time. The Parallel
+// variants sweep the number of goroutines that contend for that client
+// (1, 4, 16 × GOMAXPROCS) via sub-benchmarks, so one run covers the
+// contention ladder; at every rung one request is in flight.
 
 func benchServer(b *testing.B, chunkSize, chunks int) *Server {
 	b.Helper()
@@ -58,8 +59,12 @@ func benchSequential(b *testing.B, size int) {
 	}
 }
 
+// benchParallel runs spill cycles from conc × GOMAXPROCS goroutines
+// sharing one client. Each goroutine holds at most one chunk, so the
+// pool has one per goroutine; a worker's error ends that worker, and the
+// first one fails the benchmark once every worker is done.
 func benchParallel(b *testing.B, size, conc int) {
-	srv := benchServer(b, size, 64)
+	srv := benchServer(b, size, conc*runtime.GOMAXPROCS(0))
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -67,6 +72,7 @@ func benchParallel(b *testing.B, size, conc int) {
 	defer c.Close()
 	data := make([]byte, size)
 	var pid atomic.Int64
+	failed := make(chan error, 1)
 	b.SetBytes(int64(size))
 	b.SetParallelism(conc)
 	b.ResetTimer()
@@ -75,10 +81,19 @@ func benchParallel(b *testing.B, size, conc int) {
 		readBuf := make([]byte, size)
 		for pb.Next() {
 			if err := spillCycle(c, owner, data, readBuf); err != nil {
-				b.Fatal(err)
+				select {
+				case failed <- err:
+				default:
+				}
+				return
 			}
 		}
 	})
+	select {
+	case err := <-failed:
+		b.Fatal(err)
+	default:
+	}
 }
 
 var benchSizes = []struct {
@@ -95,8 +110,8 @@ func BenchmarkWireAllocWriteReadFree(b *testing.B) {
 	benchSequential(b, 64<<10)
 }
 
-// The pipelined client shared by concurrent goroutines: many requests
-// in flight over one socket.
+// One client shared by contending goroutines: they take turns on one
+// socket, one request in flight.
 func BenchmarkWireAllocWriteReadFreeParallel(b *testing.B) {
 	for _, s := range benchSizes {
 		for _, conc := range benchConcs {

@@ -16,40 +16,47 @@ import (
 )
 
 // Client talks to one remote sponge server. It is safe for concurrent
-// use. The connection is pipelined: any number of requests may be in
-// flight at once, a demux goroutine routes responses back to their
-// callers by request ID, and chunk payloads ride vectored writes with
-// no coalescing copy.
+// use: callers take turns, one exchange at a time. An exchange holds the
+// client throughout: it writes the request frame, reads the one reply
+// on the caller's goroutine and checks that the reply echoes the
+// request's ID. A chunk payload rides a vectored write behind its
+// header, with no coalescing copy.
 type Client struct {
 	conn      net.Conn
-	br        *bufio.Reader
-	fw        *frameWriter
 	chunkSize int
 	network   string // "tcp" or "unix"
 	addr      string // dial address (socket path for "unix")
-
-	// Pipelining state.
-	nextID  atomic.Uint32
-	pmu     sync.Mutex
-	pending map[uint32]*wireCall
-	cerr    error // sticky transport error; guarded by pmu
-	done    chan struct{}
-	// short is the demux goroutine's landing buffer for a short reply
-	// body, copied from here into the reply value: reading into the
-	// value itself would hand the reader a pointer into it and move it
-	// to the heap, one allocation per response.
-	short [shortReply]byte
-
-	// fds is the server's passed files once FetchPoolFDs has run the
-	// descriptor handshake; chunks living in them are then pread directly.
-	fds atomic.Pointer[fdState]
 
 	// fdOps and genMiss, when non-nil, count descriptor preads and
 	// generation-check misses; wired by the transport so the series land
 	// beside its tier counters.
 	fdOps   *obs.Counter
 	genMiss *obs.Counter
+
+	// mu is held for a whole exchange, a pread of a passed file
+	// included, and guards everything below.
+	mu     sync.Mutex
+	br     *bufio.Reader
+	fw     frameWriter
+	nextID uint32 // the next request's ID; the hello's is 0
+	err    error  // sticky: the connection is closed, every call gets it
+	// hdr holds a request's frame header and op header (an alloc-write's
+	// 13 bytes are the longest).
+	hdr [8 + 13]byte
+	// short lands a short reply body — the hello, an alloc-write's
+	// handle, the stat triple, a loc. Reading into a caller's local
+	// instead would move the local to the heap through the reader's
+	// interface call, one allocation per exchange.
+	short [shortReply]byte
+
+	// fds is the server's passed files once FetchPoolFDs has run the
+	// descriptor handshake; chunks living in them are then pread directly.
+	fds *fdState
 }
+
+// shortReply bounds a reply body read into Client.short: a loc's 24
+// bytes are the longest.
+const shortReply = 24
 
 // fdState is the client-side view of the files a server passed: the
 // pool's segment descriptors with the read-only mapping of its
@@ -83,43 +90,6 @@ func (st *fdState) release() {
 	}
 }
 
-// wireCall is one in-flight v2 request awaiting its response. Calls are
-// pooled: each sees exactly one send (from demux or fail) and one
-// receive (its caller), so the channel is reusable.
-type wireCall struct {
-	into []byte // optional destination for the response payload
-	ch   chan wireReply
-}
-
-// callPool recycles wireCalls so the steady-state request path does not
-// allocate a call record and channel per exchange.
-var callPool = sync.Pool{New: func() any { return &wireCall{ch: make(chan wireReply, 1)} }}
-
-// shortReply bounds a reply body carried inline in its wireReply: the
-// alloc-write handle (4 bytes) and the stat triple (12) travel with no
-// allocation.
-const shortReply = 16
-
-// wireReply carries a decoded response (or transport error) to a caller.
-// Of a payload after the status byte, one of three holds it: the
-// caller's into buffer, the first n bytes of short, or body.
-type wireReply struct {
-	status byte
-	body   []byte // a payload longer than shortReply
-	short  [shortReply]byte
-	n      int // bytes stored into the caller's buffer or short
-	err    error
-}
-
-// payload returns the reply's body when it came without a destination
-// buffer.
-func (r *wireReply) payload() []byte {
-	if r.body != nil {
-		return r.body
-	}
-	return r.short[:r.n]
-}
-
 // Dial connects to a sponge server over TCP, negotiates the protocol
 // version, and learns the server's chunk size. A client that cannot
 // learn the chunk size would mis-size its frame limit and reject valid
@@ -128,8 +98,8 @@ func Dial(addr string) (*Client, error) { return dialNet("tcp", addr) }
 
 // DialLocal connects to a same-host sponge server over its unix-domain
 // socket (see Options.LocalSocketDir and SocketPath). The protocol is
-// identical to TCP — framing, pipelining, every op — the connection
-// just skips the TCP stack. Additionally, a local client can call
+// identical to TCP — the same framing and ops — the connection just
+// skips the TCP stack. Additionally, a local client can call
 // FetchPoolFDs to pread chunks directly.
 func DialLocal(socketPath string) (*Client, error) { return dialNet("unix", socketPath) }
 
@@ -141,52 +111,37 @@ func dialNet(network, addr string) (*Client, error) {
 	return newClient(conn, network, addr)
 }
 
-// newClient runs the hello over a fresh connection and starts its demux.
+// newClient runs the hello over a fresh connection.
 func newClient(conn net.Conn, network, addr string) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 8<<10),
-		fw:      newFrameWriter(conn, 0),
+		fw:      frameWriter{conn: conn},
 		network: network,
 		addr:    addr,
-		pending: make(map[uint32]*wireCall),
-		done:    make(chan struct{}),
 	}
-	hello, err := c.hello()
-	if err != nil {
+	if err := c.hello(); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	// The hello reply carries the chunk size; from here on the
-	// connection is pipelined.
-	c.chunkSize = int(binary.LittleEndian.Uint32(hello[2:6]))
-	go c.demux()
 	return c, nil
 }
 
-// hello performs the version exchange and returns the response body. A
-// peer that refuses it does not speak this version, and the error says
-// so.
-func (c *Client) hello() ([]byte, error) {
-	if err := c.send(0, []byte{OpHello, ProtocolV2}, nil); err != nil {
-		return nil, err
-	}
-	n, id, err := readFrameV2Header(c.br, handshakeLimit)
-	if err != nil {
-		return nil, err
-	}
-	resp := make([]byte, n)
-	if _, err := io.ReadFull(c.br, resp); err != nil {
-		return nil, err
-	}
+// hello performs the version exchange, request ID 0, and learns the
+// server's chunk size. A peer that refuses it does not speak this
+// version, and the error says so.
+func (c *Client) hello() error {
+	body, err := c.do([]byte{OpHello, ProtocolV2}, nil, c.short[:])
 	switch {
-	case id != 0: // not an answer to the hello
-	case len(resp) == helloRespLen && resp[0] == StatusOK && resp[1] >= ProtocolV2:
-		return resp, nil
-	case len(resp) >= 1 && resp[0] == StatusBadRequest:
-		return nil, fmt.Errorf("wire: peer refused the protocol v%d hello: %w", ProtocolV2, ErrBadRequest)
+	case errors.Is(err, ErrBadRequest):
+		return fmt.Errorf("wire: peer refused the protocol v%d hello: %w", ProtocolV2, ErrBadRequest)
+	case err != nil:
+		return err
+	case len(body) != helloRespLen-1 || body[0] < ProtocolV2:
+		return fmt.Errorf("wire: malformed hello response (%d bytes)", 1+len(body))
 	}
-	return nil, fmt.Errorf("wire: malformed hello response (%d bytes)", len(resp))
+	c.chunkSize = int(binary.LittleEndian.Uint32(body[1:5]))
+	return nil
 }
 
 // ChunkSize reports the server's chunk size learned at dial time.
@@ -196,13 +151,18 @@ func (c *Client) ChunkSize() int { return c.chunkSize }
 // "unix".
 func (c *Client) Network() string { return c.network }
 
-// Close closes the connection (and any passed descriptors) and waits
-// for the demux goroutine to fail any in-flight requests and exit.
+// Close closes the connection and releases any passed descriptors. The
+// socket goes first, so that an exchange blocked on it returns; the
+// descriptors go once no exchange is running, so a pread of a passed
+// file never meets an unmapped generation table.
 func (c *Client) Close() error {
 	err := c.conn.Close()
-	<-c.done
-	if st := c.fds.Swap(nil); st != nil {
-		st.release()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fail(net.ErrClosed)
+	if c.fds != nil {
+		c.fds.release()
+		c.fds = nil
 	}
 	return err
 }
@@ -215,8 +175,8 @@ func (c *Client) Close() error {
 // a build with fd-passing can succeed; everyone else, and a client of a
 // server with nothing to pass, gets an error and keeps using OpRead.
 // The handshake is the one exchange of its own short-lived connection:
-// descriptors must land exactly on a recvmsg boundary, which the
-// pipelined main connection cannot guarantee.
+// descriptors must land exactly on a recvmsg boundary, which the main
+// connection's buffered reader cannot guarantee.
 func (c *Client) FetchPoolFDs() error {
 	if c.network != "unix" || !zeroCopyAvailable {
 		return errZCUnsupported
@@ -238,9 +198,16 @@ func (c *Client) FetchPoolFDs() error {
 	if err != nil {
 		return err
 	}
-	if old := c.fds.Swap(st); old != nil {
-		old.release()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil { // closed, or poisoned, while the handshake ran
+		st.release()
+		return c.err
 	}
+	if c.fds != nil {
+		c.fds.release()
+	}
+	c.fds = st
 	return nil
 }
 
@@ -318,142 +285,73 @@ func (c *Client) limit() int {
 	return handshakeLimit
 }
 
-// fail poisons the connection: the first error sticks, every in-flight
-// and future request gets it, and the socket is closed.
-func (c *Client) fail(err error) {
-	c.pmu.Lock()
-	if c.cerr == nil {
-		c.cerr = err
+// fail poisons the connection: the first error sticks, the socket is
+// closed, and every later exchange gets the sticky error, which fail
+// returns. The caller holds c.mu.
+func (c *Client) fail(err error) error {
+	if c.err == nil {
+		c.err = err
+		c.conn.Close()
 	}
-	err = c.cerr
-	calls := c.pending
-	c.pending = make(map[uint32]*wireCall)
-	c.pmu.Unlock()
-	c.conn.Close()
-	for _, call := range calls {
-		call.ch <- wireReply{err: err}
-	}
+	return c.err
 }
 
-// demux routes v2 responses to their waiting callers by request ID.
-// Responses whose caller supplied a destination buffer are decoded
-// straight off the socket into it; a short one rides inline in the
-// reply; a longer one gets an exact-size allocation.
-func (c *Client) demux() {
-	defer close(c.done)
-	for {
-		n, id, err := readFrameV2Header(c.br, c.limit())
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if n < 1 {
-			c.fail(fmt.Errorf("wire: empty response frame"))
-			return
-		}
-		status, err := c.br.ReadByte()
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		rest := n - 1
-		c.pmu.Lock()
-		call := c.pending[id]
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		if call == nil {
-			c.fail(fmt.Errorf("wire: response for unknown request %d", id))
-			return
-		}
-		// From here on the call is out of the pending map, so fail()
-		// cannot see it: any transport error must be delivered to this
-		// caller directly as well.
-		rep := wireReply{status: status}
-		if call.into != nil && status == StatusOK {
-			if rest > len(call.into) {
-				// Caller's buffer is too small: the connection is still
-				// consistent, so drain the payload and report only to
-				// this caller.
-				if _, err := io.CopyN(io.Discard, c.br, int64(rest)); err != nil {
-					c.fail(err)
-					call.ch <- wireReply{err: err}
-					return
-				}
-				rep.err = fmt.Errorf("wire: %w: response is %d bytes, buffer holds %d",
-					io.ErrShortBuffer, rest, len(call.into))
-			} else if _, err := io.ReadFull(c.br, call.into[:rest]); err != nil {
-				c.fail(err)
-				call.ch <- wireReply{err: err}
-				return
-			} else {
-				rep.n = rest
-			}
-		} else {
-			dst := c.short[:0]
-			if rest > shortReply {
-				dst = make([]byte, rest)
-			}
-			if _, err := io.ReadFull(c.br, dst[:rest]); err != nil {
-				c.fail(err)
-				call.ch <- wireReply{err: err}
-				return
-			}
-			if rest > shortReply {
-				rep.body = dst
-			} else {
-				rep.n = copy(rep.short[:], dst[:rest])
-			}
-		}
-		call.ch <- rep
+// do performs one exchange; the caller holds c.mu. head is the op byte
+// plus fixed fields, payload the bulk data (may be nil). A StatusOK
+// reply's payload is read into into and returned as into[:n]; with into
+// nil it gets a buffer of its exact size, which limit() bounds. A
+// payload longer than into is drained, and only this call fails, with
+// io.ErrShortBuffer: the connection stays in step. A transport error, a
+// reply under another request's ID, an empty frame or one longer than
+// limit() poisons the connection.
+func (c *Client) do(head, payload, into []byte) ([]byte, error) {
+	if c.err != nil {
+		return nil, c.err
 	}
-}
-
-// send writes one v2 request frame (header + op header + payload)
-// through the batching writer: small frames coalesce with concurrent
-// senders' frames into one flush, chunk payloads go to the socket as a
-// vectored write without being copied.
-func (c *Client) send(id uint32, head, payload []byte) error {
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	id := c.nextID
+	c.nextID++
+	hdr := c.hdr[:8+copy(c.hdr[8:], head)]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(head)+len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], id)
-	hdr = append(hdr, head...)
-	err := c.fw.writeFrame(hdr, payload)
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
-	return err
+	if err := c.fw.writeFrame(hdr, payload); err != nil {
+		return nil, c.fail(err)
+	}
+	n, rid, err := readFrameV2Header(c.br, c.limit())
+	switch {
+	case err != nil:
+		return nil, c.fail(err)
+	case rid != id:
+		return nil, c.fail(fmt.Errorf("wire: response for request %d, want %d", rid, id))
+	case n < 1:
+		return nil, c.fail(errors.New("wire: empty response frame"))
+	}
+	status, err := c.br.ReadByte()
+	if err != nil {
+		return nil, c.fail(err)
+	}
+	rest := n - 1
+	switch {
+	case status != StatusOK:
+		return nil, c.skip(rest, statusErr(status))
+	case into == nil:
+		into = make([]byte, rest)
+	case rest > len(into):
+		return nil, c.skip(rest, fmt.Errorf("wire: %w: response is %d bytes, buffer holds %d",
+			io.ErrShortBuffer, rest, len(into)))
+	}
+	if _, err := io.ReadFull(c.br, into[:rest]); err != nil {
+		return nil, c.fail(err)
+	}
+	return into[:rest], nil
 }
 
-// do performs one request/response exchange. head is the op byte plus
-// fixed fields, payload the bulk data (may be nil), into an optional
-// destination for the response payload.
-func (c *Client) do(head, payload, into []byte) (wireReply, error) {
-	call := callPool.Get().(*wireCall)
-	call.into = into
-	id := c.nextID.Add(1)
-	c.pmu.Lock()
-	if c.cerr != nil {
-		err := c.cerr
-		c.pmu.Unlock()
-		call.into = nil
-		callPool.Put(call)
-		return wireReply{}, err
+// skip drains a reply payload nobody reads and returns err, the
+// exchange's verdict; a failed drain poisons the connection instead.
+func (c *Client) skip(n int, err error) error {
+	if _, derr := c.br.Discard(n); derr != nil {
+		return c.fail(derr)
 	}
-	c.pending[id] = call
-	c.pmu.Unlock()
-	if err := c.send(id, head, payload); err != nil {
-		c.fail(err) // delivers the error to every pending call, ours included
-	}
-	rep := <-call.ch
-	call.into = nil
-	callPool.Put(call)
-	if rep.err != nil {
-		return wireReply{}, rep.err
-	}
-	if err := statusErr(rep.status); err != nil {
-		return wireReply{}, err
-	}
-	return rep, nil
+	return err
 }
 
 // AllocWrite allocates a chunk for owner and stores data in it, in one
@@ -469,20 +367,17 @@ func (c *Client) AllocWrite(owner sponge.TaskID, data []byte) (int, error) {
 	head[0] = OpAllocWrite
 	binary.LittleEndian.PutUint32(head[1:5], uint32(owner.Node))
 	binary.LittleEndian.PutUint64(head[5:13], uint64(owner.PID))
-	rep, err := c.do(head[:], data, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	body, err := c.do(head[:], data, c.short[:])
 	if err != nil {
 		return 0, err
 	}
-	body := rep.payload()
 	if len(body) != 4 {
 		return 0, fmt.Errorf("wire: bad alloc response")
 	}
 	return int(binary.LittleEndian.Uint32(body)), nil
 }
-
-// locBufPool recycles the 24-byte destination buffers for the loc
-// exchange on the pread fast path.
-var locBufPool = sync.Pool{New: func() any { b := make([]byte, 24); return &b }}
 
 // preadTestHook, when non-nil, runs between the loc exchange and the
 // pread — the window the generation check guards. Tests use it to free
@@ -501,19 +396,18 @@ var preadTestHook func()
 // under the pread (freed or rewritten mid-read) transparently falls
 // back to OpRead.
 func (c *Client) ReadInto(handle int, buf []byte) (int, error) {
-	if st := c.fds.Load(); st != nil {
-		if n, ok, err := c.preadLoc(st, handle, buf); ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fds != nil {
+		if n, ok, err := c.preadLoc(handle, buf); ok {
 			return n, err
 		}
 	}
 	var head [5]byte
 	head[0] = OpRead
 	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
-	rep, err := c.do(head[:], nil, buf)
-	if err != nil {
-		return 0, err
-	}
-	return rep.n, nil
+	body, err := c.do(head[:], nil, buf)
+	return len(body), err
 }
 
 // preadLoc is the descriptor fast path: ask where the chunk lives, pread
@@ -522,8 +416,10 @@ func (c *Client) ReadInto(handle int, buf []byte) (int, error) {
 // no error) sends the caller to the OpRead fallback: the chunk's file
 // was not passed, or the chunk moved under us — a write was in progress
 // (odd generation) or the generation changed between the lookup and the
-// pread.
-func (c *Client) preadLoc(st *fdState, handle int, buf []byte) (n int, ok bool, err error) {
+// pread. The caller holds c.mu, so Close cannot release the passed
+// files under it.
+func (c *Client) preadLoc(handle int, buf []byte) (n int, ok bool, err error) {
+	st := c.fds
 	pool := handle&SpillHandleBit == 0
 	var head [5]byte
 	switch {
@@ -535,20 +431,17 @@ func (c *Client) preadLoc(st *fdState, handle int, buf []byte) (n int, ok bool, 
 		return 0, false, nil
 	}
 	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
-	bp := locBufPool.Get().(*[]byte)
-	rep, err := c.do(head[:], nil, *bp)
-	if err != nil || rep.n != 24 {
-		locBufPool.Put(bp)
+	loc, err := c.do(head[:], nil, c.short[:])
+	if err != nil || len(loc) != 24 {
 		if err == nil {
 			err = fmt.Errorf("wire: bad loc response")
 		}
 		return 0, true, err
 	}
-	f := st.file(int(binary.LittleEndian.Uint32((*bp)[0:4])))
-	off := int64(binary.LittleEndian.Uint64((*bp)[4:12]))
-	n = int(binary.LittleEndian.Uint32((*bp)[12:16]))
-	gen := binary.LittleEndian.Uint64((*bp)[16:24])
-	locBufPool.Put(bp)
+	f := st.file(int(binary.LittleEndian.Uint32(loc[0:4])))
+	off := int64(binary.LittleEndian.Uint64(loc[4:12]))
+	n = int(binary.LittleEndian.Uint32(loc[12:16]))
+	gen := binary.LittleEndian.Uint64(loc[16:24])
 	if gen&1 == 1 || f == nil {
 		// Odd: a write is mid-copy right now. A file we do not hold
 		// means our view is stale. Either way the socket path has the
@@ -592,17 +485,20 @@ func (c *Client) Free(handle int) error {
 	var head [5]byte
 	head[0] = OpFree
 	binary.LittleEndian.PutUint32(head[1:], uint32(handle))
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, err := c.do(head[:], nil, nil)
 	return err
 }
 
 // Stat returns (free chunks, total chunks, chunk size).
 func (c *Client) Stat() (free, total, chunkSize int, err error) {
-	rep, err := c.do([]byte{OpStat}, nil, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	body, err := c.do([]byte{OpStat}, nil, c.short[:])
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	body := rep.payload()
 	if len(body) != 12 {
 		return 0, 0, 0, fmt.Errorf("wire: bad stat response")
 	}
@@ -615,9 +511,8 @@ func (c *Client) Stat() (free, total, chunkSize int, err error) {
 // exposition format; a pre-metrics peer answers StatusBadRequest,
 // surfaced as ErrBadRequest.
 func (c *Client) Metrics() (string, error) {
-	rep, err := c.do([]byte{OpMetrics}, nil, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(rep.payload()), nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	body, err := c.do([]byte{OpMetrics}, nil, nil)
+	return string(body), err
 }

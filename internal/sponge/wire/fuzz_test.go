@@ -254,99 +254,117 @@ const (
 	demuxInto  = 16
 )
 
-// runDemux puts a Client on an in-process pipe to a scripted peer. The
-// peer answers the hello and swallows three requests, each issued once
-// the one before is on the wire so the ids are fixed — ReadInto into a
-// 16-byte buffer is request 1, Stat 2, AllocWrite 3 — then writes stream
-// where response frames belong and hangs up. It returns the three
-// callers' errors, and fails the test if any is still waiting a second
-// later or the exchange allocated more than three full frames.
+// scriptedConn is a client's end of a connection to a scripted peer:
+// reads come from r, writes are swallowed whole, and nothing else is
+// called.
+type scriptedConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c scriptedConn) Read(b []byte) (int, error)  { return c.r.Read(b) }
+func (c scriptedConn) Write(b []byte) (int, error) { return len(b), nil }
+func (c scriptedConn) Close() error                { return nil }
+
+// runDemux puts a Client on a scripted peer that answers the hello,
+// then has stream where the replies belong, then hangs up. Three callers
+// take their turns — ReadInto into a 16-byte buffer is request 1, Stat
+// 2, AllocWrite 3 — and it returns their errors. It fails the test if a
+// caller is still waiting a second later, if anything was stored past
+// the ReadInto caller's buffer, if the exchanges allocated more than
+// three full frames, or if a reply that poisons the connection — under
+// the wrong ID, empty, over Client.limit() or cut short — is not the
+// error of its caller and of every caller after it.
 func runDemux(t *testing.T, stream []byte) [3]error {
 	t.Helper()
-	deadline := time.After(time.Second)
-	cc, pc := net.Pipe()
-	seen := make(chan struct{})
-	go func() {
-		defer pc.Close()
-		br := bufio.NewReader(pc)
-		id, _, err := readTestFrame(br)
-		if err != nil {
-			return
-		}
-		hello := make([]byte, helloRespLen)
-		hello[0], hello[1] = StatusOK, ProtocolV2
-		binary.LittleEndian.PutUint32(hello[2:6], demuxChunk)
-		if writeTestFrame(pc, id, hello) != nil {
-			return
-		}
-		for i := 0; i < 3; i++ {
-			n, _, err := readFrameV2Header(br, handshakeLimit)
-			if err != nil {
-				return
-			}
-			br.Discard(n)
-			seen <- struct{}{}
-		}
-		if len(stream) > 0 {
-			pc.Write(stream)
-		}
-	}()
+	hello := make([]byte, helloRespLen)
+	hello[0], hello[1] = StatusOK, ProtocolV2
+	binary.LittleEndian.PutUint32(hello[2:6], demuxChunk)
+	conn := scriptedConn{r: bytes.NewReader(slices.Concat(respFrame(0, hello), stream))}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := newClient(cc, "tcp", "pipe")
+	c, err := newClient(conn, "tcp", "script")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var (
-		into [demuxInto]byte
+		into [2 * demuxInto]byte // the caller's buffer, then a guard band
 		errs [3]error
-		done = make(chan struct{}, 3)
+		done = make(chan struct{})
 	)
-	for i, call := range []func() error{
-		func() error {
-			n, err := c.ReadInto(0, into[:])
-			if err == nil && n > len(into) {
-				err = fmt.Errorf("ReadInto stored %d bytes in a %d-byte buffer", n, len(into))
-				t.Error(err)
-			}
-			return err
-		},
-		func() error { _, _, _, err := c.Stat(); return err },
-		func() error { _, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 1}, into[:]); return err },
-	} {
-		go func() { errs[i] = call(); done <- struct{}{} }()
-		select {
-		case <-seen:
-		case <-deadline:
-			t.Fatalf("request %d never reached the peer", i+1)
+	go func() {
+		defer close(done)
+		for i, call := range []func() error{
+			func() error {
+				n, err := c.ReadInto(0, into[:demuxInto])
+				if err == nil && n > demuxInto {
+					err = fmt.Errorf("ReadInto stored %d bytes in a %d-byte buffer", n, demuxInto)
+					t.Error(err)
+				}
+				return err
+			},
+			func() error { _, _, _, err := c.Stat(); return err },
+			func() error { _, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 1}, into[:demuxInto]); return err },
+		} {
+			errs[i] = call()
 		}
-	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-done:
-		case <-deadline:
-			t.Fatalf("%d of 3 callers still waiting after 1 s", 3-i)
-		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a caller still waiting after 1 s")
 	}
 	c.Close()
 	runtime.ReadMemStats(&after)
 	if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(3*c.limit()+1<<20); grew > most {
 		t.Fatalf("the exchange allocated %d bytes; three full frames and slack are %d", grew, most)
 	}
+	if i := slices.IndexFunc(into[demuxInto:], func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Errorf("byte %d past the ReadInto caller's buffer was written", demuxInto+i)
+	}
+	if k := poisonedAt(stream, c.limit()); k < len(errs) {
+		for j := k; j < len(errs); j++ {
+			if errs[j] == nil || errs[j] != errs[k] {
+				t.Errorf("reply %d poisons the connection, but caller %d got %v and caller %d %v",
+					k+1, j+1, errs[j], k+1, errs[k])
+			}
+		}
+	}
 	return errs
 }
 
-// FuzzClientDemux feeds the client's demux goroutine arbitrary bytes
-// where response frames belong, with three callers waiting: it must not
-// panic, must release every waiter with a reply or an error within a
-// second, must never store past a caller's buffer, and must not size an
-// allocation by a length above Client.limit().
+// poisonedAt models the reply reader: the index of the first of the
+// three replies in stream that poisons the connection, 3 if none does.
+// Reply i must come whole, under request ID i+1, with a length from 1
+// to limit.
+func poisonedAt(stream []byte, limit int) int {
+	for i := 0; i < 3; i++ {
+		if len(stream) < 8 {
+			return i
+		}
+		n := int(binary.LittleEndian.Uint32(stream[0:4]))
+		id := binary.LittleEndian.Uint32(stream[4:8])
+		if n > limit || id != uint32(i+1) || n == 0 || len(stream) < 8+n {
+			return i
+		}
+		stream = stream[8+n:]
+	}
+	return 3
+}
+
+// FuzzClientDemux feeds a client arbitrary bytes where its replies
+// belong, to three callers in turn: the reply reader must not panic,
+// must release every caller with a reply or an error within a second,
+// must never store past a caller's buffer, and must not size an
+// allocation by a length above Client.limit(). A reply that poisons the
+// connection — a wrong ID among them — is a sticky error: its caller's,
+// and every later caller's.
 func FuzzClientDemux(f *testing.F) {
 	for _, seed := range [][]byte{
 		slices.Concat(respFrame(1, okBody(demuxInto)), respFrame(2, okBody(12)), respFrame(3, okBody(4))), // all three answered
-		respFrame(9, okBody(4)), // unknown id
-		slices.Concat(respFrame(1, okBody(8)), respFrame(1, okBody(8))), // id answered twice
+		respFrame(9, okBody(4)), // a wrong id
+		slices.Concat(respFrame(1, okBody(8)), respFrame(1, okBody(8))), // the second reply under the first's id
 		respFrame(1, nil), // zero-length frame
 		slices.Concat(respFrame(2, []byte{StatusOK}), respFrame(3, []byte{StatusOK})), // status only where a payload is due
 		slices.Concat(respFrame(1, okBody(demuxChunk)), respFrame(2, okBody(12))),     // payload longer than into
@@ -363,7 +381,8 @@ func FuzzClientDemux(f *testing.F) {
 
 // TestDemuxShortBufferStaysInStep: a payload that overruns the caller's
 // buffer is that caller's io.ErrShortBuffer and nobody else's problem —
-// the frame is drained and the next response is read where it starts.
+// the reply is drained, and the next exchange on the same client is
+// answered.
 func TestDemuxShortBufferStaysInStep(t *testing.T) {
 	errs := runDemux(t, slices.Concat(respFrame(1, okBody(demuxChunk)), respFrame(2, okBody(12)), respFrame(3, okBody(4))))
 	if !errors.Is(errs[0], io.ErrShortBuffer) {

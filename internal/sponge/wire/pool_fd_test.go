@@ -25,7 +25,7 @@ func armPoolFDs(t *testing.T, c *Client) {
 		}
 		t.Fatalf("FetchPoolFDs over unix: %v", err)
 	}
-	if c.fds.Load() == nil {
+	if c.fds == nil {
 		t.Fatal("no fd state after a successful fetch")
 	}
 }
@@ -88,7 +88,7 @@ func TestPoolFDRefusedOverTCP(t *testing.T) {
 	if err := c.FetchPoolFDs(); err == nil {
 		t.Fatal("FetchPoolFDs over TCP succeeded, want error")
 	}
-	if c.fds.Load() != nil {
+	if c.fds != nil {
 		t.Fatal("fd state installed over TCP")
 	}
 	if _, _, _, err := c.Stat(); err != nil {
@@ -252,7 +252,7 @@ func TestFDHandshakeRefusesShortFiles(t *testing.T) {
 			if err := c.FetchPoolFDs(); !errors.Is(err, errFDGeometry) {
 				t.Fatalf("FetchPoolFDs with a %s = %v, want the geometry-mismatch refusal", tc.name, err)
 			}
-			if c.fds.Load() != nil {
+			if c.fds != nil {
 				t.Fatal("fast path armed on files shorter than their geometry")
 			}
 			buf := make([]byte, chunk)
@@ -343,6 +343,66 @@ func TestPoolFDGenMissRetries(t *testing.T) {
 	}
 	if got := samples[reqID(srv.Addr(), "read")]; got != 1 {
 		t.Errorf("read requests = %d, want 1 (the gen-miss retry)", got)
+	}
+}
+
+// Close waits for a read that is between its loc exchange and its
+// generation check before it releases the passed descriptors: the
+// reader's pread and generation load never meet a closed file or an
+// unmapped table, and it returns the chunk's bytes or an error.
+func TestCloseWaitsForParkedPread(t *testing.T) {
+	if !zeroCopyAvailable {
+		t.Skip("fd passing needs the linux build")
+	}
+	srv := startServerOptions(t, 2048, 2, Options{LocalSocketDir: shortSockDir(t)})
+	c, err := DialLocal(srv.LocalSocket())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5C}, 2048)
+	h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 46}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armPoolFDs(t, c)
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	preadTestHook = func() {
+		close(parked)
+		<-release
+	}
+	defer func() { preadTestHook = nil }()
+	type result struct {
+		n   int
+		err error
+	}
+	buf := make([]byte, 2048)
+	read := make(chan result, 1)
+	go func() {
+		n, err := c.ReadInto(h, buf)
+		read <- result{n, err}
+	}()
+	<-parked
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	// There is no event for "Close is still waiting": give a premature
+	// return a window to show itself.
+	select {
+	case <-closed:
+		// The reader is left parked: released, it would load from an
+		// unmapped table.
+		t.Fatal("Close returned while a ReadInto was parked between its loc exchange and its pread")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	r := <-read
+	if r.err == nil && !bytes.Equal(buf[:r.n], data) {
+		t.Errorf("parked read returned %d wrong bytes", r.n)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting 5 s after the read returned")
 	}
 }
 

@@ -32,14 +32,12 @@
 // run the handshake holds every file the server keeps chunks in — the
 // pool's memfd segments and the spill file — and reads a chunk by
 // asking where it lives (OpPoolLoc, OpSpillLoc: one reply layout) and
-// preading that file itself. After the hello the request ID multiplexes
-// any number of concurrent requests over one connection: the client
-// demultiplexes responses back to waiting callers by ID. The server
-// serves a connection on one goroutine, reading each request and
-// answering it before it reads the next, so it answers in request order;
-// a client must not rely on that, only on the ID. Hot-path frames
-// travel as vectored writes (net.Buffers) — header and chunk payload are
-// never coalesced into one allocation.
+// preading that file itself. After the hello both ends are lock-step:
+// the server serves a connection on one goroutine, reading each request
+// and answering it before it reads the next, and the client runs one
+// exchange at a time, checking that the reply echoes its request's ID.
+// Hot-path frames travel as vectored writes (net.Buffers) — header and
+// chunk payload are never coalesced into one allocation.
 // The server keeps no copy of a pool chunk beside the pool: it receives
 // an OpAllocWrite payload from the socket into the chunk's slab and
 // answers an OpRead from the slab, each under the pool's pin.
@@ -54,7 +52,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -109,9 +106,9 @@ const (
 	// OpPoolFD asks the server to pass the files it keeps chunks in over
 	// SCM_RIGHTS. Only answered as the first and only exchange of a
 	// unix-socket connection (descriptors need a recvmsg boundary, which
-	// the pipelined stream cannot give): the response frame is StatusOK
-	// plus the 16-byte fdGeom — segment-chunk capacity, chunk count,
-	// chunk size, flags (all u32) — and rides one sendmsg with the
+	// a buffered request stream cannot give): the response frame is
+	// StatusOK plus the 16-byte fdGeom — segment-chunk capacity, chunk
+	// count, chunk size, flags (all u32) — and rides one sendmsg with the
 	// descriptors as ancillary data. With fdHasPool the generation table
 	// comes first, then every segment in index order; with fdHasSpill
 	// the spill file comes last. TCP connections, non-linux builds, and
@@ -187,78 +184,58 @@ const handshakeLimit = 1 << 20
 // version, chunk size (u32).
 const helloRespLen = 6
 
-// hdrPool recycles the small scratch buffers that carry a client's frame
-// headers (and request op headers) into vectored writes. A client's
-// callers are concurrent, so each send takes its own; the server builds
-// its headers in the connection's scratch.
-var hdrPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-
-// directWriteMin is the payload size at which a frame bypasses the
-// batching writer and goes to the socket as a vectored write: copying
-// that much into the write buffer would cost more than the syscall it
-// saves.
-const directWriteMin = 4 << 10
-
-// frameWriter serializes frame writes to one connection and batches
-// small frames group-commit style: while other writers are queued on
-// the lock the bytes stay buffered, and whoever leaves the queue last
-// flushes. Large payloads skip the buffer entirely (vectored write), so
-// chunk data is never copied. The zero value is not usable; call
-// newFrameWriter.
+// frameWriter writes whole frames to one connection. A connection has
+// one writer — the daemon's serve goroutine, or a client under its
+// exchange mutex — so the writer takes no lock and buffers nothing: a
+// frame is one write of its header, one vectored write of header and
+// payload (the payload is never copied), or its header and then a file
+// region by sendfile.
 type frameWriter struct {
 	conn net.Conn
-	bw   *bufio.Writer
-	wto  time.Duration // per-write deadline; 0 = none
-	mu   sync.Mutex
-	q    atomic.Int32 // writers queued or writing
-	err  error        // sticky; guarded by mu
+	wto  time.Duration // per-frame write deadline; 0 = none
 
 	// zc drives sendfile for file-region payloads; built lazily on the
 	// first such payload, dropped back to nil (with zcOff) when the
-	// connection turns out not to support it. Guarded by mu.
+	// connection turns out not to support it.
 	zc    *zeroCopier
 	zcOff bool
 
-	// vec is the reusable scratch vector for direct vectored writes;
-	// guarded by mu.
+	// vec is the reusable scratch vector for vectored writes: a
+	// net.Buffers literal per frame would put two slice headers on the
+	// heap every call.
 	vec net.Buffers
 }
 
-func newFrameWriter(conn net.Conn, writeTimeout time.Duration) *frameWriter {
-	return &frameWriter{conn: conn, bw: bufio.NewWriterSize(conn, 64<<10), wto: writeTimeout}
+// arm applies the per-frame write deadline, when configured.
+func (w *frameWriter) arm() error {
+	if w.wto > 0 {
+		return w.conn.SetWriteDeadline(time.Now().Add(w.wto))
+	}
+	return nil
 }
 
-// writeFrame queues one frame (pre-built header plus optional payload)
-// and flushes unless another writer is about to enter. Errors are
-// sticky: once the connection fails every later write reports it.
+// writeFrame writes one frame: a pre-built header (frame header plus op
+// header or status byte) and an optional payload.
 func (w *frameWriter) writeFrame(hdr, payload []byte) error {
-	w.q.Add(1)
-	w.mu.Lock()
-	err := w.err
-	if err == nil && w.wto > 0 {
-		err = w.conn.SetWriteDeadline(time.Now().Add(w.wto))
+	if err := w.arm(); err != nil {
+		return err
 	}
-	if err == nil {
-		if len(payload) >= directWriteMin {
-			// Flush whatever small frames are pending, then hand the
-			// payload straight to the kernel as a vectored write.
-			if err = w.bw.Flush(); err == nil {
-				err = w.writeFrameVec(hdr, payload)
-			}
-		} else {
-			_, err = w.bw.Write(hdr)
-			if err == nil && len(payload) > 0 {
-				_, err = w.bw.Write(payload)
-			}
-		}
+	if len(payload) == 0 {
+		_, err := w.conn.Write(hdr)
+		return err
 	}
-	if w.q.Add(-1) == 0 && err == nil && w.bw.Buffered() > 0 {
-		err = w.bw.Flush()
+	if cap(w.vec) < 2 {
+		w.vec = make(net.Buffers, 0, 2)
 	}
-	if err != nil && w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
+	w.vec = append(w.vec[:0], hdr, payload)
+	// WriteTo consumes the vector through its pointer receiver — it
+	// advances w.vec past its backing array. Keep a copy of the original
+	// header so the backing survives for the next frame, and drop the
+	// payload references so the caller's buffer isn't pinned.
+	save := w.vec
+	_, err := w.vec.WriteTo(w.conn)
+	save[0], save[1] = nil, nil
+	w.vec = save[:0]
 	return err
 }
 
@@ -266,55 +243,40 @@ func (w *frameWriter) writeFrame(hdr, payload []byte) error {
 // when a file-region payload cannot go out via sendfile.
 var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
-// writeFrameFile queues one frame whose payload lives in a file region:
-// the pre-built header (frame header plus status byte) goes through the
-// write buffer, which is then flushed so the payload can follow via
-// sendfile — or, when the connection refuses zero-copy (and always off
-// linux), via a pooled pread+write loop. Returns the payload bytes that
-// moved zero-copy (0 on the buffered path).
+// writeFrameFile writes one frame whose payload lives in a file region:
+// the pre-built header (frame header plus status byte), then the
+// payload via sendfile — or, when the connection refuses zero-copy (and
+// always off linux), via a pooled pread+write loop. Returns the payload
+// bytes that moved zero-copy (0 on the buffered path).
 func (w *frameWriter) writeFrameFile(hdr []byte, f *os.File, off, n int64) (int64, error) {
-	w.q.Add(1)
-	w.mu.Lock()
-	err := w.err
-	if err == nil && w.wto > 0 {
-		err = w.conn.SetWriteDeadline(time.Now().Add(w.wto))
+	if err := w.arm(); err != nil {
+		return 0, err
 	}
-	if err == nil {
-		_, err = w.bw.Write(hdr)
-	}
-	if err == nil {
-		// The payload bypasses the buffer, so everything queued ahead of
-		// it must hit the socket first.
-		err = w.bw.Flush()
+	if _, err := w.conn.Write(hdr); err != nil {
+		return 0, err
 	}
 	var zc int64
-	if err == nil {
-		if !w.zcOff {
-			if w.zc == nil {
-				if w.zc = newZeroCopier(w.conn); w.zc == nil {
-					w.zcOff = true
-				}
-			}
-			if w.zc != nil {
-				zc, err = w.zc.sendFile(f, off, n)
-				if err == errZCUnsupported {
-					// First sendfile on this connection refused with no
-					// bytes moved: remember and fall back for good.
-					err = nil
-					w.zc = nil
-					w.zcOff = true
-				}
+	var err error
+	if !w.zcOff {
+		if w.zc == nil {
+			if w.zc = newZeroCopier(w.conn); w.zc == nil {
+				w.zcOff = true
 			}
 		}
-		if err == nil && zc < n {
-			err = copyFileRange(w.conn, f, off+zc, n-zc)
+		if w.zc != nil {
+			zc, err = w.zc.sendFile(f, off, n)
+			if err == errZCUnsupported {
+				// First sendfile on this connection refused with no
+				// bytes moved: remember and fall back for good.
+				err = nil
+				w.zc = nil
+				w.zcOff = true
+			}
 		}
 	}
-	w.q.Add(-1)
-	if err != nil && w.err == nil {
-		w.err = err
+	if err == nil && zc < n {
+		err = copyFileRange(w.conn, f, off+zc, n-zc)
 	}
-	w.mu.Unlock()
 	return zc, err
 }
 
@@ -339,31 +301,6 @@ func copyFileRange(dst io.Writer, f *os.File, off, n int64) error {
 		n -= c
 	}
 	return nil
-}
-
-// writeFrameVec sends one frame as a vectored write: hdr already holds
-// the frame header plus any op header; payload rides behind it without
-// being copied into a joint buffer. Runs under w.mu (the caller holds
-// it), so the scratch vector can live on the frameWriter — a net.Buffers
-// literal per frame would put two slice headers on the heap every call.
-func (w *frameWriter) writeFrameVec(hdr, payload []byte) error {
-	if len(payload) == 0 {
-		_, err := w.conn.Write(hdr)
-		return err
-	}
-	if cap(w.vec) < 2 {
-		w.vec = make(net.Buffers, 0, 2)
-	}
-	w.vec = append(w.vec[:0], hdr, payload)
-	// WriteTo consumes the vector through its pointer receiver — it
-	// advances w.vec past its backing array. Keep a copy of the original
-	// header so the backing survives for the next frame, and drop the
-	// payload references so the pool buffer isn't pinned.
-	save := w.vec
-	_, err := w.vec.WriteTo(w.conn)
-	save[0], save[1] = nil, nil
-	w.vec = save[:0]
-	return err
 }
 
 // readFrameV2Header reads a frame header, returning the body length

@@ -253,7 +253,7 @@ const preHelloLimit = 2
 // through the connection's frame writer.
 func (s *Server) serve(conn net.Conn, sc *connScratch) {
 	br := bufio.NewReaderSize(conn, 32<<10)
-	fw := newFrameWriter(conn, s.opts.WriteTimeout)
+	fw := &frameWriter{conn: conn, wto: s.opts.WriteTimeout}
 	s.armRead(conn)
 	n, id, err := readFrameV2Header(br, preHelloLimit)
 	if err != nil {

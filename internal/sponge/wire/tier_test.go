@@ -53,7 +53,7 @@ func TestSocketPath(t *testing.T) {
 }
 
 // The unix tier speaks the identical protocol: hello negotiation,
-// pipelined v2 exchanges, chunk round trips — just over the socket file.
+// v2 exchanges, chunk round trips — just over the socket file.
 func TestUnixTierRoundTrip(t *testing.T) {
 	dir := shortSockDir(t)
 	srv := startServerOptions(t, 4096, 4, Options{LocalSocketDir: dir})
@@ -448,7 +448,7 @@ func TestSpillFDPassing(t *testing.T) {
 	if err := c.FetchPoolFDs(); err != nil {
 		t.Fatalf("FetchPoolFDs over unix: %v", err)
 	}
-	if c.fds.Load() == nil {
+	if c.fds == nil {
 		t.Fatal("no fd state after a successful fetch")
 	}
 	buf := make([]byte, 2048)
@@ -485,7 +485,7 @@ func TestSpillFDRefusedOverTCP(t *testing.T) {
 	if err := c.FetchPoolFDs(); err == nil {
 		t.Fatal("FetchPoolFDs over TCP succeeded, want error")
 	}
-	if c.fds.Load() != nil {
+	if c.fds != nil {
 		t.Fatal("fd state installed over TCP")
 	}
 	if _, _, _, err := c.Stat(); err != nil {

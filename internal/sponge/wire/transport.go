@@ -14,7 +14,7 @@ import (
 	"spongefiles/internal/sponge"
 )
 
-// Transport adapts the pipelined wire client to the sponge package's
+// Transport adapts the lock-step wire client to the sponge package's
 // transport seam, so a simulated workload's allocator chain, tracker
 // polling, and failover all run over real TCP against live sponge
 // daemons (install with Service.SetTransport). Task liveness is the one
@@ -25,7 +25,7 @@ import (
 // Nodes are mapped to server addresses; a node with no address is
 // served by the fallback transport (typically the service's simulated
 // one — the usual split is "my own node is in-process, everyone else is
-// a socket away"). One pipelined client per remote node is cached
+// a socket away"). One client per remote node is cached
 // across operations; any transport-level failure drops the cached
 // client, reports sponge.ErrPeerUnreachable (the retryable class), and
 // lets the next attempt re-dial. Application verdicts from the server —
@@ -201,7 +201,7 @@ func (t *Transport) Close() error {
 }
 
 // RevokePeer tears down this transport's cached state for a node: the
-// pipelined client closes — and with it every passed descriptor and the
+// node's client closes — and with it every passed descriptor and the
 // generation-table mmap, so a same-host reader that raced the node's
 // death degrades to TCP instead of reading a dead pool. The address
 // mapping stays: the next operation against the node re-dials, which is
@@ -269,7 +269,7 @@ func (t *Transport) observe(op, tier int, start time.Time) {
 	t.exchange[op][tier].Observe(int64(time.Since(start)))
 }
 
-// client returns the cached pipelined client for a node, dialing on
+// client returns the cached client for a node, dialing on
 // first use or after a failure dropped the previous one.
 func (t *Transport) client(node int) (*Client, error) {
 	t.mu.Lock()

@@ -240,8 +240,8 @@ func TestDialNegotiatesV2(t *testing.T) {
 	}
 }
 
-// One pipelined client shared by many goroutines: interleaved responses
-// on a single connection must route back to the right caller.
+// One client shared by many goroutines: they take turns on its single
+// connection, and each caller gets its own reply.
 func TestPipelinedSharedClientNoCrossTalk(t *testing.T) {
 	_, c := startServer(t, 1024, 64)
 	const workers, ops = 8, 25

@@ -23,8 +23,8 @@ var errZCUnsupported = errors.New("wire: zero-copy unsupported on this connectio
 // zeroCopier drives sendfile(2) from a spill file into one connection's
 // socket. It is created once per connection and bound to the raw
 // descriptor, and its step closure is pre-bound so a steady-state
-// zero-copy serve allocates nothing. Callers serialize use through the
-// frameWriter lock.
+// zero-copy serve allocates nothing. Its one user is the connection's
+// frameWriter.
 type zeroCopier struct {
 	rc   syscall.RawConn
 	src  int   // spill-file fd for the in-flight transfer

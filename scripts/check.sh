@@ -83,9 +83,11 @@ echo "== pool fill/view brackets against free and close, -race -count=10 =="
 # one reply per id, in order, and a reader that never drains its
 # responses holds one pin mid-send until the write deadline drops it.
 # The pool's garbage collector asks after remote owners in (Node, PID)
-# order, the same in every fresh simulation.
+# order, the same in every fresh simulation. A client's Close waits for
+# a read parked between its loc exchange and its pread before it unmaps
+# the passed generation table.
 go test -race -count=10 -run 'TestPoolFill|TestPoolView|TestGCSweepVisitsOwnersInOrder' ./internal/sponge
-go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle|TestWriteTimeoutReleasesStalledReader|TestPipelinedBurstAnsweredInOrder' ./internal/sponge/wire
+go test -race -count=10 -run 'TestStreamedAllocWrite|TestConcurrentFreeOfOneHandle|TestWriteTimeoutReleasesStalledReader|TestPipelinedBurstAnsweredInOrder|TestCloseWaitsForParkedPread' ./internal/sponge/wire
 
 echo "== histogram snapshots under concurrent Observe, -race -count=10 =="
 # A scrape taken while Observes land must expose _count equal to the
@@ -96,8 +98,9 @@ go test -race -count=10 -run 'TestHistogram' ./internal/obs
 echo "== benchmarks compile and run once =="
 # Among them the two the profile recipe runs (scripts/profile.sh):
 # BenchmarkMacroJobs, one macro-sim pass job by job, and
-# BenchmarkSortBufferZipf, one job-wordcount-nc map task's sort.
-go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce ./internal/pig ./internal/bench
+# BenchmarkSortBufferZipf, one job-wordcount-nc map task's sort. The
+# wire package's benchmarks fail on a worker's error, not only print it.
+go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce ./internal/pig ./internal/bench ./internal/sponge/wire
 
 echo "== map-side sort order, -count=5, and its comparator inlines =="
 # The sort buffer's pdqsort must leave the index in exactly the
@@ -136,7 +139,7 @@ go test -count=1 -run 'AllocationFree|TestSpawnRunSteadyStateAllocationFree|Test
 # socket, so linux covers it too), and the descriptor pread of whatever
 # file the chunk lives in, spill file or memfd pool segment — and so
 # must AllocWrite and Stat on both socket tiers, the client's half (the
-# short reply decoded into the reply value) with the server's. The
+# short reply read into the client's own scratch) with the server's. The
 # server runs in-process, so the guard sees its side too. The transport
 # seam's exchange histograms must count every exchange the tier
 # counters do and add no allocation to it.
@@ -151,31 +154,34 @@ echo "== wire dispatch fuzz, 10 s =="
 # untrusted field. The seed corpus (one well-formed frame per op, one
 # per retired code, plus truncated and oversized allocs) already runs
 # as part of `go test`.
-go test -run '^$' -fuzz '^FuzzServerDispatch$' -fuzztime 10s ./internal/sponge/wire
+# Each of the four fuzz steps caps the minimisation of a new input at
+# 1 s (go test's default is 60 s), so the 10 s go to executions.
+go test -run '^$' -fuzz '^FuzzServerDispatch$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sponge/wire
 
-echo "== client demux fuzz, 10 s =="
+echo "== client reply-reader fuzz, 10 s =="
 # The other direction: whatever a peer past the hello sends where
-# response frames belong, with three callers waiting on the client —
-# no panic, every waiter released with a reply or an error inside a
+# replies belong, to three callers taking their turns on the client —
+# no panic, every caller released with a reply or an error inside a
 # second, nothing stored past a caller's buffer, no allocation sized by
-# a length above Client.limit(). The seeds (unknown id, id answered
-# twice, empty frame, status where a payload is due, payload past the
-# caller's buffer, a length of 2^31, truncated header and body) already
-# run as part of `go test`.
-go test -run '^$' -fuzz '^FuzzClientDemux$' -fuzztime 10s ./internal/sponge/wire
+# a length above Client.limit(), and a reply under the wrong ID (or
+# empty, oversized, cut short) the sticky error of its caller and every
+# later one. The seeds (wrong ids, empty frame, status where a payload
+# is due, payload past the caller's buffer, a length of 2^31, truncated
+# header and body) already run as part of `go test`.
+go test -run '^$' -fuzz '^FuzzClientDemux$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sponge/wire
 
 echo "== pipelined ops fuzz, 10 s =="
 # Both at once: up to 64 alloc_write / read / free / pool_loc requests
 # (and retired codes) over live, freed, never-allocated and spill-bit
 # handles, all written before any response is read. One response per
 # id, then the pool whole: all free, none pinned, generations even.
-go test -run '^$' -fuzz '^FuzzPipelinedOps$' -fuzztime 10s ./internal/sponge/wire
+go test -run '^$' -fuzz '^FuzzPipelinedOps$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sponge/wire
 
 echo "== map-side sort order fuzz, 10 s =="
 # Any records, any reducer count up to 65535: the sort buffer's index
 # must come out in the model's exact permutation and its segments in the
 # model's bytes.
-go test -run '^$' -fuzz '^FuzzSortBufferOrder$' -fuzztime 10s ./internal/mapreduce
+go test -run '^$' -fuzz '^FuzzSortBufferOrder$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mapreduce
 
 echo "== scenario matrix smoke (quick cases) =="
 # The seed scenarios marked Quick — a digest-verified spill round trip
