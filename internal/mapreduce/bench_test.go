@@ -42,7 +42,7 @@ func BenchmarkSortBuffer(b *testing.B) {
 				b.Fatal("buffer full")
 			}
 		}
-		segs, _ := buf.sortAndSlice()
+		segs, _ := flushNow(buf)
 		if len(segs) != 4 {
 			b.Fatal("bad segments")
 		}
@@ -70,7 +70,7 @@ func BenchmarkSortBufferZipf(b *testing.B) {
 				b.Fatal("buffer full")
 			}
 		}
-		if segs, _ := buf.sortAndSlice(); len(segs) != parts {
+		if segs, _ := flushNow(buf); len(segs) != parts {
 			b.Fatal("bad segments")
 		}
 	}

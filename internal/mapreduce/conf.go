@@ -158,7 +158,6 @@ type TaskContext struct {
 
 	cpuDebt simtime.Duration
 	run     *TaskRun
-	combine combineState
 }
 
 // Count bumps a named job counter (Hadoop's user counters); counters

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 
 	"spongefiles/internal/cluster"
@@ -155,6 +156,10 @@ type nodeCombiner struct {
 	// overflow spill state: one target per combiner, runs per partition.
 	target spill.Target
 	runs   [][]spill.File
+	// The combiner's scratch: the staging buffer its merges write and
+	// combine through, and the read buffers of its runs.
+	stage []byte
+	bufs  readBufs
 
 	done *simtime.Signal // broadcast when a flush completes
 }
@@ -290,7 +295,7 @@ func (nc *nodeCombiner) spillBuffered(ctx *TaskContext) {
 		}
 		f := nc.target.Create(ctx.P, fmt.Sprintf("%s-nc%d-run%d-p%d",
 			conf.Name, nc.node.ID, len(nc.runs[part]), part))
-		if err := writeMerged(ctx, f, streams, 0, conf.Combine); err != nil {
+		if err := writeMerged(ctx, f, streams, 0, conf.Combine, &nc.stage); err != nil {
 			panic(err) // surfaces as the publishing task's failure
 		}
 		nc.runs[part] = append(nc.runs[part], f)
@@ -355,12 +360,13 @@ func (nc *nodeCombiner) doFlush(p *simtime.Proc) (err error) {
 			streams = append(streams, newMemStream(seg))
 		}
 		for _, f := range nc.runs[part] {
-			streams = append(streams, newFileStream(f))
+			streams = append(streams, nc.bufs.open(f))
 		}
 		if len(streams) == 0 {
 			continue
 		}
-		seg := combineStreams(ctx, conf, streams)
+		seg := combineStreams(ctx, conf, streams, &nc.stage)
+		nc.bufs.recycle(streams)
 		segs[part] = seg
 		total += int64(len(seg))
 		records += countRecords(seg)
@@ -483,14 +489,16 @@ func (jc *jobCombine) flushPending(e *Engine) bool {
 
 // combineStreams merges the sorted streams and re-runs the combiner
 // over the merged record flow, returning the combined serialized
-// segment. CPU is charged per record for the merge comparisons and the
-// combiner's per-record cost.
-func combineStreams(ctx *TaskContext, conf *JobConf, streams []recordStream) []byte {
+// segment, exact-size: the records collect in *stage, the caller's
+// scratch, and are copied out once. CPU is charged per record for the
+// merge comparisons and the combiner's per-record cost.
+func combineStreams(ctx *TaskContext, conf *JobConf, streams []recordStream, stage *[]byte) []byte {
 	m := newMergeStream(streams)
-	var out []byte
+	out := (*stage)[:0]
 	var g grouper
 	var vi ValueIter
 	eachGroup(ctx, &g, &vi, m, func(k, v []byte) { ctx.ChargeCPU(perRecord + m.cmp) }, conf.Combine,
 		func(k, v []byte) { out = appendRecord(out, k, v) }, nil)
-	return out
+	*stage = out[:0]
+	return bytes.Clone(out)
 }

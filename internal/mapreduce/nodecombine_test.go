@@ -432,11 +432,12 @@ func TestCombinerOutputLargerThanInput(t *testing.T) {
 	}
 }
 
-// TestCombineSegsSteadyStateAllocationFree guards the satellite
-// de-allocation: after warm-up, running the combiner over a segment
-// allocates nothing — the scratch slab, closures, stream, grouper and
-// iterator are all recycled through the task.
-func TestCombineSegsSteadyStateAllocationFree(t *testing.T) {
+// TestCombineSortedSteadyStateAllocationFree guards the map-side
+// combiner: after warm-up, a flush with a combiner — the hand-off, the
+// sort, the combiner reading the sorted index — allocates one thing, the
+// slab its combined segments share. The scratch output, closures,
+// stream, grouper and iterator pass with the buffer.
+func TestCombineSortedSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime allocations would drown the guard")
 	}
@@ -454,18 +455,15 @@ func TestCombineSegsSteadyStateAllocationFree(t *testing.T) {
 		binary.LittleEndian.PutUint32(acc[:], total)
 		emit(key, acc[:])
 	}
-	// A sorted segment: 500 keys × 4 duplicates, built once.
-	var template []byte
+	// 500 keys × 4 duplicates over two partitions, added in key order.
+	keys := make([][]byte, 500)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
 	one := make([]byte, 4)
 	binary.LittleEndian.PutUint32(one, 1)
-	for i := 0; i < 500; i++ {
-		k := []byte(fmt.Sprintf("key-%06d", i))
-		for d := 0; d < 4; d++ {
-			template = appendRecord(template, k, one)
-		}
-	}
-	in := append([]byte(nil), template...)
-	segs := make([][]byte, 1)
+	b := newSortBuffer(1<<20, 1<<20, 2)
+	segs := make([][]byte, 2)
 	// The per-record CPU charge sleeps, so the combiner runs on a
 	// simulated process.
 	sim := simtime.New()
@@ -474,19 +472,27 @@ func TestCombineSegsSteadyStateAllocationFree(t *testing.T) {
 	sim.Spawn("combiner", func(p *simtime.Proc) {
 		ctx := &TaskContext{P: p, Conf: &conf, run: &TaskRun{}}
 		run := func() {
-			segs[0] = in
-			combineSegs(ctx, &conf, segs)
-			// Rebuild the next input into this call's output backing —
-			// the scratch combineSegs now holds is the old input, so the
-			// two never alias.
-			in = append(segs[0][:0], template...)
+			for i, k := range keys {
+				for d := 0; d < 4; d++ {
+					b.add(i%2, k, one)
+				}
+			}
+			clear(segs)
+			b.startSort(nil)
+			b.join()
+			b.combineSorted(ctx, conf.Combine, segs)
 		}
-		run() // warm-up: allocates the scratch slab once
+		run() // warm-up: grows the side array, index and scratch once
 		allocs = testing.AllocsPerRun(100, run)
+		for part, seg := range segs {
+			if n := countRecords(seg); n != 250 {
+				t.Errorf("partition %d combined to %d records, want 250", part, n)
+			}
+		}
 	})
 	sim.MustRun()
-	if allocs != 0 {
-		t.Fatalf("combineSegs steady state allocates %.1f per segment, want 0", allocs)
+	if allocs != 1 {
+		t.Fatalf("a combining flush allocates %.1f times in steady state, want 1", allocs)
 	}
 }
 

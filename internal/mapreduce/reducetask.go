@@ -41,6 +41,10 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		memUsed  int
 		runs     []spill.File // spilled sorted runs
 		runCount int
+		// The task's scratch: the merges' staging buffer and the read
+		// buffers of merged runs.
+		stage []byte
+		bufs  readBufs
 	)
 
 	// spillInMem merges the in-memory segments into one sorted run and
@@ -57,7 +61,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		}
 		f := ctx.Spill.Create(p, fmt.Sprintf("%s-r%d-run%d", conf.Name, part, runCount))
 		runCount++
-		if err := writeMerged(ctx, f, streams, memUsed, nil); err != nil {
+		if err := writeMerged(ctx, f, streams, memUsed, nil, &stage); err != nil {
 			return err
 		}
 		runs = append(runs, f)
@@ -116,7 +120,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		streams := make([]recordStream, len(batch))
 		size := 0
 		for i, f := range batch {
-			streams[i] = newFileStream(f)
+			streams[i] = bufs.open(f)
 			size += int(f.Size())
 		}
 		merged := ctx.Spill.Create(p, fmt.Sprintf("%s-r%d-run%d", conf.Name, part, runCount))
@@ -124,9 +128,10 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 		// Intermediate merge rounds re-run the combiner (as Hadoop
 		// does): without it, every round re-ships each hot key's
 		// uncombined duplicates from all its source runs.
-		if err := writeMerged(ctx, merged, streams, size, conf.Combine); err != nil {
+		if err := writeMerged(ctx, merged, streams, size, conf.Combine, &stage); err != nil {
 			return err
 		}
+		bufs.recycle(streams)
 		for _, f := range batch {
 			f.Delete(p)
 		}
@@ -135,7 +140,7 @@ func runReduceTask(ctx *TaskContext, eng *Engine, job *runningJob, part int) (er
 	}
 
 	for _, f := range runs {
-		finalStreams = append(finalStreams, newFileStream(f))
+		finalStreams = append(finalStreams, bufs.open(f))
 	}
 
 	// Final merge streams straight into the user's reduce function.
@@ -178,14 +183,23 @@ const streamBufSlack = 4 << 10
 // all, into f, charging merge CPU, and closes it. With a combiner, each
 // key's values, now adjacent, are folded before the run is written, so
 // re-merged runs ship combined records instead of per-source duplicates
-// (Hadoop re-combines during intermediate merges the same way). Without
-// one the output is the inputs' size bytes exactly and the staging
-// buffer is allocated once; what a combiner will emit is not known, and
-// size is not used.
-func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream, size int, combine ReduceFunc) error {
+// (Hadoop re-combines during intermediate merges the same way). The
+// writes are staged in *stage, the caller's scratch, which is grown once
+// to what a write needs: streamBufReal and its slack, or without a
+// combiner the inputs' size bytes if fewer (what a combiner will emit is
+// not known).
+func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream, size int, combine ReduceFunc, stage *[]byte) error {
 	p := ctx.P
 	m := newMergeStream(streams)
-	var buf []byte
+	need := streamBufReal + streamBufSlack
+	if combine == nil {
+		need = min(size, need)
+	}
+	if cap(*stage) < need {
+		*stage = make([]byte, 0, need)
+	}
+	buf := (*stage)[:0]
+	defer func() { *stage = buf[:0] }()
 	var werr error
 	flush := func(force bool) {
 		if werr != nil {
@@ -198,7 +212,6 @@ func writeMerged(ctx *TaskContext, f spill.File, streams []recordStream, size in
 		}
 	}
 	if combine == nil {
-		buf = make([]byte, 0, min(size, streamBufReal+streamBufSlack))
 		for werr == nil && m.next(p) {
 			buf = appendRecord(buf, m.key(), m.value())
 			ctx.ChargeCPU(m.cmp)

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"spongefiles/internal/cluster"
+	"spongefiles/internal/media"
 	"spongefiles/internal/simtime"
+	"spongefiles/internal/spill"
 )
 
 // splitsInput registers a file of the given number of blocks and returns
@@ -54,9 +56,9 @@ func checkSortBufs(t *testing.T, rj *runningJob, limit int) {
 		t.Errorf("job %s holds %d sort buffers for %d waiting map tasks", rj.conf.Name, held, waiting)
 	}
 	for _, b := range rj.sortBufs {
-		if b.limit != limit || cap(b.data) > limit || len(b.data) != 0 || len(b.index) != 0 {
-			t.Errorf("job %s pooled a buffer of limit %d, cap %d, holding %d bytes, %d entries; want limit %d, empty",
-				rj.conf.Name, b.limit, cap(b.data), len(b.data), len(b.index), limit)
+		if b.limit != limit || cap(b.data) > limit || len(b.data) != 0 || len(b.recPart) != 0 {
+			t.Errorf("job %s pooled a buffer of limit %d, cap %d, holding %d bytes, %d records; want limit %d, empty",
+				rj.conf.Name, b.limit, cap(b.data), len(b.data), len(b.recPart), limit)
 		}
 	}
 }
@@ -289,8 +291,10 @@ func TestJobsDoNotShareSortBuffers(t *testing.T) {
 
 // TestMapSlabSizedBySplit runs map tasks over 256 KiB splits under the
 // default io.sort.mb, 2 MiB real, on one slot. The buffer a task hands
-// back for the next, seen from its combiner (which runs after the last
-// sort), has a slab of the split and an eighth, not of io.sort.mb.
+// back for the next has a slab of the split and an eighth, not of
+// io.sort.mb. The combiner reads the slab, so a task gives its buffer
+// back once its combiner is done, and the buffer is in the list while
+// the task writes its output: a watcher looks there every millisecond.
 func TestMapSlabSizedBySplit(t *testing.T) {
 	r := newRig(1, func(c *cluster.Config) { c.MapSlots = 1 })
 	defer r.sim.Close()
@@ -303,13 +307,6 @@ func TestMapSlabSizedBySplit(t *testing.T) {
 		Input: r.splitsInput("/in/split-sized", 3, 50, 7),
 		Map:   func(ctx *TaskContext, k, v []byte, emit Emit) { emit(k, v) },
 		Combine: func(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
-			checkSortBufs(t, job.rj, r.c.Cfg.R(128<<20))
-			for _, b := range job.rj.sortBufs {
-				seen++
-				if c := cap(b.data); c > maxSlab {
-					t.Errorf("a map task over a 256 KiB split sorted in a %d-byte slab, want at most %d", c, maxSlab)
-				}
-			}
 			for {
 				v, ok := vals.Next()
 				if !ok {
@@ -325,12 +322,26 @@ func TestMapSlabSizedBySplit(t *testing.T) {
 		job = r.eng.Submit(conf)
 		res = job.Wait(p)
 	})
+	r.sim.Spawn("watcher", func(p *simtime.Proc) {
+		for res == nil {
+			if job != nil {
+				checkSortBufs(t, job.rj, r.c.Cfg.R(128<<20))
+				for _, b := range job.rj.sortBufs {
+					seen++
+					if c := cap(b.data); c > maxSlab {
+						t.Errorf("a map task over a 256 KiB split sorted in a %d-byte slab, want at most %d", c, maxSlab)
+					}
+				}
+			}
+			p.Sleep(simtime.Millisecond)
+		}
+	})
 	r.sim.MustRun()
 	if res == nil || res.Failed {
 		t.Fatalf("job failed: %+v", res)
 	}
 	if seen == 0 {
-		t.Fatal("no buffer was ever in the list while a combiner ran; the test proves nothing")
+		t.Fatal("no buffer was ever in the list while the watcher looked; the test proves nothing")
 	}
 }
 
@@ -410,5 +421,198 @@ func TestGrowingSlabSpillsWhereAFullOneDoes(t *testing.T) {
 	}
 	if grown.end != full.end {
 		t.Errorf("job ended at %v with growing slabs, %v with full ones", grown.end, full.end)
+	}
+}
+
+// passCombine is a combiner that changes nothing: it emits each value
+// of the key as it comes, so that its output is its input, in order.
+func passCombine(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
+	for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+		emit(key, v)
+	}
+}
+
+// TestSortHandOffSameAcrossGOMAXPROCS runs a job whose map tasks spill
+// mid-task and at the end, on more tasks than slots, so that buffers
+// pass between tasks while their helpers may still sort, with one
+// processor and with every one. The helper runs beside the simulation
+// or only when the simulation waits for it; either way every map output
+// byte, every value's place in the reduce and the virtual end time must
+// come out the same, with a combiner and without. A pass-through
+// combiner's job must also deliver the no-combiner job's map output.
+func TestSortHandOffSameAcrossGOMAXPROCS(t *testing.T) {
+	type outcome struct {
+		end    simtime.Time
+		spills int
+		parts  [][][]byte
+		got    map[string][]uint64
+	}
+	run := func(combine bool, procs int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := newRig(2, nil)
+		defer r.sim.Close()
+		const split, limit = 64 << 10, 48 << 10
+		r.fs.BlockVirtual = r.c.Cfg.V(split)
+		perSplit := split / recSize([]byte("k000"), make([]byte, 8))
+		o := outcome{got: map[string][]uint64{}}
+		conf := JobConf{
+			Name:              "handoff",
+			Input:             r.splitsInput("/in/handoff", 10, perSplit, 97),
+			Map:               func(ctx *TaskContext, k, v []byte, emit Emit) { emit(k, v) },
+			Reduce:            collectReduce(o.got),
+			NumReducers:       3,
+			SortBufferVirtual: r.c.Cfg.V(limit),
+		}
+		if combine {
+			conf.Combine = passCombine
+		}
+		var res *JobResult
+		r.sim.Spawn("driver", func(p *simtime.Proc) {
+			job := r.eng.Submit(conf)
+			res = job.Wait(p)
+			for _, mo := range job.rj.mapOut {
+				o.parts = append(o.parts, mo.parts)
+			}
+		})
+		r.sim.MustRun()
+		if res == nil || res.Failed {
+			t.Fatalf("combine=%v GOMAXPROCS=%d: job failed: %+v", combine, procs, res)
+		}
+		o.end = res.End
+		for _, tr := range res.Tasks {
+			o.spills += tr.SpillEvents
+		}
+		return o
+	}
+	var outs [2]outcome
+	for i, combine := range []bool{false, true} {
+		one, all := run(combine, 1), run(combine, runtime.NumCPU())
+		if one.spills == 0 {
+			t.Fatalf("combine=%v: no map task spilled mid-task; the test proves nothing", combine)
+		}
+		if !reflect.DeepEqual(one.parts, all.parts) {
+			t.Errorf("combine=%v: map output differs between GOMAXPROCS 1 and %d", combine, runtime.NumCPU())
+		}
+		if !reflect.DeepEqual(one.got, all.got) {
+			t.Errorf("combine=%v: reduce input differs between GOMAXPROCS 1 and %d", combine, runtime.NumCPU())
+		}
+		if one.end != all.end {
+			t.Errorf("combine=%v: job ended at %v on one processor, %v on %d", combine, one.end, all.end, runtime.NumCPU())
+		}
+		outs[i] = one
+	}
+	if !reflect.DeepEqual(outs[0].parts, outs[1].parts) || !reflect.DeepEqual(outs[0].got, outs[1].got) {
+		t.Error("a pass-through combiner changed the map output or the reduce input")
+	}
+}
+
+// TestNodeFailureInsideSortCharge fails a node at a virtual instant
+// inside a map task's sort charge, found from a fault-free run: the
+// instant the task's combiner first runs, less half its sort's charge.
+// The job is node-combined and its buffers overflow into sponge memory,
+// so the failure costs the node's published output and its tasks run
+// again. No buffer may be written while a helper still reads it (the
+// race detector watches the tasks that inherit buffers mid-charge), and
+// the retried job's reduce output must be the fault-free run's.
+func TestNodeFailureInsideSortCharge(t *testing.T) {
+	const records, vocab = 120_000, 3000
+	type probe struct {
+		node, index, attempt int
+		combined             simtime.Time
+	}
+	per := 0 // records in a map task's one flush
+	run := func(failAt simtime.Time, failNode int) ([][]byte, *JobResult, []probe) {
+		r := newRig(3, func(c *cluster.Config) { c.SpongeMemory = 8 * media.MB })
+		defer r.sim.Close()
+		r.fs.BlockVirtual = 16 * media.MB
+		conf := wordJob(r, "/in/failsort", records, vocab)
+		per = records / len(r.fs.Lookup("/in/failsort").Blocks)
+		conf.NodeCombine = true
+		conf.NodeCombineVirtual = 4 * media.MB
+		conf.SpillFactory = spill.SpongeFactory(r.svc)
+		first := map[*TaskRun]simtime.Time{}
+		conf.Combine = func(ctx *TaskContext, key []byte, vals *ValueIter, emit Emit) {
+			if _, ok := first[ctx.Run()]; !ok {
+				first[ctx.Run()] = ctx.P.Now()
+			}
+			sumCombine(ctx, key, vals, emit)
+		}
+		if failAt > 0 {
+			r.sim.Spawn("chaos", func(p *simtime.Proc) {
+				p.Sleep(simtime.Duration(failAt))
+				r.svc.FailNode(failNode)
+				r.eng.MarkNodeDead(failNode)
+			})
+		}
+		counts, out, res := runWordJob(t, r, conf)
+		checkWordCounts(t, counts, records, vocab)
+		var probes []probe
+		for _, tr := range res.Tasks {
+			if at, ok := first[tr]; ok && tr.Kind == MapTask {
+				probes = append(probes, probe{tr.Node, tr.Index, tr.Attempt, at})
+			}
+		}
+		return out, res, probes
+	}
+	clean, _, probes := run(0, 0)
+	// The last map task to combine on a node other than node 0, which
+	// the sponge tracker lives on.
+	var target probe
+	for _, pr := range probes {
+		if pr.node != 0 && pr.combined > target.combined {
+			target = pr
+		}
+	}
+	if target.combined == 0 {
+		t.Fatal("no map task combined on a node other than node 0; the test proves nothing")
+	}
+	failAt := target.combined.Add(-sortCharge(per) / 2)
+	faulty, res, probes := run(failAt, target.node)
+	inside := false
+	for _, pr := range probes {
+		if pr.node == target.node && pr.index == target.index && pr.attempt == target.attempt && pr.combined == target.combined {
+			inside = true
+		}
+	}
+	if !inside {
+		t.Fatalf("task %d did not combine at %v in the faulty run; the failure at %v missed its sort", target.index, target.combined, failAt)
+	}
+	retried := 0
+	for _, tr := range res.Tasks {
+		if tr.Kind == MapTask && tr.Attempt > 0 && tr.Err == nil {
+			retried++
+		}
+	}
+	t.Logf("failed node %d at %v; %d map attempts retried, %d flush failures", target.node, failAt, retried, res.NodeCombine.FlushFailures)
+	if retried == 0 {
+		t.Fatal("no map task ran again after the failure; the test proves nothing")
+	}
+	if !reflect.DeepEqual(clean, faulty) {
+		t.Error("the retried job's reduce output differs from the fault-free run's")
+	}
+}
+
+// TestUnwindJoinsSortInFlight is the kill path: an attempt unwound while
+// it sleeps its sort's charge — the helper still sorting — joins the
+// helper before its buffer goes back to the list, and the buffer it
+// gives back is empty (under -race, reading the index the helper wrote
+// without that join is a reported race). Nothing kills an attempt
+// mid-sleep but a closing simulation, so the unwinding is called
+// directly.
+func TestUnwindJoinsSortInFlight(t *testing.T) {
+	rj := &runningJob{conf: JobConf{NumReducers: 4}, pending: []*pendingTask{{kind: MapTask}}}
+	b := newSortBuffer(1<<20, 1<<20, 4)
+	for i := 0; i < 20_000; i++ {
+		key := fmt.Appendf(nil, "key-%05d", i*7919%20_000)
+		b.add(HashPartition(key, 4), key, key)
+	}
+	at := &mapAttempt{job: rj, conf: &rj.conf, buf: b}
+	b.startSort(make([][]byte, 4))
+	at.unwind()
+	if len(rj.sortBufs) != 1 || rj.sortBufs[0] != b || !b.empty() || b.bytes() != 0 {
+		t.Fatalf("the unwound attempt's buffer is not in the list, empty: %d listed", len(rj.sortBufs))
+	}
+	if len(b.index) != 20_000 {
+		t.Fatalf("the joined sort indexed %d records, want 20000", len(b.index))
 	}
 }

@@ -12,7 +12,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"math/bits"
 
@@ -75,12 +74,6 @@ type memStream struct {
 
 func newMemStream(data []byte) *memStream { return &memStream{data: data} }
 
-// reset re-arms the stream over a new segment, reusing the struct.
-func (s *memStream) reset(data []byte) {
-	s.data, s.off = data, 0
-	s.k, s.v = nil, nil
-}
-
 func (s *memStream) next(p *simtime.Proc) bool {
 	if s.off >= len(s.data) {
 		return false
@@ -102,8 +95,36 @@ type fileStream struct {
 // streamBufReal is the read and write granularity of spill-file streams.
 const streamBufReal = spill.RunBufReal
 
-func newFileStream(f spill.File) *fileStream {
-	return &fileStream{RunReader: spill.NewRunReader(f, streamBufReal, nil)}
+// newFileStream opens a stream over f that reads through reuse's
+// backing when it is big enough, else through a buffer of its own.
+func newFileStream(f spill.File, reuse []byte) *fileStream {
+	return &fileStream{RunReader: spill.NewRunReader(f, streamBufReal, reuse)}
+}
+
+// readBufs is a free list of file-stream buffers: a task or a node
+// combiner that merges runs batch after batch reads every batch through
+// the buffers of the first.
+type readBufs [][]byte
+
+// open is newFileStream with a buffer from the list.
+func (r *readBufs) open(f spill.File) *fileStream {
+	var reuse []byte
+	if n := len(*r); n > 0 {
+		reuse = (*r)[n-1]
+		(*r)[n-1] = nil
+		*r = (*r)[:n-1]
+	}
+	return newFileStream(f, reuse)
+}
+
+// recycle takes back the buffers of a finished merge's file streams;
+// nothing may read those streams again.
+func (r *readBufs) recycle(streams []recordStream) {
+	for _, s := range streams {
+		if fs, ok := s.(*fileStream); ok {
+			*r = append(*r, fs.Buffer())
+		}
+	}
 }
 
 func (s *fileStream) next(p *simtime.Proc) bool {
@@ -127,8 +148,14 @@ func (s *fileStream) value() []byte { return s.v }
 // recordStream. It charges nothing: the caller charges cmp, the
 // merge's comparison CPU, per record it takes, so the merge stays
 // reusable.
+//
+// The heap is container/heap's, typed: Init, Fix and Pop make the same
+// swaps through the same down steps (Fix's up step is a no-op at the
+// root, the only entry ever fixed), so records with equal keys come out
+// in the order they always have. Each entry caches its stream's current
+// key, taken once per next.
 type mergeStream struct {
-	h mergeHeap
+	h []mergeEntry
 	// cmp is the comparison CPU one record costs: compareCost times
 	// bits.Len of the stream count (at least one).
 	cmp simtime.Duration
@@ -137,27 +164,20 @@ type mergeStream struct {
 	k, v   []byte
 }
 
-type mergeHeap []recordStream
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	return bytes.Compare(h[i].key(), h[j].key()) < 0
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(recordStream)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return s
+// mergeEntry is one stream in the merge heap and its current key.
+type mergeEntry struct {
+	s recordStream
+	k []byte
 }
 
 // newMergeStream merges the given key-sorted streams.
 func newMergeStream(streams []recordStream) *mergeStream {
+	h := make([]mergeEntry, len(streams))
+	for i, s := range streams {
+		h[i].s = s
+	}
 	return &mergeStream{
-		h:   append(mergeHeap(nil), streams...),
+		h:   h,
 		cmp: simtime.Duration(bits.Len(uint(max(len(streams), 1)))) * compareCost,
 	}
 }
@@ -165,27 +185,56 @@ func newMergeStream(streams []recordStream) *mergeStream {
 func (m *mergeStream) next(p *simtime.Proc) bool {
 	if !m.primed {
 		live := m.h[:0]
-		for _, s := range m.h {
-			if s.next(p) {
-				live = append(live, s)
+		for _, e := range m.h {
+			if e.s.next(p) {
+				live = append(live, mergeEntry{s: e.s, k: e.s.key()})
 			}
 		}
+		clear(m.h[len(live):])
 		m.h = live
-		heap.Init(&m.h)
+		for i := len(m.h)/2 - 1; i >= 0; i-- {
+			m.down(i, len(m.h))
+		}
 		m.primed = true
 	} else if len(m.h) > 0 {
 		// Advance the stream we last emitted from.
-		if m.h[0].next(p) {
-			heap.Fix(&m.h, 0)
+		if top := &m.h[0]; top.s.next(p) {
+			top.k = top.s.key()
+			m.down(0, len(m.h))
 		} else {
-			heap.Pop(&m.h)
+			n := len(m.h) - 1
+			m.h[0], m.h[n] = m.h[n], m.h[0]
+			m.down(0, n)
+			m.h[n] = mergeEntry{}
+			m.h = m.h[:n]
 		}
 	}
 	if len(m.h) == 0 {
 		return false
 	}
-	m.k, m.v = m.h[0].key(), m.h[0].value()
+	m.k, m.v = m.h[0].k, m.h[0].s.value()
 	return true
+}
+
+func (m *mergeStream) less(i, j int) bool { return bytes.Compare(m.h[i].k, m.h[j].k) < 0 }
+
+// down is container/heap's down.
+func (m *mergeStream) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && m.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !m.less(j, i) {
+			break
+		}
+		m.h[i], m.h[j] = m.h[j], m.h[i]
+		i = j
+	}
 }
 
 func (m *mergeStream) key() []byte   { return m.k }

@@ -64,9 +64,9 @@ func TestSortBufferSortsByPartitionThenKey(t *testing.T) {
 	add(1, "m")
 	add(0, "a")
 	add(2, "a")
-	segs, cmps := b.sortAndSlice()
-	if cmps <= 0 {
-		t.Fatal("no comparisons reported")
+	segs, n := flushNow(b)
+	if n != 5 {
+		t.Fatalf("the flush counted %d records, want 5", n)
 	}
 	want := [][]string{{"a", "z"}, {"m"}, {"a", "b"}}
 	for part, keys := range want {
@@ -80,9 +80,18 @@ func TestSortBufferSortsByPartitionThenKey(t *testing.T) {
 			t.Fatalf("partition %d = %v, want %v", part, got, keys)
 		}
 	}
-	if !b.empty() {
-		t.Fatal("buffer should reset after sortAndSlice")
+	if !b.empty() || b.bytes() != 0 {
+		t.Fatal("buffer should read empty once its records are handed to the sort")
 	}
+}
+
+// flushNow is a map task's flush without the task: hand the records to
+// the helper, join it, and return the segments and the record count.
+func flushNow(b *sortBuffer) ([][]byte, int) {
+	segs := make([][]byte, b.parts)
+	n := b.startSort(segs)
+	b.join()
+	return segs, n
 }
 
 func TestSortBufferRejectsWhenFull(t *testing.T) {
@@ -107,12 +116,12 @@ type sortCase struct {
 	keys     [][]byte
 }
 
-// modelCompare is the comparator sortAndSlice ran through
-// slices.SortFunc before it had a sort of its own, over the fields an
-// index entry held then: partition, key prefix, key length, full key.
-// The partitions are the test's own, not read back from the entries.
-func modelCompare(b *sortBuffer, part map[int32]int, x, y bufRec) int {
-	xk, yk := keyAt(b.data, x), keyAt(b.data, y)
+// modelCompare is the comparator the flush ran through slices.SortFunc
+// before it had a sort of its own, over the fields an index entry held
+// then: partition, key prefix, key length, full key. The partitions are
+// the test's own, not read back from the entries.
+func modelCompare(slab []byte, part map[int32]int, x, y bufRec) int {
+	xk, yk := keyAt(slab, x), keyAt(slab, y)
 	switch {
 	case part[x.off] != part[y.off]:
 		return cmp.Compare(part[x.off], part[y.off])
@@ -127,9 +136,11 @@ func modelCompare(b *sortBuffer, part map[int32]int, x, y bufRec) int {
 }
 
 // check fills a buffer with the case, from an empty slab that has to
-// grow, sorts it and holds it to the model: the index in exactly the
+// grow, flushes it and holds it to the model: the index in exactly the
 // permutation slices.SortFunc leaves under modelCompare, and each
-// partition's segment the model's records back to back.
+// partition's segment the model's records back to back. The flush
+// builds the index itself, one entry per record in slab order, so the
+// model starts from the built entries put back in that order.
 func (c sortCase) check(t *testing.T) {
 	t.Helper()
 	b := newSortBuffer(0, 1<<30, c.reducers)
@@ -140,16 +151,20 @@ func (c sortCase) check(t *testing.T) {
 			t.Fatal("buffer full unexpectedly")
 		}
 	}
-	want := slices.Clone(b.index)
-	slices.SortFunc(want, func(x, y bufRec) int { return modelCompare(b, part, x, y) })
+	n := len(c.keys)
+	segs, _ := flushNow(b)
+	slab, got := b.fdata, b.index
+	if len(got) != n {
+		t.Fatalf("the flush indexed %d of %d records", len(got), n)
+	}
+	want := slices.Clone(got)
+	slices.SortFunc(want, func(x, y bufRec) int { return cmp.Compare(x.off, y.off) })
+	slices.SortFunc(want, func(x, y bufRec) int { return modelCompare(slab, part, x, y) })
 	wantSegs := make([][]byte, c.reducers)
 	for _, r := range want {
-		wantSegs[part[r.off]] = append(wantSegs[part[r.off]], b.data[r.off:r.off+r.totallen]...)
+		wantSegs[part[r.off]] = append(wantSegs[part[r.off]], slab[r.off:r.off+r.totallen]...)
 	}
-	n := len(b.index)
-	segs, _ := b.sortAndSlice()
-	// reset keeps the index's backing, and with it the sorted order.
-	if got := b.index[:n]; !slices.Equal(got, want) {
+	if !slices.Equal(got, want) {
 		i := 0
 		for got[i] == want[i] {
 			i++
@@ -232,7 +247,7 @@ func (c sortCase) sorted(reverse bool) sortCase {
 }
 
 // TestSortBufferOrderMatchesSortSlice pins where equal keys land: the
-// index must come out of sortAndSlice in exactly the permutation that
+// index must come out of a flush in exactly the permutation that
 // slices.SortFunc (the same pdqsort as sort.Slice, which the buffer ran
 // before it) leaves over the old comparator. The inputs are random, in
 // order, reversed, and all one key, over the reducer counts that put 0,
@@ -302,8 +317,10 @@ func FuzzSortBufferOrder(f *testing.F) {
 }
 
 // TestSortBufferAddAllocationFree guards the emit and sort paths: once
-// the index has grown to a task's working size, adding a record
-// allocates nothing, and sorting allocates only the segments.
+// the side array has grown to a task's working size, adding a record
+// allocates nothing, and a steady-state flush — the hand-off to the
+// helper, the index build, the sort, the join — allocates only its
+// output: the segment list and the one slab the segments share.
 func TestSortBufferAddAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard; the race runtime allocates around instrumented code")
@@ -319,20 +336,18 @@ func TestSortBufferAddAllocationFree(t *testing.T) {
 		}
 	}
 	fill()
-	b.sortAndSlice()
+	flushNow(b)
 	if allocs := testing.AllocsPerRun(10, func() {
 		fill()
-		b.data, b.index = b.data[:0], b.index[:0]
+		b.reset()
 	}); allocs != 0 {
 		t.Fatalf("sortBuffer.add allocates %.1f times per 1000 records, want 0", allocs)
 	}
-	// Sorting and slicing allocates the segment list and one segment per
-	// partition, and nothing else: the sort itself allocates nothing.
 	if allocs := testing.AllocsPerRun(10, func() {
 		fill()
-		b.sortAndSlice()
-	}); allocs != 1+4 {
-		t.Fatalf("sortAndSlice over 4 partitions allocates %.1f times, want 5", allocs)
+		flushNow(b)
+	}); allocs != 1+1 {
+		t.Fatalf("a flush over 4 partitions allocates %.1f times, want 2", allocs)
 	}
 	if size := unsafe.Sizeof(bufRec{}); size != 24 {
 		t.Fatalf("an index entry takes %d bytes, want 24", size)
@@ -515,7 +530,7 @@ func TestFileStreamAcrossBufferBoundaries(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		s := newFileStream(f)
+		s := newFileStream(f, nil)
 		var got []string
 		for s.next(p) {
 			got = append(got, string(s.key()))

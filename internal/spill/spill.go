@@ -14,6 +14,8 @@ import (
 
 // File is one spill: written once, closed, read back (possibly in several
 // passes with Rewind), and deleted. *sponge.File implements it directly.
+// Write copies what it is given: the caller may reuse data once it
+// returns.
 type File interface {
 	Write(p *simtime.Proc, data []byte) error
 	Close(p *simtime.Proc) error

@@ -39,12 +39,17 @@ echo "== go test -race ./... =="
 go test -race -count=1 -timeout 130s ./...
 
 echo "== clock hand-off and sort-buffer recycling, -race -count=10 =="
-# The two places where goroutines hand state to one another without a
+# The places where goroutines hand state to one another without a
 # scheduler in between: simtime's processes pass the clock directly (the
-# seeded event-order script and the Close/re-Spawn edge cases), and map
-# tasks inherit each other's sort buffers through the job's free list.
+# seeded event-order script and the Close/re-Spawn edge cases), map
+# tasks inherit each other's sort buffers through the job's free list,
+# and a map task's sort runs on a helper goroutine while the task sleeps
+# its charge: the job's output and end time are the same on one
+# processor and on all, a node failed inside a sort charge leaves the
+# retried job's output a fault-free run's, and an attempt unwound
+# mid-charge joins its helper before its buffer goes back.
 go test -race -count=10 ./internal/simtime
-go test -race -count=10 -run 'SortBuffer|Slab' ./internal/mapreduce
+go test -race -count=10 -run 'SortBuffer|Slab|TestSortHandOffSameAcrossGOMAXPROCS|TestNodeFailureInsideSortCharge|TestUnwindJoinsSortInFlight' ./internal/mapreduce
 
 echo "== daemon rounds and dropped simulations, -race -count=20 =="
 # No goroutine outlives Run: idle process goroutines change Sims through
@@ -96,8 +101,9 @@ echo "== histogram snapshots under concurrent Observe, -race -count=10 =="
 go test -race -count=10 -run 'TestHistogram' ./internal/obs
 
 echo "== benchmarks compile and run once =="
-# Among them the two the profile recipe runs (scripts/profile.sh):
-# BenchmarkMacroJobs, one macro-sim pass job by job, and
+# Among them the three the profile recipe runs (scripts/profile.sh):
+# BenchmarkMacroJobs, one macro-sim pass job by job,
+# BenchmarkWordcountNodeCombine, job-wordcount-nc's job in-process, and
 # BenchmarkSortBufferZipf, one job-wordcount-nc map task's sort. The
 # wire package's benchmarks fail on a worker's error, not only print it.
 go test -run '^$' -bench . -benchtime 1x ./internal/simtime ./internal/mapreduce ./internal/pig ./internal/bench ./internal/sponge/wire
@@ -121,10 +127,11 @@ echo "== allocation-regression guards =="
 # process allocated on one Sim or a fresh one per cycle, plus the
 # absolute ceiling on a whole Median job run. The obs guard keeps
 # counter, gauge and histogram ops allocation-free so instrumentation
-# stays off the spill path's alloc budget. The mapreduce guards pin the map-side
-# combiner scratch, the node-combine publish path and sortBuffer.add at
-# zero steady-state allocations per record, and sortAndSlice at its
-# segments alone. The record-path guards hold
+# stays off the spill path's alloc budget. The mapreduce guards pin
+# sortBuffer.add and the node-combine publish path at zero steady-state
+# allocations per record, and a flush — the hand-off to the sort helper
+# included — at its output alone: the segment list and one slab, or with
+# a combiner the one slab. The record-path guards hold
 # the Pig codec (encode into scratch + cursor read) at zero, a whole Pig
 # job under two allocations per input record, and a TopK pass to one
 # allocation per arena chunk its counter table fills plus a constant.
